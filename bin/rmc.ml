@@ -675,12 +675,8 @@ let serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~captu
   let metrics = Rmcast.Metrics.create () in
   let recorder = Option.map (fun _ -> Rmcast.Recorder.create ()) capture in
   match
-    if shards > 1 then
-      Udp.run_sharded ~config ~metrics ~transport ~shards ~receivers ~loss:p
-        ~seed:(seed + 1) ~sessions:data ()
-    else
-      Udp.run_multi ~config ~metrics ?recorder ~transport ~receivers ~loss:p
-        ~seed:(seed + 1) ~sessions:data ()
+    Udp.run_multi ~config ~metrics ?recorder ~transport ~shards ~receivers ~loss:p
+      ~seed:(seed + 1) ~sessions:data ()
   with
   | Error e -> `Error (false, Rmcast.Error.to_string e)
   | Ok report ->
@@ -726,9 +722,6 @@ let serve sessions transport k h a payload p receivers seed bytes show_metrics c
   else if shards < 1 then `Error (false, "--shards must be >= 1")
   else if (shards > 1 || multicast) && transport <> `Udp then
     `Error (false, "--shards/--multicast require --transport udp")
-  else if capture <> None && shards > 1 then
-    `Error
-      (false, "--capture records one driver's event stream; it cannot span --shards")
   else if multicast && not (Rmcast.Udp_multicast.is_available ()) then
     `Error (false, "--multicast: this environment does not route multicast over loopback")
   else
@@ -792,7 +785,7 @@ let serve_cmd =
       & info [ "capture" ] ~docv:"FILE"
           ~doc:
             "Record the sans-IO event/effect streams of every session to FILE (UDP transport \
-             only); verify later with $(b,rmc replay) FILE.")
+             only, one shard); verify later with $(b,rmc replay) FILE.")
   in
   let shards =
     Arg.(

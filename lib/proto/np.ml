@@ -116,10 +116,23 @@ let machine_config c =
 
 type rx_driver = {
   machine : Np_machine.Receiver.t;
+  actor : string; (* recorder actor, "r<i>" *)
   timers : (int, Engine.timer) Hashtbl.t; (* armed NAK timers, by tg *)
 }
 
 type churn_event = { receiver : int; at : float; action : [ `Join | `Leave ] }
+
+(* Receivers a flow holds as something other than machines — the aggregate
+   tier's count-vector remainder.  The loop calls each hook one propagation
+   delay after the multicast that triggers it, after the machine
+   receivers' deliveries of that multicast are scheduled; a population's
+   own NAK re-enters the loop through {!multicast_nak}. *)
+type population = {
+  on_payload : tg:int -> unit;
+  on_poll : tg:int -> size:int -> round:int -> unit;
+  on_exhausted : tg:int -> unit;
+  on_nak : tg:int -> need:int -> round:int -> unit;
+}
 
 type flow = {
   config : config;
@@ -141,6 +154,7 @@ type flow = {
   completed_at : float option array; (* virtual time of each receiver's Done *)
   last_polls : (int * int * int) array; (* per TG: k, size, round (0 = no poll yet) *)
   tg_exhausted : bool array;
+  mutable population : population option;
   mutable in_ready : bool; (* member of the arbiter's rotation *)
   mutable finished_at : float; (* virtual time of the flow's last event *)
   mutable ejected_rev : (int * int) list;
@@ -190,35 +204,11 @@ let through_wire mux message =
 let touch mux flow = flow.finished_at <- Engine.now mux.engine
 
 let sender_actor = "s0"
-let rx_actor receiver = "r" ^ string_of_int receiver
 
 let sender_handle flow event =
-  (match flow.recorder with
-  | Some r -> Recorder.record_event r ~actor:sender_actor (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Sender.handle flow.sender event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e -> Recorder.record_effect r ~actor:sender_actor (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
-
-let rx_handle flow ~receiver event =
-  (match flow.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(rx_actor receiver) (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Receiver.handle flow.rxs.(receiver).machine event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(rx_actor receiver) (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
+  Np_replay.step ?recorder:flow.recorder ~actor:sender_actor
+    (Np_machine.Sender.handle flow.sender)
+    event
 
 (* Apply the controller's current decision when it differs from the last
    one fed to the machine.  Routed through {!sender_handle} so the Retune
@@ -236,6 +226,13 @@ let maybe_retune flow =
            (Np_machine.Retune
               { proactive = d.Controller.proactive; budget = d.Controller.budget }))
     end
+
+(* Schedule a population hook one propagation delay out. *)
+let to_population mux flow hook =
+  match flow.population with
+  | Some population ->
+    ignore (Engine.after mux.engine flow.config.delay (fun () -> hook population))
+  | None -> ()
 
 let rec pump mux =
   match Queue.pop mux.ready with
@@ -286,31 +283,28 @@ and execute mux flow =
              fate is drawn on demand, and churn must not shift the RNG
              stream of the receivers that stay. *)
           let lost = Network.lost tx r in
-          if flow.presence.(r) && not lost then
-            ignore
-              (Engine.after mux.engine c.delay (fun () ->
-                   rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
+          if flow.presence.(r) && not lost then deliver mux flow ~receiver:r msg
         done;
+        to_population mux flow (fun p -> p.on_payload ~tg:(Header.tg_id msg));
         c.spacing
       | Np_machine.Send ((Header.Poll _ | Header.Exhausted _) as msg) ->
         let msg = through_wire mux msg in
+        for r = 0 to flow.receivers - 1 do
+          if flow.presence.(r) then deliver mux flow ~receiver:r msg
+        done;
         (match msg with
         | Header.Poll { tg_id; k; size; round } ->
           if tg_id >= 0 && tg_id < Array.length flow.last_polls then
             flow.last_polls.(tg_id) <- (k, size, round);
           (match flow.controller with
           | Some controller -> Controller.observe_poll controller ~tg:tg_id ~k ~size ~round
-          | None -> ())
+          | None -> ());
+          to_population mux flow (fun p -> p.on_poll ~tg:tg_id ~size ~round)
         | Header.Exhausted { tg_id } ->
           if tg_id >= 0 && tg_id < Array.length flow.tg_exhausted then
-            flow.tg_exhausted.(tg_id) <- true
+            flow.tg_exhausted.(tg_id) <- true;
+          to_population mux flow (fun p -> p.on_exhausted ~tg:tg_id)
         | _ -> ());
-        for r = 0 to flow.receivers - 1 do
-          if flow.presence.(r) then
-            ignore
-              (Engine.after mux.engine c.delay (fun () ->
-                   rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
         busy
       | Np_machine.Send (Header.Nak _)
       | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
@@ -318,27 +312,26 @@ and execute mux flow =
         busy)
     0.0 effects
 
+and deliver mux flow ~receiver msg =
+  ignore
+    (Engine.after mux.engine flow.config.delay (fun () ->
+         rx_event mux flow ~receiver (Np_machine.Packet_received msg)))
+
 and rx_event mux flow ~receiver event =
   touch mux flow;
-  let effects = rx_handle flow ~receiver event in
+  let rxd = flow.rxs.(receiver) in
+  let effects =
+    Np_replay.step ?recorder:flow.recorder ~actor:rxd.actor
+      (Np_machine.Receiver.handle rxd.machine)
+      event
+  in
   List.iter (rx_apply mux flow ~receiver) effects
 
 and rx_apply mux flow ~receiver effect =
   let rxd = flow.rxs.(receiver) in
   match effect with
-  | Np_machine.Send (Header.Nak { tg_id; need; round } as nak) ->
-    (* The NAK is multicast: the sender reacts, the other receivers
-       suppress their own pending NAK for this round. *)
-    let nak = through_wire mux nak in
-    ignore
-      (Engine.after mux.engine flow.config.delay (fun () ->
-           sender_feedback mux flow ~tg:tg_id ~need ~round));
-    for other = 0 to flow.receivers - 1 do
-      if other <> receiver && flow.presence.(other) then
-        ignore
-          (Engine.after mux.engine flow.config.delay (fun () ->
-               rx_event mux flow ~receiver:other (Np_machine.Packet_received nak)))
-    done
+  | Np_machine.Send (Header.Nak { tg_id; need; round }) ->
+    multicast_nak mux flow ~from:(`Receiver receiver) ~tg:tg_id ~need ~round
   | Np_machine.Arm_timer { tg; round; offset } ->
     (match Hashtbl.find_opt rxd.timers tg with Some t -> Engine.cancel t | None -> ());
     Hashtbl.replace rxd.timers tg
@@ -359,6 +352,24 @@ and rx_apply mux flow ~receiver effect =
   | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
   | Np_machine.Done -> flow.completed_at.(receiver) <- Some (Engine.now mux.engine)
   | Np_machine.Send _ | Np_machine.Trace _ -> ()
+
+(* The NAK is multicast: the sender reacts, and every other present
+   receiver — machine or population — overhears it and may suppress its
+   own pending NAK for the round.  Machine NAKs and the population's
+   virtual NAKs take this one path. *)
+and multicast_nak mux flow ~from ~tg ~need ~round =
+  touch mux flow;
+  let nak = through_wire mux (Header.Nak { tg_id = tg; need; round }) in
+  ignore
+    (Engine.after mux.engine flow.config.delay (fun () ->
+         sender_feedback mux flow ~tg ~need ~round));
+  let speaker = match from with `Receiver r -> r | `Population -> -1 in
+  for other = 0 to flow.receivers - 1 do
+    if other <> speaker && flow.presence.(other) then deliver mux flow ~receiver:other nak
+  done;
+  match from with
+  | `Receiver _ -> to_population mux flow (fun p -> p.on_nak ~tg ~need ~round)
+  | `Population -> ()
 
 and sender_feedback mux flow ~tg ~need ~round =
   touch mux flow;
@@ -441,9 +452,10 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
      delivery order. *)
   let rand () = Rng.float rng in
   let rxs =
-    Array.init receivers (fun _ ->
+    Array.init receivers (fun r ->
         {
           machine = Np_machine.Receiver.create ~expected mc ~rand;
+          actor = "r" ^ string_of_int r;
           timers = Hashtbl.create 8;
         })
   in
@@ -484,6 +496,7 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       completed_at = Array.make receivers None;
       last_polls = Array.make tg_count (0, 0, 0);
       tg_exhausted = Array.make tg_count false;
+      population = None;
       in_ready = false;
       finished_at = start;
       ejected_rev = [];
@@ -559,6 +572,13 @@ module Mux = struct
     action : [ `Join | `Leave ];
   }
 
+  type nonrec population = population = {
+    on_payload : tg:int -> unit;
+    on_poll : tg:int -> size:int -> round:int -> unit;
+    on_exhausted : tg:int -> unit;
+    on_nak : tg:int -> need:int -> round:int -> unit;
+  }
+
   let create = create
   let engine = engine
   let add_flow = add_flow
@@ -567,6 +587,9 @@ module Mux = struct
   let complete = flow_complete
   let report = flow_report
   let run t = Engine.run t.engine
+  let set_population flow population = flow.population <- Some population
+  let population_nak mux flow ~tg ~need ~round =
+    multicast_nak mux flow ~from:`Population ~tg ~need ~round
   let retunes flow = Np_machine.Sender.retunes flow.sender
   let tuning flow = Np_machine.Sender.tuning flow.sender
 

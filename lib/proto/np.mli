@@ -177,6 +177,31 @@ module Mux : sig
   val controller_estimates : flow -> (float * float * float) option
   (** [(p_hat, m_hat, burst_hat)] of the adaptive controller, [None] under
       [`Static]. *)
+
+  (** {2 Population hooks}
+
+      Receivers a flow holds as something other than {!Np_machine}
+      instances — the seam {!Np_aggregate} attaches its count-vector
+      remainder to.  The loop calls each hook one propagation [delay]
+      after the multicast that triggers it, after the machine receivers'
+      deliveries of that multicast are scheduled.  Hooks must not draw
+      from the flow's RNG. *)
+
+  type population = {
+    on_payload : tg:int -> unit;  (** a DATA or PARITY of [tg] arrives *)
+    on_poll : tg:int -> size:int -> round:int -> unit;  (** a POLL arrives *)
+    on_exhausted : tg:int -> unit;  (** EXHAUSTED arrives *)
+    on_nak : tg:int -> need:int -> round:int -> unit;
+        (** a machine receiver's NAK is overheard *)
+  }
+
+  val set_population : flow -> population -> unit
+  (** Attach the hooks; call before the engine reaches the flow's start. *)
+
+  val population_nak : t -> flow -> tg:int -> need:int -> round:int -> unit
+  (** Multicast a NAK on the population's behalf, through the same path a
+      machine receiver's NAK takes: the sender and every present machine
+      receiver get it one [delay] later ([on_nak] does not). *)
 end
 
 val run :

@@ -1,46 +1,45 @@
-(* The aggregate-tier NP interpreter: {!Np.Mux}'s virtual-time driver with
-   the receiver population split into a small {e tracked cohort} of exact
-   {!Np_machine} instances and an {e aggregate remainder} held as a
+(* The aggregate NP tier: an {!Np.Mux} flow whose receiver population is
+   split into a small {e tracked cohort} of exact {!Np_machine} instances
+   (the flow's machine receivers) and an {e aggregate remainder} held as a
    count-vector population ({!Rmc_sim.Aggregate}).
 
-   The cohort runs through the same code path as {!Np.Mux} — same engine
-   scheduling, same wire round-trip, same shared damping RNG — so with
-   [population = cohort] this interpreter consumes the same random draws in
+   There is one drive loop: the cohort {e is} an ordinary {!Np.Mux} flow,
+   so with [population = cohort] the tier consumes the same random draws in
    the same order and produces event-identical machine streams (the
-   equivalence contract, enforced by test_aggregate).  The aggregate
-   remainder participates through three hooks, none of which touch the
-   cohort's RNG:
+   equivalence contract, enforced by test_aggregate).  The remainder is
+   attached as the flow's {!Np.Mux.population} hooks, none of which touch
+   the cohort's RNG:
 
-   - every simulated DATA/PARITY multicast binomially thins the population's
-     deficit classes at its arrival time;
-   - every POLL arms one *virtual* NAK timer per TG at the offset the
-     population's first-firing receiver would draw: slot index from its
-     maximum deficit (the paper's deterministic slotting) plus the minimum
-     of c iid damping uniforms, sampled by inversion;
-   - an overheard NAK (cohort or virtual) with need >= the population's
+   - [on_payload]: every simulated DATA/PARITY multicast binomially thins
+     the population's deficit classes at its arrival time;
+   - [on_poll]: every POLL arms one *virtual* NAK timer per TG at the
+     offset the population's first-firing receiver would draw: slot index
+     from its maximum deficit (the paper's deterministic slotting) plus the
+     minimum of c iid damping uniforms, sampled by inversion;
+   - [on_nak]: an overheard cohort NAK with need >= the population's
      maximum deficit suppresses the virtual timer, exactly like the
-     machine's suppression rule.
+     machine's suppression rule;
+   - [on_exhausted]: an exhausted budget ejects every remainder receiver
+     still short of k packets.
 
    Firing a virtual timer feeds the sender the population's maximum deficit
-   — what the first-arriving real NAK of that class would have carried — and
-   multicasts the NAK to the cohort for suppression.  NAK *counts* for the
-   aggregate side are sampled from the slot-occupancy model (receivers in
-   the winning slot whose timers land within one propagation delay of the
-   first also fire; everyone else armed is suppressed), which is the one
-   deliberately statistical element: per-round NAK tallies are estimates,
-   while transmissions, rounds and deficits are exact in distribution.
-   DESIGN.md §10 spells out the argument. *)
+   — what the first-arriving real NAK of that class would have carried — by
+   multicasting it through {!Np.Mux.population_nak}, the path cohort NAKs
+   take too.  NAK *counts* for the aggregate side are sampled from the
+   slot-occupancy model (receivers in the winning slot whose timers land
+   within one propagation delay of the first also fire; everyone else armed
+   is suppressed), which is the one deliberately statistical element:
+   per-round NAK tallies are estimates, while transmissions, rounds and
+   deficits are exact in distribution.  DESIGN.md §10 spells out the
+   argument. *)
 
 module Engine = Rmc_sim.Engine
 module Network = Rmc_sim.Network
 module Aggregate = Rmc_sim.Aggregate
 module Rng = Rmc_numerics.Rng
 module Sampler = Rmc_numerics.Sampler
-module Header = Rmc_wire.Header
 module Recorder = Rmc_obs.Recorder
-module Buffer_pool = Rmc_pool.Buffer_pool
 
-let max_datagram = 65536
 let default_cohort = 64
 
 type report = {
@@ -68,10 +67,6 @@ type report = {
 
 let transmissions_per_packet report =
   float_of_int (report.data_tx + report.parity_tx) /. float_of_int report.data_tx
-
-let machine_config (c : Np.config) =
-  { Np_machine.k = c.Np.k; h = c.Np.h; proactive = c.Np.proactive;
-    pre_encode = c.Np.pre_encode; slot = c.Np.slot; codec = c.Np.codec }
 
 (* The count-vector population model assumes an MDS code: a receiver's state
    is its reception count and any k receptions decode.  The rateless codecs
@@ -105,7 +100,11 @@ type agg_tg = {
   mutable armed_need : int;
 }
 
-type agg_state = {
+type remainder = {
+  mux : Np.Mux.t;
+  cohort_flow : Np.Mux.flow;
+  config : Np.config;
+  recorder : Recorder.t option;
   rng : Rng.t; (* split off the flow RNG; the cohort never draws from it *)
   tgs : agg_tg array;
   mutable naks_sent : int;
@@ -113,93 +112,18 @@ type agg_state = {
   mutable ejected : int;
 }
 
-type rx_driver = {
-  machine : Np_machine.Receiver.t;
-  timers : (int, Engine.timer) Hashtbl.t;
-}
-
 type flow = {
-  config : Np.config;
-  network : Network.t;
-  sender : Np_machine.Sender.t;
-  rxs : rx_driver array;
-  receivers : int; (* cohort size *)
+  cohort_flow : Np.Mux.flow;
   population : int;
-  agg : agg_state option; (* None iff population = cohort *)
-  recorder : Recorder.t option;
-  started_at : float;
-  mutable in_ready : bool;
-  mutable finished_at : float;
-  mutable ejected_rev : (int * int) list;
-  mutable intact : bool;
+  remainder : remainder option; (* None iff population = cohort *)
 }
 
-type mux = {
-  engine : Engine.t;
-  ready : flow Queue.t;
-  mutable pumping : bool;
-  pool : Buffer_pool.t;
-}
-
-let create engine =
-  {
-    engine;
-    ready = Queue.create ();
-    pumping = false;
-    pool = Buffer_pool.create ~capacity:4 ~buf_size:max_datagram ();
-  }
-
-let engine mux = mux.engine
-
-let through_wire mux message =
-  Buffer_pool.with_buf mux.pool (fun buf ->
-      let len = Header.encode_into buf ~off:0 message in
-      match Header.decode_slice buf ~off:0 ~len with
-      | Ok message -> message
-      | Error reason -> invalid_arg ("Np_aggregate: wire round-trip failed: " ^ reason))
-
-let touch mux flow = flow.finished_at <- Engine.now mux.engine
-
-let sender_actor = "s0"
-let rx_actor receiver = "r" ^ string_of_int receiver
-let agg_actor = "aggregate"
-
-let sender_handle flow event =
-  (match flow.recorder with
-  | Some r -> Recorder.record_event r ~actor:sender_actor (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Sender.handle flow.sender event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e -> Recorder.record_effect r ~actor:sender_actor (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
-
-let rx_handle flow ~receiver event =
-  (match flow.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(rx_actor receiver) (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Receiver.handle flow.rxs.(receiver).machine event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(rx_actor receiver) (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
-
-let record_agg flow line =
-  match flow.recorder with
-  | Some r -> Recorder.record_event r ~actor:agg_actor line
+let record rem line =
+  match rem.recorder with
+  | Some r -> Recorder.record_event r ~actor:"aggregate" line
   | None -> ()
 
-(* --- aggregate hooks ------------------------------------------------- *)
-
-let agg_cancel at =
+let cancel at =
   match at.armed with
   | Some timer ->
     Engine.cancel timer;
@@ -207,401 +131,192 @@ let agg_cancel at =
   | None -> ()
 
 (* DATA/PARITY multicast reaching the aggregate population. *)
-let agg_receive mux flow ~tg =
-  match flow.agg with
-  | None -> ()
-  | Some agg ->
-    let at = agg.tgs.(tg) in
-    Aggregate.receive at.pop agg.rng ~time:(Engine.now mux.engine)
-
-(* A POLL arriving at the population (re)arms the TG's virtual NAK timer,
-   mirroring the machine: slot index [max 0 (size - need)], damping uniform
-   = minimum over the receivers sharing that maximum deficit. *)
-let rec agg_poll mux flow ~tg ~size ~round =
-  match flow.agg with
-  | None -> ()
-  | Some agg ->
-    let at = agg.tgs.(tg) in
-    agg_cancel at;
-    let need = Aggregate.max_deficit at.pop in
-    if need > 0 then begin
-      let c = Aggregate.deficit_count at.pop need in
-      let slot_index = max 0 (size - need) in
-      let u = Aggregate.min_uniform agg.rng ~count:c in
-      let offset = (float_of_int slot_index +. u) *. flow.config.Np.slot in
-      at.armed_round <- round;
-      at.armed_need <- need;
-      at.armed <-
-        Some
-          (Engine.after mux.engine offset (fun () ->
-               at.armed <- None;
-               agg_nak_fire mux flow ~tg))
-    end
+let on_payload rem ~tg =
+  Aggregate.receive rem.tgs.(tg).pop rem.rng ~time:(Engine.now (Np.Mux.engine rem.mux))
 
 (* The population's first NAK timer fires: feed the sender the maximum
    deficit, multicast the NAK to the cohort, and tally how many same-slot
    peers fire alongside (timers within one propagation delay of the first
    cannot be suppressed any more) versus how many armed receivers the NAK
    silences. *)
-and agg_nak_fire mux flow ~tg =
-  match flow.agg with
-  | None -> ()
-  | Some agg ->
-    let at = agg.tgs.(tg) in
-    let need = at.armed_need and round = at.armed_round in
-    touch mux flow;
-    record_agg flow (Printf.sprintf "nak tg=%d need=%d round=%d" tg need round);
+let nak_fire rem ~tg =
+  let at = rem.tgs.(tg) in
+  let need = at.armed_need and round = at.armed_round in
+  record rem (Printf.sprintf "nak tg=%d need=%d round=%d" tg need round);
+  let c = Aggregate.deficit_count at.pop need in
+  let armed = Aggregate.missing at.pop in
+  let window = Float.min 1.0 (rem.config.Np.delay /. rem.config.Np.slot) in
+  let same_slot_firers =
+    if c <= 1 then 0 else Sampler.binomial rem.rng ~n:(c - 1) ~p:window
+  in
+  let fired = 1 + same_slot_firers in
+  rem.naks_sent <- rem.naks_sent + fired;
+  rem.naks_suppressed <- rem.naks_suppressed + max 0 (armed - fired);
+  Np.Mux.population_nak rem.mux rem.cohort_flow ~tg ~need ~round
+
+(* A POLL arriving at the population (re)arms the TG's virtual NAK timer,
+   mirroring the machine: slot index [max 0 (size - need)], damping uniform
+   = minimum over the receivers sharing that maximum deficit. *)
+let on_poll rem ~tg ~size ~round =
+  let at = rem.tgs.(tg) in
+  cancel at;
+  let need = Aggregate.max_deficit at.pop in
+  if need > 0 then begin
     let c = Aggregate.deficit_count at.pop need in
-    let armed = Aggregate.missing at.pop in
-    let window = Float.min 1.0 (flow.config.Np.delay /. flow.config.Np.slot) in
-    let same_slot_firers =
-      if c <= 1 then 0 else Sampler.binomial agg.rng ~n:(c - 1) ~p:window
-    in
-    let fired = 1 + same_slot_firers in
-    agg.naks_sent <- agg.naks_sent + fired;
-    agg.naks_suppressed <- agg.naks_suppressed + max 0 (armed - fired);
-    let nak = through_wire mux (Header.Nak { tg_id = tg; need; round }) in
-    ignore
-      (Engine.after mux.engine flow.config.Np.delay (fun () ->
-           sender_feedback mux flow ~tg ~need ~round));
-    for r = 0 to flow.receivers - 1 do
-      ignore
-        (Engine.after mux.engine flow.config.Np.delay (fun () ->
-             rx_event mux flow ~receiver:r (Np_machine.Packet_received nak)))
-    done
+    let slot_index = max 0 (size - need) in
+    let u = Aggregate.min_uniform rem.rng ~count:c in
+    let offset = (float_of_int slot_index +. u) *. rem.config.Np.slot in
+    at.armed_round <- round;
+    at.armed_need <- need;
+    at.armed <-
+      Some
+        (Engine.after (Np.Mux.engine rem.mux) offset (fun () ->
+             at.armed <- None;
+             nak_fire rem ~tg))
+  end
 
 (* A NAK overheard by the population (from the cohort): same suppression
    rule as the machine — an equal-or-greater need for the armed round
    cancels the virtual timer and silences every armed aggregate receiver. *)
-and agg_overhear mux flow ~tg ~need ~round =
-  match flow.agg with
-  | None -> ()
-  | Some agg ->
-    let at = agg.tgs.(tg) in
-    (match at.armed with
-    | Some _ when at.armed_round = round && need >= at.armed_need ->
-      agg_cancel at;
-      agg.naks_suppressed <- agg.naks_suppressed + Aggregate.missing at.pop;
-      ignore mux
-    | _ -> ())
+let on_nak rem ~tg ~need ~round =
+  let at = rem.tgs.(tg) in
+  match at.armed with
+  | Some _ when at.armed_round = round && need >= at.armed_need ->
+    cancel at;
+    rem.naks_suppressed <- rem.naks_suppressed + Aggregate.missing at.pop
+  | _ -> ()
 
-and agg_exhausted mux flow ~tg =
-  match flow.agg with
-  | None -> ()
-  | Some agg ->
-    let at = agg.tgs.(tg) in
-    agg_cancel at;
-    let dropped = Aggregate.eject_missing at.pop in
-    if dropped > 0 then begin
-      touch mux flow;
-      record_agg flow (Printf.sprintf "ejected tg=%d count=%d" tg dropped);
-      agg.ejected <- agg.ejected + dropped
-    end
-
-(* --- the Np.Mux drive loop (cohort path identical to Np.Mux) ---------- *)
-
-and pump mux =
-  match Queue.pop mux.ready with
-  | exception Queue.Empty -> mux.pumping <- false
-  | flow ->
-    if not (Np_machine.Sender.pending flow.sender) then begin
-      flow.in_ready <- false;
-      pump mux
-    end
-    else begin
-      let busy = execute mux flow in
-      if Np_machine.Sender.pending flow.sender then Queue.push flow mux.ready
-      else flow.in_ready <- false;
-      touch mux flow;
-      ignore (Engine.after mux.engine busy (fun () -> pump mux))
-    end
-
-and wake mux flow =
-  if Np_machine.Sender.pending flow.sender && not flow.in_ready then begin
-    flow.in_ready <- true;
-    Queue.push flow mux.ready;
-    if not mux.pumping then begin
-      mux.pumping <- true;
-      ignore (Engine.after mux.engine 0.0 (fun () -> pump mux))
-    end
+let on_exhausted rem ~tg =
+  let at = rem.tgs.(tg) in
+  cancel at;
+  let dropped = Aggregate.eject_missing at.pop in
+  if dropped > 0 then begin
+    record rem (Printf.sprintf "ejected tg=%d count=%d" tg dropped);
+    rem.ejected <- rem.ejected + dropped
   end
-
-and execute mux flow =
-  let c = flow.config in
-  let effects = sender_handle flow Np_machine.Tick in
-  List.fold_left
-    (fun busy effect ->
-      match effect with
-      | Np_machine.Send ((Header.Data { tg_id; _ } | Header.Parity { tg_id; _ }) as msg)
-        ->
-        let msg = through_wire mux msg in
-        let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
-        for r = 0 to flow.receivers - 1 do
-          if not (Network.lost tx r) then
-            ignore
-              (Engine.after mux.engine c.Np.delay (fun () ->
-                   rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
-        if flow.agg <> None then
-          ignore
-            (Engine.after mux.engine c.Np.delay (fun () -> agg_receive mux flow ~tg:tg_id));
-        c.Np.spacing
-      | Np_machine.Send ((Header.Poll { tg_id; size; round; _ } as msg)) ->
-        let msg = through_wire mux msg in
-        for r = 0 to flow.receivers - 1 do
-          ignore
-            (Engine.after mux.engine c.Np.delay (fun () ->
-                 rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
-        if flow.agg <> None then
-          ignore
-            (Engine.after mux.engine c.Np.delay (fun () ->
-                 agg_poll mux flow ~tg:tg_id ~size ~round));
-        busy
-      | Np_machine.Send ((Header.Exhausted { tg_id } as msg)) ->
-        let msg = through_wire mux msg in
-        for r = 0 to flow.receivers - 1 do
-          ignore
-            (Engine.after mux.engine c.Np.delay (fun () ->
-                 rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
-        if flow.agg <> None then
-          ignore
-            (Engine.after mux.engine c.Np.delay (fun () -> agg_exhausted mux flow ~tg:tg_id));
-        busy
-      | Np_machine.Send (Header.Nak _)
-      | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
-      | Np_machine.Ejected _ | Np_machine.Trace _ | Np_machine.Done ->
-        busy)
-    0.0 effects
-
-and rx_event mux flow ~receiver event =
-  touch mux flow;
-  let effects = rx_handle flow ~receiver event in
-  List.iter (rx_apply mux flow ~receiver) effects
-
-and rx_apply mux flow ~receiver effect =
-  let rxd = flow.rxs.(receiver) in
-  match effect with
-  | Np_machine.Send (Header.Nak { tg_id; need; round } as nak) ->
-    let nak = through_wire mux nak in
-    ignore
-      (Engine.after mux.engine flow.config.Np.delay (fun () ->
-           sender_feedback mux flow ~tg:tg_id ~need ~round));
-    for other = 0 to flow.receivers - 1 do
-      if other <> receiver then
-        ignore
-          (Engine.after mux.engine flow.config.Np.delay (fun () ->
-               rx_event mux flow ~receiver:other (Np_machine.Packet_received nak)))
-    done;
-    if flow.agg <> None then
-      ignore
-        (Engine.after mux.engine flow.config.Np.delay (fun () ->
-             agg_overhear mux flow ~tg:tg_id ~need ~round))
-  | Np_machine.Arm_timer { tg; round; offset } ->
-    (match Hashtbl.find_opt rxd.timers tg with Some t -> Engine.cancel t | None -> ());
-    Hashtbl.replace rxd.timers tg
-      (Engine.after mux.engine offset (fun () ->
-           Hashtbl.remove rxd.timers tg;
-           rx_event mux flow ~receiver (Np_machine.Timer_fired { tg; round })))
-  | Np_machine.Cancel_timer { tg } ->
-    (match Hashtbl.find_opt rxd.timers tg with
-    | Some t ->
-      Engine.cancel t;
-      Hashtbl.remove rxd.timers tg
-    | None -> ())
-  | Np_machine.Deliver { tg; data; reconstructed = _ } ->
-    if
-      not
-        (Array.for_all2 Bytes.equal data (Np_machine.Sender.block_data flow.sender ~tg))
-    then flow.intact <- false
-  | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
-  | Np_machine.Send _ | Np_machine.Trace _ | Np_machine.Done -> ()
-
-and sender_feedback mux flow ~tg ~need ~round =
-  touch mux flow;
-  ignore (sender_handle flow (Np_machine.Feedback { tg; need; round }));
-  if Np_machine.Sender.pending flow.sender then wake mux flow
 
 let add_flow mux ?(config = Np.default_config) ?(start = 0.0) ?recorder
     ?(cohort = default_cohort) ?channel ~population ~network ~rng ~data () =
   Np.validate_config config;
   Rmc_core.Error.get_exn (check_config config);
-  let c = config in
-  if Array.length data = 0 then invalid_arg "Np_aggregate: no data";
-  Array.iter
-    (fun payload ->
-      if Bytes.length payload <> c.Np.payload_size then
-        invalid_arg "Np_aggregate: payload size mismatch")
-    data;
-  if start < 0.0 then invalid_arg "Np_aggregate: negative start time";
-  if start < Engine.now mux.engine then invalid_arg "Np_aggregate: start time in the past";
   let receivers = Network.receivers network in
   if receivers <> min cohort population then
     invalid_arg "Np_aggregate: network must cover exactly the tracked cohort";
   if population < receivers then invalid_arg "Np_aggregate: population smaller than cohort";
-  let mc = machine_config c in
-  let sender = Np_machine.Sender.create mc ~data in
-  let total = Array.length data in
-  let tg_count = Np_machine.Sender.tg_count sender in
-  let expected = List.init tg_count (fun i -> (i, min c.Np.k (total - (i * c.Np.k)))) in
-  (* The aggregate remainder draws from a split stream so the cohort's
-     shared damping RNG sees exactly the draws Np.Mux would make; with an
+  if population > receivers && Option.is_none channel then
+    invalid_arg "Np_aggregate: ~channel required when population > cohort";
+  let cohort_flow = Np.Mux.add_flow mux ~config ~start ?recorder ~network ~rng ~data () in
+  (* The remainder draws from a split stream so the cohort's shared damping
+     RNG sees exactly the draws a plain Np.Mux flow would make; with an
      empty remainder no split happens and the streams coincide. *)
-  let agg =
+  let remainder =
     if population = receivers then None
     else begin
-      let channel =
-        match channel with
-        | Some ch -> ch
-        | None -> invalid_arg "Np_aggregate: ~channel required when population > cohort"
-      in
-      let agg_rng = Rng.split rng in
+      let channel = Option.get channel in
+      let rng = Rng.split rng in
       let tgs =
-        Array.init tg_count (fun _ ->
+        Array.init (Np.Mux.report cohort_flow).Np.transmission_groups (fun _ ->
             {
               pop =
-                Aggregate.create agg_rng ~size:(population - receivers) ~k:c.Np.k ~channel
+                Aggregate.create rng ~size:(population - receivers) ~k:config.Np.k ~channel
                   ~time:start;
               armed = None;
               armed_round = 0;
               armed_need = 0;
             })
       in
-      Some { rng = agg_rng; tgs; naks_sent = 0; naks_suppressed = 0; ejected = 0 }
+      let rem =
+        { mux; cohort_flow; config; recorder; rng; tgs; naks_sent = 0; naks_suppressed = 0;
+          ejected = 0 }
+      in
+      Np.Mux.set_population cohort_flow
+        {
+          Np.Mux.on_payload = on_payload rem;
+          on_poll = on_poll rem;
+          on_exhausted = on_exhausted rem;
+          on_nak = on_nak rem;
+        };
+      Some rem
     end
   in
-  let rand () = Rng.float rng in
-  let rxs =
-    Array.init receivers (fun _ ->
-        {
-          machine = Np_machine.Receiver.create ~expected mc ~rand;
-          timers = Hashtbl.create 8;
-        })
-  in
-  let flow =
-    {
-      config = c;
-      network;
-      sender;
-      rxs;
-      receivers;
-      population;
-      agg;
-      recorder;
-      started_at = start;
-      in_ready = false;
-      finished_at = start;
-      ejected_rev = [];
-      intact = true;
-    }
-  in
-  ignore (Engine.at mux.engine start (fun () -> wake mux flow));
-  flow
-
-let started_at flow = flow.started_at
-let finished_at flow = flow.finished_at
+  { cohort_flow; population; remainder }
 
 let flow_complete flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
-  let cohort_done =
-    Array.for_all
-      (fun rxd ->
-        let all = ref true in
-        for tg = 0 to tg_count - 1 do
-          if
-            not
-              (Np_machine.Receiver.delivered rxd.machine ~tg
-              || Np_machine.Receiver.gave_up rxd.machine ~tg)
-          then all := false
-        done;
-        !all)
-      flow.rxs
-  in
-  let agg_done =
-    match flow.agg with
-    | None -> true
-    | Some agg -> Array.for_all (fun at -> Aggregate.missing at.pop = 0) agg.tgs
-  in
-  cohort_done && agg_done
+  Np.Mux.complete flow.cohort_flow
+  &&
+  match flow.remainder with
+  | None -> true
+  | Some rem -> Array.for_all (fun at -> Aggregate.missing at.pop = 0) rem.tgs
 
 let agg_deficits flow ~tg =
-  match flow.agg with
+  match flow.remainder with
   | None -> [| 0 |]
-  | Some agg -> Aggregate.deficits agg.tgs.(tg).pop
+  | Some rem -> Aggregate.deficits rem.tgs.(tg).pop
 
+(* The cohort's half is the flow's {!Np.report}; the remainder adds its
+   counters. *)
 let flow_report flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
-  let sum f = Array.fold_left (fun acc rxd -> acc + f rxd.machine) 0 flow.rxs in
-  let all_delivered =
-    Array.for_all
-      (fun rxd ->
-        let all = ref true in
-        for tg = 0 to tg_count - 1 do
-          if not (Np_machine.Receiver.delivered rxd.machine ~tg) then all := false
-        done;
-        !all)
-      flow.rxs
-  in
+  let r = Np.Mux.report flow.cohort_flow in
   let agg_unnecessary, agg_naks_sent, agg_naks_suppressed, agg_ejected, agg_complete =
-    match flow.agg with
+    match flow.remainder with
     | None -> (0, 0, 0, 0, 0)
-    | Some agg ->
+    | Some rem ->
       let unnecessary =
-        Array.fold_left (fun acc at -> acc + Aggregate.unnecessary at.pop) 0 agg.tgs
+        Array.fold_left (fun acc at -> acc + Aggregate.unnecessary at.pop) 0 rem.tgs
       in
-      let remainder = flow.population - flow.receivers in
       let complete =
         (* A remainder receiver holds the whole transfer iff complete in
            every TG; with ejections that joint count is not recoverable
            from marginals, so report the conservative minimum. *)
-        Array.fold_left (fun acc at -> min acc (Aggregate.complete at.pop)) remainder
-          agg.tgs
+        Array.fold_left
+          (fun acc at -> min acc (Aggregate.complete at.pop))
+          (flow.population - r.Np.receivers)
+          rem.tgs
       in
-      (unnecessary, agg.naks_sent, agg.naks_suppressed, agg.ejected, complete)
+      (unnecessary, rem.naks_sent, rem.naks_suppressed, rem.ejected, complete)
   in
   {
-    config = flow.config;
+    config = r.Np.config;
     population = flow.population;
-    cohort = flow.receivers;
-    transmission_groups = tg_count;
-    data_tx = Np_machine.Sender.data_tx flow.sender;
-    parity_tx = Np_machine.Sender.parity_tx flow.sender;
-    polls = Np_machine.Sender.polls flow.sender;
-    cohort_naks_sent = sum Np_machine.Receiver.naks_sent;
-    cohort_naks_suppressed = sum Np_machine.Receiver.naks_suppressed;
+    cohort = r.Np.receivers;
+    transmission_groups = r.Np.transmission_groups;
+    data_tx = r.Np.data_tx;
+    parity_tx = r.Np.parity_tx;
+    polls = r.Np.polls;
+    cohort_naks_sent = r.Np.naks_sent;
+    cohort_naks_suppressed = r.Np.naks_suppressed;
     agg_naks_sent;
     agg_naks_suppressed;
-    parities_encoded = Np_machine.Sender.parities_encoded flow.sender;
-    packets_decoded = sum Np_machine.Receiver.packets_decoded;
-    cohort_unnecessary = sum Np_machine.Receiver.unnecessary;
+    parities_encoded = r.Np.parities_encoded;
+    packets_decoded = r.Np.packets_decoded;
+    cohort_unnecessary = r.Np.unnecessary_receptions;
     agg_unnecessary;
-    cohort_ejected = List.rev flow.ejected_rev;
+    cohort_ejected = r.Np.ejected;
     agg_ejected;
     agg_complete;
-    duration = flow.finished_at;
-    delivered_intact = flow.intact && all_delivered;
+    duration = r.Np.duration;
+    delivered_intact = r.Np.delivered_intact;
   }
 
 module Mux = struct
-  type t = mux
+  type t = Np.Mux.t
   type nonrec flow = flow
 
-  let create = create
-  let engine = engine
+  let create = Np.Mux.create
+  let engine = Np.Mux.engine
   let add_flow = add_flow
-  let started_at = started_at
-  let finished_at = finished_at
+  let started_at flow = Np.Mux.started_at flow.cohort_flow
+  let finished_at flow = Np.Mux.finished_at flow.cohort_flow
   let complete = flow_complete
   let report = flow_report
   let agg_deficits = agg_deficits
-  let run t = Engine.run t.engine
+  let run = Np.Mux.run
 end
 
 let run ?(config = Np.default_config) ?(start = 0.0) ?cohort ?channel ~population ~network
     ~rng ~data () =
   let engine = Engine.create () in
-  let mux = create engine in
+  let mux = Mux.create engine in
   let flow =
     add_flow mux ~config ~start ?cohort ?channel ~population ~network ~rng ~data ()
   in

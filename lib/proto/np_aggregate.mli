@@ -1,26 +1,27 @@
-(** The aggregate-tier NP interpreter: {!Np.Mux}'s virtual-time protocol
-    driver with the receiver population split into a small {e tracked
-    cohort} of exact {!Np_machine} instances plus an {e aggregate
-    remainder} held as a count-vector population ({!Rmc_sim.Aggregate}).
+(** The aggregate NP tier: an {!Np.Mux} flow whose receiver population is
+    split into a small {e tracked cohort} of exact {!Np_machine} instances
+    plus an {e aggregate remainder} held as a count-vector population
+    ({!Rmc_sim.Aggregate}).
 
-    The cohort runs the identical code path as {!Np.Mux} — same engine
-    scheduling, same wire round-trips, same shared damping RNG — so with
-    [population = cohort size] this interpreter consumes the same random
-    draws in the same order and produces event-identical machine streams
-    (the equivalence contract, enforced by the aggregate test suite).  The
-    remainder participates through population-level hooks that never touch
-    the cohort's RNG:
+    There is no second drive loop: the cohort is an ordinary {!Np.Mux}
+    flow — same engine scheduling, same wire round-trips, same shared
+    damping RNG — so with [population = cohort size] the tier consumes the
+    same random draws in the same order and produces event-identical
+    machine streams (the equivalence contract, enforced by the aggregate
+    test suite).  The remainder is attached as the flow's
+    {!Np.Mux.population} hooks, which never touch the cohort's RNG:
 
     - every DATA/PARITY multicast binomially thins the remainder's deficit
       classes at its arrival time;
     - every POLL arms one {e virtual} NAK timer per TG at the offset the
       remainder's first-firing receiver would draw (deterministic slot from
       the maximum deficit, damping = minimum of c iid uniforms by
-      inversion); overhearing an equal-or-greater NAK suppresses it,
-      exactly like the machine's rule;
+      inversion); overhearing an equal-or-greater cohort NAK suppresses
+      it, exactly like the machine's rule;
     - a firing virtual timer feeds the sender the remainder's maximum
       deficit — what the first real NAK of that class would carry — and
-      multicasts the NAK to the cohort.
+      multicasts the NAK to the cohort through {!Np.Mux.population_nak};
+    - EXHAUSTED ejects the remainder receivers still short of [k].
 
     Transmission counts, repair rounds and deficits are thereby exact in
     distribution for iid channels; per-round NAK tallies on the aggregate

@@ -43,6 +43,15 @@ let record_setup recorder ?(controller = `Static) ~config ~payload_size ~receive
   Array.iteri (fun sid data -> set (Printf.sprintf "data.%d" sid) (hex_of_payloads data)) sessions;
   Array.iteri (fun id seed -> set (Printf.sprintf "rxseed.%d" id) (string_of_int seed)) rx_seeds
 
+let step ?recorder ~actor handle event =
+  match recorder with
+  | None -> handle event
+  | Some r ->
+    Recorder.record_event r ~actor (Np_machine.event_to_string event);
+    let effects = handle event in
+    List.iter (fun e -> Recorder.record_effect r ~actor (Np_machine.effect_to_string e)) effects;
+    effects
+
 type outcome = {
   events : int;
   effects : int;

@@ -35,6 +35,19 @@ val record_setup :
     re-running it (and captures written before the control plane replay
     as static).  Drivers call this once, before recording any entries. *)
 
+val step :
+  ?recorder:Rmc_obs.Recorder.t ->
+  actor:string ->
+  (Np_machine.event -> Np_machine.effect list) ->
+  Np_machine.event ->
+  Np_machine.effect list
+(** [step ?recorder ~actor handle event] feeds [event] to a machine's
+    [handle] and returns its effects, recording the event and then each
+    effect under [actor] when a [recorder] is given — the one capture hook
+    every driver routes its machines through, so captures from the sim
+    tiers and from UDP share one shape.  Without a recorder it is exactly
+    [handle event]. *)
+
 type outcome = {
   events : int;  (** entries replayed as machine inputs *)
   effects : int;  (** recorded effects checked against the replay *)

@@ -261,6 +261,7 @@ let drain_socket ?on_decode_error net handle =
    outgoing message is rewritten into the wire namespace here. *)
 type sender = {
   sid : int;
+  actor : string;  (* recorder actor, "s<sid>" *)
   config : config;
   reactor : Reactor.t;
   net : net;
@@ -279,8 +280,6 @@ type sender = {
   c_naks_rx : Metrics.counter;
   c_rounds : Metrics.counter;
 }
-
-let sender_actor sender = "s" ^ string_of_int sender.sid
 
 (* One frame of a tick's batch: a pooled buffer accumulating sealed
    messages back to back, and whether the fault shim applies (it only sees
@@ -384,18 +383,11 @@ let sender_flush sender batch =
     List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
 
 let sender_handle sender event =
-  (match sender.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(sender_actor sender) (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Sender.handle sender.machine event in
-  (match sender.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(sender_actor sender) (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
+  let effects =
+    Np_replay.step ?recorder:sender.recorder ~actor:sender.actor
+      (Np_machine.Sender.handle sender.machine)
+      event
+  in
   (match sender.net.trace with
   | Some trace ->
     List.iter
@@ -496,6 +488,7 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
   let sender =
     {
       sid;
+      actor = "s" ^ string_of_int sid;
       config;
       reactor;
       net;
@@ -521,7 +514,7 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
 (* --- receiver ---------------------------------------------------------- *)
 
 type receiver = {
-  id : int;
+  actor : string;  (* recorder actor, "r<id>" *)
   reactor : Reactor.t;
   net : net;  (* datagrams arrive here *)
   tx_net : net;  (* NAKs leave here; same as [net] in unicast mode *)
@@ -554,24 +547,11 @@ type receiver = {
   c_duplicates : Metrics.counter;
 }
 
-let receiver_actor receiver = "r" ^ string_of_int receiver.id
-
 let rec receiver_handle receiver event =
-  (match receiver.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(receiver_actor receiver)
-      (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Receiver.handle receiver.machine event in
-  (match receiver.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(receiver_actor receiver)
-          (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  List.iter (receiver_apply receiver) effects
+  List.iter (receiver_apply receiver)
+    (Np_replay.step ?recorder:receiver.recorder ~actor:receiver.actor
+       (Np_machine.Receiver.handle receiver.machine)
+       event)
 
 and receiver_apply receiver effect =
   match effect with
@@ -620,7 +600,7 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
   let receiver =
     {
-      id;
+      actor = "r" ^ string_of_int id;
       reactor;
       net;
       tx_net;
@@ -700,9 +680,9 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
 (* Everything the entry points share: one reactor, one sender socket
    multiplexing every session's datagrams (demuxed by the sid in the wire
    [tg_id]), one receiver socket per receiver serving all sessions.
-   [sids] maps each session index to its wire session id — the identity
-   for {!run_local}/{!run_multi}, a shard's slice of the global namespace
-   for {!run_sharded}. *)
+   [sids] maps each session index to its wire session id — [[|0|]] for
+   {!run_local}, a shard's slice of the global namespace for {!run_multi}
+   (the identity when there is one shard). *)
 let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss ~seed
     ~sessions ~sids ~sender_metrics =
   let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
@@ -984,24 +964,73 @@ let validate ~context ~config ~receivers ~loss ~sessions =
 
 (* --- entry points ------------------------------------------------------ *)
 
-let identity_sids sessions = Array.init (Array.length sessions) Fun.id
+(* Contiguous balanced partition of [0, n) into [shards] slices. *)
+let shard_slices ~shards n =
+  let q = n / shards and r = n mod shards in
+  Array.init shards (fun shard ->
+      let lo = (shard * q) + min shard r in
+      let size = q + if shard < r then 1 else 0 in
+      Array.init size (fun i -> lo + i))
 
+(* One reactor per shard, each on its own domain; shard s runs its slice of
+   the global session ids with its own seed offset.  One shard is the plain
+   multi-session run: the run seed, identity sids, no domain spawned. *)
 let run_multi ?(config = default_config) ?metrics ?trace ?recorder ?faults
-    ?(transport = `Unicast) ~receivers ~loss ~seed ~sessions () =
-  match validate ~context:"Udp_np.run_multi" ~config ~receivers ~loss ~sessions with
+    ?(transport = `Unicast) ?(shards = 1) ~receivers ~loss ~seed ~sessions () =
+  let context = "Udp_np.run_multi" in
+  match validate ~context ~config ~receivers ~loss ~sessions with
   | Error _ as e -> e
+  | Ok () when shards < 1 -> Error.invalid_arg ~context "need at least one shard"
+  | Ok () when
+      min shards (Array.length sessions) > 1
+      && (Option.is_some trace || Option.is_some recorder || Option.is_some faults) ->
+    Error.invalid_arg ~context
+      "trace, recorder and faults are not domain-safe; they need a single shard"
   | Ok () ->
     let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+    let nsessions = Array.length sessions in
+    let shards = min shards nsessions in
+    let slices = shard_slices ~shards nsessions in
+    (* Per-session sender counters keep their global sid scope; the flat
+       udp/rx/tx counters are shared atomics, so shard totals sum. *)
     let sender_metrics sid = Metrics.scope metrics (Printf.sprintf "session.%d" sid) in
+    let run_shard shard =
+      let sids = slices.(shard) in
+      run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss
+        ~seed:(seed + (shard * 16127))
+        ~sessions:(Array.map (fun sid -> sessions.(sid)) sids)
+        ~sids ~sender_metrics
+    in
+    let spawned =
+      Array.init (shards - 1) (fun i -> Domain.spawn (fun () -> run_shard (i + 1)))
+    in
+    let first = run_shard 0 in
+    let shard_reports = Array.append [| first |] (Array.map Domain.join spawned) in
+    let merged = Array.make nsessions first.session_reports.(0) in
+    Array.iter
+      (fun (r : multi_report) ->
+        Array.iter (fun s -> merged.(s.session) <- s) r.session_reports)
+      shard_reports;
+    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 shard_reports in
     Ok
-      (run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss
-         ~seed ~sessions ~sids:(identity_sids sessions) ~sender_metrics)
+      {
+        receivers;
+        session_reports = merged;
+        naks_sent = sum (fun r -> r.naks_sent);
+        naks_suppressed = sum (fun r -> r.naks_suppressed);
+        datagrams_dropped = sum (fun r -> r.datagrams_dropped);
+        decode_failures = sum (fun r -> r.decode_failures);
+        all_verified = Array.for_all (fun s -> s.verified) merged;
+        wall_seconds =
+          Array.fold_left (fun acc r -> Float.max acc r.wall_seconds) 0.0 shard_reports;
+        counters = Metrics.counters metrics;
+      }
 
-let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss
-    ~seed ~sessions () =
+let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers
+    ~loss ~seed ~sessions () =
   Error.get_exn
-    (run_multi ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
-       ~sessions ())
+    (run_multi ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers ~loss
+       ~seed ~sessions ())
 
 let run_local ?(config = default_config) ?metrics ?trace ?recorder ?faults
     ?(transport = `Unicast) ~receivers ~loss ~seed ~data () =
@@ -1043,68 +1072,3 @@ let run_local_exn ?config ?metrics ?trace ?recorder ?faults ?transport ~receiver
   Error.get_exn
     (run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
        ~data ())
-
-(* --- sharded runs: one reactor per domain ------------------------------ *)
-
-(* Contiguous balanced partition of [0, n) into [shards] slices. *)
-let shard_slices ~shards n =
-  let q = n / shards and r = n mod shards in
-  Array.init shards (fun shard ->
-      let lo = (shard * q) + min shard r in
-      let size = q + if shard < r then 1 else 0 in
-      Array.init size (fun i -> lo + i))
-
-let run_sharded ?(config = default_config) ?metrics ?(transport = `Unicast) ~shards
-    ~receivers ~loss ~seed ~sessions () =
-  let context = "Udp_np.run_sharded" in
-  match validate ~context ~config ~receivers ~loss ~sessions with
-  | Error _ as e -> e
-  | Ok () ->
-    if shards < 1 then Error.invalid_arg ~context "need at least one shard"
-    else begin
-      let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-      let nsessions = Array.length sessions in
-      let shards = min shards nsessions in
-      let slices = shard_slices ~shards nsessions in
-      (* Per-session sender counters keep their global sid scope; the flat
-         udp/rx/tx counters are shared atomics, so shard totals sum. *)
-      let sender_metrics sid = Metrics.scope metrics (Printf.sprintf "session.%d" sid) in
-      let run_shard shard =
-        let sids = slices.(shard) in
-        run_engine ~config ~metrics ~trace:None ~recorder:None ~faults:None ~transport
-          ~receivers ~loss
-          ~seed:(seed + (shard * 16127))
-          ~sessions:(Array.map (fun sid -> sessions.(sid)) sids)
-          ~sids ~sender_metrics
-      in
-      let spawned =
-        Array.init (shards - 1) (fun i -> Domain.spawn (fun () -> run_shard (i + 1)))
-      in
-      let first = run_shard 0 in
-      let rest = Array.map Domain.join spawned in
-      let shard_reports = Array.append [| first |] rest in
-      let merged = Array.make nsessions first.session_reports.(0) in
-      Array.iter
-        (fun (r : multi_report) ->
-          Array.iter (fun s -> merged.(s.session) <- s) r.session_reports)
-        shard_reports;
-      let sum f = Array.fold_left (fun acc r -> acc + f r) 0 shard_reports in
-      Ok
-        {
-          receivers;
-          session_reports = merged;
-          naks_sent = sum (fun r -> r.naks_sent);
-          naks_suppressed = sum (fun r -> r.naks_suppressed);
-          datagrams_dropped = sum (fun r -> r.datagrams_dropped);
-          decode_failures = sum (fun r -> r.decode_failures);
-          all_verified = Array.for_all (fun s -> s.verified) merged;
-          wall_seconds =
-            Array.fold_left (fun acc r -> Float.max acc r.wall_seconds) 0.0 shard_reports;
-          counters = Metrics.counters metrics;
-        }
-    end
-
-let run_sharded_exn ?config ?metrics ?transport ~shards ~receivers ~loss ~seed ~sessions
-    () =
-  Error.get_exn
-    (run_sharded ?config ?metrics ?transport ~shards ~receivers ~loss ~seed ~sessions ())

@@ -41,13 +41,13 @@
     codec cache.  Per-session sender metrics live under a
     [session.<sid>.] scope of the shared registry.
 
-    {!run_sharded} partitions the sessions of a {!run_multi}-style run
+    With [~shards] greater than one, {!run_multi} partitions the sessions
     across OCaml domains — one reactor, one socket set and one buffer pool
     per shard, so no mutable transport state crosses a domain boundary;
     only the {!Rmc_obs.Metrics} registry (atomic counters) and the
     memoized codec cache (mutex) are shared.  Session ids stay global:
     shard s's wire sids are its slice of [0, N), and the merged report is
-    indexed exactly like {!run_multi}'s. *)
+    indexed exactly like a one-shard run's. *)
 
 type transport = [ `Unicast | `Multicast ]
 
@@ -251,6 +251,7 @@ val run_multi :
   ?recorder:Rmc_obs.Recorder.t ->
   ?faults:Rmc_obs.Fault.spec ->
   ?transport:transport ->
+  ?shards:int ->
   receivers:int ->
   loss:float ->
   seed:int ->
@@ -267,9 +268,27 @@ val run_multi :
     scopes of [metrics]; receiver counters are shared (receivers serve all
     sessions on one socket).
 
+    [shards] (default 1) partitions the sessions across
+    [min shards (Array.length sessions)] OCaml domains.  Sessions are split
+    into contiguous slices; each shard runs its own reactor, sender socket,
+    receiver sockets (each shard has its own [receivers] receivers) and
+    buffer pool, so no mutable driver state crosses domains, and shard [s]
+    derives its seeds from [seed + 16127 s].  The shared [metrics] registry
+    is domain-safe (atomic counters — shard contributions sum; gauges are
+    last-writer); per-session sender counters keep their global
+    [session.<sid>.] scopes.  Under [`Multicast] each shard derives its
+    own group, so shards never hear each other.  The merged report is
+    indexed by global session id, [naks_sent] and friends are summed,
+    [wall_seconds] is the slowest shard, and [receivers] refers to each
+    shard's receiver count (total sockets scale with the shard count).
+    One shard is exactly the plain multi-session run.
+
     Returns [Error] (context ["Udp_np.run_multi"]) on the same conditions
     as {!run_local}, plus more than 65536 sessions or more than 65536 TGs
-    in one session (the wire demux packs sid and tg into 16 bits each). *)
+    in one session (the wire demux packs sid and tg into 16 bits each),
+    [shards < 1], or [trace], [recorder] or [faults] with more than one
+    shard after clamping — none of those sinks is domain-safe.  Every
+    [Error] is returned before any socket is opened. *)
 
 val run_multi_exn :
   ?config:config ->
@@ -278,6 +297,7 @@ val run_multi_exn :
   ?recorder:Rmc_obs.Recorder.t ->
   ?faults:Rmc_obs.Fault.spec ->
   ?transport:transport ->
+  ?shards:int ->
   receivers:int ->
   loss:float ->
   seed:int ->
@@ -285,49 +305,3 @@ val run_multi_exn :
   unit ->
   multi_report
 (** @raise Invalid_argument where {!run_multi} would return [Error]. *)
-
-val run_sharded :
-  ?config:config ->
-  ?metrics:Rmc_obs.Metrics.t ->
-  ?transport:transport ->
-  shards:int ->
-  receivers:int ->
-  loss:float ->
-  seed:int ->
-  sessions:Bytes.t array array ->
-  unit ->
-  (multi_report, Rmc_core.Error.t) result
-(** {!run_multi} partitioned across [min shards (Array.length sessions)]
-    OCaml domains.  Sessions are split into contiguous slices; each shard
-    runs its own reactor, sender socket, receiver sockets (each shard has
-    its own [receivers] receivers) and buffer pool, so the per-shard
-    transport is exactly a {!run_multi} and no mutable driver state
-    crosses domains.  The shared [metrics] registry is domain-safe
-    (atomic counters — shard contributions sum; gauges are last-writer);
-    per-session sender counters keep their global [session.<sid>.]
-    scopes.  Under [`Multicast] each shard derives its own group, so
-    shards never hear each other.
-
-    The merged report is indexed by global session id, [naks_sent] and
-    friends are summed, [wall_seconds] is the slowest shard, and
-    [receivers] refers to each shard's receiver count (total sockets
-    scale with [shards]).
-
-    [trace], [recorder] and [faults] are deliberately absent: none of
-    those sinks is domain-safe.
-
-    Returns [Error] (context ["Udp_np.run_sharded"]) on the
-    {!run_multi} conditions or [shards < 1]. *)
-
-val run_sharded_exn :
-  ?config:config ->
-  ?metrics:Rmc_obs.Metrics.t ->
-  ?transport:transport ->
-  shards:int ->
-  receivers:int ->
-  loss:float ->
-  seed:int ->
-  sessions:Bytes.t array array ->
-  unit ->
-  multi_report
-(** @raise Invalid_argument where {!run_sharded} would return [Error]. *)

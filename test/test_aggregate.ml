@@ -110,6 +110,23 @@ let test_remainder_completes () =
   Alcotest.(check bool) "parities flowed" true (report.Np_aggregate.parity_tx > 0);
   Alcotest.(check bool) "aggregate NAKed" true (report.Np_aggregate.agg_naks_sent > 0)
 
+(* The remainder rides on an Np.Mux flow; a flow the tier rejects must be
+   refused before that flow is scheduled on the shared engine. *)
+let test_rejected_flow_schedules_nothing () =
+  let config = { Np.default_config with payload_size = 128 } in
+  let rng = Rng.create ~seed:8 () in
+  let data = payloads rng ~count:20 ~size:config.Np.payload_size in
+  let network = Network.independent (Rng.split rng) ~receivers:4 ~p in
+  let engine = Rmcast.Engine.create () in
+  let mux = Np_aggregate.Mux.create engine in
+  Alcotest.check_raises "remainder without a channel"
+    (Invalid_argument "Np_aggregate: ~channel required when population > cohort")
+    (fun () ->
+      ignore
+        (Np_aggregate.Mux.add_flow mux ~config ~cohort:4 ~population:100 ~network
+           ~rng:(Rng.split rng) ~data ()));
+  Alcotest.(check int) "engine untouched" 0 (Rmcast.Engine.pending engine)
+
 (* --- tier-vs-analysis --------------------------------------------------- *)
 
 let test_extra_parities_expectation () =
@@ -287,6 +304,172 @@ let test_log_factorial_memo () =
         (Float.abs (memo -. gamma) <= 1e-9 *. Float.max 1.0 (Float.abs gamma)))
     [ 0; 1; 2; 10; 1000; 99_999 ]
 
+(* --- sim-tier golden pins ------------------------------------------------ *)
+
+(* Both sim tiers pinned scenario by scenario: the recorder capture's digest
+   plus every integer field of the report (and the duration, bit for bit).
+   The expected strings were produced by the drivers as they stood before
+   the aggregate remainder moved onto Np.Mux's population hooks; any drift
+   in engine scheduling order, RNG consumption, wire round-trips or report
+   assembly changes a digest or a count here.  The equivalence test above
+   only covers population = cohort; these cover the remainder side. *)
+
+let capture_digest recorder =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun (e : Recorder.entry) ->
+      Buffer.add_string buffer e.Recorder.actor;
+      Buffer.add_string buffer
+        (match e.Recorder.kind with Recorder.Event -> " E " | Recorder.Effect -> " F ");
+      Buffer.add_string buffer e.Recorder.body;
+      Buffer.add_char buffer '\n')
+    (Recorder.entries recorder);
+  Digest.to_hex (Digest.string (Buffer.contents buffer))
+
+let agg_fields (r : Np_aggregate.report) =
+  Printf.sprintf
+    "pop=%d cohort=%d tgs=%d data=%d parity=%d polls=%d cnaks=%d csupp=%d anaks=%d \
+     asupp=%d enc=%d dec=%d cunn=%d aunn=%d cej=%d aej=%d acomplete=%d dur=%h intact=%b"
+    r.population r.cohort r.transmission_groups r.data_tx r.parity_tx r.polls
+    r.cohort_naks_sent r.cohort_naks_suppressed r.agg_naks_sent r.agg_naks_suppressed
+    r.parities_encoded r.packets_decoded r.cohort_unnecessary r.agg_unnecessary
+    (List.length r.cohort_ejected) r.agg_ejected r.agg_complete r.duration
+    r.delivered_intact
+
+let np_fields (r : Np.report) =
+  Printf.sprintf
+    "rx=%d tgs=%d data=%d parity=%d polls=%d naks=%d supp=%d enc=%d dec=%d unn=%d ej=%d \
+     dur=%h intact=%b"
+    r.Np.receivers r.Np.transmission_groups r.Np.data_tx r.Np.parity_tx r.Np.polls
+    r.Np.naks_sent r.Np.naks_suppressed r.Np.parities_encoded r.Np.packets_decoded
+    r.Np.unnecessary_receptions (List.length r.Np.ejected) r.Np.duration
+    r.Np.delivered_intact
+
+let golden_config = { Np.default_config with payload_size = 64 }
+
+(* One aggregate-tier mux; each [(start, population)] adds a flow with its
+   own recorder and inputs derived from [seed]. *)
+let golden_agg ?(config = golden_config) ?(cohort = 32) ?(network = `Bernoulli 0.01)
+    ~channel ~packets ~seed flows =
+  let mux = Np_aggregate.Mux.create (Rmcast.Engine.create ()) in
+  let added =
+    List.mapi
+      (fun i (start, population) ->
+        let rng = Rng.create ~seed:(seed + i) () in
+        let data = payloads rng ~count:packets ~size:config.Np.payload_size in
+        let receivers = min cohort population in
+        let network =
+          match network with
+          | `Bernoulli p -> Network.independent (Rng.split rng) ~receivers ~p
+          | `Bursty (p, mean_burst, send_rate) ->
+            Network.temporal (Rng.split rng) ~receivers ~make:(fun r ->
+                Rmcast.Loss.markov2 r ~p ~mean_burst ~send_rate)
+        in
+        let recorder = Recorder.create () in
+        let flow =
+          Np_aggregate.Mux.add_flow mux ~config ~start ~recorder ~cohort ~channel
+            ~population ~network ~rng:(Rng.split rng) ~data ()
+        in
+        (flow, recorder))
+      flows
+  in
+  Np_aggregate.Mux.run mux;
+  String.concat " | "
+    (List.map
+       (fun (flow, recorder) ->
+         capture_digest recorder ^ " " ^ agg_fields (Np_aggregate.Mux.report flow))
+       added)
+
+let golden_np ~controller ?(network = `Bernoulli 0.05) ?(churn = []) ~seed () =
+  let config =
+    { golden_config with k = 8; h = 24; slot = 0.02; Np.controller }
+  in
+  let rng = Rng.create ~seed () in
+  let data = payloads rng ~count:48 ~size:config.Np.payload_size in
+  let receivers = 6 in
+  let network =
+    match network with
+    | `Bernoulli p -> Network.independent (Rng.split rng) ~receivers ~p
+    | `Bursty (p, mean_burst, send_rate) ->
+      Network.temporal (Rng.split rng) ~receivers ~make:(fun r ->
+          Rmcast.Loss.markov2 r ~p ~mean_burst ~send_rate)
+  in
+  let recorder = Recorder.create () in
+  let mux = Np.Mux.create (Rmcast.Engine.create ()) in
+  let flow =
+    Np.Mux.add_flow mux ~config ~recorder ~churn ~network ~rng:(Rng.split rng) ~data ()
+  in
+  Np.Mux.run mux;
+  Printf.sprintf "%s %s retunes=%d" (capture_digest recorder)
+    (np_fields (Np.Mux.report flow))
+    (Np.Mux.retunes flow)
+
+let golden_scenarios =
+  [
+    ( "aggregate: Bernoulli, cohort 32, population 20k",
+      (fun () ->
+        golden_agg ~channel:(Aggregate.bernoulli ~p:0.01) ~packets:60 ~seed:101
+          [ (0.0, 20_000) ]),
+      "417f4d898cdff95a9f3ef03feedeb4a4 pop=20000 cohort=32 tgs=3 data=60 parity=12 polls=6 cnaks=0 csupp=15 anaks=3 asupp=11037 enc=12 dec=16 cunn=363 aunn=225118 cej=0 aej=0 acomplete=19968 dur=0x1.d00d6b30ed1a8p+0 intact=true" );
+    ( "aggregate: bursty k=100 h=155, population 10^6",
+      (fun () ->
+        let config =
+          { golden_config with k = 100; h = 155; spacing = 0.04; slot = 0.2 }
+        in
+        golden_agg ~config ~cohort:64
+          ~network:(`Bursty (0.01, 2.0, 25.0))
+          ~channel:(Aggregate.bursty ~p:0.01 ~mean_burst:2.0 ~send_rate:25.0)
+          ~packets:200 ~seed:102
+          [ (0.0, 1_000_000) ]),
+      "119e549a79724fd7b040bd75dafcfddf pop=1000000 cohort=64 tgs=2 data=200 parity=45 polls=5 cnaks=0 csupp=54 anaks=4 asupp=799782 enc=45 dec=127 cunn=2729 aunn=42547171 cej=0 aej=0 acomplete=999936 dur=0x1.8ed4d8e39ea2dp+4 intact=true" );
+    ( "aggregate: ejection with h=2",
+      (fun () ->
+        let config = { golden_config with h = 2 } in
+        golden_agg ~config ~cohort:16 ~network:(`Bernoulli 0.05)
+          ~channel:(Aggregate.bernoulli ~p:0.05) ~packets:40 ~seed:103
+          [ (0.0, 5_000) ]),
+      "6a136287d7d7f4de5bd552776e51681b pop=5000 cohort=16 tgs=2 data=40 parity=4 polls=4 cnaks=0 csupp=23 anaks=7 asupp=7274 enc=4 dec=20 cunn=34 aunn=10237 cej=4 aej=917 acomplete=4984 dur=0x1.bacc5bd6eba7bp+0 intact=false" );
+    ( "aggregate: proactive a=2",
+      (fun () ->
+        let config = { golden_config with proactive = 2 } in
+        golden_agg ~config ~network:(`Bernoulli 0.02)
+          ~channel:(Aggregate.bernoulli ~p:0.02) ~packets:60 ~seed:104
+          [ (0.0, 20_000) ]),
+      "e8d3172ed79f17fd3725f00897425b80 pop=20000 cohort=32 tgs=3 data=60 parity=14 polls=7 cnaks=0 csupp=0 anaks=10 asupp=551 enc=14 dec=34 cunn=403 aunn=250013 cej=0 aej=0 acomplete=19968 dur=0x1.27e188db4a519p+1 intact=true" );
+    (* The second flow's remainder is small, so cohort NAKs win the slot
+       race and the remainder's overhearing path runs too. *)
+    ( "aggregate: two staggered flows on one mux",
+      (fun () ->
+        golden_agg ~channel:(Aggregate.bernoulli ~p:0.01) ~packets:40 ~seed:105
+          [ (0.0, 10_000); (0.015, 40) ]),
+      "908df68e746beef1510d04b22ee866c5 pop=10000 cohort=32 tgs=2 data=40 parity=8 polls=6 cnaks=0 csupp=5 anaks=9 asupp=3639 enc=8 dec=5 cunn=248 aunn=74918 cej=0 aej=0 acomplete=9968 dur=0x1.0eaef4ec28eep+1 intact=true | fae622a5d99f55fb91e2f4768c5d44ae pop=40 cohort=32 tgs=2 data=40 parity=3 polls=4 cnaks=6 csupp=10 anaks=1 asupp=4 enc=3 dec=17 cunn=79 aunn=19 cej=0 aej=0 acomplete=8 dur=0x1.09e992d43566cp+1 intact=true" );
+    ( "exact: churn (leave, late join, rejoin) under Ewma",
+      (fun () ->
+        golden_np ~controller:`Ewma ~seed:106
+          ~churn:
+            [
+              { Np.Mux.receiver = 1; at = 0.01; action = `Leave };
+              { Np.Mux.receiver = 2; at = 0.03; action = `Join };
+              { Np.Mux.receiver = 3; at = 0.005; action = `Leave };
+              { Np.Mux.receiver = 3; at = 0.06; action = `Join };
+            ]
+          ()),
+      "3defcce5792cf16b1c4733be6b502292 rx=6 tgs=6 data=48 parity=51 polls=14 naks=11 supp=5 enc=51 dec=78 unn=159 ej=0 dur=0x1.690e642271b5ap-2 intact=true retunes=1" );
+    ( "exact: Gilbert_aware",
+      (fun () ->
+        golden_np ~controller:`Gilbert_aware ~network:(`Bursty (0.05, 3.0, 1000.0))
+          ~seed:107 ()),
+      "071f2144f0c1379a464fadbdd707a8ab rx=6 tgs=6 data=48 parity=7 polls=9 naks=4 supp=1 enc=7 dec=11 unn=28 ej=0 dur=0x1.0e77f848297d8p-2 intact=true retunes=1" );
+    ( "exact: Static",
+      (fun () -> golden_np ~controller:`Static ~seed:108 ()),
+      "0539a6ee1b131c393487d97cd7e1b78d rx=6 tgs=6 data=48 parity=8 polls=11 naks=12 supp=0 enc=8 dec=16 unn=28 ej=0 dur=0x1.076235c07cc75p-2 intact=true retunes=0" );
+  ]
+
+let test_golden_sim_tiers () =
+  List.iter
+    (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
+    golden_scenarios
+
 let suite =
   [
     Alcotest.test_case "cohort = population is event-identical to Np" `Quick
@@ -307,4 +490,7 @@ let suite =
       test_volley_matches_thinning;
     Alcotest.test_case "Parallel.map" `Quick test_parallel_map;
     Alcotest.test_case "log-factorial memo grows once" `Quick test_log_factorial_memo;
+    Alcotest.test_case "rejected flow schedules nothing" `Quick
+      test_rejected_flow_schedules_nothing;
+    Alcotest.test_case "sim tiers match their golden captures" `Quick test_golden_sim_tiers;
   ]

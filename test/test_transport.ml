@@ -257,7 +257,7 @@ let test_sharded_run () =
   in
   let metrics = Metrics.create () in
   let report =
-    Udp.run_sharded_exn ~config ~metrics ~shards:3 ~receivers:2 ~loss:0.05 ~seed:7
+    Udp.run_multi_exn ~config ~metrics ~shards:3 ~receivers:2 ~loss:0.05 ~seed:7
       ~sessions ()
   in
   Alcotest.(check bool) "all sessions verified" true report.Udp.all_verified;
@@ -273,7 +273,7 @@ let test_sharded_run () =
     report.Udp.session_reports;
   (* more shards than sessions clamps instead of spawning idle domains *)
   let clamped =
-    Udp.run_sharded_exn ~config ~shards:16 ~receivers:1 ~loss:0.0 ~seed:8
+    Udp.run_multi_exn ~config ~shards:16 ~receivers:1 ~loss:0.0 ~seed:8
       ~sessions:(Array.sub sessions 0 2) ()
   in
   Alcotest.(check bool) "clamped shard count verified" true clamped.Udp.all_verified
@@ -285,11 +285,64 @@ let test_sharded_multicast () =
       Array.init 2 (fun s -> payloads ~count:16 ~size:config.Udp.payload_size (200 + s))
     in
     let report =
-      Udp.run_sharded_exn ~config ~transport:`Multicast ~shards:2 ~receivers:2 ~loss:0.0
+      Udp.run_multi_exn ~config ~transport:`Multicast ~shards:2 ~receivers:2 ~loss:0.0
         ~seed:9 ~sessions ()
     in
     Alcotest.(check bool) "sharded multicast verified" true report.Udp.all_verified
   end
+
+let test_shards_rejected () =
+  let sessions =
+    Array.init 2 (fun s -> payloads ~count:8 ~size:config.Udp.payload_size (300 + s))
+  in
+  let expect_error what = function
+    | Ok _ -> Alcotest.fail (what ^ ": expected Error")
+    | Error e ->
+      Alcotest.(check bool)
+        (what ^ " reported by run_multi")
+        true
+        (String.starts_with ~prefix:"Udp_np.run_multi:" (Rmcast.Error.to_string e))
+  in
+  expect_error "zero shards"
+    (Udp.run_multi ~config ~shards:0 ~receivers:1 ~loss:0.0 ~seed:10 ~sessions ());
+  (* A recorder is not domain-safe: two shards over two sessions must be
+     refused before the engine opens a single socket — no descriptor is
+     held and no reactor ever registered a counter. *)
+  let before = open_fds () in
+  let metrics = Metrics.create () in
+  expect_error "recorder across shards"
+    (Udp.run_multi ~config ~metrics ~recorder:(Rmcast.Recorder.create ()) ~shards:2
+       ~receivers:2 ~loss:0.0 ~seed:11 ~sessions ());
+  Alcotest.(check int) "no socket opened" before (open_fds ());
+  Alcotest.(check int) "engine never started" 0 (List.length (Metrics.counters metrics))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The CLI surfaces the same refusal: [rmc serve --shards 2 --capture F]
+   exits non-zero and leaves no capture behind. *)
+let test_serve_capture_needs_one_shard () =
+  let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
+  Alcotest.(check bool) "rmc built" true (Sys.file_exists rmc);
+  let capture =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rmc-shards-%d.rmcrec" (Unix.getpid ()))
+  in
+  let log = Filename.temp_file "rmc-serve" ".log" in
+  if Sys.file_exists capture then Sys.remove capture;
+  let status =
+    Sys.command
+      (Printf.sprintf "%s serve --transport udp --shards 2 --capture %s > %s 2>&1"
+         (Filename.quote rmc) (Filename.quote capture) (Filename.quote log))
+  in
+  let output = In_channel.with_open_text log In_channel.input_all in
+  Sys.remove log;
+  Alcotest.(check bool) "non-zero exit" true (status <> 0);
+  Alcotest.(check bool) "refused by run_multi" true
+    (contains output "Udp_np.run_multi:");
+  Alcotest.(check bool) "no capture written" false (Sys.file_exists capture)
 
 let suite =
   [
@@ -309,4 +362,7 @@ let suite =
     Alcotest.test_case "udp session over real multicast" `Quick test_multicast_session;
     Alcotest.test_case "sharded multi-session run" `Quick test_sharded_run;
     Alcotest.test_case "sharded multicast run" `Quick test_sharded_multicast;
+    Alcotest.test_case "shards: zero and unsafe sinks rejected" `Quick test_shards_rejected;
+    Alcotest.test_case "serve --capture needs one shard" `Quick
+      test_serve_capture_needs_one_shard;
   ]
