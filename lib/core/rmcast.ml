@@ -18,8 +18,9 @@
       discrete-event simulator.
     - {!Np}, {!N2}, {!Runner}, {!Tg_arq}, {!Tg_layered}, {!Tg_integrated},
       {!Timing}, {!Tg_result}: protocol machines.
-    - {!Np_machine}, {!Np_replay}: the sans-IO NP core (pure events in,
-      effects out) and deterministic replay of captured runs.
+    - {!Np_machine}, {!Np_replay}, {!Np_drive}: the sans-IO NP core (pure
+      events in, effects out), deterministic replay of captured runs, and
+      the binding both NP drivers drive the core through.
     - {!Header}: the wire format.
     - {!Buffer_pool}: pooled datagram buffers for the allocation-lean
       packet datapath both NP drivers run on.
@@ -105,6 +106,7 @@ module Np = Rmc_proto.Np
 module Np_machine = Rmc_proto.Np_machine
 module Np_aggregate = Rmc_proto.Np_aggregate
 module Np_replay = Rmc_proto.Np_replay
+module Np_drive = Rmc_proto.Np_drive
 module N2 = Rmc_proto.N2
 module N1 = Rmc_proto.N1
 

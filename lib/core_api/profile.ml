@@ -20,6 +20,10 @@ let default =
     proactive = 0;
     payload_size = 1024;
     pacing = 0.001;
+    (* Suppression only works when a slot outlasts the receiver-to-receiver
+       propagation delay (the first NAK must arrive before same-slot peers
+       fire); 4x the simulator's default 25 ms delay keeps most same-slot
+       timers quiet. *)
     slot = 0.100;
     pre_encode = false;
     codec = `Rse;
@@ -57,7 +61,8 @@ let controller_of_string = function
 (* GF(2^8) gives 255 codeword positions; the block codecs on both the
    simulator and UDP paths build over that field.  The rateless codecs
    have no codeword length — their repair budget is bounded only by the
-   16-bit wire index space (index k + j must encode). *)
+   16-bit wire index space: the last repair packet travels as index
+   k + h - 1, and the codecs cap k + h at 0xFFFF. *)
 let max_codeword = 255
 let max_wire_index = 0xFFFF
 
@@ -73,7 +78,7 @@ let validate ?(context = "Profile") t =
   else if (not (codec_is_rateless t.codec)) && t.k + t.h > max_codeword then
     fail "k + h exceeds %d codeword positions (got %d; a rateless codec lifts this)"
       max_codeword (t.k + t.h)
-  else if codec_is_rateless t.codec && t.k + t.h > max_wire_index + 1 then
+  else if codec_is_rateless t.codec && t.k + t.h > max_wire_index then
     fail "k + h exceeds the 16-bit wire index space (got %d)" (t.k + t.h)
   else if t.payload_size < 1 then fail "payload_size must be >= 1 (got %d)" t.payload_size
   else if not (t.pacing > 0.0) then fail "pacing must be positive (got %g)" t.pacing

@@ -81,8 +81,8 @@ val validate : ?context:string -> t -> (t, Error.t) result
     [1 <= k <= 65535] (wire limit), [h >= 0],
     [0 <= proactive <= h], [payload_size >= 1], [pacing > 0],
     [slot > 0]; plus the codec-dependent budget bound — [k + h <= 255]
-    (GF(2^8) codeword positions) for the block codecs, [k + h <= 65536]
-    (wire index space) for the rateless ones — and [h >= 1] whenever an
+    (GF(2^8) codeword positions) for the block codecs, [k + h <= 65535]
+    (wire index space, [Codec.max_repair]) for the rateless ones — and [h >= 1] whenever an
     adaptive controller is selected (with no repair budget there is
     nothing to retune).
     Returns the profile unchanged on success.  [context] names the entry

@@ -3,9 +3,7 @@ module Network = Rmc_sim.Network
 module Rng = Rmc_numerics.Rng
 module Header = Rmc_wire.Header
 module Profile = Rmc_core.Profile
-module Recorder = Rmc_obs.Recorder
 module Buffer_pool = Rmc_pool.Buffer_pool
-module Controller = Rmc_control.Controller
 
 (* Largest datagram either driver moves; the sim shares the UDP driver's
    bound so a config that simulates also runs on real sockets. *)
@@ -24,24 +22,9 @@ type config = {
   controller : Profile.controller;
 }
 
-let default_config =
-  {
-    k = 20;
-    h = 40;
-    proactive = 0;
-    payload_size = 1024;
-    spacing = 0.001;
-    delay = 0.025;
-    (* Suppression only works when a slot outlasts the receiver-to-receiver
-       propagation delay (the first NAK must arrive before same-slot peers
-       fire); 4x the default delay keeps most same-slot timers quiet. *)
-    slot = 0.100;
-    pre_encode = false;
-    codec = `Rse;
-    controller = `Static;
-  }
+let default_delay = 0.025
 
-let config_of_profile ?(delay = default_config.delay) (p : Profile.t) =
+let config_of_profile ?(delay = default_delay) (p : Profile.t) =
   {
     k = p.Profile.k;
     h = p.Profile.h;
@@ -54,6 +37,8 @@ let config_of_profile ?(delay = default_config.delay) (p : Profile.t) =
     codec = p.Profile.codec;
     controller = p.Profile.controller;
   }
+
+let default_config = config_of_profile Profile.default
 
 let profile_of_config c =
   {
@@ -88,62 +73,49 @@ type report = {
 let transmissions_per_packet report =
   float_of_int (report.data_tx + report.parity_tx) /. float_of_int report.data_tx
 
+(* The protocol rules are the profile's; only what the simulator adds is
+   checked here. *)
 let validate_config c =
-  if c.k < 1 then invalid_arg "Np: k must be >= 1";
-  if c.h < 0 || c.proactive < 0 || c.proactive > c.h then
-    invalid_arg "Np: need 0 <= proactive <= h";
-  if c.payload_size < 1 then invalid_arg "Np: payload_size must be >= 1";
+  ignore (Profile.validate_exn ~context:"Np" (profile_of_config c));
   if c.payload_size > max_datagram - Rmc_wire.Header.header_size then
     invalid_arg "Np: payload does not fit a 64 KiB datagram";
-  if c.spacing <= 0.0 || c.delay < 0.0 || c.slot <= 0.0 then
-    invalid_arg "Np: spacing/slot must be positive, delay non-negative";
-  if c.h > Rmc_rse.Codec.max_repair (Rmc_rse.Codec.of_kind c.codec) ~k:c.k then
-    invalid_arg "Np: repair budget exceeds the codec's index space";
-  if c.controller <> `Static && c.h < 1 then
-    invalid_arg "Np: an adaptive controller needs a repair budget to retune (h = 0)"
-
-let machine_config c =
-  { Np_machine.k = c.k; h = c.h; proactive = c.proactive; pre_encode = c.pre_encode;
-    slot = c.slot; codec = c.codec }
+  if not (c.delay >= 0.0) then invalid_arg "Np: delay must be non-negative"
 
 (* ------------------------------------------------------------------ *)
 
 (* One NP transfer multiplexed on a shared engine.  The protocol itself
-   lives in the pure {!Np_machine} core; a flow is that core's sender and
-   receiver machines plus the interpreter state binding them to virtual
-   time — NAK-timer handles, the simulated multicast channel, and the
-   delivery-verification scoreboard. *)
+   lives in the pure {!Np_machine} core, bound to virtual time through
+   {!Np_drive} (capture, retunes, NAK timers); a flow adds what is the
+   simulator's own — the simulated multicast channel, pacing, churn and
+   the delivery-verification scoreboard. *)
 
-type rx_driver = {
-  machine : Np_machine.Receiver.t;
-  actor : string; (* recorder actor, "r<i>" *)
-  timers : (int, Engine.timer) Hashtbl.t; (* armed NAK timers, by tg *)
-}
+(* The record types {!Mux} exports. *)
+module Mux_types = struct
+  type churn_event = { receiver : int; at : float; action : [ `Join | `Leave ] }
 
-type churn_event = { receiver : int; at : float; action : [ `Join | `Leave ] }
+  (* Receivers a flow holds as something other than machines — the
+     aggregate tier's count-vector remainder.  The loop calls each hook one
+     propagation delay after the multicast that triggers it, after the
+     machine receivers' deliveries of that multicast are scheduled; a
+     population's own NAK re-enters the loop through {!multicast_nak}. *)
+  type population = {
+    on_payload : tg:int -> unit;
+    on_poll : tg:int -> size:int -> round:int -> unit;
+    on_exhausted : tg:int -> unit;
+    on_nak : tg:int -> need:int -> round:int -> unit;
+  }
+end
 
-(* Receivers a flow holds as something other than machines — the aggregate
-   tier's count-vector remainder.  The loop calls each hook one propagation
-   delay after the multicast that triggers it, after the machine
-   receivers' deliveries of that multicast are scheduled; a population's
-   own NAK re-enters the loop through {!multicast_nak}. *)
-type population = {
-  on_payload : tg:int -> unit;
-  on_poll : tg:int -> size:int -> round:int -> unit;
-  on_exhausted : tg:int -> unit;
-  on_nak : tg:int -> need:int -> round:int -> unit;
-}
+include Mux_types
 
 type flow = {
   config : config;
   network : Network.t;
-  sender : Np_machine.Sender.t;
-  rxs : rx_driver array;
+  sender : Np_drive.Sender.t;
+  mutable rxs : Engine.timer Np_drive.Receiver.t array;
+      (* set once by [add_flow]: the bindings' callbacks close over the flow *)
   receivers : int;
-  recorder : Recorder.t option;
   started_at : float;
-  controller : Controller.t option; (* None iff config.controller = `Static *)
-  mutable applied : Controller.decision; (* last decision fed as Retune *)
   (* Receiver churn.  [presence] gates packet delivery only — the loss
      process still draws one fate per (transmission, receiver), so a
      churn-free run consumes exactly the RNG stream it always did.
@@ -184,8 +156,6 @@ let create engine =
     pool = Buffer_pool.create ~capacity:4 ~buf_size:max_datagram ();
   }
 
-let engine mux = mux.engine
-
 (* Route a packet through the real wire format: serialize it into a pooled
    buffer and parse it back out, the same bytes the UDP driver would put
    in a datagram.  The decoded message does not alias the pooled buffer
@@ -202,30 +172,8 @@ let through_wire mux message =
       | Error reason -> invalid_arg ("Np: wire round-trip failed: " ^ reason))
 
 let touch mux flow = flow.finished_at <- Engine.now mux.engine
-
-let sender_actor = "s0"
-
-let sender_handle flow event =
-  Np_replay.step ?recorder:flow.recorder ~actor:sender_actor
-    (Np_machine.Sender.handle flow.sender)
-    event
-
-(* Apply the controller's current decision when it differs from the last
-   one fed to the machine.  Routed through {!sender_handle} so the Retune
-   event lands in the capture — replay stays deterministic without ever
-   re-running the controller. *)
-let maybe_retune flow =
-  match flow.controller with
-  | None -> ()
-  | Some controller ->
-    let d = Controller.decision controller in
-    if not (Controller.decision_equal d flow.applied) then begin
-      flow.applied <- d;
-      ignore
-        (sender_handle flow
-           (Np_machine.Retune
-              { proactive = d.Controller.proactive; budget = d.Controller.budget }))
-    end
+let sender_machine flow = Np_drive.Sender.machine flow.sender
+let pending flow = Np_machine.Sender.pending (sender_machine flow)
 
 (* Schedule a population hook one propagation delay out. *)
 let to_population mux flow hook =
@@ -238,13 +186,13 @@ let rec pump mux =
   match Queue.pop mux.ready with
   | exception Queue.Empty -> mux.pumping <- false
   | flow ->
-    if not (Np_machine.Sender.pending flow.sender) then begin
+    if not (pending flow) then begin
       flow.in_ready <- false;
       pump mux
     end
     else begin
       let busy = execute mux flow in
-      if Np_machine.Sender.pending flow.sender then Queue.push flow mux.ready
+      if pending flow then Queue.push flow mux.ready
       else flow.in_ready <- false;
       touch mux flow;
       ignore (Engine.after mux.engine busy (fun () -> pump mux))
@@ -254,7 +202,7 @@ let rec pump mux =
    is what starts a flow: [add_flow] schedules this at the flow's start
    time. *)
 and wake mux flow =
-  if Np_machine.Sender.pending flow.sender && not flow.in_ready then begin
+  if pending flow && not flow.in_ready then begin
     flow.in_ready <- true;
     Queue.push flow mux.ready;
     if not mux.pumping then begin
@@ -270,8 +218,7 @@ and wake mux flow =
    control. *)
 and execute mux flow =
   let c = flow.config in
-  maybe_retune flow;
-  let effects = sender_handle flow Np_machine.Tick in
+  let effects = Np_drive.Sender.tick flow.sender in
   List.fold_left
     (fun busy effect ->
       match effect with
@@ -296,9 +243,6 @@ and execute mux flow =
         | Header.Poll { tg_id; k; size; round } ->
           if tg_id >= 0 && tg_id < Array.length flow.last_polls then
             flow.last_polls.(tg_id) <- (k, size, round);
-          (match flow.controller with
-          | Some controller -> Controller.observe_poll controller ~tg:tg_id ~k ~size ~round
-          | None -> ());
           to_population mux flow (fun p -> p.on_poll ~tg:tg_id ~size ~round)
         | Header.Exhausted { tg_id } ->
           if tg_id >= 0 && tg_id < Array.length flow.tg_exhausted then
@@ -306,10 +250,7 @@ and execute mux flow =
           to_population mux flow (fun p -> p.on_exhausted ~tg:tg_id)
         | _ -> ());
         busy
-      | Np_machine.Send (Header.Nak _)
-      | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
-      | Np_machine.Ejected _ | Np_machine.Trace _ | Np_machine.Done ->
-        busy)
+      | _ -> busy)
     0.0 effects
 
 and deliver mux flow ~receiver msg =
@@ -317,41 +258,22 @@ and deliver mux flow ~receiver msg =
     (Engine.after mux.engine flow.config.delay (fun () ->
          rx_event mux flow ~receiver (Np_machine.Packet_received msg)))
 
+(* A receiver's entry point: deliveries and its own fired NAK timers. *)
 and rx_event mux flow ~receiver event =
   touch mux flow;
-  let rxd = flow.rxs.(receiver) in
-  let effects =
-    Np_replay.step ?recorder:flow.recorder ~actor:rxd.actor
-      (Np_machine.Receiver.handle rxd.machine)
-      event
-  in
-  List.iter (rx_apply mux flow ~receiver) effects
+  Np_drive.Receiver.receive flow.rxs.(receiver) event
 
+(* Every receiver effect but the timers, which the binding performs. *)
 and rx_apply mux flow ~receiver effect =
-  let rxd = flow.rxs.(receiver) in
   match effect with
   | Np_machine.Send (Header.Nak { tg_id; need; round }) ->
     multicast_nak mux flow ~from:(`Receiver receiver) ~tg:tg_id ~need ~round
-  | Np_machine.Arm_timer { tg; round; offset } ->
-    (match Hashtbl.find_opt rxd.timers tg with Some t -> Engine.cancel t | None -> ());
-    Hashtbl.replace rxd.timers tg
-      (Engine.after mux.engine offset (fun () ->
-           Hashtbl.remove rxd.timers tg;
-           rx_event mux flow ~receiver (Np_machine.Timer_fired { tg; round })))
-  | Np_machine.Cancel_timer { tg } ->
-    (match Hashtbl.find_opt rxd.timers tg with
-    | Some t ->
-      Engine.cancel t;
-      Hashtbl.remove rxd.timers tg
-    | None -> ())
   | Np_machine.Deliver { tg; data; reconstructed = _ } ->
-    if
-      not
-        (Array.for_all2 Bytes.equal data (Np_machine.Sender.block_data flow.sender ~tg))
-    then flow.intact <- false
+    let sent = Np_machine.Sender.block_data (sender_machine flow) ~tg in
+    if not (Array.for_all2 Bytes.equal data sent) then flow.intact <- false
   | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
   | Np_machine.Done -> flow.completed_at.(receiver) <- Some (Engine.now mux.engine)
-  | Np_machine.Send _ | Np_machine.Trace _ -> ()
+  | _ -> ()
 
 (* The NAK is multicast: the sender reacts, and every other present
    receiver — machine or population — overhears it and may suppress its
@@ -373,11 +295,8 @@ and multicast_nak mux flow ~from ~tg ~need ~round =
 
 and sender_feedback mux flow ~tg ~need ~round =
   touch mux flow;
-  (match flow.controller with
-  | Some controller -> Controller.observe_nak controller ~tg ~need ~round
-  | None -> ());
-  ignore (sender_handle flow (Np_machine.Feedback { tg; need; round }));
-  if Np_machine.Sender.pending flow.sender then wake mux flow
+  ignore (Np_drive.Sender.feedback flow.sender ~tg ~need ~round);
+  if pending flow then wake mux flow
 
 (* Take receiver [ev.receiver] in or out of the delivery set.
 
@@ -396,15 +315,13 @@ let apply_churn mux flow ev =
   | `Leave ->
     if flow.presence.(ev.receiver) then begin
       flow.presence.(ev.receiver) <- false;
-      let rxd = flow.rxs.(ev.receiver) in
-      Hashtbl.iter (fun _tg timer -> Engine.cancel timer) rxd.timers;
-      Hashtbl.reset rxd.timers;
+      Np_drive.Receiver.cancel_timers flow.rxs.(ev.receiver);
       touch mux flow
     end
   | `Join ->
     if not flow.presence.(ev.receiver) then begin
       flow.presence.(ev.receiver) <- true;
-      let machine = flow.rxs.(ev.receiver).machine in
+      let machine = Np_drive.Receiver.machine flow.rxs.(ev.receiver) in
       Array.iteri
         (fun tg (k, size, round) ->
           if
@@ -440,33 +357,8 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
         invalid_arg "Np.add_flow: churn receiver out of range";
       if ev.at < start then invalid_arg "Np.add_flow: churn event before the flow starts")
     churn;
-  let mc = machine_config c in
-  let sender = Np_machine.Sender.create mc ~data in
-  let total = Array.length data in
-  let expected =
-    List.init (Np_machine.Sender.tg_count sender) (fun i ->
-        (i, min c.k (total - (i * c.k))))
-  in
-  (* All receiver machines share the flow's RNG for NAK damping, exactly
-     like the pre-sans-IO machine did — one draw per armed timer, in
-     delivery order. *)
-  let rand () = Rng.float rng in
-  let rxs =
-    Array.init receivers (fun r ->
-        {
-          machine = Np_machine.Receiver.create ~expected mc ~rand;
-          actor = "r" ^ string_of_int r;
-          timers = Hashtbl.create 8;
-        })
-  in
-  let controller =
-    match c.controller with
-    | `Static -> None
-    | (`Ewma | `Gilbert_aware) as kind ->
-      Some
-        (Controller.create ~kind ~k:c.k ~h:c.h ~proactive:c.proactive ~receivers
-           ~pacing:c.spacing ())
-  in
+  let profile = profile_of_config c in
+  let sender = Np_drive.Sender.create ?recorder ~actor:"s0" ~receivers profile ~data in
   (* A receiver whose earliest churn event is a Join is a late joiner: it
      starts outside the delivery set. *)
   let presence = Array.make receivers true in
@@ -480,18 +372,15 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
   Hashtbl.iter
     (fun receiver (_, action) -> if action = `Join then presence.(receiver) <- false)
     earliest;
-  let tg_count = Np_machine.Sender.tg_count sender in
+  let tg_count = Np_machine.Sender.tg_count (Np_drive.Sender.machine sender) in
   let flow =
     {
       config = c;
       network;
       sender;
-      rxs;
+      rxs = [||];
       receivers;
-      recorder;
       started_at = start;
-      controller;
-      applied = { Controller.proactive = min c.proactive c.h; budget = c.h };
       presence;
       completed_at = Array.make receivers None;
       last_polls = Array.make tg_count (0, 0, 0);
@@ -503,95 +392,86 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       intact = true;
     }
   in
+  let mc = Np_replay.machine_config profile in
+  let expected = Np_replay.expected ~k:c.k ~sid:0 data in
+  let clock = { Np_drive.after = Engine.after mux.engine; cancel = Engine.cancel } in
+  (* All receiver machines share the flow's RNG for NAK damping, exactly
+     like the pre-sans-IO machine did — one draw per armed timer, in
+     delivery order. *)
+  let rand () = Rng.float rng in
+  flow.rxs <-
+    Array.init receivers (fun r ->
+        Np_drive.Receiver.create ?recorder ~actor:("r" ^ string_of_int r) ~clock
+          ~entry:(rx_event mux flow ~receiver:r) ~apply:(rx_apply mux flow ~receiver:r)
+          (Np_machine.Receiver.create ~expected mc ~rand));
   List.iter
     (fun ev -> ignore (Engine.at mux.engine ev.at (fun () -> apply_churn mux flow ev)))
     churn;
   ignore (Engine.at mux.engine start (fun () -> wake mux flow));
   flow
 
-let started_at flow = flow.started_at
-let finished_at flow = flow.finished_at
-
-(* Completion and delivery verdicts cover the survivors: receivers absent
-   when asked (left, or joined-and-left) are not waited for.  With no
-   churn every receiver is present and both predicates read exactly as
-   they always did. *)
-let flow_complete flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
+(* Does [resolved] hold for every TG at every receiver present when
+   asked?  Completion and delivery verdicts cover the survivors: receivers
+   absent (left, or joined-and-left) are not waited for.  With no churn
+   every receiver is present. *)
+let all_present flow resolved =
+  let tg_count = Np_machine.Sender.tg_count (sender_machine flow) in
   let all = ref true in
   Array.iteri
-    (fun r rxd ->
+    (fun r rx ->
       if flow.presence.(r) then
         for tg = 0 to tg_count - 1 do
-          if
-            not
-              (Np_machine.Receiver.delivered rxd.machine ~tg
-              || Np_machine.Receiver.gave_up rxd.machine ~tg)
-          then all := false
+          if not (resolved (Np_drive.Receiver.machine rx) ~tg) then all := false
         done)
     flow.rxs;
   !all
 
+let flow_complete flow =
+  all_present flow (fun machine ~tg ->
+      Np_machine.Receiver.delivered machine ~tg || Np_machine.Receiver.gave_up machine ~tg)
+
 let flow_report flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
-  let sum f = Array.fold_left (fun acc rxd -> acc + f rxd.machine) 0 flow.rxs in
-  let all_delivered =
-    let all = ref true in
-    Array.iteri
-      (fun r rxd ->
-        if flow.presence.(r) then
-          for tg = 0 to tg_count - 1 do
-            if not (Np_machine.Receiver.delivered rxd.machine ~tg) then all := false
-          done)
-      flow.rxs;
-    !all
+  let sender = sender_machine flow in
+  let tg_count = Np_machine.Sender.tg_count sender in
+  let sum f =
+    Array.fold_left (fun acc rx -> acc + f (Np_drive.Receiver.machine rx)) 0 flow.rxs
   in
   {
     config = flow.config;
     receivers = flow.receivers;
     transmission_groups = tg_count;
-    data_tx = Np_machine.Sender.data_tx flow.sender;
-    parity_tx = Np_machine.Sender.parity_tx flow.sender;
-    polls = Np_machine.Sender.polls flow.sender;
+    data_tx = Np_machine.Sender.data_tx sender;
+    parity_tx = Np_machine.Sender.parity_tx sender;
+    polls = Np_machine.Sender.polls sender;
     naks_sent = sum Np_machine.Receiver.naks_sent;
     naks_suppressed = sum Np_machine.Receiver.naks_suppressed;
-    parities_encoded = Np_machine.Sender.parities_encoded flow.sender;
+    parities_encoded = Np_machine.Sender.parities_encoded sender;
     packets_decoded = sum Np_machine.Receiver.packets_decoded;
     unnecessary_receptions = sum Np_machine.Receiver.unnecessary;
     ejected = List.rev flow.ejected_rev;
     duration = flow.finished_at;
-    delivered_intact = flow.intact && all_delivered;
+    delivered_intact = flow.intact && all_present flow Np_machine.Receiver.delivered;
   }
 
 module Mux = struct
   type t = mux
   type nonrec flow = flow
-  type nonrec churn_event = churn_event = {
-    receiver : int;
-    at : float;
-    action : [ `Join | `Leave ];
-  }
 
-  type nonrec population = population = {
-    on_payload : tg:int -> unit;
-    on_poll : tg:int -> size:int -> round:int -> unit;
-    on_exhausted : tg:int -> unit;
-    on_nak : tg:int -> need:int -> round:int -> unit;
-  }
+  include Mux_types
 
   let create = create
-  let engine = engine
+  let engine mux = mux.engine
   let add_flow = add_flow
-  let started_at = started_at
-  let finished_at = finished_at
+  let started_at flow = flow.started_at
+  let finished_at flow = flow.finished_at
   let complete = flow_complete
   let report = flow_report
   let run t = Engine.run t.engine
   let set_population flow population = flow.population <- Some population
   let population_nak mux flow ~tg ~need ~round =
     multicast_nak mux flow ~from:`Population ~tg ~need ~round
-  let retunes flow = Np_machine.Sender.retunes flow.sender
-  let tuning flow = Np_machine.Sender.tuning flow.sender
+  let retunes flow = Np_machine.Sender.retunes (sender_machine flow)
+  let tuning flow = Np_machine.Sender.tuning (sender_machine flow)
 
   let present flow ~receiver =
     if receiver < 0 || receiver >= flow.receivers then invalid_arg "Np.Mux.present";
@@ -601,10 +481,7 @@ module Mux = struct
     if receiver < 0 || receiver >= flow.receivers then invalid_arg "Np.Mux.completed_at";
     flow.completed_at.(receiver)
 
-  let controller_estimates flow =
-    Option.map
-      (fun c -> (Controller.p_hat c, Controller.m_hat c, Controller.burst_hat c))
-      flow.controller
+  let controller_estimates flow = Np_drive.Sender.estimates flow.sender
 end
 
 let run ?(config = default_config) ?(start = 0.0) ~network ~rng ~data () =

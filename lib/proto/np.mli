@@ -78,7 +78,10 @@ val transmissions_per_packet : report -> float
 (** The E[M] estimate this run realises. *)
 
 val validate_config : config -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+(** The profile's rules ({!Rmc_core.Profile.validate} on
+    {!profile_of_config}) plus the simulator's own: the payload fits one
+    64 KiB datagram and [delay >= 0].
+    @raise Invalid_argument on out-of-range fields. *)
 
 (** Multiplex several independent NP transfers over one shared engine.
 

@@ -1,0 +1,82 @@
+(** The one binding of an {!Np_machine} to a driver.
+
+    Both NP interpreters — {!Np.Mux} on the virtual-time engine and
+    [Rmc_transport.Udp_np] on the wall-clock reactor — bind their machines
+    through this module, so the rules the machine relies on are written
+    once:
+
+    - every event a machine consumes and every effect it emits pass the
+      capture hook {!Np_replay.step};
+    - a sender's adaptive controller sees the POLLs the sender transmits
+      and the NAKs it receives, and a changed decision is fed to the
+      machine as a [Retune] before the next [Tick];
+    - a receiver's NAK timers live in one per-TG table: [Arm_timer]
+      replaces the timer pending for that TG, [Cancel_timer] on an
+      unarmed TG is a no-op, and a fired timer is forgotten before its
+      [Timer_fired] re-enters the machine.
+
+    Pacing, the channel, delivery, verification, metrics and traces stay
+    with each driver. *)
+
+type 'timer clock = {
+  after : float -> (unit -> unit) -> 'timer;
+  cancel : 'timer -> unit;
+}
+(** The driver's timers: [Engine.after]/[Engine.cancel] in the sim,
+    [Reactor.after]/[Reactor.cancel] over UDP. *)
+
+module Sender : sig
+  type t
+
+  val create :
+    ?recorder:Rmc_obs.Recorder.t ->
+    actor:string ->
+    receivers:int ->
+    Rmc_core.Profile.t ->
+    data:Bytes.t array ->
+    t
+  (** The sender machine for [data] under a valid profile, plus the
+      controller (sized for [receivers]) unless the profile's is
+      [`Static].  [recorder] captures the machine's streams as [actor]. *)
+
+  val machine : t -> Np_machine.Sender.t
+
+  val tick : t -> Np_machine.effect list
+  (** Feed [Retune] if the controller's decision changed since the last
+      one fed, then [Tick]; show the tick's POLLs to the controller.
+      Returns both events' effects, in order. *)
+
+  val feedback : t -> tg:int -> need:int -> round:int -> Np_machine.effect list
+  (** A NAK reached the sender: show it to the controller, then feed
+      [Feedback]. *)
+
+  val estimates : t -> (float * float * float) option
+  (** The controller's [(p_hat, m_hat, burst_hat)]; [None] under
+      [`Static]. *)
+end
+
+module Receiver : sig
+  type 'timer t
+
+  val create :
+    ?recorder:Rmc_obs.Recorder.t ->
+    actor:string ->
+    clock:'timer clock ->
+    ?entry:(Np_machine.event -> unit) ->
+    apply:(Np_machine.effect -> unit) ->
+    Np_machine.Receiver.t ->
+    'timer t
+  (** Bind a receiver machine.  [apply] performs every effect but
+      [Arm_timer]/[Cancel_timer], in order; a fired timer's [Timer_fired]
+      enters through [entry], the driver's own entry point (default
+      {!receive}).  Both callbacks are built once, here. *)
+
+  val machine : 'timer t -> Np_machine.Receiver.t
+
+  val receive : 'timer t -> Np_machine.event -> unit
+  (** Feed one event: perform its timer effects, hand the rest to
+      [apply]. *)
+
+  val cancel_timers : 'timer t -> unit
+  (** Cancel and forget every armed NAK timer (the receiver left). *)
+end

@@ -43,6 +43,17 @@ let record_setup recorder ?(controller = `Static) ~config ~payload_size ~receive
   Array.iteri (fun sid data -> set (Printf.sprintf "data.%d" sid) (hex_of_payloads data)) sessions;
   Array.iteri (fun id seed -> set (Printf.sprintf "rxseed.%d" id) (string_of_int seed)) rx_seeds
 
+let machine_config (p : Rmc_core.Profile.t) =
+  { Np_machine.k = p.k; h = p.h; proactive = p.proactive; pre_encode = p.pre_encode;
+    slot = p.slot; codec = p.codec }
+
+let wire_tg ~sid local = (sid lsl 16) lor local
+
+let expected ~k ~sid data =
+  let total = Array.length data in
+  List.init ((total + k - 1) / k) (fun local ->
+      (wire_tg ~sid local, min k (total - (local * k))))
+
 let step ?recorder ~actor handle event =
   match recorder with
   | None -> handle event
@@ -58,101 +69,78 @@ type outcome = {
   divergence : string option;
 }
 
-(* Mirrors the UDP driver's wire demux: session id in the upper 16 bits of
-   the 32-bit tg id, session-local index in the lower 16. *)
-let wire_tg ~sid local = (sid lsl 16) lor local
-
 let ( let* ) = Result.bind
 
-let meta_int recorder key =
-  match Recorder.meta recorder key with
-  | None -> Error (Printf.sprintf "capture meta missing %s" key)
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "capture meta %s: not an integer" key))
+(* One meta value through [parse]; [default] stands in for a key that
+   older captures do not carry. *)
+let meta recorder ?default key parse =
+  match (Recorder.meta recorder key, default) with
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "capture meta missing %s" key)
+  | Some v, _ -> (
+    match parse v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "capture meta %s: cannot parse %S" key v))
 
-let meta_float recorder key =
-  match Recorder.meta recorder key with
-  | None -> Error (Printf.sprintf "capture meta missing %s" key)
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "capture meta %s: not a float" key))
-
-let meta_bool recorder key =
-  match Recorder.meta recorder key with
-  | None -> Error (Printf.sprintf "capture meta missing %s" key)
-  | Some "true" -> Ok true
-  | Some "false" -> Ok false
-  | Some _ -> Error (Printf.sprintf "capture meta %s: not a boolean" key)
+(* [f 0], ..., [f (n - 1)], stopping at the first error. *)
+let collect n f =
+  let rec go i acc =
+    if i = n then Ok (Array.of_list (List.rev acc))
+    else
+      let* x = f i in
+      go (i + 1) (x :: acc)
+  in
+  go 0 []
 
 type machine =
   | M_sender of Np_machine.Sender.t
   | M_receiver of Np_machine.Receiver.t
 
 let replay recorder =
-  let* k = meta_int recorder "k" in
-  let* h = meta_int recorder "h" in
-  let* proactive = meta_int recorder "proactive" in
-  let* pre_encode = meta_bool recorder "pre_encode" in
-  let* slot = meta_float recorder "slot" in
-  (* Captures written before the codec seam carry no "codec" key; they were
-     all RSE, so that is the default. *)
-  let* codec =
-    match Recorder.meta recorder "codec" with
-    | None -> Ok `Rse
-    | Some s -> (
-      match Np_machine.Codec.kind_of_string s with
-      | Some c -> Ok c
-      | None -> Error (Printf.sprintf "capture meta codec: unknown codec %S" s))
+  let* k = meta recorder "k" int_of_string_opt in
+  let* h = meta recorder "h" int_of_string_opt in
+  let* proactive = meta recorder "proactive" int_of_string_opt in
+  let* pre_encode = meta recorder "pre_encode" bool_of_string_opt in
+  let* slot = meta recorder "slot" float_of_string_opt in
+  (* Captures written before the codec seam carry no "codec" key (they
+     were all RSE), and pre-control-plane captures no "controller" key
+     (all static).  Replay never *runs* a controller — its decisions are
+     in the event stream as [Retune] events — so that key only takes part
+     in validation. *)
+  let* codec = meta recorder ~default:`Rse "codec" Np_machine.Codec.kind_of_string in
+  let* controller =
+    meta recorder ~default:`Static "controller" Rmc_core.Profile.controller_of_string
   in
-  (* Pre-control-plane captures carry no "controller" key; they were all
-     static.  Replay never *runs* a controller — its retune decisions are
-     in the event stream as [Retune] events — so the key is validated for
-     capture fidelity, not consumed. *)
-  let* (_ : Rmc_core.Profile.controller) =
-    match Recorder.meta recorder "controller" with
-    | None -> Ok `Static
-    | Some s -> (
-      match Rmc_core.Profile.controller_of_string s with
-      | Some c -> Ok c
-      | None -> Error (Printf.sprintf "capture meta controller: unknown controller %S" s))
+  let* payload_size = meta recorder "payload" int_of_string_opt in
+  let* receivers = meta recorder "receivers" int_of_string_opt in
+  let* nsessions = meta recorder "sessions" int_of_string_opt in
+  (* A hostile meta must come back as [Error], never as a raise from the
+     machine constructors: the profile rules every driver admits by apply
+     here too.  Pacing is not recorded (the machines never see it), so the
+     default stands in. *)
+  let* profile =
+    Result.map_error Rmc_core.Error.to_string
+      (Rmc_core.Profile.validate ~context:"capture meta"
+         { Rmc_core.Profile.default with k; h; proactive; payload_size; slot; pre_encode;
+           codec; controller })
   in
-  let* payload_size = meta_int recorder "payload" in
-  let* receivers = meta_int recorder "receivers" in
-  let* nsessions = meta_int recorder "sessions" in
-  if payload_size < 1 then Error "capture meta payload: must be >= 1"
-  else if nsessions < 1 then Error "capture meta sessions: must be >= 1"
+  if nsessions < 1 then Error "capture meta sessions: must be >= 1"
   else if receivers < 1 then Error "capture meta receivers: must be >= 1"
   else
-    let config = { Np_machine.k; h; proactive; pre_encode; slot; codec } in
-    let rec collect_sessions sid acc =
-      if sid = nsessions then Ok (Array.of_list (List.rev acc))
-      else
-        match Recorder.meta recorder (Printf.sprintf "data.%d" sid) with
-        | None -> Error (Printf.sprintf "capture meta missing data.%d" sid)
-        | Some hex ->
-          let* payloads = payloads_of_hex ~payload_size hex in
-          collect_sessions (sid + 1) (payloads :: acc)
+    let config = machine_config profile in
+    let* sessions =
+      collect nsessions (fun sid ->
+          let* hex = meta recorder (Printf.sprintf "data.%d" sid) Option.some in
+          payloads_of_hex ~payload_size hex)
     in
-    let* sessions = collect_sessions 0 [] in
-    let rec collect_seeds id acc =
-      if id = receivers then Ok (Array.of_list (List.rev acc))
-      else
-        let* seed = meta_int recorder (Printf.sprintf "rxseed.%d" id) in
-        collect_seeds (id + 1) (seed :: acc)
+    let* rx_seeds =
+      collect receivers (fun id ->
+          meta recorder (Printf.sprintf "rxseed.%d" id) int_of_string_opt)
     in
-    let* rx_seeds = collect_seeds 0 [] in
     (* Every receiver expects every TG of every session, exactly as the
        UDP driver registers them. *)
     let expected =
-      List.concat
-        (List.init nsessions (fun sid ->
-             let total = Array.length sessions.(sid) in
-             let tg_count = (total + k - 1) / k in
-             List.init tg_count (fun local ->
-                 (wire_tg ~sid local, min k (total - (local * k))))))
+      List.concat (List.init nsessions (fun sid -> expected ~k ~sid sessions.(sid)))
     in
     let machines : (string, machine) Hashtbl.t = Hashtbl.create 8 in
     let machine_of actor =

@@ -35,6 +35,24 @@ val record_setup :
     re-running it (and captures written before the control plane replay
     as static).  Drivers call this once, before recording any entries. *)
 
+(** {2 Driver conventions}
+
+    What every driver and {!replay} must agree on to build the same
+    machines from the same inputs. *)
+
+val machine_config : Rmc_core.Profile.t -> Np_machine.config
+(** The machine config a profile describes. *)
+
+val wire_tg : sid:int -> int -> int
+(** [wire_tg ~sid local] packs a session id into the upper 16 bits of
+    the 32-bit wire [tg_id] and the session-local TG index into the lower
+    16.  Unchecked: callers bound both to [\[0, 65535\]]. *)
+
+val expected : k:int -> sid:int -> Bytes.t array -> (int * int) list
+(** The [(wire tg, packets)] pairs a receiver must resolve for session
+    [sid] carrying [data] in TGs of [k] (the last TG may be shorter) —
+    the [~expected] list of [Np_machine.Receiver.create]. *)
+
 val step :
   ?recorder:Rmc_obs.Recorder.t ->
   actor:string ->
@@ -43,9 +61,9 @@ val step :
   Np_machine.effect list
 (** [step ?recorder ~actor handle event] feeds [event] to a machine's
     [handle] and returns its effects, recording the event and then each
-    effect under [actor] when a [recorder] is given — the one capture hook
-    every driver routes its machines through, so captures from the sim
-    tiers and from UDP share one shape.  Without a recorder it is exactly
+    effect under [actor] when a [recorder] is given — the one capture
+    hook.  {!Np_drive}, the binding both drivers go through, is its only
+    caller, so captures from the sim tiers and from UDP share one shape.  Without a recorder it is exactly
     [handle event]. *)
 
 type outcome = {
@@ -58,7 +76,9 @@ type outcome = {
 }
 
 val replay : Rmc_obs.Recorder.t -> (outcome, string) result
-(** Replay a capture.  [Error] means the capture itself is unusable
-    (missing or malformed meta); mismatched, unparseable or misattributed
+(** Replay a capture.  [Error] means the capture itself is unusable:
+    missing or malformed meta, or a meta whose profile
+    [Rmc_core.Profile.validate] rejects (context ["capture meta"]).
+    Mismatched, unparseable or misattributed
     entries yield [Ok] with [divergence = Some _] pinpointing the first
     offender. *)

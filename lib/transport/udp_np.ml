@@ -4,12 +4,11 @@ module Buffer_pool = Rmc_pool.Buffer_pool
 module Metrics = Rmc_obs.Metrics
 module Trace = Rmc_obs.Trace
 module Fault = Rmc_obs.Fault
-module Recorder = Rmc_obs.Recorder
 module Profile = Rmc_core.Profile
 module Error = Rmc_core.Error
 module Np_machine = Rmc_proto.Np_machine
 module Np_replay = Rmc_proto.Np_replay
-module Controller = Rmc_control.Controller
+module Np_drive = Rmc_proto.Np_drive
 
 type transport = [ `Unicast | `Multicast ]
 
@@ -26,22 +25,7 @@ type config = {
   controller : Profile.controller;
 }
 
-let default_config =
-  {
-    k = 8;
-    h = 16;
-    proactive = 0;
-    payload_size = 512;
-    spacing = 0.0005;
-    slot = 0.020;
-    linger = 0.050;
-    session_timeout = 5.0;
-    codec = `Rse;
-    controller = `Static;
-  }
-
-let config_of_profile ?(linger = default_config.linger)
-    ?(session_timeout = default_config.session_timeout) (p : Profile.t) =
+let config_of_profile ?(linger = 0.050) ?(session_timeout = 5.0) (p : Profile.t) =
   (* pre_encode has no wall-clock equivalent here: the UDP sender encodes
      parities on demand, so the flag is dropped. *)
   {
@@ -57,6 +41,8 @@ let config_of_profile ?(linger = default_config.linger)
     controller = p.Profile.controller;
   }
 
+let default_config = config_of_profile Profile.default_udp
+
 let profile_of_config c =
   {
     Profile.k = c.k;
@@ -69,10 +55,6 @@ let profile_of_config c =
     codec = c.codec;
     controller = c.controller;
   }
-
-let machine_config c =
-  { Np_machine.k = c.k; h = c.h; proactive = c.proactive; pre_encode = false;
-    slot = c.slot; codec = c.codec }
 
 type report = {
   receivers : int;
@@ -117,19 +99,17 @@ type multi_report = {
 (* --- session demux on the wire ---------------------------------------- *)
 
 (* The 32-bit wire [tg_id] carries the session id in its upper 16 bits and
-   the session-local TG index in the lower 16 — no wire-format change, and
-   a single-session run (sid 0) puts exactly the bytes on the wire it
-   always did.  [wire_tg_unchecked] is the hot-path composer for inputs
-   the entry-point validation has already bounded; {!wire_tg} is the
+   the session-local TG index in the lower 16 ({!Np_replay.wire_tg}) — no
+   wire-format change, and a single-session run (sid 0) puts exactly the
+   bytes on the wire it always did.  The driver composes ids the
+   entry-point validation has already bounded; {!wire_tg} is the
    range-checked public face. *)
-let wire_tg_unchecked ~sid local = (sid lsl 16) lor local
-
 let wire_tg ~sid local =
   if sid < 0 || sid > 0xFFFF then
     Error.invalid_arg ~context:"Udp_np.wire_tg" "session id outside 16-bit range"
   else if local < 0 || local > 0xFFFF then
     Error.invalid_arg ~context:"Udp_np.wire_tg" "local tg outside 16-bit range"
-  else Ok (wire_tg_unchecked ~sid local)
+  else Ok (Np_replay.wire_tg ~sid local)
 
 (* Decode-side masks: a hostile or corrupted tg_id must not index outside
    either 16-bit namespace. *)
@@ -221,57 +201,38 @@ let walk_frame ?on_decode_error buffer ~len ~from handle =
   in
   go 0
 
-let drain ?on_decode_error ~scratch socket handle =
-  let rec loop () =
-    match retry_eintr (fun () -> Unix.recvfrom socket scratch 0 (Bytes.length scratch) [])
-    with
-    | length, from ->
-      walk_frame ?on_decode_error scratch ~len:length ~from handle;
-      loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
-      (* ICMP port-unreachable bounce from a peer that closed; ignore. *)
-      loop ()
-  in
-  loop ()
-
 (* Ring-based drain: up to [slots] queued datagrams per syscall.  A drain
    that fills every slot loops (more may be queued); a partial fill means
    the socket is dry — no trailing empty recv syscall. *)
-let drain_socket ?on_decode_error net handle =
+let drain ?on_decode_error ~ring ~syscalls ~datagrams socket handle =
   let rec loop () =
-    Metrics.incr net.syscalls_rx;
-    let n = Udp_batch.recv_batch net.ring net.socket in
+    Metrics.incr syscalls;
+    let n = Udp_batch.recv_batch ring socket in
     for i = 0 to n - 1 do
-      Metrics.incr net.datagrams_rx;
-      walk_frame ?on_decode_error (Udp_batch.slot net.ring i)
-        ~len:(Udp_batch.slot_len net.ring i)
-        ~from:(Udp_batch.slot_from net.ring i)
-        handle
+      Metrics.incr datagrams;
+      walk_frame ?on_decode_error (Udp_batch.slot ring i) ~len:(Udp_batch.slot_len ring i)
+        ~from:(Udp_batch.slot_from ring i) handle
     done;
-    if n = Udp_batch.slots net.ring then loop ()
+    if n = Udp_batch.slots ring then loop ()
   in
   loop ()
 
 (* --- sender ----------------------------------------------------------- *)
 
-(* The protocol lives in the shared sans-IO core; this driver owns the
-   session id, the socket fan-out, pacing via the reactor, the fault shim
-   and the metrics.  The machine speaks session-local tg ids; every
-   outgoing message is rewritten into the wire namespace here. *)
+(* The protocol lives in the shared sans-IO core, bound through
+   {!Np_drive} (capture, retunes); this driver owns the session id, the
+   socket fan-out, pacing via the reactor, the fault shim and the metrics.
+   The machine speaks session-local tg ids; every outgoing message is
+   rewritten into the wire namespace here. *)
 type sender = {
   sid : int;
-  actor : string;  (* recorder actor, "s<sid>" *)
   config : config;
   reactor : Reactor.t;
   net : net;
   pool : Buffer_pool.t;
   group : Unix.sockaddr list;
-  machine : Np_machine.Sender.t;
-  controller : Controller.t option;  (* None iff config.controller = `Static *)
-  mutable applied : Controller.decision;  (* last decision fed as Retune *)
+  drive : Np_drive.Sender.t;
   shim : Fault.t option;
-  recorder : Recorder.t option;
   mutable sending : bool;
   c_data : Metrics.counter;
   c_parity : Metrics.counter;
@@ -294,7 +255,7 @@ type frame = { buf : Bytes.t; mutable len : int; payload_bearing : bool }
 let sender_encode sender buf ~off message =
   let len = Header.encode_into buf ~off message in
   if sender.sid <> 0 then begin
-    Header.set_tg_id buf ~off (wire_tg_unchecked ~sid:sender.sid (Header.tg_id message));
+    Header.set_tg_id buf ~off (Np_replay.wire_tg ~sid:sender.sid (Header.tg_id message));
     Header.reseal_slice buf ~off ~len
   end;
   len
@@ -382,48 +343,22 @@ let sender_flush sender batch =
     end;
     List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
 
-let sender_handle sender event =
-  let effects =
-    Np_replay.step ?recorder:sender.recorder ~actor:sender.actor
-      (Np_machine.Sender.handle sender.machine)
-      event
-  in
-  (match sender.net.trace with
+let sender_machine sender = Np_drive.Sender.machine sender.drive
+
+(* The machine's traces go to the driver's trace sink. *)
+let sender_trace sender effects =
+  match sender.net.trace with
   | Some trace ->
     List.iter
       (function Np_machine.Trace detail -> Trace.record ~detail trace "np.sender" | _ -> ())
       effects
-  | None -> ());
-  effects
-
-(* Apply the controller's current decision when it differs from the last
-   one fed to the machine.  Routed through {!sender_handle} so the Retune
-   event lands in the capture — replay stays deterministic without ever
-   re-running the controller. *)
-let maybe_retune sender =
-  match sender.controller with
   | None -> ()
-  | Some controller ->
-    let d = Controller.decision controller in
-    if not (Controller.decision_equal d sender.applied) then begin
-      sender.applied <- d;
-      ignore
-        (sender_handle sender
-           (Np_machine.Retune
-              { proactive = d.Controller.proactive; budget = d.Controller.budget }))
-    end
-
-let sender_observe_poll sender message =
-  match (sender.controller, message) with
-  | Some controller, Header.Poll { tg_id; k; size; round } ->
-    Controller.observe_poll controller ~tg:tg_id ~k ~size ~round
-  | _ -> ()
 
 let rec sender_pump sender =
-  if not (Np_machine.Sender.pending sender.machine) then sender.sending <- false
+  if not (Np_machine.Sender.pending (sender_machine sender)) then sender.sending <- false
   else begin
-    maybe_retune sender;
-    let effects = sender_handle sender Np_machine.Tick in
+    let effects = Np_drive.Sender.tick sender.drive in
+    sender_trace sender effects;
     (* Drain every Send effect of the tick into pooled frames, then flush
        them in one batched pass. *)
     let batch, delay =
@@ -440,15 +375,12 @@ let rec sender_pump sender =
               (sender_enqueue sender batch message, sender.config.spacing)
             | Header.Poll _ ->
               Metrics.incr sender.c_poll;
-              sender_observe_poll sender message;
               (sender_enqueue sender batch message, acc)
             | Header.Exhausted _ ->
               Metrics.incr sender.c_exhausted;
               (sender_enqueue sender batch message, acc)
             | Header.Nak _ -> (batch, acc))
-          | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
-          | Np_machine.Ejected _ | Np_machine.Trace _ | Np_machine.Done ->
-            (batch, acc))
+          | _ -> (batch, acc))
         ([], 0.0) effects
     in
     sender_flush sender batch;
@@ -463,42 +395,29 @@ let sender_wake sender =
 
 let sender_handle_nak sender ~tg_id ~need ~round =
   Metrics.incr sender.c_naks_rx;
-  (match sender.controller with
-  | Some controller -> Controller.observe_nak controller ~tg:tg_id ~need ~round
-  | None -> ());
-  let before = Np_machine.Sender.repair_rounds sender.machine in
-  ignore (sender_handle sender (Np_machine.Feedback { tg = tg_id; need; round }));
-  if Np_machine.Sender.repair_rounds sender.machine > before then
-    Metrics.incr sender.c_rounds;
-  if Np_machine.Sender.pending sender.machine then sender_wake sender
+  let machine = sender_machine sender in
+  let before = Np_machine.Sender.repair_rounds machine in
+  sender_trace sender (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
+  if Np_machine.Sender.repair_rounds machine > before then Metrics.incr sender.c_rounds;
+  if Np_machine.Sender.pending machine then sender_wake sender
 
 (* [metrics] is already scoped per session by the caller; the NAK handler
    for the shared socket lives with the driver, not here, because many
    senders share one socket. *)
 let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metrics ~shim
     ~recorder =
-  let controller =
-    match (config : config).controller with
-    | `Static -> None
-    | (`Ewma | `Gilbert_aware) as kind ->
-      Some
-        (Controller.create ~kind ~k:config.k ~h:config.h ~proactive:config.proactive
-           ~receivers ~pacing:config.spacing ())
-  in
   let sender =
     {
       sid;
-      actor = "s" ^ string_of_int sid;
       config;
       reactor;
       net;
       pool;
       group;
-      machine = Np_machine.Sender.create (machine_config config) ~data;
-      controller;
-      applied = { Controller.proactive = min config.proactive config.h; budget = config.h };
+      drive =
+        Np_drive.Sender.create ?recorder ~actor:("s" ^ string_of_int sid) ~receivers
+          (profile_of_config config) ~data;
       shim;
-      recorder;
       sending = false;
       c_data = Metrics.counter metrics "tx.data";
       c_parity = Metrics.counter metrics "tx.parity";
@@ -514,8 +433,6 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
 (* --- receiver ---------------------------------------------------------- *)
 
 type receiver = {
-  actor : string;  (* recorder actor, "r<id>" *)
-  reactor : Reactor.t;
   net : net;  (* datagrams arrive here *)
   tx_net : net;  (* NAKs leave here; same as [net] in unicast mode *)
   self_addr : Unix.sockaddr option;
@@ -528,9 +445,7 @@ type receiver = {
          the group address (multicast mode) *)
   loss_rng : Rng.t;  (* reception-loss injection (driver-side, not replayed) *)
   loss : float;
-  machine : Np_machine.Receiver.t;
-  timers : (int, Reactor.timer) Hashtbl.t;  (* armed NAK timers, by wire tg *)
-  recorder : Recorder.t option;
+  machine : Np_machine.Receiver.t;  (* bound through {!Np_drive}; read for counters *)
   on_tg_complete : int -> Bytes.t array -> unit;
   on_ejected : int -> unit;
   mutable dropped : int;
@@ -547,13 +462,9 @@ type receiver = {
   c_duplicates : Metrics.counter;
 }
 
-let rec receiver_handle receiver event =
-  List.iter (receiver_apply receiver)
-    (Np_replay.step ?recorder:receiver.recorder ~actor:receiver.actor
-       (Np_machine.Receiver.handle receiver.machine)
-       event)
-
-and receiver_apply receiver effect =
+(* Every receiver effect but the NAK timers, which the binding performs on
+   the reactor's clock. *)
+let receiver_apply receiver effect =
   match effect with
   | Np_machine.Send (Header.Nak _ as nak) ->
     (* The NAK is "multicast": to the sender plus every peer (unicast
@@ -565,43 +476,19 @@ and receiver_apply receiver effect =
         let len = Header.encode_into buf ~off:0 nak in
         send_slice receiver.tx_net buf 0 len receiver.sender_addr;
         List.iter (send_slice receiver.tx_net buf 0 len) receiver.nak_peers)
-  | Np_machine.Arm_timer { tg; round; offset } ->
-    (match Hashtbl.find_opt receiver.timers tg with
-    | Some t -> Reactor.cancel t
-    | None -> ());
-    Hashtbl.replace receiver.timers tg
-      (Reactor.after receiver.reactor offset (fun () ->
-           Hashtbl.remove receiver.timers tg;
-           receiver_handle receiver (Np_machine.Timer_fired { tg; round })))
-  | Np_machine.Cancel_timer { tg } ->
-    (match Hashtbl.find_opt receiver.timers tg with
-    | Some t ->
-      Reactor.cancel t;
-      Hashtbl.remove receiver.timers tg
-    | None -> ())
   | Np_machine.Deliver { tg; data; reconstructed = _ } -> receiver.on_tg_complete tg data
   | Np_machine.Ejected { tg } -> receiver.on_ejected tg
   | Np_machine.Trace detail ->
     (match receiver.net.trace with
     | Some trace -> Trace.record ~detail trace "np.receiver"
     | None -> ())
-  | Np_machine.Send _ | Np_machine.Done -> ()
+  | _ -> ()
 
-(* Data/parity reception: bump the metric mirroring the machine's internal
-   duplicate count, which only the machine can classify. *)
-let receiver_feed_payload receiver message =
-  let before = Np_machine.Receiver.duplicates receiver.machine in
-  receiver_handle receiver (Np_machine.Packet_received message);
-  if Np_machine.Receiver.duplicates receiver.machine > before then
-    Metrics.incr receiver.c_duplicates
-
-let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr ~config
-    ~seed ~loss ~id ~metrics ~expected ~recorder ~on_tg_complete ~on_ejected =
+let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr
+    ~machine_config ~seed ~loss ~id ~metrics ~expected ~recorder ~on_tg_complete ~on_ejected =
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
   let receiver =
     {
-      actor = "r" ^ string_of_int id;
-      reactor;
       net;
       tx_net;
       self_addr;
@@ -611,10 +498,8 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
       loss_rng = Rng.create ~seed:(seed + (id * 7919)) ();
       loss;
       machine =
-        Np_machine.Receiver.create ~expected (machine_config config) ~rand:(fun () ->
+        Np_machine.Receiver.create ~expected machine_config ~rand:(fun () ->
             Rng.float machine_rng);
-      timers = Hashtbl.create 16;
-      recorder;
       on_tg_complete;
       on_ejected;
       dropped = 0;
@@ -631,12 +516,33 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
       c_duplicates = Metrics.counter metrics "rx.duplicates";
     }
   in
+  let drive =
+    Np_drive.Receiver.create ?recorder ~actor:("r" ^ string_of_int id) ~clock
+      ~apply:(receiver_apply receiver) receiver.machine
+  in
+  let receive message = Np_drive.Receiver.receive drive (Np_machine.Packet_received message) in
+  (* Data/parity reception passes the injected loss first; the duplicate
+     metric mirrors the machine's internal count, which only the machine
+     can classify. *)
+  let receive_payload counter message =
+    Metrics.incr counter;
+    if Rng.bernoulli receiver.loss_rng receiver.loss then begin
+      receiver.dropped <- receiver.dropped + 1;
+      Metrics.incr receiver.c_loss_drop
+    end
+    else begin
+      let before = Np_machine.Receiver.duplicates receiver.machine in
+      receive message;
+      if Np_machine.Receiver.duplicates receiver.machine > before then
+        Metrics.incr receiver.c_duplicates
+    end
+  in
   Reactor.on_readable reactor net.socket (fun () ->
-      drain_socket
+      drain
         ~on_decode_error:(fun () ->
           receiver.decode_failures <- receiver.decode_failures + 1;
           Metrics.incr receiver.c_decode_fail)
-        net
+        ~ring:net.ring ~syscalls:net.syscalls_rx ~datagrams:net.datagrams_rx net.socket
         (fun message from ->
           let own_echo =
             match receiver.self_addr with Some self -> from = self | None -> false
@@ -644,34 +550,22 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
           if not own_echo then begin
             let from_sender = from = receiver.sender_addr in
             match message with
-            | Header.Data _ ->
-              Metrics.incr receiver.c_data;
-              if Rng.bernoulli receiver.loss_rng receiver.loss then begin
-                receiver.dropped <- receiver.dropped + 1;
-                Metrics.incr receiver.c_loss_drop
-              end
-              else receiver_feed_payload receiver message
-            | Header.Parity _ ->
-              Metrics.incr receiver.c_parity;
-              if Rng.bernoulli receiver.loss_rng receiver.loss then begin
-                receiver.dropped <- receiver.dropped + 1;
-                Metrics.incr receiver.c_loss_drop
-              end
-              else receiver_feed_payload receiver message
+            | Header.Data _ -> receive_payload receiver.c_data message
+            | Header.Parity _ -> receive_payload receiver.c_parity message
             | Header.Poll _ ->
               Metrics.incr receiver.c_poll;
-              receiver_handle receiver (Np_machine.Packet_received message)
+              receive message
             | Header.Nak _ ->
               if not from_sender then begin
                 Metrics.incr receiver.c_naks_overheard;
                 let before = Np_machine.Receiver.naks_suppressed receiver.machine in
-                receiver_handle receiver (Np_machine.Packet_received message);
+                receive message;
                 if Np_machine.Receiver.naks_suppressed receiver.machine > before then
                   Metrics.incr receiver.c_suppressed
               end
             | Header.Exhausted _ ->
               Metrics.incr receiver.c_exhausted;
-              receiver_handle receiver (Np_machine.Packet_received message)
+              receive message
           end));
   receiver
 
@@ -687,6 +581,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
     ~sessions ~sids ~sender_metrics =
   let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
   let reactor = Reactor.create ~metrics () in
+  let clock = { Np_drive.after = Reactor.after reactor; cancel = Reactor.cancel } in
+  let machine_config = Np_replay.machine_config (profile_of_config config) in
   let started = Unix.gettimeofday () in
   let nsessions = Array.length sessions in
   let tg_counts =
@@ -696,8 +592,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   Array.iteri (fun index sid -> Hashtbl.replace index_of_sid sid index) sids;
   (match recorder with
   | Some r ->
-    Np_replay.record_setup r ~controller:config.controller
-      ~config:(machine_config config) ~payload_size:config.payload_size ~receivers
+    Np_replay.record_setup r ~controller:config.controller ~config:machine_config
+      ~payload_size:config.payload_size ~receivers
       ~sessions
       ~rx_seeds:(Array.init receivers (fun id -> receiver_machine_seed ~seed ~id))
       ()
@@ -779,11 +675,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
     List.concat
       (Array.to_list
          (Array.mapi
-            (fun index data ->
-              let total = Array.length data in
-              List.init tg_counts.(index) (fun local ->
-                  ( wire_tg_unchecked ~sid:sids.(index) local,
-                    min config.k (total - (local * config.k)) )))
+            (fun index data -> Np_replay.expected ~k:config.k ~sid:sids.(index) data)
             sessions))
   in
 
@@ -833,8 +725,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
           | Some group -> [ Udp_multicast.group_addr group ]
           | None -> []
         in
-        create_receiver reactor ~net:receiver_nets.(id) ~tx_net ~self_addr ~nak_peers
-          ~pool ~sender_addr ~config ~seed ~loss ~id ~metrics ~expected ~recorder
+        create_receiver reactor ~clock ~net:receiver_nets.(id) ~tx_net ~self_addr ~nak_peers
+          ~pool ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected ~recorder
           ~on_tg_complete ~on_ejected)
   in
   (* Unicast: each receiver overhears the NAKs of all the others via an
@@ -868,7 +760,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
      owning session's sender. *)
   let c_decode_fail = Metrics.counter metrics "sender.decode_failures" in
   Reactor.on_readable reactor sender_socket (fun () ->
-      drain_socket ~on_decode_error:(fun () -> Metrics.incr c_decode_fail) sender_net
+      drain ~on_decode_error:(fun () -> Metrics.incr c_decode_fail) ~ring:sender_net.ring
+        ~syscalls:sender_net.syscalls_rx ~datagrams:sender_net.datagrams_rx sender_socket
         (fun message _from ->
           match message with
           | Header.Nak { tg_id; need; round } ->
@@ -912,9 +805,9 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
         {
           session = sids.(index);
           transmission_groups = tg_counts.(index);
-          data_tx = Np_machine.Sender.data_tx senders.(index).machine;
-          parity_tx = Np_machine.Sender.parity_tx senders.(index).machine;
-          polls = Np_machine.Sender.polls senders.(index).machine;
+          data_tx = Np_machine.Sender.data_tx (sender_machine senders.(index));
+          parity_tx = Np_machine.Sender.parity_tx (sender_machine senders.(index));
+          polls = Np_machine.Sender.polls (sender_machine senders.(index));
           completed;
           verified = verified.(index) && completed = receivers;
           ejected = List.rev ejected.(index);
@@ -944,16 +837,13 @@ let validate ~context ~config ~receivers ~loss ~sessions =
       sessions
   then Error.invalid_arg ~context "payload size mismatch"
   else if receivers < 1 then Error.invalid_arg ~context "need at least one receiver"
-  else if config.k < 1 || config.h < 0 then Error.invalid_arg ~context "need k >= 1 and h >= 0"
-  else if
-    config.h > Rmc_rse.Codec.max_repair (Rmc_rse.Codec.of_kind config.codec) ~k:config.k
-  then Error.invalid_arg ~context "repair budget exceeds the codec's index space"
-  else if config.payload_size > max_datagram - Header.header_size then
-    Error.invalid_arg ~context "payload does not fit a 64 KiB datagram"
-  else if config.controller <> `Static && config.h < 1 then
-    Error.invalid_arg ~context
-      "an adaptive controller needs a repair budget to retune (h = 0)"
-  else if Array.length sessions > 0x10000 then
+  else
+    (* The protocol rules are the profile's; only the transport's own
+       limits are checked here. *)
+    Result.bind (Profile.validate ~context (profile_of_config config)) @@ fun _ ->
+    if config.payload_size > max_datagram - Header.header_size then
+      Error.invalid_arg ~context "payload does not fit a 64 KiB datagram"
+    else if Array.length sessions > 0x10000 then
     Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
   else if
     Array.exists

@@ -110,22 +110,23 @@ val retry_eintr : (unit -> 'a) -> 'a
 
 val drain :
   ?on_decode_error:(unit -> unit) ->
-  scratch:Bytes.t ->
+  ring:Udp_batch.recv ->
+  syscalls:Rmc_obs.Metrics.counter ->
+  datagrams:Rmc_obs.Metrics.counter ->
   Unix.file_descr ->
   (Rmc_wire.Header.message -> Unix.sockaddr -> unit) ->
   unit
-(** [drain ~scratch socket handle] reads every datagram queued on the
-    (non-blocking) [socket] and walks each as a coalesced frame: every
-    message is decoded in place with {!Rmc_wire.Header.decode_slice} and
-    passed to [handle message from].  [scratch] is the caller's reusable
-    recv buffer (at least {!max_datagram} bytes): each datagram is
-    overwritten by the next, and the only per-message allocations are the
-    decoded message and its payload copy.  A message that cannot be
-    delimited ends that datagram's walk ([on_decode_error] once); one that
-    delimits but fails validation (corrupted CRC) invokes
-    [on_decode_error] and the walk continues.  Exposed for the
-    allocation-regression and framing tests; the drivers drain through
-    per-socket [recvmmsg] rings with the same framing semantics. *)
+(** [drain ~ring ~syscalls ~datagrams socket handle] reads every datagram
+    queued on the (non-blocking) [socket] through the [recvmmsg] [ring] —
+    the path every socket of this driver drains through — and walks each
+    as a coalesced frame: every message is decoded in place with
+    {!Rmc_wire.Header.decode_slice} and passed to [handle message from].
+    The only per-message allocations are the decoded message and its
+    payload copy.  A message that cannot be delimited (a datagram
+    truncated to the ring's slot size included) ends that datagram's walk
+    ([on_decode_error] once); one that delimits but fails validation
+    (corrupted CRC) invokes [on_decode_error] and the walk continues.
+    [syscalls] and [datagrams] count receive syscalls and datagrams. *)
 
 val receiver_machine_seed : seed:int -> id:int -> int
 (** Seed of receiver [id]'s damping RNG, derived from the run [seed].
@@ -227,7 +228,9 @@ val run_local :
     [rx.decode_failures].
 
     Returns [Error] (context ["Udp_np.run_local"]) on empty data, bad
-    payload sizes, [loss] outside [0, 1), or no receivers. *)
+    payload sizes, [loss] outside [0, 1), no receivers, a payload too big
+    for one datagram, or a config whose profile
+    {!Rmc_core.Profile.validate} rejects. *)
 
 val run_local_exn :
   ?config:config ->

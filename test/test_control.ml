@@ -215,16 +215,6 @@ let test_churn_validation () =
 
 (* --- Capture + replay of churning and adaptive runs -------------------- *)
 
-let machine_config (c : Np.config) =
-  {
-    Rmcast.Np_machine.k = c.Np.k;
-    h = c.Np.h;
-    proactive = c.Np.proactive;
-    pre_encode = c.Np.pre_encode;
-    slot = c.Np.slot;
-    codec = c.Np.codec;
-  }
-
 let test_churn_capture_replays () =
   (* One receiver, so the sim flow's shared damping RNG maps onto the
      per-receiver seed model of Np_replay.  The receiver flaps: leaves
@@ -234,7 +224,8 @@ let test_churn_capture_replays () =
   let machine_seed = 7_700 in
   let recorder = Recorder.create () in
   let payloads = data ~packets:12 seed in
-  Rmcast.Np_replay.record_setup recorder ~config:(machine_config churn_config)
+  Rmcast.Np_replay.record_setup recorder
+    ~config:(Rmcast.Np_replay.machine_config (Np.profile_of_config churn_config))
     ~payload_size:churn_config.Np.payload_size ~receivers:1 ~sessions:[| payloads |]
     ~rx_seeds:[| machine_seed |] ();
   let rng = Rng.create ~seed () in

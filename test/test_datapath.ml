@@ -131,7 +131,7 @@ let test_pooled_egress_byte_identity () =
 (* --- recv-loop allocation budget ----------------------------------------- *)
 
 let test_drain_alloc_budget () =
-  (* [Udp_np.drain] decodes straight out of the caller's scratch: per
+  (* [Udp_np.drain] decodes straight out of the receive ring: per
      datagram it may allocate the decoded message and its payload copy
      (~140 words for a 1 KiB payload) and nothing datagram-sized.  The
      seed driver's per-datagram 64 KiB scratch (amortized ~260 words
@@ -150,7 +150,10 @@ let test_drain_alloc_budget () =
     in
     ignore (Unix.send a dgram 0 (Bytes.length dgram) [])
   done;
-  let scratch = Bytes.create Udp_np.max_datagram in
+  let ring = Rmcast.Udp_batch.recv_create ~buf_size:Udp_np.max_datagram () in
+  let metrics = Rmcast.Metrics.create () in
+  let syscalls = Rmcast.Metrics.counter metrics "syscalls"
+  and datagrams = Rmcast.Metrics.counter metrics "datagrams" in
   let received = ref 0 in
   let handle message _from =
     (match message with
@@ -158,7 +161,7 @@ let test_drain_alloc_budget () =
     | _ -> ())
   in
   let before = Gc.minor_words () in
-  Udp_np.drain ~scratch b handle;
+  Udp_np.drain ~ring ~syscalls ~datagrams b handle;
   let words = Gc.minor_words () -. before in
   Unix.close a;
   Unix.close b;

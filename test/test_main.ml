@@ -33,4 +33,5 @@ let () =
       ("aggregate", Test_aggregate.suite);
       ("control", Test_control.suite);
       ("parallel", Test_parallel.suite);
+      ("drive", Test_drive.suite);
     ]

@@ -16,7 +16,7 @@ let profile_gen =
     int_range 1 100 >>= fun k ->
     (match codec with
     | `Rse | `Cauchy -> int_range 0 (255 - k)
-    | `Rlnc | `Lt -> int_range 0 (min 2000 (0x10000 - k)))
+    | `Rlnc | `Lt -> int_range 0 (min 2000 (0xFFFF - k)))
     >>= fun h ->
     int_range 0 h >>= fun proactive ->
     int_range 5 2048 >>= fun payload_size ->
@@ -116,6 +116,35 @@ let test_rateless_lifts_codeword_bound () =
           (Profile.codec_to_string codec) (Error.to_string e))
     [ `Rlnc; `Lt ]
 
+(* The profile's budget bound is exactly each codec's index space: h =
+   Codec.max_repair ~k validates and one more does not, so no valid profile
+   can make a codec constructor raise. *)
+let test_budget_matches_codec () =
+  List.iter
+    (fun codec ->
+      List.iter
+        (fun k ->
+          let h = Rmcast.Codec.max_repair (Rmcast.Codec.of_kind codec) ~k in
+          let profile h = { Profile.default with k; h; proactive = 0; codec } in
+          let name = Printf.sprintf "%s, k = %d" (Profile.codec_to_string codec) k in
+          Alcotest.(check bool) (name ^ ": h = max_repair accepted") true
+            (Result.is_ok (Profile.validate (profile h)));
+          Alcotest.(check bool) (name ^ ": h = max_repair + 1 rejected") true
+            (Result.is_error (Profile.validate (profile (h + 1)))))
+        [ 1; 20; 200; 255 ])
+    [ `Rse; `Cauchy; `Rlnc; `Lt ];
+  (* The rateless edge k + h = 65536 used to pass validation and then raise
+     inside the machine. *)
+  let rng = Rmcast.Rng.create ~seed:1 () in
+  let network = Rmcast.Network.independent rng ~receivers:1 ~p:0.0 in
+  match
+    Rmcast.Transfer.send
+      ~profile:{ Profile.default with k = 1; h = 65535; codec = `Rlnc }
+      ~network ~rng "x"
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "k + h = 65536 accepted"
+
 let test_codec_string_roundtrip () =
   List.iter
     (fun codec ->
@@ -171,4 +200,6 @@ let suite =
     Alcotest.test_case "controller names roundtrip" `Quick test_controller_string_roundtrip;
     Alcotest.test_case "derived configs inherit profile fields" `Quick
       test_derived_configs_inherit_fields;
+    Alcotest.test_case "budget bound is the codec's index space" `Quick
+      test_budget_matches_codec;
   ]

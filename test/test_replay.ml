@@ -210,6 +210,42 @@ let test_replay_rejects_bad_meta () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected Error on missing meta"
 
+(* A hostile meta in an otherwise valid capture — the checked-in fixture
+   with one value changed — is an [Error] naming the capture meta, not a
+   crash in the machine constructors: k = 0 used to divide by zero,
+   proactive > h and a budget past the codec's index space used to raise
+   Invalid_argument. *)
+let test_replay_rejects_hostile_meta () =
+  let fixture =
+    In_channel.with_open_text "fixtures/replay_2session.rmcrec" In_channel.input_all
+  in
+  let lines = String.split_on_char '\n' fixture in
+  List.iter
+    (fun (key, value) ->
+      let prefix = Printf.sprintf "meta %s " key in
+      Alcotest.(check bool) (key ^ " in the fixture meta") true
+        (List.exists (String.starts_with ~prefix) lines);
+      let path = temp_path "rmcast_replay_hostile.rmcrec" in
+      Out_channel.with_open_text path (fun oc ->
+          List.iteri
+            (fun i line ->
+              if i > 0 then output_char oc '\n';
+              output_string oc
+                (if String.starts_with ~prefix line then prefix ^ value else line))
+            lines);
+      let loaded =
+        match Recorder.load ~path with Ok r -> r | Error reason -> Alcotest.fail reason
+      in
+      Sys.remove path;
+      match Rmcast.Np_replay.replay loaded with
+      | Ok _ -> Alcotest.failf "meta %s %s accepted" key value
+      | Error reason ->
+        Alcotest.(check bool)
+          (Printf.sprintf "meta %s %s: %s" key value reason)
+          true
+          (String.starts_with ~prefix:"capture meta: " reason))
+    [ ("k", "0"); ("proactive", "50"); ("h", "300") ]
+
 (* The recorder file format itself: meta, ordering, hostile input. *)
 let test_recorder_format () =
   let r = Recorder.create () in
@@ -254,4 +290,5 @@ let suite =
     Alcotest.test_case "replay detects tampering" `Quick test_replay_detects_tampering;
     Alcotest.test_case "replay rejects missing meta" `Quick test_replay_rejects_bad_meta;
     Alcotest.test_case "recorder file format" `Quick test_recorder_format;
+    Alcotest.test_case "replay rejects hostile meta" `Quick test_replay_rejects_hostile_meta;
   ]

@@ -63,6 +63,8 @@ let test_udp_batch_roundtrip () =
 
 (* --- coalesced frames --------------------------------------------------- *)
 
+let counter name = Metrics.counter (Metrics.create ()) name
+
 let test_frame_walk () =
   (* Three messages packed back to back in one datagram decode in order;
      a corrupted message mid-frame is skipped (its boundary still
@@ -87,11 +89,11 @@ let test_frame_walk () =
   let second_off = Header.encoded_size (List.hd messages) in
   Bytes.set frame (second_off + 22) (Char.chr (Char.code (Bytes.get frame (second_off + 22)) lxor 0xFF));
   ignore (Unix.send a frame 0 offsets_len []);
-  let scratch = Bytes.create Udp.max_datagram in
+  let ring = Udp_batch.recv_create ~buf_size:Udp.max_datagram () in
   let decoded = ref [] and failures = ref 0 in
   Udp.drain
     ~on_decode_error:(fun () -> incr failures)
-    ~scratch b
+    ~ring ~syscalls:(counter "syscalls") ~datagrams:(counter "datagrams") b
     (fun message _from -> decoded := message :: !decoded);
   Unix.close a;
   Unix.close b;
@@ -105,7 +107,7 @@ let test_frame_walk () =
     (List.combine messages [ List.nth decoded 0; List.nth decoded 1; List.nth decoded 2 ])
 
 let test_drain_oversized_datagram () =
-  (* A datagram bigger than the recv scratch is truncated by the kernel;
+  (* A datagram bigger than a ring slot is truncated by the kernel;
      the frame walk reports it undecodable and the drain moves on to the
      next datagram instead of wedging or crashing. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
@@ -116,11 +118,11 @@ let test_drain_oversized_datagram () =
   ignore (Unix.send a big 0 (Bytes.length big) []);
   let small = Header.encode (Header.Poll { tg_id = 7; k = 4; size = 4; round = 0 }) in
   ignore (Unix.send a small 0 (Bytes.length small) []);
-  let scratch = Bytes.create 128 in
+  let ring = Udp_batch.recv_create ~buf_size:128 () in
   let decoded = ref [] and failures = ref 0 in
   Udp.drain
     ~on_decode_error:(fun () -> incr failures)
-    ~scratch b
+    ~ring ~syscalls:(counter "syscalls") ~datagrams:(counter "datagrams") b
     (fun message _from -> decoded := message :: !decoded);
   Unix.close a;
   Unix.close b;
@@ -132,18 +134,20 @@ let test_drain_oversized_datagram () =
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_no_fd_leak_on_failed_run () =
-  (* Regression: a raise between socket creation and teardown (here the
-     machine constructor rejecting proactive > h after every socket
-     exists — a field run_local's upfront validate does not cover) used
-     to leak the whole socket set.  The engine now tracks each descriptor
-     from birth and closes them in one Fun.protect finalizer. *)
-  let failing = { config with proactive = config.h + 1; payload_size = 64 } in
-  let data = payloads ~count:200 ~size:64 17 in
+  (* Regression: a raise between socket creation and teardown used to
+     leak the whole socket set.  The engine now tracks each descriptor
+     from birth and closes them in one Fun.protect finalizer.  The raise
+     here comes after every socket exists: 1100 receivers plus the sender
+     socket outnumber the reactor's FD_SETSIZE registrations, so
+     registering them fails ([Failure]), or the sockets themselves fail
+     ([Unix_error EMFILE]) under a 1024-descriptor limit. *)
+  let config = { config with payload_size = 64 } in
+  let data = payloads ~count:4 ~size:64 17 in
   let before = open_fds () in
-  (match Udp.run_local ~config:failing ~receivers:3 ~loss:0.0 ~seed:18 ~data () with
-  | Ok _ -> Alcotest.fail "expected the codec constructor to raise"
+  (match Udp.run_local ~config ~receivers:1100 ~loss:0.0 ~seed:18 ~data () with
+  | Ok _ -> Alcotest.fail "expected engine bring-up to raise"
   | Error e -> Alcotest.fail ("expected a raise, got Error: " ^ Rmcast.Error.to_string e)
-  | exception Invalid_argument _ -> ());
+  | exception (Failure _ | Unix.Unix_error (Unix.EMFILE, _, _)) -> ());
   Alcotest.(check int) "every socket closed despite the raise" before (open_fds ())
 
 let test_retry_eintr () =

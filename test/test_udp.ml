@@ -52,7 +52,24 @@ let test_validation () =
       ignore
         (Udp.run_local_exn ~receivers:1 ~loss:1.0 ~seed:0
            ~data:(payloads ~count:1 ~size:Udp.default_config.Udp.payload_size 9)
-           ()))
+           ()));
+  (* Profile rules the machine constructors enforce come back as [Error],
+     before any socket is opened. *)
+  let data = payloads ~count:4 ~size:config.Udp.payload_size 10 in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  List.iter
+    (fun (name, config) ->
+      let before = open_fds () in
+      (match Udp.run_local ~config ~receivers:2 ~loss:0.0 ~seed:11 ~data () with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error e ->
+        Alcotest.(check string) (name ^ ": context") "Udp_np.run_local" e.Rmcast.Error.context);
+      Alcotest.(check int) (name ^ ": no socket opened") before (open_fds ()))
+    [
+      ("proactive > h", { config with proactive = 20 });
+      ("zero slot", { config with slot = 0.0 });
+      ("zero spacing", { config with spacing = 0.0 });
+    ]
 
 let counter (report : Udp.report) name =
   match List.assoc_opt name report.Udp.counters with Some v -> v | None -> 0
