@@ -93,7 +93,7 @@ let interleaving_depth_sweep () =
       in
       let m =
         Harness.simulate
-          ~scheme:(Runner.Integrated_nak { a = 0 })
+          ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
           ~k:7 ~timing
           ~net_of_rng:(fun rng ->
             Network.temporal rng ~receivers:1000 ~make:(fun rng ->

@@ -4,10 +4,9 @@
    Two tiers:
 
    - {b protocol}: E[M] (transmissions per packet), repair rounds and
-     feedback per TG from {!Runner.estimate} — RSE through the paper's
-     [Integrated_nak] machine, every other codec through [Coded_nak]
-     ({!Tg_coded}), where a repair reception counts only with the codec's
-     innovation probability.  Three loss models: Bernoulli, the paper's
+     feedback per TG from {!Runner.estimate}: every codec runs the same
+     [Integrated_nak] repair loop ({!Tg_integrated}), where a repair
+     reception counts only with the codec's innovation probability.  Three loss models: Bernoulli, the paper's
      §4.2 two-state Markov (Gilbert) burst channel, and a calibrated
      full-binary-tree network with shared upstream losses.  Each (channel,
      codec) pair reuses the same network seed, so the loss draws are
@@ -18,8 +17,8 @@
 
    `--smoke` (wired to @bench-smoke, hence @ci) gates on: determinism
    (same seed twice -> bit-identical metric fields), the MDS coincidence
-   (Coded_nak over cauchy must reproduce Integrated_nak's E[M] and
-   rounds {e exactly} — zero innovation draws), the RSE-parity floor
+   (cauchy must reproduce rse's E[M] and rounds {e exactly} — an MDS
+   codec makes zero innovation draws), the RSE-parity floor
    (RLNC E[M] within 5% of RSE under Bernoulli loss; LT's reception
    overhead is reported but not gated), and decode correctness for every
    codec.  The full run writes BENCH_CODEC.json (override: --out). *)
@@ -92,10 +91,7 @@ let timing_of = function
   | Gilbert -> Timing.paper_burst
   | Bernoulli | Tree -> Timing.instantaneous
 
-let scheme_of codec =
-  match codec with
-  | `Rse -> Runner.Integrated_nak { a = 0 }
-  | codec -> Runner.Coded_nak { a = 0; codec }
+let scheme_of codec = Runner.Integrated_nak { a = 0; codec }
 
 type sample = {
   channel : channel;
@@ -111,7 +107,7 @@ type sample = {
 
 (* One (channel, codec) point.  [seed] drives the network (shared across
    codecs so the loss draws are identical) and, xor-folded, the innovation
-   stream Coded_nak consumes. *)
+   stream a rateless codec consumes. *)
 let run_protocol ~seed ~channel ~codec ~reps =
   let network = make_network channel (Rng.create ~seed ()) in
   let rng = Rng.create ~seed:(seed lxor 0x5eed) () in
@@ -216,8 +212,8 @@ let json_of ~samples ~costs ~elapsed =
   pr "{\n";
   pr "  \"meta\": {\n";
   pr "    \"note\": \"per channel, every codec sees the same network seed (identical loss \
-      draws); rse runs the paper's Integrated_nak machine, the rest run Coded_nak with \
-      the codec's innovation probability\",\n";
+      draws); every codec runs the same Integrated_nak repair loop with the codec's \
+      innovation probability (1 for the MDS codecs)\",\n";
   pr "    \"k\": %d, \"receivers\": %d, \"tree_receivers\": %d,\n" k receivers
     (1 lsl tree_height);
   pr "    \"p\": %g, \"mean_burst\": %g, \"send_rate\": %g,\n" p mean_burst send_rate;

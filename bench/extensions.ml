@@ -114,7 +114,7 @@ let run_e4 () =
       Harness.series ~label:"no-FEC" ~xs:grid ~f:(fun r ->
           (float_of_int r, sim Runner.No_fec 4100 r));
       Harness.series ~label:"integrated-2" ~xs:grid ~f:(fun r ->
-          (float_of_int r, sim (Runner.Integrated_nak { a = 0 }) 4200 r));
+          (float_of_int r, sim (Runner.Integrated_nak { a = 0; codec = `Rse }) 4200 r));
       Harness.series ~label:"carousel(7+3)" ~xs:grid ~f:(fun r ->
           (float_of_int r, sim (Runner.Carousel { h = 3 }) 4300 r));
       Harness.series ~label:"carousel(7+7)" ~xs:grid ~f:(fun r ->

@@ -54,7 +54,7 @@ let run_fig12 () =
       fbt_series ~label:"no-FEC FBT" ~scheme:Runner.No_fec ~seed:1300;
       independent_series ~label:"integrated indep" ~f:(fun population ->
           Integrated.expected_transmissions_unbounded ~k ~population ());
-      fbt_series ~label:"integrated FBT" ~scheme:(Runner.Integrated_nak { a = 0 }) ~seed:1400;
+      fbt_series ~label:"integrated FBT" ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~seed:1400;
     ]
   in
   Harness.print_table series;

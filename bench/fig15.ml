@@ -47,7 +47,7 @@ let run_fig16 () =
                ~k ~seed:(1900 + k);
              series
                ~label:(Printf.sprintf "integr.2-k%d" k)
-               ~scheme:(Runner.Integrated_nak { a = 0 })
+               ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
                ~k ~seed:(2000 + k);
            ])
          [ 7; 20; 100 ]

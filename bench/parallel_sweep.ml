@@ -74,7 +74,7 @@ let eval ~reps ~seed (receivers, k) =
   let rng = Rng.create ~seed () in
   let network = Network.independent rng ~receivers ~p in
   let est =
-    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps ()
+    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps ()
   in
   {
     receivers;

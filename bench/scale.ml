@@ -78,19 +78,19 @@ type regime = {
 let full_regimes =
   [
     { label = "fig11-12"; receivers = 10_000; k = 7; a = 0; bursty = false;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 2000 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 2000 };
     { label = "fig11-12"; receivers = 100_000; k = 7; a = 0; bursty = false;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 1000 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 1000 };
     { label = "fig11-12"; receivers = 1_000_000; k = 7; a = 0; bursty = false;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 500 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 500 };
     { label = "fig11-12-openloop"; receivers = 1_000_000; k = 7; a = 0; bursty = false;
       scheme = Runner.Integrated_open_loop { a = 0 }; reps = 2000 };
     { label = "fig14-16"; receivers = 1_000_000; k = 7; a = 0; bursty = true;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 200 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 200 };
     { label = "fig14-16"; receivers = 1_000_000; k = 20; a = 0; bursty = true;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 100 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 100 };
     { label = "fig14-16"; receivers = 1_000_000; k = 100; a = 0; bursty = true;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 50 };
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 50 };
   ]
 
 let channel_of regime =
@@ -163,7 +163,7 @@ let exact_baseline ~seed ~receivers ~reps =
   let est, wall =
     timed (fun () ->
         Runner.estimate network ~k:7
-          ~scheme:(Runner.Integrated_nak { a = 0 })
+          ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
           ~timing:Timing.instantaneous ~reps ())
   in
   let mean = Stats.Accumulator.mean est.Runner.transmissions_per_packet in
@@ -257,7 +257,7 @@ let smoke () =
     "repeated cdf_array calls re-extended the memo table";
   let regime =
     { label = "smoke"; receivers = 10_000; k = 7; a = 0; bursty = false;
-      scheme = Runner.Integrated_nak { a = 0 }; reps = 400 }
+      scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 400 }
   in
   ignore (run_regime ~seed:1 regime : sample) (* warm up: memo growth, code *);
   let s1 = run_regime ~seed:1 regime in
@@ -308,7 +308,7 @@ let () =
     let agg_1e4 =
       run_regime ~seed:100
         { label = "speedup-ref"; receivers = exact_receivers; k = 7; a = 0;
-          bursty = false; scheme = Runner.Integrated_nak { a = 0 }; reps = 2000 }
+          bursty = false; scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 2000 }
     in
     print_sample agg_1e4;
     let speedup = agg_1e4.rate /. exact_rate in

@@ -169,9 +169,14 @@ let expected_m scheme ~k ~h ~a ~population =
   | `Integrated -> Rmcast.Integrated.expected_transmissions ~k ~h ~a ~population ()
   | `Integrated_bound -> Rmcast.Integrated.expected_transmissions_unbounded ~k ~a ~population ()
 
+(* The library rejects out-of-range parameters with [Invalid_argument];
+   report that as a usage error (exit 124), not an internal one. *)
+let usage_errors f = try f () with Invalid_argument msg -> `Error (false, msg)
+
 (* --- analyze --------------------------------------------------------- *)
 
 let analyze scheme k h a p receivers high_fraction =
+  usage_errors @@ fun () ->
   let population = population ~p ~receivers ~high_fraction in
   let m = expected_m scheme ~k ~h ~a ~population in
   Printf.printf "E[M] = %.6f transmissions per data packet\n" m;
@@ -197,6 +202,7 @@ let analyze_cmd =
 (* --- sweep ----------------------------------------------------------- *)
 
 let sweep scheme k h a p high_fraction upto csv jobs =
+  usage_errors @@ fun () ->
   let grid = Rmcast.Sweep.log_spaced_ints ~from:1 ~upto ~per_decade:4 in
   (* The cells are analytic (pure in the receiver count), so sharding them
      across domains cannot change the series. *)
@@ -226,12 +232,21 @@ let sweep_cmd =
 (* --- simulate -------------------------------------------------------- *)
 
 let simulate scheme k h a p receivers seed reps fbt_height burst tier codec jobs =
+  (* The TG tiers have no finite parity budget: the integrated scheme they
+     run is the analysis' n = infinity bound. *)
+  if scheme = `Integrated then
+    `Error
+      ( false,
+        "simulate runs an unbounded parity supply, so --parities has no effect on \
+         --scheme integrated; use --scheme integrated-bound (the default), or rmc \
+         transfer for a finite budget" )
+  else
+  usage_errors @@ fun () ->
   let runner_scheme =
-    match (scheme, codec) with
-    | `No_fec, _ -> Rmcast.Runner.No_fec
-    | `Layered, _ -> Rmcast.Runner.Layered { h }
-    | (`Integrated | `Integrated_bound), `Rse -> Rmcast.Runner.Integrated_nak { a }
-    | (`Integrated | `Integrated_bound), codec -> Rmcast.Runner.Coded_nak { a; codec }
+    match scheme with
+    | `No_fec -> Rmcast.Runner.No_fec
+    | `Layered -> Rmcast.Runner.Layered { h }
+    | `Integrated | `Integrated_bound -> Rmcast.Runner.Integrated_nak { a; codec }
   in
   let print_estimate ~network_description estimate =
     let mean = Rmcast.Runner.mean_m estimate in
@@ -299,22 +314,15 @@ let simulate scheme k h a p receivers seed reps fbt_height burst tier codec jobs
           "--tier aggregate requires loss to be iid across receivers; shared-loss trees \
            (--fbt-height) need the exact tier" )
     | None -> (
-      match runner_scheme with
-      | Rmcast.Runner.No_fec | Rmcast.Runner.Layered _ | Rmcast.Runner.Carousel _ ->
+      (* The same admission rule the aggregate interpreter itself applies,
+         so rmc simulate / transfer / serve all surface one message. *)
+      match
+        (runner_scheme, Rmcast.Np_aggregate.check_config { Rmcast.Np.default_config with codec })
+      with
+      | (Rmcast.Runner.No_fec | Rmcast.Runner.Layered _ | Rmcast.Runner.Carousel _), _ ->
         `Error (false, "--tier aggregate only models the integrated schemes")
-      | Rmcast.Runner.Coded_nak { codec; _ } -> (
-        (* The same admission rule the aggregate interpreter itself applies,
-           so rmc simulate / transfer / serve all surface one message. *)
-        match Rmcast.Np_aggregate.check_config { Rmcast.Np.default_config with codec } with
-        | Error e -> `Error (false, Rmcast.Error.to_string e)
-        | Ok () ->
-          (* Cauchy is MDS too, but the aggregate runner's closed-form
-             counting is wired to the RSE scheme; same remedy as before. *)
-          `Error
-            ( false,
-              "--tier aggregate counts receptions in closed form for the rse scheme \
-               only; rerun with --codec rse or --tier exact" ))
-      | Rmcast.Runner.Integrated_nak _ | Rmcast.Runner.Integrated_open_loop _ ->
+      | _, Error e -> `Error (false, Rmcast.Error.to_string e)
+      | (Rmcast.Runner.Integrated_nak _ | Rmcast.Runner.Integrated_open_loop _), Ok () ->
         let channel, timing =
           match burst with
           | Some mean_burst ->
@@ -366,6 +374,7 @@ let simulate_cmd =
 (* --- plan ------------------------------------------------------------ *)
 
 let plan k p receivers target measured_m =
+  usage_errors @@ fun () ->
   if p <= 0.0 || p >= 1.0 then `Error (false, "--p must lie in (0,1) for planning")
   else begin
     let effective =
@@ -414,6 +423,7 @@ let plan_cmd =
 (* --- endhost --------------------------------------------------------- *)
 
 let endhost k p receivers =
+  usage_errors @@ fun () ->
   let n2 = Rmcast.Endhost.n2 ~p ~receivers () in
   let np = Rmcast.Endhost.np ~p ~k ~receivers () in
   let np_pre = Rmcast.Endhost.np ~pre_encoded:true ~p ~k ~receivers () in
@@ -451,6 +461,9 @@ let write_file path contents =
   close_out oc
 
 let codec_encode input output k h payload_size =
+  if k < 1 then `Error (false, "-k must be >= 1")
+  else
+  usage_errors @@ fun () ->
   let contents = read_file input in
   let packets = Rmcast.Transfer.packetize ~payload_size contents in
   let buffer = Buffer.create (Array.length packets * (payload_size + 32)) in
@@ -816,6 +829,7 @@ let serve_cmd =
 (* --- latency --------------------------------------------------------- *)
 
 let latency k h a p receivers spacing feedback_delay =
+  usage_errors @@ fun () ->
   let population = Rmcast.Receivers.homogeneous ~p ~count:receivers in
   let timing = { Rmcast.Latency.spacing; feedback_delay } in
   Printf.printf "Expected TG completion time [s], k = %d, p = %g, R = %d\n" k p receivers;
@@ -849,6 +863,7 @@ let latency_cmd =
 (* --- feedback ---------------------------------------------------------- *)
 
 let feedback k a p receivers slot delay seed =
+  usage_errors @@ fun () ->
   let slot_counts = Rmcast.Feedback.slot_counts ~k ~a ~p ~receivers in
   let firers = Array.fold_left ( + ) 0 slot_counts in
   Printf.printf "Round 1 of NP at k = %d, a = %d, p = %g, R = %d:\n" k a p receivers;
@@ -881,6 +896,7 @@ let feedback_cmd =
 (* --- trace ----------------------------------------------------------- *)
 
 let trace_record out model p burst packets rate seed =
+  usage_errors @@ fun () ->
   let rng = Rmcast.Rng.create ~seed () in
   let spacing = 1.0 /. rate in
   let loss =
@@ -1138,6 +1154,7 @@ let faults_cmd =
 (* --- capacity ----------------------------------------------------------- *)
 
 let capacity k p target =
+  usage_errors @@ fun () ->
   let show name rates_at =
     let cap = Rmcast.Endhost.capacity ~rates_at ~target in
     if cap >= 100_000_000 then Printf.printf "  %-16s unbounded (>= 10^8)\n" name

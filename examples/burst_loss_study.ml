@@ -34,7 +34,7 @@ let () =
   row "layered (7+1)" (measure ~scheme:(Runner.Layered { h = 1 }) ~seed:2 ());
   row "layered (7+3)" (measure ~scheme:(Runner.Layered { h = 3 }) ~seed:3 ());
   row "integrated FEC 1" (measure ~scheme:(Runner.Integrated_open_loop { a = 0 }) ~seed:4 ());
-  row "integrated FEC 2" (measure ~scheme:(Runner.Integrated_nak { a = 0 }) ~seed:5 ());
+  row "integrated FEC 2" (measure ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~seed:5 ());
   Printf.printf
     "\nBursts wipe out consecutive packets, so the layered block (data\n\
      immediately followed by its parities) often loses more than h packets\n\
@@ -44,7 +44,7 @@ let () =
     (fun k ->
       row
         (Printf.sprintf "integrated, k = %d" k)
-        (measure ~k ~scheme:(Runner.Integrated_nak { a = 0 }) ~seed:(10 + k) ()))
+        (measure ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~seed:(10 + k) ()))
     [ 7; 20; 100 ];
   Printf.printf
     "\nA TG of 100 packets spans 4 s of sending - far longer than any burst -\n\

@@ -22,7 +22,7 @@ let simulate fraction seed =
   let classes = [ (0.01, count - high); (0.25, high) ] in
   let network = Network.heterogeneous (Rng.create ~seed ()) ~classes in
   let estimate =
-    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps:150 ()
+    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:150 ()
   in
   Runner.mean_m estimate
 

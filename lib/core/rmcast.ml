@@ -17,7 +17,10 @@
     - {!Engine}, {!Loss}, {!Network}, {!Topology}, {!Event_queue}: the
       discrete-event simulator.
     - {!Np}, {!N2}, {!Runner}, {!Tg_arq}, {!Tg_layered}, {!Tg_integrated},
-      {!Timing}, {!Tg_result}: protocol machines.
+      {!Tg_carousel}, {!Tg_aggregate}, {!Timing}, {!Tg_result}: protocol
+      machines.  {!Tg_integrated} is the one integrated-FEC repair loop,
+      with the codec as an input; {!Tg_aggregate} runs it on a
+      count-vector population.
     - {!Np_machine}, {!Np_replay}, {!Np_drive}: the sans-IO NP core (pure
       events in, effects out), deterministic replay of captured runs, and
       the binding both NP drivers drive the core through.
@@ -98,7 +101,6 @@ module Tg_result = Rmc_proto.Tg_result
 module Tg_arq = Rmc_proto.Tg_arq
 module Tg_layered = Rmc_proto.Tg_layered
 module Tg_integrated = Rmc_proto.Tg_integrated
-module Tg_coded = Rmc_proto.Tg_coded
 module Tg_carousel = Rmc_proto.Tg_carousel
 module Runner = Rmc_proto.Runner
 module Tg_aggregate = Rmc_proto.Tg_aggregate

@@ -6,30 +6,31 @@ type scheme =
   | No_fec
   | Layered of { h : int }
   | Integrated_open_loop of { a : int }
-  | Integrated_nak of { a : int }
-  | Coded_nak of { a : int; codec : Rmc_rse.Codec.kind }
+  | Integrated_nak of { a : int; codec : Rmc_rse.Codec.kind }
   | Carousel of { h : int }
 
 let scheme_name = function
   | No_fec -> "no-fec"
   | Layered { h } -> Printf.sprintf "layered(h=%d)" h
   | Integrated_open_loop { a } -> Printf.sprintf "integrated-1(a=%d)" a
-  | Integrated_nak { a } -> Printf.sprintf "integrated-2(a=%d)" a
-  | Coded_nak { a; codec } ->
+  | Integrated_nak { a; codec = `Rse } -> Printf.sprintf "integrated-2(a=%d)" a
+  | Integrated_nak { a; codec } ->
     Printf.sprintf "coded(%s,a=%d)" (Rmc_rse.Codec.kind_to_string codec) a
   | Carousel { h } -> Printf.sprintf "carousel(h=%d)" h
 
+(* The fixed-seed innovation stream used when the caller supplies none. *)
+let default_rng () = Rng.create ~seed:0x7c0ded ()
+
 let run_tg net ~k ~scheme ?rng ~timing ~start () =
+  let integrated ~a ~variant ~codec =
+    let rng = match rng with Some r -> r | None -> default_rng () in
+    Tg_integrated.run net ~k ~a ~variant ~codec ~rng ~timing ~start ()
+  in
   match scheme with
   | No_fec -> Tg_arq.run net ~k ~timing ~start
   | Layered { h } -> Tg_layered.run net ~k ~h ~timing ~start
-  | Integrated_open_loop { a } ->
-    Tg_integrated.run net ~k ~a ~variant:Tg_integrated.Open_loop ~timing ~start ()
-  | Integrated_nak { a } ->
-    Tg_integrated.run net ~k ~a ~variant:Tg_integrated.Nak_rounds ~timing ~start ()
-  | Coded_nak { a; codec } ->
-    let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x7c0ded () in
-    Tg_coded.run net ~k ~a ~codec ~rng ~timing ~start ()
+  | Integrated_open_loop { a } -> integrated ~a ~variant:Tg_integrated.Open_loop ~codec:`Rse
+  | Integrated_nak { a; codec } -> integrated ~a ~variant:Tg_integrated.Nak_rounds ~codec
   | Carousel { h } -> Tg_carousel.run net ~k ~h ~timing ~start
 
 type estimate = {
@@ -68,41 +69,9 @@ let merge a b =
     completion_time = m a.completion_time b.completion_time;
   }
 
-let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
-  let module Profile = Rmc_core.Profile in
-  let k =
-    match (k, profile) with
-    | Some k, _ -> k
-    | None, Some p -> p.Profile.k
-    | None, None -> invalid_arg "Runner.estimate: either ~k or ~profile is required"
-  in
-  let scheme =
-    match (scheme, profile) with
-    | Some s, _ -> s
-    | None, Some p -> (
-      (* The NP data plane for the profile's codec: the MDS default keeps
-         the historical Integrated_nak scheme; a rateless codec needs the
-         innovation-aware interpreter. *)
-      match p.Profile.codec with
-      | `Rse -> Integrated_nak { a = p.Profile.proactive }
-      | codec -> Coded_nak { a = p.Profile.proactive; codec })
-    | None, None -> invalid_arg "Runner.estimate: either ~scheme or ~profile is required"
-  in
-  (* One innovation-draw stream across all reps, created lazily so schemes
-     that never draw (everything but a rateless Coded_nak) are unaffected
-     by the presence or absence of ~rng. *)
-  let rng =
-    match (rng, scheme) with
-    | (Some _ as r), _ -> r
-    | None, Coded_nak _ -> Some (Rng.create ~seed:0x7c0ded ())
-    | None, _ -> None
-  in
-  let timing =
-    match (timing, profile) with
-    | Some t, _ -> t
-    | None, Some p -> { Timing.spacing = p.Profile.pacing; feedback_delay = p.Profile.slot }
-    | None, None -> Timing.instantaneous
-  in
+(* The rep loop both tiers share: [reps] TGs back to back, each starting
+   [timing.feedback_delay] after the previous one finished. *)
+let replicate ~scheme ~k ~receivers ?metrics ~(timing : Timing.t) ~reps run_tg =
   if reps < 1 then invalid_arg "Runner.estimate: reps must be >= 1";
   let module Metrics = Rmc_obs.Metrics in
   (* Resolve the counter handles once, outside the rep loop: a handle bump
@@ -118,7 +87,6 @@ let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
   let count handle by =
     match handle with None -> () | Some c -> Metrics.incr ~by c
   in
-  let receivers = Network.receivers net in
   let m_acc = Stats.Accumulator.create () in
   let rounds_acc = Stats.Accumulator.create () in
   let feedback_acc = Stats.Accumulator.create () in
@@ -126,7 +94,7 @@ let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
   let completion_acc = Stats.Accumulator.create () in
   let clock = ref 0.0 in
   for _ = 1 to reps do
-    let result = run_tg net ~k ~scheme ?rng ~timing ~start:!clock () in
+    let result = run_tg ~start:!clock in
     Stats.Accumulator.add completion_acc (result.Tg_result.finish_time -. !clock);
     clock := result.Tg_result.finish_time +. timing.feedback_delay;
     Stats.Accumulator.add m_acc (Tg_result.per_packet result);
@@ -151,6 +119,31 @@ let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
     unnecessary_per_receiver = unnecessary_acc;
     completion_time = completion_acc;
   }
+
+let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
+  let module Profile = Rmc_core.Profile in
+  let k =
+    match (k, profile) with
+    | Some k, _ -> k
+    | None, Some p -> p.Profile.k
+    | None, None -> invalid_arg "Runner.estimate: either ~k or ~profile is required"
+  in
+  let scheme =
+    match (scheme, profile) with
+    | Some s, _ -> s
+    | None, Some p -> Integrated_nak { a = p.Profile.proactive; codec = p.Profile.codec }
+    | None, None -> invalid_arg "Runner.estimate: either ~scheme or ~profile is required"
+  in
+  let timing =
+    match (timing, profile) with
+    | Some t, _ -> t
+    | None, Some p -> { Timing.spacing = p.Profile.pacing; feedback_delay = p.Profile.slot }
+    | None, None -> Timing.instantaneous
+  in
+  (* One innovation-draw stream across all reps. *)
+  let rng = match rng with Some r -> r | None -> default_rng () in
+  replicate ~scheme ~k ~receivers:(Network.receivers net) ?metrics ~timing ~reps
+    (fun ~start -> run_tg net ~k ~scheme ~rng ~timing ~start ())
 
 let burst_length_histogram loss ~packets ~spacing =
   if packets < 1 then invalid_arg "Runner.burst_length_histogram: packets must be >= 1";

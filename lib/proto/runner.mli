@@ -5,14 +5,15 @@ type scheme =
   | No_fec  (** pure ARQ (§3 baseline / N2 data plane) *)
   | Layered of { h : int }  (** FEC layer below RM (§3.1) *)
   | Integrated_open_loop of { a : int }  (** "integrated FEC 1" (§4.2) *)
-  | Integrated_nak of { a : int }  (** "integrated FEC 2" / NP data plane *)
-  | Coded_nak of { a : int; codec : Rmc_rse.Codec.kind }
-      (** NP data plane over an arbitrary codec ({!Tg_coded}): repair
-          receptions count only with the codec's innovation probability.
-          With an MDS codec it coincides with [Integrated_nak]. *)
+  | Integrated_nak of { a : int; codec : Rmc_rse.Codec.kind }
+      (** "integrated FEC 2" / NP data plane over any codec: a parity
+          reception counts only with the codec's innovation probability,
+          which is 1 for the MDS codecs ({!Tg_integrated}) *)
   | Carousel of { h : int }  (** feedback-free FEC carousel (extension) *)
 
 val scheme_name : scheme -> string
+(** Stable names: [Integrated_nak] over [`Rse] is ["integrated-2(a=N)"],
+    over any other codec ["coded(<codec>,a=N)"]. *)
 
 val run_tg :
   Rmc_sim.Network.t ->
@@ -23,9 +24,9 @@ val run_tg :
   start:float ->
   unit ->
   Tg_result.t
-(** One TG under the given scheme.  [rng] feeds {!Coded_nak}'s innovation
-    draws (a fixed-seed stream is created per call when omitted); every
-    other scheme ignores it. *)
+(** One TG under the given scheme.  [rng] feeds the integrated schemes'
+    innovation draws (a fixed-seed stream is created per call when
+    omitted); only a rateless codec draws from it. *)
 
 type estimate = {
   scheme : scheme;
@@ -72,20 +73,35 @@ val estimate :
     [timing.feedback_delay].
 
     Parameters resolve from the unified {!Rmc_core.Profile} when one is
-    given: [k] defaults to [profile.k], [scheme] to the NP data plane for
-    [profile.codec] — [Integrated_nak { a = profile.proactive }] for the
-    default RSE codec, [Coded_nak { a; codec }] otherwise — and [timing]
-    to [{ spacing = profile.pacing; feedback_delay = profile.slot }].
+    given: [k] defaults to [profile.k], [scheme] to the NP data plane
+    [Integrated_nak { a = profile.proactive; codec = profile.codec }] and
+    [timing] to [{ spacing = profile.pacing; feedback_delay = profile.slot }].
     Explicit [~k]/[~scheme]/[~timing] always win, so pre-profile call
     sites are unchanged; without a profile, [~k] and [~scheme] are
     required ([Invalid_argument] otherwise) and [timing] defaults to
-    {!Timing.instantaneous}.  [rng] seeds {!Coded_nak}'s innovation draws
-    (one stream across all reps; a fixed-seed stream is created when
-    omitted and the scheme needs one).
+    {!Timing.instantaneous}.  [rng] seeds the innovation draws of a
+    rateless codec (one stream across all reps; a fixed-seed stream is
+    created when omitted).
 
     With [metrics], accumulates [runner.tgs], [runner.transmissions],
     [runner.rounds], [runner.feedback] and [runner.unnecessary] counters
     across the run. *)
+
+val replicate :
+  scheme:scheme ->
+  k:int ->
+  receivers:int ->
+  ?metrics:Rmc_obs.Metrics.t ->
+  timing:Timing.t ->
+  reps:int ->
+  (start:float -> Tg_result.t) ->
+  estimate
+(** The rep loop behind {!estimate} and {!Tg_aggregate.estimate}: runs
+    [reps] TGs back to back, each starting [timing.feedback_delay] after the
+    previous one finished, and fills the accumulators and [runner.*]
+    counters from the results.  [scheme], [k] and [receivers] label the
+    estimate; [receivers] also normalises the unnecessary receptions.
+    [Invalid_argument] when [reps < 1]. *)
 
 val burst_length_histogram :
   Rmc_sim.Loss.t ->

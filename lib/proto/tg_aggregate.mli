@@ -1,5 +1,5 @@
-(** Aggregate-tier transmission groups: {!Tg_integrated}'s scheme dynamics
-    on a count-vector population ({!Rmc_sim.Aggregate}) instead of a
+(** Aggregate-tier transmission groups: {!Tg_integrated}'s repair loop
+    over an MDS codec, on a count-vector population ({!Rmc_sim.Aggregate}) instead of a
     per-receiver walk.
 
     Exact in distribution for channels that are iid across receivers
@@ -14,15 +14,13 @@
     Shared-loss (FBT/tree) regimes have no aggregate representation and
     stay on {!Runner} over the exact tier. *)
 
-type variant = Open_loop | Nak_rounds
-
 val run :
   Rmc_numerics.Rng.t ->
   receivers:int ->
   channel:Rmc_sim.Aggregate.channel ->
   k:int ->
   ?a:int ->
-  variant:variant ->
+  variant:Tg_integrated.variant ->
   timing:Timing.t ->
   start:float ->
   unit ->
@@ -44,7 +42,10 @@ val estimate :
   ?reps:int ->
   unit ->
   Runner.estimate
-(** Mirror of {!Runner.estimate} over the aggregate tier: same accumulators
-    and rep structure, so estimates are directly comparable across tiers.
-    Only the integrated schemes have an aggregate representation;
-    [Invalid_argument] for [No_fec]/[Layered]/[Carousel]. *)
+(** {!Runner.estimate} over the aggregate tier: the same rep loop
+    ({!Runner.replicate}) fills the same accumulators, so estimates are
+    directly comparable across tiers.  Only the integrated schemes over an
+    MDS codec ([`Rse], [`Cauchy]) have an aggregate representation — the
+    receivers are held by reception count, the rule
+    {!Np_aggregate.check_config} applies; [Invalid_argument] for
+    [No_fec]/[Layered]/[Carousel] and for a rateless [Integrated_nak]. *)

@@ -1,9 +1,9 @@
 (** Reliable transmission of one TG with integrated FEC (paper §3.2 generic
-    protocol, §4.2 timing variants).
+    protocol, §4.2 timing variants), over any codec.
 
-    Both variants send the k data packets (plus [a] proactive parities)
-    first; loss recovery then uses parity packets only — each new parity
-    repairs one missing packet at {e every} receiver that still needs one,
+    Both variants send the k data packets, then [a] proactive parities;
+    loss recovery then uses parity packets only — each new parity repairs
+    one missing packet at {e every} receiver that still needs one,
     whatever the identity of its losses.
 
     - {!Open_loop} ("integrated FEC 1", Fig. 13): parities follow the data
@@ -16,7 +16,16 @@
     - {!Nak_rounds} ("integrated FEC 2" = hybrid ARQ, the data plane of
       protocol NP): after each volley the receivers report (one suppressed
       NAK) the maximum number of packets still missing; the sender
-      multicasts that many parities, [timing.feedback_delay] later. *)
+      multicasts that many parities, [timing.feedback_delay] later.
+
+    The codec enters only through its innovation probability at the
+    receiver's current rank ({!Rmc_rse.Codec.innovation_probability}): a
+    received parity counts with that probability.  For the MDS block
+    codecs ([`Rse], [`Cauchy]) it is 1 and the run draws nothing from
+    [rng]; for the rateless codecs ([`Rlnc], [`Lt]) a parity near
+    completion may be non-innovative, which surfaces as extra repair
+    rounds and a slightly higher E[M] — the reception-overhead cost the
+    codec-comparison experiment measures. *)
 
 type variant = Open_loop | Nak_rounds
 
@@ -25,10 +34,13 @@ val run :
   k:int ->
   ?a:int ->
   variant:variant ->
+  codec:Rmc_rse.Codec.kind ->
+  rng:Rmc_numerics.Rng.t ->
   timing:Timing.t ->
   start:float ->
   unit ->
   Tg_result.t
-(** [a] (default 0) proactive parities accompany the initial volley.  The
-    parity supply is unbounded (the analysis' n = infinity bound); callers
-    wanting finite n should use the NP protocol machine. *)
+(** [a] (default 0) proactive parities accompany the initial volley.
+    [rng] feeds the innovation draws only — the MDS codecs never touch it.
+    The parity supply is unbounded (the analysis' n = infinity bound);
+    callers wanting finite n should use the NP protocol machine. *)

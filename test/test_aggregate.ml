@@ -170,7 +170,7 @@ let test_nak_rounds_straddle_eq6 () =
   let rng = Rng.create ~seed:12 () in
   let est =
     Tg_aggregate.estimate rng ~receivers ~channel:(Aggregate.bernoulli ~p) ~k
-      ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps ()
+      ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps ()
   in
   let bound =
     Rmcast.Integrated.expected_transmissions_unbounded ~k
@@ -201,12 +201,12 @@ let test_tiers_agree_bernoulli () =
   let rng = Rng.create ~seed:21 () in
   let network = Network.independent (Rng.split rng) ~receivers ~p in
   let exact =
-    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0 })
+    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
       ~timing:Rmcast.Timing.instantaneous ~reps ()
   in
   let agg =
     Tg_aggregate.estimate (Rng.split rng) ~receivers ~channel:(Aggregate.bernoulli ~p) ~k
-      ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps ()
+      ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps ()
   in
   check_tiers_agree "E[M]" exact.Runner.transmissions_per_packet
     agg.Runner.transmissions_per_packet;
@@ -223,13 +223,13 @@ let test_tiers_agree_bursty () =
         Rmcast.Loss.markov2 rng ~p ~mean_burst ~send_rate)
   in
   let exact =
-    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0 })
+    Runner.estimate network ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
       ~timing:Rmcast.Timing.paper_burst ~reps ()
   in
   let agg =
     Tg_aggregate.estimate (Rng.split rng) ~receivers
       ~channel:(Aggregate.bursty ~p ~mean_burst ~send_rate) ~k
-      ~scheme:(Runner.Integrated_nak { a = 0 }) ~timing:Rmcast.Timing.paper_burst ~reps
+      ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~timing:Rmcast.Timing.paper_burst ~reps
       ()
   in
   check_tiers_agree "E[M] (bursty)" exact.Runner.transmissions_per_packet
@@ -303,6 +303,32 @@ let test_log_factorial_memo () =
         true
         (Float.abs (memo -. gamma) <= 1e-9 *. Float.max 1.0 (Float.abs gamma)))
     [ 0; 1; 2; 10; 1000; 99_999 ]
+
+(* The aggregate TG tier admits the integrated schemes over either MDS
+   codec — the same count-vector dynamics, so identical estimates from the
+   same seed — and rejects a rateless one, as Np_aggregate.check_config
+   does. *)
+let test_tg_aggregate_codecs () =
+  let estimate codec =
+    Tg_aggregate.estimate (Rng.create ~seed:31 ()) ~receivers:5000
+      ~channel:(Aggregate.bernoulli ~p:0.05) ~k:7
+      ~scheme:(Runner.Integrated_nak { a = 1; codec }) ~reps:50 ()
+  in
+  let fields e =
+    Printf.sprintf "%h %h %h" (Runner.mean_m e)
+      (Stats.Accumulator.mean e.Runner.rounds)
+      (Stats.Accumulator.mean e.Runner.unnecessary_per_receiver)
+  in
+  Alcotest.(check string) "cauchy = rse" (fields (estimate `Rse)) (fields (estimate `Cauchy));
+  List.iter
+    (fun codec ->
+      Alcotest.(check bool)
+        (Rmcast.Codec.kind_to_string codec ^ " rejected")
+        true
+        (match estimate codec with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ `Rlnc; `Lt ]
 
 (* --- sim-tier golden pins ------------------------------------------------ *)
 
@@ -493,4 +519,5 @@ let suite =
     Alcotest.test_case "rejected flow schedules nothing" `Quick
       test_rejected_flow_schedules_nothing;
     Alcotest.test_case "sim tiers match their golden captures" `Quick test_golden_sim_tiers;
+    Alcotest.test_case "aggregate TG tier: MDS codecs only" `Quick test_tg_aggregate_codecs;
   ]

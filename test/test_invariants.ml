@@ -17,9 +17,9 @@ let scheme_gen =
       | 0 -> Runner.No_fec
       | 1 -> Runner.Layered { h = h_or_a }
       | 2 -> Runner.Integrated_open_loop { a = h_or_a }
-      | 3 -> Runner.Integrated_nak { a = h_or_a }
+      | 3 -> Runner.Integrated_nak { a = h_or_a; codec = `Rse }
       | 4 -> Runner.Carousel { h = h_or_a }
-      | 5 -> Runner.Coded_nak { a = h_or_a; codec }
+      | 5 -> Runner.Integrated_nak { a = h_or_a; codec }
       | _ -> Runner.Carousel { h = 0 }))
 
 let config_gen =
@@ -45,10 +45,7 @@ let qcheck_tg_invariants =
            overhead of the scheme *)
         match scheme with
         | Runner.Layered { h } -> total >= k + h
-        | Runner.Integrated_open_loop { a }
-        | Runner.Integrated_nak { a }
-        | Runner.Coded_nak { a; _ } ->
-          total >= k + a
+        | Runner.Integrated_open_loop { a } | Runner.Integrated_nak { a; _ } -> total >= k + a
         | Runner.No_fec | Runner.Carousel _ -> total >= k
       in
       let lossless_exact =
@@ -58,16 +55,13 @@ let qcheck_tg_invariants =
         match scheme with
         | Runner.No_fec | Runner.Carousel _ -> total = k && result.Tg_result.rounds = 1
         | Runner.Layered { h } -> total = k + h && result.Tg_result.rounds = 1
-        | Runner.Integrated_open_loop { a }
-        | Runner.Integrated_nak { a }
-        | Runner.Coded_nak { a; _ } ->
-          total = k + a
+        | Runner.Integrated_open_loop { a } | Runner.Integrated_nak { a; _ } -> total = k + a
       in
       let feedback_ok =
         match scheme with
         | Runner.Carousel _ | Runner.Integrated_open_loop _ ->
           result.Tg_result.feedback_messages = 0
-        | Runner.Integrated_nak _ | Runner.Coded_nak _ ->
+        | Runner.Integrated_nak _ ->
           result.Tg_result.feedback_messages = result.Tg_result.rounds - 1
         | Runner.No_fec | Runner.Layered _ -> result.Tg_result.feedback_messages >= 0
       in

@@ -60,7 +60,7 @@ let test_model_matches_simulation_integrated () =
   let estimate =
     Runner.estimate
       (Network.independent (Rng.create ~seed:32 ()) ~receivers ~p:0.01)
-      ~k:7 ~scheme:(Runner.Integrated_nak { a = 0 }) ~timing:proto_timing ~reps:400 ()
+      ~k:7 ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~timing:proto_timing ~reps:400 ()
   in
   let simulated = Rmcast.Stats.Accumulator.mean estimate.Runner.completion_time in
   Alcotest.(check bool)

@@ -235,7 +235,7 @@ let test_codec_memo_contention () =
     let rng = Rng.create ~seed () in
     let network = Network.independent rng ~receivers:50 ~p:0.02 in
     Runner.mean_m
-      (Runner.estimate network ~k:7 ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps:30 ())
+      (Runner.estimate network ~k:7 ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:30 ())
   in
   let sequential = Array.init 4 (fun i -> estimate (i + 1)) in
   let parallel = Parallel.map ~pool:(pool4 ()) ~chunk:1 4 (fun i -> estimate (i + 1)) in

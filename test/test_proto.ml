@@ -37,7 +37,8 @@ let test_layered_lossless () =
 let test_integrated_lossless () =
   let result =
     Rmcast.Tg_integrated.run (lossless ~receivers:100) ~k:7
-      ~variant:Rmcast.Tg_integrated.Nak_rounds ~timing ~start:0.0 ()
+      ~variant:Rmcast.Tg_integrated.Nak_rounds ~codec:`Rse ~rng:(Rng.create ~seed:2 ())
+      ~timing ~start:0.0 ()
   in
   Alcotest.(check int) "k only" 7 (Tg_result.transmissions result);
   Alcotest.(check int) "one round" 1 result.Tg_result.rounds;
@@ -46,7 +47,8 @@ let test_integrated_lossless () =
 let test_integrated_proactive_lossless () =
   let result =
     Rmcast.Tg_integrated.run (lossless ~receivers:10) ~k:7 ~a:2
-      ~variant:Rmcast.Tg_integrated.Open_loop ~timing ~start:0.0 ()
+      ~variant:Rmcast.Tg_integrated.Open_loop ~codec:`Rse ~rng:(Rng.create ~seed:2 ())
+      ~timing ~start:0.0 ()
   in
   Alcotest.(check int) "k + a packets" 9 (Tg_result.transmissions result)
 
@@ -76,7 +78,7 @@ let test_integrated_matches_bound () =
   let e =
     Runner.estimate
       (Network.independent (Rng.create ~seed:3 ()) ~receivers:1000 ~p:0.01)
-      ~k:7 ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps:300 ()
+      ~k:7 ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:300 ()
   in
   agreement "integrated"
     ~analysis:
@@ -113,7 +115,7 @@ let test_open_loop_matches_nak_variant () =
          ~k:10 ~scheme ~reps:300 ())
   in
   let open_loop = run (Runner.Integrated_open_loop { a = 0 }) 5 in
-  let nak = run (Runner.Integrated_nak { a = 0 }) 6 in
+  let nak = run (Runner.Integrated_nak { a = 0; codec = `Rse }) 6 in
   close ~tol:0.05 "variants agree under memoryless loss" open_loop nak
 
 (* --- orderings the paper reports --- *)
@@ -129,8 +131,8 @@ let test_fbt_below_independent () =
   Alcotest.(check bool) "no-FEC" true
     (run fbt Runner.No_fec 7 < run independent Runner.No_fec 8);
   Alcotest.(check bool) "integrated" true
-    (run fbt (Runner.Integrated_nak { a = 0 }) 9
-    < run independent (Runner.Integrated_nak { a = 0 }) 10)
+    (run fbt (Runner.Integrated_nak { a = 0; codec = `Rse }) 9
+    < run independent (Runner.Integrated_nak { a = 0; codec = `Rse }) 10)
 
 let test_burst_loss_hurts_layered () =
   (* Figure 15: layered (7,1) under burst loss is worse than no FEC. *)
@@ -159,7 +161,7 @@ let test_burst_loss_large_k_integrated_resists () =
   let timing = Timing.paper_burst in
   let run k seed =
     Runner.mean_m
-      (Runner.estimate (burst_net seed) ~k ~scheme:(Runner.Integrated_nak { a = 0 }) ~timing
+      (Runner.estimate (burst_net seed) ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~timing
          ~reps:100 ())
   in
   Alcotest.(check bool) "k=100 < k=7" true (run 100 13 < run 7 14)
@@ -175,7 +177,7 @@ let test_unnecessary_receptions_ordering () =
     Rmcast.Stats.Accumulator.mean e.Runner.unnecessary_per_receiver
   in
   let nofec = run Runner.No_fec 15 in
-  let integrated = run (Runner.Integrated_nak { a = 0 }) 16 in
+  let integrated = run (Runner.Integrated_nak { a = 0; codec = `Rse }) 16 in
   Alcotest.(check bool)
     (Printf.sprintf "unnecessary: integrated %.4f << no-FEC %.4f" integrated nofec)
     true
@@ -196,8 +198,8 @@ let test_integrated_feedback_is_one_per_round () =
   let net = Network.independent (Rng.create ~seed:18 ()) ~receivers:2000 ~p:0.05 in
   for i = 0 to 19 do
     let result =
-      Rmcast.Tg_integrated.run net ~k:20 ~variant:Rmcast.Tg_integrated.Nak_rounds ~timing
-        ~start:(float_of_int i) ()
+      Rmcast.Tg_integrated.run net ~k:20 ~variant:Rmcast.Tg_integrated.Nak_rounds
+        ~codec:`Rse ~rng:(Rng.create ~seed:2 ()) ~timing ~start:(float_of_int i) ()
     in
     Alcotest.(check int) "one NAK per repair round"
       (result.Tg_result.rounds - 1)
@@ -209,7 +211,7 @@ let test_rounds_grow_with_population () =
     let e =
       Runner.estimate
         (Network.independent (Rng.create ~seed ()) ~receivers ~p:0.05)
-        ~k:20 ~scheme:(Runner.Integrated_nak { a = 0 }) ~reps:100 ()
+        ~k:20 ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:100 ()
     in
     Rmcast.Stats.Accumulator.mean e.Runner.rounds
   in
@@ -235,7 +237,9 @@ let test_scheme_names () =
   Alcotest.(check string) "i1" "integrated-1(a=1)"
     (Runner.scheme_name (Runner.Integrated_open_loop { a = 1 }));
   Alcotest.(check string) "i2" "integrated-2(a=0)"
-    (Runner.scheme_name (Runner.Integrated_nak { a = 0 }))
+    (Runner.scheme_name (Runner.Integrated_nak { a = 0; codec = `Rse }));
+  Alcotest.(check string) "i2 over a non-RSE codec" "coded(rlnc,a=2)"
+    (Runner.scheme_name (Runner.Integrated_nak { a = 2; codec = `Rlnc }))
 
 let test_burst_histogram_totals () =
   let loss = Rmcast.Loss.bernoulli (Rng.create ~seed:22 ()) ~p:0.1 in
@@ -248,6 +252,248 @@ let test_burst_histogram_totals () =
   close ~tol:0.1 "loss mass" 5000.0 (float_of_int losses);
   (* Bernoulli: P(run = l) ~ geometric, mean 1/(1-p) ~ 1.11. *)
   close ~tol:0.05 "mean run" (1.0 /. 0.9) (Rmcast.Stats.Histogram.mean hist)
+
+(* --- TG-tier golden pins --- *)
+
+(* Every accumulator (mean, variance and count, bit for bit through %h) of
+   [Runner.estimate] and [Tg_aggregate.estimate] over a scenario grid: the
+   integrated-FEC NAK-rounds scheme for every codec x {independent, fbt,
+   bursty, heterogeneous} x a in {0..3} x k in {1, 7, 16, 20}, the other
+   schemes on the same networks, the aggregate tier at R in {1, 10^3, 10^6}
+   and the [runner.*] counters.  Each group's per-scenario lines are pinned
+   through their digest.  The expected values were produced while the MDS
+   codecs still ran through a separate NAK-rounds loop from the rateless
+   ones, so they keep that loop as the differential reference for the one
+   loop that now serves every codec. *)
+
+module Stats = Rmcast.Stats
+module Aggregate = Rmcast.Aggregate
+module Tg_aggregate = Rmcast.Tg_aggregate
+
+let golden_nak a = Runner.Integrated_nak { a; codec = `Rse }
+
+let acc_fields acc =
+  Printf.sprintf "%h/%h/%d" (Stats.Accumulator.mean acc) (Stats.Accumulator.variance acc)
+    (Stats.Accumulator.count acc)
+
+let estimate_fields (e : Runner.estimate) =
+  Printf.sprintf "%s k=%d R=%d reps=%d M=%s rounds=%s fb=%s unn=%s t=%s"
+    (Runner.scheme_name e.Runner.scheme) e.Runner.k e.Runner.receivers e.Runner.reps
+    (acc_fields e.Runner.transmissions_per_packet) (acc_fields e.Runner.rounds)
+    (acc_fields e.Runner.feedback) (acc_fields e.Runner.unnecessary_per_receiver)
+    (acc_fields e.Runner.completion_time)
+
+let golden_network kind ~seed =
+  let rng = Rng.create ~seed () in
+  match kind with
+  | `Independent -> (Network.independent rng ~receivers:20 ~p:0.1, Timing.instantaneous)
+  | `Fbt -> (Network.fbt rng ~height:4 ~p:0.05, Timing.instantaneous)
+  | `Bursty ->
+    ( Network.temporal rng ~receivers:8 ~make:(fun r ->
+          Rmcast.Loss.markov2 r ~p:0.05 ~mean_burst:2.0 ~send_rate:25.0),
+      Timing.paper_burst )
+  | `Heterogeneous ->
+    (Network.heterogeneous rng ~classes:[ (0.02, 12); (0.2, 4) ], Timing.instantaneous)
+
+let golden_networks =
+  [ ("independent", `Independent); ("fbt", `Fbt); ("bursty", `Bursty);
+    ("heterogeneous", `Heterogeneous) ]
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* The integrated-FEC NAK-rounds grid, resolved through the profile so the
+   scheme (and its name) comes from [Runner]'s own codec mapping.  Odd [a]
+   passes an explicit innovation stream, even [a] the default one. *)
+let golden_nak_grid codec kind =
+  List.concat_map
+    (fun a ->
+      List.map
+        (fun k ->
+          let seed = (1000 * a) + k in
+          let network, timing = golden_network kind ~seed in
+          let rng = if a mod 2 = 1 then Some (Rng.create ~seed:(seed + 1) ()) else None in
+          estimate_fields
+            (Runner.estimate network
+               ~profile:{ Rmcast.Profile.default with k; proactive = a; codec }
+               ?rng ~timing ~reps:12 ()))
+        [ 1; 7; 16; 20 ])
+    [ 0; 1; 2; 3 ]
+
+let golden_other_schemes kind =
+  List.map
+    (fun scheme ->
+      let network, timing = golden_network kind ~seed:77 in
+      estimate_fields (Runner.estimate network ~k:7 ~scheme ~timing ~reps:12 ()))
+    [ Runner.No_fec; Runner.Layered { h = 2 }; Runner.Integrated_open_loop { a = 1 };
+      Runner.Carousel { h = 3 } ]
+
+let golden_aggregate ~receivers ~bursty =
+  let channel, timing =
+    if bursty then
+      (Aggregate.bursty ~p:0.05 ~mean_burst:2.0 ~send_rate:25.0, Timing.paper_burst)
+    else (Aggregate.bernoulli ~p:0.05, Timing.instantaneous)
+  in
+  List.concat_map
+    (fun scheme ->
+      List.map
+        (fun k ->
+          let rng = Rng.create ~seed:(receivers + k) () in
+          estimate_fields
+            (Tg_aggregate.estimate rng ~receivers ~channel ~k ~scheme ~timing ~reps:10 ()))
+        [ 7; 20 ])
+    [ golden_nak 0; golden_nak 2; Runner.Integrated_open_loop { a = 0 };
+      Runner.Integrated_open_loop { a = 1 } ]
+
+let golden_metrics codec =
+  let metrics = Rmcast.Metrics.create () in
+  let network, timing = golden_network `Independent ~seed:5 in
+  ignore
+    (Runner.estimate network
+       ~profile:{ Rmcast.Profile.default with k = 7; proactive = 1; codec }
+       ~metrics ~timing ~reps:25 ());
+  String.concat " "
+    (List.map (fun (name, v) -> Printf.sprintf "%s=%d" name v) (Rmcast.Metrics.counters metrics))
+
+let golden_tg_lines () =
+  List.concat_map
+    (fun codec ->
+      List.map
+        (fun (name, kind) ->
+          ( Printf.sprintf "nak grid %s %s" (Rmcast.Profile.codec_to_string codec) name,
+            digest (golden_nak_grid codec kind) ))
+        golden_networks)
+    [ `Rse; `Cauchy; `Rlnc; `Lt ]
+  @ List.map (fun (name, kind) -> ("other schemes " ^ name, digest (golden_other_schemes kind)))
+      golden_networks
+  @ List.concat_map
+      (fun receivers ->
+        List.map
+          (fun bursty ->
+            ( Printf.sprintf "aggregate R=%d %s" receivers (if bursty then "bursty" else "bernoulli"),
+              digest (golden_aggregate ~receivers ~bursty) ))
+          [ false; true ])
+      [ 1; 1000; 1_000_000 ]
+  @ List.map
+      (fun codec -> ("metrics " ^ Rmcast.Profile.codec_to_string codec, golden_metrics codec))
+      [ `Rse; `Lt ]
+
+let golden_tg_expected =
+  [
+    ("nak grid rse independent",
+     "7e46d03fb2e40ef63258b9209497fb52");
+    ("nak grid rse fbt",
+     "47024de00693377c50d9ea214f838bc4");
+    ("nak grid rse bursty",
+     "5cc0a82e07a71ac1aaf9367a9c892d0c");
+    ("nak grid rse heterogeneous",
+     "ead34275ba847fee1890d1c6c8ef06b9");
+    ("nak grid cauchy independent",
+     "c9589c5432cacc2aacd18aa90c053502");
+    ("nak grid cauchy fbt",
+     "8b66a8ac87835857242979b10dc39237");
+    ("nak grid cauchy bursty",
+     "92a6e1877693b875be9916911b3aeb3b");
+    ("nak grid cauchy heterogeneous",
+     "85992d6ba18132321a677b60f65ac412");
+    ("nak grid rlnc independent",
+     "d91eded6ba31c17dbd5bd9e11d4117a5");
+    ("nak grid rlnc fbt",
+     "40e9432cc65e1cf28b17b933f8533864");
+    ("nak grid rlnc bursty",
+     "8a12f67ff0f4534a17fd5bdde8202289");
+    ("nak grid rlnc heterogeneous",
+     "375752a766963d371c727e0291a6f325");
+    ("nak grid lt independent",
+     "3d6237a3871de9c01e2c923d435003cf");
+    ("nak grid lt fbt",
+     "4d25c8f28014cc056f969d410ffba163");
+    ("nak grid lt bursty",
+     "d75736fef7e0c45978549fbc7411c760");
+    ("nak grid lt heterogeneous",
+     "96aa6a561d1c19c6e18b2dfe2877884b");
+    ("other schemes independent",
+     "e38921c553d394ef3c26bad7a8c95991");
+    ("other schemes fbt",
+     "9b738f1f7a8b17266fa8b2fcbd8b9a4e");
+    ("other schemes bursty",
+     "9f12f1452b60540f1b279aed104e7254");
+    ("other schemes heterogeneous",
+     "810b9f9c3ce7ca795001428bdbb141c4");
+    ("aggregate R=1 bernoulli",
+     "8e8a2c11a00c83bdb384c5e533fc8684");
+    ("aggregate R=1 bursty",
+     "470a0c4c77d123c28234671021c9d1ae");
+    ("aggregate R=1000 bernoulli",
+     "8223884a5b223ccdd25b505fa066b7fa");
+    ("aggregate R=1000 bursty",
+     "832a4bca829ccb8fe9d7dd2d1d25823d");
+    ("aggregate R=1000000 bernoulli",
+     "9148e869c5c74166b35f5139dc3af322");
+    ("aggregate R=1000000 bursty",
+     "c6ee3949435952bd7f7f3d4400092d83");
+    ("metrics rse",
+     "runner.feedback=32 runner.rounds=57 runner.tgs=25 runner.transmissions=250 runner.unnecessary=787");
+    ("metrics lt",
+     "runner.feedback=88 runner.rounds=113 runner.tgs=25 runner.transmissions=314 runner.unnecessary=1709");
+  ]
+
+let test_golden_tg_tiers () =
+  List.iter2
+    (fun (name, actual) (expected_name, expected) ->
+      Alcotest.(check string) "scenario" expected_name name;
+      Alcotest.(check string) name expected actual)
+    (golden_tg_lines ()) golden_tg_expected
+
+(* --- CLI: out-of-range numbers are usage errors --- *)
+
+(* Each input once crashed [rmc] with an uncaught exception (exit 125);
+   [--scheme integrated] once ran the unbounded scheme while ignoring
+   [--parities].  All must be usage errors: exit 124, no internal error. *)
+let bad_cli_inputs =
+  [
+    "simulate --reps 0";
+    "simulate --tier aggregate -r 0";
+    "simulate --burst 0";
+    "simulate --scheme integrated --parities 1";
+    "analyze -p 1.0";
+    "sweep -k 0";
+    "latency -k 0";
+    "feedback -k 0";
+    "plan -k 0";
+    "endhost -k 0";
+    "capacity -k 0";
+    "trace record trace.bin -p 1.0";
+    "codec encode input.txt output.fec --parities 300";
+    "codec encode input.txt output.fec -k 0";
+  ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_cli_usage_errors () =
+  let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
+  (* Absolute, because each run starts in its own scratch directory. *)
+  let rmc = if Filename.is_relative rmc then Filename.concat (Sys.getcwd ()) rmc else rmc in
+  Alcotest.(check bool) "rmc built" true (Sys.file_exists rmc);
+  let dir = Filename.temp_dir "rmc-cli" "" in
+  Out_channel.with_open_text (Filename.concat dir "input.txt") (fun oc ->
+      output_string oc "hello, multicast\n");
+  let stderr_log = Filename.concat dir "stderr.log" in
+  List.iter
+    (fun args ->
+      let status =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s > /dev/null 2> %s" (Filename.quote dir)
+             (Filename.quote rmc) args (Filename.quote stderr_log))
+      in
+      let stderr = In_channel.with_open_text stderr_log In_channel.input_all in
+      Alcotest.(check int) (args ^ ": exit status") 124 status;
+      Alcotest.(check bool) (args ^ ": no internal error") false
+        (contains stderr "internal error"))
+    bad_cli_inputs;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 let suite =
   [
@@ -270,4 +516,7 @@ let suite =
     Alcotest.test_case "estimate metadata" `Quick test_estimate_metadata;
     Alcotest.test_case "scheme names" `Quick test_scheme_names;
     Alcotest.test_case "burst histogram mass" `Quick test_burst_histogram_totals;
+    Alcotest.test_case "TG tiers match their golden values" `Quick test_golden_tg_tiers;
+    Alcotest.test_case "rmc: out-of-range numbers are usage errors" `Quick
+      test_cli_usage_errors;
   ]

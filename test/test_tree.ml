@@ -121,7 +121,7 @@ let test_network_tree_protocols_run () =
   let tree = Tree.random rng ~receivers:200 ~max_children:5 in
   let net = Network.tree (Rng.split rng) ~tree ~p_node:(fun _ -> 0.01) in
   let estimate =
-    Rmcast.Runner.estimate net ~k:7 ~scheme:(Rmcast.Runner.Integrated_nak { a = 0 }) ~reps:100 ()
+    Rmcast.Runner.estimate net ~k:7 ~scheme:(Rmcast.Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:100 ()
   in
   let m = Rmcast.Runner.mean_m estimate in
   Alcotest.(check bool) (Printf.sprintf "sane E[M] %.3f" m) true (m >= 1.0 && m < 2.0)
