@@ -81,8 +81,10 @@ let validate ?(context = "Profile") t =
   else if codec_is_rateless t.codec && t.k + t.h > max_wire_index then
     fail "k + h exceeds the 16-bit wire index space (got %d)" (t.k + t.h)
   else if t.payload_size < 1 then fail "payload_size must be >= 1 (got %d)" t.payload_size
-  else if not (t.pacing > 0.0) then fail "pacing must be positive (got %g)" t.pacing
-  else if not (t.slot > 0.0) then fail "slot must be positive (got %g)" t.slot
+  else if not (t.pacing > 0.0 && Float.is_finite t.pacing) then
+    fail "pacing must be positive and finite (got %g)" t.pacing
+  else if not (t.slot > 0.0 && Float.is_finite t.slot) then
+    fail "slot must be positive and finite (got %g)" t.slot
   else if t.controller <> `Static && t.h < 1 then
     fail "an adaptive controller (%s) needs a repair budget to retune (h = 0)"
       (controller_to_string t.controller)

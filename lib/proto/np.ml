@@ -79,7 +79,8 @@ let validate_config c =
   ignore (Profile.validate_exn ~context:"Np" (profile_of_config c));
   if c.payload_size > max_datagram - Rmc_wire.Header.header_size then
     invalid_arg "Np: payload does not fit a 64 KiB datagram";
-  if not (c.delay >= 0.0) then invalid_arg "Np: delay must be non-negative"
+  if not (c.delay >= 0.0 && Float.is_finite c.delay) then
+    invalid_arg "Np: delay must be non-negative and finite"
 
 (* ------------------------------------------------------------------ *)
 
@@ -96,7 +97,7 @@ module Mux_types = struct
   (* Receivers a flow holds as something other than machines — the
      aggregate tier's count-vector remainder.  The loop calls each hook one
      propagation delay after the multicast that triggers it, after the
-     machine receivers' deliveries of that multicast are scheduled; a
+     machine receivers' delivery event for that multicast; a
      population's own NAK re-enters the loop through {!multicast_nak}. *)
   type population = {
     on_payload : tg:int -> unit;
@@ -123,6 +124,7 @@ type flow = {
      catch up: the current (k, size, round) of each TG's latest poll, and
      whether its repair budget was already exhausted. *)
   presence : bool array;
+  reach : int array; (* scratch for {!reached}: one slot per receiver *)
   completed_at : float option array; (* virtual time of each receiver's Done *)
   last_polls : (int * int * int) array; (* per TG: k, size, round (0 = no poll yet) *)
   tg_exhausted : bool array;
@@ -161,7 +163,11 @@ let create engine =
    in a datagram.  The decoded message does not alias the pooled buffer
    ({!Header.decode_slice} copies payloads out), so one round-trip is
    shared by every receiver the simulated multicast reaches and the buffer
-   goes straight back to the pool.  Encode/decode is lossless, so recorder
+   goes straight back to the pool.  Every receiver's decoder keeps a
+   reference to that one decoded payload (decoders store data packets by
+   reference and never mutate them); a wire decode that borrowed its
+   payload from the pooled buffer would have to copy it here, before the
+   buffer is reused.  Encode/decode is lossless, so recorder
    streams — which re-encode each [Packet_received] — are unchanged; a
    round-trip failure is a codec bug, not an input condition. *)
 let through_wire mux message =
@@ -174,6 +180,18 @@ let through_wire mux message =
 let touch mux flow = flow.finished_at <- Engine.now mux.engine
 let sender_machine flow = Np_drive.Sender.machine flow.sender
 let pending flow = Np_machine.Sender.pending (sender_machine flow)
+
+(* The receivers [reaches r] selects, in ascending order — a multicast's
+   reached set, fixed at send time. *)
+let reached flow reaches =
+  let n = ref 0 in
+  for r = 0 to flow.receivers - 1 do
+    if reaches r then begin
+      flow.reach.(!n) <- r;
+      incr n
+    end
+  done;
+  Array.sub flow.reach 0 !n
 
 (* Schedule a population hook one propagation delay out. *)
 let to_population mux flow hook =
@@ -225,20 +243,18 @@ and execute mux flow =
       | Np_machine.Send ((Header.Data _ | Header.Parity _) as msg) ->
         let msg = through_wire mux msg in
         let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
-        for r = 0 to flow.receivers - 1 do
-          (* One [lost] query per receiver, present or not: the Bernoulli
-             fate is drawn on demand, and churn must not shift the RNG
-             stream of the receivers that stay. *)
-          let lost = Network.lost tx r in
-          if flow.presence.(r) && not lost then deliver mux flow ~receiver:r msg
-        done;
+        deliver mux flow msg
+          (reached flow (fun r ->
+               (* One [lost] query per receiver, present or not: the
+                  Bernoulli fate is drawn on demand, and churn must not
+                  shift the RNG stream of the receivers that stay. *)
+               let lost = Network.lost tx r in
+               flow.presence.(r) && not lost));
         to_population mux flow (fun p -> p.on_payload ~tg:(Header.tg_id msg));
         c.spacing
       | Np_machine.Send ((Header.Poll _ | Header.Exhausted _) as msg) ->
         let msg = through_wire mux msg in
-        for r = 0 to flow.receivers - 1 do
-          if flow.presence.(r) then deliver mux flow ~receiver:r msg
-        done;
+        deliver mux flow msg (reached flow (fun r -> flow.presence.(r)));
         (match msg with
         | Header.Poll { tg_id; k; size; round } ->
           if tg_id >= 0 && tg_id < Array.length flow.last_polls then
@@ -253,10 +269,17 @@ and execute mux flow =
       | _ -> busy)
     0.0 effects
 
-and deliver mux flow ~receiver msg =
-  ignore
-    (Engine.after mux.engine flow.config.delay (fun () ->
-         rx_event mux flow ~receiver (Np_machine.Packet_received msg)))
+(* One engine event per multicast: one propagation delay out, [msg]
+   reaches every receiver in [reached] in ascending order.  The order is
+   the one per-receiver events would give: those would run consecutively
+   (equal times run FIFO), and whatever one delivery schedules runs after
+   all of them. *)
+and deliver mux flow msg reached =
+  if Array.length reached > 0 then
+    ignore
+      (Engine.after mux.engine flow.config.delay (fun () ->
+           let event = Np_machine.Packet_received msg in
+           Array.iter (fun receiver -> rx_event mux flow ~receiver event) reached))
 
 (* A receiver's entry point: deliveries and its own fired NAK timers. *)
 and rx_event mux flow ~receiver event =
@@ -286,9 +309,7 @@ and multicast_nak mux flow ~from ~tg ~need ~round =
     (Engine.after mux.engine flow.config.delay (fun () ->
          sender_feedback mux flow ~tg ~need ~round));
   let speaker = match from with `Receiver r -> r | `Population -> -1 in
-  for other = 0 to flow.receivers - 1 do
-    if other <> speaker && flow.presence.(other) then deliver mux flow ~receiver:other nak
-  done;
+  deliver mux flow nak (reached flow (fun other -> other <> speaker && flow.presence.(other)));
   match from with
   | `Receiver _ -> to_population mux flow (fun p -> p.on_nak ~tg ~need ~round)
   | `Population -> ()
@@ -382,6 +403,7 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       receivers;
       started_at = start;
       presence;
+      reach = Array.make receivers 0;
       completed_at = Array.make receivers None;
       last_polls = Array.make tg_count (0, 0, 0);
       tg_exhausted = Array.make tg_count false;

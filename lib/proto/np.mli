@@ -80,7 +80,7 @@ val transmissions_per_packet : report -> float
 val validate_config : config -> unit
 (** The profile's rules ({!Rmc_core.Profile.validate} on
     {!profile_of_config}) plus the simulator's own: the payload fits one
-    64 KiB datagram and [delay >= 0].
+    64 KiB datagram and [delay] is finite and [>= 0].
     @raise Invalid_argument on out-of-range fields. *)
 
 (** Multiplex several independent NP transfers over one shared engine.
@@ -187,7 +187,8 @@ module Mux : sig
       instances — the seam {!Np_aggregate} attaches its count-vector
       remainder to.  The loop calls each hook one propagation [delay]
       after the multicast that triggers it, after the machine receivers'
-      deliveries of that multicast are scheduled.  Hooks must not draw
+      delivery of that multicast (one engine event for all of them).
+      Hooks must not draw
       from the flow's RNG. *)
 
   type population = {

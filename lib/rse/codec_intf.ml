@@ -65,9 +65,11 @@ module type DECODER = sig
       [false] means it was redundant (a duplicate slot for block codes, a
       non-innovative combination for rank codecs, an immediately
       reducible-to-nothing packet for peeling codecs).  Ownership of
-      [payload] passes to the decoder; block decoders store it by
-      reference and never mutate it, rank/peeling decoders copy before
-      eliminating.
+      [payload] passes to the decoder, which never mutates it: every
+      decoder keeps an accepted data packet by reference ({!decode}
+      returns that very buffer in its slot), block decoders keep repair
+      packets by reference too, and rank/peeling decoders copy a repair
+      packet before eliminating it.
       @raise Invalid_argument on an out-of-range index. *)
 
   val received : t -> int

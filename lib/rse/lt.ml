@@ -98,7 +98,7 @@ let decode_failure_probability ~k ~received =
   end
 
 module Encoder = struct
-  type t = { k : int; h : int; data : Bytes.t array; payload_len : int; dist : dist }
+  type t = { k : int; h : int; data : Bytes.t array; dist : dist }
 
   let create ~k ~h data =
     check_block ~k ~h;
@@ -110,7 +110,7 @@ module Encoder = struct
         if Bytes.length p <> payload_len then
           invalid_arg (label ^ ".Encoder.create: unequal packet lengths"))
       data;
-    { k; h; data; payload_len; dist = make_dist k }
+    { k; h; data; dist = make_dist k }
 
   let k e = e.k
   let h e = e.h

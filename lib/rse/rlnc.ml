@@ -77,13 +77,16 @@ module Decoder = struct
   (* Incremental Gaussian elimination.  [coeffs.(c)]/[payloads.(c)] hold
      the pivot row whose leading 1 sits at column [c] (zero to its left,
      arbitrary to its right — reduction above the diagonal is deferred to
-     [decode]).  A new packet is eliminated against the pivots left to
-     right; what survives is either a fresh pivot (innovative) or zero
-     (linearly dependent, rejected). *)
+     [decode]).  A data packet that arrives verbatim is the unit pivot of
+     its own column: its payload is kept by reference and never mutated,
+     and its row is not stored ([coeffs.(c)] stays empty).  A repair
+     packet is copied and eliminated against the pivots left to right;
+     what survives is either a fresh pivot (innovative) or zero (linearly
+     dependent, rejected). *)
   type t = {
     k : int;
     h : int;
-    coeffs : int array array; (* k pivot rows; row c has lead 1 at c *)
+    coeffs : int array array; (* k pivot rows; row c has lead 1 at c; [||] = unit *)
     payloads : Bytes.t array; (* parallel to coeffs *)
     present : bool array; (* pivot installed at column c *)
     direct : bool array; (* data index received verbatim *)
@@ -117,6 +120,52 @@ module Decoder = struct
 
   let missing_data d = List.filter (fun j -> not d.direct.(j)) (List.init d.k Fun.id)
 
+  let is_unit d c = Array.length d.coeffs.(c) = 0
+
+  (* Eliminate the owned row [row]/[y], zero left of column [from],
+     against the pivots; install what survives as a new pivot.  [true]
+     iff the row was innovative. *)
+  let reduce d row y ~from =
+    let lead = ref (-1) in
+    let c = ref from in
+    while !c < d.k do
+      let coeff = row.(!c) in
+      if coeff <> 0 then
+        if d.present.(!c) then begin
+          (* row -= coeff * pivot(c); subtraction = addition here. *)
+          if is_unit d !c then row.(!c) <- 0
+          else begin
+            let pivot = d.coeffs.(!c) in
+            for e = !c to d.k - 1 do
+              row.(e) <- Gf.add row.(e) (Gf.mul gf coeff pivot.(e))
+            done
+          end;
+          Gf.mul_add_into gf ~dst:y ~src:d.payloads.(!c) ~coeff
+        end
+        else begin
+          lead := !c;
+          c := d.k (* first surviving column: this is the new pivot *)
+        end;
+      incr c
+    done;
+    if !lead < 0 then false
+    else begin
+      let lead = !lead in
+      (* Normalise the pivot to a leading 1. *)
+      let inv = Gf.inv gf row.(lead) in
+      if inv <> 1 then begin
+        for e = lead to d.k - 1 do
+          row.(e) <- Gf.mul gf inv row.(e)
+        done;
+        Gf.mul_into gf ~dst:y ~src:y ~coeff:inv
+      end;
+      d.coeffs.(lead) <- row;
+      d.payloads.(lead) <- y;
+      d.present.(lead) <- true;
+      d.rank <- d.rank + 1;
+      true
+    end
+
   let add d ~index payload =
     if index < 0 || index >= d.k + d.h then
       invalid_arg (label ^ ".Decoder.add: index out of range");
@@ -125,68 +174,44 @@ module Decoder = struct
       invalid_arg (label ^ ".Decoder.add: unequal payload lengths");
     if index < d.k then d.direct.(index) <- true;
     if complete d then false
+    else if index >= d.k then
+      (* Copy before eliminating: the seam passes ownership, but a repair
+         pivot's payload is mutated by later eliminations and by [decode]. *)
+      reduce d (coefficients ~k:d.k ~j:(index - d.k)) (Bytes.copy payload) ~from:0
+    else if not d.present.(index) then begin
+      d.payloads.(index) <- payload;
+      d.present.(index) <- true;
+      d.rank <- d.rank + 1;
+      true
+    end
+    else if is_unit d index then false (* duplicate *)
     else begin
-      let row =
-        if index < d.k then begin
-          let row = Array.make d.k 0 in
-          row.(index) <- 1;
-          row
-        end
-        else coefficients ~k:d.k ~j:(index - d.k)
-      in
-      (* Copy before eliminating: the seam passes ownership, but pivot
-         payloads are mutated by later eliminations and by [decode]. *)
-      let y = Bytes.copy payload in
-      let lead = ref (-1) in
-      let c = ref 0 in
-      while !c < d.k do
-        let coeff = row.(!c) in
-        if coeff <> 0 then
-          if d.present.(!c) then begin
-            (* row -= coeff * pivot(c); subtraction = addition here. *)
-            let pivot = d.coeffs.(!c) in
-            for e = !c to d.k - 1 do
-              row.(e) <- Gf.add row.(e) (Gf.mul gf coeff pivot.(e))
-            done;
-            Gf.mul_add_into gf ~dst:y ~src:d.payloads.(!c) ~coeff
-          end
-          else begin
-            lead := !c;
-            c := d.k (* first surviving column: this is the new pivot *)
-          end;
-        incr c
-      done;
-      if !lead < 0 then false
-      else begin
-        let lead = !lead in
-        (* Normalise the pivot to a leading 1. *)
-        let inv = Gf.inv gf row.(lead) in
-        if inv <> 1 then begin
-          for e = lead to d.k - 1 do
-            row.(e) <- Gf.mul gf inv row.(e)
-          done;
-          Gf.mul_into gf ~dst:y ~src:y ~coeff:inv
-        end;
-        d.coeffs.(lead) <- row;
-        d.payloads.(lead) <- y;
-        d.present.(lead) <- true;
-        d.rank <- d.rank + 1;
-        true
-      end
+      (* A repair row holds this column: the data packet takes it over as
+         its unit pivot, and the displaced row, minus the data packet, is
+         reduced further — innovative iff the data packet was. *)
+      let row = d.coeffs.(index) and y = d.payloads.(index) in
+      d.coeffs.(index) <- [||];
+      d.payloads.(index) <- payload;
+      row.(index) <- 0;
+      Gf.xor_into ~dst:y ~src:payload;
+      reduce d row y ~from:(index + 1)
     end
 
   let decode d =
     if not (complete d) then failwith (label ^ ".Decoder.decode: not enough packets");
     if not d.decoded then begin
       (* Back-substitute: clear everything above each diagonal 1, bottom
-         up, so payload c becomes data packet c.  Idempotent — the
-         cleared coefficients stay zero. *)
+         up, so payload c becomes data packet c.  Unit rows are already
+         clear — they are only ever the source.  Idempotent: the cleared
+         coefficients stay zero. *)
       for i = d.k - 1 downto 1 do
         for row = 0 to i - 1 do
-          let coeff = d.coeffs.(row).(i) in
-          if coeff <> 0 then begin
-            Gf.mul_add_into gf ~dst:d.payloads.(row) ~src:d.payloads.(i) ~coeff;
-            d.coeffs.(row).(i) <- 0
+          if not (is_unit d row) then begin
+            let coeff = d.coeffs.(row).(i) in
+            if coeff <> 0 then begin
+              Gf.mul_add_into gf ~dst:d.payloads.(row) ~src:d.payloads.(i) ~coeff;
+              d.coeffs.(row).(i) <- 0
+            end
           end
         done
       done;

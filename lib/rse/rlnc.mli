@@ -9,7 +9,11 @@
 
     The decoder runs incremental Gaussian elimination with rank
     tracking: each arriving packet either becomes a new pivot
-    ([add] returns [true]) or is linearly dependent and rejected.  Any
+    ([add] returns [true]) or is linearly dependent and rejected.  A data
+    packet received verbatim is the unit pivot of its own column, kept by
+    reference with no coefficient row — it costs a receiver what it
+    costs under RSE or LT; only repair packets are copied and
+    eliminated.  Any
     [k] {e innovative} packets decode; the probability that [n] random
     repair packets fail to reach full rank is Tsimbalo et al.'s
     rank-deficiency form [1 - prod_{i=0}^{k-1} (1 - q^(i-n))], exposed

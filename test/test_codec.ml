@@ -4,7 +4,9 @@
    Three layers of evidence:
    - roundtrips through the packed {!Codec.t} for each kind, plus a
      qcheck differential: on the same loss pattern the rateless codecs
-     must recover exactly what RSE recovers (the original data);
+     must recover exactly what RSE recovers (the original data), and a
+     second one that interleaves repairs among the data and checks who
+     owns each buffer handed to [add];
    - the model hooks against their closed forms, including an empirical
      validation of RLNC's rank-deficiency failure probability against
      Tsimbalo's bound [1 - prod (1 - q^(i-n))];
@@ -102,6 +104,72 @@ let qcheck_differential =
           match seam_decode (Codec.of_kind kind) ~h:200 ~drop data with
           | None -> false
           | Some (out, _) -> out = data)
+        all_kinds)
+
+(* Arrival order and payload ownership.  Repair packets arrive before and
+   among the surviving data packets — so a data packet can find its column
+   already taken by a repair, and back-substitution mixes verbatim and
+   coded rows — then further repairs until the decoder completes.  Every
+   codec must decode the source, leave every buffer handed to [add]
+   byte-identical to what it was, and keep each accepted data packet by
+   reference: its decoded slot is that very buffer. *)
+let qcheck_arrival_order_and_ownership =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun k ->
+      int_range 0 k >>= fun drops ->
+      int_range 0 (k + 2) >>= fun early ->
+      int_range 0 10_000 >>= fun seed -> return (k, drops, early, seed))
+  in
+  let print (k, drops, early, seed) =
+    Printf.sprintf "k=%d drops=%d early=%d seed=%d" k drops early seed
+  in
+  let h = 200 in
+  QCheck.Test.make ~count:80 ~name:"arrival order and payload ownership (all codecs)"
+    (QCheck.make ~print gen) (fun (k, drops, early, seed) ->
+      let data = payloads ~count:k ~size:32 (seed + 1) in
+      let rng = Rng.create ~seed () in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done
+      in
+      let idx = Array.init k Fun.id in
+      shuffle idx;
+      (* The survivors and the first [early] repairs, in a random order. *)
+      let arrivals =
+        Array.append (Array.sub idx drops (k - drops)) (Array.init early (fun j -> k + j))
+      in
+      shuffle arrivals;
+      List.for_all
+        (fun kind ->
+          let (module C : Codec.CODEC) = Codec.of_kind kind in
+          let enc = C.Encoder.create ~k ~h data in
+          let dec = C.Decoder.create ~k ~h in
+          let added = ref [] and kept = ref [] in
+          let add index =
+            let payload =
+              if index < k then Bytes.copy data.(index) else C.Encoder.repair enc (index - k)
+            in
+            added := (payload, Bytes.copy payload) :: !added;
+            if C.Decoder.add dec ~index payload && index < k then
+              kept := (index, payload) :: !kept
+          in
+          Array.iter add arrivals;
+          let next = ref early in
+          while (not (C.Decoder.complete dec)) && !next < h do
+            add (k + !next);
+            incr next
+          done;
+          C.Decoder.complete dec
+          &&
+          let out = C.Decoder.decode dec in
+          out = data
+          && List.for_all (fun (payload, snapshot) -> Bytes.equal payload snapshot) !added
+          && List.for_all (fun (index, payload) -> out.(index) == payload) !kept)
         all_kinds)
 
 (* Tsimbalo's rank-deficiency bound, empirically.  Receive exactly n = k
@@ -261,6 +329,7 @@ let suite =
     Alcotest.test_case "roundtrip through the seam (all codecs)" `Quick
       test_roundtrip_all_codecs;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    QCheck_alcotest.to_alcotest qcheck_arrival_order_and_ownership;
     Alcotest.test_case "rlnc rank-deficiency matches Tsimbalo's bound" `Quick
       test_rlnc_rank_deficiency_matches_bound;
     Alcotest.test_case "registry, names and capability flags" `Quick test_registry_and_caps;

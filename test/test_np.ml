@@ -114,7 +114,68 @@ let test_np_validation () =
   Alcotest.check_raises "empty data" (Invalid_argument "Np.run: no data") (fun () ->
       ignore (Np.run ~network ~rng ~data:[||] ()));
   Alcotest.check_raises "payload mismatch" (Invalid_argument "Np.run: payload size mismatch")
-    (fun () -> ignore (Np.run ~network ~rng ~data:[| Bytes.make 5 'x' |] ()))
+    (fun () -> ignore (Np.run ~network ~rng ~data:[| Bytes.make 5 'x' |] ()));
+  (* A non-finite time is refused by validation, before the engine is
+     asked to schedule at it. *)
+  let data = [| Bytes.make Np.default_config.Np.payload_size 'x' |] in
+  List.iter
+    (fun (name, config) ->
+      match Np.run ~config ~network ~rng ~data () with
+      | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument message ->
+        Alcotest.(check bool)
+          (name ^ " refused up front: " ^ message)
+          true
+          (String.starts_with ~prefix:"Np: " message))
+    [
+      ("delay = infinity", { Np.default_config with delay = infinity });
+      ("delay = nan", { Np.default_config with delay = nan });
+      ("spacing = infinity", { Np.default_config with spacing = infinity });
+      ("slot = infinity", { Np.default_config with slot = infinity });
+    ]
+
+(* Engine steps to drain one [Np.Mux] flow, counted one [Engine.step] at a
+   time. *)
+let mux_steps ~network ~data =
+  let engine = Rmcast.Engine.create () in
+  let mux = Np.Mux.create engine in
+  let flow =
+    Np.Mux.add_flow mux ~config:base_config ~network ~rng:(Rng.create ~seed:7 ()) ~data ()
+  in
+  let steps = ref 0 in
+  while Rmcast.Engine.step engine do
+    incr steps
+  done;
+  (!steps, Np.Mux.report flow)
+
+(* A multicast is one engine event however many receivers it reaches.
+   Lossless: no NAKs, no timers, so R = 1 and R = 300 take the same
+   steps.  Lossy at one receiver only: its NAKs reach the other R - 1
+   receivers in one delivery event, so R = 2 and R = 300 still match. *)
+let test_np_engine_events_per_packet () =
+  let data = payloads (Rng.create ~seed:21 ()) ~count:40 ~size:base_config.Np.payload_size in
+  let lossless receivers =
+    mux_steps ~network:(Network.independent (Rng.create ~seed:22 ()) ~receivers ~p:0.0) ~data
+  in
+  let steps_1, report_1 = lossless 1 and steps_300, report_300 = lossless 300 in
+  Alcotest.(check bool) "lossless intact" true
+    (report_1.Np.delivered_intact && report_300.Np.delivered_intact);
+  Alcotest.(check int) "lossless: steps independent of R" steps_1 steps_300;
+  let one_lossy receivers =
+    let first = ref true in
+    let make rng =
+      let p = if !first then 0.2 else 0.0 in
+      first := false;
+      Rmcast.Loss.bernoulli rng ~p
+    in
+    mux_steps ~network:(Network.temporal (Rng.create ~seed:23 ()) ~receivers ~make) ~data
+  in
+  let steps_2, report_2 = one_lossy 2 and steps_300, report_300 = one_lossy 300 in
+  Alcotest.(check bool) "lossy intact" true
+    (report_2.Np.delivered_intact && report_300.Np.delivered_intact);
+  Alcotest.(check bool) "the lossy receiver NAKed" true (report_300.Np.naks_sent > 0);
+  Alcotest.(check int) "same NAKs" report_2.Np.naks_sent report_300.Np.naks_sent;
+  Alcotest.(check int) "lossy: steps independent of R" steps_2 steps_300
 
 (* --- N2 --- *)
 
@@ -173,6 +234,8 @@ let base_suite =
     Alcotest.test_case "NP decode work scales with p" `Quick test_np_decode_work_scales_with_loss;
     Alcotest.test_case "NP over bursty channel" `Quick test_np_temporal_network;
     Alcotest.test_case "NP validation" `Quick test_np_validation;
+    Alcotest.test_case "NP engine events do not scale with receivers" `Quick
+      test_np_engine_events_per_packet;
     Alcotest.test_case "N2 lossless" `Quick test_n2_lossless;
     Alcotest.test_case "N2 delivers under loss" `Quick test_n2_delivers_under_loss;
     Alcotest.test_case "N2 matches ARQ analysis" `Quick test_n2_matches_arq_analysis;

@@ -71,6 +71,31 @@ let test_send_empty_rejected () =
     Alcotest.(check string) "error string" "Transfer.send: empty message"
       (Rmcast.Error.to_string e)
 
+(* A non-finite pacing or slot is an [Error] before anything runs, not an
+   exception from the engine when it is asked to schedule at that time. *)
+let test_send_rejects_non_finite_timing () =
+  let rng = Rng.create ~seed:3 () in
+  let network = Network.independent rng ~receivers:2 ~p:0.0 in
+  let base = Rmcast.Profile.default in
+  List.iter
+    (fun (field, value, profile) ->
+      let name = Printf.sprintf "%s = %g" field value in
+      match Transfer.send ~profile ~network ~rng "hello" with
+      | Ok _ -> Alcotest.failf "%s: expected Error" name
+      | Error e ->
+        let message = Rmcast.Error.to_string e in
+        Alcotest.(check bool)
+          (name ^ " names the field: " ^ message)
+          true
+          (String.starts_with ~prefix:("Transfer.send: " ^ field) message))
+    (List.concat_map
+       (fun value ->
+         [
+           ("pacing", value, { base with pacing = value });
+           ("slot", value, { base with slot = value });
+         ])
+       [ infinity; nan ])
+
 (* --- planner --- *)
 
 let test_plan_lossless () =
@@ -164,6 +189,8 @@ let suite =
     Alcotest.test_case "send verified under loss" `Quick test_send_verified;
     Alcotest.test_case "send lossless efficiency" `Quick test_send_lossless_efficiency;
     Alcotest.test_case "send rejects empty" `Quick test_send_empty_rejected;
+    Alcotest.test_case "send rejects non-finite timing" `Quick
+      test_send_rejects_non_finite_timing;
     Alcotest.test_case "plan lossless" `Quick test_plan_lossless;
     Alcotest.test_case "plan meets single-round target" `Quick test_plan_meets_target;
     Alcotest.test_case "plan proactive monotone in R" `Quick test_plan_proactive_monotone_in_receivers;
