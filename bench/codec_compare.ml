@@ -132,7 +132,7 @@ let run_protocol ~seed ~channel ~codec ~reps =
 let print_sample s =
   Printf.printf "%-10s %-7s k=%-3d reps=%-5d E[M]=%.4f [%.4f, %.4f] rounds=%.3f fb=%.3f %8.2es\n%!"
     (channel_name s.channel)
-    (Codec.kind_to_string s.codec)
+    (Profile.codec_to_string s.codec)
     k s.reps s.mean_m s.ci_low s.ci_high s.rounds s.feedback s.wall
 
 (* --- decode-cost tier --------------------------------------------------- *)
@@ -197,7 +197,7 @@ let run_decode_cost ~kind ~blocks =
 let print_cost c =
   Printf.printf
     "decode %-7s k=%d P=%d drops=%d: %9.1f blocks/s %8.1f MB/s (%d repairs)%s\n%!"
-    (Codec.kind_to_string c.kind)
+    (Profile.codec_to_string c.kind)
     decode_k decode_payload decode_drops c.blocks_per_s c.mb_per_s c.repairs_consumed
     (if c.correct then "" else "  [WRONG DECODE]")
 
@@ -226,7 +226,7 @@ let json_of ~samples ~costs ~elapsed =
         "    {\"channel\": %S, \"codec\": %S, \"reps\": %d, \"mean_m\": %.6f, \"ci95\": \
          [%.6f, %.6f], \"rounds\": %.4f, \"feedback\": %.4f, \"wall_s\": %.4f}%s\n"
         (channel_name s.channel)
-        (Codec.kind_to_string s.codec)
+        (Profile.codec_to_string s.codec)
         s.reps s.mean_m s.ci_low s.ci_high s.rounds s.feedback s.wall
         (if i = List.length samples - 1 then "" else ","))
     samples;
@@ -237,7 +237,7 @@ let json_of ~samples ~costs ~elapsed =
       pr
         "    {\"codec\": %S, \"k\": %d, \"payload\": %d, \"drops\": %d, \"blocks\": %d, \
          \"blocks_per_s\": %.1f, \"mb_per_s\": %.2f, \"repairs_consumed\": %d}%s\n"
-        (Codec.kind_to_string c.kind)
+        (Profile.codec_to_string c.kind)
         decode_k decode_payload decode_drops c.blocks c.blocks_per_s c.mb_per_s
         c.repairs_consumed
         (if i = List.length costs - 1 then "" else ","))
@@ -292,7 +292,7 @@ let smoke () =
       let c = run_decode_cost ~kind ~blocks:25 in
       print_cost c;
       check
-        (Printf.sprintf "decode correctness (%s)" (Codec.kind_to_string kind))
+        (Printf.sprintf "decode correctness (%s)" (Profile.codec_to_string kind))
         c.correct "repaired block differs from the original data")
     codecs;
   !failures
@@ -346,7 +346,7 @@ let () =
       (rlnc_m /. rse_m) !out_path;
     if bad <> [] || rlnc_m > rse_parity_ceiling *. rse_m then begin
       List.iter
-        (fun c -> Printf.eprintf "WRONG DECODE: %s\n" (Codec.kind_to_string c.kind))
+        (fun c -> Printf.eprintf "WRONG DECODE: %s\n" (Profile.codec_to_string c.kind))
         bad;
       if rlnc_m > rse_parity_ceiling *. rse_m then
         Printf.eprintf "RSE-PARITY FLOOR BROKEN: rlnc %.4f vs rse %.4f\n" rlnc_m rse_m;

@@ -12,22 +12,34 @@
      capacity  largest group each protocol can serve
      transfer  run a full NP transfer over a simulated network
      serve     run N concurrent sessions over one engine (sim or UDP)
-     udp       run NP over real UDP sockets on loopback
      replay    re-execute a captured UDP run through the sans-IO core
-     trace     record and inspect packet-loss traces *)
+     faults    exercise a fault-injection spec against synthetic datagrams
+     trace     record and inspect packet-loss traces
+
+   The model commands (analyze, sweep, simulate, plan, endhost, latency,
+   feedback, capacity and codec encode) take the paper's operating point
+   k = 7, h = 1.  The commands that run a transfer (transfer, serve) take
+   one profile term over {!Rmcast.Profile.default}. *)
 
 open Cmdliner
 
 (* --- shared options -------------------------------------------------- *)
 
-let k_arg =
-  Arg.(value & opt int 7 & info [ "k"; "tg-size" ] ~docv:"K" ~doc:"Transmission group size.")
+let k_opt default =
+  Arg.(value & opt int default & info [ "k"; "tg-size" ] ~docv:"K" ~doc:"Transmission group size.")
 
-let h_arg =
-  Arg.(value & opt int 1 & info [ "parities" ] ~docv:"H" ~doc:"Parity packets per group.")
+let h_opt default =
+  Arg.(value & opt int default & info [ "parities" ] ~docv:"H" ~doc:"Parity packets per group.")
 
-let a_arg =
-  Arg.(value & opt int 0 & info [ "proactive" ] ~docv:"A" ~doc:"Proactive parity packets.")
+let a_opt default =
+  Arg.(value & opt int default & info [ "proactive" ] ~docv:"A" ~doc:"Proactive parity packets.")
+
+let payload_opt default =
+  Arg.(value & opt int default & info [ "payload" ] ~docv:"BYTES" ~doc:"Packet payload size.")
+
+let k_arg = k_opt 7
+let h_arg = h_opt 1
+let a_arg = a_opt 0
 
 let p_arg =
   Arg.(value & opt float 0.01 & info [ "p"; "loss" ] ~docv:"P" ~doc:"Packet loss probability.")
@@ -102,6 +114,16 @@ let controller_arg =
            estimator retunes proactive parities and budget online), or $(i,gilbert) \
            (burst-aware: inflates the proactive tail from the measured loss-run \
            dispersion).")
+
+(* The parameters of one run, over the library's default profile. *)
+let profile_term =
+  let d = Rmcast.Profile.default in
+  let make k h proactive payload_size codec controller =
+    { d with k; h; proactive; payload_size; codec; controller }
+  in
+  Term.(
+    const make $ k_opt d.k $ h_opt d.h $ a_opt d.proactive $ payload_opt d.payload_size
+    $ codec_arg $ controller_arg)
 
 (* Churn specs: comma-separated "join:RX@T" / "leave:RX@T" events, e.g.
    "leave:2@0.5,join:5@1.2,join:2@2.0" (receiver 2 flaps, receiver 5 is a
@@ -445,8 +467,7 @@ let endhost_cmd =
 
 (* --- codec ----------------------------------------------------------- *)
 
-let payload_arg =
-  Arg.(value & opt int 1024 & info [ "payload" ] ~docv:"BYTES" ~doc:"Packet payload size.")
+let payload_arg = payload_opt 1024
 
 let read_file path =
   let ic = open_in_bin path in
@@ -492,43 +513,35 @@ let codec_encode input output k h payload_size =
     tg_count k h;
   `Ok ()
 
+(* Walk a container the way the transport walks a coalesced frame: each
+   message is delimited by its own header. *)
 let parse_container contents =
-  let messages = ref [] in
-  let offset = ref 0 in
-  let header = Rmcast.Header.header_size in
-  while !offset + header <= String.length contents do
-    let payload_len =
-      Int32.to_int (Bytes.get_int32_be (Bytes.of_string (String.sub contents (!offset + 18) 4)) 0)
-    in
-    let total = header + payload_len in
-    let chunk = Bytes.of_string (String.sub contents !offset total) in
-    (match Rmcast.Header.decode chunk with
-    | Ok message -> messages := message :: !messages
-    | Error e -> failwith ("corrupt container: " ^ e));
-    offset := !offset + total
-  done;
-  List.rev !messages
-
-let codec_decode input output payload_size drop_rate seed =
-  let rng = Rmcast.Rng.create ~seed () in
-  let messages = parse_container (read_file input) in
-  let kept, dropped =
-    List.partition (fun _ -> not (Rmcast.Rng.bernoulli rng drop_rate)) messages
+  let buf = Bytes.unsafe_of_string contents in
+  let len = Bytes.length buf in
+  let rec walk off acc =
+    if off >= len then Ok (List.rev acc)
+    else
+      let corrupt reason =
+        Error (Printf.sprintf "corrupt container at byte %d: %s" off reason)
+      in
+      match Rmcast.Header.frame_length buf ~off ~len:(len - off) with
+      | Error reason -> corrupt reason
+      | Ok frame -> (
+        match Rmcast.Header.decode_slice buf ~off ~len:frame with
+        | Error reason -> corrupt reason
+        | Ok message -> walk (off + frame) (message :: acc))
   in
-  Printf.printf "container: %d packets, dropped %d (rate %g)\n" (List.length messages)
-    (List.length dropped) drop_rate;
-  (* Group by TG. *)
-  let groups : (int, (int * int * Bytes.t) list ref) Hashtbl.t = Hashtbl.create 16 in
+  walk 0 []
+
+(* Rebuild every TG through the receiver-side FEC block: a duplicate is a
+   no-op and [complete] decides recoverability.  A TG's generator only
+   needs rows up to the highest repair index the container holds. *)
+let recover_tgs ~payload_size messages =
+  let module Block = Rmcast.Fec_block.Receiver in
+  let groups = Hashtbl.create 16 in
   let push tg_id k index payload =
-    let cell =
-      match Hashtbl.find_opt groups tg_id with
-      | Some c -> c
-      | None ->
-        let c = ref [] in
-        Hashtbl.replace groups tg_id c;
-        c
-    in
-    cell := (k, index, payload) :: !cell
+    let entries = Option.value ~default:[] (Hashtbl.find_opt groups tg_id) in
+    Hashtbl.replace groups tg_id ((k, index, payload) :: entries)
   in
   List.iter
     (function
@@ -536,30 +549,48 @@ let codec_decode input output payload_size drop_rate seed =
       | Rmcast.Header.Parity { tg_id; k; index; round = _; payload } ->
         push tg_id k (k + index) payload
       | Rmcast.Header.Poll _ | Rmcast.Header.Nak _ | Rmcast.Header.Exhausted _ -> ())
-    kept;
-  let tg_ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) groups []) in
-  let recovered =
-    List.map
-      (fun tg_id ->
-        let entries = !(Hashtbl.find groups tg_id) in
-        let k = match entries with (k, _, _) :: _ -> k | [] -> failwith "empty TG" in
-        (* The generator only needs rows up to the highest parity index
-           actually present in the container. *)
-        let h =
-          List.fold_left (fun acc (_, index, _) -> max acc (index - k + 1)) 0 entries
-        in
-        let codec = Rmcast.Rse.create ~k ~h () in
-        let received = Array.of_list (List.map (fun (_, index, payload) -> (index, payload)) entries) in
-        if Array.length received < k then
-          failwith (Printf.sprintf "TG %d unrecoverable: %d of %d packets" tg_id
-                      (Array.length received) k);
-        Rmcast.Rse.decode codec received)
-      tg_ids
+    messages;
+  let recover tg_id =
+    let fail fmt =
+      Printf.ksprintf (fun reason -> Error (Printf.sprintf "TG %d %s" tg_id reason)) fmt
+    in
+    match List.rev (Option.value ~default:[] (Hashtbl.find_opt groups tg_id)) with
+    | [] -> fail "unrecoverable: no packets"
+    | (k, _, _) :: _ as entries ->
+      if List.exists (fun (k', _, _) -> k' <> k) entries then fail "mixes TG sizes"
+      else if List.exists (fun (_, _, payload) -> Bytes.length payload <> payload_size) entries
+      then fail "size mismatch: packets are not --payload %d bytes" payload_size
+      else
+        let h = List.fold_left (fun acc (_, index, _) -> max acc (index - k + 1)) 0 entries in
+        let block = Block.create ~codec:(Rmcast.Codec.of_kind `Rse) ~k ~h in
+        List.iter (fun (_, index, payload) -> ignore (Block.add block ~index payload)) entries;
+        if Block.complete block then Ok (Block.decode block)
+        else fail "unrecoverable: %d of %d packets" (Block.received block) k
   in
-  let packets = Array.concat recovered in
-  write_file output (Rmcast.Transfer.reassemble ~payload_size packets);
-  Printf.printf "recovered %d TGs -> %s\n" (List.length tg_ids) output;
-  `Ok ()
+  let tgs = 1 + Hashtbl.fold (fun tg_id _ acc -> max tg_id acc) groups (-1) in
+  let rec collect tg_id acc =
+    if tg_id >= tgs then Ok (tgs, Array.concat (List.rev acc))
+    else Result.bind (recover tg_id) (fun data -> collect (tg_id + 1) (data :: acc))
+  in
+  collect 0 []
+
+let codec_decode input output payload_size drop_rate seed =
+  usage_errors @@ fun () ->
+  match parse_container (read_file input) with
+  | Error message -> `Error (false, message)
+  | Ok messages -> (
+    let rng = Rmcast.Rng.create ~seed () in
+    let kept, dropped =
+      List.partition (fun _ -> not (Rmcast.Rng.bernoulli rng drop_rate)) messages
+    in
+    Printf.printf "container: %d packets, dropped %d (rate %g)\n" (List.length messages)
+      (List.length dropped) drop_rate;
+    match recover_tgs ~payload_size kept with
+    | Error message -> `Error (false, message)
+    | Ok (tgs, packets) ->
+      write_file output (Rmcast.Transfer.reassemble ~payload_size packets);
+      Printf.printf "recovered %d TGs -> %s\n" tgs output;
+      `Ok ())
 
 let codec_encode_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
@@ -586,14 +617,13 @@ let codec_cmd =
 
 (* --- transfer -------------------------------------------------------- *)
 
-let transfer k h a p receivers seed bytes codec controller churn_spec =
+let transfer profile p receivers seed bytes churn_spec =
   match Option.fold ~none:(Ok []) ~some:churn_of_string churn_spec with
   | Error message -> `Error (false, "--churn: " ^ message)
   | Ok churn -> (
     let rng = Rmcast.Rng.create ~seed () in
     let network = Rmcast.Network.independent (Rmcast.Rng.split rng) ~receivers ~p in
     let message = String.init bytes (fun i -> Char.chr ((i * 37) mod 256)) in
-    let profile = { Rmcast.Profile.default with k; h; proactive = a; codec; controller } in
     match
       Rmcast.Transfer.send ~profile ~churn ~network ~rng:(Rmcast.Rng.split rng) message
     with
@@ -616,8 +646,8 @@ let transfer_cmd =
   Cmd.v
     (Cmd.info "transfer" ~doc)
     Term.(
-      ret (const transfer $ k_arg $ Arg.(value & opt int 40 & info [ "parities" ]) $ a_arg $ p_arg
-           $ receivers_arg $ seed_arg $ bytes $ codec_arg $ controller_arg $ churn_arg))
+      ret (const transfer $ profile_term $ p_arg $ receivers_arg $ seed_arg $ bytes
+           $ churn_arg))
 
 (* --- serve ------------------------------------------------------------ *)
 
@@ -673,7 +703,7 @@ let serve_sim ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics =
       else `Error (false, "some sessions failed verification"))
 
 let serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~capture
-    ~shards ~multicast =
+    ~faults ~shards ~multicast =
   let module Udp = Rmcast.Udp_np in
   let config = Udp.config_of_profile profile in
   let payload = profile.Rmcast.Profile.payload_size in
@@ -688,7 +718,7 @@ let serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~captu
   let metrics = Rmcast.Metrics.create () in
   let recorder = Option.map (fun _ -> Rmcast.Recorder.create ()) capture in
   match
-    Udp.run_multi ~config ~metrics ?recorder ~transport ~shards ~receivers ~loss:p
+    Udp.run_multi ~config ~metrics ?recorder ?faults ~transport ~shards ~receivers ~loss:p
       ~seed:(seed + 1) ~sessions:data ()
   with
   | Error e -> `Error (false, Rmcast.Error.to_string e)
@@ -727,21 +757,17 @@ let serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~captu
     if report.Udp.all_verified then `Ok ()
     else `Error (false, "some sessions failed verification")
 
-let serve sessions transport k h a payload p receivers seed bytes show_metrics capture
-    shards multicast codec controller =
+let serve profile sessions transport p receivers seed bytes show_metrics capture faults
+    shards multicast =
   if sessions < 1 then `Error (false, "--sessions must be >= 1")
-  else if capture <> None && transport <> `Udp then
-    `Error (false, "--capture requires --transport udp")
+  else if (Option.is_some capture || Option.is_some faults) && transport <> `Udp then
+    `Error (false, "--capture/--faults require --transport udp")
   else if shards < 1 then `Error (false, "--shards must be >= 1")
   else if (shards > 1 || multicast) && transport <> `Udp then
     `Error (false, "--shards/--multicast require --transport udp")
   else if multicast && not (Rmcast.Udp_multicast.is_available ()) then
     `Error (false, "--multicast: this environment does not route multicast over loopback")
   else
-    let profile =
-      { Rmcast.Profile.default with
-        k; h; proactive = a; payload_size = payload; codec; controller }
-    in
     match Rmcast.Profile.validate profile with
     | Error e -> `Error (false, Rmcast.Error.to_string e)
     | Ok profile -> (
@@ -749,7 +775,7 @@ let serve sessions transport k h a payload p receivers seed bytes show_metrics c
       | `Sim -> serve_sim ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics
       | `Udp ->
         serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~capture
-          ~shards ~multicast)
+          ~faults ~shards ~multicast)
 
 let serve_cmd =
   let sessions =
@@ -769,13 +795,6 @@ let serve_cmd =
           ~doc:
             "$(i,sim): interleave flows on the virtual-time scheduler; $(i,udp): multiplex \
              real loopback sessions over one reactor and a shared sender socket.")
-  in
-  let k = Arg.(value & opt int 20 & info [ "k"; "tg-size" ] ~docv:"K" ~doc:"TG size.") in
-  let h =
-    Arg.(value & opt int 40 & info [ "parities" ] ~docv:"H" ~doc:"Parity budget per group.")
-  in
-  let payload =
-    Arg.(value & opt int 1024 & info [ "payload" ] ~docv:"BYTES" ~doc:"Payload per packet.")
   in
   let receivers =
     Arg.(value & opt int 100 & info [ "r"; "receivers" ] ~docv:"R" ~doc:"Receivers per session.")
@@ -800,6 +819,17 @@ let serve_cmd =
             "Record the sans-IO event/effect streams of every session to FILE (UDP transport \
              only, one shard); verify later with $(b,rmc replay) FILE.")
   in
+  let faults =
+    let parse spec = Result.map_error (fun m -> `Msg m) (Rmcast.Fault.spec_of_string spec) in
+    let print ppf spec = Format.pp_print_string ppf (Rmcast.Fault.spec_to_string spec) in
+    Arg.(
+      value
+      & opt (some (conv (parse, print))) None
+      & info [ "faults" ] ~docv:"SPEC"
+          ~doc:
+            "Inject faults at the sender's datagram boundary (UDP transport only, one \
+             shard), e.g. $(i,drop=0.05,dup=0.02,reorder=0.02,corrupt=0.01,seed=7).")
+  in
   let shards =
     Arg.(
       value & opt int 1
@@ -822,9 +852,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      ret (const serve $ sessions $ transport $ k $ h $ a_arg $ payload $ p_arg $ receivers
-           $ seed_arg $ bytes $ metrics $ capture $ shards $ multicast $ codec_arg
-           $ controller_arg))
+      ret (const serve $ profile_term $ sessions $ transport $ p_arg $ receivers $ seed_arg
+           $ bytes $ metrics $ capture $ faults $ shards $ multicast))
 
 (* --- latency --------------------------------------------------------- *)
 
@@ -954,105 +983,6 @@ let trace_cmd =
   let doc = "Record and inspect packet-loss traces." in
   Cmd.group (Cmd.info "trace" ~doc) [ trace_record_cmd; trace_stats_cmd ]
 
-(* --- udp --------------------------------------------------------------- *)
-
-let udp receivers p seed packets payload metrics faults capture multicast codec controller =
-  match
-    match faults with
-    | None -> Ok None
-    | Some spec_text ->
-      Result.map Option.some (Rmcast.Fault.spec_of_string spec_text)
-  with
-  | Error message -> `Error (false, "--faults: " ^ message)
-  | Ok faults when multicast && not (Rmcast.Udp_multicast.is_available ()) ->
-    ignore faults;
-    `Error (false, "--multicast: this environment does not route multicast over loopback")
-  | Ok faults ->
-    let config =
-      { Rmcast.Udp_np.default_config with payload_size = payload; codec; controller }
-    in
-    let transport = if multicast then `Multicast else `Unicast in
-    let rng = Rmcast.Rng.create ~seed () in
-    let data =
-      Array.init packets (fun _ ->
-          Bytes.init payload (fun _ -> Char.chr (Rmcast.Rng.int rng 256)))
-    in
-    let recorder = Option.map (fun _ -> Rmcast.Recorder.create ()) capture in
-    let registry = Rmcast.Metrics.create () in
-    match
-      Rmcast.Udp_np.run_local ~config ~metrics:registry ?recorder ?faults ~transport
-        ~receivers ~loss:p ~seed:(seed + 1) ~data ()
-    with
-    | Error e -> `Error (false, Rmcast.Error.to_string e)
-    | Ok report ->
-    (match (capture, recorder) with
-    | Some path, Some recorder ->
-      Rmcast.Recorder.save ~path recorder;
-      Printf.printf "capture: %d entries -> %s\n" (Rmcast.Recorder.length recorder) path
-    | _ -> ());
-    Printf.printf
-      "completed %d/%d receivers, verified=%b\n\
-       data=%d parity=%d naks=%d suppressed=%d dropped=%d decode_failures=%d\n\
-       wall=%.3f s\n"
-      report.Rmcast.Udp_np.completed receivers report.Rmcast.Udp_np.verified
-      report.Rmcast.Udp_np.data_tx report.Rmcast.Udp_np.parity_tx report.Rmcast.Udp_np.naks_sent
-      report.Rmcast.Udp_np.naks_suppressed report.Rmcast.Udp_np.datagrams_dropped
-      report.Rmcast.Udp_np.decode_failures report.Rmcast.Udp_np.wall_seconds;
-    if metrics then begin
-      print_endline "counters:";
-      List.iter
-        (fun (name, value) -> Printf.printf "  %-24s %d\n" name value)
-        report.Rmcast.Udp_np.counters;
-      print_endline "gauges:";
-      List.iter
-        (fun (name, value) -> Printf.printf "  %-36s %.1f\n" name value)
-        (Rmcast.Metrics.gauges registry)
-    end;
-    if report.Rmcast.Udp_np.verified then `Ok () else `Error (false, "delivery failed")
-
-let udp_cmd =
-  let packets =
-    Arg.(value & opt int 100 & info [ "packets" ] ~docv:"N" ~doc:"Number of data packets.")
-  in
-  let payload =
-    Arg.(value & opt int 512 & info [ "payload" ] ~docv:"BYTES" ~doc:"Payload size per packet.")
-  in
-  let metrics =
-    Arg.(value & flag & info [ "metrics" ] ~doc:"Dump the full counter registry after the run.")
-  in
-  let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Inject faults at the sender's datagram boundary, e.g. \
-             $(i,drop=0.05,dup=0.02,reorder=0.02,corrupt=0.01,seed=7).")
-  in
-  let capture =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "capture" ] ~docv:"FILE"
-          ~doc:
-            "Record the sans-IO event/effect streams to FILE for later $(b,rmc replay).")
-  in
-  let multicast =
-    Arg.(
-      value & flag
-      & info [ "multicast" ]
-          ~doc:
-            "Use real multicast sockets (one send per datagram, kernel fan-out) instead \
-             of the unicast shim; requires an environment that routes 239.0.0.0/8 over \
-             loopback.")
-  in
-  let doc = "Run protocol NP over real UDP sockets on the loopback interface." in
-  Cmd.v
-    (Cmd.info "udp" ~doc)
-    Term.(
-      ret (const udp $ receivers_arg $ p_arg $ seed_arg $ packets $ payload $ metrics $ faults
-           $ capture $ multicast $ codec_arg $ controller_arg))
-
 (* --- replay ------------------------------------------------------------ *)
 
 let replay path =
@@ -1074,9 +1004,8 @@ let replay path =
 let replay_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"CAPTURE") in
   let doc =
-    "Re-execute a capture ($(b,rmc udp --capture), $(b,rmc serve --transport udp --capture)) \
-     through the sans-IO NP core and verify the machines reproduce the recorded effect \
-     streams bit-for-bit."
+    "Re-execute a capture ($(b,rmc serve --transport udp --capture)) through the sans-IO \
+     NP core and verify the machines reproduce the recorded effect streams bit-for-bit."
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(ret (const replay $ path))
 
@@ -1185,5 +1114,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ analyze_cmd; sweep_cmd; simulate_cmd; plan_cmd; endhost_cmd; latency_cmd;
-            feedback_cmd; capacity_cmd; codec_cmd; transfer_cmd; serve_cmd; udp_cmd;
-            replay_cmd; faults_cmd; trace_cmd ]))
+            feedback_cmd; capacity_cmd; codec_cmd; transfer_cmd; serve_cmd; replay_cmd;
+            faults_cmd; trace_cmd ]))

@@ -2,17 +2,6 @@ module Loss = Rmc_sim.Loss
 
 type kind = [ `Static | `Ewma | `Gilbert_aware ]
 
-let kind_to_string = function
-  | `Static -> "static"
-  | `Ewma -> "ewma"
-  | `Gilbert_aware -> "gilbert"
-
-let kind_of_string = function
-  | "static" -> Some `Static
-  | "ewma" -> Some `Ewma
-  | "gilbert" | "gilbert-aware" | "gilbert_aware" -> Some `Gilbert_aware
-  | _ -> None
-
 type decision = { proactive : int; budget : int }
 
 let decision_equal a b = a.proactive = b.proactive && a.budget = b.budget

@@ -22,9 +22,6 @@
 
 type kind = [ `Static | `Ewma | `Gilbert_aware ]
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
 type decision = { proactive : int; budget : int }
 
 val decision_equal : decision -> decision -> bool

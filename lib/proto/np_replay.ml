@@ -35,7 +35,7 @@ let record_setup recorder ?(controller = `Static) ~config ~payload_size ~receive
   set "proactive" (string_of_int config.Np_machine.proactive);
   set "pre_encode" (if config.Np_machine.pre_encode then "true" else "false");
   set "slot" (Printf.sprintf "%h" config.Np_machine.slot);
-  set "codec" (Np_machine.Codec.kind_to_string config.Np_machine.codec);
+  set "codec" (Rmc_core.Profile.codec_to_string config.Np_machine.codec);
   set "controller" (Rmc_core.Profile.controller_to_string controller);
   set "payload" (string_of_int payload_size);
   set "receivers" (string_of_int receivers);
@@ -107,7 +107,7 @@ let replay recorder =
      (all static).  Replay never *runs* a controller — its decisions are
      in the event stream as [Retune] events — so that key only takes part
      in validation. *)
-  let* codec = meta recorder ~default:`Rse "codec" Np_machine.Codec.kind_of_string in
+  let* codec = meta recorder ~default:`Rse "codec" Rmc_core.Profile.codec_of_string in
   let* controller =
     meta recorder ~default:`Static "controller" Rmc_core.Profile.controller_of_string
   in

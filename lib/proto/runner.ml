@@ -15,7 +15,7 @@ let scheme_name = function
   | Integrated_open_loop { a } -> Printf.sprintf "integrated-1(a=%d)" a
   | Integrated_nak { a; codec = `Rse } -> Printf.sprintf "integrated-2(a=%d)" a
   | Integrated_nak { a; codec } ->
-    Printf.sprintf "coded(%s,a=%d)" (Rmc_rse.Codec.kind_to_string codec) a
+    Printf.sprintf "coded(%s,a=%d)" (Rmc_core.Profile.codec_to_string codec) a
   | Carousel { h } -> Printf.sprintf "carousel(h=%d)" h
 
 (* The fixed-seed innovation stream used when the caller supplies none. *)

@@ -15,19 +15,6 @@ let of_kind : kind -> t = function
   | `Rlnc -> (module Rlnc)
   | `Lt -> (module Lt)
 
-let kind_to_string : kind -> string = function
-  | `Rse -> "rse"
-  | `Cauchy -> "cauchy"
-  | `Rlnc -> "rlnc"
-  | `Lt -> "lt"
-
-let kind_of_string = function
-  | "rse" -> Some `Rse
-  | "cauchy" -> Some `Cauchy
-  | "rlnc" -> Some `Rlnc
-  | "lt" -> Some `Lt
-  | _ -> None
-
 let kind (t : t) =
   let (module C) = t in
   C.kind

@@ -34,12 +34,6 @@ val all : kind list
 
 val of_kind : kind -> t
 
-val kind_to_string : kind -> string
-(** Stable lowercase names ("rse", "cauchy", "rlnc", "lt") — used by
-    CLI flags and capture metadata; {!kind_of_string} inverts. *)
-
-val kind_of_string : string -> kind option
-
 (** {1 Unpacked accessors} *)
 
 val kind : t -> kind

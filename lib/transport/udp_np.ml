@@ -19,6 +19,7 @@ type config = {
   payload_size : int;
   spacing : float;
   slot : float;
+  pre_encode : bool;
   linger : float;
   session_timeout : float;
   codec : Rmc_rse.Codec.kind;
@@ -26,8 +27,6 @@ type config = {
 }
 
 let config_of_profile ?(linger = 0.050) ?(session_timeout = 5.0) (p : Profile.t) =
-  (* pre_encode has no wall-clock equivalent here: the UDP sender encodes
-     parities on demand, so the flag is dropped. *)
   {
     k = p.Profile.k;
     h = p.Profile.h;
@@ -35,6 +34,7 @@ let config_of_profile ?(linger = 0.050) ?(session_timeout = 5.0) (p : Profile.t)
     payload_size = p.Profile.payload_size;
     spacing = p.Profile.pacing;
     slot = p.Profile.slot;
+    pre_encode = p.Profile.pre_encode;
     linger;
     session_timeout;
     codec = p.Profile.codec;
@@ -51,7 +51,7 @@ let profile_of_config c =
     payload_size = c.payload_size;
     pacing = c.spacing;
     slot = c.slot;
-    pre_encode = false;
+    pre_encode = c.pre_encode;
     codec = c.codec;
     controller = c.controller;
   }
@@ -571,12 +571,11 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
 
 (* --- the shared engine: N sessions, one reactor ------------------------ *)
 
-(* Everything the entry points share: one reactor, one sender socket
-   multiplexing every session's datagrams (demuxed by the sid in the wire
-   [tg_id]), one receiver socket per receiver serving all sessions.
-   [sids] maps each session index to its wire session id — [[|0|]] for
-   {!run_local}, a shard's slice of the global namespace for {!run_multi}
-   (the identity when there is one shard). *)
+(* One shard's run: one reactor, one sender socket multiplexing every
+   session's datagrams (demuxed by the sid in the wire [tg_id]), one
+   receiver socket per receiver serving all sessions.  [sids] maps each
+   session index to its wire session id: the shard's slice of the global
+   namespace, the identity when there is one shard. *)
 let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss ~seed
     ~sessions ~sids ~sender_metrics =
   let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
@@ -862,12 +861,14 @@ let shard_slices ~shards n =
       let size = q + if shard < r then 1 else 0 in
       Array.init size (fun i -> lo + i))
 
-(* One reactor per shard, each on its own domain; shard s runs its slice of
-   the global session ids with its own seed offset.  One shard is the plain
-   multi-session run: the run seed, identity sids, no domain spawned. *)
-let run_multi ?(config = default_config) ?metrics ?trace ?recorder ?faults
+(* The one way into the engine.  One reactor per shard, each on its own
+   domain; shard s runs its slice of the global session ids with its own
+   seed offset.  One shard is the plain multi-session run: the run seed,
+   identity sids, no domain spawned.  [scoped] puts each session's sender
+   counters under [session.<sid>.]; {!run_local} leaves its one sender's
+   counters flat.  [context] names the entry point in every [Error]. *)
+let run ~context ~scoped ?(config = default_config) ?metrics ?trace ?recorder ?faults
     ?(transport = `Unicast) ?(shards = 1) ~receivers ~loss ~seed ~sessions () =
-  let context = "Udp_np.run_multi" in
   match validate ~context ~config ~receivers ~loss ~sessions with
   | Error _ as e -> e
   | Ok () when shards < 1 -> Error.invalid_arg ~context "need at least one shard"
@@ -883,7 +884,9 @@ let run_multi ?(config = default_config) ?metrics ?trace ?recorder ?faults
     let slices = shard_slices ~shards nsessions in
     (* Per-session sender counters keep their global sid scope; the flat
        udp/rx/tx counters are shared atomics, so shard totals sum. *)
-    let sender_metrics sid = Metrics.scope metrics (Printf.sprintf "session.%d" sid) in
+    let sender_metrics sid =
+      if scoped then Metrics.scope metrics (Printf.sprintf "session.%d" sid) else metrics
+    in
     let run_shard shard =
       let sids = slices.(shard) in
       run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss
@@ -916,46 +919,37 @@ let run_multi ?(config = default_config) ?metrics ?trace ?recorder ?faults
         counters = Metrics.counters metrics;
       }
 
+let run_multi = run ~context:"Udp_np.run_multi" ~scoped:true
+
 let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers
     ~loss ~seed ~sessions () =
   Error.get_exn
     (run_multi ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers ~loss
        ~seed ~sessions ())
 
-let run_local ?(config = default_config) ?metrics ?trace ?recorder ?faults
-    ?(transport = `Unicast) ~receivers ~loss ~seed ~data () =
-  match
-    validate ~context:"Udp_np.run_local" ~config ~receivers ~loss ~sessions:[| data |]
-  with
-  | Error _ as e -> e
-  | Ok () ->
-    let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-    (* Single session: sid 0, unscoped counters, byte-identical wire ids. *)
-    let multi =
-      run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss
-        ~seed
-        ~sessions:[| data |]
-        ~sids:[| 0 |]
-        ~sender_metrics:(fun _ -> metrics)
-    in
-    let s = multi.session_reports.(0) in
-    Ok
-      {
-        receivers;
-        transmission_groups = s.transmission_groups;
-        data_tx = s.data_tx;
-        parity_tx = s.parity_tx;
-        polls = s.polls;
-        naks_sent = multi.naks_sent;
-        naks_suppressed = multi.naks_suppressed;
-        datagrams_dropped = multi.datagrams_dropped;
-        decode_failures = multi.decode_failures;
-        completed = s.completed;
-        verified = s.verified;
-        ejected = s.ejected;
-        wall_seconds = multi.wall_seconds;
-        counters = multi.counters;
-      }
+(* A single session: sid 0, so the wire ids are the plain TG indices. *)
+let run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
+    ~data () =
+  run ~context:"Udp_np.run_local" ~scoped:false ?config ?metrics ?trace ?recorder ?faults
+    ?transport ~receivers ~loss ~seed ~sessions:[| data |] ()
+  |> Result.map (fun (multi : multi_report) ->
+         let s = multi.session_reports.(0) in
+         {
+           receivers;
+           transmission_groups = s.transmission_groups;
+           data_tx = s.data_tx;
+           parity_tx = s.parity_tx;
+           polls = s.polls;
+           naks_sent = multi.naks_sent;
+           naks_suppressed = multi.naks_suppressed;
+           datagrams_dropped = multi.datagrams_dropped;
+           decode_failures = multi.decode_failures;
+           completed = s.completed;
+           verified = s.verified;
+           ejected = s.ejected;
+           wall_seconds = multi.wall_seconds;
+           counters = multi.counters;
+         })
 
 let run_local_exn ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss
     ~seed ~data () =

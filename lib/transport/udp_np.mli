@@ -25,21 +25,23 @@
     every kernel entry, and the [udp.syscalls_per_datagram] gauge is the
     honest quotient the packet-rate bench gates on.
 
-    {!run_local} wires a full session over the loopback interface: one
-    sender and R receivers, each on its own ephemeral UDP port, with
-    Bernoulli loss injected on reception of data/parity datagrams (control
-    datagrams are spared, matching the §5 analysis assumptions).  This is
-    the path the integration tests and [examples/udp_demo.ml] exercise:
-    actual datagrams through the kernel's network stack.
+    {!run_multi} is the one entry point: it multiplexes N independent
+    sessions over {e one} reactor and one shared sender socket, one
+    receiver socket per receiver serving every session, with Bernoulli
+    loss injected on reception of data/parity datagrams (control
+    datagrams are spared, matching the §5 analysis assumptions).  Each
+    session's datagrams carry its session id in the upper 16 bits of the
+    wire [tg_id] (no wire-format change; receivers demux for free because
+    blocks are keyed by the full id), NAKs coming back on the shared
+    socket are routed to the owning session's sender, and all sessions
+    share the memoized {!Rmc_rse} codec cache.  Per-session sender
+    metrics live under a [session.<sid>.] scope of the shared registry.
+    [rmc serve --transport udp] runs it.
 
-    {!run_multi} multiplexes N independent sessions over {e one} reactor
-    and one shared sender socket: each session's datagrams carry its
-    session id in the upper 16 bits of the wire [tg_id] (no wire-format
-    change; receivers demux for free because blocks are keyed by the full
-    id), NAKs coming back on the shared socket are routed to the owning
-    session's sender, and all sessions share the memoized {!Rmc_rse}
-    codec cache.  Per-session sender metrics live under a
-    [session.<sid>.] scope of the shared registry.
+    {!run_local} is the same run with one session (sid 0), its sender
+    counters left unscoped and its report flattened to one session's —
+    the path the integration tests, [examples/udp_demo.ml] and the
+    benchmark exercise.
 
     With [~shards] greater than one, {!run_multi} partitions the sessions
     across OCaml domains — one reactor, one socket set and one buffer pool
@@ -58,6 +60,7 @@ type config = {
   payload_size : int;
   spacing : float;  (** sender pacing, seconds between packets *)
   slot : float;  (** NAK slot size *)
+  pre_encode : bool;  (** encode every repair packet before transmission *)
   linger : float;  (** quiet period after completion before shutdown *)
   session_timeout : float;  (** hard wall-clock cap for a run *)
   codec : Rmc_rse.Codec.kind;  (** erasure codec for repair packets *)
@@ -74,11 +77,10 @@ val config_of_profile :
   ?linger:float -> ?session_timeout:float -> Rmc_core.Profile.t -> config
 (** Derive the UDP config from the user-facing profile.  [linger] and
     [session_timeout] are transport-only knobs (defaults from
-    {!default_config}); the profile's [pre_encode] flag is dropped — the
-    UDP sender always encodes parities on demand. *)
+    {!default_config}). *)
 
 val profile_of_config : config -> Rmc_core.Profile.t
-(** Forget [linger] and [session_timeout]; [pre_encode] is [false]. *)
+(** Forget [linger] and [session_timeout]. *)
 
 val wire_tg : sid:int -> int -> (int, Rmc_core.Error.t) result
 (** [wire_tg ~sid local] packs session id [sid] (upper 16 bits) and
@@ -175,78 +177,6 @@ type multi_report = {
   counters : (string * int) list;
 }
 
-val run_local :
-  ?config:config ->
-  ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
-  ?recorder:Rmc_obs.Recorder.t ->
-  ?faults:Rmc_obs.Fault.spec ->
-  ?transport:transport ->
-  receivers:int ->
-  loss:float ->
-  seed:int ->
-  data:Bytes.t array ->
-  unit ->
-  (report, Rmc_core.Error.t) result
-(** Run a complete session on 127.0.0.1.
-
-    [transport] selects the socket layer (default [`Unicast]); with
-    [`Multicast] the group is derived from [seed] (see
-    {!Udp_multicast.group_of_seed}) and each receiver additionally owns a
-    small unicast socket its NAKs leave from, so peers can tell NAK
-    sources apart on the shared group port.
-
-    [trace] receives driver events ([udp.tx_error], fault-shim events) in
-    addition to the protocol traces the machines emit.
-
-    [recorder] captures every sans-IO event consumed and effect emitted by
-    the sender and receiver machines (actors ["s0"], ["r<id>"]), plus the
-    meta header {!Rmc_proto.Np_replay.replay} needs — save it with
-    {!Rmc_obs.Recorder.save} and the run can be re-executed and checked
-    offline, byte-for-byte.
-
-    [metrics] supplies the counter registry (a private one is created when
-    absent); the final state is returned in [report.counters] either way.
-    Per-role counters: sender [tx.data]/[tx.parity]/[tx.poll]/
-    [tx.exhausted], [sender.naks_rx], [sender.repair_rounds]; receivers
-    [rx.data]/[rx.parity]/[rx.poll]/[rx.exhausted], [rx.naks_tx],
-    [rx.naks_overheard], [rx.naks_suppressed], [rx.decode_failures],
-    [rx.loss_dropped], [rx.duplicates]; transport
-    [udp.datagrams_tx]/[udp.datagrams_rx]/[udp.syscalls_tx]/
-    [udp.syscalls_rx]/[udp.tx_errors]; plus the reactor and fault-shim
-    counters.
-
-    [faults] arms an {!Rmc_obs.Fault} shim at the sender's datagram
-    boundary: every data/parity datagram passes through it per destination
-    (frames carry one message each while the shim is armed), so each
-    receiver of the unicast fan-out sees an independent
-    drop/duplicate/reorder/delay/corrupt pattern — under [`Multicast] the
-    single group destination makes shim faults upstream-shared instead,
-    like loss on the link before the fan-out.  Control datagrams are
-    spared, matching the reception-loss model.  Corrupted datagrams are
-    caught by the header CRC on reception and show up as
-    [rx.decode_failures].
-
-    Returns [Error] (context ["Udp_np.run_local"]) on empty data, bad
-    payload sizes, [loss] outside [0, 1), no receivers, a payload too big
-    for one datagram, or a config whose profile
-    {!Rmc_core.Profile.validate} rejects. *)
-
-val run_local_exn :
-  ?config:config ->
-  ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
-  ?recorder:Rmc_obs.Recorder.t ->
-  ?faults:Rmc_obs.Fault.spec ->
-  ?transport:transport ->
-  receivers:int ->
-  loss:float ->
-  seed:int ->
-  data:Bytes.t array ->
-  unit ->
-  report
-(** @raise Invalid_argument where {!run_local} would return [Error]. *)
-
 val run_multi :
   ?config:config ->
   ?metrics:Rmc_obs.Metrics.t ->
@@ -262,14 +192,48 @@ val run_multi :
   unit ->
   (multi_report, Rmc_core.Error.t) result
 (** Run [Array.length sessions] concurrent sessions (element [sid] is that
-    session's payload array) over one reactor, one shared sender socket and
-    [receivers] shared receiver sockets.  Every session must finish —
-    completion, verification and ejections are tracked per (receiver,
-    session) pair — before the linger/shutdown sequence starts.
+    session's payload array) on 127.0.0.1 over one reactor, one shared
+    sender socket and [receivers] shared receiver sockets.  Every session
+    must finish — completion, verification and ejections are tracked per
+    (receiver, session) pair — before the linger/shutdown sequence starts.
 
-    Per-session sender counters are recorded under [session.<sid>.]
-    scopes of [metrics]; receiver counters are shared (receivers serve all
-    sessions on one socket).
+    [transport] selects the socket layer (default [`Unicast]); with
+    [`Multicast] the group is derived from [seed] (see
+    {!Udp_multicast.group_of_seed}) and each receiver additionally owns a
+    small unicast socket its NAKs leave from, so peers can tell NAK
+    sources apart on the shared group port.
+
+    [trace] receives driver events ([udp.tx_error], fault-shim events) in
+    addition to the protocol traces the machines emit.
+
+    [recorder] captures every sans-IO event consumed and effect emitted by
+    the sender and receiver machines (actors ["s<sid>"], ["r<id>"]), plus
+    the meta header {!Rmc_proto.Np_replay.replay} needs — save it with
+    {!Rmc_obs.Recorder.save} and the run can be re-executed and checked
+    offline, byte-for-byte.
+
+    [metrics] supplies the counter registry (a private one is created when
+    absent); the final state is returned in [report.counters] either way.
+    Per-role counters: sender [tx.data]/[tx.parity]/[tx.poll]/
+    [tx.exhausted], [sender.naks_rx], [sender.repair_rounds], each under
+    its session's [session.<sid>.] scope; receivers (shared: they serve
+    all sessions on one socket) [rx.data]/[rx.parity]/[rx.poll]/
+    [rx.exhausted], [rx.naks_tx], [rx.naks_overheard],
+    [rx.naks_suppressed], [rx.decode_failures], [rx.loss_dropped],
+    [rx.duplicates]; transport [udp.datagrams_tx]/[udp.datagrams_rx]/
+    [udp.syscalls_tx]/[udp.syscalls_rx]/[udp.tx_errors]; plus the reactor
+    and fault-shim counters.
+
+    [faults] arms an {!Rmc_obs.Fault} shim at the sender's datagram
+    boundary: every data/parity datagram passes through it per destination
+    (frames carry one message each while the shim is armed), so each
+    receiver of the unicast fan-out sees an independent
+    drop/duplicate/reorder/delay/corrupt pattern — under [`Multicast] the
+    single group destination makes shim faults upstream-shared instead,
+    like loss on the link before the fan-out.  Control datagrams are
+    spared, matching the reception-loss model.  Corrupted datagrams are
+    caught by the header CRC on reception and show up as
+    [rx.decode_failures].
 
     [shards] (default 1) partitions the sessions across
     [min shards (Array.length sessions)] OCaml domains.  Sessions are split
@@ -286,12 +250,14 @@ val run_multi :
     shard's receiver count (total sockets scale with the shard count).
     One shard is exactly the plain multi-session run.
 
-    Returns [Error] (context ["Udp_np.run_multi"]) on the same conditions
-    as {!run_local}, plus more than 65536 sessions or more than 65536 TGs
-    in one session (the wire demux packs sid and tg into 16 bits each),
-    [shards < 1], or [trace], [recorder] or [faults] with more than one
-    shard after clamping — none of those sinks is domain-safe.  Every
-    [Error] is returned before any socket is opened. *)
+    Returns [Error] (context ["Udp_np.run_multi"]) on an empty session,
+    bad payload sizes, [loss] outside [0, 1), no receivers, a payload too
+    big for one datagram, a config whose profile
+    {!Rmc_core.Profile.validate} rejects, more than 65536 sessions or more
+    than 65536 TGs in one session (the wire demux packs sid and tg into 16
+    bits each), [shards < 1], or [trace], [recorder] or [faults] with more
+    than one shard after clamping — none of those sinks is domain-safe.
+    Every [Error] is returned before any socket is opened. *)
 
 val run_multi_exn :
   ?config:config ->
@@ -308,3 +274,38 @@ val run_multi_exn :
   unit ->
   multi_report
 (** @raise Invalid_argument where {!run_multi} would return [Error]. *)
+
+val run_local :
+  ?config:config ->
+  ?metrics:Rmc_obs.Metrics.t ->
+  ?trace:Rmc_obs.Trace.t ->
+  ?recorder:Rmc_obs.Recorder.t ->
+  ?faults:Rmc_obs.Fault.spec ->
+  ?transport:transport ->
+  receivers:int ->
+  loss:float ->
+  seed:int ->
+  data:Bytes.t array ->
+  unit ->
+  (report, Rmc_core.Error.t) result
+(** One session: {!run_multi} with [~sessions:[| data |]] and one shard,
+    so the sender is actor ["s0"] and the wire ids are the plain TG
+    indices.  Two differences: the sender's counters are unscoped
+    ([tx.data], not [session.0.tx.data]), and the report is the one
+    session's.  Returns [Error] (context ["Udp_np.run_local"]) where
+    {!run_multi} would. *)
+
+val run_local_exn :
+  ?config:config ->
+  ?metrics:Rmc_obs.Metrics.t ->
+  ?trace:Rmc_obs.Trace.t ->
+  ?recorder:Rmc_obs.Recorder.t ->
+  ?faults:Rmc_obs.Fault.spec ->
+  ?transport:transport ->
+  receivers:int ->
+  loss:float ->
+  seed:int ->
+  data:Bytes.t array ->
+  unit ->
+  report
+(** @raise Invalid_argument where {!run_local} would return [Error]. *)

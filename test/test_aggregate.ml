@@ -323,7 +323,7 @@ let test_tg_aggregate_codecs () =
   List.iter
     (fun codec ->
       Alcotest.(check bool)
-        (Rmcast.Codec.kind_to_string codec ^ " rejected")
+        (Rmcast.Profile.codec_to_string codec ^ " rejected")
         true
         (match estimate codec with
         | _ -> false

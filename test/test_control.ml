@@ -107,17 +107,6 @@ let test_adaptive_budget_never_below_k () =
     true (d.Controller.budget >= 8);
   Alcotest.(check bool) "budget capped by h" true (d.Controller.budget <= 24)
 
-let test_controller_kind_strings () =
-  List.iter
-    (fun kind ->
-      Alcotest.(check bool) "kind name roundtrips" true
-        (Controller.kind_of_string (Controller.kind_to_string kind) = Some kind))
-    [ `Static; `Ewma; `Gilbert_aware ];
-  Alcotest.(check bool) "gilbert-aware alias accepted" true
-    (Controller.kind_of_string "gilbert-aware" = Some `Gilbert_aware);
-  Alcotest.(check bool) "unknown kind rejected" true
-    (Controller.kind_of_string "pid" = None)
-
 (* --- Receiver churn (sim tier) ----------------------------------------- *)
 
 let churn_config =
@@ -348,7 +337,6 @@ let suite =
     Alcotest.test_case "ewma reacts to loss" `Quick test_ewma_reacts_to_loss;
     Alcotest.test_case "adaptive budget never below k" `Quick
       test_adaptive_budget_never_below_k;
-    Alcotest.test_case "controller kind strings" `Quick test_controller_kind_strings;
     Alcotest.test_case "leaver excluded, survivors delivered" `Quick
       test_leaver_excluded_survivors_delivered;
     Alcotest.test_case "late joiner catches up from parity" `Quick

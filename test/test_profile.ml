@@ -51,11 +51,7 @@ let qcheck_np_roundtrip =
 
 let qcheck_udp_roundtrip =
   QCheck.Test.make ~count:500 ~name:"Udp_np config_of_profile roundtrip" arbitrary_profile
-    (fun p ->
-      (* The UDP sender always encodes on demand: pre_encode is the one
-         field its config forgets. *)
-      let p = { p with Profile.pre_encode = false } in
-      Profile.equal p (Udp.profile_of_config (Udp.config_of_profile p)))
+    (fun p -> Profile.equal p (Udp.profile_of_config (Udp.config_of_profile p)))
 
 let test_defaults_valid () =
   let check name p =

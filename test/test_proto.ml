@@ -448,7 +448,10 @@ let test_golden_tg_tiers () =
 
 (* Each input once crashed [rmc] with an uncaught exception (exit 125);
    [--scheme integrated] once ran the unbounded scheme while ignoring
-   [--parities].  All must be usage errors: exit 124, no internal error. *)
+   [--parities].  All must be usage errors: exit 124, no internal error.
+   The [codec decode] inputs read containers the test builds first from a
+   k = 4, h = 2, 64-byte encoding of [input.bin]: cut short, junk, more
+   loss than the parities cover, and a payload size that does not match. *)
 let bad_cli_inputs =
   [
     "simulate --reps 0";
@@ -465,6 +468,10 @@ let bad_cli_inputs =
     "trace record trace.bin -p 1.0";
     "codec encode input.txt output.fec --parities 300";
     "codec encode input.txt output.fec -k 0";
+    "codec decode truncated.fec output.bin --payload 64";
+    "codec decode junk.fec output.bin --payload 64";
+    "codec decode input.fec output.bin --payload 64 --drop 0.6";
+    "codec decode input.fec output.bin --payload 32";
   ]
 
 let contains s sub =
@@ -481,13 +488,30 @@ let test_cli_usage_errors () =
   Out_channel.with_open_text (Filename.concat dir "input.txt") (fun oc ->
       output_string oc "hello, multicast\n");
   let stderr_log = Filename.concat dir "stderr.log" in
+  let run args =
+    Sys.command
+      (Printf.sprintf "cd %s && %s %s > /dev/null 2> %s" (Filename.quote dir)
+         (Filename.quote rmc) args (Filename.quote stderr_log))
+  in
+  let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+  let write name contents =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc contents)
+  in
+  let input = String.init 1000 (fun i -> Char.chr ((i * 131 + 7) mod 256)) in
+  write "input.bin" input;
+  Alcotest.(check int) "encode the container" 0
+    (run "codec encode input.bin input.fec -k 4 --parities 2 --payload 64");
+  let container = read "input.fec" in
+  write "truncated.fec" (String.sub container 0 (String.length container / 2 + 3));
+  write "junk.fec" (String.init 300 (fun i -> Char.chr ((i * 97 + 1) mod 256)));
+  (* Every packet twice: the second copies are no-ops. *)
+  write "doubled.fec" (container ^ container);
+  Alcotest.(check int) "doubled container decodes" 0
+    (run "codec decode doubled.fec doubled.bin --payload 64");
+  Alcotest.(check string) "doubled container gives back the input" input (read "doubled.bin");
   List.iter
     (fun args ->
-      let status =
-        Sys.command
-          (Printf.sprintf "cd %s && %s %s > /dev/null 2> %s" (Filename.quote dir)
-             (Filename.quote rmc) args (Filename.quote stderr_log))
-      in
+      let status = run args in
       let stderr = In_channel.with_open_text stderr_log In_channel.input_all in
       Alcotest.(check int) (args ^ ": exit status") 124 status;
       Alcotest.(check bool) (args ^ ": no internal error") false

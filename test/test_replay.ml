@@ -61,7 +61,7 @@ let actors recorder =
 let per_actor recorder actor =
   List.filter (fun (a, _, _) -> a = actor) (stream recorder)
 
-let sim_capture ?(codec = `Rse) ~receivers ~loss ~seed ~data () =
+let sim_capture ?(codec = `Rse) ?(pre_encode = false) ~receivers ~loss ~seed ~data () =
   let engine = Rmcast.Engine.create () in
   let mux = Np.Mux.create engine in
   let network =
@@ -72,36 +72,43 @@ let sim_capture ?(codec = `Rse) ~receivers ~loss ~seed ~data () =
      stream for the machines to agree. *)
   let rng = Rmcast.Rng.create ~seed:(Udp.receiver_machine_seed ~seed ~id:0) () in
   let recorder = Recorder.create () in
-  let config = { sim_config with Np.codec } in
+  let config = { sim_config with Np.codec; pre_encode } in
   let flow = Np.Mux.add_flow mux ~config ~recorder ~network ~rng ~data () in
   Np.Mux.run mux;
   Alcotest.(check bool) "sim flow complete" true (Np.Mux.complete flow);
   recorder
 
-let udp_capture ?(codec = `Rse) ~receivers ~loss ~seed ~data () =
+let udp_capture ?(codec = `Rse) ?(pre_encode = false) ~receivers ~loss ~seed ~data () =
   let recorder = Recorder.create () in
-  let config = { udp_config with Udp.codec } in
+  let config = { udp_config with Udp.codec; pre_encode } in
   let report = Udp.run_local_exn ~config ~recorder ~receivers ~loss ~seed ~data () in
   Alcotest.(check bool) "udp verified" true report.Udp.verified;
   recorder
 
-let check_equivalence ?codec ~receivers ~loss ~seed ~data () =
-  let sim = sim_capture ?codec ~receivers ~loss ~seed ~data () in
-  let udp = udp_capture ?codec ~receivers ~loss ~seed ~data () in
-  Alcotest.(check (list string)) "same machines" (actors sim) (actors udp);
+let check_same_streams a b =
+  Alcotest.(check (list string)) "same machines" (actors a) (actors b);
   List.iter
     (fun actor ->
       Alcotest.(check (list (triple string string string)))
         (Printf.sprintf "per-actor stream (%s)" actor)
-        (per_actor sim actor) (per_actor udp actor))
-    (actors sim);
-  Alcotest.(check bool) "streams non-trivial" true (Recorder.length sim > 0)
+        (per_actor a actor) (per_actor b actor))
+    (actors a);
+  Alcotest.(check bool) "streams non-trivial" true (Recorder.length a > 0)
+
+let check_equivalence ?codec ?pre_encode ~receivers ~loss ~seed ~data () =
+  check_same_streams
+    (sim_capture ?codec ?pre_encode ~receivers ~loss ~seed ~data ())
+    (udp_capture ?codec ?pre_encode ~receivers ~loss ~seed ~data ())
 
 (* Lossless, several receivers and TGs: no randomness is consumed, both
-   drivers must walk every machine through the identical schedule. *)
+   drivers must walk every machine through the identical schedule — with
+   repair packets encoded on demand and all up front alike. *)
 let test_differential_lossless () =
-  check_equivalence ~receivers:3 ~loss:0.0 ~seed:11
-    ~data:(payloads ~count:12 ~size:payload_size 5) ()
+  List.iter
+    (fun pre_encode ->
+      check_equivalence ~pre_encode ~receivers:3 ~loss:0.0 ~seed:11
+        ~data:(payloads ~count:12 ~size:payload_size 5) ())
+    [ false; true ]
 
 (* Lossy, one receiver, one TG: the loss draws and the NAK damping draws
    line up between the drivers (same seeds, same draw order), so even the
@@ -122,6 +129,51 @@ let test_differential_lossy_coded () =
       check_equivalence ~codec ~receivers:1 ~loss:0.3 ~seed
         ~data:(payloads ~count:k ~size:payload_size (seed + 200)) ())
     [ (`Rlnc, 24); (`Rlnc, 25); (`Lt, 26) ]
+
+(* run_local is run_multi with one session: the same machines see the same
+   streams and the reports agree; only the sender counters' [session.0.]
+   scope tells the two apart.  Lossless, so no wall-clock race decides
+   what any machine sees. *)
+let test_run_local_is_one_session () =
+  let data = payloads ~count:12 ~size:payload_size 13 in
+  let local_recorder = Recorder.create () and multi_recorder = Recorder.create () in
+  let local =
+    Udp.run_local_exn ~config:udp_config ~recorder:local_recorder ~receivers:3 ~loss:0.0
+      ~seed:17 ~data ()
+  in
+  let multi =
+    Udp.run_multi_exn ~config:udp_config ~recorder:multi_recorder ~receivers:3 ~loss:0.0
+      ~seed:17 ~sessions:[| data |] ()
+  in
+  check_same_streams local_recorder multi_recorder;
+  let s = multi.Udp.session_reports.(0) in
+  Alcotest.(check bool) "both verified" true (local.Udp.verified && multi.Udp.all_verified);
+  Alcotest.(check (list int)) "report counts"
+    [ local.Udp.transmission_groups; local.Udp.data_tx; local.Udp.parity_tx; local.Udp.polls;
+      local.Udp.completed; local.Udp.naks_sent; local.Udp.naks_suppressed;
+      local.Udp.datagrams_dropped; local.Udp.decode_failures ]
+    [ s.Udp.transmission_groups; s.Udp.data_tx; s.Udp.parity_tx; s.Udp.polls;
+      s.Udp.completed; multi.Udp.naks_sent; multi.Udp.naks_suppressed;
+      multi.Udp.datagrams_dropped; multi.Udp.decode_failures ];
+  let unscoped counters =
+    let prefix = "session.0." in
+    let n = String.length prefix in
+    let strip name =
+      if String.starts_with ~prefix name then String.sub name n (String.length name - n) else name
+    in
+    List.sort compare (List.map (fun (name, value) -> (strip name, value)) counters)
+  in
+  (* The transport's own counters (syscalls, timer fires) follow the wall
+     clock, so only their names must agree. *)
+  let protocol (name, _) =
+    List.exists (fun prefix -> String.starts_with ~prefix name) [ "tx."; "rx."; "sender." ]
+  in
+  Alcotest.(check (list (pair string int))) "protocol counters, scope stripped"
+    (List.filter protocol (unscoped local.Udp.counters))
+    (List.filter protocol (unscoped multi.Udp.counters));
+  Alcotest.(check (list string)) "same counter names, scope stripped"
+    (List.map fst (unscoped local.Udp.counters))
+    (List.map fst (unscoped multi.Udp.counters))
 
 (* --- capture -> save -> load -> replay --------------------------------- *)
 
@@ -286,6 +338,8 @@ let suite =
     Alcotest.test_case "drivers agree: lossy single receiver" `Quick test_differential_lossy;
     Alcotest.test_case "drivers agree: lossy, coded repair (rlnc/lt)" `Quick
       test_differential_lossy_coded;
+    Alcotest.test_case "run_local is a one-session run_multi" `Quick
+      test_run_local_is_one_session;
     Alcotest.test_case "capture/save/load/replay roundtrip" `Quick test_replay_roundtrip;
     Alcotest.test_case "replay detects tampering" `Quick test_replay_detects_tampering;
     Alcotest.test_case "replay rejects missing meta" `Quick test_replay_rejects_bad_meta;

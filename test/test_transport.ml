@@ -326,7 +326,8 @@ let contains s sub =
   go 0
 
 (* The CLI surfaces the same refusal: [rmc serve --shards 2 --capture F]
-   exits non-zero and leaves no capture behind. *)
+   exits non-zero and leaves no capture behind; [--faults] is refused the
+   same way.  With one session, a fault storm's capture replays. *)
 let test_serve_capture_needs_one_shard () =
   let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
   Alcotest.(check bool) "rmc built" true (Sys.file_exists rmc);
@@ -335,18 +336,39 @@ let test_serve_capture_needs_one_shard () =
       (Printf.sprintf "rmc-shards-%d.rmcrec" (Unix.getpid ()))
   in
   let log = Filename.temp_file "rmc-serve" ".log" in
-  if Sys.file_exists capture then Sys.remove capture;
-  let status =
-    Sys.command
-      (Printf.sprintf "%s serve --transport udp --shards 2 --capture %s > %s 2>&1"
-         (Filename.quote rmc) (Filename.quote capture) (Filename.quote log))
+  let rmc_run args =
+    let status =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote rmc) args (Filename.quote log))
+    in
+    (status, In_channel.with_open_text log In_channel.input_all)
   in
-  let output = In_channel.with_open_text log In_channel.input_all in
-  Sys.remove log;
+  if Sys.file_exists capture then Sys.remove capture;
+  let status, output =
+    rmc_run
+      (Printf.sprintf "serve --transport udp --shards 2 --capture %s" (Filename.quote capture))
+  in
   Alcotest.(check bool) "non-zero exit" true (status <> 0);
   Alcotest.(check bool) "refused by run_multi" true
     (contains output "Udp_np.run_multi:");
-  Alcotest.(check bool) "no capture written" false (Sys.file_exists capture)
+  Alcotest.(check bool) "no capture written" false (Sys.file_exists capture);
+  let faults = "--faults drop=0.05,seed=7" in
+  let status, _ = rmc_run ("serve " ^ faults) in
+  Alcotest.(check int) "faults need --transport udp" 124 status;
+  let status, output = rmc_run ("serve --transport udp -n 2 --shards 2 " ^ faults) in
+  Alcotest.(check bool) "faults across shards: non-zero exit" true (status <> 0);
+  Alcotest.(check bool) "faults across shards refused by run_multi" true
+    (contains output "Udp_np.run_multi:");
+  let status, output =
+    rmc_run
+      (Printf.sprintf "serve --transport udp -n 1 -r 2 %s --capture %s" faults
+         (Filename.quote capture))
+  in
+  Alcotest.(check int) ("faulted one-session run: " ^ output) 0 status;
+  let status, output = rmc_run ("replay " ^ Filename.quote capture) in
+  Alcotest.(check int) ("faulted capture replays: " ^ output) 0 status;
+  Sys.remove capture;
+  Sys.remove log
 
 let suite =
   [
