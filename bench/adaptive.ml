@@ -18,7 +18,7 @@
 
    Everything runs on the virtual-time Np.Mux with fixed seeds, so every
    number is deterministic; results go to BENCH_ADAPT.json (override with
-   --out).  `--smoke` shrinks the transfer and enforces the hard gates:
+   --out).  `--smoke` (run by `dune runtest`) enforces the hard gates:
 
    - the static run accepts zero retunes and its capture replays through
      the sans-IO core without divergence (bit-exactness witness);
@@ -31,33 +31,7 @@
 
 open Rmcast
 
-type mode = Full | Smoke
-
-let mode = ref Full
-let out_path = ref "BENCH_ADAPT.json"
-let jobs = ref (Domain.recommended_domain_count ())
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest | "--fast" :: rest ->
-      mode := Smoke;
-      parse rest
-    | "--out" :: path :: rest ->
-      out_path := path;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> jobs := n
-      | _ ->
-        Printf.eprintf "bad job count %S\n" n;
-        exit 2);
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "usage: adaptive [--smoke] [--out PATH] [--jobs N] (got %S)\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
+let () = Harness.parse [ Smoke; Out "BENCH_ADAPT.json"; Jobs ]
 
 let receivers = 16
 let k = 8
@@ -237,16 +211,11 @@ let matrix = [ (`Static, false); (`Ewma, false); (`Gilbert_aware, false);
 let run_matrix ~seed =
   let cells = Array.of_list matrix in
   Array.to_list
-    (Parallel.map ~pool:(Parallel.pool_sized !jobs) (Array.length cells) (fun i ->
+    (Parallel.map ~pool:(Parallel.pool_sized !Harness.jobs) (Array.length cells) (fun i ->
          let c, ch = cells.(i) in
          run ~controller:c ~churned:ch ~seed))
 
 let () =
-  let failures = ref 0 in
-  let fail name =
-    Printf.eprintf "GATE FAIL: %s\n" name;
-    incr failures
-  in
   let outcomes = run_matrix ~seed:42 in
   List.iter (fun o -> print_row o.row) outcomes;
   (* Invariant violations dump the offending capture for offline replay. *)
@@ -257,19 +226,19 @@ let () =
           let path = Printf.sprintf "BENCH_ADAPT_%s_violation.capture"
               (scenario_name o.row.controller o.row.churned) in
           Recorder.save ~path o.recorder;
-          fail (Printf.sprintf "%s: %s (capture -> %s)"
-                  (scenario_name o.row.controller o.row.churned) v path))
+          Harness.check (scenario_name o.row.controller o.row.churned) false
+            (Printf.sprintf "%s; capture -> %s" v path))
         o.violations)
     outcomes;
   let find c ch = (List.find (fun o -> o.row.controller = c && o.row.churned = ch) outcomes).row in
   (* Hard gates, enforced in both modes (full runs should not publish a
      JSON that violates them either). *)
   let static = find `Static false and ewma = find `Ewma false in
-  if ewma.overhead > static.overhead then
-    fail
-      (Printf.sprintf "ewma overhead %.3f exceeds static %.3f under drifting loss"
-         ewma.overhead static.overhead);
-  if ewma.retunes < 1 then fail "ewma controller never retuned under drifting loss";
+  Harness.check "ewma overhead <= static"
+    (ewma.overhead <= static.overhead)
+    (Printf.sprintf "ewma %.3f > static %.3f under drifting loss" ewma.overhead
+       static.overhead);
+  Harness.check "ewma retunes" (ewma.retunes >= 1) "never retuned under drifting loss";
   (* Static bit-exactness witness: a single-receiver static flow whose
      capture carries the full replay meta (sim receivers share one damping
      RNG, so only a one-receiver capture maps onto Np_replay's
@@ -300,27 +269,24 @@ let () =
        ~data ()
    in
    Np.Mux.run mux;
-   if not (Np.Mux.complete flow) then fail "replay witness flow did not complete";
+   Harness.check "replay witness completes" (Np.Mux.complete flow) "flow did not complete";
    match Np_replay.replay recorder with
-   | Error e -> fail (Printf.sprintf "static capture unusable: %s" e)
+   | Error e -> Harness.check "static capture replays" false ("unusable: " ^ e)
    | Ok { Np_replay.divergence = Some d; _ } ->
-     fail (Printf.sprintf "static capture diverged on replay: %s" d)
+     Harness.check "static capture replays" false ("diverged: " ^ d)
    | Ok { Np_replay.divergence = None; _ } -> ());
-  (match !mode with
-  | Smoke ->
+  if !Harness.smoke then begin
     (* Determinism gate: the same seeds must reproduce BENCH_ADAPT.json
        byte-for-byte. *)
     let again = run_matrix ~seed:42 in
-    if
-      not
-        (String.equal
-           (json_of_rows (List.map (fun o -> o.row) outcomes))
-           (json_of_rows (List.map (fun o -> o.row) again)))
-    then fail "scenario matrix is not deterministic across identical runs";
-    if !failures = 0 then print_endline "bench-smoke ok"
-  | Full ->
-    let oc = open_out !out_path in
-    output_string oc (json_of_rows (List.map (fun o -> o.row) outcomes));
-    close_out oc;
-    Printf.printf "wrote %s\n" !out_path);
-  if !failures > 0 then exit 1
+    Harness.check "scenario matrix determinism"
+      (String.equal
+         (json_of_rows (List.map (fun o -> o.row) outcomes))
+         (json_of_rows (List.map (fun o -> o.row) again)))
+      "two identical runs differ"
+  end
+  else begin
+    Harness.write_file !Harness.out (json_of_rows (List.map (fun o -> o.row) outcomes));
+    Printf.printf "wrote %s\n" !Harness.out
+  end;
+  Harness.finish ()

@@ -15,7 +15,7 @@
      after a fixed loss pattern, straight through the ENCODER/DECODER
      seam (repair payloads pre-encoded outside the timed region).
 
-   `--smoke` (wired to @bench-smoke, hence @ci) gates on: determinism
+   `--smoke` (run by `dune runtest`) gates on: determinism
    (same seed twice -> bit-identical metric fields), the MDS coincidence
    (cauchy must reproduce rse's E[M] and rounds {e exactly} — an MDS
    codec makes zero innovation draws), the RSE-parity floor
@@ -25,38 +25,7 @@
 
 open Rmcast
 
-type mode = Full | Smoke
-
-let mode = ref Full
-let out_path = ref "BENCH_CODEC.json"
-let jobs = ref (Domain.recommended_domain_count ())
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest | "--fast" :: rest ->
-      mode := Smoke;
-      parse rest
-    | "--out" :: path :: rest ->
-      out_path := path;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> jobs := n
-      | _ ->
-        Printf.eprintf "bad job count %S\n" n;
-        exit 2);
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "usage: codec_compare [--smoke] [--out PATH] [--jobs N] (got %S)\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+let () = Harness.parse [ Smoke; Out "BENCH_CODEC.json"; Jobs ]
 
 let codecs = [ `Rse; `Cauchy; `Rlnc; `Lt ]
 
@@ -112,7 +81,7 @@ let run_protocol ~seed ~channel ~codec ~reps =
   let network = make_network channel (Rng.create ~seed ()) in
   let rng = Rng.create ~seed:(seed lxor 0x5eed) () in
   let est, wall =
-    timed (fun () ->
+    Harness.timed (fun () ->
         Runner.estimate network ~k ~scheme:(scheme_of codec) ~rng ~timing:(timing_of channel)
           ~reps ())
   in
@@ -144,7 +113,6 @@ let decode_drops = 8
 type cost = {
   kind : Codec.kind;
   blocks : int;
-  decode_wall : float;
   blocks_per_s : float;
   mb_per_s : float; (* decoded data throughput *)
   repairs_consumed : int; (* on the measured pattern; = drops for MDS *)
@@ -182,12 +150,11 @@ let run_decode_cost ~kind ~blocks =
     if not (C.Decoder.complete dec && C.Decoder.decode dec = data) then correct := false
   in
   one () (* warm up and verify before timing *);
-  let (), decode_wall = timed (fun () -> for _ = 1 to blocks do one () done) in
+  let (), decode_wall = Harness.timed (fun () -> for _ = 1 to blocks do one () done) in
   let wall = Float.max 1e-9 decode_wall in
   {
     kind;
     blocks;
-    decode_wall;
     blocks_per_s = float_of_int blocks /. wall;
     mb_per_s = float_of_int (blocks * k * decode_payload) /. wall /. 1e6;
     repairs_consumed = !consumed;
@@ -260,13 +227,6 @@ let json_of ~samples ~costs ~elapsed =
 let rse_parity_ceiling = 1.05
 
 let smoke () =
-  let failures = ref 0 in
-  let check name ok detail =
-    if not ok then begin
-      Printf.eprintf "SMOKE FAIL: %s (%s)\n" name detail;
-      incr failures
-    end
-  in
   let reps = 150 in
   let seed = 42 in
   let rse = run_protocol ~seed ~channel:Bernoulli ~codec:`Rse ~reps in
@@ -275,14 +235,14 @@ let smoke () =
   let rlnc' = run_protocol ~seed ~channel:Bernoulli ~codec:`Rlnc ~reps in
   let lt = run_protocol ~seed ~channel:Bernoulli ~codec:`Lt ~reps in
   List.iter print_sample [ rse; cauchy; rlnc; lt ];
-  check "determinism"
+  Harness.check "determinism"
     (rlnc.mean_m = rlnc'.mean_m && rlnc.rounds = rlnc'.rounds && rlnc.ci_low = rlnc'.ci_low)
     (Printf.sprintf "seed %d twice: E[M] %.17g vs %.17g" seed rlnc.mean_m rlnc'.mean_m);
-  check "mds coincidence (cauchy = rse machine)"
+  Harness.check "mds coincidence (cauchy = rse machine)"
     (cauchy.mean_m = rse.mean_m && cauchy.rounds = rse.rounds)
     (Printf.sprintf "E[M] %.17g vs %.17g, rounds %.17g vs %.17g" cauchy.mean_m rse.mean_m
        cauchy.rounds rse.rounds);
-  check "rse-parity floor (rlnc)"
+  Harness.check "rse-parity floor (rlnc)"
     (rlnc.mean_m <= rse_parity_ceiling *. rse.mean_m)
     (Printf.sprintf "rlnc %.4f vs rse %.4f = %.3fx > %.2fx" rlnc.mean_m rse.mean_m
        (rlnc.mean_m /. rse.mean_m) rse_parity_ceiling);
@@ -291,20 +251,16 @@ let smoke () =
     (fun kind ->
       let c = run_decode_cost ~kind ~blocks:25 in
       print_cost c;
-      check
+      Harness.check
         (Printf.sprintf "decode correctness (%s)" (Profile.codec_to_string kind))
         c.correct "repaired block differs from the original data")
-    codecs;
-  !failures
+    codecs
 
 (* --- main --------------------------------------------------------------- *)
 
 let () =
-  match !mode with
-  | Smoke ->
-    if smoke () > 0 then exit 1;
-    print_endline "bench-smoke ok"
-  | Full ->
+  if !Harness.smoke then smoke ()
+  else begin
     let t0 = Unix.gettimeofday () in
     let reps = 1500 in
     (* (channel, codec) points are independent (each builds its network
@@ -318,7 +274,7 @@ let () =
     in
     let samples =
       Array.to_list
-        (Parallel.map ~pool:(Parallel.pool_sized !jobs) (Array.length points)
+        (Parallel.map ~pool:(Parallel.pool_sized !Harness.jobs) (Array.length points)
            (fun i ->
              let channel, codec = points.(i) in
              (* One seed per channel, shared by all codecs on that channel. *)
@@ -332,10 +288,7 @@ let () =
     List.iter print_cost costs;
     let elapsed = Unix.gettimeofday () -. t0 in
     let json = json_of ~samples ~costs ~elapsed in
-    let oc = open_out !out_path in
-    output_string oc json;
-    close_out oc;
-    let bad = List.filter (fun c -> not c.correct) costs in
+    Harness.write_file !Harness.out json;
     let rse_m =
       (List.find (fun s -> s.channel = Bernoulli && s.codec = `Rse) samples).mean_m
     in
@@ -343,12 +296,15 @@ let () =
       (List.find (fun s -> s.channel = Bernoulli && s.codec = `Rlnc) samples).mean_m
     in
     Printf.printf "headline: rlnc %.3fx rse E[M] under Bernoulli; wrote %s\n"
-      (rlnc_m /. rse_m) !out_path;
-    if bad <> [] || rlnc_m > rse_parity_ceiling *. rse_m then begin
-      List.iter
-        (fun c -> Printf.eprintf "WRONG DECODE: %s\n" (Profile.codec_to_string c.kind))
-        bad;
-      if rlnc_m > rse_parity_ceiling *. rse_m then
-        Printf.eprintf "RSE-PARITY FLOOR BROKEN: rlnc %.4f vs rse %.4f\n" rlnc_m rse_m;
-      exit 1
-    end
+      (rlnc_m /. rse_m) !Harness.out;
+    List.iter
+      (fun c ->
+        Harness.check
+          (Printf.sprintf "decode correctness (%s)" (Profile.codec_to_string c.kind))
+          c.correct "repaired block differs from the original data")
+      costs;
+    Harness.check "rse-parity floor (rlnc)"
+      (rlnc_m <= rse_parity_ceiling *. rse_m)
+      (Printf.sprintf "rlnc %.4f vs rse %.4f" rlnc_m rse_m)
+  end;
+  Harness.finish ()

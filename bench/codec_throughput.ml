@@ -14,33 +14,15 @@
 
    Results go to BENCH_RSE.json (override with --out) so successive PRs
    can track the perf trajectory.  `--smoke` runs a tiny quota plus a
-   differential correctness check and writes nothing — wired to the
-   @bench-smoke dune alias so kernel regressions fail loudly and fast.
+   differential correctness check and writes nothing — run by
+   `dune runtest` so kernel regressions fail loudly and fast.
 
    Trials of all tiers are interleaved and each tier keeps its best trial,
    which keeps the recorded ratios stable on noisy shared machines. *)
 
 open Rmcast
 
-type mode = Full | Smoke
-
-let mode = ref Full
-let out_path = ref "BENCH_RSE.json"
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest | "--fast" :: rest ->
-      mode := Smoke;
-      parse rest
-    | "--out" :: path :: rest ->
-      out_path := path;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "usage: codec_throughput [--smoke] [--out PATH] (got %S)\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
+let () = Harness.parse [ Smoke; Out "BENCH_RSE.json" ]
 
 (* --- the seed-equivalent scalar baseline ------------------------------- *)
 
@@ -84,19 +66,6 @@ let decode_scalar codec received_idx received_payload ~missing =
 
 (* --- measurement ------------------------------------------------------- *)
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-(* Repeat [f] until [quota] seconds elapse, returning seconds per run. *)
-let seconds_per_run ~quota f =
-  f () (* warm up: first call builds coefficient tables *);
-  let calibration = time_once f in
-  let reps = max 1 (int_of_float (quota /. Float.max 1e-9 calibration)) in
-  let t = time_once (fun () -> for _ = 1 to reps do f () done) in
-  t /. float_of_int reps
-
 type sample = { op : string; tier : string; k : int; h : int; payload : int; mbps : float }
 
 let measure_grid_point ~quota ~trials ~k ~h ~payload =
@@ -137,7 +106,7 @@ let measure_grid_point ~quota ~trials ~k ~h ~payload =
       (fun (op, tiers) ->
         List.iter
           (fun (tier, f) ->
-            let mbps = data_bytes /. seconds_per_run ~quota f /. 1e6 in
+            let mbps = data_bytes /. Harness.mean_seconds ~quota f /. 1e6 in
             let key = (op, tier) in
             match Hashtbl.find_opt best key with
             | Some prev when prev >= mbps -> ()
@@ -155,13 +124,6 @@ let measure_grid_point ~quota ~trials ~k ~h ~payload =
 (* --- smoke: differential correctness across tiers ---------------------- *)
 
 let smoke_check () =
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      Printf.eprintf "SMOKE FAIL: %s\n" name;
-      incr failures
-    end
-  in
   List.iter
     (fun (k, h, payload) ->
       let rng = Rng.create ~seed:(k + h + payload) () in
@@ -172,12 +134,12 @@ let smoke_check () =
       let reference = encode_scalar codec data in
       let word = Rse.encode codec data in
       let par = Rse.encode_parallel ~min_bytes:0 codec data in
-      check
+      Harness.check
         (Printf.sprintf "encode word (k=%d h=%d p=%d)" k h payload)
-        (Array.for_all2 Bytes.equal reference word);
-      check
+        (Array.for_all2 Bytes.equal reference word) "differs from the scalar reference";
+      Harness.check
         (Printf.sprintf "encode parallel (k=%d h=%d p=%d)" k h payload)
-        (Array.for_all2 Bytes.equal reference par);
+        (Array.for_all2 Bytes.equal reference par) "differs from the scalar reference";
       if h > 0 then begin
         let losses = min h k in
         let received =
@@ -187,15 +149,14 @@ let smoke_check () =
         in
         let decoded = Rse.decode codec received in
         let decoded_par = Rse.decode_parallel ~min_bytes:0 codec received in
-        check
+        Harness.check
           (Printf.sprintf "decode word (k=%d h=%d p=%d)" k h payload)
-          (Array.for_all2 Bytes.equal data decoded);
-        check
+          (Array.for_all2 Bytes.equal data decoded) "differs from the source data";
+        Harness.check
           (Printf.sprintf "decode parallel (k=%d h=%d p=%d)" k h payload)
-          (Array.for_all2 Bytes.equal data decoded_par)
+          (Array.for_all2 Bytes.equal data decoded_par) "differs from the source data"
       end)
-    [ (7, 3, 1021); (20, 7, 1024); (13, 5, 64); (5, 2, 7) ];
-  !failures
+    [ (7, 3, 1021); (20, 7, 1024); (13, 5, 64); (5, 2, 7) ]
 
 (* --- JSON -------------------------------------------------------------- *)
 
@@ -227,18 +188,16 @@ let json_of_samples samples ~trials ~headline_scalar ~headline_word ~domains ~el
   Buffer.contents buffer
 
 let () =
-  match !mode with
-  | Smoke ->
+  if !Harness.smoke then begin
     (* Tiny measurement quota: mainly a correctness gate that also fails
        loudly if a tier collapses (e.g. dispatch silently lost). *)
-    let failures = smoke_check () in
+    smoke_check ();
     let samples = measure_grid_point ~quota:0.02 ~trials:2 ~k:20 ~h:7 ~payload:1024 in
     List.iter
       (fun s -> Printf.printf "%-6s %-8s k=%-3d h=%-2d payload=%-5d %8.1f MB/s\n" s.op s.tier s.k s.h s.payload s.mbps)
-      samples;
-    if failures > 0 then exit 1;
-    print_endline "bench-smoke ok"
-  | Full ->
+      samples
+  end
+  else begin
     let t0 = Unix.gettimeofday () in
     let trials = 5 in
     let grid =
@@ -274,10 +233,10 @@ let () =
     let json =
       json_of_samples samples ~trials ~headline_scalar ~headline_word ~domains ~elapsed
     in
-    let oc = open_out !out_path in
-    output_string oc json;
-    close_out oc;
+    Harness.write_file !Harness.out json;
     Printf.printf "headline: scalar %.1f MB/s -> word %.1f MB/s (%.2fx); wrote %s\n"
       headline_scalar headline_word
       (headline_word /. headline_scalar)
-      !out_path
+      !Harness.out
+  end;
+  Harness.finish ()

@@ -101,7 +101,7 @@ let run_e5 () =
 let run_e4 () =
   Harness.heading ~figure:104 "E4: the price of removing feedback (FEC carousel)";
   let grid =
-    Sweep.log_spaced_ints ~from:1 ~upto:(if !Harness.fast then 10_000 else 100_000)
+    Sweep.log_spaced_ints ~from:1 ~upto:(if !Harness.smoke then 10_000 else 100_000)
       ~per_decade:2
   in
   let sim scheme seed r =

@@ -12,7 +12,7 @@ open Rmcast
 let packet_size = 1024
 
 let redundancies () =
-  if !Harness.fast then [ 0.15; 0.3; 0.6; 1.0 ]
+  if !Harness.smoke then [ 0.15; 0.3; 0.6; 1.0 ]
   else [ 0.1; 0.15; 0.2; 0.3; 0.4; 0.5; 0.7; 0.85; 1.0 ]
 
 let measure_point ~k ~h =

@@ -24,7 +24,7 @@ let run () =
 let run_fig8 () =
   Harness.heading ~figure:8 "integrated FEC vs p for k = 7, 20, 100 (R = 1000)";
   let grid =
-    Sweep.log_spaced_floats ~from:1e-3 ~upto:1e-1 ~per_decade:(if !Harness.fast then 3 else 8)
+    Sweep.log_spaced_floats ~from:1e-3 ~upto:1e-1 ~per_decade:(if !Harness.smoke then 3 else 8)
   in
   let population p = Receivers.homogeneous ~p ~count:1000 in
   let series =

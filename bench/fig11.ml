@@ -11,7 +11,7 @@ open Rmcast
 let p = 0.01
 let k = 7
 
-let heights () = if !Harness.fast then 13 else 17
+let heights () = if !Harness.smoke then 13 else 17
 
 let grid () = List.init (heights () + 1) (fun d -> d)
 

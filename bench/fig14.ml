@@ -6,7 +6,7 @@ open Rmcast
 
 let run () =
   Harness.heading ~figure:14 "burst-length distribution (occurrences per run length)";
-  let packets = if !Harness.fast then 200_000 else 1_000_000 in
+  let packets = if !Harness.smoke then 200_000 else 1_000_000 in
   let spacing = 0.04 in
   let histogram make_loss seed =
     let loss = make_loss (Rng.create ~seed ()) in

@@ -10,7 +10,7 @@ let burst_net rng receivers =
       Loss.markov2 rng ~p:0.01 ~mean_burst:2.0 ~send_rate:25.0)
 
 let grid () =
-  let upto = if !Harness.fast then 1000 else 10_000 in
+  let upto = if !Harness.smoke then 1000 else 10_000 in
   Sweep.log_spaced_ints ~from:1 ~upto ~per_decade:2
 
 let sim ~scheme ~k ~seed receivers =

@@ -38,49 +38,28 @@ let () =
   let selected = ref [] in
   let ablations = ref false in
   let only_ablations = ref false in
-  let args = Array.to_list Sys.argv in
-  let rec parse = function
-    | [] -> ()
-    | "--fast" :: rest ->
-      Harness.fast := true;
-      parse rest
-    | "--figure" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n -> selected := n :: !selected
-      | None -> Printf.eprintf "bad figure number %S\n" n);
-      parse rest
-    | "--ablations" :: rest ->
-      only_ablations := true;
-      parse rest
-    | "--with-ablations" :: rest ->
-      ablations := true;
-      parse rest
-    | "--out" :: dir :: rest ->
-      Harness.out_dir := dir;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> Harness.jobs := n
-      | _ -> Printf.eprintf "bad job count %S\n" n);
-      parse rest
-    | ("--help" | "-h") :: _ ->
-      Printf.printf
-        "usage: main.exe [--fast] [--figure N]... [--ablations] [--with-ablations] [--out DIR] [--jobs N]\n";
-      Printf.printf "figures: %s\n"
-        (String.concat ", " (List.map (fun (n, _, _) -> string_of_int n) figures));
-      exit 0
-    | arg :: rest ->
-      Printf.eprintf "ignoring unknown argument %S\n" arg;
-      parse rest
+  let figure n =
+    if List.exists (fun (m, _, _) -> m = n) figures then selected := n :: !selected
+    else
+      raise
+        (Arg.Bad
+           (Printf.sprintf "no figure %d (figures: %s)" n
+              (String.concat ", " (List.map (fun (n, _, _) -> string_of_int n) figures))))
   in
-  parse (List.tl args);
+  Harness.parse [ Out "bench/out"; Jobs ]
+    ~extra:
+      [
+        ("--fast", Arg.Set Harness.smoke, " reduced grids and repetitions");
+        ("--figure", Arg.Int figure, "N run figure N only (repeatable)");
+        ("--ablations", Arg.Set only_ablations, " ablations only");
+        ("--with-ablations", Arg.Set ablations, " figures, then ablations");
+      ];
   let start = Sys.time () in
   if not !only_ablations then begin
     let to_run =
       if !selected = [] then figures
       else List.filter (fun (n, _, _) -> List.mem n !selected) figures
     in
-    if to_run = [] then Printf.eprintf "no matching figures\n";
     List.iter (fun (_, _, run) -> run ()) to_run
   end;
   if !ablations || !only_ablations then Ablations.run ();

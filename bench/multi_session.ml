@@ -16,30 +16,12 @@
    numbers are deterministic; results go to BENCH_MULTI.json (override
    with --out).  `--smoke` shrinks the per-session payload, checks that
    every session byte-verifies and that 64 interleaved sessions achieve
-   at least the sequential goodput, and writes nothing — wired to the
-   @bench-smoke dune alias. *)
+   at least the sequential goodput, and writes nothing — run by
+   `dune runtest`. *)
 
 open Rmcast
 
-type mode = Full | Smoke
-
-let mode = ref Full
-let out_path = ref "BENCH_MULTI.json"
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest | "--fast" :: rest ->
-      mode := Smoke;
-      parse rest
-    | "--out" :: path :: rest ->
-      out_path := path;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "usage: multi_session [--smoke] [--out PATH] (got %S)\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
+let () = Harness.parse [ Smoke; Out "BENCH_MULTI.json" ]
 
 let receivers = 100
 let loss = 0.01
@@ -129,26 +111,23 @@ let json_of_rows rows ~bytes ~elapsed =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  let bytes = match !mode with Smoke -> 10_000 | Full -> 40_000 in
+  let bytes = if !Harness.smoke then 10_000 else 40_000 in
   let rows = List.map (fun n -> run_pair ~bytes n) [ 1; 8; 64 ] in
   List.iter print_row rows;
-  match !mode with
-  | Smoke ->
-    let failures = ref 0 in
-    let check name ok =
-      if not ok then begin
-        Printf.eprintf "SMOKE FAIL: %s\n" name;
-        incr failures
-      end
-    in
-    List.iter (fun r -> check (Printf.sprintf "N=%d verified" r.sessions) r.all_verified) rows;
+  if !Harness.smoke then begin
+    List.iter
+      (fun r ->
+        Harness.check (Printf.sprintf "N=%d verified" r.sessions) r.all_verified
+          "a session did not byte-verify")
+      rows;
     let n64 = List.find (fun r -> r.sessions = 64) rows in
-    check "64 interleaved sessions >= sequential goodput" (n64.mux_goodput >= n64.seq_goodput);
-    if !failures > 0 then exit 1;
-    print_endline "bench-smoke ok"
-  | Full ->
+    Harness.check "64 interleaved sessions >= sequential goodput"
+      (n64.mux_goodput >= n64.seq_goodput)
+      (Printf.sprintf "%.1f < %.1f B/s" n64.mux_goodput n64.seq_goodput)
+  end
+  else begin
     let elapsed = Unix.gettimeofday () -. t0 in
-    let oc = open_out !out_path in
-    output_string oc (json_of_rows rows ~bytes ~elapsed);
-    close_out oc;
-    Printf.printf "wrote %s\n" !out_path
+    Harness.write_file !Harness.out (json_of_rows rows ~bytes ~elapsed);
+    Printf.printf "wrote %s\n" !Harness.out
+  end;
+  Harness.finish ()

@@ -14,47 +14,16 @@
 
    Regime points are independent, so the full run shards them across
    domains with [Parallel.map] — the aggregate tier is what the pool was
-   built to scale.  `--smoke` (wired to @bench-smoke, hence @ci) gates on:
-   a hard floor on the aggregate rate at R = 10^4, determinism (same seed
-   twice -> bit-identical sample fields), E[M] agreement with eq. 6, the
-   log-factorial memo not re-deriving its table across repeated cdf calls,
-   and a lenient aggregate/exact speedup sanity check.  The full run
-   writes BENCH_SCALE.json (override: --out). *)
+   built to scale.  `--smoke` (wired to @bench-smoke, hence @ci) gates on
+   a hard floor on the aggregate rate at R = 10^4 and a lenient
+   aggregate/exact speedup sanity check.  The same point's determinism and
+   E[M] agreement with eq. 6, and the log-factorial memo's reuse across
+   cdf calls, are tests (test/test_aggregate.ml).  The full run writes
+   BENCH_SCALE.json (override: --out). *)
 
 open Rmcast
 
-type mode = Full | Smoke
-
-let mode = ref Full
-let out_path = ref "BENCH_SCALE.json"
-let jobs = ref (Domain.recommended_domain_count ())
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest | "--fast" :: rest ->
-      mode := Smoke;
-      parse rest
-    | "--out" :: path :: rest ->
-      out_path := path;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> jobs := n
-      | _ ->
-        Printf.eprintf "bad job count %S\n" n;
-        exit 2);
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "usage: scale [--smoke] [--out PATH] [--jobs N] (got %S)\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+let () = Harness.parse [ Smoke; Out "BENCH_SCALE.json"; Jobs ]
 
 (* --- regime points ------------------------------------------------------ *)
 
@@ -136,7 +105,7 @@ let run_regime ~seed regime =
   let rng = Rng.create ~seed () in
   let channel = channel_of regime in
   let est, wall =
-    timed (fun () ->
+    Harness.timed (fun () ->
         Tg_aggregate.estimate rng ~receivers:regime.receivers ~channel ~k:regime.k
           ~scheme:regime.scheme ~timing:(timing_of regime) ~reps:regime.reps ())
   in
@@ -161,7 +130,7 @@ let exact_baseline ~seed ~receivers ~reps =
   let rng = Rng.create ~seed () in
   let network = Network.independent rng ~receivers ~p in
   let est, wall =
-    timed (fun () ->
+    Harness.timed (fun () ->
         Runner.estimate network ~k:7
           ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
           ~timing:Timing.instantaneous ~reps ())
@@ -197,7 +166,7 @@ let json_of ~samples ~exact_rate ~exact_wall ~exact_receivers ~exact_reps ~speed
   pr "    \"p\": %g,\n" p;
   pr "    \"mean_burst\": %g,\n" mean_burst;
   pr "    \"send_rate\": %g,\n" send_rate;
-  pr "    \"domains\": %d,\n" (Parallel.domain_count (Parallel.pool_sized !jobs));
+  pr "    \"domains\": %d,\n" (Parallel.domain_count (Parallel.pool_sized !Harness.jobs));
   pr "    \"elapsed_s\": %.2f\n" elapsed;
   pr "  },\n";
   pr "  \"exact_tier\": {\n";
@@ -238,56 +207,27 @@ let smoke_rate_floor = 1e7
 let smoke_min_speedup = 3.0
 
 let smoke () =
-  let failures = ref 0 in
-  let check name ok detail =
-    if not ok then begin
-      Printf.eprintf "SMOKE FAIL: %s (%s)\n" name detail;
-      incr failures
-    end
-  in
-  (* Satellite gate: repeated cdf calls must reuse the grown log-factorial
-     memo, not re-derive it. *)
-  ignore (Dist.Negative_binomial.cdf_array ~k:7 ~a:0 ~p 4096 : float array);
-  let extensions = Special.log_factorial_extensions () in
-  for _ = 1 to 5 do
-    ignore (Dist.Negative_binomial.cdf_array ~k:7 ~a:0 ~p 4096 : float array)
-  done;
-  check "log-factorial memo reuse"
-    (Special.log_factorial_extensions () = extensions)
-    "repeated cdf_array calls re-extended the memo table";
   let regime =
     { label = "smoke"; receivers = 10_000; k = 7; a = 0; bursty = false;
       scheme = Runner.Integrated_nak { a = 0; codec = `Rse }; reps = 400 }
   in
   ignore (run_regime ~seed:1 regime : sample) (* warm up: memo growth, code *);
   let s1 = run_regime ~seed:1 regime in
-  let s2 = run_regime ~seed:1 regime in
   print_sample s1;
-  check "aggregate rate floor"
+  Harness.check "aggregate rate floor"
     (s1.rate >= smoke_rate_floor)
     (Printf.sprintf "%.3e rx/s < %.0e" s1.rate smoke_rate_floor);
-  check "determinism"
-    (s1.mean_m = s2.mean_m && s1.rounds = s2.rounds && s1.ci_low = s2.ci_low)
-    (Printf.sprintf "seed 1 twice: E[M] %.17g vs %.17g, rounds %.17g vs %.17g" s1.mean_m
-       s2.mean_m s1.rounds s2.rounds);
-  check "E[M] vs analysis" s1.agrees
-    (Printf.sprintf "E[M]=%.4f vs eq.6 %s" s1.mean_m
-       (match s1.analysis_m with Some b -> Printf.sprintf "%.4f" b | None -> "none"));
   let _, _, exact_rate = exact_baseline ~seed:2 ~receivers:10_000 ~reps:3 in
-  check "aggregate/exact speedup sanity"
+  Harness.check "aggregate/exact speedup sanity"
     (s1.rate >= smoke_min_speedup *. exact_rate)
     (Printf.sprintf "%.3e / %.3e = %.1fx < %.0fx" s1.rate exact_rate (s1.rate /. exact_rate)
-       smoke_min_speedup);
-  !failures
+       smoke_min_speedup)
 
 (* --- main --------------------------------------------------------------- *)
 
 let () =
-  match !mode with
-  | Smoke ->
-    if smoke () > 0 then exit 1;
-    print_endline "bench-smoke ok"
-  | Full ->
+  if !Harness.smoke then smoke ()
+  else begin
     let t0 = Unix.gettimeofday () in
     let regimes = Array.of_list full_regimes in
     (* Independent points, independent RNGs: shard across the domain pool.
@@ -295,7 +235,7 @@ let () =
        upper bounds; the headline speedup is re-measured sequentially. *)
     let samples =
       Array.to_list
-        (Parallel.map ~pool:(Parallel.pool_sized !jobs) (Array.length regimes)
+        (Parallel.map ~pool:(Parallel.pool_sized !Harness.jobs) (Array.length regimes)
            (fun i -> run_regime ~seed:(100 + i) regimes.(i)))
     in
     List.iter print_sample samples;
@@ -318,17 +258,15 @@ let () =
       json_of ~samples ~exact_rate ~exact_wall ~exact_receivers ~exact_reps ~speedup
         ~elapsed
     in
-    let oc = open_out !out_path in
-    output_string oc json;
-    close_out oc;
-    let disagreements = List.filter (fun s -> not s.agrees) samples in
+    Harness.write_file !Harness.out json;
     Printf.printf "headline: aggregate tier %.0fx the exact tier at R=10^4; wrote %s\n"
-      speedup !out_path;
-    if disagreements <> [] then begin
-      List.iter
-        (fun s ->
-          Printf.eprintf "ANALYSIS DISAGREEMENT: %s R=%d k=%d\n" s.regime.label
-            s.regime.receivers s.regime.k)
-        disagreements;
-      exit 1
-    end
+      speedup !Harness.out;
+    List.iter
+      (fun s ->
+        Harness.check
+          (Printf.sprintf "E[M] vs eq. 6 (%s R=%d k=%d)" s.regime.label s.regime.receivers
+             s.regime.k)
+          s.agrees "outside the analysis band")
+      samples
+  end;
+  Harness.finish ()

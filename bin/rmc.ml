@@ -13,7 +13,6 @@
      transfer  run a full NP transfer over a simulated network
      serve     run N concurrent sessions over one engine (sim or UDP)
      replay    re-execute a captured UDP run through the sans-IO core
-     faults    exercise a fault-injection spec against synthetic datagrams
      trace     record and inspect packet-loss traces
 
    The model commands (analyze, sweep, simulate, plan, endhost, latency,
@@ -1009,77 +1008,6 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(ret (const replay $ path))
 
-(* --- faults ------------------------------------------------------------- *)
-
-let faults_run spec_text packets payload seed =
-  match Rmcast.Fault.spec_of_string spec_text with
-  | Error message -> `Error (false, message)
-  | Ok spec ->
-    let spec = if spec.Rmcast.Fault.seed = 0 then { spec with Rmcast.Fault.seed = seed } else spec in
-    let metrics = Rmcast.Metrics.create () in
-    let trace = Rmcast.Event_trace.create ~capacity:16 () in
-    let shim = Rmcast.Fault.create ~metrics ~trace spec in
-    let rng = Rmcast.Rng.create ~seed () in
-    let decode_failures = ref 0 and emitted = ref 0 in
-    for index = 0 to packets - 1 do
-      let payload_bytes = Bytes.init payload (fun _ -> Char.chr (Rmcast.Rng.int rng 256)) in
-      let packet =
-        Rmcast.Header.encode
-          (Rmcast.Header.Data { tg_id = index / 8; k = 8; index = index mod 8; payload = payload_bytes })
-      in
-      (* Synchronous harness: deferred (delayed) sends fire immediately. *)
-      Rmcast.Fault.apply shim
-        ~now:(float_of_int index *. 0.001)
-        ~defer:(fun _delay thunk -> thunk ())
-        ~send:(fun bytes ->
-          incr emitted;
-          match Rmcast.Header.decode bytes with
-          | Ok _ -> ()
-          | Error _ -> incr decode_failures)
-        packet
-    done;
-    Printf.printf "spec: %s\n" (Rmcast.Fault.spec_to_string spec);
-    Printf.printf "fed %d datagrams, emitted %d, decode failures %d\n" packets !emitted
-      !decode_failures;
-    Format.printf "%a@." Rmcast.Fault.pp_stats (Rmcast.Fault.stats shim);
-    print_endline "counters:";
-    List.iter
-      (fun (name, value) -> Printf.printf "  %-24s %d\n" name value)
-      (Rmcast.Metrics.counters metrics);
-    let events = Rmcast.Event_trace.events trace in
-    if events <> [] then begin
-      Printf.printf "trace tail (%d of %d events):\n" (List.length events)
-        (Rmcast.Event_trace.recorded trace);
-      List.iter
-        (fun event ->
-          Printf.printf "  %8.3f  %-16s %s\n" event.Rmcast.Event_trace.wall
-            event.Rmcast.Event_trace.name event.Rmcast.Event_trace.detail)
-        events
-    end;
-    `Ok ()
-
-let faults_cmd =
-  let spec =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SPEC"
-          ~doc:
-            "Fault specification, comma-separated key=value pairs: $(i,drop)=P or \
-             $(i,drop)=burst:P:LEN:RATE, $(i,dup)=P, $(i,reorder)=P, $(i,delay)=S or \
-             $(i,delay)=MIN:MAX, $(i,corrupt)=P, $(i,seed)=N.")
-  in
-  let packets =
-    Arg.(value & opt int 1000 & info [ "packets" ] ~docv:"N" ~doc:"Datagrams to feed through.")
-  in
-  let payload =
-    Arg.(value & opt int 64 & info [ "payload" ] ~docv:"BYTES" ~doc:"Payload size per datagram.")
-  in
-  let doc = "Exercise a fault-injection spec against synthetic datagrams." in
-  Cmd.v
-    (Cmd.info "faults" ~doc)
-    Term.(ret (const faults_run $ spec $ packets $ payload $ seed_arg))
-
 (* --- capacity ----------------------------------------------------------- *)
 
 let capacity k p target =
@@ -1115,4 +1043,4 @@ let () =
        (Cmd.group info
           [ analyze_cmd; sweep_cmd; simulate_cmd; plan_cmd; endhost_cmd; latency_cmd;
             feedback_cmd; capacity_cmd; codec_cmd; transfer_cmd; serve_cmd; replay_cmd;
-            faults_cmd; trace_cmd ]))
+            trace_cmd ]))

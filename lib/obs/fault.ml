@@ -137,7 +137,6 @@ type t = {
   rng : Rng.t;
   loss : Loss.t option;
   trace : Trace.t option;
-  metrics : Metrics.t;
   c_injected : Metrics.counter;
   c_dropped : Metrics.counter;
   c_duplicated : Metrics.counter;
@@ -169,7 +168,6 @@ let create ?metrics ?trace spec =
     rng;
     loss;
     trace;
-    metrics;
     c_injected = Metrics.counter metrics "fault.injected";
     c_dropped = Metrics.counter metrics "fault.dropped";
     c_duplicated = Metrics.counter metrics "fault.duplicated";

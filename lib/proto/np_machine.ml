@@ -1,3 +1,7 @@
+(* Stricter than the tree-wide flags: label and constructor disambiguation
+   (warnings 40/41) is an error in the core both drivers interpret. *)
+[@@@ocaml.warning "+40+41"]
+
 module Codec = Rmc_rse.Codec
 module Fec_block = Rmc_rse.Fec_block
 module Header = Rmc_wire.Header

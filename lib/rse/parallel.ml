@@ -23,8 +23,6 @@
    to it (and always when the pool has a single domain, e.g. when
    [Domain.recommended_domain_count () = 1]). *)
 
-module Gf = Rmc_gf.Gf
-
 type pool = {
   domains : int; (* total parallelism including the calling domain *)
   batch_lock : Mutex.t; (* serialises whole batches: one batch at a time *)

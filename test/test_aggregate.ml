@@ -183,6 +183,35 @@ let test_nak_rounds_straddle_eq6 () =
     true
     (mean >= bound -. (3.5 *. se) && mean <= (1.05 *. bound) +. (3.5 *. se))
 
+let test_scale_point_eq6 () =
+  (* bench/scale.exe's R = 10^4 rate point: the same seed twice gives
+     bit-identical statistics, and E[M] sits no more than 3 standard errors
+     below eq. 6 and no more than 5% (+ 3 se) above it. *)
+  let receivers = 10_000 and k = 7 and reps = 400 in
+  let run () =
+    Tg_aggregate.estimate (Rng.create ~seed:1 ()) ~receivers ~channel:(Aggregate.bernoulli ~p)
+      ~k ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse })
+      ~timing:Rmcast.Timing.instantaneous ~reps ()
+  in
+  let stats (e : Runner.estimate) =
+    let m = e.Runner.transmissions_per_packet in
+    (Stats.Accumulator.mean m, Stats.Accumulator.mean e.Runner.rounds,
+     fst (Stats.Accumulator.confidence95 m))
+  in
+  let est = run () in
+  Alcotest.(check bool) "same seed twice: identical E[M], rounds and CI" true
+    (stats est = stats (run ()));
+  let m = est.Runner.transmissions_per_packet in
+  let mean = Stats.Accumulator.mean m and se = Stats.Accumulator.std_error m in
+  let bound =
+    Rmcast.Integrated.expected_transmissions_unbounded ~k ~a:0
+      ~population:(Rmcast.Receivers.homogeneous ~p ~count:receivers) ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "E[M] %.4f vs eq.6 %.4f (se %.4f)" mean bound se)
+    true
+    (mean >= bound -. (3.0 *. se) && mean <= (1.05 *. bound) +. (3.0 *. se))
+
 (* --- tier-vs-tier ------------------------------------------------------- *)
 
 let combined_sigma a b =
@@ -293,6 +322,14 @@ let test_log_factorial_memo () =
     ignore (Rmcast.Special.log_factorial (n * 100) : float)
   done;
   Alcotest.(check int) "no re-extension" extensions
+    (Rmcast.Special.log_factorial_extensions ());
+  (* Repeated cdf calls reuse the grown memo too. *)
+  ignore (Rmcast.Dist.Negative_binomial.cdf_array ~k:7 ~a:0 ~p 4096 : float array);
+  let extensions = Rmcast.Special.log_factorial_extensions () in
+  for _ = 1 to 5 do
+    ignore (Rmcast.Dist.Negative_binomial.cdf_array ~k:7 ~a:0 ~p 4096 : float array)
+  done;
+  Alcotest.(check int) "no re-extension across cdf_array calls" extensions
     (Rmcast.Special.log_factorial_extensions ());
   List.iter
     (fun n ->
@@ -520,4 +557,6 @@ let suite =
       test_rejected_flow_schedules_nothing;
     Alcotest.test_case "sim tiers match their golden captures" `Quick test_golden_sim_tiers;
     Alcotest.test_case "aggregate TG tier: MDS codecs only" `Quick test_tg_aggregate_codecs;
+    Alcotest.test_case "R = 10^4 E[M] is deterministic and agrees with eq. 6" `Quick
+      test_scale_point_eq6;
   ]

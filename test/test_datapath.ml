@@ -1,6 +1,7 @@
 (* The allocation-lean packet datapath: pooled buffer discipline, the
    pooled egress's byte-identity with the legacy encode-per-message path,
-   and the recv loop's allocation budget. *)
+   the recv loop's and the pooled path's allocation budgets, and the
+   batched sockets' syscall ceiling. *)
 
 module Buffer_pool = Rmcast.Buffer_pool
 module Header = Rmcast.Header
@@ -171,6 +172,163 @@ let test_drain_alloc_budget () =
     (Printf.sprintf "%.0f words/datagram within budget" per_datagram)
     true (per_datagram < 250.0)
 
+(* --- pooled datapath: bytes per datagram -------------------------------- *)
+
+(* One message through encode -> wire blit -> decode at a unicast fan-out
+   of 4, the way bench/packet_rate.exe's pooled arm moves it: one
+   [encode_into] into a pooled buffer shared by the fan-out, a persistent
+   recv scratch, and [decode_slice] straight out of it. *)
+let fanout = 4
+
+let data_msg =
+  let rng = Rmcast.Rng.create ~seed:7 () in
+  Header.Data
+    {
+      tg_id = 3;
+      k = 8;
+      index = 2;
+      payload = Bytes.init 1024 (fun _ -> Char.chr (Rmcast.Rng.int rng 256));
+    }
+
+let nak_msg = Header.Nak { tg_id = 3; need = 2; round = 1 }
+
+let test_pooled_alloc_budget () =
+  (* Deterministic, so the budgets are tight: DATA pays the one payload
+     copy out of the recv slice plus the decoded message; NAK allocates
+     only the message.  A breach means a per-datagram copy or buffer crept
+     back into the datapath. *)
+  let pool = Buffer_pool.create ~capacity:4 ~buf_size:Udp_np.max_datagram () in
+  let rx_scratch = Bytes.create Udp_np.max_datagram in
+  let sink = ref 0 in
+  let pooled message () =
+    Buffer_pool.with_buf pool (fun buf ->
+        let len = Header.encode_into buf ~off:0 message in
+        for _ = 1 to fanout do
+          Bytes.blit buf 0 rx_scratch 0 len;
+          match Header.decode_slice rx_scratch ~off:0 ~len with
+          | Ok m -> sink := !sink + Header.tg_id m
+          | Error reason -> failwith ("pooled decode: " ^ reason)
+        done)
+  in
+  let bytes_per_datagram f =
+    f () (* warm up: CRC table, pool population *);
+    let reps = 2000 in
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    (Gc.allocated_bytes () -. before) /. float_of_int (reps * fanout)
+  in
+  List.iter
+    (fun (kind, message, budget) ->
+      let bytes = bytes_per_datagram (pooled message) in
+      Alcotest.(check bool)
+        (Printf.sprintf "pooled %s: %.1f B/datagram <= %.0f" kind bytes budget)
+        true (bytes <= budget))
+    [ ("data", data_msg, 1400.0); ("nak", nak_msg, 256.0) ];
+  Alcotest.(check bool) "every copy decoded" true (!sink > 0);
+  Buffer_pool.assert_quiescent pool
+
+(* --- batched sockets: syscalls per datagram ------------------------------ *)
+
+(* Messages coalesced 32 to a frame, 4 frames per [sendmmsg] flush, unicast
+   to 8 loopback receivers drained through [recvmmsg] rings after every
+   flush: every kernel entry, drains included, over every delivered copy.
+   The per-datagram path (one [sendto] per copy, one [recvfrom] per
+   datagram) pays ~2; the batched path must stay under 0.5. *)
+let test_batched_syscalls_per_datagram () =
+  let fanout = 8 and messages = 2_000 and coalesce = 32 and frames_per_flush = 4 in
+  let message kind i =
+    match kind with
+    | `Data ->
+      Header.Data
+        { tg_id = i land 0xFFFF; k = 8; index = i land 7;
+          payload = Bytes.make 256 (Char.chr (i land 0xFF)) }
+    | `Nak -> Header.Nak { tg_id = i land 0xFFFF; need = 1 + (i land 7); round = 1 }
+  in
+  let socket () =
+    let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+    Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    Unix.set_nonblock socket;
+    (try Unix.setsockopt_int socket Unix.SO_RCVBUF (1 lsl 21) with Unix.Unix_error _ -> ());
+    socket
+  in
+  let run kind =
+    let tx = socket () and rxs = Array.init fanout (fun _ -> socket ()) in
+    let dests = Array.map Unix.getsockname rxs in
+    let rings =
+      Array.map
+        (fun _ -> Rmcast.Udp_batch.recv_create ~slots:8 ~buf_size:Udp_np.max_datagram ())
+        rxs
+    in
+    let batch = Rmcast.Udp_batch.send_create () in
+    let frames = Array.init frames_per_flush (fun _ -> Bytes.create Udp_np.max_datagram) in
+    let delivered = ref 0 and syscalls = ref 0 in
+    let rec walk buffer ~off ~len =
+      if off < len then
+        match Header.frame_length buffer ~off ~len:(len - off) with
+        | Error reason -> failwith ("frame walk: " ^ reason)
+        | Ok frame_len ->
+          (match Header.decode_slice buffer ~off ~len:frame_len with
+          | Ok _ -> incr delivered
+          | Error reason -> failwith ("batched decode: " ^ reason));
+          walk buffer ~off:(off + frame_len) ~len
+    in
+    let drain_all () =
+      Array.iteri
+        (fun r rx ->
+          let ring = rings.(r) in
+          let continue = ref true in
+          while !continue do
+            incr syscalls;
+            let n = Rmcast.Udp_batch.recv_batch ring rx in
+            for i = 0 to n - 1 do
+              walk (Rmcast.Udp_batch.slot ring i) ~off:0
+                ~len:(Rmcast.Udp_batch.slot_len ring i)
+            done;
+            if n < Rmcast.Udp_batch.slots ring then continue := false
+          done)
+        rxs
+    in
+    let i = ref 0 in
+    while !i < messages do
+      let used = ref 0 in
+      while !used < frames_per_flush && !i < messages do
+        let buf = frames.(!used) and len = ref 0 and in_frame = ref 0 in
+        while !in_frame < coalesce && !i < messages do
+          len := !len + Header.encode_into buf ~off:!len (message kind !i);
+          incr in_frame;
+          incr i
+        done;
+        Array.iter (fun dest -> Rmcast.Udp_batch.add batch buf ~len:!len dest) dests;
+        incr used
+      done;
+      let { Rmcast.Udp_batch.sent = _; errors; syscalls = flushed } =
+        Rmcast.Udp_batch.flush batch tx
+      in
+      Alcotest.(check int) "no send errors" 0 errors;
+      syscalls := !syscalls + flushed;
+      drain_all ()
+    done;
+    let expected = messages * fanout in
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while !delivered < expected && Unix.gettimeofday () < deadline do
+      ignore (Unix.select (Array.to_list rxs) [] [] 0.01);
+      drain_all ()
+    done;
+    Unix.close tx;
+    Array.iter Unix.close rxs;
+    Alcotest.(check int) "every copy delivered" expected !delivered;
+    float_of_int !syscalls /. float_of_int !delivered
+  in
+  List.iter
+    (fun (name, kind) ->
+      let per_datagram = run kind in
+      Alcotest.(check bool)
+        (Printf.sprintf "batched %s: %.3f syscalls/datagram < 0.5" name per_datagram)
+        true (per_datagram < 0.5))
+    [ ("data", `Data); ("nak", `Nak) ]
+
 let suite =
   [
     Alcotest.test_case "pool checkout/release/reuse" `Quick test_pool_reuse;
@@ -182,4 +340,7 @@ let suite =
     Alcotest.test_case "pooled egress byte-identical to legacy" `Quick
       test_pooled_egress_byte_identity;
     Alcotest.test_case "drain allocation budget" `Quick test_drain_alloc_budget;
+    Alcotest.test_case "pooled datapath allocation budget" `Quick test_pooled_alloc_budget;
+    Alcotest.test_case "batched sockets syscalls per datagram" `Quick
+      test_batched_syscalls_per_datagram;
   ]

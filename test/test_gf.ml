@@ -10,7 +10,7 @@ let qcheck_field_axioms field name =
   let arbnz = QCheck.make (nonzero field) in
   let pair = QCheck.pair arb arb in
   let triple = QCheck.triple arb arb arb in
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       QCheck.Test.make ~count:500 ~name:(name ^ ": add associative") triple (fun (a, b, c) ->
           Gf.add (Gf.add a b) c = Gf.add a (Gf.add b c));

@@ -266,7 +266,7 @@ let test_parallel_pool_basics () =
     (Array.for_all2 Bytes.equal sequential parallel)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       qcheck_mul_add_matches_scalar;
       qcheck_mul_matches_scalar;

@@ -1,4 +1,5 @@
 module Np = Rmcast.Np
+module N1 = Rmcast.N1
 module N2 = Rmcast.N2
 module Network = Rmcast.Network
 module Rng = Rmcast.Rng
@@ -219,6 +220,80 @@ let test_np_beats_n2_on_bandwidth_and_duplicates () =
   Alcotest.(check bool) "far fewer unnecessary receptions" true
     (np.Np.unnecessary_receptions * 3 < n2.N2.unnecessary_receptions)
 
+(* --- N1/N2 golden pins --- *)
+
+(* Every counter of both baselines' reports, and the duration bit for bit,
+   at a few (seed, loss, R) points.  Both protocols see the same loss
+   draws (one network seed per point).  The expected strings were produced
+   by the hand-written N1/N2 engine loops; moving either onto a shared
+   driver must reproduce them exactly. *)
+let n1_fields (r : N1.report) =
+  Printf.sprintf "rx=%d packets=%d data=%d acks=%d expiries=%d unn=%d dur=%h intact=%b"
+    r.N1.receivers r.N1.packets r.N1.data_tx r.N1.acks_received r.N1.timer_expiries
+    r.N1.unnecessary_receptions r.N1.duration r.N1.delivered_intact
+
+let n2_fields (r : N2.report) =
+  Printf.sprintf
+    "rx=%d packets=%d data=%d polls=%d naks=%d supp=%d unn=%d rounds=%d dur=%h intact=%b"
+    r.N2.receivers r.N2.packets r.N2.data_tx r.N2.polls r.N2.naks_sent r.N2.naks_suppressed
+    r.N2.unnecessary_receptions r.N2.rounds r.N2.duration r.N2.delivered_intact
+
+let golden_baselines ~seed ~loss ~receivers =
+  let rng = Rng.create ~seed () in
+  let data = payloads rng ~count:40 ~size:64 in
+  let network () =
+    let rng = Rng.create ~seed:(seed + 1000) () in
+    match loss with
+    | `Bernoulli p -> Network.independent rng ~receivers ~p
+    | `Bursty p ->
+      Network.temporal rng ~receivers ~make:(fun r ->
+          Rmcast.Loss.markov2 r ~p ~mean_burst:3.0 ~send_rate:1000.0)
+  in
+  let n1 =
+    N1.run ~config:{ N1.default_config with payload_size = 64 } ~network:(network ())
+      ~rng:(Rng.split rng) ~data ()
+  in
+  let n2 =
+    N2.run ~config:{ N2.default_config with payload_size = 64 } ~network:(network ())
+      ~rng:(Rng.split rng) ~data ()
+  in
+  (n1_fields n1, n2_fields n2)
+
+let golden_baseline_points =
+  [
+    ( (51, `Bernoulli 0.0, 4),
+      "rx=4 packets=40 data=40 acks=160 expiries=0 unn=0 dur=0x1.45a1cac083128p-3 intact=true",
+      "rx=4 packets=40 data=40 polls=1 naks=0 supp=0 unn=0 rounds=1 dur=0x1.0a3d70a3d70a6p-4 \
+       intact=true" );
+    ( (52, `Bernoulli 0.02, 20),
+      "rx=20 packets=40 data=48 acks=947 expiries=8 unn=147 dur=0x1.1cac083126e98p-2 \
+       intact=true",
+      "rx=20 packets=40 data=48 polls=2 naks=10 supp=0 unn=147 rounds=2 \
+       dur=0x1.000b4183ec3bcp-2 intact=true" );
+    ( (53, `Bernoulli 0.05, 60),
+      "rx=60 packets=40 data=81 acks=4651 expiries=41 unn=2251 dur=0x1p-1 intact=true",
+      "rx=60 packets=40 data=81 polls=3 naks=80 supp=35 unn=2251 rounds=3 \
+       dur=0x1.cce8a05b35a9cp-2 intact=true" );
+    ( (54, `Bernoulli 0.2, 8),
+      "rx=8 packets=40 data=83 acks=531 expiries=43 unn=211 dur=0x1.06a7ef9db22d1p-1 \
+       intact=true",
+      "rx=8 packets=40 data=85 polls=4 naks=59 supp=20 unn=226 rounds=4 \
+       dur=0x1.3b111a680e3d5p-1 intact=true" );
+    ( (55, `Bursty 0.05, 12),
+      "rx=12 packets=40 data=44 acks=519 expiries=4 unn=39 dur=0x1.0d4fdf3b645a2p-2 \
+       intact=true",
+      "rx=12 packets=40 data=44 polls=2 naks=4 supp=0 unn=39 rounds=2 \
+       dur=0x1.fe06a305c837p-3 intact=true" );
+  ]
+
+let test_golden_baselines () =
+  List.iter
+    (fun ((seed, loss, receivers), n1, n2) ->
+      let n1', n2' = golden_baselines ~seed ~loss ~receivers in
+      Alcotest.(check string) (Printf.sprintf "N1 seed %d" seed) n1 n1';
+      Alcotest.(check string) (Printf.sprintf "N2 seed %d" seed) n2 n2')
+    golden_baseline_points
+
 let base_suite =
   [
     Alcotest.test_case "NP lossless pure stream" `Quick test_np_lossless_is_pure_stream;
@@ -240,6 +315,8 @@ let base_suite =
     Alcotest.test_case "N2 delivers under loss" `Quick test_n2_delivers_under_loss;
     Alcotest.test_case "N2 matches ARQ analysis" `Quick test_n2_matches_arq_analysis;
     Alcotest.test_case "NP beats N2" `Quick test_np_beats_n2_on_bandwidth_and_duplicates;
+    Alcotest.test_case "N1 and N2 reports match their golden pins" `Quick
+      test_golden_baselines;
   ]
 
 (* --- randomized protocol invariants --- *)

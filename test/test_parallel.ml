@@ -125,6 +125,34 @@ let test_run_cells_jobs_invariant () =
   Alcotest.(check string) "jobs=1 and jobs=4 emit identical CSV" (csv 1) (csv 4);
   Alcotest.(check string) "jobs=3 too (uneven chunking)" (csv 1) (csv 3)
 
+(* An exact-tier grid (receivers x k, Integrated_nak, p = 0.01, 40 reps a
+   cell) through [Sweep.run_cells], printed at full float precision: the
+   schedule must not reach the bytes. *)
+let runner_grid_csv ~jobs =
+  let cells =
+    Array.of_list
+      (List.concat_map (fun r -> [ (r, 7); (r, 20) ]) [ 30; 60; 120; 240 ])
+  in
+  let rows =
+    Sweep.run_cells ~jobs ~seed:0xbeef
+      ~coords:(fun _ (receivers, k) -> [| receivers; k |])
+      ~f:(fun ~seed (receivers, k) ->
+        let network = Network.independent (Rng.create ~seed ()) ~receivers ~p:0.01 in
+        let est =
+          Runner.estimate network ~k
+            ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:40 ()
+        in
+        Printf.sprintf "%d,%d,%.17g,%.17g,%.17g\n" receivers k (Runner.mean_m est)
+          (Stats.Accumulator.mean est.Runner.rounds)
+          (Stats.Accumulator.mean est.Runner.feedback))
+      cells
+  in
+  String.concat "" (Array.to_list rows)
+
+let test_runner_grid_jobs_invariant () =
+  Alcotest.(check string) "jobs=1 and jobs=4 emit identical CSV" (runner_grid_csv ~jobs:1)
+    (runner_grid_csv ~jobs:4)
+
 let test_run_cells_custom_coords () =
   let cells = [| (10, 2); (20, 4) |] in
   let run () =
@@ -144,8 +172,8 @@ let test_run_cells_custom_coords () =
 let test_pool_multi_domain_hammer () =
   (* Capacity below the concurrent demand, so the hammer exercises pooled
      traffic, overflow allocation and overflow adoption all at once. *)
-  let pool = Buffer_pool.create ~capacity:6 ~buf_size:128 () in
-  let per_domain = 10_000 in
+  let pool = Buffer_pool.create ~capacity:6 ~buf_size:256 () in
+  let per_domain = 20_000 in
   let spawned =
     Array.init 4 (fun d ->
         Domain.spawn (fun () ->
@@ -293,4 +321,5 @@ let suite =
     Alcotest.test_case "codec memo under contention" `Quick test_codec_memo_contention;
     Alcotest.test_case "metrics sharded exactness" `Quick test_metrics_sharded_exact;
     Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
+    Alcotest.test_case "runner grid jobs-invariant" `Quick test_runner_grid_jobs_invariant;
   ]

@@ -451,7 +451,9 @@ let test_golden_tg_tiers () =
    [--parities].  All must be usage errors: exit 124, no internal error.
    The [codec decode] inputs read containers the test builds first from a
    k = 4, h = 2, 64-byte encoding of [input.bin]: cut short, junk, more
-   loss than the parities cover, and a payload size that does not match. *)
+   loss than the parities cover, and a payload size that does not match.
+   [faults] is no command: [serve --transport udp --faults] injects faults
+   into a real run. *)
 let bad_cli_inputs =
   [
     "simulate --reps 0";
@@ -472,6 +474,7 @@ let bad_cli_inputs =
     "codec decode junk.fec output.bin --payload 64";
     "codec decode input.fec output.bin --payload 64 --drop 0.6";
     "codec decode input.fec output.bin --payload 32";
+    "faults drop=0.1";
   ]
 
 let contains s sub =
