@@ -61,6 +61,28 @@ let finish () =
   if !failures > 0 then exit 1;
   if !smoke then print_endline "bench-smoke ok"
 
+(* --- run context ---------------------------------------------------------- *)
+
+(* The checkout's revision ([git describe --always --dirty], so a tree with
+   uncommitted changes says so), or "unknown" outside a git checkout. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if rev = "" then "unknown" else rev
+
+(* The machine context a BENCH_*.json [meta] records next to its numbers,
+   as (key, JSON value) pairs: source revision, the host's domain count
+   and the compiler. *)
+let context () =
+  [
+    ("git_rev", Printf.sprintf "%S" (git_rev ()));
+    ("domains", string_of_int (Domain.recommended_domain_count ()));
+    ("ocaml_version", Printf.sprintf "%S" Sys.ocaml_version);
+  ]
+
 (* --- clock --------------------------------------------------------------- *)
 
 let timed f =

@@ -90,7 +90,7 @@ let paths kind =
 let datagrams_per_sec ~quota f = float_of_int fanout /. Harness.mean_seconds ~quota f
 
 let alloc_bytes_per_datagram f =
-  f () (* warm up: CRC table, pool population *);
+  f () (* warm up: pool population *);
   let reps = 2000 in
   let before = Gc.allocated_bytes () in
   for _ = 1 to reps do
@@ -411,6 +411,7 @@ let json_of_samples samples ~socket_samples ~trials ~elapsed =
   p "    \"unit\": \"datagrams/sec and Gc.allocated_bytes per datagram moved\",\n";
   p "    \"model\": \"encode -> wire blit -> decode, unicast fan-out of %d\",\n" fanout;
   p "    \"data_payload\": %d,\n" data_payload;
+  List.iter (fun (key, value) -> p "    %S: %s,\n" key value) (Harness.context ());
   p "    \"trials\": %d,\n" trials;
   p "    \"elapsed_s\": %.1f\n" elapsed;
   p "  },\n";

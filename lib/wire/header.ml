@@ -14,24 +14,57 @@ let tg_id_offset = 6
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over the whole datagram
    with the checksum field itself treated as zero.  UDP's 16-bit checksum is
    optional and weak; without an application-level check, a corrupted DATA
-   payload would decode cleanly and silently poison the FEC block. *)
+   payload would decode cleanly and silently poison the FEC block.
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+   The checksum is every datagram's dominant per-byte cost (it runs once per
+   encode and once per decode), so it is computed slicing-by-8: eight
+   256-entry tables, where table [j] advances the CRC over a byte followed
+   by [j] zero bytes, fold eight input bytes per step with eight
+   independent lookups.  The tables live in one flat array, table [j] at
+   [j * 256], built when the module loads.  Fewer than eight leftover bytes
+   go through the bytewise loop, which is table 0 alone. *)
 
-let crc_feed_byte crc byte =
-  let table = Lazy.force crc_table in
-  table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+let crc_tables =
+  let tables = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    tables.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = tables.(i - 256) in
+    tables.(i) <- tables.(prev land 0xFF) lxor (prev lsr 8)
+  done;
+  tables
+
+(* Every table index below is a byte plus a multiple of 256 below 2048. *)
+let table i = Array.unsafe_get crc_tables i
+
+let crc_feed_byte crc byte = table ((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+
+let get_u32_le buffer pos = Int32.to_int (Bytes.get_int32_le buffer pos) land 0xFFFFFFFF
 
 let crc_feed crc buffer pos len =
   let c = ref crc in
-  for i = pos to pos + len - 1 do
+  let pos = ref pos in
+  let stop = !pos + len in
+  while !pos + 8 <= stop do
+    let one = !c lxor get_u32_le buffer !pos in
+    let two = get_u32_le buffer (!pos + 4) in
+    c :=
+      table (0x700 + (one land 0xFF))
+      lxor table (0x600 + ((one lsr 8) land 0xFF))
+      lxor table (0x500 + ((one lsr 16) land 0xFF))
+      lxor table (0x400 + (one lsr 24))
+      lxor table (0x300 + (two land 0xFF))
+      lxor table (0x200 + ((two lsr 8) land 0xFF))
+      lxor table (0x100 + ((two lsr 16) land 0xFF))
+      lxor table (two lsr 24);
+    pos := !pos + 8
+  done;
+  for i = !pos to stop - 1 do
     c := crc_feed_byte !c (Bytes.get_uint8 buffer i)
   done;
   !c
@@ -68,13 +101,6 @@ let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 let get_u16 = Bytes.get_uint16_be
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
-let fields = function
-  | Data { tg_id; k; index; payload } -> (tg_id, k, index, 0, Some payload)
-  | Parity { tg_id; k; index; round; payload } -> (tg_id, k, index, round, Some payload)
-  | Poll { tg_id; k; size; round } -> (tg_id, k, size, round, None)
-  | Nak { tg_id; need; round } -> (tg_id, 0, need, round, None)
-  | Exhausted { tg_id } -> (tg_id, 0, 0, 0, None)
-
 let tg_id = function
   | Data { tg_id; _ } | Parity { tg_id; _ } | Poll { tg_id; _ } | Nak { tg_id; _ }
   | Exhausted { tg_id } ->
@@ -95,29 +121,38 @@ let encoded_size message =
     | Data { payload; _ } | Parity { payload; _ } -> Bytes.length payload
     | Poll _ | Nak _ | Exhausted _ -> 0)
 
-let encode_into buffer ~off message =
-  let tg_id, k, aux, round, payload = fields message in
+(* Every message type reaches this one writer with its fields as labelled
+   arguments, never as a tuple or an option, so encoding allocates nothing;
+   control messages write the shared empty payload. *)
+let write buffer ~off ~code ~tg_id ~k ~aux ~round payload =
   validate_ranges ~tg_id ~k ~aux ~round;
-  (match message with
-  | Data { k; index; _ } when index >= k -> invalid_arg "Header: data index must be < k"
-  | _ -> ());
-  let payload_len = match payload with Some p -> Bytes.length p | None -> 0 in
+  if code = 1 && aux >= k then invalid_arg "Header: data index must be < k";
+  let payload_len = Bytes.length payload in
   let total = header_size + payload_len in
   if off < 0 || off > Bytes.length buffer - total then
     invalid_arg "Header.encode_into: datagram does not fit the buffer";
   Bytes.blit_string magic 0 buffer off 4;
   Bytes.set_uint8 buffer (off + 4) version;
-  Bytes.set_uint8 buffer (off + 5) (type_code message);
+  Bytes.set_uint8 buffer (off + 5) code;
   set_u32 buffer (off + tg_id_offset) tg_id;
   set_u16 buffer (off + 10) k;
   set_u16 buffer (off + 12) aux;
   set_u32 buffer (off + 14) round;
   set_u32 buffer (off + 18) payload_len;
-  (match payload with
-  | Some p -> Bytes.blit p 0 buffer (off + header_size) payload_len
-  | None -> ());
+  Bytes.blit payload 0 buffer (off + header_size) payload_len;
   set_u32 buffer (off + crc_offset) (datagram_crc_slice buffer ~off ~len:total);
   total
+
+let encode_into buffer ~off message =
+  let code = type_code message in
+  match message with
+  | Data { tg_id; k; index; payload } ->
+    write buffer ~off ~code ~tg_id ~k ~aux:index ~round:0 payload
+  | Parity { tg_id; k; index; round; payload } ->
+    write buffer ~off ~code ~tg_id ~k ~aux:index ~round payload
+  | Poll { tg_id; k; size; round } -> write buffer ~off ~code ~tg_id ~k ~aux:size ~round Bytes.empty
+  | Nak { tg_id; need; round } -> write buffer ~off ~code ~tg_id ~k:0 ~aux:need ~round Bytes.empty
+  | Exhausted { tg_id } -> write buffer ~off ~code ~tg_id ~k:0 ~aux:0 ~round:0 Bytes.empty
 
 let encode message =
   (* [encode_into] writes every one of the [encoded_size] bytes, so an
@@ -168,15 +203,15 @@ let decode_slice buffer ~off ~len =
     if len <> header_size + payload_len then raise (Bad "length field mismatch");
     if get_u32 buffer (off + crc_offset) <> datagram_crc_slice buffer ~off ~len then
       raise (Bad "checksum mismatch");
-    let payload () = Bytes.sub buffer (off + header_size) payload_len in
     match code with
     | 1 ->
       if payload_len = 0 then raise (Bad "DATA without payload");
       if aux >= k then raise (Bad "DATA index not below k");
-      Data { tg_id; k; index = aux; payload = payload () }
+      Data { tg_id; k; index = aux; payload = Bytes.sub buffer (off + header_size) payload_len }
     | 2 ->
       if payload_len = 0 then raise (Bad "PARITY without payload");
-      Parity { tg_id; k; index = aux; round; payload = payload () }
+      Parity
+        { tg_id; k; index = aux; round; payload = Bytes.sub buffer (off + header_size) payload_len }
     | 3 ->
       if payload_len <> 0 then raise (Bad "POLL with payload");
       Poll { tg_id; k; size = aux; round }

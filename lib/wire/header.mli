@@ -23,22 +23,30 @@
     v}
 
     The checksum covers header and payload; {!decode} rejects any datagram
-    whose stored CRC does not match ([Error "checksum mismatch"]).  Encode
-    and decode accept the same field ranges: [tg_id] and [round] are full
-    32-bit values, [k] and [index]/[need]/[size] 16-bit.
+    whose stored CRC does not match ([Error "checksum mismatch"]).  It is
+    the standard CRC-32 (IEEE 802.3 polynomial, reflected: zlib's [crc32]
+    of the datagram with this field zeroed), computed slicing-by-8: eight
+    byte-indexed tables fold eight bytes per step, and fewer than eight
+    leftover bytes go one at a time.  It is most of the per-datagram cost
+    of both {!encode_into} and {!decode_slice}: about 1.1 us for a
+    1,050-byte DATA datagram on a 2-vCPU Xeon, 4-6x less than byte at a
+    time.
+
+    Encode and decode accept the same field ranges: [tg_id] and [round]
+    are full 32-bit values, [k] and [index]/[need]/[size] 16-bit.
 
     {2 Slice API and aliasing contract}
 
     The allocation-lean datapath works on {e slices} of long-lived
     buffers: {!encode_into} serializes straight into a pooled send buffer
     and {!decode_slice} parses straight out of a reusable recv buffer,
-    so the per-datagram cost is one payload copy (DATA/PARITY) or nothing
-    at all (control messages) instead of a fresh datagram-sized buffer
+    so the per-datagram allocation is the decoded message and its one
+    payload copy (DATA/PARITY) instead of a fresh datagram-sized buffer
     per packet.  The contract:
 
     - {!encode_into} writes exactly [encoded_size message] bytes at
-      [off] and touches nothing else; the caller may reuse the rest of
-      the buffer freely.
+      [off], touches nothing else and allocates nothing; the caller may
+      reuse the rest of the buffer freely.
     - {!decode_slice} reads only [\[off, off+len)] and returns messages
       that do {e not} alias the input: DATA/PARITY payloads are copied
       out, so the caller may overwrite the buffer (e.g. with the next

@@ -211,7 +211,7 @@ let test_pooled_alloc_budget () =
         done)
   in
   let bytes_per_datagram f =
-    f () (* warm up: CRC table, pool population *);
+    f () (* warm up: pool population *);
     let reps = 2000 in
     let before = Gc.allocated_bytes () in
     for _ = 1 to reps do

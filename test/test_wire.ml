@@ -244,6 +244,133 @@ let test_slice_bounds_validation () =
     (Invalid_argument "Header.reseal: truncated buffer") (fun () ->
       Header.reseal_slice small ~off:0 ~len:10)
 
+(* --- checksum ------------------------------------------------------------ *)
+
+(* The CRC-32 of the wire spec computed the slow, obvious way — one byte at
+   a time, one bit per shift, no tables — over the datagram at
+   [\[off, off+len)] with its checksum field (bytes 22-25) read as zero. *)
+let reference_crc buffer ~off ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = 0 to len - 1 do
+    let byte = if i >= 22 && i < 26 then 0 else Bytes.get_uint8 buffer (off + i) in
+    crc := !crc lxor byte;
+    for _ = 1 to 8 do
+      crc := if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let stored_crc buffer ~off = Int32.to_int (Bytes.get_int32_be buffer (off + 22)) land 0xFFFFFFFF
+
+let max_field_parity =
+  Header.Parity
+    {
+      tg_id = 0xFFFF_FFFF;
+      k = 0xFFFF;
+      index = 0xFFFF;
+      round = 0xFFFF_FFFF;
+      payload = Bytes.init 1024 (fun i -> Char.chr ((i * 131 + 7) land 0xFF));
+    }
+
+let test_crc_known_answers () =
+  (* The standard CRC-32 check value (nine bytes have no checksum field to
+     zero, so the reference is plain CRC-32 there), then two datagrams
+     whose checksums agree with zlib's crc32 over the same bytes, checksum
+     field zeroed. *)
+  Alcotest.(check int) "reference check value" 0xCBF43926
+    (reference_crc (Bytes.of_string "123456789") ~off:0 ~len:9);
+  let hello =
+    Header.encode (Header.Data { tg_id = 7; k = 20; index = 3; payload = Bytes.of_string "hello" })
+  in
+  Alcotest.(check int) "DATA hello" 0xd007251f (Header.datagram_crc hello);
+  Alcotest.(check int) "DATA hello, stored" 0xd007251f (stored_crc hello ~off:0);
+  let parity = Header.encode max_field_parity in
+  Alcotest.(check int) "max-field PARITY" 0x97815df6 (Header.datagram_crc parity);
+  Alcotest.(check int) "max-field PARITY, reference" 0x97815df6
+    (reference_crc parity ~off:0 ~len:(Bytes.length parity))
+
+let qcheck_crc_every_alignment =
+  (* Random bytes framed as a datagram of every length 26-300 at every
+     offset 0-7 of a larger buffer: every alignment of the eight-byte steps
+     and every tail length.  [reseal_slice] must store the reference CRC
+     and [decode_slice] must accept the result. *)
+  QCheck.Test.make ~count:8 ~name:"reseal_slice CRC agrees with the reference at every alignment"
+    QCheck.(string_of_size (Gen.return 320))
+    (fun noise ->
+      let buffer = Bytes.of_string noise in
+      let ok = ref true in
+      for off = 0 to 7 do
+        for len = Header.header_size to 300 do
+          let payload_len = len - Header.header_size in
+          Bytes.blit_string "RMCP" 0 buffer off 4;
+          Bytes.set_uint8 buffer (off + 4) 2;
+          (* PARITY carries any payload; an empty one is a POLL. *)
+          Bytes.set_uint8 buffer (off + 5) (if payload_len > 0 then 2 else 3);
+          Bytes.set_int32_be buffer (off + 18) (Int32.of_int payload_len);
+          Header.reseal_slice buffer ~off ~len;
+          let decoded = Result.is_ok (Header.decode_slice buffer ~off ~len) in
+          if not (decoded && stored_crc buffer ~off = reference_crc buffer ~off ~len) then ok := false
+        done
+      done;
+      !ok)
+
+let test_single_bit_flips () =
+  (* CRC-32 detects every single-bit error, so each of the 8,400 one-bit
+     corruptions of a 1,050-byte DATA datagram must be rejected: a wrong
+     lane in the eight-byte loop or the tail would let some through. *)
+  let payload = Bytes.init 1024 (fun i -> Char.chr ((i * 37 + 11) land 0xFF)) in
+  let buffer = Header.encode (Header.Data { tg_id = 11; k = 20; index = 5; payload }) in
+  let len = Bytes.length buffer in
+  Alcotest.(check int) "datagram bits" 8400 (8 * len);
+  let accepted = ref [] in
+  for bit = 0 to (8 * len) - 1 do
+    let pos = bit / 8 and mask = 1 lsl (bit mod 8) in
+    Bytes.set_uint8 buffer pos (Bytes.get_uint8 buffer pos lxor mask);
+    if Result.is_ok (Header.decode_slice buffer ~off:0 ~len) then accepted := bit :: !accepted;
+    Bytes.set_uint8 buffer pos (Bytes.get_uint8 buffer pos lxor mask)
+  done;
+  Alcotest.(check (list int)) "no flipped copy decodes" [] !accepted;
+  Alcotest.(check bool) "pristine copy decodes" true
+    (Result.is_ok (Header.decode_slice buffer ~off:0 ~len))
+
+(* --- allocation ----------------------------------------------------------- *)
+
+let minor_words_per_call f =
+  f () (* warm up *);
+  let reps = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  int_of_float ((Gc.minor_words () -. before) /. float_of_int reps)
+
+let test_slice_api_allocation () =
+  (* [encode_into] writes into the caller's buffer and allocates nothing,
+     whatever the message; a NAK [decode_slice] allocates only the message
+     and its [Ok] (4 + 2 words). *)
+  let buffer = Bytes.create 2048 in
+  List.iter
+    (fun message ->
+      Alcotest.(check int)
+        (Header.message_type_name message ^ " encode_into words")
+        0
+        (minor_words_per_call (fun () -> ignore (Header.encode_into buffer ~off:3 message))))
+    [
+      Header.Data { tg_id = 7; k = 20; index = 3; payload = Bytes.make 1024 'd' };
+      max_field_parity;
+      Header.Poll { tg_id = 1; k = 20; size = 20; round = 2 };
+      Header.Nak { tg_id = 1; need = 2; round = 3 };
+      Header.Exhausted { tg_id = 9 };
+    ];
+  let len = Header.encode_into buffer ~off:0 (Header.Nak { tg_id = 1; need = 2; round = 3 }) in
+  let words =
+    minor_words_per_call (fun () ->
+        match Header.decode_slice buffer ~off:0 ~len with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check bool) (Printf.sprintf "NAK decode_slice: %d words <= 6" words) true (words <= 6)
+
 let expect_error name buffer expected =
   match Header.decode buffer with
   | Ok _ -> Alcotest.fail (name ^ ": decode unexpectedly succeeded")
@@ -339,4 +466,8 @@ let suite =
     Alcotest.test_case "encode validation" `Quick test_encode_validation;
     Alcotest.test_case "control packet size" `Quick test_header_size_exact;
     Alcotest.test_case "type names" `Quick test_type_names;
+    Alcotest.test_case "CRC known answers" `Quick test_crc_known_answers;
+    QCheck_alcotest.to_alcotest qcheck_crc_every_alignment;
+    Alcotest.test_case "every single-bit flip rejected" `Quick test_single_bit_flips;
+    Alcotest.test_case "slice API allocation" `Quick test_slice_api_allocation;
   ]
