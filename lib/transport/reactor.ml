@@ -92,29 +92,24 @@ let on_readable t fd callback =
 let remove t fd = Hashtbl.remove t.handlers fd
 let stop t = t.stopped <- true
 
-let fire_due_timers t =
-  let rec loop () =
-    drop_cancelled_head t;
-    match Event_queue.peek_time t.timers with
-    | Some time when time <= Unix.gettimeofday () ->
-      (match Event_queue.pop t.timers with
-      | Some (_, timer) ->
-        if not timer.cancelled then begin
-          bump t.c_fires;
-          timer.action ()
-        end
-        else t.cancelled_pending <- t.cancelled_pending - 1
-      | None -> ());
-      if not t.stopped then loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
+(* Fire the earliest timer if it is due.  One per pass of [run]: a timer
+   that re-arms itself at zero delay must not starve the sockets. *)
+let fire_due_timer t =
+  drop_cancelled_head t;
+  match Event_queue.peek_time t.timers with
+  | Some time when time <= Unix.gettimeofday () -> (
+    match Event_queue.pop t.timers with
+    | Some (_, timer) ->
+      bump t.c_fires;
+      timer.action ()
+    | None -> ())
+  | Some _ | None -> ()
 
 let run ?(deadline = Float.max_float) t =
   t.stopped <- false;
   let continue = ref true in
   while !continue && not t.stopped do
-    fire_due_timers t;
+    fire_due_timer t;
     if t.stopped then continue := false
     else begin
       let current = Unix.gettimeofday () in

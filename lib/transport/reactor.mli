@@ -53,4 +53,10 @@ val stop : t -> unit
 val run : ?deadline:float -> t -> unit
 (** Dispatch timers and descriptor events until {!stop} is called, the
     wall-clock [deadline] (absolute, seconds) passes, or there is nothing
-    left to wait for (no timers and no descriptors). *)
+    left to wait for (no timers and no descriptors).
+
+    Each pass fires at most one due timer (the earliest), then polls the
+    descriptors — without blocking when another timer is already due —
+    and runs the readable callbacks.  Due timers still fire in time
+    order, but a timer that re-arms itself at zero delay cannot starve
+    the sockets. *)

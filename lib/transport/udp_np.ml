@@ -149,8 +149,8 @@ let make_socket () =
 
 (* A socket plus the failure-observation channel every send shares, a recv
    ring datagrams are decoded straight out of (no per-datagram copy), and
-   the reusable send batch a tick's frames are flushed through — all
-   allocated once per socket instead of per tick. *)
+   the reusable send batch a pump's frames are flushed through — all
+   allocated once per socket instead of per pump. *)
 type net = {
   socket : Unix.file_descr;
   ring : Udp_batch.recv;
@@ -234,6 +234,7 @@ type sender = {
   drive : Np_drive.Sender.t;
   shim : Fault.t option;
   mutable sending : bool;
+  mutable due : float;  (* when the next DATA/PARITY may leave *)
   c_data : Metrics.counter;
   c_parity : Metrics.counter;
   c_poll : Metrics.counter;
@@ -242,7 +243,7 @@ type sender = {
   c_rounds : Metrics.counter;
 }
 
-(* One frame of a tick's batch: a pooled buffer accumulating sealed
+(* One frame of a pump's batch: a pooled buffer accumulating sealed
    messages back to back, and whether the fault shim applies (it only sees
    data/parity, and only when frames carry a single message). *)
 type frame = { buf : Bytes.t; mutable len : int; payload_bearing : bool }
@@ -260,12 +261,12 @@ let sender_encode sender buf ~off message =
   end;
   len
 
-(* Append a message to the tick's batch.  Without a fault shim the message
+(* Append a message to the pump's batch.  Without a fault shim the message
    coalesces onto the current frame while it fits the kernel's datagram
-   budget — a whole tick rides one datagram per destination.  With a shim,
+   budget — a whole pump rides one datagram per destination.  With a shim,
    every message gets its own frame so faults keep applying per datagram
    per destination, exactly as the loss model demands. *)
-let sender_enqueue sender batch message =
+let sender_enqueue sender batch ~payload_bearing message =
   match batch with
   | frame :: _
     when Option.is_none sender.shim
@@ -275,18 +276,13 @@ let sender_enqueue sender batch message =
   | _ ->
     let buf = Buffer_pool.checkout sender.pool in
     let len = sender_encode sender buf ~off:0 message in
-    let payload_bearing =
-      match message with
-      | Header.Data _ | Header.Parity _ -> true
-      | Header.Poll _ | Header.Nak _ | Header.Exhausted _ -> false
-    in
     { buf; len; payload_bearing } :: batch
 
-(* Flush a tick's batch.
+(* Flush a pump's batch.
 
    The batched path hands every (frame, destination) pair to one
    sendmmsg-backed flush: serialize + sid-rewrite + reseal happen once per
-   message regardless of group size, and the whole tick costs
+   message regardless of group size, and the whole pump costs
    ceil(frames * group / max_batch) syscalls instead of one per datagram.
    In multicast mode [group] is the single group address and the kernel
    does the fan-out too.
@@ -305,7 +301,7 @@ let sender_flush sender batch =
       (fun { buf; len; payload_bearing } ->
         (if payload_bearing then begin
            (* The shim may hold, delay or duplicate the datagram beyond
-              this tick, so it owns a copy; pooled buffers never escape
+              this pump, so it owns a copy; pooled buffers never escape
               the flush. *)
            let packet = Bytes.sub buf 0 len in
            let now = Unix.gettimeofday () in
@@ -346,50 +342,63 @@ let sender_flush sender batch =
 let sender_machine sender = Np_drive.Sender.machine sender.drive
 
 (* The machine's traces go to the driver's trace sink. *)
-let sender_trace sender effects =
-  match sender.net.trace with
-  | Some trace ->
-    List.iter
-      (function Np_machine.Trace detail -> Trace.record ~detail trace "np.sender" | _ -> ())
-      effects
-  | None -> ()
+let sender_trace sender = function
+  | Np_machine.Trace detail ->
+    Option.iter (fun trace -> Trace.record ~detail trace "np.sender") sender.net.trace
+  | _ -> ()
 
-let rec sender_pump sender =
-  if not (Np_machine.Sender.pending (sender_machine sender)) then sender.sending <- false
-  else begin
-    let effects = Np_drive.Sender.tick sender.drive in
-    sender_trace sender effects;
-    (* Drain every Send effect of the tick into pooled frames, then flush
-       them in one batched pass. *)
-    let batch, delay =
-      List.fold_left
-        (fun (batch, acc) effect ->
-          match effect with
-          | Np_machine.Send message ->
-            (match message with
-            | Header.Data _ ->
-              Metrics.incr sender.c_data;
-              (sender_enqueue sender batch message, sender.config.spacing)
-            | Header.Parity _ ->
-              Metrics.incr sender.c_parity;
-              (sender_enqueue sender batch message, sender.config.spacing)
-            | Header.Poll _ ->
-              Metrics.incr sender.c_poll;
-              (sender_enqueue sender batch message, acc)
-            | Header.Exhausted _ ->
-              Metrics.incr sender.c_exhausted;
-              (sender_enqueue sender batch message, acc)
-            | Header.Nak _ -> (batch, acc))
-          | _ -> (batch, acc))
-        ([], 0.0) effects
+(* Fold one tick effect into the pump's batch and its byte count.  Every
+   DATA/PARITY is one [spacing] of the sender's schedule. *)
+let sender_effect sender ((batch, used) as acc) effect =
+  match effect with
+  | Np_machine.Send message -> (
+    let send counter ~payload_bearing =
+      Metrics.incr counter;
+      if payload_bearing then sender.due <- sender.due +. sender.config.spacing;
+      (sender_enqueue sender batch ~payload_bearing message, used + Header.encoded_size message)
     in
-    sender_flush sender batch;
-    ignore (Reactor.after sender.reactor delay (fun () -> sender_pump sender))
+    match message with
+    | Header.Data _ -> send sender.c_data ~payload_bearing:true
+    | Header.Parity _ -> send sender.c_parity ~payload_bearing:true
+    | Header.Poll _ -> send sender.c_poll ~payload_bearing:false
+    | Header.Exhausted _ -> send sender.c_exhausted ~payload_bearing:false
+    | Header.Nak _ -> acc)
+  | _ ->
+    sender_trace sender effect;
+    acc
+
+(* Catch-up pacing: one pump ticks the machine while it is pending and its
+   next packet is due, so a sender behind schedule sends every due packet
+   at once; [due] is absolute, so the schedule never drifts.  The pump
+   stops before one more full-size message would overflow one frame (a
+   first message always goes, however large), flushes once and re-arms
+   for the next due time. *)
+let rec sender_pump sender =
+  let machine = sender_machine sender in
+  if not (Np_machine.Sender.pending machine) then sender.sending <- false
+  else begin
+    let now = Unix.gettimeofday () in
+    let full = Header.header_size + sender.config.payload_size in
+    let rec catch_up ((_, used) as acc) =
+      if
+        Np_machine.Sender.pending machine
+        && sender.due <= now
+        && (used = 0 || used + full <= max_frame)
+      then
+        catch_up
+          (List.fold_left (sender_effect sender) acc (Np_drive.Sender.tick sender.drive))
+      else acc
+    in
+    sender_flush sender (fst (catch_up ([], 0)));
+    ignore (Reactor.after sender.reactor (sender.due -. now) (fun () -> sender_pump sender))
   end
 
+(* A sender waking from idle starts its schedule now: having had nothing
+   to send never earns a burst. *)
 let sender_wake sender =
   if not sender.sending then begin
     sender.sending <- true;
+    sender.due <- Unix.gettimeofday ();
     ignore (Reactor.after sender.reactor 0.0 (fun () -> sender_pump sender))
   end
 
@@ -397,7 +406,7 @@ let sender_handle_nak sender ~tg_id ~need ~round =
   Metrics.incr sender.c_naks_rx;
   let machine = sender_machine sender in
   let before = Np_machine.Sender.repair_rounds machine in
-  sender_trace sender (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
+  List.iter (sender_trace sender) (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
   if Np_machine.Sender.repair_rounds machine > before then Metrics.incr sender.c_rounds;
   if Np_machine.Sender.pending machine then sender_wake sender
 
@@ -419,6 +428,7 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
           (profile_of_config config) ~data;
       shim;
       sending = false;
+      due = 0.0;
       c_data = Metrics.counter metrics "tx.data";
       c_parity = Metrics.counter metrics "tx.parity";
       c_poll = Metrics.counter metrics "tx.poll";

@@ -14,9 +14,10 @@
     {!Udp_multicast.is_available} — not every environment routes multicast
     over loopback).
 
-    The datapath is batched end to end: a sender tick's messages coalesce
-    back to back into pooled {e frames} (the wire format is
-    self-delimiting, see {!Rmc_wire.Header.frame_length}) and the tick's
+    The datapath is batched end to end: the messages of one sender pump
+    (every packet due under the pacing schedule, see [config.spacing])
+    coalesce back to back into pooled {e frames} (the wire format is
+    self-delimiting, see {!Rmc_wire.Header.frame_length}) and the pump's
     (frame, destination) pairs go to the kernel through one
     [sendmmsg]-backed flush; each socket drains through a [recvmmsg]
     receive ring.  On platforms without those syscalls the same code runs
@@ -58,7 +59,12 @@ type config = {
   h : int;
   proactive : int;
   payload_size : int;
-  spacing : float;  (** sender pacing, seconds between packets *)
+  spacing : float;
+      (** sender pacing: the mean interval, in seconds, between DATA/PARITY
+          packets.  The schedule is absolute, so a sender behind it sends
+          every due packet in one pump, up to one frame per destination;
+          a sender waking from idle starts its schedule afresh and never
+          bursts. *)
   slot : float;  (** NAK slot size *)
   pre_encode : bool;  (** encode every repair packet before transmission *)
   linger : float;  (** quiet period after completion before shutdown *)

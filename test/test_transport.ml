@@ -325,6 +325,64 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* --- catch-up pacing ------------------------------------------------- *)
+
+(* A lossless 8-receiver run at [spacing]: it verifies, and the run's
+   pool was quiescent at the end ([run_engine] asserts it before
+   reporting). *)
+let paced_run ~spacing ~packets =
+  let data = payloads ~count:packets ~size:config.Udp.payload_size 17 in
+  let config = { config with Udp.spacing; linger = 0.0 } in
+  let report = Udp.run_local_exn ~config ~receivers:8 ~loss:0.0 ~seed:18 ~data () in
+  Alcotest.(check bool) "verified" true report.Udp.verified;
+  Alcotest.(check int) "all receivers" 8 report.Udp.completed;
+  report
+
+(* A sender behind a 1 us schedule sends every due packet in one pump, so
+   its messages coalesce: at most half as many datagrams as message
+   copies. *)
+let test_catch_up_coalesces () =
+  let report = paced_run ~spacing:1e-6 ~packets:400 in
+  let copies = (report.Udp.data_tx + report.Udp.parity_tx + report.Udp.polls) * 8 in
+  let datagrams = List.assoc "udp.datagrams_tx" report.Udp.counters in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d datagrams for %d message copies" datagrams copies)
+    true
+    (2 * datagrams <= copies)
+
+(* Catching up never runs ahead of the schedule: 20 packets 2 ms apart
+   take at least 19 intervals. *)
+let test_pacing_holds_schedule () =
+  let report = paced_run ~spacing:2e-3 ~packets:20 in
+  Alcotest.(check bool)
+    (Printf.sprintf "wall %.4f s >= 19 x 2 ms" report.Udp.wall_seconds)
+    true
+    (report.Udp.wall_seconds >= 19.0 *. 2e-3)
+
+(* [rmc serve --transport udp] at its defaults (8 sessions x 100
+   receivers) once stalled: a zero-delay sender pump starved the reactor's
+   poll, receiver sockets overflowed and lost POLLs left every session
+   waiting for the timeout.  Now every session verifies and the kernel
+   drops nothing. *)
+let test_serve_defaults_verify () =
+  let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
+  let log = Filename.temp_file "rmc-serve" ".log" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s serve --transport udp --metrics > %s 2>&1" (Filename.quote rmc)
+         (Filename.quote log))
+  in
+  let output = In_channel.with_open_text log In_channel.input_all in
+  Sys.remove log;
+  Alcotest.(check int) ("exit status: " ^ output) 0 status;
+  Alcotest.(check bool) "all sessions verified" true (contains output "all verified : true");
+  let counter name =
+    Scanf.sscanf (List.find (fun line -> contains line name) (String.split_on_char '\n' output))
+      " %s %d" (fun _ value -> value)
+  in
+  Alcotest.(check int) "datagrams received = sent" (counter "udp.datagrams_tx")
+    (counter "udp.datagrams_rx")
+
 (* The CLI surfaces the same refusal: [rmc serve --shards 2 --capture F]
    exits non-zero and leaves no capture behind; [--faults] is refused the
    same way.  With one session, a fault storm's capture replays. *)
@@ -391,4 +449,8 @@ let suite =
     Alcotest.test_case "shards: zero and unsafe sinks rejected" `Quick test_shards_rejected;
     Alcotest.test_case "serve --capture needs one shard" `Quick
       test_serve_capture_needs_one_shard;
+    Alcotest.test_case "catch-up pacing coalesces" `Quick test_catch_up_coalesces;
+    Alcotest.test_case "catch-up pacing holds the schedule" `Quick
+      test_pacing_holds_schedule;
+    Alcotest.test_case "serve udp defaults: all verify" `Quick test_serve_defaults_verify;
   ]

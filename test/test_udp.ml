@@ -182,6 +182,53 @@ let test_reactor_fd_event () =
   Unix.close b;
   Alcotest.(check string) "datagram delivered" "ping" !received
 
+(* A socket pair with one datagram already queued on [a]; the readable
+   callback drains it, logs "read" and unregisters. *)
+let pending_datagram reactor log =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+  ignore (Unix.send b (Bytes.of_string "ping") 0 4 []);
+  Reactor.on_readable reactor a (fun () ->
+      ignore (Unix.recv a (Bytes.create 64) 0 64 []);
+      log := "read" :: !log;
+      Reactor.remove reactor a);
+  (a, b)
+
+(* A timer that re-arms itself at zero delay must not starve the sockets:
+   each pass fires at most one due timer, then polls. *)
+let test_reactor_timer_cannot_starve_sockets () =
+  let reactor = Reactor.create () in
+  let log = ref [] in
+  let a, b = pending_datagram reactor log in
+  let fires = ref 0 in
+  let rec rearm () =
+    incr fires;
+    log := Printf.sprintf "fire %d" !fires :: !log;
+    if !fires < 1000 then ignore (Reactor.after reactor 0.0 rearm)
+  in
+  ignore (Reactor.after reactor 0.0 rearm);
+  Reactor.run ~deadline:(Unix.gettimeofday () +. 5.0) reactor;
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check int) "every firing ran" 1000 !fires;
+  Alcotest.(check (list string)) "the read lands before the second firing"
+    [ "fire 1"; "read"; "fire 2" ]
+    (List.filteri (fun i _ -> i < 3) (List.rev !log))
+
+(* Two timers due at once still fire in time order, one per pass, with the
+   pending readable callback between them. *)
+let test_reactor_due_timers_interleave_polls () =
+  let reactor = Reactor.create () in
+  let log = ref [] in
+  let a, b = pending_datagram reactor log in
+  ignore (Reactor.after reactor 0.002 (fun () -> log := "second" :: !log));
+  ignore (Reactor.after reactor 0.001 (fun () -> log := "first" :: !log));
+  Unix.sleepf 0.01;
+  Reactor.run ~deadline:(Unix.gettimeofday () +. 5.0) reactor;
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check (list string)) "time order, poll between" [ "first"; "read"; "second" ]
+    (List.rev !log)
+
 let test_reactor_heap_leak () =
   (* Regression: cancelled timers used to sit in the heap until their
      original expiry — a long-lived session that arms and cancels a NAK
@@ -246,6 +293,10 @@ let suite =
     Alcotest.test_case "reactor stop" `Quick test_reactor_stop;
     Alcotest.test_case "reactor deadline" `Quick test_reactor_deadline;
     Alcotest.test_case "reactor fd events" `Quick test_reactor_fd_event;
+    Alcotest.test_case "reactor: a re-arming timer cannot starve sockets" `Quick
+      test_reactor_timer_cannot_starve_sockets;
+    Alcotest.test_case "reactor: due timers interleave with polls" `Quick
+      test_reactor_due_timers_interleave_polls;
     Alcotest.test_case "udp lossless session" `Quick test_lossless_session;
     Alcotest.test_case "udp lossy session recovers" `Quick test_lossy_session_recovers;
     Alcotest.test_case "udp single receiver, 25% loss" `Quick test_single_receiver_high_loss;
