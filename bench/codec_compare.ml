@@ -184,6 +184,7 @@ let json_of ~samples ~costs ~elapsed =
   pr "    \"k\": %d, \"receivers\": %d, \"tree_receivers\": %d,\n" k receivers
     (1 lsl tree_height);
   pr "    \"p\": %g, \"mean_burst\": %g, \"send_rate\": %g,\n" p mean_burst send_rate;
+  List.iter (fun (key, value) -> pr "    %S: %s,\n" key value) (Harness.context ());
   pr "    \"elapsed_s\": %.2f\n" elapsed;
   pr "  },\n";
   pr "  \"protocol\": [\n";

@@ -4,9 +4,10 @@
      scalar    the seed implementation (byte-at-a-time product-table loops,
                one pass over all k data packets per parity row), rebuilt
                here from the exported scalar kernels as the baseline;
-     word      the current library path: word-wide kernels + blocked
-               multi-parity accumulation ([Rse.encode]/[Rse.decode]);
-     parallel  the word tier striped across domains
+     kernel    the current library path: the C GF(2^8) kernel, one call
+               per (row, source) pair ([Rse.encode]/[Rse.decode]); the
+               SIMD path it runs is recorded as [meta.gf_kernel];
+     parallel  the kernel tier striped across domains
                ([Rse.encode_parallel]/[Rse.decode_parallel]).
 
    MB/s counts SOURCE DATA bytes processed per second (k * payload per
@@ -85,7 +86,7 @@ let measure_grid_point ~quota ~trials ~k ~h ~payload =
   let encode_tiers =
     [
       ("scalar", fun () -> ignore (encode_scalar codec data));
-      ("word", fun () -> ignore (Rse.encode codec data));
+      ("kernel", fun () -> ignore (Rse.encode codec data));
       ("parallel", fun () -> ignore (Rse.encode_parallel ~min_bytes:0 codec data));
     ]
   in
@@ -95,7 +96,7 @@ let measure_grid_point ~quota ~trials ~k ~h ~payload =
       [
         ( "scalar",
           fun () -> ignore (decode_scalar codec received_idx received_payload ~missing) );
-        ("word", fun () -> ignore (Rse.decode codec received));
+        ("kernel", fun () -> ignore (Rse.decode codec received));
         ("parallel", fun () -> ignore (Rse.decode_parallel ~min_bytes:0 codec received));
       ]
   in
@@ -132,11 +133,11 @@ let smoke_check () =
         Array.init k (fun _ -> Bytes.init payload (fun _ -> Char.chr (Rng.int rng 256)))
       in
       let reference = encode_scalar codec data in
-      let word = Rse.encode codec data in
+      let encoded = Rse.encode codec data in
       let par = Rse.encode_parallel ~min_bytes:0 codec data in
       Harness.check
-        (Printf.sprintf "encode word (k=%d h=%d p=%d)" k h payload)
-        (Array.for_all2 Bytes.equal reference word) "differs from the scalar reference";
+        (Printf.sprintf "encode kernel (k=%d h=%d p=%d)" k h payload)
+        (Array.for_all2 Bytes.equal reference encoded) "differs from the scalar reference";
       Harness.check
         (Printf.sprintf "encode parallel (k=%d h=%d p=%d)" k h payload)
         (Array.for_all2 Bytes.equal reference par) "differs from the scalar reference";
@@ -145,12 +146,12 @@ let smoke_check () =
         let received =
           Array.append
             (Array.init (k - losses) (fun r -> (losses + r, data.(losses + r))))
-            (Array.init losses (fun j -> (k + j, word.(j))))
+            (Array.init losses (fun j -> (k + j, encoded.(j))))
         in
         let decoded = Rse.decode codec received in
         let decoded_par = Rse.decode_parallel ~min_bytes:0 codec received in
         Harness.check
-          (Printf.sprintf "decode word (k=%d h=%d p=%d)" k h payload)
+          (Printf.sprintf "decode kernel (k=%d h=%d p=%d)" k h payload)
           (Array.for_all2 Bytes.equal data decoded) "differs from the source data";
         Harness.check
           (Printf.sprintf "decode parallel (k=%d h=%d p=%d)" k h payload)
@@ -160,21 +161,21 @@ let smoke_check () =
 
 (* --- JSON -------------------------------------------------------------- *)
 
-let json_of_samples samples ~trials ~headline_scalar ~headline_word ~domains ~elapsed =
+let json_of_samples samples ~trials ~headline_scalar ~headline_kernel ~elapsed =
   let buffer = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
   p "{\n";
   p "  \"meta\": {\n";
   p "    \"unit\": \"MB/s of source data processed (k * payload bytes per call)\",\n";
   p "    \"grid\": \"best-of-%d interleaved trials per tier\",\n" trials;
-  p "    \"domains\": %d,\n" domains;
+  List.iter (fun (key, value) -> p "    %S: %s,\n" key value) (Harness.context ());
   p "    \"elapsed_s\": %.1f\n" elapsed;
   p "  },\n";
   p "  \"headline\": {\n";
   p "    \"config\": \"encode k=20 h=7 payload=1024\",\n";
   p "    \"scalar_mbps\": %.1f,\n" headline_scalar;
-  p "    \"word_mbps\": %.1f,\n" headline_word;
-  p "    \"speedup\": %.2f\n" (headline_word /. headline_scalar);
+  p "    \"kernel_mbps\": %.1f,\n" headline_kernel;
+  p "    \"speedup\": %.2f\n" (headline_kernel /. headline_scalar);
   p "  },\n";
   p "  \"results\": [\n";
   List.iteri
@@ -227,16 +228,13 @@ let () =
         (fun s -> s.op = "encode" && s.tier = tier && s.k = 20 && s.h = 7 && s.payload = 1024)
         samples
     in
-    let headline_scalar = (find "scalar").mbps and headline_word = (find "word").mbps in
+    let headline_scalar = (find "scalar").mbps and headline_kernel = (find "kernel").mbps in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let domains = Parallel.domain_count (Parallel.default_pool ()) in
-    let json =
-      json_of_samples samples ~trials ~headline_scalar ~headline_word ~domains ~elapsed
-    in
+    let json = json_of_samples samples ~trials ~headline_scalar ~headline_kernel ~elapsed in
     Harness.write_file !Harness.out json;
-    Printf.printf "headline: scalar %.1f MB/s -> word %.1f MB/s (%.2fx); wrote %s\n"
-      headline_scalar headline_word
-      (headline_word /. headline_scalar)
+    Printf.printf "headline: scalar %.1f MB/s -> kernel %.1f MB/s (%.2fx); wrote %s\n"
+      headline_scalar headline_kernel
+      (headline_kernel /. headline_scalar)
       !Harness.out
   end;
   Harness.finish ()

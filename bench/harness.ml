@@ -74,13 +74,14 @@ let git_rev () =
     if rev = "" then "unknown" else rev
 
 (* The machine context a BENCH_*.json [meta] records next to its numbers,
-   as (key, JSON value) pairs: source revision, the host's domain count
-   and the compiler. *)
+   as (key, JSON value) pairs: source revision, the host's domain count,
+   the compiler and the GF(2^8) kernel path the codecs ran on. *)
 let context () =
   [
     ("git_rev", Printf.sprintf "%S" (git_rev ()));
     ("domains", string_of_int (Domain.recommended_domain_count ()));
     ("ocaml_version", Printf.sprintf "%S" Sys.ocaml_version);
+    ("gf_kernel", Printf.sprintf "%S" Rmcast.Gf.kernel);
   ]
 
 (* --- clock --------------------------------------------------------------- *)

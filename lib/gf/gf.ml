@@ -5,22 +5,7 @@ type t = {
   exp_table : int array; (* alpha^i for i in [0, 2*(size-1)); doubled to skip a mod *)
   log_table : int array; (* log_table.(0) = -1 sentinel *)
   mul256 : Bytes.t; (* 64K flat product table when m = 8, empty otherwise *)
-  pair16 : Bytes.t option Atomic.t array;
-      (* per-coefficient 128 KiB tables mapping a 16-bit source chunk to the
-         16-bit chunk of products, built on demand (m = 8 only).  Slots are
-         atomics so concurrent domains publish fully built tables. *)
 }
-
-(* Unsafe word accessors: the compiler primitives behind Bytes.get_int64_ne
-   and friends, without the bounds check.  Every use below sits behind an
-   explicit length validation. *)
-external unsafe_get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external unsafe_get_u16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external unsafe_set_u16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external swap16 : int -> int = "%bswap16"
-
-let little_endian = not Sys.big_endian
 
 (* Standard primitive polynomials (low-weight, as in Rizzo's fec.c). *)
 let primitive_polynomials =
@@ -64,10 +49,7 @@ let make m =
   let poly = primitive_polynomials.(m) in
   let exp_table, log_table = build_tables m poly in
   let mul256 = if m = 8 then build_mul256 exp_table log_table else Bytes.empty in
-  let pair16 =
-    if m = 8 then Array.init 256 (fun _ -> Atomic.make None) else [||]
-  in
-  { m; size = 1 lsl m; poly; exp_table; log_table; mul256; pair16 }
+  { m; size = 1 lsl m; poly; exp_table; log_table; mul256 }
 
 let cache : (int, t) Hashtbl.t = Hashtbl.create 8
 let cache_mutex = Mutex.create ()
@@ -132,6 +114,7 @@ let pow field x e =
     field.exp_table.((field.log_table.(x) * e) mod order)
   end
 
+
 let require_gf256 field name =
   if field.m <> 8 then invalid_arg (name ^ ": byte kernels need GF(2^8)")
 
@@ -140,39 +123,10 @@ let check_range name dst src pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length dst then
     invalid_arg (name ^ ": range out of bounds")
 
-(* {1 The per-coefficient pair tables}
-
-   [pair_table field c] maps every 16-bit little-endian chunk of source
-   bytes to the 16-bit chunk of their GF products with [c], so the word
-   kernels below need one table load per TWO bytes instead of one per
-   byte.  128 KiB per coefficient, at most 254 tables per process
-   (coefficients 0 and 1 never reach the table path), built lazily. *)
-
-let pair_table field coeff =
-  let slot = Array.unsafe_get field.pair16 coeff in
-  match Atomic.get slot with
-  | Some table -> table
-  | None ->
-    let table = Bytes.create (65536 * 2) in
-    let row = coeff lsl 8 in
-    let mul256 = field.mul256 in
-    for v = 0 to 65535 do
-      let p0 = Char.code (Bytes.unsafe_get mul256 (row lor (v land 0xFF))) in
-      let p1 = Char.code (Bytes.unsafe_get mul256 (row lor (v lsr 8))) in
-      (* Native (little-endian) lane order: low byte of the chunk is the
-         byte at the lower offset. *)
-      unsafe_set_u16 table (v lsl 1) (p0 lor (p1 lsl 8))
-    done;
-    (* Competing domains may build the same table; both results are
-       identical and the atomic publish keeps readers from observing a
-       partially initialised one. *)
-    Atomic.set slot (Some table);
-    table
-
 (* {1 Scalar reference kernels}
 
    Byte-at-a-time loops, kept verbatim as the semantic reference for the
-   word-wide kernels (differential tests compare against these). *)
+   C kernel (differential tests compare against these). *)
 
 let xor_into_scalar_range ~dst ~src ~pos ~len =
   for i = pos to pos + len - 1 do
@@ -224,331 +178,103 @@ let mul_into_scalar field ~dst ~src ~coeff =
   check_range "Gf.mul_into" dst src 0 len;
   mul_into_scalar_range field ~dst ~src ~coeff ~pos:0 ~len
 
-(* {1 Word-wide kernels}
+(* {1 The C kernel}
 
-   64-bit wide loops with a scalar tail.  XOR works on any platform; the
-   multiply kernels assemble product words from little-endian lanes and so
-   dispatch back to the scalar loops on big-endian hosts.
+   [gf_stubs.c] holds one multiply-accumulate and one multiply over a byte
+   window, each with two paths: SSSE3 and a portable byte-table loop.  The
+   last argument names the path; the best one the host supports is chosen
+   once, here.  Neither external allocates or raises, so every bound and
+   the coefficient are checked before the call. *)
 
-   Two multiply tiers.  The mid-length tier looks products up byte-wise in
-   the shared 64K table (each coefficient touches a 256-byte row of it, so
-   any mix of coefficients stays cache-hot) but retires them 8 bytes at a
-   time with a single 64-bit read-modify-write of dst.  The long tier
-   switches to per-coefficient pair tables (16-bit chunk -> 16-bit product
-   chunk, 128 KiB per coefficient): twice fewer lookups per byte, but the
-   table only pays for its cache footprint once a single call streams
-   enough data through it, hence the high dispatch threshold. *)
+external kernel_init : Bytes.t -> int = "rmc_gf_kernel_init"
 
-let word_threshold = 8
-let pair_threshold = 65536
+external kernel_mul_add :
+  Bytes.t ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "rmc_gf_mul_add_byte" "rmc_gf_mul_add"
+[@@noalloc]
 
-let xor_into_word_range ~dst ~src ~pos ~len =
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    unsafe_set_i64 dst !i (Int64.logxor (unsafe_get_i64 dst !i) (unsafe_get_i64 src !i));
-    i := !i + 8
-  done;
-  xor_into_scalar_range ~dst ~src ~pos:stop ~len:(pos + len - stop)
+external kernel_mul :
+  Bytes.t ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "rmc_gf_mul_byte" "rmc_gf_mul"
+[@@noalloc]
 
-(* Mid-length multiply tier: byte lookups in the shared 64K table, packed
-   into one 64-bit read-modify-write of dst per 8 bytes.  All int64
-   arithmetic stays inside single expressions so the non-flambda compiler
-   keeps it unboxed. *)
-let mul_add_into_word256_range field ~dst ~src ~coeff ~pos ~len =
-  let table = field.mul256 in
-  let row = coeff lsl 8 in
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    let p0 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src !i)))
-    and p1 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 1))))
-    and p2 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 2))))
-    and p3 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 3))))
-    and p4 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 4))))
-    and p5 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 5))))
-    and p6 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 6))))
-    and p7 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 7)))) in
-    unsafe_set_i64 dst !i
-      (Int64.logxor (unsafe_get_i64 dst !i)
-         (Int64.logor
-            (Int64.shift_left
-               (Int64.of_int (p4 lor (p5 lsl 8) lor (p6 lsl 16) lor (p7 lsl 24)))
-               32)
-            (Int64.of_int (p0 lor (p1 lsl 8) lor (p2 lsl 16) lor (p3 lsl 24)))));
-    i := !i + 8
-  done;
-  mul_add_into_scalar_range field ~dst ~src ~coeff ~pos:stop ~len:(pos + len - stop)
+let path_names = [| "portable"; "ssse3" |]
 
-let mul_into_word256_range field ~dst ~src ~coeff ~pos ~len =
-  let table = field.mul256 in
-  let row = coeff lsl 8 in
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    let p0 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src !i)))
-    and p1 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 1))))
-    and p2 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 2))))
-    and p3 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 3))))
-    and p4 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 4))))
-    and p5 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 5))))
-    and p6 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 6))))
-    and p7 = Char.code (Bytes.unsafe_get table (row lor Char.code (Bytes.unsafe_get src (!i + 7)))) in
-    unsafe_set_i64 dst !i
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (p4 lor (p5 lsl 8) lor (p6 lsl 16) lor (p7 lsl 24))) 32)
-         (Int64.of_int (p0 lor (p1 lsl 8) lor (p2 lsl 16) lor (p3 lsl 24))));
-    i := !i + 8
-  done;
-  mul_into_scalar_range field ~dst ~src ~coeff ~pos:stop ~len:(pos + len - stop)
+(* Index into [path_names]; every path below it runs here too. *)
+let best_path = kernel_init gf256.mul256
 
-(* Long tier: dst.(i) <- dst.(i) xor coeff*src.(i), eight bytes per
-   iteration: one 64-bit source load (top lane re-read 16-bit wide, since
-   OCaml ints hold only 63 bits), four pair-table loads, one 64-bit
-   read-modify-write of dst. *)
-let mul_add_into_word_range field ~dst ~src ~coeff ~pos ~len =
-  let table = pair_table field coeff in
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    let w = Int64.to_int (unsafe_get_i64 src !i) in
-    let p0 = unsafe_get_u16 table ((w land 0xFFFF) lsl 1)
-    and p1 = unsafe_get_u16 table (((w lsr 16) land 0xFFFF) lsl 1)
-    and p2 = unsafe_get_u16 table (((w lsr 32) land 0xFFFF) lsl 1)
-    and p3 = unsafe_get_u16 table (unsafe_get_u16 src (!i + 6) lsl 1) in
-    unsafe_set_i64 dst !i
-      (Int64.logxor (unsafe_get_i64 dst !i)
-         (Int64.logor
-            (Int64.shift_left (Int64.of_int (p2 lor (p3 lsl 16))) 32)
-            (Int64.of_int (p0 lor (p1 lsl 16)))));
-    i := !i + 8
-  done;
-  mul_add_into_scalar_range field ~dst ~src ~coeff ~pos:stop ~len:(pos + len - stop)
+let kernel = path_names.(best_path)
 
-let mul_into_word_range field ~dst ~src ~coeff ~pos ~len =
-  let table = pair_table field coeff in
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    let w = Int64.to_int (unsafe_get_i64 src !i) in
-    let p0 = unsafe_get_u16 table ((w land 0xFFFF) lsl 1)
-    and p1 = unsafe_get_u16 table (((w lsr 16) land 0xFFFF) lsl 1)
-    and p2 = unsafe_get_u16 table (((w lsr 32) land 0xFFFF) lsl 1)
-    and p3 = unsafe_get_u16 table (unsafe_get_u16 src (!i + 6) lsl 1) in
-    unsafe_set_i64 dst !i
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (p2 lor (p3 lsl 16))) 32)
-         (Int64.of_int (p0 lor (p1 lsl 16))));
-    i := !i + 8
-  done;
-  mul_into_scalar_range field ~dst ~src ~coeff ~pos:stop ~len:(pos + len - stop)
+let check_coeff name coeff =
+  if coeff < 0 || coeff > 255 then invalid_arg (name ^ ": coefficient out of range")
 
-(* Fused two-source multiply-accumulate: shares the dst read-modify-write
-   (and the loop overhead) between two source packets.  Uses the shared
-   64K table (coefficient mixes stay hot). *)
-let mul_add2_into_word_range field ~dst ~src0 ~coeff0 ~src1 ~coeff1 ~pos ~len =
-  let table = field.mul256 in
-  let r0 = coeff0 lsl 8 and r1 = coeff1 lsl 8 in
-  let words = len lsr 3 in
-  let stop = pos + (words lsl 3) in
-  let i = ref pos in
-  while !i < stop do
-    let p0 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 !i)))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 !i)))
-    and p1 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 1))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 1))))
-    and p2 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 2))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 2))))
-    and p3 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 3))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 3))))
-    and p4 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 4))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 4))))
-    and p5 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 5))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 5))))
-    and p6 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 6))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 6))))
-    and p7 =
-      Char.code (Bytes.unsafe_get table (r0 lor Char.code (Bytes.unsafe_get src0 (!i + 7))))
-      lxor Char.code (Bytes.unsafe_get table (r1 lor Char.code (Bytes.unsafe_get src1 (!i + 7))))
-    in
-    unsafe_set_i64 dst !i
-      (Int64.logxor (unsafe_get_i64 dst !i)
-         (Int64.logor
-            (Int64.shift_left
-               (Int64.of_int (p4 lor (p5 lsl 8) lor (p6 lsl 16) lor (p7 lsl 24)))
-               32)
-            (Int64.of_int (p0 lor (p1 lsl 8) lor (p2 lsl 16) lor (p3 lsl 24)))));
-    i := !i + 8
-  done;
-  let tail_pos = stop and tail_len = pos + len - stop in
-  mul_add_into_scalar_range field ~dst ~src:src0 ~coeff:coeff0 ~pos:tail_pos ~len:tail_len;
-  mul_add_into_scalar_range field ~dst ~src:src1 ~coeff:coeff1 ~pos:tail_pos ~len:tail_len
+let check name field ~dst ~src ~coeff ~pos ~len =
+  require_gf256 field name;
+  check_range name dst src pos len;
+  check_coeff name coeff
 
-(* {1 Dispatching public kernels} *)
+let mul_add_checked name path field ~dst ~src ~coeff ~pos ~len =
+  check name field ~dst ~src ~coeff ~pos ~len;
+  kernel_mul_add dst src pos len coeff path
+
+let mul_checked name path field ~dst ~src ~coeff ~pos ~len =
+  check name field ~dst ~src ~coeff ~pos ~len;
+  kernel_mul dst src pos len coeff path
+
+(* {1 Public kernels} *)
 
 let xor_into_range ~dst ~src ~pos ~len =
-  check_range "Gf.xor_into_range" dst src pos len;
-  if len >= word_threshold then xor_into_word_range ~dst ~src ~pos ~len
-  else xor_into_scalar_range ~dst ~src ~pos ~len
+  mul_add_checked "Gf.xor_into_range" best_path gf256 ~dst ~src ~coeff:1 ~pos ~len
 
 let xor_into ~dst ~src =
-  let len = Bytes.length src in
-  check_range "Gf.xor_into" dst src 0 len;
-  if len >= word_threshold then xor_into_word_range ~dst ~src ~pos:0 ~len
-  else xor_into_scalar_range ~dst ~src ~pos:0 ~len
-
-let mul_add_dispatch field ~dst ~src ~coeff ~pos ~len =
-  if coeff = 0 then ()
-  else if coeff = 1 then
-    if len >= word_threshold then xor_into_word_range ~dst ~src ~pos ~len
-    else xor_into_scalar_range ~dst ~src ~pos ~len
-  else if (not little_endian) || len < word_threshold then
-    mul_add_into_scalar_range field ~dst ~src ~coeff ~pos ~len
-  else if len < pair_threshold then mul_add_into_word256_range field ~dst ~src ~coeff ~pos ~len
-  else mul_add_into_word_range field ~dst ~src ~coeff ~pos ~len
+  mul_add_checked "Gf.xor_into" best_path gf256 ~dst ~src ~coeff:1 ~pos:0
+    ~len:(Bytes.length src)
 
 let mul_add_into_range field ~dst ~src ~coeff ~pos ~len =
-  require_gf256 field "Gf.mul_add_into_range";
-  check_range "Gf.mul_add_into_range" dst src pos len;
-  mul_add_dispatch field ~dst ~src ~coeff ~pos ~len
+  mul_add_checked "Gf.mul_add_into_range" best_path field ~dst ~src ~coeff ~pos ~len
 
 let mul_add_into field ~dst ~src ~coeff =
-  require_gf256 field "Gf.mul_add_into";
-  let len = Bytes.length src in
-  check_range "Gf.mul_add_into" dst src 0 len;
-  mul_add_dispatch field ~dst ~src ~coeff ~pos:0 ~len
+  mul_add_checked "Gf.mul_add_into" best_path field ~dst ~src ~coeff ~pos:0
+    ~len:(Bytes.length src)
 
 let mul_into field ~dst ~src ~coeff =
-  require_gf256 field "Gf.mul_into";
-  let len = Bytes.length src in
-  check_range "Gf.mul_into" dst src 0 len;
-  if coeff = 0 then Bytes.fill dst 0 len '\000'
-  else if coeff = 1 then Bytes.blit src 0 dst 0 len
-  else if (not little_endian) || len < word_threshold then
-    mul_into_scalar_range field ~dst ~src ~coeff ~pos:0 ~len
-  else if len < pair_threshold then mul_into_word256_range field ~dst ~src ~coeff ~pos:0 ~len
-  else mul_into_word_range field ~dst ~src ~coeff ~pos:0 ~len
+  mul_checked "Gf.mul_into" best_path field ~dst ~src ~coeff ~pos:0 ~len:(Bytes.length src)
 
 let mul_add2_into_range field ~dst ~src0 ~coeff0 ~src1 ~coeff1 ~pos ~len =
-  require_gf256 field "Gf.mul_add2_into_range";
-  check_range "Gf.mul_add2_into_range" dst src0 pos len;
-  check_range "Gf.mul_add2_into_range" dst src1 pos len;
-  if coeff0 = 0 || coeff0 = 1 || coeff1 = 0 || coeff1 = 1 || (not little_endian)
-     || len < word_threshold
-  then begin
-    (* Unit and zero coefficients have faster dedicated paths; take them
-       per source instead of forcing the fused table loop. *)
-    mul_add_dispatch field ~dst ~src:src0 ~coeff:coeff0 ~pos ~len;
-    mul_add_dispatch field ~dst ~src:src1 ~coeff:coeff1 ~pos ~len
-  end
-  else mul_add2_into_word_range field ~dst ~src0 ~coeff0 ~src1 ~coeff1 ~pos ~len
+  let name = "Gf.mul_add2_into_range" in
+  check name field ~dst ~src:src0 ~coeff:coeff0 ~pos ~len;
+  check name field ~dst ~src:src1 ~coeff:coeff1 ~pos ~len;
+  kernel_mul_add dst src0 pos len coeff0 best_path;
+  kernel_mul_add dst src1 pos len coeff1 best_path
 
-(* {1 Packed multi-row kernel}
+module For_testing = struct
+  let paths = Array.to_list (Array.sub path_names 0 (best_path + 1))
 
-   The blocked encoder's engine: up to 8 output rows of a coefficient
-   matrix are computed in ONE pass over the source packets.  For every
-   source column c a 2 KiB table maps a source byte v to the 64-bit word
-   packing the 8 products rows.(g*8+j).(c) * v (byte lane j).  The
-   accumulation loop then costs one byte load, one 8-byte table load and
-   one 8-byte read-modify-write per (source byte x 8 rows) — instead of 8
-   separate multiply-accumulate passes.  Products accumulate in an
-   interleaved scratch (byte i of row j at scratch.(8i + j)) and are
-   transposed out at the end.
+  let path_index path =
+    let rec find p =
+      if p > best_path then
+        invalid_arg ("Gf.For_testing: no kernel path " ^ path ^ " on this host")
+      else if path_names.(p) = path then p
+      else find (p + 1)
+    in
+    find 0
 
-   Per-source tables are tiny and per-codec, so arbitrary coefficient
-   mixes stay cache-resident — unlike any per-coefficient scheme.  Lanes
-   are combined with whole-word XOR only, so the kernel is
-   endianness-agnostic. *)
+  let mul_add_into_range ~path field ~dst ~src ~coeff ~pos ~len =
+    mul_add_checked "Gf.mul_add_into_range" (path_index path) field ~dst ~src ~coeff ~pos ~len
 
-let pack_rows field rows =
-  require_gf256 field "Gf.pack_rows";
-  let nrows = Array.length rows in
-  if nrows = 0 then Bytes.empty
-  else begin
-    let nsrc = Array.length rows.(0) in
-    Array.iter
-      (fun row ->
-        if Array.length row <> nsrc then invalid_arg "Gf.pack_rows: ragged coefficient rows")
-      rows;
-    let groups = (nrows + 7) / 8 in
-    let tables = Bytes.make (groups * nsrc * 2048) '\000' in
-    let mul256 = field.mul256 in
-    for g = 0 to groups - 1 do
-      let jmax = min 8 (nrows - (g * 8)) in
-      for c = 0 to nsrc - 1 do
-        let base = ((g * nsrc) + c) lsl 11 in
-        for j = 0 to jmax - 1 do
-          let row = rows.((g * 8) + j).(c) lsl 8 in
-          for v = 0 to 255 do
-            Bytes.unsafe_set tables (base lor (v lsl 3) lor j)
-              (Bytes.unsafe_get mul256 (row lor v))
-          done
-        done
-      done
-    done;
-    tables
-  end
-
-let rows_scratch_bytes ~len = len lsl 3
-
-let mul_add_rows_into field ~tables ~srcs ~dsts ~scratch ~pos ~len =
-  require_gf256 field "Gf.mul_add_rows_into";
-  let nsrc = Array.length srcs and ndst = Array.length dsts in
-  if ndst = 0 || nsrc = 0 || len = 0 then ()
-  else begin
-    let groups = (ndst + 7) / 8 in
-    if Bytes.length tables <> groups * nsrc * 2048 then
-      invalid_arg "Gf.mul_add_rows_into: table size mismatch";
-    if Bytes.length scratch < len lsl 3 then
-      invalid_arg "Gf.mul_add_rows_into: scratch too small";
-    let vlen = Bytes.length srcs.(0) in
-    Array.iter
-      (fun v ->
-        if Bytes.length v <> vlen then invalid_arg "Gf.mul_add_rows_into: length mismatch")
-      srcs;
-    Array.iter
-      (fun v ->
-        if Bytes.length v <> vlen then invalid_arg "Gf.mul_add_rows_into: length mismatch")
-      dsts;
-    if pos < 0 || len < 0 || pos + len > vlen then
-      invalid_arg "Gf.mul_add_rows_into: range out of bounds";
-    for g = 0 to groups - 1 do
-      Bytes.fill scratch 0 (len lsl 3) '\000';
-      for c = 0 to nsrc - 1 do
-        let src = srcs.(c) in
-        let tbase = ((g * nsrc) + c) lsl 11 in
-        for i = 0 to len - 1 do
-          let v = Char.code (Bytes.unsafe_get src (pos + i)) in
-          unsafe_set_i64 scratch (i lsl 3)
-            (Int64.logxor
-               (unsafe_get_i64 scratch (i lsl 3))
-               (unsafe_get_i64 tables (tbase lor (v lsl 3))))
-        done
-      done;
-      let jmax = min 8 (ndst - (g * 8)) in
-      for j = 0 to jmax - 1 do
-        let dst = dsts.((g * 8) + j) in
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set dst (pos + i)
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get dst (pos + i))
-               lxor Char.code (Bytes.unsafe_get scratch ((i lsl 3) lor j))))
-        done
-      done
-    done
-  end
+  let mul_into_range ~path field ~dst ~src ~coeff ~pos ~len =
+    mul_checked "Gf.mul_into" (path_index path) field ~dst ~src ~coeff ~pos ~len
+end
 
 (* {1 Symbol-generic kernels} *)
 
@@ -559,33 +285,28 @@ let symbol_bytes field =
   | _ -> invalid_arg "Gf.symbol_bytes: vector kernels exist only for m = 8 and m = 16"
 
 (* GF(2^16) multiply-accumulate over big-endian 16-bit symbols.  Bounds are
-   validated once by the caller-facing wrappers; the loop itself uses the
-   unchecked 16-bit accessors with a byte swap on little-endian hosts. *)
+   validated once by the caller-facing wrappers, so the loop reads and
+   writes each symbol as two unchecked bytes. *)
 let mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos ~len =
   if coeff <> 0 then begin
     (* exp_table is doubled, so log_coeff + log s needs no reduction. *)
     let log_coeff = Array.unsafe_get field.log_table coeff in
     let exp_table = field.exp_table and log_table = field.log_table in
-    let stop = pos + len in
+    let get b i =
+      (Char.code (Bytes.unsafe_get b i) lsl 8) lor Char.code (Bytes.unsafe_get b (i + 1))
+    in
     let i = ref pos in
-    if little_endian then
-      while !i < stop do
-        let s = swap16 (unsafe_get_u16 src !i) in
-        if s <> 0 then begin
-          let product = Array.unsafe_get exp_table (log_coeff + Array.unsafe_get log_table s) in
-          unsafe_set_u16 dst !i (unsafe_get_u16 dst !i lxor swap16 product)
-        end;
-        i := !i + 2
-      done
-    else
-      while !i < stop do
-        let s = unsafe_get_u16 src !i in
-        if s <> 0 then begin
-          let product = Array.unsafe_get exp_table (log_coeff + Array.unsafe_get log_table s) in
-          unsafe_set_u16 dst !i (unsafe_get_u16 dst !i lxor product)
-        end;
-        i := !i + 2
-      done
+    while !i < pos + len do
+      let s = get src !i in
+      if s <> 0 then begin
+        let product =
+          get dst !i lxor Array.unsafe_get exp_table (log_coeff + Array.unsafe_get log_table s)
+        in
+        Bytes.unsafe_set dst !i (Char.unsafe_chr (product lsr 8));
+        Bytes.unsafe_set dst (!i + 1) (Char.unsafe_chr (product land 0xff))
+      end;
+      i := !i + 2
+    done
   end
 
 let check_symbol_range name field dst src pos len =

@@ -13,10 +13,8 @@
     built from the primitive element alpha = x (= 2). *)
 
 type t
-(** A field descriptor GF(2^m): tables plus parameters.  The arithmetic
-    tables are immutable; the descriptor additionally caches lazily built
-    kernel acceleration tables, published atomically so descriptors can be
-    shared freely across domains. *)
+(** A field descriptor GF(2^m): immutable tables plus parameters, shared
+    freely across domains. *)
 
 val create : int -> t
 (** [create m] builds GF(2^m) using the standard primitive polynomial for
@@ -69,25 +67,24 @@ val valid : t -> int -> bool
 (** {1 Byte-vector kernels (GF(2^8) only)}
 
     These are the inner loops of encoding and decoding: operating on whole
-    packets at once.  They require the {!gf256} field and 8-bit symbols.
+    packets at once.  They require the {!gf256} field and 8-bit symbols,
+    and coefficients in [\[0, 255\]].
 
-    Three implementation tiers sit behind each entry point, chosen by
-    vector length.  The {e word} tier moves 8 bytes per iteration: XOR as a
-    single 64-bit load/xor/store; multiply-accumulate as eight byte lookups
-    in the shared 64K product table packed into one 64-bit destination
-    read-modify-write.  Its per-coefficient table footprint is one 256-byte
-    product row, so it stays cache-resident under the arbitrary coefficient
-    mixes of real encode/decode calls.  The {e pair} tier (long vectors
-    only, >= 64 KiB) swaps the byte lookups for a lazily built 128 KiB
-    per-coefficient table mapping 16-bit source chunks straight to 16-bit
-    product chunks — fewer lookups per word, but a footprint that thrashes
-    when many coefficients alternate over short payloads, hence the length
-    gate.  The {e scalar} tier is the original byte-at-a-time loop; it
-    remains the semantic reference, handles the tail bytes of every
-    word-wide call, and is the fallback for short vectors (< 8 bytes) and
-    (pair tier only) big-endian hosts.  Dispatch is automatic; the
-    [*_scalar] entry points below expose the reference tier for
-    differential testing and baseline benchmarking. *)
+    One C kernel sits behind every entry point.  It multiplies with the
+    split-nibble technique of Plank, Greenan and Miller ("Screaming Fast
+    Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013):
+    [c * x = c * (x land 0x0f) xor c * (x land 0xf0)], each half a
+    16-entry table lookup that one SSSE3 [pshufb] does for 16 bytes at
+    once.  A portable byte-table loop finishes the last few bytes and is
+    the whole kernel on hosts without SSSE3 (any non-x86-64 host).  The path is picked once, at start-up, from what
+    the CPU supports; {!kernel} names it.  All tables derive from the one
+    product table of {!gf256}.  The [*_scalar] entry points below are the
+    OCaml byte-at-a-time reference, for differential tests and baseline
+    benchmarks. *)
+
+val kernel : string
+(** The kernel path this process runs: ["ssse3"] or ["portable"].
+    Read-only, for reports. *)
 
 val mul_add_into : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 (** [mul_add_into f ~dst ~src ~coeff] computes
@@ -96,7 +93,8 @@ val mul_add_into : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
     Requires [Bytes.length dst = Bytes.length src] and an 8-bit field. *)
 
 val mul_into : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
-(** [dst.(i) <- coeff * src.(i)]; same requirements. *)
+(** [dst.(i) <- coeff * src.(i)]; same requirements.  [dst] may be [src]
+    (in-place scaling). *)
 
 val xor_into : dst:Bytes.t -> src:Bytes.t -> unit
 (** [dst.(i) <- dst.(i) xor src.(i)]; the [coeff = 1] special case, also the
@@ -105,8 +103,8 @@ val xor_into : dst:Bytes.t -> src:Bytes.t -> unit
 (** {2 Range variants}
 
     The same kernels restricted to the byte window [\[pos, pos + len)] of
-    both vectors.  These are the building blocks of the blocked encoder and
-    of domain-striped parallel coding, where each worker owns a disjoint
+    both vectors.  These are the building blocks of the codecs' accumulation
+    loop and of domain-striped parallel coding, where each worker owns a disjoint
     byte range of every packet.  [dst] and [src] must still have equal
     {e total} lengths, and the window must lie within them. *)
 
@@ -125,63 +123,37 @@ val mul_add2_into_range :
   pos:int ->
   len:int ->
   unit
-(** Fused two-source multiply-accumulate:
-    [dst.(i) <- dst.(i) xor coeff0*src0.(i) xor coeff1*src1.(i)].
-    Equivalent to two {!mul_add_into_range} calls but shares the
-    destination read-modify-write between the sources, which is worth
-    ~1.5x on parity accumulation.  Falls back to the two-call form when
-    either coefficient is 0 or 1 (those have cheaper dedicated paths). *)
+(** Two-source multiply-accumulate:
+    [dst.(i) <- dst.(i) xor coeff0*src0.(i) xor coeff1*src1.(i)], as two
+    {!mul_add_into_range} calls. *)
 
 (** {2 Scalar reference kernels}
 
-    Byte-at-a-time implementations with identical semantics to the
-    dispatching kernels above.  Exported so differential tests can compare
-    tiers and so benchmarks can measure the seed baseline. *)
+    Byte-at-a-time OCaml loops with identical semantics to the C kernel
+    above.  Exported so differential tests can compare every kernel path
+    against them and so benchmarks can measure the seed baseline. *)
 
 val xor_into_scalar : dst:Bytes.t -> src:Bytes.t -> unit
 val mul_add_into_scalar : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 val mul_into_scalar : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 
-(** {2 Packed multi-row engine}
+(** {2 Per-path access, for tests} *)
 
-    The blocked encoder's kernel: applies up to 8 rows of a coefficient
-    matrix to a set of source packets in a single streaming pass.  For
-    each source column a packed 2 KiB table maps a source byte to the
-    64-bit word holding the 8 per-row products side by side, so one byte
-    load, one table load and one 64-bit XOR advance all 8 output rows at
-    once.  Products accumulate in a caller-provided interleaved scratch
-    buffer and are transposed out per group of 8 rows.  Tables are built
-    once per coefficient matrix (per codec, or per decode loss pattern)
-    and total [ceil(rows/8) * cols * 2 KiB] — small enough to stay
-    cache-hot for typical FEC dimensions.  Byte-indexed throughout, so the
-    engine works on any endianness. *)
+module For_testing : sig
+  val paths : string list
+  (** The kernel paths this host can run, best last; always starts with
+      ["portable"]. *)
 
-val pack_rows : t -> int array array -> Bytes.t
-(** [pack_rows f rows] precomputes the packed product tables for the
-    coefficient matrix [rows] (an array of equal-length rows).  GF(2^8)
-    only. *)
+  val mul_add_into_range :
+    path:string -> t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
+  (** The top-level [mul_add_into_range] on the named path.
+      @raise Invalid_argument if [path] is not in [paths]. *)
 
-val rows_scratch_bytes : len:int -> int
-(** Scratch size required by {!mul_add_rows_into} for byte windows of
-    length [len] (currently [8 * len]). *)
-
-val mul_add_rows_into :
-  t ->
-  tables:Bytes.t ->
-  srcs:Bytes.t array ->
-  dsts:Bytes.t array ->
-  scratch:Bytes.t ->
-  pos:int ->
-  len:int ->
-  unit
-(** [mul_add_rows_into f ~tables ~srcs ~dsts ~scratch ~pos ~len] computes
-    [dsts.(j).(i) <- dsts.(j).(i) xor sum_c rows.(j).(c) * srcs.(c).(i)]
-    over the byte window [\[pos, pos + len)], where [rows] is the matrix
-    given to {!pack_rows} (which must have had [Array.length dsts] rows
-    and [Array.length srcs] columns).  All vectors must have equal total
-    length containing the window; [scratch] needs at least
-    {!rows_scratch_bytes} bytes and its contents are clobbered.  GF(2^8)
-    only. *)
+  val mul_into_range :
+    path:string -> t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
+  (** The top-level [mul_into] over the window [\[pos, pos + len)], on
+      the named path; [dst] and [src] may be the same vector. *)
+end
 
 (** {1 Symbol-generic kernels}
 

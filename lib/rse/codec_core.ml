@@ -5,18 +5,15 @@
    Internal module — each public codec wraps it with its own construction
    and error-message prefix.
 
-   The hot paths are blocked: instead of streaming all k data packets once
-   per output row, encode and decode run [Gf.mul_add_rows_into] — the
-   packed multi-row engine, which streams each source packet once and
-   advances up to 8 output rows per 64-bit XOR — over cache-sized column
-   tiles, with the packed product tables built lazily per codec (encode)
-   or memoized per loss pattern (decode) and the interleaved scratch
-   recycled through a codec-owned workspace.  Fields without byte kernels
-   (GF(2^16)) take a symbol-tiled fallback.  Decoding is split into a
-   {e plan} (packet selection + matrix inversion, with the inverse and its
-   packed tables memoized per loss pattern) and a pure byte-range
-   accumulation, so multicore striping (see [Parallel]) can run the plan
-   once and shard only the accumulation. *)
+   Encoding and decoding both come down to one loop, [accumulate]: for each
+   output row and each source packet with a non-zero coefficient, one
+   [Gf.mul_add_into_symbols_range] call (the SIMD GF(2^8) kernel, or the
+   GF(2^16) symbol loop).  Nothing is precomputed per coefficient, so a
+   codec holds no tables beyond its generator.  Decoding is split into a
+   {e plan} (packet selection + matrix inversion, with the inverse rows
+   memoized per loss pattern) and a pure byte-range accumulation, so
+   multicore striping (see [Parallel]) can run the plan once and shard
+   only the accumulation. *)
 
 module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
@@ -31,13 +28,12 @@ type scratch = {
 }
 
 (* Everything a decode needs beyond packet selection, memoized per loss
-   pattern: the reconstruction rows of the inverted k x k system and their
-   packed product tables.  Steady-state loss patterns repeat, so most
-   decodes skip both the Gauss-Jordan and the table build. *)
+   pattern: the reconstruction rows of the inverted k x k system.
+   Steady-state loss patterns repeat, so most decodes skip the
+   Gauss-Jordan. *)
 type solution = {
   missing_js : int array; (* data indices to reconstruct, increasing *)
   rows : int array array; (* inverse row per missing index *)
-  tables : Bytes.t; (* packed tables for [rows]; empty unless m = 8 *)
 }
 
 type t = {
@@ -47,10 +43,6 @@ type t = {
   h : int;
   generator : Gmatrix.t; (* n x k, top block identity *)
   parity_rows : int array array; (* h x k: generator rows k..n-1 *)
-  enc_tables : Bytes.t option Atomic.t;
-      (* packed product tables for parity_rows, built on first encode *)
-  workspace : Bytes.t option Atomic.t;
-      (* interleaved accumulation scratch for the packed engine *)
   scratch : scratch option Atomic.t;
   inverse_cache : (int array, solution) Hashtbl.t;
       (* chosen codeword indices -> reconstruction solution *)
@@ -67,8 +59,6 @@ let make ~label ~field ~k ~h ~generator =
     h;
     generator;
     parity_rows;
-    enc_tables = Atomic.make None;
-    workspace = Atomic.make None;
     scratch = Atomic.make None;
     inverse_cache = Hashtbl.create 16;
     cache_mutex = Mutex.create ();
@@ -127,68 +117,21 @@ let check_payloads t operation packets =
     packets;
   len
 
-(* {1 The blocked accumulation engine}
+(* {1 The accumulation loop}
 
    Adds, for every output r, [sum_c rows.(r).(c) * srcs.(c)] into
-   [dsts.(r)] over the byte window [pos, pos + len).  For GF(2^8) this is
-   the packed multi-row engine: each source packet is streamed exactly
-   once and one 64-bit XOR advances up to 8 output rows, with payloads
-   walked in column tiles so the interleaved scratch (8 bytes per payload
-   position) stays cache-resident.  Fields without byte kernels take a
-   symbol-tiled loop over [Gf.mul_add_into_symbols_range]. *)
+   [dsts.(r)] over the byte window [pos, pos + len), one (row, source)
+   pair per kernel call. *)
 
-let engine_tile = 4096 (* bytes per packed-engine tile; scratch = 8x this *)
-let tile_bytes = 32 * 1024 (* symbol-path column tile *)
-
-(* The interleaved scratch is recycled through the codec: one atomic
-   exchange claims it, so concurrent stripes of a parallel call (or
-   concurrent encodes on a shared codec) simply allocate their own. *)
-let take_workspace t ~len =
-  let need = Gf.rows_scratch_bytes ~len in
-  match Atomic.exchange t.workspace None with
-  | Some b when Bytes.length b >= need -> b
-  | _ -> Bytes.create need
-
-let release_workspace t b = Atomic.set t.workspace (Some b)
-
-let accumulate_packed t ~tables ~srcs ~dsts ~pos ~len =
-  let scratch = take_workspace t ~len:(min len engine_tile) in
-  let stop = pos + len in
-  let p = ref pos in
-  while !p < stop do
-    let chunk = min engine_tile (stop - !p) in
-    Gf.mul_add_rows_into t.field ~tables ~srcs ~dsts ~scratch ~pos:!p ~len:chunk;
-    p := !p + chunk
-  done;
-  release_workspace t scratch
-
-let accumulate_symbols t ~rows ~srcs ~dsts ~pos ~len =
-  let nsrc = Array.length srcs in
-  let stop = pos + len in
-  let p = ref pos in
-  while !p < stop do
-    let chunk = min tile_bytes (stop - !p) in
-    for r = 0 to Array.length dsts - 1 do
-      let row = rows.(r) and dst = dsts.(r) in
-      for c = 0 to nsrc - 1 do
-        let coeff = Array.unsafe_get row c in
-        if coeff <> 0 then
-          Gf.mul_add_into_symbols_range t.field ~dst ~src:srcs.(c) ~coeff ~pos:!p ~len:chunk
-      done
-    done;
-    p := !p + chunk
+let accumulate t ~rows ~srcs ~dsts ~pos ~len =
+  for r = 0 to Array.length dsts - 1 do
+    let row = rows.(r) and dst = dsts.(r) in
+    for c = 0 to Array.length srcs - 1 do
+      let coeff = row.(c) in
+      if coeff <> 0 then
+        Gf.mul_add_into_symbols_range t.field ~dst ~src:srcs.(c) ~coeff ~pos ~len
+    done
   done
-
-(* Packed product tables for the parity rows, built on first use and
-   published with a plain atomic store (a racing second build produces an
-   identical table, so last-write-wins is fine). *)
-let enc_tables t =
-  match Atomic.get t.enc_tables with
-  | Some tables -> tables
-  | None ->
-    let tables = Gf.pack_rows t.field t.parity_rows in
-    Atomic.set t.enc_tables (Some tables);
-    tables
 
 (* {1 Encoding} *)
 
@@ -198,14 +141,10 @@ let encode_parity t data j =
   if j < 0 || j >= t.h then invalid_arg (t.label ^ ".encode_parity: parity index out of range");
   let len = check_payloads t "encode_parity" data in
   let parity = Bytes.make len '\000' in
-  let row = t.parity_rows.(j) in
-  for c = 0 to t.k - 1 do
-    let coeff = row.(c) in
-    if coeff <> 0 then Gf.mul_add_into_symbols t.field ~dst:parity ~src:data.(c) ~coeff
-  done;
+  accumulate t ~rows:[| t.parity_rows.(j) |] ~srcs:data ~dsts:[| parity |] ~pos:0 ~len;
   parity
 
-(* Validation + output allocation without the byte work: the blocked and
+(* Validation + output allocation without the byte work: the sequential and
    parallel encoders share it. *)
 let encode_prepare t data =
   if Array.length data <> t.k then
@@ -214,10 +153,7 @@ let encode_prepare t data =
   (Array.init t.h (fun _ -> Bytes.make len '\000'), len)
 
 let encode_into t data ~parity ~pos ~len =
-  if t.h = 0 || len = 0 then ()
-  else if Gf.m t.field = 8 then
-    accumulate_packed t ~tables:(enc_tables t) ~srcs:data ~dsts:parity ~pos ~len
-  else accumulate_symbols t ~rows:t.parity_rows ~srcs:data ~dsts:parity ~pos ~len
+  accumulate t ~rows:t.parity_rows ~srcs:data ~dsts:parity ~pos ~len
 
 let encode t data =
   if t.h = 0 then [||]
@@ -235,7 +171,6 @@ type plan = {
          indices are freshly zeroed buffers awaiting accumulation *)
   sources : Bytes.t array; (* the k payloads chosen to form the system *)
   missing_rows : int array array; (* inverse rows for each missing output *)
-  missing_tables : Bytes.t; (* packed tables for missing_rows (m = 8) *)
   missing_dsts : Bytes.t array; (* outputs.(j) for each missing j *)
   payload_len : int;
 }
@@ -259,8 +194,7 @@ let release_scratch t s =
 
 (* The reconstruction solution for a given selection of codeword indices,
    memoized per loss pattern: which data indices are missing (derivable
-   from the selection alone), their rows of the inverted system, and the
-   packed product tables for those rows. *)
+   from the selection alone) and their rows of the inverted system. *)
 let solve t chosen_idx =
   Mutex.lock t.cache_mutex;
   let cached = Hashtbl.find_opt t.inverse_cache chosen_idx in
@@ -276,8 +210,7 @@ let solve t chosen_idx =
       Array.of_list (List.filter (fun j -> not present.(j)) (List.init t.k Fun.id))
     in
     let rows = Array.map (fun j -> Gmatrix.row inverse j) missing_js in
-    let tables = if Gf.m t.field = 8 then Gf.pack_rows t.field rows else Bytes.empty in
-    let solution = { missing_js; rows; tables } in
+    let solution = { missing_js; rows } in
     let key = Array.copy chosen_idx in
     Mutex.lock t.cache_mutex;
     if Hashtbl.length t.inverse_cache >= 128 then Hashtbl.reset t.inverse_cache;
@@ -335,14 +268,7 @@ let decode_plan t received =
   let plan =
     match !missing with
     | [] ->
-      {
-        outputs;
-        sources = [||];
-        missing_rows = [||];
-        missing_tables = Bytes.empty;
-        missing_dsts = [||];
-        payload_len;
-      }
+      { outputs; sources = [||]; missing_rows = [||]; missing_dsts = [||]; payload_len }
     | _ ->
       let solution = solve t s.chosen_idx in
       (* solution.missing_js equals !missing: both are the data indices
@@ -351,7 +277,6 @@ let decode_plan t received =
         outputs;
         sources = Array.copy s.chosen_payload;
         missing_rows = solution.rows;
-        missing_tables = solution.tables;
         missing_dsts = Array.map (fun j -> outputs.(j)) solution.missing_js;
         payload_len;
       }
@@ -360,13 +285,7 @@ let decode_plan t received =
   plan
 
 let decode_accumulate t plan ~pos ~len =
-  if Array.length plan.missing_dsts = 0 || len = 0 then ()
-  else if Gf.m t.field = 8 then
-    accumulate_packed t ~tables:plan.missing_tables ~srcs:plan.sources
-      ~dsts:plan.missing_dsts ~pos ~len
-  else
-    accumulate_symbols t ~rows:plan.missing_rows ~srcs:plan.sources ~dsts:plan.missing_dsts
-      ~pos ~len
+  accumulate t ~rows:plan.missing_rows ~srcs:plan.sources ~dsts:plan.missing_dsts ~pos ~len
 
 let plan_outputs plan = plan.outputs
 let plan_missing_count plan = Array.length plan.missing_dsts

@@ -6,19 +6,19 @@
 
     Internal module — each public codec wraps it with its own generator
     construction and error-message prefix.  The codec value is opaque
-    here: its packed product tables, decode-solution cache, recycled
-    scratch buffers and the process-wide construction memo are
-    implementation details (all domain-safe), deliberately kept out of
-    the interface so they can evolve without touching the codecs. *)
+    here: its decode-solution cache, recycled scratch buffers and the
+    process-wide construction memo are implementation details (all
+    domain-safe), deliberately kept out of the interface so they can
+    evolve without touching the codecs. *)
 
 module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
 
 type t
 (** A systematic block codec over a fixed generator.  Immutable from the
-    caller's perspective; all internal mutation (lazy table builds, the
-    per-loss-pattern inverse cache, workspace recycling) is domain-safe,
-    so one instance may be shared freely across domains and sessions. *)
+    caller's perspective; all internal mutation (the per-loss-pattern
+    inverse cache, scratch recycling) is domain-safe, so one instance may
+    be shared freely across domains and sessions. *)
 
 val make : label:string -> field:Gf.t -> k:int -> h:int -> generator:Gmatrix.t -> t
 (** Wrap an [(k+h) x k] generator whose top block is the identity.
@@ -56,11 +56,11 @@ val encode_parity : t -> Bytes.t array -> int -> Bytes.t
     from the [k] equal-length data packets. *)
 
 val encode : t -> Bytes.t array -> Bytes.t array
-(** All [h] parity packets, via the blocked multi-row engine. *)
+(** All [h] parity packets. *)
 
 val encode_prepare : t -> Bytes.t array -> Bytes.t array * int
 (** Validation plus output allocation without the byte work: returns the
-    [h] zeroed parity buffers and the payload length.  The blocked and
+    [h] zeroed parity buffers and the payload length.  The sequential and
     multicore ({!Parallel}) encoders share it. *)
 
 val encode_into : t -> Bytes.t array -> parity:Bytes.t array -> pos:int -> len:int -> unit
@@ -72,8 +72,8 @@ val encode_into : t -> Bytes.t array -> parity:Bytes.t array -> pos:int -> len:i
 type plan
 (** Everything a decode needs after packet selection and matrix
     inversion: the output buffers (present data packets aliased, missing
-    ones zeroed and awaiting accumulation) plus the reconstruction rows
-    and their packed tables.  Splitting the plan from the accumulation
+    ones zeroed and awaiting accumulation) plus the reconstruction rows.
+    Splitting the plan from the accumulation
     lets multicore striping run the plan once and shard only the byte
     work. *)
 

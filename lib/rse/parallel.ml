@@ -19,8 +19,8 @@
    exactly d cores.  Any task exception is captured, the batch drains,
    and the first exception re-raises on the calling domain.  Small
    payloads never reach the pool — below [min_bytes] of kernel work the
-   sequential blocked path is faster than the wake-up, so we fall back
-   to it (and always when the pool has a single domain, e.g. when
+   sequential path is faster than the wake-up, so we fall back to it
+   (and always when the pool has a single domain, e.g. when
    [Domain.recommended_domain_count () = 1]). *)
 
 type pool = {
@@ -214,7 +214,12 @@ let map ?pool ?chunk n f =
 let map_reduce ?pool ?chunk n ~map:f ~combine ~init =
   Array.fold_left combine init (map ?pool ?chunk n f)
 
-let default_min_bytes = 1 lsl 20
+(* BENCH_RSE's grid on a 2-domain host: striping loses at k = 100, h = 30,
+   1 KiB (3 MB of work; each half-packet stripe doubles the kernel calls)
+   and wins at k = 20, h = 7, 16 KiB (2.3 MB) and k = 50, h = 15, 64 KiB.
+   Work alone cannot separate the first two; 4 MiB keeps 1 KiB packets
+   sequential. *)
+let default_min_bytes = 4 lsl 20
 
 let run_striped pool ~len apply =
   let parts = stripe_count pool ~len in

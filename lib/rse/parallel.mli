@@ -13,10 +13,10 @@
 
     Striping only pays for itself when there are enough bytes to
     amortise waking the pool: below [min_bytes] of kernel work (defaults
-    to 1 MiB, counted as [k * rows * payload_len]), and always on
+    to 4 MiB, counted as [k * rows * payload_len]), and always on
     single-core hosts ([Domain.recommended_domain_count () = 1]), the
-    {!encode}/{!decode} entry points take the same sequential blocked
-    path as [Rse.encode]/[Rse.decode], so they are safe to call
+    {!encode}/{!decode} entry points take the same sequential path as
+    [Rse.encode]/[Rse.decode], so they are safe to call
     unconditionally.
 
     The typed entry points for the public codecs live in {!Rse}

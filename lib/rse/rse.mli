@@ -85,7 +85,7 @@ val is_mds_subset : t -> int array -> bool
     Identical semantics (and byte-identical results) to {!encode} and
     {!decode}, with the byte work striped across the domains of [pool]
     (default: {!Parallel.default_pool}).  Work volumes below [min_bytes]
-    (default 1 MiB) and single-domain pools fall back to the sequential
+    (default 4 MiB) and single-domain pools fall back to the sequential
     path, so these are safe drop-in replacements on any host. *)
 
 val encode_parallel :

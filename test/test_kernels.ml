@@ -1,7 +1,7 @@
-(* Differential tests for the kernel tiers and the blocked/parallel codec
-   paths: every accelerated implementation must be byte-identical to the
-   scalar reference on arbitrary inputs, emphatically including lengths
-   that are not multiples of the 8-byte word width. *)
+(* Differential tests for the GF(2^8) kernel paths and the sequential and
+   parallel codec paths: every accelerated implementation must be
+   byte-identical to the scalar reference on arbitrary inputs, emphatically
+   including lengths that are not a whole number of SIMD vectors. *)
 
 module Gf = Rmcast.Gf
 module Rse = Rmcast.Rse
@@ -116,9 +116,9 @@ let qcheck_symbols16_matches_reference =
       done;
       Bytes.equal dst expect)
 
-(* Long vectors cross into the pair-table tier (>= 64 KiB), which the
-   random lengths above never reach; check it differentially too, with a
-   length that is not a multiple of the word width. *)
+(* Long vectors (>= 64 KiB), which the random lengths above never reach;
+   check them differentially too, with a length that is not a whole number
+   of SIMD vectors. *)
 let test_long_vector_matches_scalar () =
   let rng = Rng.create ~seed:4242 () in
   let len = 65536 + 4093 in
@@ -134,6 +134,144 @@ let test_long_vector_matches_scalar () =
         true
         (Bytes.equal dst_word dst_scalar))
     [ 2; 97; 255 ]
+
+(* {1 Every kernel path}
+
+   [Gf.For_testing] runs each path the host supports (SSSE3, and the
+   portable loop, which runs everywhere) against the OCaml scalar
+   reference.  Each case applies the kernel to the window [pos, pos+len)
+   of a longer random vector, so the bytes around the window must come
+   back untouched too. *)
+
+let window_lengths = List.init 131 Fun.id @ [ 1024; 1500; 65536 + 77 ]
+
+(* [kernel] on the window against [reference] on a copy of the window. *)
+let check_window ~what ~kernel ~reference rng ~len ~pos ~coeff =
+  let total = pos + len + 33 in
+  let src = random_bytes rng total and dst = random_bytes rng total in
+  let expect = Bytes.copy dst in
+  let exp_w = Bytes.sub expect pos len in
+  reference ~dst:exp_w ~src:(Bytes.sub src pos len) ~coeff;
+  Bytes.blit exp_w 0 expect pos len;
+  kernel ~dst ~src ~coeff ~pos ~len;
+  if not (Bytes.equal dst expect) then
+    Alcotest.failf "%s: len %d pos %d coeff %d differs from scalar" what len pos coeff
+
+let test_paths_match_scalar () =
+  Alcotest.(check bool) "portable always runs" true (List.mem "portable" Gf.For_testing.paths);
+  Alcotest.(check bool) "Gf.kernel is a supported path" true
+    (List.mem Gf.kernel Gf.For_testing.paths);
+  let rng = Rng.create ~seed:2013 () in
+  List.iter
+    (fun path ->
+      let mul_add = Gf.For_testing.mul_add_into_range ~path f8
+      and mul = Gf.For_testing.mul_into_range ~path f8 in
+      let case ~len ~pos ~coeff =
+        check_window ~what:(path ^ " mul_add") ~kernel:mul_add
+          ~reference:(Gf.mul_add_into_scalar f8) rng ~len ~pos ~coeff;
+        check_window ~what:(path ^ " mul") ~kernel:mul ~reference:(Gf.mul_into_scalar f8) rng
+          ~len ~pos ~coeff;
+        check_window ~what:(path ^ " xor") ~kernel:mul_add
+          ~reference:(fun ~dst ~src ~coeff:_ -> Gf.xor_into_scalar ~dst ~src)
+          rng ~len ~pos ~coeff:1
+      in
+      (* Every (length, offset) pair, the coefficient cycling through the
+         field as it goes; then every coefficient at a packet size. *)
+      List.iteri
+        (fun i len ->
+          let offsets = if len > 1500 then [ 0; 13; 31 ] else List.init 32 Fun.id in
+          List.iter (fun pos -> case ~len ~pos ~coeff:(((i * 32) + pos) mod 256)) offsets)
+        window_lengths;
+      for coeff = 0 to 255 do
+        case ~len:1500 ~pos:(coeff mod 32) ~coeff
+      done)
+    Gf.For_testing.paths
+
+let test_paths_products () =
+  let src = Bytes.init 256 Char.chr in
+  List.iter
+    (fun path ->
+      for c = 0 to 255 do
+        let dst = Bytes.create 256 in
+        Gf.For_testing.mul_into_range ~path f8 ~dst ~src ~coeff:c ~pos:0 ~len:256;
+        let acc = Bytes.make 256 '\000' in
+        Gf.For_testing.mul_add_into_range ~path f8 ~dst:acc ~src ~coeff:c ~pos:0 ~len:256;
+        for x = 0 to 255 do
+          let expect = Gf.mul f8 c x in
+          if Char.code (Bytes.get dst x) <> expect || Char.code (Bytes.get acc x) <> expect then
+            Alcotest.failf "%s: %d * %d <> Gf.mul" path c x
+        done
+      done)
+    Gf.For_testing.paths
+
+(* [Rlnc.reduce] scales a row in place: [Gf.mul_into ~dst:y ~src:y]. *)
+let test_paths_mul_in_place () =
+  let rng = Rng.create ~seed:7 () in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (len, pos, coeff) ->
+          let y = random_bytes rng (pos + len + 5) in
+          let expect = Bytes.copy y in
+          let exp_w = Bytes.sub expect pos len in
+          Gf.mul_into_scalar f8 ~dst:exp_w ~src:(Bytes.copy exp_w) ~coeff;
+          Bytes.blit exp_w 0 expect pos len;
+          Gf.For_testing.mul_into_range ~path f8 ~dst:y ~src:y ~coeff ~pos ~len;
+          if not (Bytes.equal y expect) then
+            Alcotest.failf "%s: in-place mul len %d pos %d coeff %d" path len pos coeff)
+        [ (0, 0, 9); (15, 3, 2); (16, 0, 255); (33, 7, 1); (47, 1, 0); (1024, 0, 142); (1500, 31, 77) ])
+    Gf.For_testing.paths;
+  let y = random_bytes rng 1024 in
+  let expect = Bytes.copy y in
+  Gf.mul_into_scalar f8 ~dst:expect ~src:(Bytes.copy y) ~coeff:200;
+  Gf.mul_into f8 ~dst:y ~src:y ~coeff:200;
+  Alcotest.(check bool) "Gf.mul_into in place" true (Bytes.equal y expect)
+
+let test_paths_reject_bad_input () =
+  let dst = Bytes.make 8 '\000' and src = Bytes.make 8 'x' in
+  Alcotest.check_raises "window out of bounds"
+    (Invalid_argument "Gf.mul_add_into_range: range out of bounds") (fun () ->
+      Gf.For_testing.mul_add_into_range ~path:"portable" f8 ~dst ~src ~coeff:3 ~pos:4 ~len:5);
+  Alcotest.check_raises "coefficient beyond the field"
+    (Invalid_argument "Gf.mul_add_into: coefficient out of range") (fun () ->
+      Gf.mul_add_into f8 ~dst ~src ~coeff:256);
+  Alcotest.check_raises "unknown path"
+    (Invalid_argument "Gf.For_testing: no kernel path neon on this host") (fun () ->
+      Gf.For_testing.mul_into_range ~path:"neon" f8 ~dst ~src ~coeff:3 ~pos:0 ~len:8)
+
+(* A decode keeps only inverse rows per loss pattern.  k = 100, h = 29 is
+   a dimension no other test builds, so the process-wide codec memo hands
+   out a fresh codec with an empty pattern cache; 100 distinct 2-loss
+   patterns then fill it.  Per-pattern product tables (200 KiB each at
+   k = 100) would grow the live heap by ~20 MB. *)
+let test_decode_cache_heap () =
+  let k = 100 and h = 29 in
+  let rng = Rng.create ~seed:100 () in
+  let codec = Rse.create ~k ~h () in
+  let data = Array.init k (fun _ -> random_bytes rng 256) in
+  let parity = Rse.encode codec data in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let before = live () in
+  for a = 0 to k - 1 do
+    let b = (a + 1) mod k in
+    let received =
+      Array.append
+        (Array.of_list
+           (List.filter_map
+              (fun i -> if i = a || i = b then None else Some (i, data.(i)))
+              (List.init k Fun.id)))
+        [| (k, parity.(0)); (k + 1, parity.(1)) |]
+    in
+    let decoded = Rse.decode codec received in
+    if not (Bytes.equal decoded.(a) data.(a) && Bytes.equal decoded.(b) data.(b)) then
+      Alcotest.failf "pattern {%d, %d} decoded wrong" a b
+  done;
+  let growth = live () - before in
+  if growth >= 2 * 1024 * 1024 then
+    Alcotest.failf "live heap grew %d bytes over 100 decode patterns" growth
 
 let test_symbols16_odd_length_rejected () =
   let dst = Bytes.make 7 '\000' and src = Bytes.make 7 'x' in
@@ -286,4 +424,10 @@ let suite =
         test_decode_aliases_present_payloads;
       Alcotest.test_case "create is memoized" `Quick test_create_memoized;
       Alcotest.test_case "parallel pool basics" `Quick test_parallel_pool_basics;
+      Alcotest.test_case "kernel paths: mul_add, mul, xor = scalar" `Quick
+        test_paths_match_scalar;
+      Alcotest.test_case "kernel paths: every product = Gf.mul" `Quick test_paths_products;
+      Alcotest.test_case "kernel paths: mul_into in place" `Quick test_paths_mul_in_place;
+      Alcotest.test_case "kernel paths: bad input rejected" `Quick test_paths_reject_bad_input;
+      Alcotest.test_case "decode cache heap at k=100" `Quick test_decode_cache_heap;
     ]
