@@ -233,15 +233,9 @@ let mul_checked name path field ~dst ~src ~coeff ~pos ~len =
 
 (* {1 Public kernels} *)
 
-let xor_into_range ~dst ~src ~pos ~len =
-  mul_add_checked "Gf.xor_into_range" best_path gf256 ~dst ~src ~coeff:1 ~pos ~len
-
 let xor_into ~dst ~src =
   mul_add_checked "Gf.xor_into" best_path gf256 ~dst ~src ~coeff:1 ~pos:0
     ~len:(Bytes.length src)
-
-let mul_add_into_range field ~dst ~src ~coeff ~pos ~len =
-  mul_add_checked "Gf.mul_add_into_range" best_path field ~dst ~src ~coeff ~pos ~len
 
 let mul_add_into field ~dst ~src ~coeff =
   mul_add_checked "Gf.mul_add_into" best_path field ~dst ~src ~coeff ~pos:0
@@ -249,13 +243,6 @@ let mul_add_into field ~dst ~src ~coeff =
 
 let mul_into field ~dst ~src ~coeff =
   mul_checked "Gf.mul_into" best_path field ~dst ~src ~coeff ~pos:0 ~len:(Bytes.length src)
-
-let mul_add2_into_range field ~dst ~src0 ~coeff0 ~src1 ~coeff1 ~pos ~len =
-  let name = "Gf.mul_add2_into_range" in
-  check name field ~dst ~src:src0 ~coeff:coeff0 ~pos ~len;
-  check name field ~dst ~src:src1 ~coeff:coeff1 ~pos ~len;
-  kernel_mul_add dst src0 pos len coeff0 best_path;
-  kernel_mul_add dst src1 pos len coeff1 best_path
 
 module For_testing = struct
   let paths = Array.to_list (Array.sub path_names 0 (best_path + 1))
@@ -284,10 +271,10 @@ let symbol_bytes field =
   | 16 -> 2
   | _ -> invalid_arg "Gf.symbol_bytes: vector kernels exist only for m = 8 and m = 16"
 
-(* GF(2^16) multiply-accumulate over big-endian 16-bit symbols.  Bounds are
-   validated once by the caller-facing wrappers, so the loop reads and
-   writes each symbol as two unchecked bytes. *)
-let mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos ~len =
+(* GF(2^16) multiply-accumulate over big-endian 16-bit symbols.  Lengths
+   are validated by [mul_add_into_symbols], so the loop reads and writes
+   each symbol as two unchecked bytes. *)
+let mul_add_into_symbols16 field ~dst ~src ~coeff =
   if coeff <> 0 then begin
     (* exp_table is doubled, so log_coeff + log s needs no reduction. *)
     let log_coeff = Array.unsafe_get field.log_table coeff in
@@ -295,8 +282,9 @@ let mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos ~len =
     let get b i =
       (Char.code (Bytes.unsafe_get b i) lsl 8) lor Char.code (Bytes.unsafe_get b (i + 1))
     in
-    let i = ref pos in
-    while !i < pos + len do
+    let len = Bytes.length src in
+    let i = ref 0 in
+    while !i < len do
       let s = get src !i in
       if s <> 0 then begin
         let product =
@@ -309,19 +297,6 @@ let mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos ~len =
     done
   end
 
-let check_symbol_range name field dst src pos len =
-  check_range name dst src pos len;
-  if field.m = 16 && (len land 1 <> 0 || pos land 1 <> 0) then
-    invalid_arg (name ^ ": odd length for 16-bit symbols")
-
-let mul_add_into_symbols_range field ~dst ~src ~coeff ~pos ~len =
-  match field.m with
-  | 8 -> mul_add_into_range field ~dst ~src ~coeff ~pos ~len
-  | 16 ->
-    check_symbol_range "Gf.mul_add_into_symbols" field dst src pos len;
-    mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos ~len
-  | _ -> invalid_arg "Gf.mul_add_into_symbols: vector kernels exist only for m = 8 and m = 16"
-
 let mul_add_into_symbols field ~dst ~src ~coeff =
   match field.m with
   | 8 -> mul_add_into field ~dst ~src ~coeff
@@ -330,5 +305,5 @@ let mul_add_into_symbols field ~dst ~src ~coeff =
     check_range "Gf.mul_add_into_symbols" dst src 0 len;
     if len land 1 <> 0 then
       invalid_arg "Gf.mul_add_into_symbols: odd length for 16-bit symbols";
-    mul_add_into_symbols16_range field ~dst ~src ~coeff ~pos:0 ~len
+    mul_add_into_symbols16 field ~dst ~src ~coeff
   | _ -> invalid_arg "Gf.mul_add_into_symbols: vector kernels exist only for m = 8 and m = 16"

@@ -100,33 +100,6 @@ val xor_into : dst:Bytes.t -> src:Bytes.t -> unit
 (** [dst.(i) <- dst.(i) xor src.(i)]; the [coeff = 1] special case, also the
     whole codec for a single-parity (h = 1) code. *)
 
-(** {2 Range variants}
-
-    The same kernels restricted to the byte window [\[pos, pos + len)] of
-    both vectors.  These are the building blocks of the codecs' accumulation
-    loop and of domain-striped parallel coding, where each worker owns a disjoint
-    byte range of every packet.  [dst] and [src] must still have equal
-    {e total} lengths, and the window must lie within them. *)
-
-val xor_into_range : dst:Bytes.t -> src:Bytes.t -> pos:int -> len:int -> unit
-
-val mul_add_into_range :
-  t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
-
-val mul_add2_into_range :
-  t ->
-  dst:Bytes.t ->
-  src0:Bytes.t ->
-  coeff0:int ->
-  src1:Bytes.t ->
-  coeff1:int ->
-  pos:int ->
-  len:int ->
-  unit
-(** Two-source multiply-accumulate:
-    [dst.(i) <- dst.(i) xor coeff0*src0.(i) xor coeff1*src1.(i)], as two
-    {!mul_add_into_range} calls. *)
-
 (** {2 Scalar reference kernels}
 
     Byte-at-a-time OCaml loops with identical semantics to the C kernel
@@ -146,13 +119,15 @@ module For_testing : sig
 
   val mul_add_into_range :
     path:string -> t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
-  (** The top-level [mul_add_into_range] on the named path.
+  (** {!mul_add_into} over the window [\[pos, pos + len)] of both
+      vectors, on the named path.  [dst] and [src] must still have equal
+      total lengths, and the window must lie within them.
       @raise Invalid_argument if [path] is not in [paths]. *)
 
   val mul_into_range :
     path:string -> t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
-  (** The top-level [mul_into] over the window [\[pos, pos + len)], on
-      the named path; [dst] and [src] may be the same vector. *)
+  (** {!mul_into} over the window [\[pos, pos + len)], on the named
+      path; [dst] and [src] may be the same vector. *)
 end
 
 (** {1 Symbol-generic kernels}
@@ -169,8 +144,3 @@ val symbol_bytes : t -> int
 val mul_add_into_symbols : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 (** [dst <- dst + coeff * src] over the field's symbols.  Lengths must
     match and be multiples of {!symbol_bytes}. *)
-
-val mul_add_into_symbols_range :
-  t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> pos:int -> len:int -> unit
-(** Range variant of {!mul_add_into_symbols}; for m = 16 both [pos] and
-    [len] must be even (symbol-aligned). *)

@@ -7,13 +7,10 @@
 
    Encoding and decoding both come down to one loop, [accumulate]: for each
    output row and each source packet with a non-zero coefficient, one
-   [Gf.mul_add_into_symbols_range] call (the SIMD GF(2^8) kernel, or the
-   GF(2^16) symbol loop).  Nothing is precomputed per coefficient, so a
-   codec holds no tables beyond its generator.  Decoding is split into a
-   {e plan} (packet selection + matrix inversion, with the inverse rows
-   memoized per loss pattern) and a pure byte-range accumulation, so
-   multicore striping (see [Parallel]) can run the plan once and shard
-   only the accumulation. *)
+   [Gf.mul_add_into_symbols] call over the whole packet (the SIMD GF(2^8)
+   kernel, or the GF(2^16) symbol loop).  Nothing is precomputed per
+   coefficient, so a codec holds no tables beyond its generator; a decode
+   keeps only the inverse rows, memoized per loss pattern. *)
 
 module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
@@ -120,16 +117,14 @@ let check_payloads t operation packets =
 (* {1 The accumulation loop}
 
    Adds, for every output r, [sum_c rows.(r).(c) * srcs.(c)] into
-   [dsts.(r)] over the byte window [pos, pos + len), one (row, source)
-   pair per kernel call. *)
+   [dsts.(r)], one (row, source) pair per kernel call. *)
 
-let accumulate t ~rows ~srcs ~dsts ~pos ~len =
+let accumulate t ~rows ~srcs ~dsts =
   for r = 0 to Array.length dsts - 1 do
     let row = rows.(r) and dst = dsts.(r) in
     for c = 0 to Array.length srcs - 1 do
       let coeff = row.(c) in
-      if coeff <> 0 then
-        Gf.mul_add_into_symbols_range t.field ~dst ~src:srcs.(c) ~coeff ~pos ~len
+      if coeff <> 0 then Gf.mul_add_into_symbols t.field ~dst ~src:srcs.(c) ~coeff
     done
   done
 
@@ -141,39 +136,21 @@ let encode_parity t data j =
   if j < 0 || j >= t.h then invalid_arg (t.label ^ ".encode_parity: parity index out of range");
   let len = check_payloads t "encode_parity" data in
   let parity = Bytes.make len '\000' in
-  accumulate t ~rows:[| t.parity_rows.(j) |] ~srcs:data ~dsts:[| parity |] ~pos:0 ~len;
+  accumulate t ~rows:[| t.parity_rows.(j) |] ~srcs:data ~dsts:[| parity |];
   parity
-
-(* Validation + output allocation without the byte work: the sequential and
-   parallel encoders share it. *)
-let encode_prepare t data =
-  if Array.length data <> t.k then
-    invalid_arg (t.label ^ ".encode_parity: expected k data packets");
-  let len = check_payloads t "encode_parity" data in
-  (Array.init t.h (fun _ -> Bytes.make len '\000'), len)
-
-let encode_into t data ~parity ~pos ~len =
-  accumulate t ~rows:t.parity_rows ~srcs:data ~dsts:parity ~pos ~len
 
 let encode t data =
   if t.h = 0 then [||]
   else begin
-    let parity, len = encode_prepare t data in
-    encode_into t data ~parity ~pos:0 ~len;
+    if Array.length data <> t.k then
+      invalid_arg (t.label ^ ".encode_parity: expected k data packets");
+    let len = check_payloads t "encode_parity" data in
+    let parity = Array.init t.h (fun _ -> Bytes.make len '\000') in
+    accumulate t ~rows:t.parity_rows ~srcs:data ~dsts:parity;
     parity
   end
 
 (* {1 Decoding} *)
-
-type plan = {
-  outputs : Bytes.t array;
-      (* length k; present indices alias the caller's payloads, missing
-         indices are freshly zeroed buffers awaiting accumulation *)
-  sources : Bytes.t array; (* the k payloads chosen to form the system *)
-  missing_rows : int array array; (* inverse rows for each missing output *)
-  missing_dsts : Bytes.t array; (* outputs.(j) for each missing j *)
-  payload_len : int;
-}
 
 let take_scratch t =
   match Atomic.exchange t.scratch None with
@@ -218,12 +195,7 @@ let solve t chosen_idx =
     Mutex.unlock t.cache_mutex;
     solution
 
-(* Private length-0 sentinel: distinguishes "output slot not yet assigned"
-   from a caller-supplied empty payload (which must still be returned by
-   reference). *)
-let absent = Bytes.create 0
-
-let decode_plan t received =
+let decode t received =
   if Array.length received < t.k then
     invalid_arg (t.label ^ ".decode: fewer than k packets received");
   ignore (check_payloads t "decode" (Array.map snd received));
@@ -252,50 +224,30 @@ let decode_plan t received =
   Array.iter (fun ((index, _) as entry) -> if index < t.k then push entry) received;
   Array.iter (fun ((index, _) as entry) -> if index >= t.k then push entry) received;
   assert (!selected = t.k);
-  let payload_len = Bytes.length s.chosen_payload.(0) in
-  let outputs = Array.make t.k absent in
-  let missing = ref [] in
+  (* Present data indices alias the caller's payloads.  Data packets are
+     selected first, so the selection holds a parity (and some data index
+     is missing) exactly when its last slot does; each missing index gets a
+     fresh zeroed buffer, accumulated from the selected payloads. *)
+  let outputs = Array.make t.k Bytes.empty in
   for c = 0 to t.k - 1 do
     let index = s.chosen_idx.(c) in
     if index < t.k then outputs.(index) <- s.chosen_payload.(c)
   done;
-  for j = t.k - 1 downto 0 do
-    if outputs.(j) == absent then begin
-      outputs.(j) <- Bytes.make payload_len '\000';
-      missing := j :: !missing
-    end
-  done;
-  let plan =
-    match !missing with
-    | [] ->
-      { outputs; sources = [||]; missing_rows = [||]; missing_dsts = [||]; payload_len }
-    | _ ->
-      let solution = solve t s.chosen_idx in
-      (* solution.missing_js equals !missing: both are the data indices
-         absent from the selection, in increasing order. *)
-      {
-        outputs;
-        sources = Array.copy s.chosen_payload;
-        missing_rows = solution.rows;
-        missing_dsts = Array.map (fun j -> outputs.(j)) solution.missing_js;
-        payload_len;
-      }
-  in
+  if s.chosen_idx.(t.k - 1) >= t.k then begin
+    let solution = solve t s.chosen_idx in
+    let payload_len = Bytes.length s.chosen_payload.(0) in
+    let dsts =
+      Array.map
+        (fun j ->
+          let dst = Bytes.make payload_len '\000' in
+          outputs.(j) <- dst;
+          dst)
+        solution.missing_js
+    in
+    accumulate t ~rows:solution.rows ~srcs:s.chosen_payload ~dsts
+  end;
   release_scratch t s;
-  plan
-
-let decode_accumulate t plan ~pos ~len =
-  accumulate t ~rows:plan.missing_rows ~srcs:plan.sources ~dsts:plan.missing_dsts ~pos ~len
-
-let plan_outputs plan = plan.outputs
-let plan_missing_count plan = Array.length plan.missing_dsts
-let plan_payload_len plan = plan.payload_len
-
-let decode t received =
-  let plan = decode_plan t received in
-  if Array.length plan.missing_dsts > 0 then
-    decode_accumulate t plan ~pos:0 ~len:plan.payload_len;
-  plan.outputs
+  outputs
 
 let decode_data_loss t ~data ~parity =
   if Array.length data <> t.k then

@@ -58,48 +58,15 @@ val encode_parity : t -> Bytes.t array -> int -> Bytes.t
 val encode : t -> Bytes.t array -> Bytes.t array
 (** All [h] parity packets. *)
 
-val encode_prepare : t -> Bytes.t array -> Bytes.t array * int
-(** Validation plus output allocation without the byte work: returns the
-    [h] zeroed parity buffers and the payload length.  The sequential and
-    multicore ({!Parallel}) encoders share it. *)
-
-val encode_into : t -> Bytes.t array -> parity:Bytes.t array -> pos:int -> len:int -> unit
-(** Accumulate the parity products over the byte window [pos, pos+len) —
-    the pure byte-range half of {!encode}, safe to shard by stripe. *)
-
 (** {1 Decoding} *)
 
-type plan
-(** Everything a decode needs after packet selection and matrix
-    inversion: the output buffers (present data packets aliased, missing
-    ones zeroed and awaiting accumulation) plus the reconstruction rows.
-    Splitting the plan from the accumulation
-    lets multicore striping run the plan once and shard only the byte
-    work. *)
-
-val decode_plan : t -> (int * Bytes.t) array -> plan
+val decode : t -> (int * Bytes.t) array -> Bytes.t array
 (** Select [k] of the received [(index, payload)] pairs (data packets
     preferred — their rows are unit vectors), solve the system (memoized
-    per loss pattern), and allocate outputs.
+    per loss pattern), and rebuild the missing data packets.  Present
+    data packets are returned by reference.
     @raise Invalid_argument on fewer than [k] packets, out-of-range or
     duplicate indices, or unequal payload lengths. *)
-
-val decode_accumulate : t -> plan -> pos:int -> len:int -> unit
-(** Accumulate the missing packets' reconstruction products over
-    [pos, pos+len); a no-op when nothing is missing. *)
-
-val plan_outputs : plan -> Bytes.t array
-(** The [k] data packets, valid once accumulation has covered the full
-    payload range. *)
-
-val plan_missing_count : plan -> int
-(** Number of data packets being reconstructed; [0] means
-    {!plan_outputs} is already complete. *)
-
-val plan_payload_len : plan -> int
-
-val decode : t -> (int * Bytes.t) array -> Bytes.t array
-(** [decode_plan] + full-range [decode_accumulate]. *)
 
 val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
 (** Convenience wrapper: [data] has one slot per data index ([None] =

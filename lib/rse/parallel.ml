@@ -1,27 +1,13 @@
-(* Multicore work pool shared by the FEC datapath and the experiment
-   engine.
-
-   Two kinds of work run on the same pool:
-
-   - byte-stripe jobs (encode/decode): each worker owns a disjoint byte
-     range of every packet involved, so stripes share nothing but
-     immutable coefficient rows and the (read-only) source payloads;
-     stripe boundaries are aligned to cache lines to keep writers off
-     each other's lines;
-   - coarse task jobs ([map] / [map_reduce]): independent simulation
-     cells, TG batches, sweep grid points — claimed chunk-by-chunk with
-     dynamic scheduling, results gathered positionally so the output is
-     independent of which domain ran which task.
+(* Multicore work pool for coarse independent tasks: simulation cells,
+   TG batches, sweep grid points.  [map] / [map_reduce] claim them
+   chunk-by-chunk with dynamic scheduling and gather results positionally,
+   so the output is independent of which domain ran which task.
 
    The pool keeps its worker domains alive across calls: batches are
    published under a mutex and claimed task-by-task, with the caller
    participating as the (n+1)-th worker so a pool of [domains = d] uses
    exactly d cores.  Any task exception is captured, the batch drains,
-   and the first exception re-raises on the calling domain.  Small
-   payloads never reach the pool — below [min_bytes] of kernel work the
-   sequential path is faster than the wake-up, so we fall back to it
-   (and always when the pool has a single domain, e.g. when
-   [Domain.recommended_domain_count () = 1]). *)
+   and the first exception re-raises on the calling domain. *)
 
 type pool = {
   domains : int; (* total parallelism including the calling domain *)
@@ -165,17 +151,6 @@ let run_batch pool job total =
     match error with Some e -> raise e | None -> ()
   end
 
-(* Stripe boundaries: [parts] ranges covering [0, len), every boundary a
-   multiple of 64 bytes (cache-line aligned, and even for 16-bit symbols). *)
-let stripe_bounds ~len ~parts =
-  let align = 64 in
-  let stripe = ((len + parts - 1) / parts + align - 1) / align * align in
-  Array.init (parts + 1) (fun i -> min len (i * stripe))
-
-let stripe_count pool ~len =
-  let align = 64 in
-  min pool.domains ((len + align - 1) / align)
-
 (* Task-level sharding for coarse independent jobs (simulation reps, TG
    batches, sweep cells): consecutive indices are claimed [chunk] at a
    time — dynamic scheduling with a per-chunk handoff — and results are
@@ -213,48 +188,3 @@ let map ?pool ?chunk n f =
 
 let map_reduce ?pool ?chunk n ~map:f ~combine ~init =
   Array.fold_left combine init (map ?pool ?chunk n f)
-
-(* BENCH_RSE's grid on a 2-domain host: striping loses at k = 100, h = 30,
-   1 KiB (3 MB of work; each half-packet stripe doubles the kernel calls)
-   and wins at k = 20, h = 7, 16 KiB (2.3 MB) and k = 50, h = 15, 64 KiB.
-   Work alone cannot separate the first two; 4 MiB keeps 1 KiB packets
-   sequential. *)
-let default_min_bytes = 4 lsl 20
-
-let run_striped pool ~len apply =
-  let parts = stripe_count pool ~len in
-  if parts <= 1 then apply ~pos:0 ~len
-  else begin
-    let bounds = stripe_bounds ~len ~parts in
-    run_batch pool
-      (fun i ->
-        let pos = bounds.(i) in
-        let slice = bounds.(i + 1) - pos in
-        if slice > 0 then apply ~pos ~len:slice)
-      parts
-  end
-
-let encode ?pool ?(min_bytes = default_min_bytes) codec data =
-  let open Codec_core in
-  if h codec = 0 then [||]
-  else begin
-    let parity, len = encode_prepare codec data in
-    let pool = match pool with Some p -> p | None -> default_pool () in
-    if pool.domains = 1 || k codec * h codec * len < min_bytes then
-      encode_into codec data ~parity ~pos:0 ~len
-    else run_striped pool ~len (fun ~pos ~len -> encode_into codec data ~parity ~pos ~len);
-    parity
-  end
-
-let decode ?pool ?(min_bytes = default_min_bytes) codec received =
-  let open Codec_core in
-  let plan = decode_plan codec received in
-  let missing = plan_missing_count plan in
-  if missing > 0 then begin
-    let len = plan_payload_len plan in
-    let pool = match pool with Some p -> p | None -> default_pool () in
-    if pool.domains = 1 || k codec * missing * len < min_bytes then
-      decode_accumulate codec plan ~pos:0 ~len
-    else run_striped pool ~len (fun ~pos ~len -> decode_accumulate codec plan ~pos ~len)
-  end;
-  plan_outputs plan

@@ -1,28 +1,11 @@
-(** Multicore work pool: FEC byte-striping and coarse task sharding
-    across OCaml 5 domains.
+(** Multicore work pool: coarse task sharding across OCaml 5 domains.
 
-    One pool serves two workloads.  For the FEC datapath, payloads are
-    split into cache-line-aligned byte stripes and each stripe of the
-    matrix-vector product runs on its own domain — every worker owns a
-    disjoint byte range of all packets, so stripes share nothing
-    mutable.  For the experiment engine, {!map} and {!map_reduce} shard
-    coarse independent tasks (simulation cells, TG batches, sweep grid
-    points) across the same workers with chunked dynamic scheduling, and
-    gather results positionally, so parallel output is identical to a
-    sequential run of the same tasks.
-
-    Striping only pays for itself when there are enough bytes to
-    amortise waking the pool: below [min_bytes] of kernel work (defaults
-    to 4 MiB, counted as [k * rows * payload_len]), and always on
-    single-core hosts ([Domain.recommended_domain_count () = 1]), the
-    {!encode}/{!decode} entry points take the same sequential path as
-    [Rse.encode]/[Rse.decode], so they are safe to call
-    unconditionally.
-
-    The typed entry points for the public codecs live in {!Rse}
-    ([encode_parallel]/[decode_parallel]); this module additionally
-    exposes the pool and the [Codec_core]-level operations shared by all
-    codec constructions. *)
+    {!map} and {!map_reduce} shard independent tasks (simulation cells,
+    TG batches, sweep grid points) across a persistent set of worker
+    domains with chunked dynamic scheduling, and gather results
+    positionally, so parallel output is identical to a sequential run
+    of the same tasks.  The codecs do not use it: each codes whole
+    packets on the caller's domain. *)
 
 type pool
 (** A persistent set of worker domains.  Creating a pool spawns its
@@ -81,15 +64,3 @@ val map_reduce :
     the fold runs on the caller in index order — so [combine] needs no
     associativity and the result is deterministic for any pool size.
     Exceptions propagate as in {!map}. *)
-
-val encode :
-  ?pool:pool -> ?min_bytes:int -> Codec_core.t -> Bytes.t array -> Bytes.t array
-(** Exactly [Codec_core.encode] (same validation, same result bytes),
-    with the parity accumulation striped across [pool] (default: the shared
-    pool) when the work volume reaches [min_bytes]. *)
-
-val decode :
-  ?pool:pool -> ?min_bytes:int -> Codec_core.t -> (int * Bytes.t) array -> Bytes.t array
-(** Exactly [Codec_core.decode]: the decode plan (packet selection and
-    matrix inversion) runs on the caller, only the reconstruction byte work
-    is striped.  Present packets are still returned by reference. *)

@@ -20,8 +20,6 @@ let encode = Codec_core.encode
 let decode = Codec_core.decode
 let decode_data_loss = Codec_core.decode_data_loss
 let is_mds_subset = Codec_core.is_mds_subset
-let encode_parallel = Parallel.encode
-let decode_parallel = Parallel.decode
 
 module Codec = Codec_core.Block_codec (struct
   let kind = `Rse

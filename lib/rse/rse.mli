@@ -64,8 +64,7 @@ val decode : t -> (int * Bytes.t) array -> Bytes.t array
     computed.  Consequently: (a) no-loss decodes are zero-copy and cost no
     byte work at all; (b) mutating a returned present payload mutates the
     caller's buffer and vice versa; (c) received payloads are never written
-    to by [decode].  The same contract holds for {!decode_parallel} and
-    {!decode_data_loss}.
+    to by [decode].  The same contract holds for {!decode_data_loss}.
 
     @raise Invalid_argument on fewer than [k] packets, duplicate or
     out-of-range indices, or unequal payload lengths. *)
@@ -79,20 +78,6 @@ val is_mds_subset : t -> int array -> bool
 (** [is_mds_subset codec indices] checks that the given [k] packet indices
     suffice to decode (always true for this systematic-Vandermonde
     construction; exposed for tests and for {!Rse_poly} comparison). *)
-
-(** {1 Multicore entry points}
-
-    Identical semantics (and byte-identical results) to {!encode} and
-    {!decode}, with the byte work striped across the domains of [pool]
-    (default: {!Parallel.default_pool}).  Work volumes below [min_bytes]
-    (default 4 MiB) and single-domain pools fall back to the sequential
-    path, so these are safe drop-in replacements on any host. *)
-
-val encode_parallel :
-  ?pool:Parallel.pool -> ?min_bytes:int -> t -> Bytes.t array -> Bytes.t array
-
-val decode_parallel :
-  ?pool:Parallel.pool -> ?min_bytes:int -> t -> (int * Bytes.t) array -> Bytes.t array
 
 (** {1 Codec seam}
 

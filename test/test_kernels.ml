@@ -1,11 +1,10 @@
-(* Differential tests for the GF(2^8) kernel paths and the sequential and
-   parallel codec paths: every accelerated implementation must be
-   byte-identical to the scalar reference on arbitrary inputs, emphatically
-   including lengths that are not a whole number of SIMD vectors. *)
+(* Differential tests for the GF(2^8) kernel paths and the codec built on
+   them: every accelerated implementation must be byte-identical to the
+   scalar reference on arbitrary inputs, emphatically including lengths
+   that are not a whole number of SIMD vectors. *)
 
 module Gf = Rmcast.Gf
 module Rse = Rmcast.Rse
-module Parallel = Rmcast.Parallel
 module Rng = Rmcast.Rng
 
 let f8 = Gf.gf256
@@ -61,35 +60,21 @@ let gen_range_case =
     int_range 0 200 >>= fun len ->
     int_range 0 len >>= fun pos ->
     int_range 0 (len - pos) >>= fun sub ->
-    int_range 0 255 >>= fun c0 ->
-    int_range 0 255 >>= fun c1 ->
-    int_range 0 1_000_000 >>= fun seed -> return (len, pos, sub, c0, c1, seed))
+    int_range 0 255 >>= fun coeff ->
+    int_range 0 1_000_000 >>= fun seed -> return (len, pos, sub, coeff, seed))
 
 let qcheck_range_matches_scalar =
   QCheck.Test.make ~count:500 ~name:"mul_add_into_range: window = scalar on window"
-    (QCheck.make gen_range_case) (fun (len, pos, sub, c0, _c1, seed) ->
+    (QCheck.make gen_range_case) (fun (len, pos, sub, coeff, seed) ->
       let rng = Rng.create ~seed () in
       let src = random_bytes rng len in
       let dst = random_bytes rng len in
       let expect = Bytes.copy dst in
-      Gf.mul_add_into_range f8 ~dst ~src ~coeff:c0 ~pos ~len:sub;
+      Gf.For_testing.mul_add_into_range ~path:Gf.kernel f8 ~dst ~src ~coeff ~pos ~len:sub;
       (* Reference: scalar over the extracted window only. *)
       let src_w = Bytes.sub src pos sub and exp_w = Bytes.sub expect pos sub in
-      Gf.mul_add_into_scalar f8 ~dst:exp_w ~src:src_w ~coeff:c0;
+      Gf.mul_add_into_scalar f8 ~dst:exp_w ~src:src_w ~coeff;
       Bytes.blit exp_w 0 expect pos sub;
-      Bytes.equal dst expect)
-
-let qcheck_mul_add2_matches_two_calls =
-  QCheck.Test.make ~count:500 ~name:"mul_add2_into_range: fused = two mul_adds"
-    (QCheck.make gen_range_case) (fun (len, pos, sub, c0, c1, seed) ->
-      let rng = Rng.create ~seed () in
-      let src0 = random_bytes rng len in
-      let src1 = random_bytes rng len in
-      let dst = random_bytes rng len in
-      let expect = Bytes.copy dst in
-      Gf.mul_add2_into_range f8 ~dst ~src0 ~coeff0:c0 ~src1 ~coeff1:c1 ~pos ~len:sub;
-      Gf.mul_add_into_range f8 ~dst:expect ~src:src0 ~coeff:c0 ~pos ~len:sub;
-      Gf.mul_add_into_range f8 ~dst:expect ~src:src1 ~coeff:c1 ~pos ~len:sub;
       Bytes.equal dst expect)
 
 (* GF(2^16): the optimised symbol kernel against a per-symbol semantic
@@ -297,59 +282,6 @@ let qcheck_blocked_encode_matches_rows =
       let rows = Array.init h (fun j -> Rse.encode_parity codec data j) in
       Array.for_all2 Bytes.equal blocked rows)
 
-(* Parallel striping vs sequential, with a multi-domain pool and the
-   min_bytes gate forced open so striping actually runs even for small
-   payloads (and even on single-core CI hosts). *)
-let test_pool = lazy (Parallel.create_pool ~domains:3 ())
-
-let qcheck_parallel_encode_matches_sequential =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 12 >>= fun k ->
-      int_range 0 8 >>= fun h ->
-      int_range 1 400 >>= fun size ->
-      int_range 0 1_000_000 >>= fun seed -> return (k, h, size, seed))
-  in
-  QCheck.Test.make ~count:150 ~name:"parallel encode = sequential encode"
-    (QCheck.make gen) (fun (k, h, size, seed) ->
-      let rng = Rng.create ~seed () in
-      let codec = Rse.create ~k ~h () in
-      let data = Array.init k (fun _ -> random_bytes rng size) in
-      let sequential = Rse.encode codec data in
-      let parallel =
-        Rse.encode_parallel ~pool:(Lazy.force test_pool) ~min_bytes:0 codec data
-      in
-      Array.for_all2 Bytes.equal sequential parallel)
-
-let qcheck_parallel_decode_matches_sequential =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 12 >>= fun k ->
-      int_range 1 8 >>= fun h ->
-      int_range 1 400 >>= fun size ->
-      int_range 0 1_000_000 >>= fun seed -> return (k, h, size, seed))
-  in
-  QCheck.Test.make ~count:150 ~name:"parallel decode = sequential decode"
-    (QCheck.make gen) (fun (k, h, size, seed) ->
-      let rng = Rng.create ~seed () in
-      let codec = Rse.create ~k ~h () in
-      let data = Array.init k (fun _ -> random_bytes rng size) in
-      let parity = Rse.encode codec data in
-      let losses = min h k in
-      let lost = Rmcast.Sampler.distinct_ints rng ~n:k ~k:losses in
-      let received = ref [] in
-      Array.iteri
-        (fun i d -> if not (Array.mem i lost) then received := (i, d) :: !received)
-        data;
-      Array.iteri (fun j p -> received := (k + j, p) :: !received) parity;
-      let received = Array.of_list !received in
-      let sequential = Rse.decode codec received in
-      let parallel =
-        Rse.decode_parallel ~pool:(Lazy.force test_pool) ~min_bytes:0 codec received
-      in
-      Array.for_all2 Bytes.equal sequential parallel
-      && Array.for_all2 Bytes.equal data parallel)
-
 (* The decode aliasing contract on the reconstruction path: packets that
    WERE received must come back physically identical even when other
    packets are being reconstructed around them. *)
@@ -391,18 +323,6 @@ let test_create_memoized () =
   let c = Rse.create ~k:20 ~h:8 () in
   Alcotest.(check bool) "different parameters differ" false (a == c)
 
-let test_parallel_pool_basics () =
-  let pool = Lazy.force test_pool in
-  Alcotest.(check int) "domain count" 3 (Parallel.domain_count pool);
-  (* Exercise a payload large enough to stripe for real. *)
-  let rng = Rng.create ~seed:9 () in
-  let codec = Rse.create ~k:20 ~h:7 () in
-  let data = Array.init 20 (fun _ -> random_bytes rng 4096) in
-  let sequential = Rse.encode codec data in
-  let parallel = Rse.encode_parallel ~pool ~min_bytes:0 codec data in
-  Alcotest.(check bool) "striped encode equal" true
-    (Array.for_all2 Bytes.equal sequential parallel)
-
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -410,11 +330,8 @@ let suite =
       qcheck_mul_matches_scalar;
       qcheck_xor_matches_scalar;
       qcheck_range_matches_scalar;
-      qcheck_mul_add2_matches_two_calls;
       qcheck_symbols16_matches_reference;
       qcheck_blocked_encode_matches_rows;
-      qcheck_parallel_encode_matches_sequential;
-      qcheck_parallel_decode_matches_sequential;
     ]
   @ [
       Alcotest.test_case "long vectors (pair tier) match scalar" `Quick
@@ -423,7 +340,6 @@ let suite =
       Alcotest.test_case "decode aliases present payloads" `Quick
         test_decode_aliases_present_payloads;
       Alcotest.test_case "create is memoized" `Quick test_create_memoized;
-      Alcotest.test_case "parallel pool basics" `Quick test_parallel_pool_basics;
       Alcotest.test_case "kernel paths: mul_add, mul, xor = scalar" `Quick
         test_paths_match_scalar;
       Alcotest.test_case "kernel paths: every product = Gf.mul" `Quick test_paths_products;

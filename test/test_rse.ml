@@ -101,11 +101,19 @@ let test_too_few_packets () =
   Alcotest.check_raises "too few" (Invalid_argument "Rse.decode: fewer than k packets received")
     (fun () -> ignore (Rse.decode codec [| (0, Bytes.make 4 'a') |]))
 
+(* A rejected decode must hand back the codec's scratch clean: the same
+   memoized instance then decodes a valid 1-loss pattern (data 0 and the
+   parity, data 1 lost). *)
+let check_usable_after_rejection codec =
+  let data = random_data (Rng.create ~seed:21 ()) ~k:2 ~size:4 in
+  check_equal_data "decode after rejection" data (roundtrip codec data [ 1 ])
+
 let test_duplicate_index_rejected () =
   let codec = Rse.create ~k:2 ~h:1 () in
   let p = Bytes.make 4 'a' in
   Alcotest.check_raises "duplicate" (Invalid_argument "Rse.decode: duplicate packet index")
-    (fun () -> ignore (Rse.decode codec [| (0, p); (0, p) |]))
+    (fun () -> ignore (Rse.decode codec [| (0, p); (0, p) |]));
+  check_usable_after_rejection codec
 
 let test_unequal_lengths_rejected () =
   let codec = Rse.create ~k:2 ~h:1 () in
@@ -116,7 +124,8 @@ let test_index_out_of_range () =
   let codec = Rse.create ~k:2 ~h:1 () in
   let p = Bytes.make 4 'a' in
   Alcotest.check_raises "range" (Invalid_argument "Rse.decode: index out of range") (fun () ->
-      ignore (Rse.decode codec [| (0, p); (3, p) |]))
+      ignore (Rse.decode codec [| (0, p); (3, p) |]));
+  check_usable_after_rejection codec
 
 let test_create_validation () =
   Alcotest.check_raises "k=0" (Invalid_argument "Rse.create: k must be >= 1") (fun () ->
