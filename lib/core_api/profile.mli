@@ -5,8 +5,9 @@
     [Runner] keyword soup) that had already drifted apart — different
     defaults for [k]/[h]/[payload_size], pacing only on the UDP path.
     [Profile] is the single record every public entry point consumes:
-    [Transfer.send], [Session.create], [Scheduler], [Runner.estimate],
-    [Udp_np.run_local]/[run_multi] and the [rmc] CLI.
+    [Transfer.send], [Session.create], [Scheduler],
+    [Udp_np.run_local]/[run_multi] and the [rmc] CLI.  The exact-tier
+    [Runner.estimate] takes an explicit [~k] and [~scheme] instead.
 
     A profile describes {e what the sender promises}: FEC geometry
     ([k], [h], [proactive], [pre_encode], [codec]), packetization

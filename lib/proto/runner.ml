@@ -120,26 +120,7 @@ let replicate ~scheme ~k ~receivers ?metrics ~(timing : Timing.t) ~reps run_tg =
     completion_time = completion_acc;
   }
 
-let estimate net ?profile ?k ?scheme ?rng ?metrics ?timing ?(reps = 200) () =
-  let module Profile = Rmc_core.Profile in
-  let k =
-    match (k, profile) with
-    | Some k, _ -> k
-    | None, Some p -> p.Profile.k
-    | None, None -> invalid_arg "Runner.estimate: either ~k or ~profile is required"
-  in
-  let scheme =
-    match (scheme, profile) with
-    | Some s, _ -> s
-    | None, Some p -> Integrated_nak { a = p.Profile.proactive; codec = p.Profile.codec }
-    | None, None -> invalid_arg "Runner.estimate: either ~scheme or ~profile is required"
-  in
-  let timing =
-    match (timing, profile) with
-    | Some t, _ -> t
-    | None, Some p -> { Timing.spacing = p.Profile.pacing; feedback_delay = p.Profile.slot }
-    | None, None -> Timing.instantaneous
-  in
+let estimate net ~k ~scheme ?rng ?metrics ?(timing = Timing.instantaneous) ?(reps = 200) () =
   (* One innovation-draw stream across all reps. *)
   let rng = match rng with Some r -> r | None -> default_rng () in
   replicate ~scheme ~k ~receivers:(Network.receivers net) ?metrics ~timing ~reps

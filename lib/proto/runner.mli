@@ -58,9 +58,8 @@ val merge : estimate -> estimate -> estimate
 
 val estimate :
   Rmc_sim.Network.t ->
-  ?profile:Rmc_core.Profile.t ->
-  ?k:int ->
-  ?scheme:scheme ->
+  k:int ->
+  scheme:scheme ->
   ?rng:Rmc_numerics.Rng.t ->
   ?metrics:Rmc_obs.Metrics.t ->
   ?timing:Timing.t ->
@@ -72,16 +71,9 @@ val estimate :
     exactly as a long transfer would experience it.  TGs are separated by
     [timing.feedback_delay].
 
-    Parameters resolve from the unified {!Rmc_core.Profile} when one is
-    given: [k] defaults to [profile.k], [scheme] to the NP data plane
-    [Integrated_nak { a = profile.proactive; codec = profile.codec }] and
-    [timing] to [{ spacing = profile.pacing; feedback_delay = profile.slot }].
-    Explicit [~k]/[~scheme]/[~timing] always win, so pre-profile call
-    sites are unchanged; without a profile, [~k] and [~scheme] are
-    required ([Invalid_argument] otherwise) and [timing] defaults to
-    {!Timing.instantaneous}.  [rng] seeds the innovation draws of a
-    rateless codec (one stream across all reps; a fixed-seed stream is
-    created when omitted).
+    [timing] defaults to {!Timing.instantaneous}.  [rng] seeds the
+    innovation draws of a rateless codec (one stream across all reps; a
+    fixed-seed stream is created when omitted).
 
     With [metrics], accumulates [runner.tgs], [runner.transmissions],
     [runner.rounds], [runner.feedback] and [runner.unnecessary] counters

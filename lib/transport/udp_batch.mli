@@ -42,8 +42,8 @@ val add : send -> Bytes.t -> len:int -> Unix.sockaddr -> unit
 
 type flush_result = {
   sent : int;  (** datagrams handed to the kernel *)
-  errors : int;  (** entries that failed and were dropped (counted, like
-                     the per-datagram path counts [udp.tx_errors]) *)
+  errors : int;  (** entries that failed and were dropped (the driver
+                     counts them in [udp.tx_errors]) *)
   syscalls : int;  (** kernel entries used *)
 }
 
@@ -51,9 +51,8 @@ val flush : send -> Unix.file_descr -> flush_result
 (** Send every pending entry, in order, in as few syscalls as possible;
     the batch is empty afterwards.  EINTR is retried until the datagram
     reaches a real outcome; an entry the kernel refuses (EAGAIN under
-    extreme pressure behaves like network loss, as in the per-datagram
-    path) is counted in [errors] and skipped, never silently dropped or
-    retried forever. *)
+    extreme pressure behaves like network loss) is counted in [errors]
+    and skipped, never silently dropped or retried forever. *)
 
 (** {2 Receive rings} *)
 

@@ -1,7 +1,8 @@
 (** True IPv4 multicast sockets, scoped to the loopback interface.
 
-    The unicast shim emulates multicast with one [sendto] per group
-    member; these sockets make the kernel do that fan-out: one send to a
+    The unicast shim emulates multicast with one datagram per group
+    member (batched into one [sendmmsg] flush); these sockets make the
+    kernel do that fan-out: one send to a
     239.0.0.0/8 group is delivered to every local member.  Everything is
     pinned to loopback with TTL 1 — [IP_MULTICAST_IF] = 127.0.0.1 on
     senders, [IP_MULTICAST_LOOP] on (required for same-host delivery),

@@ -132,11 +132,6 @@ let max_datagram = 65536
    IP and UDP headers): the budget a coalesced frame must fit. *)
 let max_frame = 65507
 
-let rec retry_eintr f =
-  match f () with
-  | value -> value
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-
 let make_socket () =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   (try
@@ -149,8 +144,8 @@ let make_socket () =
 
 (* A socket plus the failure-observation channel every send shares, a recv
    ring datagrams are decoded straight out of (no per-datagram copy), and
-   the reusable send batch a pump's frames are flushed through — all
-   allocated once per socket instead of per pump. *)
+   the reusable send batch every datagram from this socket is flushed
+   through — all allocated once per socket instead of per pump. *)
 type net = {
   socket : Unix.file_descr;
   ring : Udp_batch.recv;
@@ -163,23 +158,23 @@ type net = {
   trace : Trace.t option;
 }
 
-let send_slice net packet off len destination =
-  (* Loopback sends never legitimately short-write a datagram this small.
-     EINTR is retried until the send reaches a real outcome; everything
-     else (including EAGAIN under extreme pressure, which behaves like
-     network loss) is counted and traced — never silently swallowed. *)
-  Metrics.incr net.datagrams_tx;
-  Metrics.incr net.syscalls_tx;
-  match retry_eintr (fun () -> Unix.sendto net.socket packet off len [] destination) with
-  | _ -> ()
-  | exception Unix.Unix_error (err, _, _) ->
-    Metrics.incr net.tx_errors;
-    (match net.trace with
-    | Some trace -> Trace.record ~detail:(Unix.error_message err) trace "udp.tx_error"
-    | None -> ())
-
-let send_bytes net packet destination =
-  send_slice net packet 0 (Bytes.length packet) destination
+(* The one way a datagram leaves this driver: queue it on its socket's
+   [tx_batch] with [Udp_batch.add], then [flush].  The flush hands every
+   queued datagram to the kernel in as few [sendmmsg] calls as the batch
+   needs (EINTR is retried in the stubs); an entry the kernel refuses
+   (EAGAIN under extreme pressure behaves like network loss) is counted and
+   traced, never silently swallowed. *)
+let flush net =
+  let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush net.tx_batch net.socket in
+  Metrics.incr ~by:sent net.datagrams_tx;
+  Metrics.incr ~by:syscalls net.syscalls_tx;
+  if errors > 0 then begin
+    Metrics.incr ~by:errors net.tx_errors;
+    match net.trace with
+    | Some trace ->
+      Trace.record ~detail:(string_of_int errors ^ " batched sends") trace "udp.tx_error"
+    | None -> ()
+  end
 
 (* Walk a datagram that may be a coalesced frame: several consecutive
    encoded messages, each self-delimited by its header's length field.  A
@@ -280,9 +275,9 @@ let sender_enqueue sender batch ~payload_bearing message =
 
 (* Flush a pump's batch.
 
-   The batched path hands every (frame, destination) pair to one
-   sendmmsg-backed flush: serialize + sid-rewrite + reseal happen once per
-   message regardless of group size, and the whole pump costs
+   Every (frame, destination) pair goes to the kernel through one
+   sendmmsg-backed {!flush}: serialize + sid-rewrite + reseal happen once
+   per message regardless of group size, and the whole pump costs
    ceil(frames * group / max_batch) syscalls instead of one per datagram.
    In multicast mode [group] is the single group address and the kernel
    does the fan-out too.
@@ -292,52 +287,36 @@ let sender_enqueue sender batch ~payload_bearing message =
    receiver of the unicast fan-out sees its own drop/duplicate/reorder/
    corrupt pattern.  Control datagrams (POLL, NAK, EXHAUSTED) are spared,
    matching the loss model of the §5 analysis (and of the [~loss]
-   reception injection below).  Shimmed runs therefore keep one message
-   per frame and the per-datagram send path. *)
+   reception injection below).  Shimmed runs keep one message per frame,
+   but what the shim sends joins the same batch and flush; a datagram it
+   delays is flushed by its own timer. *)
 let sender_flush sender batch =
-  match sender.shim with
-  | Some shim ->
-    List.iter
-      (fun { buf; len; payload_bearing } ->
-        (if payload_bearing then begin
-           (* The shim may hold, delay or duplicate the datagram beyond
-              this pump, so it owns a copy; pooled buffers never escape
-              the flush. *)
-           let packet = Bytes.sub buf 0 len in
-           let now = Unix.gettimeofday () in
-           List.iter
-             (fun destination ->
-               Fault.apply shim ~now
-                 ~defer:(fun delay thunk -> ignore (Reactor.after sender.reactor delay thunk))
-                 ~send:(fun bytes -> send_bytes sender.net bytes destination)
-                 packet)
-             sender.group
-         end
-         else
-           List.iter
-             (fun destination -> send_slice sender.net buf 0 len destination)
-             sender.group);
-        Buffer_pool.release sender.pool buf)
-      (List.rev batch)
-  | None ->
-    let tx = sender.net.tx_batch in
-    List.iter
-      (fun frame ->
+  let net = sender.net in
+  List.iter
+    (fun { buf; len; payload_bearing } ->
+      match sender.shim with
+      | Some shim when payload_bearing ->
+        (* The shim may hold, delay or duplicate the datagram beyond this
+           pump, so it owns a copy; pooled buffers never escape the
+           flush. *)
+        let packet = Bytes.sub buf 0 len in
+        let now = Unix.gettimeofday () in
         List.iter
-          (fun destination -> Udp_batch.add tx frame.buf ~len:frame.len destination)
-          sender.group)
-      (List.rev batch);
-    let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush tx sender.net.socket in
-    Metrics.incr ~by:sent sender.net.datagrams_tx;
-    Metrics.incr ~by:syscalls sender.net.syscalls_tx;
-    if errors > 0 then begin
-      Metrics.incr ~by:errors sender.net.tx_errors;
-      match sender.net.trace with
-      | Some trace ->
-        Trace.record ~detail:(string_of_int errors ^ " batched sends") trace "udp.tx_error"
-      | None -> ()
-    end;
-    List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
+          (fun destination ->
+            Fault.apply shim ~now
+              ~defer:(fun delay thunk ->
+                ignore
+                  (Reactor.after sender.reactor delay (fun () ->
+                       thunk ();
+                       flush net)))
+              ~send:(fun bytes ->
+                Udp_batch.add net.tx_batch bytes ~len:(Bytes.length bytes) destination)
+              packet)
+          sender.group
+      | _ -> List.iter (Udp_batch.add net.tx_batch buf ~len) sender.group)
+    (List.rev batch);
+  flush net;
+  List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
 
 let sender_machine sender = Np_drive.Sender.machine sender.drive
 
@@ -480,12 +459,14 @@ let receiver_apply receiver effect =
     (* The NAK is "multicast": to the sender plus every peer (unicast
        fan-out) or the group (real multicast), so suppression really
        happens by overhearing datagrams.  One pooled buffer serves the
-       whole fan-out. *)
+       whole fan-out, which leaves in one flush. *)
     Metrics.incr receiver.c_naks_tx;
+    let net = receiver.tx_net in
     Buffer_pool.with_buf receiver.pool (fun buf ->
         let len = Header.encode_into buf ~off:0 nak in
-        send_slice receiver.tx_net buf 0 len receiver.sender_addr;
-        List.iter (send_slice receiver.tx_net buf 0 len) receiver.nak_peers)
+        List.iter (Udp_batch.add net.tx_batch buf ~len)
+          (receiver.sender_addr :: receiver.nak_peers);
+        flush net)
   | Np_machine.Deliver { tg; data; reconstructed = _ } -> receiver.on_tg_complete tg data
   | Np_machine.Ejected { tg } -> receiver.on_ejected tg
   | Np_machine.Trace detail ->

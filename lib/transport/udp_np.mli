@@ -14,17 +14,23 @@
     {!Udp_multicast.is_available} — not every environment routes multicast
     over loopback).
 
-    The datapath is batched end to end: the messages of one sender pump
-    (every packet due under the pacing schedule, see [config.spacing])
-    coalesce back to back into pooled {e frames} (the wire format is
-    self-delimiting, see {!Rmc_wire.Header.frame_length}) and the pump's
-    (frame, destination) pairs go to the kernel through one
-    [sendmmsg]-backed flush; each socket drains through a [recvmmsg]
-    receive ring.  On platforms without those syscalls the same code runs
-    over a portable one-datagram-per-syscall fallback
-    ({!Udp_batch.native}).  [udp.syscalls_tx]/[udp.syscalls_rx] count
-    every kernel entry, and the [udp.syscalls_per_datagram] gauge is the
-    honest quotient the packet-rate bench gates on.
+    The datapath is batched end to end, and every datagram takes the
+    same path: queued on its socket's {!Udp_batch.send} batch and handed
+    to the kernel by one [sendmmsg]-backed flush.  The messages of one
+    sender pump (every packet due under the pacing schedule, see
+    [config.spacing]) coalesce back to back into pooled {e frames} (the
+    wire format is self-delimiting, see {!Rmc_wire.Header.frame_length})
+    and the pump's (frame, destination) pairs leave in one flush; a NAK's
+    fan-out to the sender and every peer leaves in one flush; what the
+    fault shim sends joins its pump's flush, or a flush of its own when
+    the shim delays it.  Each socket drains through a [recvmmsg] receive
+    ring.  EINTR is retried inside the syscall stubs.  On platforms
+    without those syscalls the same code runs over a portable
+    one-datagram-per-syscall fallback ({!Udp_batch.native}).
+    [udp.syscalls_tx]/[udp.syscalls_rx] count calls into the syscall
+    stubs (a send flush of more than {!Udp_batch.max_batch} datagrams
+    counts once), and the [udp.syscalls_per_datagram] gauge is their
+    quotient over datagrams moved.
 
     {!run_multi} is the one entry point: it multiplexes N independent
     sessions over {e one} reactor and one shared sender socket, one
@@ -108,13 +114,6 @@ val max_datagram : int
 val max_frame : int
 (** The largest UDP payload the kernel accepts in one datagram (65507);
     the budget a coalesced frame is packed up to. *)
-
-val retry_eintr : (unit -> 'a) -> 'a
-(** Run a syscall thunk, retrying as long as it raises
-    [Unix.Unix_error (EINTR, _, _)] — a signal landing mid-syscall must
-    never surface as a transport error or a dropped datagram.  Every
-    send/recv in this driver goes through it (the C stubs retry EINTR
-    in-kernel the same way); exposed for the regression test. *)
 
 val drain :
   ?on_decode_error:(unit -> unit) ->

@@ -301,8 +301,7 @@ let golden_networks =
 
 let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-(* The integrated-FEC NAK-rounds grid, resolved through the profile so the
-   scheme (and its name) comes from [Runner]'s own codec mapping.  Odd [a]
+(* The integrated-FEC NAK-rounds grid, one codec per digest.  Odd [a]
    passes an explicit innovation stream, even [a] the default one. *)
 let golden_nak_grid codec kind =
   List.concat_map
@@ -313,8 +312,8 @@ let golden_nak_grid codec kind =
           let network, timing = golden_network kind ~seed in
           let rng = if a mod 2 = 1 then Some (Rng.create ~seed:(seed + 1) ()) else None in
           estimate_fields
-            (Runner.estimate network
-               ~profile:{ Rmcast.Profile.default with k; proactive = a; codec }
+            (Runner.estimate network ~k
+               ~scheme:(Runner.Integrated_nak { a; codec })
                ?rng ~timing ~reps:12 ()))
         [ 1; 7; 16; 20 ])
     [ 0; 1; 2; 3 ]
@@ -348,8 +347,8 @@ let golden_metrics codec =
   let metrics = Rmcast.Metrics.create () in
   let network, timing = golden_network `Independent ~seed:5 in
   ignore
-    (Runner.estimate network
-       ~profile:{ Rmcast.Profile.default with k = 7; proactive = 1; codec }
+    (Runner.estimate network ~k:7
+       ~scheme:(Runner.Integrated_nak { a = 1; codec })
        ~metrics ~timing ~reps:25 ());
   String.concat " "
     (List.map (fun (name, v) -> Printf.sprintf "%s=%d" name v) (Rmcast.Metrics.counters metrics))

@@ -1,8 +1,8 @@
 (* The line-rate transport layer: batched sendmmsg/recvmmsg I/O, coalesced
    frames, true multicast sockets, domain-sharded runs — and the bugfix
-   sweep's regression tests (fd leaks on failed engine bring-up, EINTR
-   retries, atomic metrics under domains, per-domain pools, the reactor's
-   FD_SETSIZE guard). *)
+   sweep's regression tests (fd leaks on failed engine bring-up, atomic
+   metrics under domains, per-domain pools, the reactor's FD_SETSIZE
+   guard). *)
 
 module Udp = Rmcast.Udp_np
 module Udp_batch = Rmcast.Udp_batch
@@ -149,21 +149,6 @@ let test_no_fd_leak_on_failed_run () =
   | Error e -> Alcotest.fail ("expected a raise, got Error: " ^ Rmcast.Error.to_string e)
   | exception (Failure _ | Unix.Unix_error (Unix.EMFILE, _, _)) -> ());
   Alcotest.(check int) "every socket closed despite the raise" before (open_fds ())
-
-let test_retry_eintr () =
-  let calls = ref 0 in
-  let value =
-    Udp.retry_eintr (fun () ->
-        incr calls;
-        if !calls <= 3 then raise (Unix.Unix_error (Unix.EINTR, "sendto", ""));
-        42)
-  in
-  Alcotest.(check int) "value through repeated EINTR" 42 value;
-  Alcotest.(check int) "retried until a real outcome" 4 !calls;
-  Alcotest.check_raises "non-EINTR escapes immediately"
-    (Unix.Unix_error (Unix.EPERM, "sendto", "")) (fun () ->
-      ignore
-        (Udp.retry_eintr (fun () -> raise (Unix.Unix_error (Unix.EPERM, "sendto", "")))))
 
 let test_metrics_domain_hammer () =
   (* Counters are lock-free atomics and handle creation is serialized:
@@ -436,7 +421,6 @@ let suite =
       test_drain_oversized_datagram;
     Alcotest.test_case "no fd leak when engine bring-up fails" `Quick
       test_no_fd_leak_on_failed_run;
-    Alcotest.test_case "EINTR retried to a real outcome" `Quick test_retry_eintr;
     Alcotest.test_case "metrics exact under domain hammer" `Quick
       test_metrics_domain_hammer;
     Alcotest.test_case "pool serves cross-domain use" `Quick

@@ -125,6 +125,37 @@ let test_metrics_registry_shared () =
     (List.length (Rmcast.Metrics.counters metrics))
     (List.length report.Udp.counters)
 
+(* Every datagram the driver sends leaves through a batched flush, NAK
+   fan-out and fault-shim output included.  Natively ([sendmmsg]) a flush
+   is one syscall for up to 64 datagrams, so with 8 unicast receivers
+   every flush carries at least a whole fan-out; the portable fallback is
+   one syscall per datagram by design, so there is nothing to check. *)
+let sends_per_syscall ?faults ~loss () =
+  let data = payloads ~count:64 ~size:config.Udp.payload_size 19 in
+  let report = Udp.run_local_exn ~config ?faults ~receivers:8 ~loss ~seed:20 ~data () in
+  Alcotest.(check bool) "verified" true report.Udp.verified;
+  (report, counter report "udp.datagrams_tx", counter report "udp.syscalls_tx")
+
+let test_nak_fanout_batched () =
+  if Rmcast.Udp_batch.native then begin
+    let report, datagrams, syscalls = sends_per_syscall ~loss:0.05 () in
+    Alcotest.(check bool) "NAKs sent" true (counter report "rx.naks_tx" > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d send syscalls for %d datagrams" syscalls datagrams)
+      true
+      (8 * syscalls <= datagrams)
+  end
+
+let test_shim_sends_batched () =
+  if Rmcast.Udp_batch.native then begin
+    let faults = Result.get_ok (Rmcast.Fault.spec_of_string "drop=0.05,seed=9") in
+    let _, datagrams, syscalls = sends_per_syscall ~faults ~loss:0.0 () in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d send syscalls for %d datagrams" syscalls datagrams)
+      true
+      (2 * syscalls <= datagrams)
+  end
+
 (* --- reactor unit tests --- *)
 
 let test_reactor_timer_order () =
@@ -304,5 +335,7 @@ let suite =
     Alcotest.test_case "udp validation" `Quick test_validation;
     Alcotest.test_case "udp fault-storm session" `Quick test_fault_storm_session;
     Alcotest.test_case "udp shared metrics registry" `Quick test_metrics_registry_shared;
+    Alcotest.test_case "udp NAK fan-out leaves in one flush" `Quick test_nak_fanout_batched;
+    Alcotest.test_case "udp fault-shim sends are batched" `Quick test_shim_sends_batched;
     Alcotest.test_case "udp wire tg guard" `Quick test_wire_tg_guard;
   ]
