@@ -1,11 +1,11 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four xoshiro256++ words live unboxed in one 32-byte buffer at byte
+   offsets 0, 8, 16 and 24.  A record of [mutable int64] fields would box
+   a fresh word on every store; reading and writing the buffer in place
+   keeps a draw off the minor heap, as long as the arithmetic on the
+   [int64] values stays inside this module (see [bits64] below). *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64: used only to expand a seed into four well-mixed words. *)
 let splitmix_next state =
@@ -24,20 +24,33 @@ let of_int64_seed seed =
   (* An all-zero state is a fixed point of xoshiro; splitmix cannot produce
      four zero words from any seed, but assert it anyway. *)
   assert (not Int64.(equal s0 0L && equal s1 0L && equal s2 0L && equal s3 0L));
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 s2;
+  Bytes.set_int64_ne t 24 s3;
+  t
 
 let create ?(seed = 0x1234_5678) () = of_int64_seed (Int64.of_int seed)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* Inlined into every draw in this module, so the result and the state
+   words stay in registers; only the exported [bits64] boxes its result. *)
+let[@inline] bits64 t =
+  let s0 = Bytes.get_int64_ne t 0
+  and s1 = Bytes.get_int64_ne t 8
+  and s2 = Bytes.get_int64_ne t 16
+  and s3 = Bytes.get_int64_ne t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (Int64.logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t = of_int64_seed (bits64 t)
@@ -63,30 +76,29 @@ let derive_seed seed coords =
   (* Truncate to a non-negative OCaml int so the result feeds [create]. *)
   Int64.to_int (Int64.shift_right_logical !out 2)
 
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let float_pos t =
+let[@inline] float_pos t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   (Int64.to_float bits +. 1.0) *. 0x1p-53
 
+(* Rejection sampling on the top bits to avoid modulo bias.  The loop
+   carries the bound as an [int], so nothing is boxed between attempts. *)
+let rec draw_below t n =
+  let bound = Int64.of_int n in
+  let r = Int64.shift_right_logical (bits64 t) 1 in
+  let v = Int64.rem r bound in
+  (* Discard draws from the incomplete final block of size [2^63 mod n]:
+     [r - v + (bound - 1)] overflows to negative exactly there. *)
+  if Int64.compare (Int64.add (Int64.sub r v) (Int64.sub bound 1L)) 0L < 0 then draw_below t n
+  else Int64.to_int v
+
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
   if n land (n - 1) = 0 then Int64.to_int (Int64.shift_right_logical (bits64 t) 1) land (n - 1)
-  else begin
-    let bound = Int64.of_int n in
-    let rec draw () =
-      let r = Int64.shift_right_logical (bits64 t) 1 in
-      let v = Int64.rem r bound in
-      (* Discard draws from the incomplete final block of size [2^63 mod n]:
-         [r - v + (bound - 1)] overflows to negative exactly there. *)
-      if Int64.compare (Int64.add (Int64.sub r v) (Int64.sub bound 1L)) 0L < 0 then draw ()
-      else Int64.to_int v
-    in
-    draw ()
-  end
+  else draw_below t n
 
 let bool t = Int64.compare (bits64 t) 0L < 0
 let bernoulli t p = float t < p

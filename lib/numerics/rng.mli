@@ -3,14 +3,26 @@
     The generator is xoshiro256++ (Blackman & Vigna), seeded through
     splitmix64.  Every stochastic component of the library takes an explicit
     [Rng.t] so that simulations are reproducible and independent streams can
-    be split off for parallel or per-receiver use. *)
+    be split off for parallel or per-receiver use.
+
+    The stream is a determinism contract: a seed names the same sequence of
+    draws from every function below, forever.  Replay captures, the golden
+    protocol and simulation digests, and the byte-identical [--jobs] sweeps
+    all depend on it, and [test/test_rng.ml] pins it with known-answer
+    vectors.  A change to seeding or to any draw's arithmetic is a change
+    to every seeded result in the repository.
+
+    The four state words are held unboxed, so the draws that return an
+    immediate ([int], [bool], [bernoulli], [geometric], [shuffle_in_place])
+    allocate nothing.  [bits64], [float], [float_pos] and [exponential]
+    allocate only their boxed result. *)
 
 type t
 (** Mutable generator state. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] builds a generator from a 63-bit seed (default
-    [0x9e3779b97f4a7c15] truncated).  Equal seeds give equal streams. *)
+    [0x1234_5678]).  Equal seeds give equal streams. *)
 
 val of_int64_seed : int64 -> t
 (** Seed from a full 64-bit value. *)

@@ -150,6 +150,132 @@ let test_shuffle_moves_things () =
   Rng.shuffle_in_place rng a;
   Alcotest.(check bool) "not identity" true (a <> Array.init 100 Fun.id)
 
+(* --- known-answer vectors ------------------------------------------------- *)
+
+(* Literal outputs of the generator.  The stream is a determinism contract:
+   captures, golden protocol digests and --jobs sweeps all assume that a
+   seed names the same draws forever, so any change to seeding, the
+   xoshiro256++ step or the rejection loop in [int] must fail here first. *)
+let test_known_answers () =
+  let check_stream name expected rng =
+    Alcotest.(check (list int64))
+      name expected
+      (List.init (List.length expected) (fun _ -> Rng.bits64 rng))
+  in
+  check_stream "seed 0"
+    [ 5987356902031041503L; 7051070477665621255L; 6633766593972829180L;
+      211316841551650330L; 9136120204379184874L; 379361710973160858L;
+      -2633320696210193810L; -2849859482894481063L ]
+    (Rng.create ~seed:0 ());
+  check_stream "seed 1"
+    [ -3475142291704528229L; -4665094578477473651L; 1847458086238483744L;
+      -4681472437956815146L; 3406718355780431780L; -7554331206127443131L;
+      -242130512033606393L; -8791407139816738271L ]
+    (Rng.create ~seed:1 ());
+  check_stream "seed max_int"
+    [ 5042704402088116674L; -4346585348570061276L; 2275662942369039416L;
+      2651003317969226783L; 289318042140842819L; -4094180690987639946L;
+      5626987630393445440L; 1696139565964319462L ]
+    (Rng.create ~seed:max_int ());
+  check_stream "default seed"
+    [ -2842400717068830474L; -8840522739554158868L; -7396601464258813662L;
+      -7100346880147597872L; -5681317958999888752L; 1261979599004495150L;
+      6744644745241048720L; -8395251129469310616L ]
+    (Rng.create ());
+  check_stream "negative int64 seed"
+    [ 6090142340066393828L; 6167527935988847924L; 4165419306531239227L;
+      -8271877321286816844L; 3340692806023900667L; -7276522855703697961L;
+      3483310755612457193L; 5929148326969155888L ]
+    (Rng.of_int64_seed (-0x123456789abcdefL));
+  let parent = Rng.create ~seed:42 () in
+  let child = Rng.split parent in
+  check_stream "split child"
+    [ 5745406364259058299L; -3749950290529424113L; -1760308716576054147L;
+      -9037075910341025277L ]
+    child;
+  check_stream "split parent advances"
+    [ 5881210131331364753L; -297100157724070516L; -5513075133950446152L;
+      -3809169831026726285L ]
+    parent;
+  let original = Rng.create ~seed:7 () in
+  ignore (Rng.bits64 original);
+  let copied = Rng.copy original in
+  let copy_stream =
+    [ 3174977118032272916L; -5209800880474007438L; 7880630202246103356L;
+      -670363499373198474L ]
+  in
+  check_stream "copy" copy_stream copied;
+  check_stream "original after copy" copy_stream original;
+  let rng = Rng.create ~seed:99 () in
+  Alcotest.(check (list int)) "int 10" [ 6; 7; 0; 0; 6; 7; 3; 3 ]
+    (List.init 8 (fun _ -> Rng.int rng 10));
+  (* 2^61 + 1 rejects about a quarter of its draws, so this pins the
+     rejection loop too; the trailing bits64 pins how many words it used. *)
+  Alcotest.(check (list int)) "int (2^61 + 1)"
+    [ 1789037822308181751; 1250859626443785304; 2100614548673788146;
+      1267982677565146706; 569394150250210011; 422104503731014843;
+      1553045713852674725; 1975154300711772970 ]
+    (List.init 8 (fun _ -> Rng.int rng ((1 lsl 61) + 1)));
+  Alcotest.(check int64) "bits64 after the int draws" 827563300089475766L (Rng.bits64 rng);
+  Alcotest.(check (list int)) "derive_seed"
+    [ 4073552104164651883; 317874996322878970; 3280347150589302973 ]
+    [ Rng.derive_seed 0 [||]; Rng.derive_seed 1 [| 2; 3 |];
+      Rng.derive_seed 12345 [| 0; -1; max_int |] ]
+
+(* --- allocation budget ---------------------------------------------------- *)
+
+(* The exact simulation tier makes one draw per receiver per packet, so a
+   draw that returns an immediate must not touch the minor heap.  The
+   budget allows a few words of slack for the [Gc.minor_words] calls
+   themselves over [draws] iterations. *)
+let draws = 100_000
+
+let words_per_call f =
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int draws
+
+let test_draws_allocate_nothing () =
+  let rng = Rng.create ~seed:31 () in
+  let hits = ref 0 in
+  let zero = 0.001 in
+  let measured =
+    [
+      ("bernoulli", words_per_call (fun () -> if Rng.bernoulli rng 0.3 then incr hits), zero);
+      ("bool", words_per_call (fun () -> if Rng.bool rng then incr hits), zero);
+      ("int 10", words_per_call (fun () -> hits := !hits + Rng.int rng 10), zero);
+      ("int 16", words_per_call (fun () -> hits := !hits + Rng.int rng 16), zero);
+      ("geometric", words_per_call (fun () -> hits := !hits + Rng.geometric rng ~p:0.2), zero);
+    ]
+  in
+  (* Network.lost on the independent regime is one bernoulli per query;
+     the per-transmission record is spread over its 500 receivers. *)
+  let receivers = 500 in
+  let network = Rmcast.Network.independent rng ~receivers ~p:0.02 in
+  let time = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws / receivers do
+    time := !time +. 1.0;
+    let tx = Rmcast.Network.transmit network ~time:!time in
+    for r = 0 to receivers - 1 do
+      if Rmcast.Network.lost tx r then incr hits
+    done
+  done;
+  let per_query = (Gc.minor_words () -. before) /. float_of_int draws in
+  let measured = measured @ [ ("Network.lost (independent, R = 500)", per_query, 0.05) ] in
+  (* Report every draw over budget at once, not just the first. *)
+  let over =
+    List.filter_map
+      (fun (name, per_call, budget) ->
+        if per_call < budget then None
+        else Some (Printf.sprintf "%s: %.3f words per call, budget %g" name per_call budget))
+      measured
+  in
+  Alcotest.(check (list string)) "draws within allocation budget" [] over;
+  Alcotest.(check bool) "draws were made" true (!hits > 0)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -169,4 +295,6 @@ let suite =
     Alcotest.test_case "geometric p=1" `Quick test_geometric_p_one;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "shuffle moves" `Quick test_shuffle_moves_things;
+    Alcotest.test_case "known-answer stream pins" `Quick test_known_answers;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
   ]
