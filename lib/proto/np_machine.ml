@@ -319,13 +319,15 @@ end
 
 (* --- receiver ----------------------------------------------------------- *)
 
+(* A resolved TG keeps no decoder, so a receiver's memory is bounded by
+   its open TGs, not by the transfer. *)
+type tg_state = Open of Fec_block.Receiver.t | Delivered | Gave_up
+
 type tg_receiver = {
-  rx : Fec_block.Receiver.t;
   rk : int; (* the block's own k (indices are validated against it) *)
   rn : int; (* k + h: upper bound for parity indices *)
   counted : bool; (* registered via [expected]: resolves count toward Done *)
-  mutable delivered : bool;
-  mutable gave_up : bool;
+  mutable state : tg_state;
   mutable armed_round : int option; (* round of the pending NAK timer *)
   mutable nak_round : int; (* round the pending/last NAK belongs to *)
 }
@@ -348,12 +350,10 @@ module Receiver = struct
   let make_block config ~k ~counted =
     let codec = Codec.of_kind config.codec in
     {
-      rx = Fec_block.Receiver.create ~codec ~k ~h:config.h;
       rk = k;
       rn = k + config.h;
       counted;
-      delivered = false;
-      gave_up = false;
+      state = Open (Fec_block.Receiver.create ~codec ~k ~h:config.h);
       armed_round = None;
       nak_round = 0;
     }
@@ -405,21 +405,20 @@ module Receiver = struct
 
   let store t ~tg_id ~k ~index payload =
     let block = find_or_create t ~tg_id ~k in
-    if block.delivered || block.gave_up then begin
+    match block.state with
+    | Delivered | Gave_up ->
       t.unnecessary <- t.unnecessary + 1;
       []
-    end
-    else if index < 0 || index >= block.rn then [] (* malformed: out of codec range *)
-    else if not (Fec_block.Receiver.add block.rx ~index payload) then begin
+    | Open _ when index < 0 || index >= block.rn -> [] (* malformed: out of codec range *)
+    | Open rx when not (Fec_block.Receiver.add rx ~index payload) ->
       t.unnecessary <- t.unnecessary + 1;
       t.duplicates <- t.duplicates + 1;
       []
-    end
-    else if Fec_block.Receiver.complete block.rx then begin
-      let reconstructed = List.length (Fec_block.Receiver.missing_data block.rx) in
+    | Open rx when Fec_block.Receiver.complete rx ->
+      let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
       t.packets_decoded <- t.packets_decoded + reconstructed;
-      let decoded = Fec_block.Receiver.decode block.rx in
-      block.delivered <- true;
+      let decoded = Fec_block.Receiver.decode rx in
+      block.state <- Delivered;
       let cancel =
         match block.armed_round with
         | Some _ ->
@@ -428,13 +427,13 @@ module Receiver = struct
         | None -> []
       in
       (Deliver { tg = tg_id; data = decoded; reconstructed } :: cancel) @ resolve t block
-    end
-    else []
+    | Open _ -> []
 
   let poll t ~tg_id ~k ~size ~round =
     let block = find_or_create t ~tg_id ~k in
-    if (not block.delivered) && (not block.gave_up) && block.nak_round < round then begin
-      let need = Fec_block.Receiver.needed block.rx in
+    match block.state with
+    | Open rx when block.nak_round < round ->
+      let need = Fec_block.Receiver.needed rx in
       if need > 0 then begin
         (* Slotting (paper §5.1): receivers missing more packets answer in
            earlier slots; damping adds a uniform offset within the slot. *)
@@ -446,8 +445,7 @@ module Receiver = struct
         [ Arm_timer { tg = tg_id; round; offset } ]
       end
       else []
-    end
-    else []
+    | Open _ | Delivered | Gave_up -> []
 
   let timer_fired t ~tg ~round =
     match Hashtbl.find_opt t.blocks tg with
@@ -456,42 +454,43 @@ module Receiver = struct
       (match block.armed_round with
       | Some armed when armed = round ->
         block.armed_round <- None;
-        if block.delivered || block.gave_up then []
-        else begin
-          let need = Fec_block.Receiver.needed block.rx in
+        (match block.state with
+        | Open rx ->
+          let need = Fec_block.Receiver.needed rx in
           if need > 0 then begin
             t.naks_sent <- t.naks_sent + 1;
             block.nak_round <- round;
             [ Send (Header.Nak { tg_id = tg; need; round }) ]
           end
           else []
-        end
+        | Delivered | Gave_up -> [])
       | Some _ | None -> [] (* stale fire: the timer was re-armed or resolved *))
 
   let overhear t ~tg_id ~need ~round =
     match Hashtbl.find_opt t.blocks tg_id with
     | None -> []
     | Some block ->
-      (match block.armed_round with
-      | Some _ when block.nak_round < round ->
+      (match (block.armed_round, block.state) with
+      | Some _, Open rx when block.nak_round < round ->
         (* Pending timer belongs to this round iff scheduled by its poll;
            suppression applies when the overheard request covers ours. *)
-        if need >= Fec_block.Receiver.needed block.rx then begin
+        if need >= Fec_block.Receiver.needed rx then begin
           block.armed_round <- None;
           block.nak_round <- round;
           t.naks_suppressed <- t.naks_suppressed + 1;
           [ Cancel_timer { tg = tg_id } ]
         end
         else []
-      | Some _ | None -> [])
+      | _ -> [])
 
   let exhausted t ~tg_id =
     match Hashtbl.find_opt t.blocks tg_id with
     | None -> []
-    | Some block ->
-      if block.delivered || block.gave_up then []
-      else begin
-        block.gave_up <- true;
+    | Some block -> (
+      match block.state with
+      | Delivered | Gave_up -> []
+      | Open _ ->
+        block.state <- Gave_up;
         let cancel =
           match block.armed_round with
           | Some _ ->
@@ -499,8 +498,7 @@ module Receiver = struct
             [ Cancel_timer { tg = tg_id } ]
           | None -> []
         in
-        cancel @ (Ejected { tg = tg_id } :: resolve t block)
-      end
+        cancel @ (Ejected { tg = tg_id } :: resolve t block))
 
   let handle t event =
     if t.finished then begin
@@ -532,10 +530,10 @@ module Receiver = struct
   let finished t = t.finished
 
   let delivered t ~tg =
-    match Hashtbl.find_opt t.blocks tg with Some b -> b.delivered | None -> false
+    match Hashtbl.find_opt t.blocks tg with Some { state = Delivered; _ } -> true | _ -> false
 
   let gave_up t ~tg =
-    match Hashtbl.find_opt t.blocks tg with Some b -> b.gave_up | None -> false
+    match Hashtbl.find_opt t.blocks tg with Some { state = Gave_up; _ } -> true | _ -> false
 
   let timer_armed t ~tg =
     match Hashtbl.find_opt t.blocks tg with Some b -> b.armed_round <> None | None -> false

@@ -1,37 +1,193 @@
-(* Shared machinery of the systematic block codecs (Rse, Rse_poly, Cauchy):
-   given an n x k generator whose top k x k block is the identity, encoding
-   is a matrix-vector product over whole packets and decoding solves the
-   k x k system formed by the generator rows of any k received packets.
-   Internal module — each public codec wraps it with its own construction
-   and error-message prefix.
+(* Shared machinery of the linear codecs.  The systematic block codecs
+   (Rse, Rse_poly, Cauchy) wrap an n x k generator whose top k x k block
+   is the identity: encoding is a matrix-vector product over whole
+   packets.  Decoding, for them and for Rlnc, is the one incremental
+   Gaussian elimination below, fed one packet at a time.  Internal
+   module — each public codec wraps it with its own construction and
+   error-message prefix.
 
-   Encoding and decoding both come down to one loop, [accumulate]: for each
-   output row and each source packet with a non-zero coefficient, one
-   [Gf.mul_add_into_symbols] call over the whole packet (the SIMD GF(2^8)
-   kernel, or the GF(2^16) symbol loop).  Nothing is precomputed per
-   coefficient, so a codec holds no tables beyond its generator; a decode
-   keeps only the inverse rows, memoized per loss pattern. *)
+   Every byte operation is one [Gf.mul_add_into_symbols] call over a
+   whole row: a packet payload or a k-symbol coefficient row (the SIMD
+   GF(2^8) kernel, or the GF(2^16) symbol loop).  Nothing is cached per
+   loss pattern: an elimination costs what the losses it repairs cost. *)
 
 module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
 
-(* Reusable decode scratch: index selection arrays, taken and returned with
-   a single atomic exchange so concurrent decodes on the same codec simply
-   fall back to fresh allocation instead of racing. *)
-type scratch = {
-  seen : bool array; (* n *)
-  chosen_idx : int array; (* k *)
-  chosen_payload : Bytes.t array; (* k *)
-}
+(* {1 Symbol rows}
 
-(* Everything a decode needs beyond packet selection, memoized per loss
-   pattern: the reconstruction rows of the inverted k x k system.
-   Steady-state loss patterns repeat, so most decodes skip the
-   Gauss-Jordan. *)
-type solution = {
-  missing_js : int array; (* data indices to reconstruct, increasing *)
-  rows : int array array; (* inverse row per missing index *)
-}
+   A coefficient row of k field symbols is one [Bytes.t] of k symbols,
+   big-endian for GF(2^16), so the kernels that move payloads also move
+   coefficient rows. *)
+
+let symbol sb row c = if sb = 1 then Bytes.get_uint8 row c else Bytes.get_uint16_be row (2 * c)
+
+let set_symbol sb row c v =
+  if sb = 1 then Bytes.set_uint8 row c v else Bytes.set_uint16_be row (2 * c) v
+
+let symbol_row field coeffs =
+  let sb = Gf.symbol_bytes field in
+  let row = Bytes.create (sb * Array.length coeffs) in
+  Array.iteri (set_symbol sb row) coeffs;
+  row
+
+(* {1 The elimination decoder}
+
+   [coeffs.(c)]/[payloads.(c)] hold the pivot row whose leading 1 sits
+   at column [c] (zero to its left, arbitrary to its right; reduction
+   above the diagonal waits for [decode]).  A verbatim data packet is a
+   unit pivot: kept by reference, never mutated, no coefficient row
+   ([direct.(c)]).  A column holds a repair pivot iff its coefficient
+   row is non-empty, and no pivot iff neither holds.  An MDS code is the
+   case where no distinct packet is ever rejected. *)
+
+module Elimination = struct
+  type t = {
+    label : string;
+    field : Gf.t;
+    sb : int; (* bytes per symbol *)
+    k : int;
+    h : int;
+    repair_row : int -> Bytes.t; (* fresh coefficient row of repair j *)
+    coeffs : Bytes.t array; (* k repair pivot rows; empty = none *)
+    payloads : Bytes.t array; (* parallel to coeffs *)
+    direct : bool array; (* unit pivot: data packet c, kept verbatim *)
+    mutable rank : int;
+    mutable payload_len : int; (* -1 until the first add *)
+    mutable solved : bool;
+  }
+
+  let make ~label ~field ~k ~h ~repair_row =
+    {
+      label;
+      field;
+      sb = Gf.symbol_bytes field;
+      k;
+      h;
+      repair_row;
+      coeffs = Array.make k Bytes.empty;
+      payloads = Array.make k Bytes.empty;
+      direct = Array.make k false;
+      rank = 0;
+      payload_len = -1;
+      solved = false;
+    }
+
+  let received d = d.rank
+  let needed d = d.k - d.rank
+  let complete d = d.rank >= d.k
+
+  let has_data d index =
+    if index < 0 || index >= d.k then
+      invalid_arg (d.label ^ ".Decoder.has_data: index out of range");
+    d.direct.(index)
+
+  let missing_data d = List.filter (fun j -> not d.direct.(j)) (List.init d.k Fun.id)
+
+  let is_repair d c = Bytes.length d.coeffs.(c) > 0
+
+  (* [b] times [coeff], in place where the kernel allows it (m = 8). *)
+  let scale d b coeff =
+    if coeff = 1 then b
+    else if d.sb = 1 then begin
+      Gf.mul_into d.field ~dst:b ~src:b ~coeff;
+      b
+    end
+    else begin
+      let out = Bytes.make (Bytes.length b) '\000' in
+      Gf.mul_add_into_symbols d.field ~dst:out ~src:b ~coeff;
+      out
+    end
+
+  (* Eliminate the owned row [row]/[y], zero left of column [from],
+     against the pivots; install what survives as a new pivot.  [true]
+     iff the row was innovative. *)
+  let reduce d row y ~from =
+    let lead = ref (-1) in
+    let c = ref from in
+    while !c < d.k do
+      let coeff = symbol d.sb row !c in
+      (* row -= coeff * pivot(c); subtraction = addition here. *)
+      if coeff <> 0 then
+        if d.direct.(!c) then begin
+          set_symbol d.sb row !c 0;
+          Gf.mul_add_into_symbols d.field ~dst:y ~src:d.payloads.(!c) ~coeff
+        end
+        else if is_repair d !c then begin
+          Gf.mul_add_into_symbols d.field ~dst:row ~src:d.coeffs.(!c) ~coeff;
+          Gf.mul_add_into_symbols d.field ~dst:y ~src:d.payloads.(!c) ~coeff
+        end
+        else begin
+          lead := !c;
+          c := d.k (* first surviving column: this is the new pivot *)
+        end;
+      incr c
+    done;
+    if !lead < 0 then false
+    else begin
+      let lead = !lead in
+      (* Normalise the pivot to a leading 1. *)
+      let inv = Gf.inv d.field (symbol d.sb row lead) in
+      d.coeffs.(lead) <- scale d row inv;
+      d.payloads.(lead) <- scale d y inv;
+      d.rank <- d.rank + 1;
+      true
+    end
+
+  let add d ~index payload =
+    if index < 0 || index >= d.k + d.h then
+      invalid_arg (d.label ^ ".Decoder.add: index out of range");
+    if d.payload_len < 0 then d.payload_len <- Bytes.length payload
+    else if Bytes.length payload <> d.payload_len then
+      invalid_arg (d.label ^ ".Decoder.add: unequal payload lengths");
+    if complete d then false
+    else if index >= d.k then
+      (* Copy before eliminating: ownership passes to the decoder, but a
+         repair pivot's payload is mutated by later eliminations and by
+         [decode]. *)
+      reduce d (d.repair_row (index - d.k)) (Bytes.copy payload) ~from:0
+    else if d.direct.(index) then false (* duplicate *)
+    else if not (is_repair d index) then begin
+      d.direct.(index) <- true;
+      d.payloads.(index) <- payload;
+      d.rank <- d.rank + 1;
+      true
+    end
+    else begin
+      (* A repair row holds this column: the data packet takes it over as
+         its unit pivot, and the displaced row, minus the data packet, is
+         reduced further — innovative iff the data packet was. *)
+      let row = d.coeffs.(index) and y = d.payloads.(index) in
+      d.direct.(index) <- true;
+      d.coeffs.(index) <- Bytes.empty;
+      d.payloads.(index) <- payload;
+      set_symbol d.sb row index 0;
+      Gf.xor_into ~dst:y ~src:payload;
+      reduce d row y ~from:(index + 1)
+    end
+
+  let decode d =
+    if not (complete d) then failwith (d.label ^ ".Decoder.decode: not enough packets");
+    if not d.solved then begin
+      (* Back-substitute bottom up, repair pivots only: every column
+         right of row [r] already holds its data packet, so clearing row
+         [r]'s entries there leaves data packet [r].  Unit rows are only
+         ever the source. *)
+      for r = d.k - 2 downto 0 do
+        if is_repair d r then begin
+          let row = d.coeffs.(r) and y = d.payloads.(r) in
+          for c = r + 1 to d.k - 1 do
+            let coeff = symbol d.sb row c in
+            if coeff <> 0 then Gf.mul_add_into_symbols d.field ~dst:y ~src:d.payloads.(c) ~coeff
+          done
+        end
+      done;
+      d.solved <- true
+    end;
+    Array.copy d.payloads
+end
+
+(* {1 Block codecs} *)
 
 type t = {
   label : string;
@@ -39,27 +195,13 @@ type t = {
   k : int;
   h : int;
   generator : Gmatrix.t; (* n x k, top block identity *)
-  parity_rows : int array array; (* h x k: generator rows k..n-1 *)
-  scratch : scratch option Atomic.t;
-  inverse_cache : (int array, solution) Hashtbl.t;
-      (* chosen codeword indices -> reconstruction solution *)
-  cache_mutex : Mutex.t;
+  parity_rows : Bytes.t array; (* h symbol rows: generator rows k..n-1 *)
 }
 
 let make ~label ~field ~k ~h ~generator =
   assert (Gmatrix.rows generator = k + h && Gmatrix.cols generator = k);
-  let parity_rows = Array.init h (fun j -> Gmatrix.row generator (k + j)) in
-  {
-    label;
-    field;
-    k;
-    h;
-    generator;
-    parity_rows;
-    scratch = Atomic.make None;
-    inverse_cache = Hashtbl.create 16;
-    cache_mutex = Mutex.create ();
-  }
+  let parity_rows = Array.init h (fun j -> symbol_row field (Gmatrix.row generator (k + j))) in
+  { label; field; k; h; generator; parity_rows }
 
 let check_dimensions ~label ~field ~k ~h =
   (* Reject fields without vector kernels up front. *)
@@ -71,9 +213,8 @@ let check_dimensions ~label ~field ~k ~h =
 
 (* Construction memo: building a codec inverts a k x k system to
    systematise the generator, which protocol layers used to pay on every
-   transfer.  Codecs are immutable from the caller's perspective and all
-   their mutable internals are domain-safe, so sharing one instance per
-   (label, field, k, h) is sound. *)
+   transfer.  Codecs are immutable, so sharing one instance per
+   (label, field, k, h) across domains is sound. *)
 let memo : (string * int * int * int, t) Hashtbl.t = Hashtbl.create 32
 let memo_mutex = Mutex.create ()
 let memo_capacity = 512
@@ -103,151 +244,65 @@ let h t = t.h
 let n t = t.k + t.h
 let generator_row t e = Gmatrix.row t.generator e
 
-let check_payloads t operation packets =
-  let count = Array.length packets in
-  if count = 0 then invalid_arg (Printf.sprintf "%s.%s: no packets" t.label operation);
-  let len = Bytes.length packets.(0) in
-  Array.iter
-    (fun p ->
-      if Bytes.length p <> len then
-        invalid_arg (Printf.sprintf "%s.%s: unequal packet lengths" t.label operation))
-    packets;
-  len
+let decoder t =
+  Elimination.make ~label:t.label ~field:t.field ~k:t.k ~h:t.h ~repair_row:(fun j ->
+      Bytes.copy t.parity_rows.(j))
 
-(* {1 The accumulation loop}
+(* {1 Encoding}
 
-   Adds, for every output r, [sum_c rows.(r).(c) * srcs.(c)] into
-   [dsts.(r)], one (row, source) pair per kernel call. *)
-
-let accumulate t ~rows ~srcs ~dsts =
-  for r = 0 to Array.length dsts - 1 do
-    let row = rows.(r) and dst = dsts.(r) in
-    for c = 0 to Array.length srcs - 1 do
-      let coeff = row.(c) in
-      if coeff <> 0 then Gf.mul_add_into_symbols t.field ~dst ~src:srcs.(c) ~coeff
-    done
-  done
-
-(* {1 Encoding} *)
+   Parity [j] is [sum_c parity_rows.(j).(c) * data.(c)], one kernel call
+   per non-zero coefficient. *)
 
 let encode_parity t data j =
   if Array.length data <> t.k then
     invalid_arg (t.label ^ ".encode_parity: expected k data packets");
   if j < 0 || j >= t.h then invalid_arg (t.label ^ ".encode_parity: parity index out of range");
-  let len = check_payloads t "encode_parity" data in
-  let parity = Bytes.make len '\000' in
-  accumulate t ~rows:[| t.parity_rows.(j) |] ~srcs:data ~dsts:[| parity |];
+  let len = Bytes.length data.(0) in
+  Array.iter
+    (fun p ->
+      if Bytes.length p <> len then
+        invalid_arg (t.label ^ ".encode_parity: unequal packet lengths"))
+    data;
+  let parity = Bytes.make len '\000' and row = t.parity_rows.(j) in
+  let sb = Gf.symbol_bytes t.field in
+  for c = 0 to t.k - 1 do
+    let coeff = symbol sb row c in
+    if coeff <> 0 then Gf.mul_add_into_symbols t.field ~dst:parity ~src:data.(c) ~coeff
+  done;
   parity
 
-let encode t data =
-  if t.h = 0 then [||]
-  else begin
-    if Array.length data <> t.k then
-      invalid_arg (t.label ^ ".encode_parity: expected k data packets");
-    let len = check_payloads t "encode_parity" data in
-    let parity = Array.init t.h (fun _ -> Bytes.make len '\000') in
-    accumulate t ~rows:t.parity_rows ~srcs:data ~dsts:parity;
-    parity
-  end
+let encode t data = Array.init t.h (encode_parity t data)
 
-(* {1 Decoding} *)
+(* {1 Decoding}
 
-let take_scratch t =
-  match Atomic.exchange t.scratch None with
-  | Some s -> s
-  | None ->
-    {
-      seen = Array.make (n t) false;
-      chosen_idx = Array.make t.k 0;
-      chosen_payload = Array.make t.k Bytes.empty;
-    }
-
-let release_scratch t s =
-  Array.fill s.seen 0 (Array.length s.seen) false;
-  (* Drop payload references so the scratch does not pin caller buffers
-     beyond the call. *)
-  Array.fill s.chosen_payload 0 t.k Bytes.empty;
-  Atomic.set t.scratch (Some s)
-
-(* The reconstruction solution for a given selection of codeword indices,
-   memoized per loss pattern: which data indices are missing (derivable
-   from the selection alone) and their rows of the inverted system. *)
-let solve t chosen_idx =
-  Mutex.lock t.cache_mutex;
-  let cached = Hashtbl.find_opt t.inverse_cache chosen_idx in
-  Mutex.unlock t.cache_mutex;
-  match cached with
-  | Some solution -> solution
-  | None ->
-    let system = Gmatrix.submatrix_rows t.generator chosen_idx in
-    let inverse = Gmatrix.invert system in
-    let present = Array.make t.k false in
-    Array.iter (fun index -> if index < t.k then present.(index) <- true) chosen_idx;
-    let missing_js =
-      Array.of_list (List.filter (fun j -> not present.(j)) (List.init t.k Fun.id))
-    in
-    let rows = Array.map (fun j -> Gmatrix.row inverse j) missing_js in
-    let solution = { missing_js; rows } in
-    let key = Array.copy chosen_idx in
-    Mutex.lock t.cache_mutex;
-    if Hashtbl.length t.inverse_cache >= 128 then Hashtbl.reset t.inverse_cache;
-    Hashtbl.replace t.inverse_cache key solution;
-    Mutex.unlock t.cache_mutex;
-    solution
+   The batch form of the elimination decoder: data packets first (unit
+   pivots, kept by reference), then parities in arrival order until the
+   decoder completes. *)
 
 let decode t received =
-  if Array.length received < t.k then
-    invalid_arg (t.label ^ ".decode: fewer than k packets received");
-  ignore (check_payloads t "decode" (Array.map snd received));
-  let s = take_scratch t in
-  let fail e =
-    release_scratch t s;
-    invalid_arg (t.label ^ e)
-  in
+  let count = Array.length received in
+  if count < t.k then invalid_arg (t.label ^ ".decode: fewer than k packets received");
+  let len = Bytes.length (snd received.(0)) in
   let total = n t in
-  Array.iter
-    (fun (index, _) ->
-      if index < 0 || index >= total then fail ".decode: index out of range";
-      if s.seen.(index) then fail ".decode: duplicate packet index";
-      s.seen.(index) <- true)
-    received;
-  (* Prefer received data packets (their rows are unit vectors), then fill
-     with parities in arrival order. *)
-  let selected = ref 0 in
-  let push (index, payload) =
-    if !selected < t.k then begin
-      s.chosen_idx.(!selected) <- index;
-      s.chosen_payload.(!selected) <- payload;
-      incr selected
-    end
-  in
-  Array.iter (fun ((index, _) as entry) -> if index < t.k then push entry) received;
-  Array.iter (fun ((index, _) as entry) -> if index >= t.k then push entry) received;
-  assert (!selected = t.k);
-  (* Present data indices alias the caller's payloads.  Data packets are
-     selected first, so the selection holds a parity (and some data index
-     is missing) exactly when its last slot does; each missing index gets a
-     fresh zeroed buffer, accumulated from the selected payloads. *)
-  let outputs = Array.make t.k Bytes.empty in
-  for c = 0 to t.k - 1 do
-    let index = s.chosen_idx.(c) in
-    if index < t.k then outputs.(index) <- s.chosen_payload.(c)
+  let seen = Array.make total false in
+  for i = 0 to count - 1 do
+    let index, payload = received.(i) in
+    if Bytes.length payload <> len then invalid_arg (t.label ^ ".decode: unequal packet lengths");
+    if index < 0 || index >= total then invalid_arg (t.label ^ ".decode: index out of range");
+    if seen.(index) then invalid_arg (t.label ^ ".decode: duplicate packet index");
+    seen.(index) <- true
   done;
-  if s.chosen_idx.(t.k - 1) >= t.k then begin
-    let solution = solve t s.chosen_idx in
-    let payload_len = Bytes.length s.chosen_payload.(0) in
-    let dsts =
-      Array.map
-        (fun j ->
-          let dst = Bytes.make payload_len '\000' in
-          outputs.(j) <- dst;
-          dst)
-        solution.missing_js
-    in
-    accumulate t ~rows:solution.rows ~srcs:s.chosen_payload ~dsts
-  end;
-  release_scratch t s;
-  outputs
+  let d = decoder t in
+  for i = 0 to count - 1 do
+    let index, payload = received.(i) in
+    if index < t.k then ignore (Elimination.add d ~index payload)
+  done;
+  for i = 0 to count - 1 do
+    let index, payload = received.(i) in
+    if index >= t.k then ignore (Elimination.add d ~index payload)
+  done;
+  if not (Elimination.complete d) then failwith (t.label ^ ".decode: singular system");
+  Elimination.decode d
 
 let decode_data_loss t ~data ~parity =
   if Array.length data <> t.k then
@@ -275,10 +330,10 @@ let is_mds_subset t indices =
 
    Lifts any systematic block codec built on this core into the
    [Codec_intf.CODEC] seam.  The encoder binds a codec instance to one
-   block's data and serves parity rows; the decoder is slot bookkeeping
-   (one slot per codeword position) in front of [decode] — every packet
-   with an unseen index is innovative, which is exactly the MDS
-   property, so the model hooks are the trivial ones. *)
+   block's data and serves parity rows; the decoder is the elimination
+   decoder over the generator's parity rows.  Every packet with an
+   unseen index is innovative, which is exactly the MDS property, so the
+   model hooks are the trivial ones. *)
 
 module Block_codec (M : sig
   val kind : Codec_intf.kind
@@ -308,46 +363,8 @@ end) : Codec_intf.CODEC = struct
   end
 
   module Decoder = struct
-    type nonrec t = {
-      codec : t;
-      slots : Bytes.t option array; (* n: payload per codeword index *)
-      mutable count : int;
-    }
+    include Elimination
 
-    let create ~k ~h =
-      let codec = M.create ~k ~h in
-      { codec; slots = Array.make (k + h) None; count = 0 }
-
-    let add d ~index payload =
-      if index < 0 || index >= Array.length d.slots then
-        invalid_arg (M.label ^ ".Decoder.add: index out of range");
-      match d.slots.(index) with
-      | Some _ -> false
-      | None ->
-        d.slots.(index) <- Some payload;
-        d.count <- d.count + 1;
-        true
-
-    let received d = d.count
-    let needed d = max 0 (core_k d.codec - d.count)
-    let complete d = d.count >= core_k d.codec
-
-    let has_data d index =
-      if index < 0 || index >= core_k d.codec then
-        invalid_arg (M.label ^ ".Decoder.has_data: index out of range");
-      d.slots.(index) <> None
-
-    let missing_data d =
-      List.filter (fun j -> d.slots.(j) = None) (List.init (core_k d.codec) Fun.id)
-
-    let decode d =
-      if not (complete d) then failwith (M.label ^ ".Decoder.decode: not enough packets");
-      let packets = ref [] in
-      for index = Array.length d.slots - 1 downto 0 do
-        match d.slots.(index) with
-        | Some payload -> packets := (index, payload) :: !packets
-        | None -> ()
-      done;
-      decode d.codec (Array.of_list !packets)
+    let create ~k ~h = decoder (M.create ~k ~h)
   end
 end

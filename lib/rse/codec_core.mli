@@ -1,24 +1,55 @@
-(** Shared machinery of the systematic block codecs ({!Rse}, {!Rse_poly},
-    {!Cauchy}): given an [n x k] generator whose top [k x k] block is the
-    identity, encoding is a matrix-vector product over whole packets and
-    decoding solves the [k x k] system formed by the generator rows of any
-    [k] received packets.
+(** Shared machinery of the linear codecs.  The systematic block codecs
+    ({!Rse}, {!Rse_poly}, {!Cauchy}) wrap an [n x k] generator whose top
+    [k x k] block is the identity, so encoding is a matrix-vector product
+    over whole packets.  Decoding, for them and for {!Rlnc}, is the one
+    incremental Gaussian elimination of {!Elimination}.
 
     Internal module — each public codec wraps it with its own generator
-    construction and error-message prefix.  The codec value is opaque
-    here: its decode-solution cache, recycled scratch buffers and the
-    process-wide construction memo are implementation details (all
-    domain-safe), deliberately kept out of the interface so they can
-    evolve without touching the codecs. *)
+    construction and error-message prefix.  Nothing is cached per loss
+    pattern and nothing is recycled between decodes; the only shared
+    state is the process-wide construction memo. *)
 
 module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
 
+(** {1 The elimination decoder} *)
+
+module Elimination : sig
+  (** Incremental Gaussian elimination over the packets of one block,
+      one {!Gf.mul_add_into_symbols} call per (pivot, row) pair on both
+      the coefficient row and the payload.  A data packet received
+      verbatim is the unit pivot of its column, kept by reference; a
+      repair packet is copied and reduced against the pivots, and becomes
+      a new pivot iff it is innovative.  A data packet arriving for a
+      column a repair pivot holds takes the column over, and the displaced
+      row is reduced further.  {!decode} back-substitutes through the
+      repair pivots only, so its cost is proportional to the losses. *)
+
+  type t
+
+  val make :
+    label:string -> field:Gf.t -> k:int -> h:int -> repair_row:(int -> Bytes.t) -> t
+  (** An empty decoder for a [(k, h)] block.  [repair_row j] returns a
+      fresh, owned coefficient row of repair [j]: [k] symbols of
+      [field], big-endian for GF(2^16).  [label] prefixes every error
+      message. *)
+
+  (** The {!Codec_intf.DECODER} operations.  [add] returns [false] for a
+      non-innovative packet and for any packet once the decoder is
+      complete; [received] is the rank. *)
+
+  val add : t -> index:int -> Bytes.t -> bool
+  val received : t -> int
+  val needed : t -> int
+  val complete : t -> bool
+  val has_data : t -> int -> bool
+  val missing_data : t -> int list
+  val decode : t -> Bytes.t array
+end
+
 type t
-(** A systematic block codec over a fixed generator.  Immutable from the
-    caller's perspective; all internal mutation (the per-loss-pattern
-    inverse cache, scratch recycling) is domain-safe, so one instance may
-    be shared freely across domains and sessions. *)
+(** A systematic block codec over a fixed generator.  Immutable, so one
+    instance may be shared freely across domains and sessions. *)
 
 val make : label:string -> field:Gf.t -> k:int -> h:int -> generator:Gmatrix.t -> t
 (** Wrap an [(k+h) x k] generator whose top block is the identity.
@@ -34,7 +65,7 @@ val memo_create : label:string -> field:Gf.t -> k:int -> h:int -> (unit -> t) ->
     first use.  Building a codec inverts a [k x k] system to systematise
     the generator — protocol layers used to pay that on every transfer;
     with the memo, N concurrent sessions with the same geometry share
-    one codec (and its decode-solution cache). *)
+    one codec. *)
 
 (** {1 Accessors} *)
 
@@ -60,13 +91,18 @@ val encode : t -> Bytes.t array -> Bytes.t array
 
 (** {1 Decoding} *)
 
+val decoder : t -> Elimination.t
+(** An empty elimination decoder over this codec's generator. *)
+
 val decode : t -> (int * Bytes.t) array -> Bytes.t array
-(** Select [k] of the received [(index, payload)] pairs (data packets
-    preferred — their rows are unit vectors), solve the system (memoized
-    per loss pattern), and rebuild the missing data packets.  Present
+(** Feed the received [(index, payload)] pairs to a fresh {!decoder},
+    data packets first (their rows are unit vectors), then parities in
+    arrival order until it completes, and return its decode.  Present
     data packets are returned by reference.
     @raise Invalid_argument on fewer than [k] packets, out-of-range or
-    duplicate indices, or unequal payload lengths. *)
+    duplicate indices, or unequal payload lengths.
+    @raise Failure if the packets do not span the data (a non-MDS
+    pattern; only {!Rse_poly} has them). *)
 
 val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
 (** Convenience wrapper: [data] has one slot per data index ([None] =
@@ -79,7 +115,7 @@ val is_mds_subset : t -> int array -> bool
 
     Adapter lifting any block codec built on this core into the
     {!Codec_intf.CODEC} seam: the encoder serves parity rows of one
-    block, the decoder is slot bookkeeping in front of {!decode}.  MDS
+    block, the decoder is {!decoder}.  MDS
     makes every unseen index innovative, so the model hooks are trivial
     ([innovation_probability] is 1, decode fails iff fewer than [k]
     packets arrived). *)

@@ -62,14 +62,14 @@ module type DECODER = sig
   val add : t -> index:int -> Bytes.t -> bool
   (** Record the arrival of packet [index] (data [0..k-1], repair
       [k..k+h-1]).  Returns [true] iff the packet advanced the decoder —
-      [false] means it was redundant (a duplicate slot for block codes, a
-      non-innovative combination for rank codecs, an immediately
-      reducible-to-nothing packet for peeling codecs).  Ownership of
-      [payload] passes to the decoder, which never mutates it: every
-      decoder keeps an accepted data packet by reference ({!decode}
-      returns that very buffer in its slot), block decoders keep repair
-      packets by reference too, and rank/peeling decoders copy a repair
-      packet before eliminating it.
+      [false] means it was redundant (a duplicate or non-innovative
+      packet for the elimination decoder every linear codec shares, an
+      immediately reducible-to-nothing packet for peeling codecs, or any
+      packet once the block is complete).  Ownership of [payload] passes
+      to the decoder, which never mutates it: every decoder keeps an
+      accepted data packet by reference ({!decode} returns that very
+      buffer in its slot) and copies a repair packet before eliminating
+      it.
       @raise Invalid_argument on an out-of-range index. *)
 
   val received : t -> int

@@ -2,9 +2,9 @@
    protocol-facing state of one transmission group — which repair
    packets the sender has issued, how far along the receiver is — while
    the codec itself stays behind [Codec_intf]: [create] unpacks the
-   first-class codec module once and stores plain closures over the
-   typed encoder/decoder, so no existential types leak and everything
-   above this line is codec-agnostic. *)
+   first-class codec module once and keeps the typed encoder (behind a
+   closure) or decoder (packed with its module), so no existential type
+   leaks and everything above this line is codec-agnostic. *)
 
 module Sender = struct
   type t = {
@@ -63,50 +63,35 @@ module Sender = struct
 end
 
 module Receiver = struct
-  (* The decoder operations, captured as closures over the typed decoder
-     the packed codec module built. *)
-  type t = {
-    k : int;
-    h : int;
-    add_ : index:int -> Bytes.t -> bool;
-    received_ : unit -> int;
-    needed_ : unit -> int;
-    complete_ : unit -> bool;
-    has_data_ : int -> bool;
-    missing_data_ : unit -> int list;
-    decode_ : unit -> Bytes.t array;
-  }
+  (* The typed decoder, packed with its codec's decoder module: one
+     block per receiver rather than a closure per operation. *)
+  type t =
+    | Receiver : {
+        k : int;
+        h : int;
+        decoder : (module Codec_intf.DECODER with type t = 'd);
+        d : 'd;
+      }
+        -> t
 
   let create ~codec ~k ~h =
     let (module C : Codec_intf.CODEC) = codec in
-    let d = C.Decoder.create ~k ~h in
-    {
-      k;
-      h;
-      add_ = (fun ~index payload -> C.Decoder.add d ~index payload);
-      received_ = (fun () -> C.Decoder.received d);
-      needed_ = (fun () -> C.Decoder.needed d);
-      complete_ = (fun () -> C.Decoder.complete d);
-      has_data_ = (fun index -> C.Decoder.has_data d index);
-      missing_data_ = (fun () -> C.Decoder.missing_data d);
-      decode_ = (fun () -> C.Decoder.decode d);
-    }
+    Receiver { k; h; decoder = (module C.Decoder); d = C.Decoder.create ~k ~h }
 
-  let k t = t.k
-  let h t = t.h
+  let k (Receiver r) = r.k
+  let h (Receiver r) = r.h
 
-  let add t ~index payload =
-    if index < 0 || index >= t.k + t.h then
-      invalid_arg "Fec_block.Receiver.add: index out of range";
-    t.add_ ~index payload
+  let add (Receiver { k; h; decoder = (module D); d }) ~index payload =
+    if index < 0 || index >= k + h then invalid_arg "Fec_block.Receiver.add: index out of range";
+    D.add d ~index payload
 
-  let received t = t.received_ ()
-  let needed t = t.needed_ ()
-  let complete t = t.complete_ ()
-  let has_data t index = t.has_data_ index
-  let missing_data t = t.missing_data_ ()
+  let received (Receiver { decoder = (module D); d; _ }) = D.received d
+  let needed (Receiver { decoder = (module D); d; _ }) = D.needed d
+  let complete (Receiver { decoder = (module D); d; _ }) = D.complete d
+  let has_data (Receiver { decoder = (module D); d; _ }) index = D.has_data d index
+  let missing_data (Receiver { decoder = (module D); d; _ }) = D.missing_data d
 
-  let decode t =
-    if not (complete t) then failwith "Fec_block.Receiver.decode: not enough packets";
-    t.decode_ ()
+  let decode (Receiver { decoder = (module D); d; _ }) =
+    if not (D.complete d) then failwith "Fec_block.Receiver.decode: not enough packets";
+    D.decode d
 end

@@ -61,8 +61,8 @@ module Receiver : sig
   val add : t -> index:int -> Bytes.t -> bool
   (** Record the arrival of packet [index] (data [0..k-1], repair
       [k..k+h-1]).  Returns [false] if the packet did not advance the
-      decoder — a duplicate for the block codecs, a non-innovative
-      combination for the rateless ones ({!Codec_intf.DECODER.add}). *)
+      decoder — a duplicate, a non-innovative combination, or any
+      packet after completion ({!Codec_intf.DECODER.add}). *)
 
   val k : t -> int
   val h : t -> int

@@ -12,10 +12,13 @@
     GF(2^8) symbol, so one matrix row application is a multiply-accumulate
     across whole packets (see {!Rmc_gf.Gf.mul_add_into}).
 
-    Complexity: encoding costs O(k * P) field operations per parity packet;
-    decoding costs O(k^3) for the (cached) matrix inversion plus O(l * k * P)
-    to rebuild l lost data packets — matching the paper's observation that
-    decoding cost is proportional to the number of losses. *)
+    Complexity: encoding costs O(k * P) field operations per parity packet.
+    Decoding is incremental Gaussian elimination: each of the
+    l parities that replace a lost data packet is reduced against at most
+    k pivots, O(k * (k + P)), and back-substitution rebuilds the l lost
+    packets in O(l * k * P) — matching the paper's observation that
+    decoding cost is proportional to the number of losses.  Nothing is
+    inverted or cached per loss pattern. *)
 
 type t
 (** A codec instance for fixed (k, h). Immutable and reusable across blocks;
@@ -65,6 +68,9 @@ val decode : t -> (int * Bytes.t) array -> Bytes.t array
     byte work at all; (b) mutating a returned present payload mutates the
     caller's buffer and vice versa; (c) received payloads are never written
     to by [decode].  The same contract holds for {!decode_data_loss}.
+
+    Data packets are fed to the elimination decoder first, then parities
+    in the given order until the block is complete; extras are ignored.
 
     @raise Invalid_argument on fewer than [k] packets, duplicate or
     out-of-range indices, or unequal payload lengths. *)

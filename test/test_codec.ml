@@ -15,6 +15,7 @@
 
 module Codec = Rmcast.Codec
 module Rlnc = Rmcast.Rlnc
+module Rse = Rmcast.Rse
 module Lt = Rmcast.Lt
 module Fec_block = Rmcast.Fec_block
 module Np = Rmcast.Np
@@ -172,6 +173,140 @@ let qcheck_arrival_order_and_ownership =
           && List.for_all (fun (index, payload) -> out.(index) == payload) !kept)
         all_kinds)
 
+(* One decoder for every linear codec: Rse over GF(2^8) and GF(2^16),
+   Cauchy and Rlnc all reduce packets through the same incremental
+   elimination.  Arrivals are a random subset of the data and the first
+   repairs in a random order (parities before data, data for a column a
+   repair pivot already took), with duplicates of earlier arrivals mixed
+   in; then repairs until the block completes, then one data packet and
+   one repair after completion.  Through every arrival [needed] never
+   rises and [add] has returned [true] exactly [k - needed] times (the
+   rank); late packets are refused; the decode is the data.  The batch
+   [Rse.decode] of every distinct packet plus the late repair, more than
+   [k] in a random order, is the data too. *)
+type linear_decoder = {
+  add : index:int -> Bytes.t -> bool;
+  needed : unit -> int;
+  complete : unit -> bool;
+  decode : unit -> Bytes.t array;
+}
+
+let qcheck_one_linear_decoder =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 24 >>= fun k ->
+      int_range 0 k >>= fun drops ->
+      int_range 0 k >>= fun early ->
+      int_range 0 8 >>= fun dups ->
+      int_range 0 10_000 >>= fun seed -> return (k, drops, early, dups, seed))
+  in
+  let print (k, drops, early, dups, seed) =
+    Printf.sprintf "k=%d drops=%d early=%d dups=%d seed=%d" k drops early dups seed
+  in
+  QCheck.Test.make ~count:60 ~name:"one elimination decoder: arrival orders (rse, cauchy, rlnc)"
+    (QCheck.make ~print gen) (fun (k, drops, early, dups, seed) ->
+      let h = (2 * k) + 16 in
+      let data = payloads ~count:k ~size:32 (seed + 1) in
+      let rng = Rng.create ~seed () in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done
+      in
+      let idx = Array.init k Fun.id in
+      shuffle idx;
+      let distinct =
+        Array.append (Array.sub idx drops (k - drops)) (Array.init early (fun j -> k + j))
+      in
+      shuffle distinct;
+      let arrivals =
+        Array.append distinct
+          (if distinct = [||] then [||]
+           else Array.init dups (fun _ -> distinct.(Rng.int rng (Array.length distinct))))
+      in
+      shuffle arrivals;
+      let seam kind =
+        let (module C : Codec.CODEC) = Codec.of_kind kind in
+        let enc = C.Encoder.create ~k ~h data in
+        let dec = C.Decoder.create ~k ~h in
+        ( name_of kind,
+          (fun j -> C.Encoder.repair enc j),
+          {
+            add = C.Decoder.add dec;
+            needed = (fun () -> C.Decoder.needed dec);
+            complete = (fun () -> C.Decoder.complete dec);
+            decode = (fun () -> C.Decoder.decode dec);
+          } )
+      in
+      let rse16 = Rse.create ~field:(Rmcast.Gf.create 16) ~k ~h () in
+      let gf16 =
+        (* GF(2^16) has no seam codec: drive the elimination decoder
+           directly over Rse's generator rows, as big-endian symbols. *)
+        let module E = Rmc_rse.Codec_core.Elimination in
+        let repair_row j =
+          let row = Bytes.create (2 * k) in
+          Array.iteri
+            (fun c v -> Bytes.set_uint16_be row (2 * c) v)
+            (Rse.generator_row rse16 (k + j));
+          row
+        in
+        let dec = E.make ~label:"Rse" ~field:(Rse.field rse16) ~k ~h ~repair_row in
+        let parities = Rse.encode rse16 data in
+        ( "rse gf(2^16)",
+          (fun j -> Bytes.copy parities.(j)),
+          {
+            add = E.add dec;
+            needed = (fun () -> E.needed dec);
+            complete = (fun () -> E.complete dec);
+            decode = (fun () -> E.decode dec);
+          } )
+      in
+      let check (name, repair, d) =
+        let packet index = if index < k then data.(index) else repair (index - k) in
+        let accepted = ref 0 and needed = ref (d.needed ()) in
+        let feed index =
+          if d.add ~index (packet index) then incr accepted;
+          let now = d.needed () in
+          if now > !needed then QCheck.Test.fail_reportf "%s: needed rose to %d" name now;
+          if !accepted <> k - now then
+            QCheck.Test.fail_reportf "%s: %d accepted at rank %d" name !accepted (k - now);
+          needed := now
+        in
+        Array.iter feed arrivals;
+        let next = ref early in
+        while (not (d.complete ())) && !next < h do
+          feed (k + !next);
+          incr next
+        done;
+        if not (d.complete ()) then QCheck.Test.fail_reportf "%s: incomplete" name;
+        let late_data = Rng.int rng k and late_repair = min !next (h - 1) in
+        if
+          d.add ~index:late_data (packet late_data)
+          || d.add ~index:(k + late_repair) (repair late_repair)
+        then QCheck.Test.fail_reportf "%s: a packet after completion was accepted" name;
+        d.decode () = data || QCheck.Test.fail_reportf "%s: decode differs" name
+      in
+      List.for_all check [ seam `Rse; gf16; seam `Cauchy; seam `Rlnc ]
+      &&
+      let rse8 = Rse.create ~k ~h () in
+      List.for_all
+        (fun codec ->
+          let parities = Rse.encode codec data in
+          (* Every data survivor, the early repairs and enough more for
+             [k], plus one: more than [k] distinct packets. *)
+          let received =
+            Array.map
+              (fun index -> (index, if index < k then data.(index) else parities.(index - k)))
+              (Array.append distinct
+                 (Array.init (max 0 (drops - early) + 1) (fun j -> k + early + j)))
+          in
+          shuffle received;
+          Array.length received > k && Rse.decode codec received = data)
+        [ rse8; rse16 ])
+
 (* Tsimbalo's rank-deficiency bound, empirically.  Receive exactly n = k
    coded packets (no systematic ones) and count the trials where GF(256)
    Gaussian elimination falls short of full rank; the model hook claims
@@ -257,7 +392,11 @@ let test_derivations_deterministic () =
   let k = 16 in
   let distinct = Hashtbl.create 32 in
   for j = 0 to 31 do
-    let a = Rlnc.coefficients ~k ~j and b = Rlnc.coefficients ~k ~j in
+    let coefficients ~k ~j =
+      let row = Rlnc.coefficients ~k ~j in
+      Array.init (Bytes.length row) (Bytes.get_uint8 row)
+    in
+    let a = coefficients ~k ~j and b = coefficients ~k ~j in
     Alcotest.(check bool) "rlnc coefficients deterministic" true (a = b);
     Alcotest.(check int) "one coefficient per data packet" k (Array.length a);
     Alcotest.(check bool) "never the zero combination" true (Array.exists (fun c -> c <> 0) a);
@@ -325,6 +464,7 @@ let suite =
       test_roundtrip_all_codecs;
     QCheck_alcotest.to_alcotest qcheck_differential;
     QCheck_alcotest.to_alcotest qcheck_arrival_order_and_ownership;
+    QCheck_alcotest.to_alcotest qcheck_one_linear_decoder;
     Alcotest.test_case "rlnc rank-deficiency matches Tsimbalo's bound" `Quick
       test_rlnc_rank_deficiency_matches_bound;
     Alcotest.test_case "registry, names and capability flags" `Quick test_registry_and_caps;

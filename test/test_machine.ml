@@ -213,6 +213,34 @@ let test_receiver_duplicates () =
     (List.map M.effect_to_string
        (feed receiver (Header.Parity { tg_id = 0; k = 4; index = 200; round = 1; payload = payload 0 })))
 
+(* A resolved TG drops its decoder and every payload it held: receiver
+   memory grows by a few words per delivered TG, not by the TG's bytes. *)
+let test_receiver_memory_bounded () =
+  let k = 20 in
+  let codec = Rmcast.Rse.create ~k ~h:4 () in
+  let receiver = make_receiver ~expected:[] { config with k; h = 4 } in
+  let deliver tg =
+    let data = Array.init k (fun i -> Bytes.make 1024 (Char.chr ((tg + i) land 0xff))) in
+    for i = 1 to k - 1 do
+      ignore (feed receiver (Header.Data { tg_id = tg; k; index = i; payload = data.(i) }))
+    done;
+    let parity = Rmcast.Rse.encode_parity codec data 0 in
+    let parity = Header.Parity { tg_id = tg; k; index = 0; round = 1; payload = parity } in
+    match feed receiver parity with
+    | [ M.Deliver { reconstructed = 1; _ } ] -> ()
+    | _ -> Alcotest.fail "expected a decoding delivery"
+  in
+  for tg = 0 to 7 do
+    deliver tg
+  done;
+  let words_at_8 = Obj.reachable_words (Obj.repr receiver) in
+  for tg = 8 to 63 do
+    deliver tg
+  done;
+  let per_tg = (Obj.reachable_words (Obj.repr receiver) - words_at_8) / 56 in
+  Alcotest.(check bool) (Printf.sprintf "%d words per delivered TG < 64" per_tg) true (per_tg < 64);
+  Alcotest.(check bool) "delivered" true (M.Receiver.delivered receiver ~tg:63)
+
 (* --- serialization roundtrip ------------------------------------------- *)
 
 let gen_message =
@@ -337,6 +365,7 @@ let suite =
     Alcotest.test_case "receiver suppression" `Quick test_receiver_suppression;
     Alcotest.test_case "receiver ejection" `Quick test_receiver_ejection;
     Alcotest.test_case "receiver duplicates + hostile input" `Quick test_receiver_duplicates;
+    Alcotest.test_case "receiver memory bounded by open TGs" `Quick test_receiver_memory_bounded;
     QCheck_alcotest.to_alcotest qcheck_event_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_receiver_invariants;
     QCheck_alcotest.to_alcotest qcheck_sender_invariants;

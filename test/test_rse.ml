@@ -101,9 +101,8 @@ let test_too_few_packets () =
   Alcotest.check_raises "too few" (Invalid_argument "Rse.decode: fewer than k packets received")
     (fun () -> ignore (Rse.decode codec [| (0, Bytes.make 4 'a') |]))
 
-(* A rejected decode must hand back the codec's scratch clean: the same
-   memoized instance then decodes a valid 1-loss pattern (data 0 and the
-   parity, data 1 lost). *)
+(* A rejected decode leaves the shared, memoized codec usable: it then
+   decodes a valid 1-loss pattern (data 0 and the parity, data 1 lost). *)
 let check_usable_after_rejection codec =
   let data = random_data (Rng.create ~seed:21 ()) ~k:2 ~size:4 in
   check_equal_data "decode after rejection" data (roundtrip codec data [ 1 ])
@@ -247,6 +246,30 @@ let test_poly_systematic_agree_with_rse_on_data () =
   check_equal_data "systematic rse" data da;
   check_equal_data "systematic poly" data db
 
+(* Packets {0, 2, 3, 6, 8, 11} of a (6, 12) block are one of the
+   construction's non-MDS patterns: six distinct packets of rank five.
+   The decoder sees the deficit and asks for one more packet instead of
+   claiming completion; the batch decode of exactly those six fails. *)
+let test_poly_non_mds_pattern () =
+  let k = 6 and h = 6 in
+  let codec = Rse_poly.create ~k ~h () in
+  let pattern = [| 0; 2; 3; 6; 8; 11 |] in
+  Alcotest.(check bool) "a pattern mds_violations finds" true
+    (List.mem pattern (Rse_poly.mds_violations codec));
+  let data = random_data (Rng.create ~seed:24 ()) ~k ~size:32 in
+  let parities = Rse_poly.encode codec data in
+  let packet index = if index < k then data.(index) else parities.(index - k) in
+  let module D = Rse_poly.Codec.Decoder in
+  let decoder = D.create ~k ~h in
+  Array.iter (fun index -> ignore (D.add decoder ~index (packet index))) pattern;
+  Alcotest.(check bool) "not complete" false (D.complete decoder);
+  Alcotest.(check int) "needs one more" 1 (D.needed decoder);
+  Alcotest.(check bool) "one more packet is innovative" true (D.add decoder ~index:1 (packet 1));
+  Alcotest.(check bool) "complete" true (D.complete decoder);
+  check_equal_data "decoded" data (D.decode decoder);
+  Alcotest.check_raises "batch decode" (Failure "Rse_poly.decode: singular system") (fun () ->
+      ignore (Rse_poly.decode codec (Array.map (fun index -> (index, packet index)) pattern)))
+
 (* --- Interleaver --- *)
 
 let test_interleaver_roundtrip () =
@@ -357,6 +380,8 @@ let base_suite =
     Alcotest.test_case "poly MDS small cases" `Quick test_poly_mds_small_cases;
     Alcotest.test_case "both constructions systematic" `Quick
       test_poly_systematic_agree_with_rse_on_data;
+    Alcotest.test_case "poly non-MDS pattern needs one more packet" `Quick
+      test_poly_non_mds_pattern;
     Alcotest.test_case "interleaver roundtrip" `Quick test_interleaver_roundtrip;
     Alcotest.test_case "interleaver order" `Quick test_interleaver_order;
     Alcotest.test_case "interleaver burst spread" `Quick test_interleaver_burst_spread;
