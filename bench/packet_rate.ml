@@ -14,7 +14,8 @@
    message kinds bracket the range: DATA (payload-bearing, one
    unavoidable payload copy on decode) and NAK (control, no payload).
 
-   Rates are datagrams/sec (best-of-trials, interleaved).  Allocation is
+   Rates are datagrams/sec (best-of-trials, interleaved; the JSON also
+   records the median and q1-q3 over the trials).  Allocation is
    [Gc.allocated_bytes] per datagram — it counts major-heap allocations
    too, which matters because the legacy 64 KiB scratch never fits the
    minor heap.  `--smoke` (wired to @bench-smoke, hence @ci) gates on
@@ -98,22 +99,36 @@ let alloc_bytes_per_datagram f =
   done;
   (Gc.allocated_bytes () -. before) /. float_of_int (reps * fanout)
 
-type sample = { path : string; kind : string; rate : float; alloc : float }
+(* [rate] is the best trial, which the gates read; [spread] is the median
+   and q1-q3 over all trials, recorded next to it in the JSON. *)
+type sample = {
+  path : string;
+  kind : string;
+  rate : float;
+  spread : Harness.spread;
+  alloc : float;
+}
 
 let measure_kind ~quota ~trials kind =
-  let best = Hashtbl.create 4 in
+  let rates = Hashtbl.create 4 in
   for _ = 1 to trials do
     List.iter
       (fun (path, f) ->
         let rate = datagrams_per_sec ~quota f in
-        match Hashtbl.find_opt best path with
-        | Some prev when prev >= rate -> ()
-        | _ -> Hashtbl.replace best path rate)
+        Hashtbl.replace rates path
+          (rate :: Option.value ~default:[] (Hashtbl.find_opt rates path)))
       (paths kind)
   done;
   List.map
     (fun (path, f) ->
-      { path; kind; rate = Hashtbl.find best path; alloc = alloc_bytes_per_datagram f })
+      let trial_rates = Hashtbl.find rates path in
+      {
+        path;
+        kind;
+        rate = List.fold_left Float.max neg_infinity trial_rates;
+        spread = Harness.spread trial_rates;
+        alloc = alloc_bytes_per_datagram f;
+      })
     (paths kind)
 
 let find samples path kind = List.find (fun s -> s.path = path && s.kind = kind) samples
@@ -420,8 +435,9 @@ let json_of_samples samples ~socket_samples ~trials ~elapsed =
     (fun i s ->
       p
         "    {\"path\": %S, \"kind\": %S, \"fanout\": %d, \"datagrams_per_sec\": %.0f, \
-         \"alloc_bytes_per_datagram\": %.1f}%s\n"
-        s.path s.kind fanout s.rate s.alloc
+         \"datagrams_per_sec_median\": %.0f, \"datagrams_per_sec_q1\": %.0f, \
+         \"datagrams_per_sec_q3\": %.0f, \"alloc_bytes_per_datagram\": %.1f}%s\n"
+        s.path s.kind fanout s.rate s.spread.median s.spread.q1 s.spread.q3 s.alloc
         (if i = List.length samples - 1 then "" else ","))
     samples;
   p "  ],\n";

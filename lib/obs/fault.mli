@@ -11,8 +11,10 @@
 
     The shim is transport-agnostic: it never touches a socket.  The caller
     supplies [send] (deliver these bytes now) and [defer] (run this thunk
-    after d seconds) — in the UDP transport those map to [sendto] and
-    {!Rmc_transport.Reactor.after}; in tests they can be pure.
+    after d seconds) — in the UDP transport [send] queues the bytes with
+    {!Rmc_transport.Udp_batch.add}, so they leave in the driver's one
+    batched flush, and [defer] is {!Rmc_transport.Reactor.after} followed
+    by a flush; in tests they can be pure.
 
     Specs have a compact textual form for CLI use
     ([drop=0.1,dup=0.05,reorder=0.02,delay=0.001:0.01,corrupt=0.01,seed=7]);

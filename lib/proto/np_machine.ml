@@ -41,24 +41,8 @@ type effect =
 
 (* --- replay-log serialization ----------------------------------------- *)
 
-let hex_of_bytes bytes =
-  let buffer = Buffer.create (2 * Bytes.length bytes) in
-  Bytes.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) bytes;
-  Buffer.contents buffer
-
-let bytes_of_hex s =
-  let length = String.length s in
-  if length mod 2 <> 0 then Error "odd-length hex string"
-  else
-    match
-      Bytes.init (length / 2) (fun i ->
-          Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-    with
-    | bytes -> Ok bytes
-    | exception _ -> Error "malformed hex string"
-
 let event_to_string = function
-  | Packet_received message -> "pkt:" ^ hex_of_bytes (Header.encode message)
+  | Packet_received message -> "pkt:" ^ Hex.encode (Header.encode message)
   | Timer_fired { tg; round } -> Printf.sprintf "timer:%d:%d" tg round
   | Feedback { tg; need; round } -> Printf.sprintf "fb:%d:%d:%d" tg need round
   | Retune { proactive; budget } -> Printf.sprintf "retune:%d:%d" proactive budget
@@ -73,7 +57,7 @@ let event_of_string s =
   in
   if s = "tick" then Ok Tick
   else if String.length s > 4 && String.sub s 0 4 = "pkt:" then
-    match bytes_of_hex (String.sub s 4 (String.length s - 4)) with
+    match Hex.decode (String.sub s 4 (String.length s - 4)) with
     | Error _ as e -> e
     | Ok bytes ->
       (match Header.decode bytes with
@@ -94,7 +78,7 @@ let event_of_string s =
   else Error ("unknown event: " ^ s)
 
 let effect_to_string = function
-  | Send message -> "send:" ^ hex_of_bytes (Header.encode message)
+  | Send message -> "send:" ^ Hex.encode (Header.encode message)
   | Arm_timer { tg; round; offset } -> Printf.sprintf "arm:%d:%d:%h" tg round offset
   | Cancel_timer { tg } -> Printf.sprintf "cancel:%d" tg
   | Deliver { tg; data; reconstructed } ->

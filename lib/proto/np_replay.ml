@@ -2,14 +2,7 @@ module Rng = Rmc_numerics.Rng
 module Recorder = Rmc_obs.Recorder
 
 let hex_of_payloads payloads =
-  let buffer = Buffer.create 256 in
-  Array.iter
-    (fun payload ->
-      Bytes.iter
-        (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c)))
-        payload)
-    payloads;
-  Buffer.contents buffer
+  Hex.encode (Bytes.concat Bytes.empty (Array.to_list payloads))
 
 let payloads_of_hex ~payload_size s =
   let length = String.length s in
@@ -18,13 +11,12 @@ let payloads_of_hex ~payload_size s =
     let total = length / 2 in
     if total mod payload_size <> 0 then Error "data not a whole number of payloads"
     else
-      match
-        Array.init (total / payload_size) (fun p ->
-            Bytes.init payload_size (fun i ->
-                Char.chr (int_of_string ("0x" ^ String.sub s (2 * ((p * payload_size) + i)) 2))))
-      with
-      | payloads -> Ok payloads
-      | exception _ -> Error "malformed data hex"
+      match Hex.decode s with
+      | Error _ -> Error "malformed data hex"
+      | Ok data ->
+        Ok
+          (Array.init (total / payload_size) (fun p ->
+               Bytes.sub data (p * payload_size) payload_size))
 
 let record_setup recorder ?(controller = `Static) ~config ~payload_size ~receivers
     ~sessions ~rx_seeds () =

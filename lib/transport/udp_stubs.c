@@ -7,11 +7,13 @@
    OCaml callers never need a platform branch — they can query
    rmc_udp_native_mmsg to report (and benchmark) which path they got.
 
-   Retry policy, shared with the OCaml single-datagram path: EINTR is
+   Retry policy (every protocol datagram the UDP driver sends or
+   receives goes through these stubs; only the multicast probe uses
+   Unix.sendto/recvfrom directly): EINTR is
    retried until the syscall reaches a real outcome (a signal must never
    drop a datagram), EAGAIN terminates a drain / reports a partial send,
    and ECONNREFUSED (ICMP bounce from a closed peer port) is swallowed
-   on receive like the per-datagram drain always did. */
+   on receive. */
 
 #define _GNU_SOURCE
 #include <string.h>

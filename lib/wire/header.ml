@@ -17,70 +17,31 @@ let tg_id_offset = 6
    payload would decode cleanly and silently poison the FEC block.
 
    The checksum is every datagram's dominant per-byte cost (it runs once per
-   encode and once per decode), so it is computed slicing-by-8: eight
-   256-entry tables, where table [j] advances the CRC over a byte followed
-   by [j] zero bytes, fold eight input bytes per step with eight
-   independent lookups.  The tables live in one flat array, table [j] at
-   [j * 256], built when the module loads.  Fewer than eight leftover bytes
-   go through the bytewise loop, which is table 0 alone. *)
+   encode and once per decode), so it lives in C ([crc_stubs.c]) with two
+   paths: PCLMULQDQ folding for the payload where the host has it, and
+   slicing-by-8 for the header, the tails and every other host.  The best
+   path is chosen once, here.  The external neither allocates nor raises,
+   so callers check the slice first. *)
 
-let crc_tables =
-  let tables = Array.make 2048 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    tables.(n) <- !c
-  done;
-  for i = 256 to 2047 do
-    let prev = tables.(i - 256) in
-    tables.(i) <- tables.(prev land 0xFF) lxor (prev lsr 8)
-  done;
-  tables
+external crc_init : unit -> int = "rmc_crc_init"
 
-(* Every table index below is a byte plus a multiple of 256 below 2048. *)
-let table i = Array.unsafe_get crc_tables i
+external crc_datagram :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rmc_crc_datagram_byte" "rmc_crc_datagram"
+[@@noalloc]
 
-let crc_feed_byte crc byte = table ((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+let path_names = [| "portable"; "pclmul" |]
 
-let get_u32_le buffer pos = Int32.to_int (Bytes.get_int32_le buffer pos) land 0xFFFFFFFF
-
-let crc_feed crc buffer pos len =
-  let c = ref crc in
-  let pos = ref pos in
-  let stop = !pos + len in
-  while !pos + 8 <= stop do
-    let one = !c lxor get_u32_le buffer !pos in
-    let two = get_u32_le buffer (!pos + 4) in
-    c :=
-      table (0x700 + (one land 0xFF))
-      lxor table (0x600 + ((one lsr 8) land 0xFF))
-      lxor table (0x500 + ((one lsr 16) land 0xFF))
-      lxor table (0x400 + (one lsr 24))
-      lxor table (0x300 + (two land 0xFF))
-      lxor table (0x200 + ((two lsr 8) land 0xFF))
-      lxor table (0x100 + ((two lsr 16) land 0xFF))
-      lxor table (two lsr 24);
-    pos := !pos + 8
-  done;
-  for i = !pos to stop - 1 do
-    c := crc_feed_byte !c (Bytes.get_uint8 buffer i)
-  done;
-  !c
+(* Index into [path_names]; every path below it runs here too. *)
+let best_path = crc_init ()
 
 (* CRC of the datagram occupying [off, off+len) of [buffer]; [len] must be
-   at least [header_size] (callers validate). *)
-let datagram_crc_slice buffer ~off ~len =
-  let c = ref 0xFFFFFFFF in
-  c := crc_feed !c buffer off crc_offset;
-  for _ = 1 to 4 do
-    c := crc_feed_byte !c 0
-  done;
-  c := crc_feed !c buffer (off + header_size) (len - header_size);
-  !c lxor 0xFFFFFFFF
+   at least [header_size] and the slice in bounds (callers validate). *)
+let datagram_crc_slice buffer ~off ~len = crc_datagram buffer off len best_path
 
-let datagram_crc buffer = datagram_crc_slice buffer ~off:0 ~len:(Bytes.length buffer)
+let datagram_crc buffer =
+  if Bytes.length buffer < header_size then invalid_arg "Header.datagram_crc: truncated buffer";
+  datagram_crc_slice buffer ~off:0 ~len:(Bytes.length buffer)
 
 let type_code = function
   | Data _ -> 1
@@ -274,3 +235,21 @@ let pp ppf message =
     Format.fprintf ppf "POLL(tg=%d, k=%d, size=%d, round=%d)" tg_id k size round
   | Nak { tg_id; need; round } -> Format.fprintf ppf "NAK(tg=%d, need=%d, round=%d)" tg_id need round
   | Exhausted { tg_id } -> Format.fprintf ppf "EXHAUSTED(tg=%d)" tg_id
+
+module For_testing = struct
+  let paths = Array.to_list (Array.sub path_names 0 (best_path + 1))
+
+  let path_index path =
+    let rec find p =
+      if p > best_path then
+        invalid_arg ("Header.For_testing: no CRC path " ^ path ^ " on this host")
+      else if path_names.(p) = path then p
+      else find (p + 1)
+    in
+    find 0
+
+  let datagram_crc_slice ~path buffer ~off ~len =
+    if off < 0 || len < header_size || off > Bytes.length buffer - len then
+      invalid_arg "Header.For_testing.datagram_crc_slice: bad slice";
+    crc_datagram buffer off len (path_index path)
+end

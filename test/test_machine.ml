@@ -4,6 +4,7 @@
 
 module M = Rmcast.Np_machine
 module Header = Rmcast.Header
+module Hex = Rmc_proto.Hex
 
 let config = { M.k = 4; h = 4; proactive = 0; pre_encode = false; slot = 0.01; codec = `Rse }
 
@@ -282,6 +283,33 @@ let qcheck_event_roundtrip =
       | Ok event' -> M.event_to_string event' = M.event_to_string event
       | Error reason -> QCheck.Test.fail_report reason)
 
+let qcheck_hex_roundtrip =
+  (* The table-driven hex codec writes what one [Printf "%02x"] per byte
+     wrote, and reads it back (in either case). *)
+  QCheck.Test.make ~count:300 ~name:"capture hex codec roundtrips"
+    QCheck.(string_of_size (Gen.int_range 0 2000))
+    (fun raw ->
+      let bytes = Bytes.of_string raw in
+      let hex = Hex.encode bytes in
+      let printf_hex = Buffer.create (2 * String.length raw) in
+      String.iter (fun c -> Printf.bprintf printf_hex "%02x" (Char.code c)) raw;
+      let printf_hex = Buffer.contents printf_hex in
+      hex = printf_hex
+      && Hex.decode hex = Ok bytes
+      && Hex.decode (String.uppercase_ascii hex) = Ok bytes)
+
+let test_hex_errors () =
+  let check name expected s =
+    Alcotest.(check (result string string)) name expected
+      (Result.map Bytes.to_string (Hex.decode s))
+  in
+  check "empty" (Ok "") "";
+  check "odd length" (Error "odd-length hex string") "abc";
+  check "non-hex digit" (Error "malformed hex string") "0g";
+  check "non-hex in a later byte" (Error "malformed hex string") "00ff 1";
+  check "sign" (Error "malformed hex string") "-1";
+  check "mixed case" (Ok "\xab\xcd") "aBCd"
+
 (* --- fuzz: machine invariants under arbitrary event orderings ----------- *)
 
 (* The receiver under fire from arbitrary (well-formed and hostile)
@@ -367,6 +395,8 @@ let suite =
     Alcotest.test_case "receiver duplicates + hostile input" `Quick test_receiver_duplicates;
     Alcotest.test_case "receiver memory bounded by open TGs" `Quick test_receiver_memory_bounded;
     QCheck_alcotest.to_alcotest qcheck_event_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_hex_roundtrip;
+    Alcotest.test_case "capture hex errors" `Quick test_hex_errors;
     QCheck_alcotest.to_alcotest qcheck_receiver_invariants;
     QCheck_alcotest.to_alcotest qcheck_sender_invariants;
   ]

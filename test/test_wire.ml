@@ -292,8 +292,9 @@ let test_crc_known_answers () =
 let qcheck_crc_every_alignment =
   (* Random bytes framed as a datagram of every length 26-300 at every
      offset 0-7 of a larger buffer: every alignment of the eight-byte steps
-     and every tail length.  [reseal_slice] must store the reference CRC
-     and [decode_slice] must accept the result. *)
+     and every tail length, and payloads up to four 64-byte folds.
+     [reseal_slice] must store the reference CRC, [decode_slice] must
+     accept the result, and every CRC path must compute it. *)
   QCheck.Test.make ~count:8 ~name:"reseal_slice CRC agrees with the reference at every alignment"
     QCheck.(string_of_size (Gen.return 320))
     (fun noise ->
@@ -309,15 +310,22 @@ let qcheck_crc_every_alignment =
           Bytes.set_int32_be buffer (off + 18) (Int32.of_int payload_len);
           Header.reseal_slice buffer ~off ~len;
           let decoded = Result.is_ok (Header.decode_slice buffer ~off ~len) in
-          if not (decoded && stored_crc buffer ~off = reference_crc buffer ~off ~len) then ok := false
+          let expected = reference_crc buffer ~off ~len in
+          if not (decoded && stored_crc buffer ~off = expected) then ok := false;
+          List.iter
+            (fun path ->
+              if Header.For_testing.datagram_crc_slice ~path buffer ~off ~len <> expected then
+                ok := false)
+            Header.For_testing.paths
         done
       done;
       !ok)
 
 let test_single_bit_flips () =
   (* CRC-32 detects every single-bit error, so each of the 8,400 one-bit
-     corruptions of a 1,050-byte DATA datagram must be rejected: a wrong
-     lane in the eight-byte loop or the tail would let some through. *)
+     corruptions of a 1,050-byte DATA datagram must be rejected, by
+     [decode_slice] and by every CRC path: a wrong lane in the eight-byte
+     loop, a wrong fold or the tail would let some through. *)
   let payload = Bytes.init 1024 (fun i -> Char.chr ((i * 37 + 11) land 0xFF)) in
   let buffer = Header.encode (Header.Data { tg_id = 11; k = 20; index = 5; payload }) in
   let len = Bytes.length buffer in
@@ -327,11 +335,63 @@ let test_single_bit_flips () =
     let pos = bit / 8 and mask = 1 lsl (bit mod 8) in
     Bytes.set_uint8 buffer pos (Bytes.get_uint8 buffer pos lxor mask);
     if Result.is_ok (Header.decode_slice buffer ~off:0 ~len) then accepted := bit :: !accepted;
+    List.iter
+      (fun path ->
+        if Header.For_testing.datagram_crc_slice ~path buffer ~off:0 ~len = stored_crc buffer ~off:0
+        then accepted := bit :: !accepted)
+      Header.For_testing.paths;
     Bytes.set_uint8 buffer pos (Bytes.get_uint8 buffer pos lxor mask)
   done;
   Alcotest.(check (list int)) "no flipped copy decodes" [] !accepted;
   Alcotest.(check bool) "pristine copy decodes" true
     (Result.is_ok (Header.decode_slice buffer ~off:0 ~len))
+
+let test_crc_fold_thresholds () =
+  (* Payload lengths either side of the folding path's limits (no fold
+     below 64 bytes, four lanes then single-lane 16-byte folds, a tail
+     under 16 bytes), up to the largest datagram, at offsets 0-3 of a
+     larger buffer: every path must compute the reference CRC. *)
+  let rng = Random.State.make [| 25 |] in
+  List.iter
+    (fun payload_len ->
+      let len = Header.header_size + payload_len in
+      let buffer = Bytes.init (len + 3) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      for off = 0 to 3 do
+        let expected = reference_crc buffer ~off ~len in
+        List.iter
+          (fun path ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s, payload %d, offset %d" path payload_len off)
+              expected
+              (Header.For_testing.datagram_crc_slice ~path buffer ~off ~len))
+          Header.For_testing.paths
+      done)
+    [ 37; 38; 63; 64; 65; 79; 80; 81; 1024; 1472; 9000; 65536 - Header.header_size ]
+
+let qcheck_crc_paths_random_slices =
+  (* Random slices of lengths 26-9,000 at offsets 0-16: every path agrees
+     with the reference. *)
+  QCheck.Test.make ~count:100 ~name:"every CRC path agrees with the reference on random slices"
+    QCheck.(pair (int_range Header.header_size 9000) (int_range 0 16))
+    (fun (len, off) ->
+      let buffer = Bytes.init (off + len) (fun i -> Char.chr ((i * 197 + len) land 0xFF)) in
+      let expected = reference_crc buffer ~off ~len in
+      List.for_all
+        (fun path -> Header.For_testing.datagram_crc_slice ~path buffer ~off ~len = expected)
+        Header.For_testing.paths)
+
+let test_crc_paths () =
+  Alcotest.(check string) "portable path first" "portable" (List.hd Header.For_testing.paths);
+  Alcotest.check_raises "unknown path"
+    (Invalid_argument "Header.For_testing: no CRC path none on this host") (fun () ->
+      ignore (Header.For_testing.datagram_crc_slice ~path:"none" (Bytes.create 26) ~off:0 ~len:26));
+  Alcotest.check_raises "short slice"
+    (Invalid_argument "Header.For_testing.datagram_crc_slice: bad slice") (fun () ->
+      ignore
+        (Header.For_testing.datagram_crc_slice ~path:"portable" (Bytes.create 30) ~off:5 ~len:26));
+  Alcotest.check_raises "datagram_crc truncated"
+    (Invalid_argument "Header.datagram_crc: truncated buffer") (fun () ->
+      ignore (Header.datagram_crc (Bytes.create 25)))
 
 (* --- allocation ----------------------------------------------------------- *)
 
@@ -469,5 +529,8 @@ let suite =
     Alcotest.test_case "CRC known answers" `Quick test_crc_known_answers;
     QCheck_alcotest.to_alcotest qcheck_crc_every_alignment;
     Alcotest.test_case "every single-bit flip rejected" `Quick test_single_bit_flips;
+    Alcotest.test_case "CRC fold thresholds on every path" `Quick test_crc_fold_thresholds;
+    QCheck_alcotest.to_alcotest qcheck_crc_paths_random_slices;
+    Alcotest.test_case "CRC paths and bounds" `Quick test_crc_paths;
     Alcotest.test_case "slice API allocation" `Quick test_slice_api_allocation;
   ]
