@@ -59,7 +59,7 @@ let run ?(config = default_config) ~network ~rng ~data () =
   let deliver ~receiver state payload =
     if have.(receiver).(state.seq) then incr unnecessary
     else begin
-      if not (Bytes.equal payload data.(state.seq)) then intact := false;
+      if not (Np_drive.Scoreboard.intact ~sent:data.(state.seq) payload) then intact := false;
       have.(receiver).(state.seq) <- true
     end;
     (* Positive ACK on every reception, duplicates included ([18]'s model:

@@ -82,7 +82,7 @@ let run ?(config = default_config) ~network ~rng ~data () =
     let state = rx.(receiver) in
     if state.have.(seq) then incr unnecessary
     else begin
-      if not (Bytes.equal payload data.(seq)) then intact := false;
+      if not (Np_drive.Scoreboard.intact ~sent:data.(seq) payload) then intact := false;
       state.have.(seq) <- true;
       state.missing <- state.missing - 1;
       match Hashtbl.find_opt state.timers seq with

@@ -86,9 +86,9 @@ let validate_config c =
 
 (* One NP transfer multiplexed on a shared engine.  The protocol itself
    lives in the pure {!Np_machine} core, bound to virtual time through
-   {!Np_drive} (capture, retunes, NAK timers); a flow adds what is the
-   simulator's own — the simulated multicast channel, pacing, churn and
-   the delivery-verification scoreboard. *)
+   {!Np_drive} (capture, retunes, NAK timers, the delivery scoreboard); a
+   flow adds what is the simulator's own — the simulated multicast
+   channel, pacing and churn. *)
 
 (* The record types {!Mux} exports. *)
 module Mux_types = struct
@@ -115,6 +115,7 @@ type flow = {
   sender : Np_drive.Sender.t;
   mutable rxs : Engine.timer Np_drive.Receiver.t array;
       (* set once by [add_flow]: the bindings' callbacks close over the flow *)
+  scoreboard : Np_drive.Scoreboard.t; (* the flow is session 0 on it *)
   receivers : int;
   started_at : float;
   (* Receiver churn.  [presence] gates packet delivery only — the loss
@@ -132,7 +133,7 @@ type flow = {
   mutable in_ready : bool; (* member of the arbiter's rotation *)
   mutable finished_at : float; (* virtual time of the flow's last event *)
   mutable ejected_rev : (int * int) list;
-  mutable intact : bool;
+  mutable tamper : Header.message -> Header.message; (* [For_testing] only *)
 }
 
 (* The arbiter: a round-robin rotation of flows that currently have sender
@@ -241,7 +242,7 @@ and execute mux flow =
     (fun busy effect ->
       match effect with
       | Np_machine.Send ((Header.Data _ | Header.Parity _) as msg) ->
-        let msg = through_wire mux msg in
+        let msg = through_wire mux (flow.tamper msg) in
         let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
         deliver mux flow msg
           (reached flow (fun r ->
@@ -291,9 +292,6 @@ and rx_apply mux flow ~receiver effect =
   match effect with
   | Np_machine.Send (Header.Nak { tg_id; need; round }) ->
     multicast_nak mux flow ~from:(`Receiver receiver) ~tg:tg_id ~need ~round
-  | Np_machine.Deliver { tg; data; reconstructed = _ } ->
-    let sent = Np_machine.Sender.block_data (sender_machine flow) ~tg in
-    if not (Array.for_all2 Bytes.equal data sent) then flow.intact <- false
   | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
   | Np_machine.Done -> flow.completed_at.(receiver) <- Some (Engine.now mux.engine)
   | _ -> ()
@@ -400,6 +398,7 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       network;
       sender;
       rxs = [||];
+      scoreboard = Np_drive.Scoreboard.create ~k:c.k ~first_sid:0 [| data |];
       receivers;
       started_at = start;
       presence;
@@ -411,7 +410,7 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       in_ready = false;
       finished_at = start;
       ejected_rev = [];
-      intact = true;
+      tamper = Fun.id;
     }
   in
   let mc = Np_replay.machine_config profile in
@@ -424,7 +423,8 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
   flow.rxs <-
     Array.init receivers (fun r ->
         Np_drive.Receiver.create ?recorder ~actor:("r" ^ string_of_int r) ~clock
-          ~entry:(rx_event mux flow ~receiver:r) ~apply:(rx_apply mux flow ~receiver:r)
+          ~scoreboard:flow.scoreboard ~entry:(rx_event mux flow ~receiver:r)
+          ~apply:(rx_apply mux flow ~receiver:r)
           (Np_machine.Receiver.create ~expected mc ~rand));
   List.iter
     (fun ev -> ignore (Engine.at mux.engine ev.at (fun () -> apply_churn mux flow ev)))
@@ -472,7 +472,9 @@ let flow_report flow =
     unnecessary_receptions = sum Np_machine.Receiver.unnecessary;
     ejected = List.rev flow.ejected_rev;
     duration = flow.finished_at;
-    delivered_intact = flow.intact && all_present flow Np_machine.Receiver.delivered;
+    delivered_intact =
+      Np_drive.Scoreboard.verdict flow.scoreboard ~session:0
+      && all_present flow Np_machine.Receiver.delivered;
   }
 
 module Mux = struct
@@ -514,3 +516,7 @@ let run ?(config = default_config) ?(start = 0.0) ~network ~rng ~data () =
   (* Preserve the historical duration definition: virtual time when the
      event queue drained, not just this flow's last touch. *)
   { (flow_report flow) with duration = Engine.now engine }
+
+module For_testing = struct
+  let tamper flow f = flow.tamper <- f
+end

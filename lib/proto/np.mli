@@ -145,8 +145,9 @@ module Mux : sig
       whether or not the receiver is present, so adding churn never
       shifts the RNG stream of the receivers that stay.
       @raise Invalid_argument on an invalid config, empty data, wrong
-      payload sizes, a bad start time, or a churn event that is out of
-      range or predates [start]. *)
+      payload sizes, more than 65,536 TGs (the wire tg is 16-bit), a bad
+      start time, or a churn event that is out of range or predates
+      [start]. *)
 
   val run : t -> unit
   (** Drive the engine until every flow has drained ([Engine.run]). *)
@@ -227,3 +228,10 @@ val run :
 
     Equivalent to a one-flow {!Mux}; preserved for all existing callers.
     @raise Invalid_argument on empty data or wrong payload sizes. *)
+
+module For_testing : sig
+  val tamper : Mux.flow -> (Rmc_wire.Header.message -> Rmc_wire.Header.message) -> unit
+  (** Rewrite every DATA/PARITY the flow's sender multicasts before it is
+      sealed for the wire, so a changed payload reaches the receivers with
+      a valid CRC.  The rewrite must keep the message's encoded size. *)
+end

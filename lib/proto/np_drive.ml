@@ -74,6 +74,67 @@ module Sender = struct
       t.controller
 end
 
+module Scoreboard = struct
+  type t = {
+    k : int;
+    first_sid : int;
+    sent : Bytes.t array array; (* per session: its payloads, by reference *)
+    intact_counts : int array array; (* per session, per local TG *)
+    verdicts : bool array; (* per session: no delivery so far differed *)
+  }
+
+  let tgs ~k data = (Array.length data + k - 1) / k
+
+  let create ~k ~first_sid sent =
+    if k < 1 then invalid_arg "Np_drive.Scoreboard.create: k < 1";
+    if Array.exists (fun data -> tgs ~k data > 0x10000) sent then
+      invalid_arg "Np_drive.Scoreboard.create: too many TGs (wire tg is 16-bit)";
+    {
+      k;
+      first_sid;
+      sent;
+      intact_counts = Array.map (fun data -> Array.make (tgs ~k data) 0) sent;
+      verdicts = Array.make (Array.length sent) true;
+    }
+
+  let intact ~sent row = Bytes.compare sent row = 0
+
+  (* Rows [0, n) of a delivery against the session's payloads from [base]:
+     no sub-array is cut, so a check allocates nothing. *)
+  let rec rows_intact sent ~base rows i n =
+    i = n
+    || (intact ~sent:sent.(base + i) rows.(i) && rows_intact sent ~base rows (i + 1) n)
+
+  (* The session of [t] that wire TG [tg] belongs to, or -1 if [tg] is
+     not one of [t]'s TGs. *)
+  let session_of t tg =
+    let session = Np_replay.sid_of_wire tg - t.first_sid in
+    if
+      session >= 0
+      && session < Array.length t.sent
+      && Np_replay.local_of_wire tg < Array.length t.intact_counts.(session)
+    then session
+    else -1
+
+  let record t ~tg rows =
+    let session = session_of t tg in
+    if session >= 0 then begin
+      let local = Np_replay.local_of_wire tg and sent = t.sent.(session) in
+      let base = local * t.k and n = Array.length rows in
+      if n = min t.k (Array.length sent - base) && rows_intact sent ~base rows 0 n then begin
+        let counts = t.intact_counts.(session) in
+        counts.(local) <- counts.(local) + 1
+      end
+      else t.verdicts.(session) <- false
+    end
+
+  let verdict t ~session = t.verdicts.(session)
+
+  let intact_deliveries t ~tg =
+    let session = session_of t tg in
+    if session < 0 then 0 else t.intact_counts.(session).(Np_replay.local_of_wire tg)
+end
+
 module Receiver = struct
   type 'timer t = {
     machine : Np_machine.Receiver.t;
@@ -81,18 +142,20 @@ module Receiver = struct
     recorder : Recorder.t option;
     actor : string;
     clock : 'timer clock;
+    scoreboard : Scoreboard.t;
     timers : (int, 'timer) Hashtbl.t; (* armed NAK timers, by tg *)
     entry : (Np_machine.event -> unit) option;
     apply : Np_machine.effect -> unit;
   }
 
-  let create ?recorder ~actor ~clock ?entry ~apply machine =
+  let create ?recorder ~actor ~clock ~scoreboard ?entry ~apply machine =
     {
       machine;
       handle = Np_machine.Receiver.handle machine;
       recorder;
       actor;
       clock;
+      scoreboard;
       timers = Hashtbl.create 8;
       entry;
       apply;
@@ -114,6 +177,9 @@ module Receiver = struct
       | Np_machine.Cancel_timer { tg } ->
         cancel t tg;
         Hashtbl.remove t.timers tg
+      | Np_machine.Deliver { tg; data; reconstructed = _ } ->
+        Scoreboard.record t.scoreboard ~tg data;
+        t.apply effect
       | _ -> t.apply effect);
       perform t rest
 

@@ -13,10 +13,13 @@
     - a receiver's NAK timers live in one per-TG table: [Arm_timer]
       replaces the timer pending for that TG, [Cancel_timer] on an
       unarmed TG is a no-op, and a fired timer is forgotten before its
-      [Timer_fired] re-enters the machine.
+      [Timer_fired] re-enters the machine;
+    - every TG a receiver delivers is checked against what was sent on
+      the flow's {!Scoreboard} before the driver's [apply] sees the
+      [Deliver], so "delivered intact" is decided here and nowhere else.
 
-    Pacing, the channel, delivery, verification, metrics and traces stay
-    with each driver. *)
+    Pacing, the channel, what a delivery means to the application,
+    metrics and traces stay with each driver. *)
 
 type 'timer clock = {
   after : float -> (unit -> unit) -> 'timer;
@@ -55,6 +58,42 @@ module Sender : sig
       [`Static]. *)
 end
 
+(** What a flow's receivers must deliver, and how many delivered each TG
+    intact.  One scoreboard serves every receiver of a set of sessions
+    that share those receivers: one {!Np.Mux} flow, or one shard of
+    [Udp_np]'s sessions.  It holds the sessions' payloads by reference
+    and allocates only at {!create}. *)
+module Scoreboard : sig
+  type t
+
+  val create : k:int -> first_sid:int -> Bytes.t array array -> t
+  (** [create ~k ~first_sid sent]: session [first_sid + i] carries
+      [sent.(i)] in TGs of [k] packets (the last TG may be shorter),
+      numbered on the wire as {!Np_replay.wire_tg} and listed by
+      {!Np_replay.expected}.
+      @raise Invalid_argument if [k < 1] or a session has more than
+      65,536 TGs (the wire's local TG field is 16-bit). *)
+
+  val intact : sent:Bytes.t -> Bytes.t -> bool
+  (** The one definition of an intact packet: the same bytes as [sent],
+      compared by memcmp ([Bytes.compare]). *)
+
+  val record : t -> tg:int -> Bytes.t array -> unit
+  (** One receiver delivered wire TG [tg] as these rows.  Intact means
+      exactly the TG's packets, each {!intact}; anything else clears the
+      session's {!verdict}.  A TG outside the scoreboard is ignored.
+      Allocates nothing. *)
+
+  val verdict : t -> session:int -> bool
+  (** No delivery of session [first_sid + session] recorded so far
+      differed from what was sent.  Whether every receiver delivered
+      every TG is the driver's to add. *)
+
+  val intact_deliveries : t -> tg:int -> int
+  (** How many intact deliveries of wire TG [tg] were recorded; 0 for a
+      TG outside the scoreboard. *)
+end
+
 module Receiver : sig
   type 'timer t
 
@@ -62,11 +101,13 @@ module Receiver : sig
     ?recorder:Rmc_obs.Recorder.t ->
     actor:string ->
     clock:'timer clock ->
+    scoreboard:Scoreboard.t ->
     ?entry:(Np_machine.event -> unit) ->
     apply:(Np_machine.effect -> unit) ->
     Np_machine.Receiver.t ->
     'timer t
-  (** Bind a receiver machine.  [apply] performs every effect but
+  (** Bind a receiver machine.  Each [Deliver] is recorded on
+      [scoreboard], then handed on; [apply] performs every effect but
       [Arm_timer]/[Cancel_timer], in order; a fired timer's [Timer_fired]
       enters through [entry], the driver's own entry point (default
       {!receive}).  Both callbacks are built once, here. *)

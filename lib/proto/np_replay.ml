@@ -40,6 +40,8 @@ let machine_config (p : Rmc_core.Profile.t) =
     slot = p.slot; codec = p.codec }
 
 let wire_tg ~sid local = (sid lsl 16) lor local
+let sid_of_wire wire = (wire lsr 16) land 0xFFFF
+let local_of_wire wire = wire land 0xFFFF
 
 let expected ~k ~sid data =
   let total = Array.length data in

@@ -48,6 +48,11 @@ val wire_tg : sid:int -> int -> int
     the 32-bit wire [tg_id] and the session-local TG index into the lower
     16.  Unchecked: callers bound both to [\[0, 65535\]]. *)
 
+val sid_of_wire : int -> int
+val local_of_wire : int -> int
+(** The two halves of a wire [tg_id], each masked to 16 bits so a hostile
+    or corrupted id cannot index outside either namespace. *)
+
 val expected : k:int -> sid:int -> Bytes.t array -> (int * int) list
 (** The [(wire tg, packets)] pairs a receiver must resolve for session
     [sid] carrying [data] in TGs of [k] (the last TG may be shorter) —

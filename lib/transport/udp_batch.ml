@@ -69,17 +69,25 @@ let compact batch from =
   Array.fill batch.dests remaining (batch.count - remaining) dummy_addr;
   batch.count <- remaining
 
+(* Kernel entries one stub call made.  The stub sends in chunks of
+   [max_batch] (one sendto per datagram without sendmmsg); a short send
+   stopped in the chunk after its last whole one. *)
+let entries ~complete sent =
+  let chunk = if native then max_batch else 1 in
+  if complete then (sent + chunk - 1) / chunk else (sent / chunk) + 1
+
 let flush batch socket =
   let sent = ref 0 and errors = ref 0 and syscalls = ref 0 in
   let rec loop () =
     if batch.count > 0 then begin
-      incr syscalls;
       match sendmmsg_stub socket batch.bufs batch.lens batch.dests batch.count with
       | n when n >= batch.count ->
         sent := !sent + n;
+        syscalls := !syscalls + entries ~complete:true n;
         compact batch batch.count
       | n ->
         sent := !sent + n;
+        syscalls := !syscalls + entries ~complete:false n;
         (* The entry after the sent prefix failed (or the kernel told us
            to come back later): a full UDP send queue behaves like
            network loss everywhere else in this driver, so count the
@@ -90,6 +98,7 @@ let flush batch socket =
         loop ()
       | exception Unix.Unix_error (_, _, _) ->
         (* First pending entry failed outright. *)
+        incr syscalls;
         incr errors;
         compact batch 1;
         loop ()

@@ -1,12 +1,13 @@
-(** Batched datagram I/O: one syscall per flush or drain.
+(** Batched datagram I/O: one syscall per {!max_batch} datagrams.
 
     Thin, allocation-free wrappers over the [sendmmsg]/[recvmmsg] C stubs
     ({!native} tells you whether the platform really has them — elsewhere
     the same entry points fall back to a [sendto]/[recvfrom] loop with
     identical semantics).  The driver accumulates a tick's datagrams into
-    a {!send} batch and {!flush}es it in one kernel entry; each socket
-    owns a {!recv} ring whose {!recv_batch} drains up to {!max_batch}
-    queued datagrams per syscall.
+    a {!send} batch and {!flush}es it in one kernel entry per
+    {!max_batch} datagrams; each socket owns a {!recv} ring whose
+    {!recv_batch} drains up to {!max_batch} queued datagrams per
+    syscall.
 
     Syscall counts are returned from every operation so callers can
     maintain the [udp.syscalls_tx]/[udp.syscalls_rx] counters the
@@ -44,7 +45,9 @@ type flush_result = {
   sent : int;  (** datagrams handed to the kernel *)
   errors : int;  (** entries that failed and were dropped (the driver
                      counts them in [udp.tx_errors]) *)
-  syscalls : int;  (** kernel entries used *)
+  syscalls : int;
+      (** kernel entries used: ceil(n/{!max_batch}) for [n] datagrams
+          sent whole, one per [sendto] on the fallback *)
 }
 
 val flush : send -> Unix.file_descr -> flush_result

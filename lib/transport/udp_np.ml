@@ -111,10 +111,8 @@ let wire_tg ~sid local =
     Error.invalid_arg ~context:"Udp_np.wire_tg" "local tg outside 16-bit range"
   else Ok (Np_replay.wire_tg ~sid local)
 
-(* Decode-side masks: a hostile or corrupted tg_id must not index outside
-   either 16-bit namespace. *)
-let sid_of_wire wire = (wire lsr 16) land 0xFFFF
-let local_of_wire wire = wire land 0xFFFF
+let sid_of_wire = Np_replay.sid_of_wire
+let local_of_wire = Np_replay.local_of_wire
 
 (* The damping RNG a receiver's machine draws from is split off from the
    loss-injection stream so a replay (which sees no loss draws — dropped
@@ -228,6 +226,7 @@ type sender = {
   group : Unix.sockaddr list;
   drive : Np_drive.Sender.t;
   shim : Fault.t option;
+  tamper : Header.message -> Header.message; (* [For_testing] only *)
   mutable sending : bool;
   mutable due : float;  (* when the next DATA/PARITY may leave *)
   c_data : Metrics.counter;
@@ -249,7 +248,7 @@ type frame = { buf : Bytes.t; mutable len : int; payload_bearing : bool }
    and the CRC resealed in place.  A single-session run (sid 0) needs no
    rewrite and puts exactly the bytes on the wire it always did. *)
 let sender_encode sender buf ~off message =
-  let len = Header.encode_into buf ~off message in
+  let len = Header.encode_into buf ~off (sender.tamper message) in
   if sender.sid <> 0 then begin
     Header.set_tg_id buf ~off (Np_replay.wire_tg ~sid:sender.sid (Header.tg_id message));
     Header.reseal_slice buf ~off ~len
@@ -393,7 +392,7 @@ let sender_handle_nak sender ~tg_id ~need ~round =
    for the shared socket lives with the driver, not here, because many
    senders share one socket. *)
 let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metrics ~shim
-    ~recorder =
+    ~tamper ~recorder =
   let sender =
     {
       sid;
@@ -406,6 +405,7 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
         Np_drive.Sender.create ?recorder ~actor:("s" ^ string_of_int sid) ~receivers
           (profile_of_config config) ~data;
       shim;
+      tamper;
       sending = false;
       due = 0.0;
       c_data = Metrics.counter metrics "tx.data";
@@ -435,7 +435,7 @@ type receiver = {
   loss_rng : Rng.t;  (* reception-loss injection (driver-side, not replayed) *)
   loss : float;
   machine : Np_machine.Receiver.t;  (* bound through {!Np_drive}; read for counters *)
-  on_tg_complete : int -> Bytes.t array -> unit;
+  on_tg_complete : int -> unit;
   on_ejected : int -> unit;
   mutable dropped : int;
   mutable decode_failures : int;
@@ -467,7 +467,7 @@ let receiver_apply receiver effect =
         List.iter (Udp_batch.add net.tx_batch buf ~len)
           (receiver.sender_addr :: receiver.nak_peers);
         flush net)
-  | Np_machine.Deliver { tg; data; reconstructed = _ } -> receiver.on_tg_complete tg data
+  | Np_machine.Deliver { tg; data = _; reconstructed = _ } -> receiver.on_tg_complete tg
   | Np_machine.Ejected { tg } -> receiver.on_ejected tg
   | Np_machine.Trace detail ->
     (match receiver.net.trace with
@@ -476,7 +476,8 @@ let receiver_apply receiver effect =
   | _ -> ()
 
 let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr
-    ~machine_config ~seed ~loss ~id ~metrics ~expected ~recorder ~on_tg_complete ~on_ejected =
+    ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard ~recorder ~on_tg_complete
+    ~on_ejected =
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
   let receiver =
     {
@@ -508,7 +509,7 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
     }
   in
   let drive =
-    Np_drive.Receiver.create ?recorder ~actor:("r" ^ string_of_int id) ~clock
+    Np_drive.Receiver.create ?recorder ~actor:("r" ^ string_of_int id) ~clock ~scoreboard
       ~apply:(receiver_apply receiver) receiver.machine
   in
   let receive message = Np_drive.Receiver.receive drive (Np_machine.Packet_received message) in
@@ -564,11 +565,11 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
 
 (* One shard's run: one reactor, one sender socket multiplexing every
    session's datagrams (demuxed by the sid in the wire [tg_id]), one
-   receiver socket per receiver serving all sessions.  [sids] maps each
-   session index to its wire session id: the shard's slice of the global
+   receiver socket per receiver serving all sessions.  Session index [i]
+   has wire session id [first_sid + i]: the shard's slice of the global
    namespace, the identity when there is one shard. *)
-let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss ~seed
-    ~sessions ~sids ~sender_metrics =
+let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~receivers ~loss
+    ~seed ~sessions ~first_sid ~sender_metrics =
   let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
   let reactor = Reactor.create ~metrics () in
   let clock = { Np_drive.after = Reactor.after reactor; cancel = Reactor.cancel } in
@@ -578,8 +579,10 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   let tg_counts =
     Array.map (fun data -> (Array.length data + config.k - 1) / config.k) sessions
   in
-  let index_of_sid = Hashtbl.create nsessions in
-  Array.iteri (fun index sid -> Hashtbl.replace index_of_sid sid index) sids;
+  let index_of_wire wire =
+    let index = sid_of_wire wire - first_sid in
+    if index >= 0 && index < nsessions then Some index else None
+  in
   (match recorder with
   | Some r ->
     Np_replay.record_setup r ~controller:config.controller ~config:machine_config
@@ -660,26 +663,21 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   let receiver_addrs = Array.map (fun net -> addr_of net.socket) receiver_nets in
 
   (* Every receiver must resolve every TG of every session: the expected
-     set that drives the machines' Done effect. *)
+     set that drives the machines' Done effect, and the scoreboard every
+     delivery is checked on. *)
   let expected =
     List.concat
       (Array.to_list
          (Array.mapi
-            (fun index data -> Np_replay.expected ~k:config.k ~sid:sids.(index) data)
+            (fun index data -> Np_replay.expected ~k:config.k ~sid:(first_sid + index) data)
             sessions))
   in
+  let scoreboard = Np_drive.Scoreboard.create ~k:config.k ~first_sid sessions in
 
   let completed_tgs = Array.init receivers (fun _ -> Array.make nsessions 0) in
-  let verified = Array.make nsessions true in
   let ejected = Array.make nsessions [] in
   let finished_pairs = ref 0 in
   let total_pairs = receivers * nsessions in
-  let reference ~index local =
-    let data = sessions.(index) in
-    let base = local * config.k in
-    let len = min config.k (Array.length data - base) in
-    Array.sub data base len
-  in
   let maybe_finish () =
     if !finished_pairs = total_pairs then
       (* Let in-flight datagrams drain, then stop the loop. *)
@@ -687,12 +685,9 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   in
   let rxs =
     Array.init receivers (fun id ->
-        let on_tg_complete wire decoded =
-          match Hashtbl.find_opt index_of_sid (sid_of_wire wire) with
+        let on_tg_complete wire =
+          match index_of_wire wire with
           | Some index when local_of_wire wire < tg_counts.(index) ->
-            let local = local_of_wire wire in
-            if not (Array.for_all2 Bytes.equal decoded (reference ~index local)) then
-              verified.(index) <- false;
             completed_tgs.(id).(index) <- completed_tgs.(id).(index) + 1;
             if completed_tgs.(id).(index) = tg_counts.(index) then begin
               incr finished_pairs;
@@ -701,7 +696,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
           | Some _ | None -> ()
         in
         let on_ejected wire =
-          match Hashtbl.find_opt index_of_sid (sid_of_wire wire) with
+          match index_of_wire wire with
           | Some index -> ejected.(index) <- (id, local_of_wire wire) :: ejected.(index)
           | None -> ()
         in
@@ -716,8 +711,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
           | None -> []
         in
         create_receiver reactor ~clock ~net:receiver_nets.(id) ~tx_net ~self_addr ~nak_peers
-          ~pool ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected ~recorder
-          ~on_tg_complete ~on_ejected)
+          ~pool ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard
+          ~recorder ~on_tg_complete ~on_ejected)
   in
   (* Unicast: each receiver overhears the NAKs of all the others via an
      explicit fan-out.  Multicast: the group address set above already
@@ -741,10 +736,10 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   in
   let senders =
     Array.init nsessions (fun index ->
-        create_sender reactor ~net:sender_net ~pool ~group ~config ~sid:sids.(index)
+        create_sender reactor ~net:sender_net ~pool ~group ~config ~sid:(first_sid + index)
           ~data:sessions.(index) ~receivers
-          ~metrics:(sender_metrics sids.(index))
-          ~shim ~recorder)
+          ~metrics:(sender_metrics (first_sid + index))
+          ~shim ~tamper ~recorder)
   in
   (* One handler on the shared sender socket demuxes incoming NAKs to the
      owning session's sender. *)
@@ -755,7 +750,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
         (fun message _from ->
           match message with
           | Header.Nak { tg_id; need; round } ->
-            (match Hashtbl.find_opt index_of_sid (sid_of_wire tg_id) with
+            (match index_of_wire tg_id with
             | Some index ->
               sender_handle_nak senders.(index) ~tg_id:(local_of_wire tg_id) ~need ~round
             | None -> ())
@@ -793,13 +788,14 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
             0 completed_tgs
         in
         {
-          session = sids.(index);
+          session = first_sid + index;
           transmission_groups = tg_counts.(index);
           data_tx = Np_machine.Sender.data_tx (sender_machine senders.(index));
           parity_tx = Np_machine.Sender.parity_tx (sender_machine senders.(index));
           polls = Np_machine.Sender.polls (sender_machine senders.(index));
           completed;
-          verified = verified.(index) && completed = receivers;
+          verified =
+            Np_drive.Scoreboard.verdict scoreboard ~session:index && completed = receivers;
           ejected = List.rev ejected.(index);
         })
   in
@@ -844,13 +840,11 @@ let validate ~context ~config ~receivers ~loss ~sessions =
 
 (* --- entry points ------------------------------------------------------ *)
 
-(* Contiguous balanced partition of [0, n) into [shards] slices. *)
+(* Contiguous balanced partition of [0, n) into [shards] slices, each as
+   its first index and its length. *)
 let shard_slices ~shards n =
   let q = n / shards and r = n mod shards in
-  Array.init shards (fun shard ->
-      let lo = (shard * q) + min shard r in
-      let size = q + if shard < r then 1 else 0 in
-      Array.init size (fun i -> lo + i))
+  Array.init shards (fun shard -> ((shard * q) + min shard r, q + if shard < r then 1 else 0))
 
 (* The one way into the engine.  One reactor per shard, each on its own
    domain; shard s runs its slice of the global session ids with its own
@@ -858,7 +852,7 @@ let shard_slices ~shards n =
    identity sids, no domain spawned.  [scoped] puts each session's sender
    counters under [session.<sid>.]; {!run_local} leaves its one sender's
    counters flat.  [context] names the entry point in every [Error]. *)
-let run ~context ~scoped ?(config = default_config) ?metrics ?trace ?recorder ?faults
+let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?recorder ?faults
     ?(transport = `Unicast) ?(shards = 1) ~receivers ~loss ~seed ~sessions () =
   match validate ~context ~config ~receivers ~loss ~sessions with
   | Error _ as e -> e
@@ -879,11 +873,11 @@ let run ~context ~scoped ?(config = default_config) ?metrics ?trace ?recorder ?f
       if scoped then Metrics.scope metrics (Printf.sprintf "session.%d" sid) else metrics
     in
     let run_shard shard =
-      let sids = slices.(shard) in
-      run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~loss
-        ~seed:(seed + (shard * 16127))
-        ~sessions:(Array.map (fun sid -> sessions.(sid)) sids)
-        ~sids ~sender_metrics
+      let first_sid, count = slices.(shard) in
+      run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~receivers
+        ~loss ~seed:(seed + (shard * 16127))
+        ~sessions:(Array.sub sessions first_sid count)
+        ~first_sid ~sender_metrics
     in
     let spawned =
       Array.init (shards - 1) (fun i -> Domain.spawn (fun () -> run_shard (i + 1)))
@@ -910,7 +904,7 @@ let run ~context ~scoped ?(config = default_config) ?metrics ?trace ?recorder ?f
         counters = Metrics.counters metrics;
       }
 
-let run_multi = run ~context:"Udp_np.run_multi" ~scoped:true
+let run_multi = run ~context:"Udp_np.run_multi" ~scoped:true ~tamper:Fun.id
 
 let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers
     ~loss ~seed ~sessions () =
@@ -919,10 +913,10 @@ let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~
        ~seed ~sessions ())
 
 (* A single session: sid 0, so the wire ids are the plain TG indices. *)
-let run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
-    ~data () =
-  run ~context:"Udp_np.run_local" ~scoped:false ?config ?metrics ?trace ?recorder ?faults
-    ?transport ~receivers ~loss ~seed ~sessions:[| data |] ()
+let run_session ~tamper ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers
+    ~loss ~seed ~data () =
+  run ~context:"Udp_np.run_local" ~scoped:false ~tamper ?config ?metrics ?trace ?recorder
+    ?faults ?transport ~receivers ~loss ~seed ~sessions:[| data |] ()
   |> Result.map (fun (multi : multi_report) ->
          let s = multi.session_reports.(0) in
          {
@@ -942,8 +936,15 @@ let run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~l
            counters = multi.counters;
          })
 
+let run_local = run_session ~tamper:Fun.id
+
 let run_local_exn ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss
     ~seed ~data () =
   Error.get_exn
     (run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
        ~data ())
+
+module For_testing = struct
+  let run_local ?config ~tamper ~receivers ~loss ~seed ~data () =
+    Error.get_exn (run_session ~tamper ?config ~receivers ~loss ~seed ~data ())
+end

@@ -314,3 +314,19 @@ val run_local_exn :
   unit ->
   report
 (** @raise Invalid_argument where {!run_local} would return [Error]. *)
+
+module For_testing : sig
+  val run_local :
+    ?config:config ->
+    tamper:(Rmc_wire.Header.message -> Rmc_wire.Header.message) ->
+    receivers:int ->
+    loss:float ->
+    seed:int ->
+    data:Bytes.t array ->
+    unit ->
+    report
+  (** {!run_local_exn} with every message the sender seals for the wire
+      rewritten by [tamper] first, so a changed payload reaches the
+      receivers with a valid CRC.  The rewrite must keep the message's
+      encoded size. *)
+end

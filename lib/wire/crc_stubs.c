@@ -74,9 +74,11 @@ fold(__m128i x, __m128i k, __m128i next)
    code to 64 bytes.  The C objects linked after it, the OCaml runtime
    included, then sit at fixed offsets modulo 64 whatever the size of the
    OCaml code before them.  That matters: builds that put the runtime's
-   word loop behind Bytes.equal (which Np's delivery check runs on every
-   Deliver) on a 64-byte boundary read 10-18% less sim_exact_rlnc goodput
-   than builds that put it 16, 32 or 48 bytes further on (2-vCPU Xeon). */
+   hottest function on a 64-byte boundary have read 10-18% less
+   sim_exact_rlnc goodput than builds that put it 16, 32 or 48 bytes
+   further on (2-vCPU Xeon).  That function is caml_string_compare, the
+   memcmp behind Bytes.compare, which Np_drive's delivery scoreboard runs
+   on every delivered packet. */
 __attribute__((target("pclmul,sse4.1"), aligned(64))) static uint32_t
 fold_pclmul(uint32_t crc, const uint8_t *p, size_t n)
 {

@@ -294,8 +294,36 @@ let test_golden_baselines () =
       Alcotest.(check string) (Printf.sprintf "N2 seed %d" seed) n2 n2')
     golden_baseline_points
 
+(* One payload byte changed after the sender's machine emitted the packet
+   but before it is sealed for the wire: every receiver gets it with a
+   valid CRC and decodes it, so only the delivery check can tell. *)
+let flip_first_byte = function
+  | Rmcast.Header.Data ({ tg_id = 0; index = 0; payload; _ } as d) ->
+    let payload = Bytes.copy payload in
+    Bytes.set payload 0 (Char.chr (Char.code (Bytes.get payload 0) lxor 0x01));
+    Rmcast.Header.Data { d with payload }
+  | message -> message
+
+let test_np_corrupt_delivery_detected () =
+  let data = payloads (Rng.create ~seed:5 ()) ~count:40 ~size:base_config.Np.payload_size in
+  let run tamper =
+    let mux = Np.Mux.create (Rmcast.Engine.create ()) in
+    let network = Network.independent (Rng.create ~seed:6 ()) ~receivers:10 ~p:0.0 in
+    let flow =
+      Np.Mux.add_flow mux ~config:base_config ~network ~rng:(Rng.create ~seed:7 ()) ~data ()
+    in
+    Np.For_testing.tamper flow tamper;
+    Np.Mux.run mux;
+    Alcotest.(check bool) "every receiver delivered every TG" true (Np.Mux.complete flow);
+    (Np.Mux.report flow).Np.delivered_intact
+  in
+  Alcotest.(check bool) "untouched run intact" true (run Fun.id);
+  Alcotest.(check bool) "one wrong byte caught" false (run flip_first_byte)
+
 let base_suite =
   [
+    Alcotest.test_case "NP catches a wrong delivered byte" `Quick
+      test_np_corrupt_delivery_detected;
     Alcotest.test_case "NP lossless pure stream" `Quick test_np_lossless_is_pure_stream;
     Alcotest.test_case "NP delivers under loss" `Quick test_np_delivers_under_loss;
     Alcotest.test_case "NP matches eq.(6) bound" `Quick test_np_matches_integrated_bound;

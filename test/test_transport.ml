@@ -26,6 +26,27 @@ let udp_socket () =
 
 (* --- batched send/recv ------------------------------------------------- *)
 
+(* The stub sends in chunks of [max_batch], one kernel entry each: 130
+   datagrams are three entries, not one stub call. *)
+let test_udp_batch_counts_entries () =
+  let tx = udp_socket () and rx = udp_socket () in
+  let dest = Unix.getsockname rx in
+  let n = 130 in
+  let batch = Udp_batch.send_create () in
+  let buf = Bytes.make 32 'e' in
+  for _ = 1 to n do
+    Udp_batch.add batch buf ~len:32 dest
+  done;
+  let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush batch tx in
+  Unix.close tx;
+  Unix.close rx;
+  Alcotest.(check int) "all sent" n sent;
+  Alcotest.(check int) "no errors" 0 errors;
+  Alcotest.(check int) "kernel entries"
+    (if Udp_batch.native then (n + Udp_batch.max_batch - 1) / Udp_batch.max_batch else n)
+    syscalls;
+  if Udp_batch.native then Alcotest.(check int) "130 datagrams, 3 entries" 3 syscalls
+
 let test_udp_batch_roundtrip () =
   let tx = udp_socket () and rx = udp_socket () in
   let dest = Unix.getsockname rx in
@@ -416,6 +437,7 @@ let test_serve_capture_needs_one_shard () =
 let suite =
   [
     Alcotest.test_case "udp_batch send/recv roundtrip" `Quick test_udp_batch_roundtrip;
+    Alcotest.test_case "udp_batch counts kernel entries" `Quick test_udp_batch_counts_entries;
     Alcotest.test_case "coalesced frame walk" `Quick test_frame_walk;
     Alcotest.test_case "drain survives oversized datagram" `Quick
       test_drain_oversized_datagram;

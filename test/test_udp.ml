@@ -315,8 +315,30 @@ let test_wire_tg_guard () =
     (Udp.sid_of_wire ((0x7 lsl 32) lor (0xFFFF lsl 16)));
   Alcotest.(check int) "local mask" 0x1234 (Udp.local_of_wire 0xABC1234)
 
+(* One payload byte changed before the sender seals the datagram: it
+   passes the receivers' CRC check, so only the delivery check can tell. *)
+let flip_first_byte = function
+  | Rmcast.Header.Data ({ tg_id = 0; index = 0; payload; _ } as d) ->
+    let payload = Bytes.copy payload in
+    Bytes.set payload 0 (Char.chr (Char.code (Bytes.get payload 0) lxor 0x01));
+    Rmcast.Header.Data { d with payload }
+  | message -> message
+
+let test_corrupt_delivery_detected () =
+  let data = payloads ~count:40 ~size:config.Udp.payload_size 9 in
+  let run tamper =
+    Udp.For_testing.run_local ~config ~tamper ~receivers:3 ~loss:0.0 ~seed:10 ~data ()
+  in
+  let clean = run Fun.id and tampered = run flip_first_byte in
+  Alcotest.(check bool) "untouched run verified" true clean.Udp.verified;
+  Alcotest.(check int) "every receiver completed" 3 tampered.Udp.completed;
+  Alcotest.(check int) "nothing failed the CRC" 0 tampered.Udp.decode_failures;
+  Alcotest.(check bool) "one wrong byte caught" false tampered.Udp.verified
+
 let suite =
   [
+    Alcotest.test_case "udp catches a wrong delivered byte" `Quick
+      test_corrupt_delivery_detected;
     Alcotest.test_case "reactor timer ordering" `Quick test_reactor_timer_order;
     Alcotest.test_case "reactor cancelled-timer heap leak" `Quick test_reactor_heap_leak;
     Alcotest.test_case "reactor metrics" `Quick test_reactor_metrics;
