@@ -25,8 +25,8 @@
       events in, effects out), deterministic replay of captured runs, and
       the binding both NP drivers drive the core through.
     - {!Header}: the wire format.
-    - {!Buffer_pool}: pooled datagram buffers for the allocation-lean
-      packet datapath both NP drivers run on.
+    - {!Buffer_pool}: pooled datagram buffers, one pool per domain, for
+      the allocation-lean packet datapath of the UDP driver.
     - {!Metrics}, {!Event_trace}, {!Fault}, {!Recorder}: observability,
       fault injection and event/effect capture.
     - {!Planner}, {!Controller}: the control plane — one-shot parameter

@@ -1,192 +1,84 @@
-(* Lock-free buffer pool: a Treiber stack of permanently-allocated nodes.
+(* One domain's free list of datagram buffers.
 
-   The free list is a singly-linked stack threaded through a fixed node
-   array, with the head held in one [Atomic.t] word so any domain can
-   checkout/release without locks — one pool can serve several reactor
-   shards or sweep workers at once.
-
-   ABA safety comes from a stamped head word rather than hazard
-   pointers: the head packs [(stamp << idx_bits) | (node_index + 1)]
-   (0 = empty), and every successful push or pop installs
-   [stamp + 1].  A pop that read head (s, A) and A's next link can only
-   CAS if the head is still exactly (s, A); any interleaved pop/push —
-   including the classic pop-A, pop-B, push-A interleaving that breaks
-   a pointer-only Treiber stack under node reuse — bumps the stamp and
-   forces a retry.  Nodes are never freed (each pooled buffer owns its
-   node for the life of the pool), so a stale traversal can at worst
-   read an outdated [n_next] that the stamp check then rejects.
-
-   Counters are atomics; [free] flags give best-effort double-release
-   detection (exact when the racing releases are concurrent, TOCTOU
-   like the old free-list scan when a buffer was re-checked-out in
-   between). *)
-
-type node = {
-  n_buf : Bytes.t;
-  mutable n_next : int; (* head word below this node; only written while unlinked *)
-  n_free : bool Atomic.t; (* true while sitting in the free stack *)
-  n_index : int;
-}
+   [free.(0) .. free.(n_free - 1)] is a stack of released buffers; a
+   checkout pops it, a release pushes onto it.  Nothing is shared, so
+   the fields are plain mutable ones and a checkout/release pair
+   allocates nothing once the pool is warm.  The owner is the domain
+   that called [create]; every checkout and release checks it, so a
+   pool that crossed a domain boundary fails loudly instead of
+   corrupting the stack. *)
 
 type t = {
   buf_size : int;
   capacity : int;
-  head : int Atomic.t; (* stamped free-stack head, 0 = empty *)
-  nodes : node option Atomic.t array; (* slot i = i-th materialized pooled buffer *)
-  created : int Atomic.t; (* pooled buffers materialized so far *)
-  outstanding : int Atomic.t;
-  peak_outstanding : int Atomic.t;
-  total_checkouts : int Atomic.t;
-  overflow_allocs : int Atomic.t;
+  owner : int; (* [Domain.self] at creation *)
+  free : Bytes.t array; (* slots [0, n_free) hold the free buffers *)
+  mutable n_free : int;
+  mutable outstanding : int;
+  mutable peak_outstanding : int;
+  mutable total_checkouts : int;
+  mutable overflow_allocs : int;
 }
-
-(* 20 index bits leave 42 stamp bits on 63-bit ints: up to ~1M pooled
-   buffers, and a stamp that would need 4e12 interleaved operations
-   inside one CAS window to wrap into an ABA. *)
-let idx_bits = 20
-let idx_mask = (1 lsl idx_bits) - 1
-let max_capacity = idx_mask - 1
 
 let create ?(capacity = 16) ~buf_size () =
   if buf_size < 1 then invalid_arg "Buffer_pool.create: buf_size must be >= 1";
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity must be >= 1";
-  if capacity > max_capacity then
-    invalid_arg "Buffer_pool.create: capacity exceeds the free-stack index range";
   {
     buf_size;
     capacity;
-    head = Atomic.make 0;
-    nodes = Array.init capacity (fun _ -> Atomic.make None);
-    created = Atomic.make 0;
-    outstanding = Atomic.make 0;
-    peak_outstanding = Atomic.make 0;
-    total_checkouts = Atomic.make 0;
-    overflow_allocs = Atomic.make 0;
+    owner = (Domain.self () :> int);
+    free = Array.make capacity Bytes.empty;
+    n_free = 0;
+    outstanding = 0;
+    peak_outstanding = 0;
+    total_checkouts = 0;
+    overflow_allocs = 0;
   }
 
 let buf_size t = t.buf_size
 let capacity t = t.capacity
-let outstanding t = Atomic.get t.outstanding
-let peak_outstanding t = Atomic.get t.peak_outstanding
-let total_checkouts t = Atomic.get t.total_checkouts
-let overflow_allocs t = Atomic.get t.overflow_allocs
+let outstanding t = t.outstanding
+let peak_outstanding t = t.peak_outstanding
+let total_checkouts t = t.total_checkouts
+let overflow_allocs t = t.overflow_allocs
+let free_buffers t = t.n_free
 
-let free_buffers t =
-  let free = ref 0 in
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | Some node when Atomic.get node.n_free -> incr free
-      | _ -> ())
-    t.nodes;
-  !free
-
-let restamp old_head index_plus_one =
-  ((((old_head lsr idx_bits) + 1) lsl idx_bits) lor index_plus_one)
-  land max_int
-
-let rec push t node =
-  let head = Atomic.get t.head in
-  node.n_next <- head;
-  if not (Atomic.compare_and_set t.head head (restamp head (node.n_index + 1))) then
-    push t node
-
-let rec pop t =
-  let head = Atomic.get t.head in
-  if head land idx_mask = 0 then None
-  else begin
-    let node =
-      match Atomic.get t.nodes.((head land idx_mask) - 1) with
-      | Some node -> node
-      | None -> assert false (* an index only reaches the head once published *)
-    in
-    let rest = node.n_next in
-    if Atomic.compare_and_set t.head head (restamp head (rest land idx_mask)) then
-      Some node
-    else pop t
-  end
-
-let note_checkout t =
-  ignore (Atomic.fetch_and_add t.total_checkouts 1 : int);
-  let now = 1 + Atomic.fetch_and_add t.outstanding 1 in
-  let rec raise_peak () =
-    let peak = Atomic.get t.peak_outstanding in
-    if now > peak && not (Atomic.compare_and_set t.peak_outstanding peak now) then
-      raise_peak ()
-  in
-  raise_peak ()
-
-(* Claim a node slot for a fresh pooled buffer; None once the pool is at
-   capacity.  Slots are claimed by a fetch-and-add ticket so two domains
-   never materialize into the same slot. *)
-let claim_slot t =
-  let slot = Atomic.fetch_and_add t.created 1 in
-  if slot < t.capacity then Some slot
-  else begin
-    ignore (Atomic.fetch_and_add t.created (-1) : int);
-    None
-  end
+let check_owner t op =
+  if (Domain.self () :> int) <> t.owner then
+    invalid_arg ("Buffer_pool." ^ op ^ ": called from a domain that does not own this pool")
 
 let checkout t =
-  note_checkout t;
-  match pop t with
-  | Some node ->
-    Atomic.set node.n_free false;
-    node.n_buf
-  | None -> (
-    match claim_slot t with
-    | Some slot ->
-      let node =
-        { n_buf = Bytes.create t.buf_size; n_next = 0; n_free = Atomic.make false;
-          n_index = slot }
-      in
-      (* published via the atomic slot, so a release on another domain
-         finds it even before the node ever reaches the free stack *)
-      Atomic.set t.nodes.(slot) (Some node);
-      node.n_buf
-    | None ->
-      ignore (Atomic.fetch_and_add t.overflow_allocs 1 : int);
-      Bytes.create t.buf_size)
-
-let find_node t buffer =
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < t.capacity do
-    (match Atomic.get t.nodes.(!i) with
-    | Some node when node.n_buf == buffer -> found := Some node
-    | _ -> ());
-    incr i
-  done;
-  !found
-
-let note_release t =
-  let before = Atomic.fetch_and_add t.outstanding (-1) in
-  if before <= 0 then begin
-    ignore (Atomic.fetch_and_add t.outstanding 1 : int);
-    invalid_arg "Buffer_pool.release: nothing checked out"
+  check_owner t "checkout";
+  t.total_checkouts <- t.total_checkouts + 1;
+  t.outstanding <- t.outstanding + 1;
+  if t.outstanding > t.peak_outstanding then t.peak_outstanding <- t.outstanding;
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    t.free.(t.n_free)
+  end
+  else begin
+    (* Empty-handed: every buffer the pool holds is out.  Past [capacity]
+       of them, the fresh buffer is an overflow. *)
+    if t.outstanding > t.capacity then t.overflow_allocs <- t.overflow_allocs + 1;
+    Bytes.create t.buf_size
   end
 
+(* Top-level rather than a local closure, so the scan allocates nothing. *)
+let rec is_free t buffer i = i < t.n_free && (t.free.(i) == buffer || is_free t buffer (i + 1))
+
 let release t buffer =
+  check_owner t "release";
   if Bytes.length buffer <> t.buf_size then
     invalid_arg "Buffer_pool.release: buffer size does not match this pool";
-  match find_node t buffer with
-  | Some node ->
-    if Atomic.exchange node.n_free true then
-      invalid_arg "Buffer_pool.release: double release";
-    note_release t;
-    push t node
-  | None -> (
-    note_release t;
-    (* An overflow buffer coming home: adopt it as a pooled node if the
-       pool is still under capacity, otherwise let the GC have it. *)
-    match claim_slot t with
-    | Some slot ->
-      let node =
-        { n_buf = buffer; n_next = 0; n_free = Atomic.make true; n_index = slot }
-      in
-      Atomic.set t.nodes.(slot) (Some node);
-      push t node
-    | None -> ())
+  if is_free t buffer 0 then invalid_arg "Buffer_pool.release: double release";
+  if t.outstanding <= 0 then invalid_arg "Buffer_pool.release: nothing checked out";
+  t.outstanding <- t.outstanding - 1;
+  (* A full free list means this is an overflow buffer coming home: the
+     GC has it. *)
+  if t.n_free < t.capacity then begin
+    t.free.(t.n_free) <- buffer;
+    t.n_free <- t.n_free + 1
+  end
 
 let with_buf t f =
   let buffer = checkout t in
@@ -199,7 +91,6 @@ let with_buf t f =
     raise exn
 
 let assert_quiescent t =
-  let outstanding = Atomic.get t.outstanding in
-  if outstanding <> 0 then
+  if t.outstanding <> 0 then
     invalid_arg
-      (Printf.sprintf "Buffer_pool: %d buffer(s) leaked (still checked out)" outstanding)
+      (Printf.sprintf "Buffer_pool: %d buffer(s) leaked (still checked out)" t.outstanding)

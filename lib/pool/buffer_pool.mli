@@ -1,22 +1,23 @@
-(** Fixed-size byte-buffer pool for the packet datapath — lock-free, so
-    one pool can serve several domains.
+(** Fixed-size byte-buffer pool for the packet datapath, owned by one
+    domain.
 
     The wire drivers serialize every outgoing datagram into a scratch
-    buffer, hand it to the kernel (or the simulated network), and are done
-    with it before the next event fires — a textbook checkout/release
-    workload.  Allocating a fresh [Bytes.t] per datagram instead makes the
-    minor heap the per-packet bottleneck the paper's §5 end-host model
-    warns about, so the drivers draw from a pool of [capacity] buffers of
-    [buf_size] bytes each and return them as soon as the datagram has left.
+    buffer, hand it to the kernel, and are done with it before the next
+    event fires — a textbook checkout/release workload.  Allocating a
+    fresh [Bytes.t] per datagram instead makes the minor heap the
+    per-packet bottleneck the paper's §5 end-host model warns about, so
+    the drivers draw from a pool of [capacity] buffers of [buf_size]
+    bytes each and return them as soon as the datagram has left.  Once
+    warm, a checkout/release pair allocates nothing.
 
-    The free list is a Treiber stack whose head is a single stamped
-    [Atomic.t] word (the stamp increments on every push/pop, defeating
-    ABA under node reuse), so {!checkout} and {!release} are wait-free of
-    locks and safe from any domain: one pool can back multiple reactor
-    shards or {!Rmc_rse.Parallel} workers, and a buffer checked out on
-    one domain may be released on another.
+    A pool belongs to the domain that called {!create}.  Each UDP shard
+    builds its own pool on its own domain, so nothing is shared and the
+    free list is a plain stack.  {!checkout} and {!release} from any other
+    domain raise [Invalid_argument "Buffer_pool.checkout: called from a
+    domain that does not own this pool"] (or [Buffer_pool.release: ...]):
+    the one-owner rule is checked, not assumed.
 
-    Discipline is enforced, not assumed:
+    Discipline is enforced too:
 
     - {!release} rejects buffers of the wrong size (they cannot have come
       from this pool) and buffers that are already free (a double release
@@ -35,8 +36,8 @@ type t
 
 val create : ?capacity:int -> buf_size:int -> unit -> t
 (** [create ~buf_size ()] makes a pool of [capacity] (default 16) buffers
-    of [buf_size] bytes.  Buffers materialize lazily on first checkout, so
-    an idle pool costs a record.
+    of [buf_size] bytes, owned by the calling domain.  Buffers
+    materialize lazily on first checkout.
     @raise Invalid_argument if [buf_size < 1] or [capacity < 1]. *)
 
 val buf_size : t -> int
@@ -46,14 +47,14 @@ val capacity : t -> int
 val checkout : t -> Bytes.t
 (** Borrow a buffer of {!buf_size} bytes with arbitrary contents.  Falls
     back to a fresh allocation (counted in {!overflow_allocs}) when the
-    pool is empty-handed.  Safe from any domain. *)
+    pool is empty-handed.
+    @raise Invalid_argument off the owning domain. *)
 
 val release : t -> Bytes.t -> unit
-(** Return a borrowed buffer — from any domain, not necessarily the one
-    that checked it out.  Overflow buffers are absorbed into the free
-    list when there is room and dropped otherwise.
-    @raise Invalid_argument on a wrong-sized buffer, a double release, or
-    a release with nothing checked out. *)
+(** Return a borrowed buffer.  Overflow buffers join the free list when
+    there is room and are dropped otherwise.
+    @raise Invalid_argument off the owning domain, on a wrong-sized
+    buffer, a double release, or a release with nothing checked out. *)
 
 val with_buf : t -> (Bytes.t -> 'a) -> 'a
 (** [with_buf t f] checks a buffer out, applies [f], and releases it even
@@ -69,11 +70,11 @@ val peak_outstanding : t -> int
 val total_checkouts : t -> int
 
 val overflow_allocs : t -> int
-(** Checkouts served by a fresh allocation because the pool was empty. *)
+(** Checkouts served by a fresh allocation because all [capacity] pooled
+    buffers were out. *)
 
 val free_buffers : t -> int
-(** Buffers sitting in the free list right now.  Under concurrent
-    traffic this is a snapshot, exact only at quiescence. *)
+(** Buffers sitting in the free list right now. *)
 
 val assert_quiescent : t -> unit
 (** Leak detection: @raise Invalid_argument naming the count if any

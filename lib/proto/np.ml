@@ -3,7 +3,6 @@ module Network = Rmc_sim.Network
 module Rng = Rmc_numerics.Rng
 module Header = Rmc_wire.Header
 module Profile = Rmc_core.Profile
-module Buffer_pool = Rmc_pool.Buffer_pool
 
 (* Largest datagram either driver moves; the sim shares the UDP driver's
    bound so a config that simulates also runs on real sockets. *)
@@ -146,7 +145,7 @@ type mux = {
   engine : Engine.t;
   ready : flow Queue.t;
   mutable pumping : bool;
-  pool : Buffer_pool.t; (* scratch datagrams for the wire round-trip *)
+  scratch : Bytes.t; (* the datagram of the wire round-trip *)
 }
 
 let create engine =
@@ -155,28 +154,27 @@ let create engine =
     ready = Queue.create ();
     pumping = false;
     (* One packet is on the wire at a time (the shared send slot), so the
-       round-trip below never holds more than one buffer. *)
-    pool = Buffer_pool.create ~capacity:4 ~buf_size:max_datagram ();
+       round-trip below needs one buffer. *)
+    scratch = Bytes.create max_datagram;
   }
 
-(* Route a packet through the real wire format: serialize it into a pooled
-   buffer and parse it back out, the same bytes the UDP driver would put
-   in a datagram.  The decoded message does not alias the pooled buffer
-   ({!Header.decode_slice} copies payloads out), so one round-trip is
-   shared by every receiver the simulated multicast reaches and the buffer
-   goes straight back to the pool.  Every receiver's decoder keeps a
-   reference to that one decoded payload (decoders store data packets by
-   reference and never mutate them); a wire decode that borrowed its
-   payload from the pooled buffer would have to copy it here, before the
+(* Route a packet through the real wire format: serialize it into the
+   mux's scratch datagram and parse it back out, the same bytes the UDP
+   driver would put in a datagram.  The decoded message does not alias
+   the scratch buffer ({!Header.decode_slice} copies payloads out), so one
+   round-trip is shared by every receiver the simulated multicast reaches
+   and the buffer is free again at once.  Every receiver's decoder keeps
+   a reference to that one decoded payload (decoders store data packets
+   by reference and never mutate them); a wire decode that borrowed its
+   payload from the scratch buffer would have to copy it here, before the
    buffer is reused.  Encode/decode is lossless, so recorder
    streams — which re-encode each [Packet_received] — are unchanged; a
    round-trip failure is a codec bug, not an input condition. *)
 let through_wire mux message =
-  Buffer_pool.with_buf mux.pool (fun buf ->
-      let len = Header.encode_into buf ~off:0 message in
-      match Header.decode_slice buf ~off:0 ~len with
-      | Ok message -> message
-      | Error reason -> invalid_arg ("Np: wire round-trip failed: " ^ reason))
+  let len = Header.encode_into mux.scratch ~off:0 message in
+  match Header.decode_slice mux.scratch ~off:0 ~len with
+  | Ok message -> message
+  | Error reason -> invalid_arg ("Np: wire round-trip failed: " ^ reason)
 
 let touch mux flow = flow.finished_at <- Engine.now mux.engine
 let sender_machine flow = Np_drive.Sender.machine flow.sender

@@ -1,7 +1,7 @@
 (* Multicore work pool for coarse independent tasks: simulation cells,
-   TG batches, sweep grid points.  [map] / [map_reduce] claim them
-   chunk-by-chunk with dynamic scheduling and gather results positionally,
-   so the output is independent of which domain ran which task.
+   TG batches, sweep grid points.  [map] claims them chunk-by-chunk with
+   dynamic scheduling and gathers results positionally, so the output is
+   independent of which domain ran which task.
 
    The pool keeps its worker domains alive across calls: batches are
    published under a mutex and claimed task-by-task, with the caller
@@ -20,8 +20,6 @@ type pool = {
   mutable total : int; (* tasks in the current batch *)
   mutable completed : int;
   mutable error : exn option; (* first task failure, re-raised by the caller *)
-  mutable stopping : bool; (* workers drain and exit when set *)
-  mutable workers : unit Domain.t list;
 }
 
 let domain_count pool = pool.domains
@@ -40,27 +38,17 @@ let run_task pool job i =
 
 let rec worker_loop pool =
   Mutex.lock pool.mutex;
-  while
-    (not pool.stopping)
-    && match pool.job with None -> true | Some _ -> pool.next >= pool.total
-  do
+  while match pool.job with None -> true | Some _ -> pool.next >= pool.total do
     Condition.wait pool.work pool.mutex
   done;
-  if pool.stopping then Mutex.unlock pool.mutex
-  else begin
-    let job = Option.get pool.job in
-    let i = pool.next in
-    pool.next <- pool.next + 1;
-    Mutex.unlock pool.mutex;
-    run_task pool job i;
-    worker_loop pool
-  end
+  let job = Option.get pool.job in
+  let i = pool.next in
+  pool.next <- pool.next + 1;
+  Mutex.unlock pool.mutex;
+  run_task pool job i;
+  worker_loop pool
 
-let create_pool ?domains () =
-  let requested =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  let domains = max 1 requested in
+let create domains =
   let pool =
     {
       domains;
@@ -73,30 +61,15 @@ let create_pool ?domains () =
       total = 0;
       completed = 0;
       error = None;
-      stopping = false;
-      workers = [];
     }
   in
   (* Workers park on the condition variable between batches; an idle pool
-     costs one blocked thread per domain and nothing else.  [shutdown]
-     joins them; otherwise the runtime tears them down with the process. *)
-  pool.workers <-
-    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
+     costs one blocked thread per domain and nothing else.  The runtime
+     tears them down with the process. *)
+  for _ = 2 to domains do
+    ignore (Domain.spawn (fun () -> worker_loop pool) : unit Domain.t)
+  done;
   pool
-
-let shutdown pool =
-  Mutex.lock pool.batch_lock;
-  Mutex.lock pool.mutex;
-  pool.stopping <- true;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.mutex;
-  let workers = pool.workers in
-  pool.workers <- [];
-  Mutex.unlock pool.batch_lock;
-  List.iter Domain.join workers
-
-let default = lazy (create_pool ())
-let default_pool () = Lazy.force default
 
 (* Sized pools are memoized: domains are a finite OS resource, and sweep
    entry points taking [~jobs] would otherwise spawn (and strand) a fresh
@@ -111,7 +84,7 @@ let pool_sized jobs =
     match Hashtbl.find_opt sized_pools jobs with
     | Some pool -> pool
     | None ->
-      let pool = create_pool ~domains:jobs () in
+      let pool = create jobs in
       Hashtbl.replace sized_pools jobs pool;
       pool
   in
@@ -167,9 +140,8 @@ let chunk_of ?chunk pool n =
        without paying a handoff per index. *)
     max 1 (n / (pool.domains * 4))
 
-let map ?pool ?chunk n f =
+let map ~pool ?chunk n f =
   if n < 0 then invalid_arg "Parallel.map: negative count";
-  let pool = match pool with Some p -> p | None -> default_pool () in
   if n = 0 then [||]
   else if pool.domains = 1 then Array.init n f
   else begin
@@ -185,6 +157,3 @@ let map ?pool ?chunk n f =
       tasks;
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map_reduce ?pool ?chunk n ~map:f ~combine ~init =
-  Array.fold_left combine init (map ?pool ?chunk n f)

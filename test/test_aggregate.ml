@@ -307,11 +307,12 @@ let test_volley_matches_thinning () =
 (* --- infrastructure ----------------------------------------------------- *)
 
 let test_parallel_map () =
-  let squares = Rmcast.Parallel.map 100 (fun i -> i * i) in
+  let pool = Rmcast.Parallel.pool_sized (Domain.recommended_domain_count ()) in
+  let squares = Rmcast.Parallel.map ~pool 100 (fun i -> i * i) in
   Alcotest.(check (array int)) "squares" (Array.init 100 (fun i -> i * i)) squares;
-  Alcotest.(check (array int)) "empty" [||] (Rmcast.Parallel.map 0 (fun i -> i));
+  Alcotest.(check (array int)) "empty" [||] (Rmcast.Parallel.map ~pool 0 (fun i -> i));
   Alcotest.check_raises "exception propagates" Exit (fun () ->
-      ignore (Rmcast.Parallel.map 4 (fun i -> if i = 2 then raise Exit else i)))
+      ignore (Rmcast.Parallel.map ~pool 4 (fun i -> if i = 2 then raise Exit else i)))
 
 let test_log_factorial_memo () =
   (* Grown once, then reused: repeated large-argument calls must not

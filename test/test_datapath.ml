@@ -69,6 +69,21 @@ let test_pool_leak_detection () =
     (Invalid_argument "Buffer_pool: 1 buffer(s) leaked (still checked out)") (fun () ->
       Buffer_pool.assert_quiescent pool)
 
+(* Every datagram the UDP driver sends passes through one checkout and
+   one release, so a warm pool must not touch the minor heap. *)
+let test_pool_allocates_nothing () =
+  let pool = Buffer_pool.create ~capacity:4 ~buf_size:Udp_np.max_datagram () in
+  Buffer_pool.release pool (Buffer_pool.checkout pool) (* warm up *);
+  let reps = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    Buffer_pool.release pool (Buffer_pool.checkout pool)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "words per checkout+release" 0
+    (int_of_float (words /. float_of_int reps));
+  Buffer_pool.assert_quiescent pool
+
 (* --- pooled egress == legacy egress ------------------------------------- *)
 
 let with_tg message tg_id =
@@ -337,6 +352,8 @@ let suite =
     Alcotest.test_case "with_buf releases on exception" `Quick
       test_pool_with_buf_releases_on_exception;
     Alcotest.test_case "pool leak detection" `Quick test_pool_leak_detection;
+    Alcotest.test_case "pool checkout/release allocates nothing" `Quick
+      test_pool_allocates_nothing;
     Alcotest.test_case "pooled egress byte-identical to legacy" `Quick
       test_pooled_egress_byte_identity;
     Alcotest.test_case "drain allocation budget" `Quick test_drain_alloc_budget;

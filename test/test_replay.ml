@@ -179,6 +179,12 @@ let test_run_local_is_one_session () =
 
 let temp_path name = Filename.concat (Filename.get_temp_dir_name ()) name
 
+(* The checked-in capture, found next to the test binary (dune copies it
+   there as a dependency) so the suite passes from any working
+   directory: under [dune runtest] and under [dune exec] alike. *)
+let fixture_path =
+  Filename.concat (Filename.dirname Sys.executable_name) "fixtures/replay_2session.rmcrec"
+
 let test_replay_roundtrip () =
   (* Once per codec family: the capture meta carries the codec (absent =
      rse for pre-seam fixtures) and replay must rebuild the same blocks. *)
@@ -269,7 +275,7 @@ let test_replay_rejects_bad_meta () =
    Invalid_argument. *)
 let test_replay_rejects_hostile_meta () =
   let fixture =
-    In_channel.with_open_text "fixtures/replay_2session.rmcrec" In_channel.input_all
+    In_channel.with_open_text fixture_path In_channel.input_all
   in
   let lines = String.split_on_char '\n' fixture in
   List.iter

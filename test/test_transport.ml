@@ -1,15 +1,13 @@
 (* The line-rate transport layer: batched sendmmsg/recvmmsg I/O, coalesced
    frames, true multicast sockets, domain-sharded runs — and the bugfix
    sweep's regression tests (fd leaks on failed engine bring-up, atomic
-   metrics under domains, per-domain pools, the reactor's FD_SETSIZE
-   guard). *)
+   metrics under domains, the reactor's FD_SETSIZE guard). *)
 
 module Udp = Rmcast.Udp_np
 module Udp_batch = Rmcast.Udp_batch
 module Udp_multicast = Rmcast.Udp_multicast
 module Reactor = Rmcast.Reactor
 module Header = Rmcast.Header
-module Buffer_pool = Rmcast.Buffer_pool
 module Metrics = Rmcast.Metrics
 
 let payloads ~count ~size seed =
@@ -191,25 +189,6 @@ let test_metrics_domain_hammer () =
   Alcotest.(check int) "exact total across domains"
     ((4 * per_domain) + 1 + 2 + 3 + 4)
     (Metrics.count c)
-
-let test_pool_cross_domain_use () =
-  (* The Treiber-stack pool serves any domain: a buffer checked out on
-     one domain can be released on another, and the accounting stays
-     exact.  (Earlier versions were per-domain and rejected this.) *)
-  let pool = Buffer_pool.create ~capacity:2 ~buf_size:64 () in
-  let here = Buffer_pool.checkout pool in
-  let there =
-    Domain.join
-      (Domain.spawn (fun () ->
-           let buffer = Buffer_pool.checkout pool in
-           Buffer_pool.release pool here;
-           buffer))
-  in
-  Buffer_pool.release pool there;
-  Alcotest.(check int) "both checkouts counted" 2 (Buffer_pool.total_checkouts pool);
-  Alcotest.(check int) "both buffers back" 2 (Buffer_pool.free_buffers pool);
-  Buffer_pool.with_buf pool (fun _ -> ());
-  Buffer_pool.assert_quiescent pool
 
 let test_reactor_max_fds_guard () =
   (* select silently breaks past FD_SETSIZE, so the reactor refuses new
@@ -445,8 +424,6 @@ let suite =
       test_no_fd_leak_on_failed_run;
     Alcotest.test_case "metrics exact under domain hammer" `Quick
       test_metrics_domain_hammer;
-    Alcotest.test_case "pool serves cross-domain use" `Quick
-      test_pool_cross_domain_use;
     Alcotest.test_case "reactor FD_SETSIZE guard" `Quick test_reactor_max_fds_guard;
     Alcotest.test_case "multicast group derivation" `Quick test_multicast_group_derivation;
     Alcotest.test_case "udp session over real multicast" `Quick test_multicast_session;
