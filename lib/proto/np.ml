@@ -431,9 +431,9 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
   flow
 
 (* Does [resolved] hold for every TG at every receiver present when
-   asked?  Completion and delivery verdicts cover the survivors: receivers
-   absent (left, or joined-and-left) are not waited for.  With no churn
-   every receiver is present. *)
+   asked?  Delivery verdicts, like completion below, cover the survivors:
+   receivers absent (left, or joined-and-left) are not waited for.  With
+   no churn every receiver is present. *)
 let all_present flow resolved =
   let tg_count = Np_machine.Sender.tg_count (sender_machine flow) in
   let all = ref true in
@@ -447,8 +447,10 @@ let all_present flow resolved =
   !all
 
 let flow_complete flow =
-  all_present flow (fun machine ~tg ->
-      Np_machine.Receiver.delivered machine ~tg || Np_machine.Receiver.gave_up machine ~tg)
+  Array.for_all2
+    (fun present rx ->
+      (not present) || Np_machine.Receiver.finished (Np_drive.Receiver.machine rx))
+    flow.presence flow.rxs
 
 let flow_report flow =
   let sender = sender_machine flow in

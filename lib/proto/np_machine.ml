@@ -310,7 +310,6 @@ type tg_state = Open of Fec_block.Receiver.t | Delivered | Gave_up
 type tg_receiver = {
   rk : int; (* the block's own k (indices are validated against it) *)
   rn : int; (* k + h: upper bound for parity indices *)
-  counted : bool; (* registered via [expected]: resolves count toward Done *)
   mutable state : tg_state;
   mutable armed_round : int option; (* round of the pending NAK timer *)
   mutable nak_round : int; (* round the pending/last NAK belongs to *)
@@ -321,7 +320,7 @@ module Receiver = struct
     config : config;
     rand : unit -> float;
     blocks : (int, tg_receiver) Hashtbl.t;
-    expected : int; (* number of counted TGs; 0 = open-ended, no Done *)
+    expected : int; (* number of expected TGs; 0 = open-ended, no Done *)
     mutable resolved_count : int;
     mutable finished : bool;
     mutable naks_sent : int;
@@ -331,12 +330,11 @@ module Receiver = struct
     mutable packets_decoded : int;
   }
 
-  let make_block config ~k ~counted =
+  let make_block config ~k =
     let codec = Codec.of_kind config.codec in
     {
       rk = k;
       rn = k + config.h;
-      counted;
       state = Open (Fec_block.Receiver.create ~codec ~k ~h:config.h);
       armed_round = None;
       nak_round = 0;
@@ -362,24 +360,29 @@ module Receiver = struct
     List.iter
       (fun (tg_id, k) ->
         if k < 1 then invalid_arg "Np_machine.Receiver.create: expected k < 1";
-        Hashtbl.replace t.blocks tg_id (make_block config ~k ~counted:true))
+        Hashtbl.replace t.blocks tg_id (make_block config ~k))
       expected;
     t
 
+  (* A receiver with an expected set holds exactly those TGs; an
+     open-ended one opens a block only for a [k] its codec is sized for.
+     A found block reuses [find_opt]'s option, so nothing more is
+     allocated. *)
   let find_or_create t ~tg_id ~k =
     match Hashtbl.find_opt t.blocks tg_id with
-    | Some block -> block
+    | Some _ as found -> found
+    | None when t.expected > 0 || k < 1 || k > t.config.k -> None
     | None ->
-      let block = make_block t.config ~k:(max 1 k) ~counted:false in
+      let block = make_block t.config ~k in
       Hashtbl.replace t.blocks tg_id block;
-      block
+      Some block
 
-  (* A counted TG just resolved (delivered or gave up): emit Done once the
-     whole expected set has. *)
-  let resolve t block =
-    if block.counted then begin
+  (* An expected TG just resolved (delivered or gave up): emit Done once
+     the whole expected set has. *)
+  let resolve t =
+    if t.expected > 0 then begin
       t.resolved_count <- t.resolved_count + 1;
-      if t.expected > 0 && t.resolved_count = t.expected && not t.finished then begin
+      if t.resolved_count = t.expected && not t.finished then begin
         t.finished <- true;
         [ Done ]
       end
@@ -388,48 +391,52 @@ module Receiver = struct
     else []
 
   let store t ~tg_id ~k ~index payload =
-    let block = find_or_create t ~tg_id ~k in
-    match block.state with
-    | Delivered | Gave_up ->
-      t.unnecessary <- t.unnecessary + 1;
-      []
-    | Open _ when index < 0 || index >= block.rn -> [] (* malformed: out of codec range *)
-    | Open rx when not (Fec_block.Receiver.add rx ~index payload) ->
-      t.unnecessary <- t.unnecessary + 1;
-      t.duplicates <- t.duplicates + 1;
-      []
-    | Open rx when Fec_block.Receiver.complete rx ->
-      let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
-      t.packets_decoded <- t.packets_decoded + reconstructed;
-      let decoded = Fec_block.Receiver.decode rx in
-      block.state <- Delivered;
-      let cancel =
-        match block.armed_round with
-        | Some _ ->
-          block.armed_round <- None;
-          [ Cancel_timer { tg = tg_id } ]
-        | None -> []
-      in
-      (Deliver { tg = tg_id; data = decoded; reconstructed } :: cancel) @ resolve t block
-    | Open _ -> []
+    match find_or_create t ~tg_id ~k with
+    | None -> []
+    | Some block -> (
+      match block.state with
+      | Delivered | Gave_up ->
+        t.unnecessary <- t.unnecessary + 1;
+        []
+      | Open _ when index < 0 || index >= block.rn -> [] (* malformed: out of codec range *)
+      | Open rx when not (Fec_block.Receiver.add rx ~index payload) ->
+        t.unnecessary <- t.unnecessary + 1;
+        t.duplicates <- t.duplicates + 1;
+        []
+      | Open rx when Fec_block.Receiver.complete rx ->
+        let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
+        t.packets_decoded <- t.packets_decoded + reconstructed;
+        let decoded = Fec_block.Receiver.decode rx in
+        block.state <- Delivered;
+        let cancel =
+          match block.armed_round with
+          | Some _ ->
+            block.armed_round <- None;
+            [ Cancel_timer { tg = tg_id } ]
+          | None -> []
+        in
+        (Deliver { tg = tg_id; data = decoded; reconstructed } :: cancel) @ resolve t
+      | Open _ -> [])
 
   let poll t ~tg_id ~k ~size ~round =
-    let block = find_or_create t ~tg_id ~k in
-    match block.state with
-    | Open rx when block.nak_round < round ->
-      let need = Fec_block.Receiver.needed rx in
-      if need > 0 then begin
-        (* Slotting (paper §5.1): receivers missing more packets answer in
-           earlier slots; damping adds a uniform offset within the slot. *)
-        let slot_index = max 0 (size - need) in
-        let offset =
-          (float_of_int slot_index *. t.config.slot) +. (t.rand () *. t.config.slot)
-        in
-        block.armed_round <- Some round;
-        [ Arm_timer { tg = tg_id; round; offset } ]
-      end
-      else []
-    | Open _ | Delivered | Gave_up -> []
+    match find_or_create t ~tg_id ~k with
+    | None -> []
+    | Some block -> (
+      match block.state with
+      | Open rx when block.nak_round < round ->
+        let need = Fec_block.Receiver.needed rx in
+        if need > 0 then begin
+          (* Slotting (paper §5.1): receivers missing more packets answer in
+             earlier slots; damping adds a uniform offset within the slot. *)
+          let slot_index = max 0 (size - need) in
+          let offset =
+            (float_of_int slot_index *. t.config.slot) +. (t.rand () *. t.config.slot)
+          in
+          block.armed_round <- Some round;
+          [ Arm_timer { tg = tg_id; round; offset } ]
+        end
+        else []
+      | Open _ | Delivered | Gave_up -> [])
 
   let timer_fired t ~tg ~round =
     match Hashtbl.find_opt t.blocks tg with
@@ -482,7 +489,7 @@ module Receiver = struct
             [ Cancel_timer { tg = tg_id } ]
           | None -> []
         in
-        cancel @ (Ejected { tg = tg_id } :: resolve t block))
+        cancel @ (Ejected { tg = tg_id } :: resolve t))
 
   let handle t event =
     if t.finished then begin

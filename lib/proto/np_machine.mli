@@ -132,17 +132,21 @@ module Sender : sig
 end
 
 (** The receiving half: per-TG FEC decode state, NAK timers and
-    suppression bookkeeping.  Blocks are created lazily from traffic (the
-    UDP driver demuxes many sessions into one machine this way) or
-    up-front from [expected]. *)
+    suppression bookkeeping.  Blocks are created up-front from
+    [expected] (the UDP driver lists every session's TGs there, so one
+    machine serves them all) or, in an open-ended receiver, lazily from
+    traffic. *)
 module Receiver : sig
   type t
 
   val create : ?expected:(int * int) list -> config -> rand:(unit -> float) -> t
   (** [expected] lists [(tg_id, k)] pairs this receiver must resolve;
-      when present, [Done] fires once all of them are delivered or given
-      up.  [rand] supplies the uniform [0,1) NAK damping draws — the
-      machine's only randomness, injected so drivers control determinism.
+      when non-empty, [Done] fires once all of them are delivered or
+      given up, and a header for any other TG is ignored.  Without it, a
+      header opens its TG's block if its [k] is in [1 .. config.k] and
+      is ignored otherwise.  No header raises.  [rand] supplies the
+      uniform [0,1) NAK damping draws — the machine's only randomness,
+      injected so drivers control determinism.
       @raise Invalid_argument on an invalid config. *)
 
   val handle : t -> event -> effect list

@@ -229,12 +229,8 @@ type sender = {
   tamper : Header.message -> Header.message; (* [For_testing] only *)
   mutable sending : bool;
   mutable due : float;  (* when the next DATA/PARITY may leave *)
-  c_data : Metrics.counter;
-  c_parity : Metrics.counter;
-  c_poll : Metrics.counter;
   c_exhausted : Metrics.counter;
   c_naks_rx : Metrics.counter;
-  c_rounds : Metrics.counter;
 }
 
 (* One frame of a pump's batch: a pooled buffer accumulating sealed
@@ -330,16 +326,16 @@ let sender_trace sender = function
 let sender_effect sender ((batch, used) as acc) effect =
   match effect with
   | Np_machine.Send message -> (
-    let send counter ~payload_bearing =
-      Metrics.incr counter;
+    let send ~payload_bearing =
       if payload_bearing then sender.due <- sender.due +. sender.config.spacing;
       (sender_enqueue sender batch ~payload_bearing message, used + Header.encoded_size message)
     in
     match message with
-    | Header.Data _ -> send sender.c_data ~payload_bearing:true
-    | Header.Parity _ -> send sender.c_parity ~payload_bearing:true
-    | Header.Poll _ -> send sender.c_poll ~payload_bearing:false
-    | Header.Exhausted _ -> send sender.c_exhausted ~payload_bearing:false
+    | Header.Data _ | Header.Parity _ -> send ~payload_bearing:true
+    | Header.Poll _ -> send ~payload_bearing:false
+    | Header.Exhausted _ ->
+      Metrics.incr sender.c_exhausted;
+      send ~payload_bearing:false
     | Header.Nak _ -> acc)
   | _ ->
     sender_trace sender effect;
@@ -382,11 +378,8 @@ let sender_wake sender =
 
 let sender_handle_nak sender ~tg_id ~need ~round =
   Metrics.incr sender.c_naks_rx;
-  let machine = sender_machine sender in
-  let before = Np_machine.Sender.repair_rounds machine in
   List.iter (sender_trace sender) (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
-  if Np_machine.Sender.repair_rounds machine > before then Metrics.incr sender.c_rounds;
-  if Np_machine.Sender.pending machine then sender_wake sender
+  if Np_machine.Sender.pending (sender_machine sender) then sender_wake sender
 
 (* [metrics] is already scoped per session by the caller; the NAK handler
    for the shared socket lives with the driver, not here, because many
@@ -408,12 +401,8 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
       tamper;
       sending = false;
       due = 0.0;
-      c_data = Metrics.counter metrics "tx.data";
-      c_parity = Metrics.counter metrics "tx.parity";
-      c_poll = Metrics.counter metrics "tx.poll";
       c_exhausted = Metrics.counter metrics "tx.exhausted";
       c_naks_rx = Metrics.counter metrics "sender.naks_rx";
-      c_rounds = Metrics.counter metrics "sender.repair_rounds";
     }
   in
   sender_wake sender;
@@ -429,26 +418,20 @@ type receiver = {
          our own NAKs (every group member receives every group datagram) *)
   pool : Buffer_pool.t;
   sender_addr : Unix.sockaddr;
-  mutable nak_peers : Unix.sockaddr list;
+  nak_peers : Unix.sockaddr list;
       (* where NAKs go besides the sender: every peer (unicast mode) or
          the group address (multicast mode) *)
   loss_rng : Rng.t;  (* reception-loss injection (driver-side, not replayed) *)
   loss : float;
-  machine : Np_machine.Receiver.t;  (* bound through {!Np_drive}; read for counters *)
-  on_tg_complete : int -> unit;
-  on_ejected : int -> unit;
+  machine : Np_machine.Receiver.t;  (* bound through {!Np_drive}; the run's ledger *)
+  on_done : unit -> unit;
   mutable dropped : int;
   mutable decode_failures : int;
   c_data : Metrics.counter;
   c_parity : Metrics.counter;
   c_poll : Metrics.counter;
   c_exhausted : Metrics.counter;
-  c_naks_tx : Metrics.counter;
   c_naks_overheard : Metrics.counter;
-  c_suppressed : Metrics.counter;
-  c_decode_fail : Metrics.counter;
-  c_loss_drop : Metrics.counter;
-  c_duplicates : Metrics.counter;
 }
 
 (* Every receiver effect but the NAK timers, which the binding performs on
@@ -460,15 +443,13 @@ let receiver_apply receiver effect =
        fan-out) or the group (real multicast), so suppression really
        happens by overhearing datagrams.  One pooled buffer serves the
        whole fan-out, which leaves in one flush. *)
-    Metrics.incr receiver.c_naks_tx;
     let net = receiver.tx_net in
     Buffer_pool.with_buf receiver.pool (fun buf ->
         let len = Header.encode_into buf ~off:0 nak in
         List.iter (Udp_batch.add net.tx_batch buf ~len)
           (receiver.sender_addr :: receiver.nak_peers);
         flush net)
-  | Np_machine.Deliver { tg; data = _; reconstructed = _ } -> receiver.on_tg_complete tg
-  | Np_machine.Ejected { tg } -> receiver.on_ejected tg
+  | Np_machine.Done -> receiver.on_done ()
   | Np_machine.Trace detail ->
     (match receiver.net.trace with
     | Some trace -> Trace.record ~detail trace "np.receiver"
@@ -476,8 +457,7 @@ let receiver_apply receiver effect =
   | _ -> ()
 
 let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr
-    ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard ~recorder ~on_tg_complete
-    ~on_ejected =
+    ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard ~recorder ~on_done =
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
   let receiver =
     {
@@ -492,20 +472,14 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
       machine =
         Np_machine.Receiver.create ~expected machine_config ~rand:(fun () ->
             Rng.float machine_rng);
-      on_tg_complete;
-      on_ejected;
+      on_done;
       dropped = 0;
       decode_failures = 0;
       c_data = Metrics.counter metrics "rx.data";
       c_parity = Metrics.counter metrics "rx.parity";
       c_poll = Metrics.counter metrics "rx.poll";
       c_exhausted = Metrics.counter metrics "rx.exhausted";
-      c_naks_tx = Metrics.counter metrics "rx.naks_tx";
       c_naks_overheard = Metrics.counter metrics "rx.naks_overheard";
-      c_suppressed = Metrics.counter metrics "rx.naks_suppressed";
-      c_decode_fail = Metrics.counter metrics "rx.decode_failures";
-      c_loss_drop = Metrics.counter metrics "rx.loss_dropped";
-      c_duplicates = Metrics.counter metrics "rx.duplicates";
     }
   in
   let drive =
@@ -513,27 +487,17 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
       ~apply:(receiver_apply receiver) receiver.machine
   in
   let receive message = Np_drive.Receiver.receive drive (Np_machine.Packet_received message) in
-  (* Data/parity reception passes the injected loss first; the duplicate
-     metric mirrors the machine's internal count, which only the machine
-     can classify. *)
+  (* Data/parity reception passes the injected loss first. *)
   let receive_payload counter message =
     Metrics.incr counter;
-    if Rng.bernoulli receiver.loss_rng receiver.loss then begin
-      receiver.dropped <- receiver.dropped + 1;
-      Metrics.incr receiver.c_loss_drop
-    end
-    else begin
-      let before = Np_machine.Receiver.duplicates receiver.machine in
-      receive message;
-      if Np_machine.Receiver.duplicates receiver.machine > before then
-        Metrics.incr receiver.c_duplicates
-    end
+    if Rng.bernoulli receiver.loss_rng receiver.loss then
+      receiver.dropped <- receiver.dropped + 1
+    else receive message
   in
   Reactor.on_readable reactor net.socket (fun () ->
       drain
         ~on_decode_error:(fun () ->
-          receiver.decode_failures <- receiver.decode_failures + 1;
-          Metrics.incr receiver.c_decode_fail)
+          receiver.decode_failures <- receiver.decode_failures + 1)
         ~ring:net.ring ~syscalls:net.syscalls_rx ~datagrams:net.datagrams_rx net.socket
         (fun message from ->
           let own_echo =
@@ -550,10 +514,7 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
             | Header.Nak _ ->
               if not from_sender then begin
                 Metrics.incr receiver.c_naks_overheard;
-                let before = Np_machine.Receiver.naks_suppressed receiver.machine in
-                receive message;
-                if Np_machine.Receiver.naks_suppressed receiver.machine > before then
-                  Metrics.incr receiver.c_suppressed
+                receive message
               end
             | Header.Exhausted _ ->
               Metrics.incr receiver.c_exhausted;
@@ -576,9 +537,6 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
   let machine_config = Np_replay.machine_config (profile_of_config config) in
   let started = Unix.gettimeofday () in
   let nsessions = Array.length sessions in
-  let tg_counts =
-    Array.map (fun data -> (Array.length data + config.k - 1) / config.k) sessions
-  in
   let index_of_wire wire =
     let index = sid_of_wire wire - first_sid in
     if index >= 0 && index < nsessions then Some index else None
@@ -662,9 +620,16 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
   let sender_addr = addr_of sender_socket in
   let receiver_addrs = Array.map (fun net -> addr_of net.socket) receiver_nets in
 
+  let group =
+    match mcast_group with
+    | Some g -> [ Udp_multicast.group_addr g ]
+    | None -> Array.to_list receiver_addrs
+  in
+
   (* Every receiver must resolve every TG of every session: the expected
      set that drives the machines' Done effect, and the scoreboard every
-     delivery is checked on. *)
+     delivery is checked on.  The machines are the run's only ledger: the
+     shard stops once each has emitted Done, and the report reads them. *)
   let expected =
     List.concat
       (Array.to_list
@@ -673,66 +638,31 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
             sessions))
   in
   let scoreboard = Np_drive.Scoreboard.create ~k:config.k ~first_sid sessions in
-
-  let completed_tgs = Array.init receivers (fun _ -> Array.make nsessions 0) in
-  let ejected = Array.make nsessions [] in
-  let finished_pairs = ref 0 in
-  let total_pairs = receivers * nsessions in
-  let maybe_finish () =
-    if !finished_pairs = total_pairs then
+  let unfinished = ref receivers in
+  let on_done () =
+    decr unfinished;
+    if !unfinished = 0 then
       (* Let in-flight datagrams drain, then stop the loop. *)
       ignore (Reactor.after reactor config.linger (fun () -> Reactor.stop reactor))
   in
   let rxs =
     Array.init receivers (fun id ->
-        let on_tg_complete wire =
-          match index_of_wire wire with
-          | Some index when local_of_wire wire < tg_counts.(index) ->
-            completed_tgs.(id).(index) <- completed_tgs.(id).(index) + 1;
-            if completed_tgs.(id).(index) = tg_counts.(index) then begin
-              incr finished_pairs;
-              maybe_finish ()
-            end
-          | Some _ | None -> ()
-        in
-        let on_ejected wire =
-          match index_of_wire wire with
-          | Some index -> ejected.(index) <- (id, local_of_wire wire) :: ejected.(index)
-          | None -> ()
-        in
         let tx_net, self_addr =
           match receiver_tx_nets with
           | Some nets -> (nets.(id), Some (addr_of nets.(id).socket))
           | None -> (receiver_nets.(id), None)
         in
+        (* Unicast: each receiver overhears the NAKs of all the others via
+           an explicit fan-out.  Multicast: the group address reaches every
+           member. *)
         let nak_peers =
           match mcast_group with
-          | Some group -> [ Udp_multicast.group_addr group ]
-          | None -> []
+          | Some _ -> group
+          | None -> List.filteri (fun other _ -> other <> id) group
         in
         create_receiver reactor ~clock ~net:receiver_nets.(id) ~tx_net ~self_addr ~nak_peers
           ~pool ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard
-          ~recorder ~on_tg_complete ~on_ejected)
-  in
-  (* Unicast: each receiver overhears the NAKs of all the others via an
-     explicit fan-out.  Multicast: the group address set above already
-     reaches every member. *)
-  (match mcast_group with
-  | None ->
-    Array.iteri
-      (fun id receiver ->
-        receiver.nak_peers <-
-          Array.to_list
-            (Array.of_seq
-               (Seq.filter_map
-                  (fun other -> if other = id then None else Some receiver_addrs.(other))
-                  (Seq.init receivers Fun.id))))
-      rxs
-  | Some _ -> ());
-  let group =
-    match mcast_group with
-    | Some g -> [ Udp_multicast.group_addr g ]
-    | None -> Array.to_list receiver_addrs
+          ~recorder ~on_done)
   in
   let senders =
     Array.init nsessions (fun index ->
@@ -780,33 +710,70 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
     (float_of_int (Buffer_pool.overflow_allocs pool));
   Buffer_pool.assert_quiescent pool;
 
+  (* What the machines counted is published once, now the loop has
+     stopped; only what no machine counts is bumped live. *)
+  let publish metrics name value = Metrics.incr ~by:value (Metrics.counter metrics name) in
+  Array.iteri
+    (fun index sender ->
+      let machine = sender_machine sender in
+      let metrics = sender_metrics (first_sid + index) in
+      publish metrics "tx.data" (Np_machine.Sender.data_tx machine);
+      publish metrics "tx.parity" (Np_machine.Sender.parity_tx machine);
+      publish metrics "tx.poll" (Np_machine.Sender.polls machine);
+      publish metrics "sender.repair_rounds" (Np_machine.Sender.repair_rounds machine))
+    senders;
+  let sum_rx f = Array.fold_left (fun acc r -> acc + f r) 0 rxs in
+  let naks_sent = sum_rx (fun r -> Np_machine.Receiver.naks_sent r.machine) in
+  let naks_suppressed = sum_rx (fun r -> Np_machine.Receiver.naks_suppressed r.machine) in
+  let datagrams_dropped = sum_rx (fun r -> r.dropped) in
+  let decode_failures = sum_rx (fun r -> r.decode_failures) in
+  publish metrics "rx.naks_tx" naks_sent;
+  publish metrics "rx.naks_suppressed" naks_suppressed;
+  publish metrics "rx.duplicates"
+    (sum_rx (fun r -> Np_machine.Receiver.duplicates r.machine));
+  publish metrics "rx.loss_dropped" datagrams_dropped;
+  publish metrics "rx.decode_failures" decode_failures;
+
   let session_reports =
     Array.init nsessions (fun index ->
+        let sid = first_sid + index in
+        let machine = sender_machine senders.(index) in
+        let tgs = Np_machine.Sender.tg_count machine in
+        (* The session-local TGs receiver [id]'s machine resolved as [state]. *)
+        let resolved state id =
+          List.filter
+            (fun local -> state rxs.(id).machine ~tg:(Np_replay.wire_tg ~sid local))
+            (List.init tgs Fun.id)
+        in
         let completed =
-          Array.fold_left
-            (fun acc per_rx -> if per_rx.(index) = tg_counts.(index) then acc + 1 else acc)
-            0 completed_tgs
+          List.length
+            (List.filter
+               (fun id -> List.length (resolved Np_machine.Receiver.delivered id) = tgs)
+               (List.init receivers Fun.id))
         in
         {
-          session = first_sid + index;
-          transmission_groups = tg_counts.(index);
-          data_tx = Np_machine.Sender.data_tx (sender_machine senders.(index));
-          parity_tx = Np_machine.Sender.parity_tx (sender_machine senders.(index));
-          polls = Np_machine.Sender.polls (sender_machine senders.(index));
+          session = sid;
+          transmission_groups = tgs;
+          data_tx = Np_machine.Sender.data_tx machine;
+          parity_tx = Np_machine.Sender.parity_tx machine;
+          polls = Np_machine.Sender.polls machine;
           completed;
           verified =
             Np_drive.Scoreboard.verdict scoreboard ~session:index && completed = receivers;
-          ejected = List.rev ejected.(index);
+          ejected =
+            List.concat_map
+              (fun id ->
+                List.map (fun local -> (id, local)) (resolved Np_machine.Receiver.gave_up id))
+              (List.init receivers Fun.id);
         })
   in
-  let sum_rx f = Array.fold_left (fun acc r -> acc + f r) 0 rxs in
   {
     receivers;
     session_reports;
-    naks_sent = sum_rx (fun r -> Np_machine.Receiver.naks_sent r.machine);
-    naks_suppressed = sum_rx (fun r -> Np_machine.Receiver.naks_suppressed r.machine);
-    datagrams_dropped = sum_rx (fun r -> r.dropped);
-    decode_failures = sum_rx (fun r -> r.decode_failures);
+    naks_sent;
+    naks_suppressed;
+    datagrams_dropped;
+    decode_failures;
     all_verified = Array.for_all (fun s -> s.verified) session_reports;
     wall_seconds = Unix.gettimeofday () -. started;
     counters = Metrics.counters metrics;

@@ -154,7 +154,7 @@ type report = {
   decode_failures : int;  (** datagrams the receivers could not parse *)
   completed : int;  (** receivers that decoded every TG *)
   verified : bool;  (** and every decoded payload matched *)
-  ejected : (int * int) list;
+  ejected : (int * int) list;  (** (receiver, TG) pairs given up, in that order *)
   wall_seconds : float;
   counters : (string * int) list;  (** final {!Rmc_obs.Metrics} dump *)
 }
@@ -167,7 +167,8 @@ type session_report = {
   polls : int;
   completed : int;  (** receivers that completed every TG of this session *)
   verified : bool;  (** completed by all receivers, every payload matched *)
-  ejected : (int * int) list;  (** (receiver, session-local tg) pairs *)
+  ejected : (int * int) list;
+      (** (receiver, session-local tg) pairs given up, in that order *)
 }
 
 type multi_report = {
@@ -198,9 +199,11 @@ val run_multi :
   (multi_report, Rmc_core.Error.t) result
 (** Run [Array.length sessions] concurrent sessions (element [sid] is that
     session's payload array) on 127.0.0.1 over one reactor, one shared
-    sender socket and [receivers] shared receiver sockets.  Every session
-    must finish — completion, verification and ejections are tracked per
-    (receiver, session) pair — before the linger/shutdown sequence starts.
+    sender socket and [receivers] shared receiver sockets.  The loop
+    stops [linger] after every receiver's machine has emitted [Done] (it
+    delivered or gave up every TG of every session), or at
+    [session_timeout]; [completed] and [ejected] are then read from the
+    machines, and [verified] from the delivery scoreboard.
 
     [transport] selects the socket layer (default [`Unicast]); with
     [`Multicast] the group is derived from [seed] (see
@@ -227,7 +230,10 @@ val run_multi :
     [rx.naks_suppressed], [rx.decode_failures], [rx.loss_dropped],
     [rx.duplicates]; transport [udp.datagrams_tx]/[udp.datagrams_rx]/
     [udp.syscalls_tx]/[udp.syscalls_rx]/[udp.tx_errors]; plus the reactor
-    and fault-shim counters.
+    and fault-shim counters.  [tx.data], [tx.parity], [tx.poll],
+    [sender.repair_rounds], [rx.naks_tx], [rx.naks_suppressed],
+    [rx.duplicates], [rx.loss_dropped] and [rx.decode_failures] are
+    published once per shard when its loop stops; the others count live.
 
     [faults] arms an {!Rmc_obs.Fault} shim at the sender's datagram
     boundary: every data/parity datagram passes through it per destination

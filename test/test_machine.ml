@@ -242,6 +242,46 @@ let test_receiver_memory_bounded () =
   Alcotest.(check bool) (Printf.sprintf "%d words per delivered TG < 64" per_tg) true (per_tg < 64);
   Alcotest.(check bool) "delivered" true (M.Receiver.delivered receiver ~tg:63)
 
+(* Headers that name no block this receiver may hold: [k] above the
+   config's (k = 300 would overflow RSE's 255 codeword positions), [k]
+   below 1, and, in a receiver with an expected set, a TG outside it.
+   None raises, none has an effect, none allocates a block. *)
+let hostile_headers tg_id k =
+  [
+    Header.Data { tg_id; k; index = 0; payload = payload 0 };
+    Header.Parity { tg_id; k; index = 0; round = 1; payload = payload 0 };
+    Header.Poll { tg_id; k; size = 1; round = 1 };
+  ]
+
+let test_receiver_refuses_hostile_headers () =
+  let check name receiver messages =
+    let words = Obj.reachable_words (Obj.repr receiver) in
+    List.iter
+      (fun message ->
+        Alcotest.(check (list string)) (name ^ ": no effect") []
+          (List.map M.effect_to_string (feed receiver message)))
+      messages;
+    Alcotest.(check int) (name ^ ": no block") words (Obj.reachable_words (Obj.repr receiver))
+  in
+  let out_of_range = hostile_headers 99 300 @ hostile_headers 98 0 @ hostile_headers 97 (-1) in
+  check "bounded, bad k" (make_receiver config) out_of_range;
+  check "bounded, forged TG" (make_receiver config) (hostile_headers 7 4);
+  check "open-ended, bad k" (make_receiver ~expected:[] config) out_of_range;
+  (* The expected TG itself still works. *)
+  let receiver = make_receiver config in
+  ignore (feed receiver (Header.Poll { tg_id = 0; k = 4; size = 4; round = 1 }));
+  Alcotest.(check bool) "expected TG still polled" true (M.Receiver.timer_armed receiver ~tg:0)
+
+(* A flood of forged TG ids costs a bounded receiver nothing. *)
+let test_receiver_memory_bounded_forged_ids () =
+  let receiver = make_receiver config in
+  let words = Obj.reachable_words (Obj.repr receiver) in
+  for tg_id = 1 to 20_000 do
+    ignore (feed receiver (Header.Poll { tg_id; k = 4; size = 1; round = 1 }))
+  done;
+  Alcotest.(check int) "words after 20,000 forged POLLs" words
+    (Obj.reachable_words (Obj.repr receiver))
+
 (* --- serialization roundtrip ------------------------------------------- *)
 
 let gen_message =
@@ -394,6 +434,10 @@ let suite =
     Alcotest.test_case "receiver ejection" `Quick test_receiver_ejection;
     Alcotest.test_case "receiver duplicates + hostile input" `Quick test_receiver_duplicates;
     Alcotest.test_case "receiver memory bounded by open TGs" `Quick test_receiver_memory_bounded;
+    Alcotest.test_case "receiver refuses hostile headers" `Quick
+      test_receiver_refuses_hostile_headers;
+    Alcotest.test_case "receiver memory bounded under forged TG ids" `Quick
+      test_receiver_memory_bounded_forged_ids;
     QCheck_alcotest.to_alcotest qcheck_event_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_hex_roundtrip;
     Alcotest.test_case "capture hex errors" `Quick test_hex_errors;

@@ -258,8 +258,18 @@ let test_sharded_run () =
       Alcotest.(check bool)
         (Printf.sprintf "session %d sender counters scoped" sid)
         true
-        (Metrics.get metrics (Printf.sprintf "session.%d.tx.data" sid) = 24))
+        (Metrics.get metrics (Printf.sprintf "session.%d.tx.data" sid) = 24);
+      Alcotest.(check int)
+        (Printf.sprintf "session %d tx.data mirrors its report" sid)
+        s.Udp.data_tx
+        (Metrics.get metrics (Printf.sprintf "session.%d.tx.data" sid)))
     report.Udp.session_reports;
+  (* Each shard publishes its receivers' counts once: the shared counters
+     sum to the merged report. *)
+  Alcotest.(check int) "rx.naks_tx sums the shards" report.Udp.naks_sent
+    (Metrics.get metrics "rx.naks_tx");
+  Alcotest.(check int) "rx.loss_dropped sums the shards" report.Udp.datagrams_dropped
+    (Metrics.get metrics "rx.loss_dropped");
   (* more shards than sessions clamps instead of spawning idle domains *)
   let clamped =
     Udp.run_multi_exn ~config ~shards:16 ~receivers:1 ~loss:0.0 ~seed:8

@@ -23,8 +23,27 @@ let test_lossy_session_recovers () =
   Alcotest.(check bool) "verified" true report.Udp.verified;
   Alcotest.(check int) "all receivers" 5 report.Udp.completed;
   Alcotest.(check bool) "loss actually injected" true (report.Udp.datagrams_dropped > 0);
+  Alcotest.(check int) "rx.loss_dropped mirrors report" report.Udp.datagrams_dropped
+    (List.assoc "rx.loss_dropped" report.Udp.counters);
   Alcotest.(check bool) "parity repair used" true (report.Udp.parity_tx > 0);
   Alcotest.(check (list (pair int int))) "nobody ejected" [] report.Udp.ejected
+
+(* A receiver is finished once it has resolved every TG, ejected ones
+   included: a run whose repair budget runs out ends on its receivers'
+   Done, not at [session_timeout]. *)
+let test_ejecting_session_ends_early () =
+  let config = { Udp.default_config with h = 1; proactive = 0; session_timeout = 5.0 } in
+  let data = payloads ~count:64 ~size:config.Udp.payload_size 15 in
+  let report = Udp.run_local_exn ~config ~receivers:4 ~loss:0.3 ~seed:16 ~data () in
+  Alcotest.(check bool) "somebody ejected" true (report.Udp.ejected <> []);
+  Alcotest.(check bool) "not verified" false report.Udp.verified;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned in %.3f s, under half the timeout" report.Udp.wall_seconds)
+    true
+    (report.Udp.wall_seconds < config.Udp.session_timeout /. 2.0);
+  Alcotest.(check (list (pair int int))) "ejections in (receiver, local TG) order"
+    (List.sort_uniq compare report.Udp.ejected)
+    report.Udp.ejected
 
 let test_single_receiver_high_loss () =
   let data = payloads ~count:32 ~size:config.Udp.payload_size 5 in
@@ -112,7 +131,17 @@ let test_fault_storm_session () =
     (counter report "rx.decode_failures")
     report.Udp.decode_failures;
   Alcotest.(check int) "tx counters mirror report" report.Udp.data_tx
-    (counter report "tx.data")
+    (counter report "tx.data");
+  List.iter
+    (fun (name, reported) ->
+      Alcotest.(check int) (name ^ " mirrors report") reported (counter report name))
+    [
+      ("tx.parity", report.Udp.parity_tx);
+      ("tx.poll", report.Udp.polls);
+      ("rx.naks_tx", report.Udp.naks_sent);
+      ("rx.naks_suppressed", report.Udp.naks_suppressed);
+      ("rx.loss_dropped", report.Udp.datagrams_dropped);
+    ]
 
 let test_metrics_registry_shared () =
   let metrics = Rmcast.Metrics.create () in
@@ -353,6 +382,8 @@ let suite =
     Alcotest.test_case "udp lossless session" `Quick test_lossless_session;
     Alcotest.test_case "udp lossy session recovers" `Quick test_lossy_session_recovers;
     Alcotest.test_case "udp single receiver, 25% loss" `Quick test_single_receiver_high_loss;
+    Alcotest.test_case "udp ejecting session ends on Done" `Quick
+      test_ejecting_session_ends_early;
     Alcotest.test_case "udp seeded loss reproducible" `Quick test_determinism_of_injected_loss;
     Alcotest.test_case "udp validation" `Quick test_validation;
     Alcotest.test_case "udp fault-storm session" `Quick test_fault_storm_session;
