@@ -96,6 +96,7 @@ type tg_sender = {
   ts_id : int;
   block : Fec_block.Sender.t;
   mutable serviced_round : int; (* highest round whose NAK was handled *)
+  mutable polled_round : int; (* highest round a POLL was sent for *)
   mutable budget : int; (* parity cap for this TG, frozen at materialization *)
 }
 
@@ -148,7 +149,7 @@ module Sender = struct
             Fec_block.Sender.precompute block;
             parities_encoded := !parities_encoded + c.h
           end;
-          { ts_id = i; block; serviced_round = 0; budget = c.h })
+          { ts_id = i; block; serviced_round = 0; polled_round = 0; budget = c.h })
     in
     {
       config = c;
@@ -229,6 +230,7 @@ module Sender = struct
       end
     | Some (J_poll { tg; size; round }) ->
       t.polls <- t.polls + 1;
+      tg.polled_round <- round;
       [ Send (Header.Poll { tg_id = tg.ts_id; k = tg_k tg; size; round }) ]
     | Some (J_exhausted { tg }) -> [ Send (Header.Exhausted { tg_id = tg.ts_id }) ]
 
@@ -236,7 +238,10 @@ module Sender = struct
     if tg < 0 || tg >= Array.length t.tgs then []
     else begin
       let tgs = t.tgs.(tg) in
-      if tgs.serviced_round >= round then []
+      (* A NAK answers a POLL: one for a round not yet polled (a forged or
+         corrupted round) would otherwise queue a POLL the wire cannot
+         carry, at round 2^32. *)
+      if tgs.serviced_round >= round || round > tgs.polled_round then []
       else begin
         tgs.serviced_round <- round;
         t.repair_rounds <- t.repair_rounds + 1;
@@ -303,9 +308,14 @@ end
 
 (* --- receiver ----------------------------------------------------------- *)
 
-(* A resolved TG keeps no decoder, so a receiver's memory is bounded by
-   its open TGs, not by the transfer. *)
-type tg_state = Open of Fec_block.Receiver.t | Delivered | Gave_up
+(* A TG holds a decoder only from its first DATA or PARITY until it
+   resolves.  Opening it there, not at [create], keeps the decoder and the
+   payloads it collects young together: stored into a block already in the
+   major heap, every payload would join the remembered set and be promoted
+   at the next minor collection, even when its TG is delivered and dropped
+   before then.  A resolved TG keeps no decoder, so a receiver's memory is
+   bounded by its open TGs, not by the transfer. *)
+type tg_state = Waiting | Open of Fec_block.Receiver.t | Delivered | Gave_up
 
 type tg_receiver = {
   rk : int; (* the block's own k (indices are validated against it) *)
@@ -331,14 +341,15 @@ module Receiver = struct
   }
 
   let make_block config ~k =
-    let codec = Codec.of_kind config.codec in
-    {
-      rk = k;
-      rn = k + config.h;
-      state = Open (Fec_block.Receiver.create ~codec ~k ~h:config.h);
-      armed_round = None;
-      nak_round = 0;
-    }
+    { rk = k; rn = k + config.h; state = Waiting; armed_round = None; nak_round = 0 }
+
+  (* Packets still missing: a TG that has received nothing needs its
+     whole [k], as an empty decoder would report. *)
+  let needed block =
+    match block.state with
+    | Waiting -> block.rk
+    | Open rx -> Fec_block.Receiver.needed rx
+    | Delivered | Gave_up -> 0
 
   let create ?(expected = []) config ~rand =
     validate_config config;
@@ -390,6 +401,30 @@ module Receiver = struct
     end
     else []
 
+  (* One payload into an open decoder: a duplicate is counted, the payload
+     that completes the TG delivers it. *)
+  let add t block rx ~tg_id ~index payload =
+    if not (Fec_block.Receiver.add rx ~index payload) then begin
+      t.unnecessary <- t.unnecessary + 1;
+      t.duplicates <- t.duplicates + 1;
+      []
+    end
+    else if Fec_block.Receiver.complete rx then begin
+      let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
+      t.packets_decoded <- t.packets_decoded + reconstructed;
+      let decoded = Fec_block.Receiver.decode rx in
+      block.state <- Delivered;
+      let cancel =
+        match block.armed_round with
+        | Some _ ->
+          block.armed_round <- None;
+          [ Cancel_timer { tg = tg_id } ]
+        | None -> []
+      in
+      (Deliver { tg = tg_id; data = decoded; reconstructed } :: cancel) @ resolve t
+    end
+    else []
+
   let store t ~tg_id ~k ~index payload =
     match find_or_create t ~tg_id ~k with
     | None -> []
@@ -398,33 +433,22 @@ module Receiver = struct
       | Delivered | Gave_up ->
         t.unnecessary <- t.unnecessary + 1;
         []
-      | Open _ when index < 0 || index >= block.rn -> [] (* malformed: out of codec range *)
-      | Open rx when not (Fec_block.Receiver.add rx ~index payload) ->
-        t.unnecessary <- t.unnecessary + 1;
-        t.duplicates <- t.duplicates + 1;
-        []
-      | Open rx when Fec_block.Receiver.complete rx ->
-        let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
-        t.packets_decoded <- t.packets_decoded + reconstructed;
-        let decoded = Fec_block.Receiver.decode rx in
-        block.state <- Delivered;
-        let cancel =
-          match block.armed_round with
-          | Some _ ->
-            block.armed_round <- None;
-            [ Cancel_timer { tg = tg_id } ]
-          | None -> []
-        in
-        (Deliver { tg = tg_id; data = decoded; reconstructed } :: cancel) @ resolve t
-      | Open _ -> [])
+      | (Waiting | Open _) when index < 0 || index >= block.rn ->
+        [] (* malformed: out of codec range *)
+      | Waiting ->
+        let codec = Codec.of_kind t.config.codec in
+        let rx = Fec_block.Receiver.create ~codec ~k:block.rk ~h:t.config.h in
+        block.state <- Open rx;
+        add t block rx ~tg_id ~index payload
+      | Open rx -> add t block rx ~tg_id ~index payload)
 
   let poll t ~tg_id ~k ~size ~round =
     match find_or_create t ~tg_id ~k with
     | None -> []
     | Some block -> (
       match block.state with
-      | Open rx when block.nak_round < round ->
-        let need = Fec_block.Receiver.needed rx in
+      | (Waiting | Open _) when block.nak_round < round ->
+        let need = needed block in
         if need > 0 then begin
           (* Slotting (paper §5.1): receivers missing more packets answer in
              earlier slots; damping adds a uniform offset within the slot. *)
@@ -436,7 +460,7 @@ module Receiver = struct
           [ Arm_timer { tg = tg_id; round; offset } ]
         end
         else []
-      | Open _ | Delivered | Gave_up -> [])
+      | Waiting | Open _ | Delivered | Gave_up -> [])
 
   let timer_fired t ~tg ~round =
     match Hashtbl.find_opt t.blocks tg with
@@ -445,16 +469,13 @@ module Receiver = struct
       (match block.armed_round with
       | Some armed when armed = round ->
         block.armed_round <- None;
-        (match block.state with
-        | Open rx ->
-          let need = Fec_block.Receiver.needed rx in
-          if need > 0 then begin
-            t.naks_sent <- t.naks_sent + 1;
-            block.nak_round <- round;
-            [ Send (Header.Nak { tg_id = tg; need; round }) ]
-          end
-          else []
-        | Delivered | Gave_up -> [])
+        let need = needed block in
+        if need > 0 then begin
+          t.naks_sent <- t.naks_sent + 1;
+          block.nak_round <- round;
+          [ Send (Header.Nak { tg_id = tg; need; round }) ]
+        end
+        else []
       | Some _ | None -> [] (* stale fire: the timer was re-armed or resolved *))
 
   let overhear t ~tg_id ~need ~round =
@@ -462,10 +483,10 @@ module Receiver = struct
     | None -> []
     | Some block ->
       (match (block.armed_round, block.state) with
-      | Some _, Open rx when block.nak_round < round ->
+      | Some _, (Waiting | Open _) when block.nak_round < round ->
         (* Pending timer belongs to this round iff scheduled by its poll;
            suppression applies when the overheard request covers ours. *)
-        if need >= Fec_block.Receiver.needed rx then begin
+        if need >= needed block then begin
           block.armed_round <- None;
           block.nak_round <- round;
           t.naks_suppressed <- t.naks_suppressed + 1;
@@ -480,7 +501,7 @@ module Receiver = struct
     | Some block -> (
       match block.state with
       | Delivered | Gave_up -> []
-      | Open _ ->
+      | Waiting | Open _ ->
         block.state <- Gave_up;
         let cancel =
           match block.armed_round with

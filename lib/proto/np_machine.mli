@@ -104,7 +104,8 @@ module Sender : sig
       [[]] when idle.  [Feedback] (or [Packet_received (Nak _)]): start a
       repair round if this round was not yet serviced — queue fresh
       parities and the next POLL, or an EXHAUSTED notice when the budget
-      is spent.  [Retune]: clamp the requested tuning to
+      is spent.  A NAK for a round later than the TG's last sent POLL
+      answers no POLL and is ignored.  [Retune]: clamp the requested tuning to
       [0 <= proactive <= budget <= config.h] and adopt it for TGs not yet
       materialized (in-flight TGs keep the budget they started with); a
       change emits a [Trace], an identical tuning emits nothing.  Other
@@ -135,7 +136,9 @@ end
     suppression bookkeeping.  Blocks are created up-front from
     [expected] (the UDP driver lists every session's TGs there, so one
     machine serves them all) or, in an open-ended receiver, lazily from
-    traffic. *)
+    traffic.  A block holds a decoder only from its TG's first DATA or
+    PARITY until the TG is delivered or given up; before that, POLL, NAK
+    and timer handling read the TG's need as its whole [k]. *)
 module Receiver : sig
   type t
 

@@ -101,6 +101,31 @@ let test_sender_exhaustion () =
   | [ Header.Exhausted { tg_id = 0 } ] -> ()
   | _ -> Alcotest.fail "expected an EXHAUSTED notice"
 
+(* A NAK answers a POLL.  One for a round the sender never polled (a
+   forged or corrupted round) starts no repair round: at the largest round
+   the wire carries, the next POLL's round would not fit the header. *)
+let test_sender_ignores_unpolled_rounds () =
+  let sender = M.Sender.create config ~data:(data 4) in
+  ignore (drain sender);
+  List.iter
+    (fun round ->
+      let name = Printf.sprintf "NAK round %d" round in
+      Alcotest.(check (list string)) (name ^ ": no effect") []
+        (List.map M.effect_to_string (M.Sender.handle sender (M.Feedback { tg = 0; need = 1; round })));
+      Alcotest.(check (list string)) (name ^ ": as a packet") []
+        (List.map M.effect_to_string
+           (M.Sender.handle sender (M.Packet_received (Header.Nak { tg_id = 0; need = 1; round }))));
+      Alcotest.(check bool) (name ^ ": nothing queued") false (M.Sender.pending sender);
+      Alcotest.(check (list string)) (name ^ ": the next tick is idle") []
+        (List.map M.effect_to_string (M.Sender.handle sender M.Tick)))
+    [ 0xFFFF_FFFF; 2 ];
+  Alcotest.(check int) "no repair round" 0 (M.Sender.repair_rounds sender);
+  (* The polled round itself is still serviced. *)
+  ignore (M.Sender.handle sender (M.Feedback { tg = 0; need = 1; round = 1 }));
+  match sends (drain sender) with
+  | [ Header.Parity _; Header.Poll { size = 1; round = 2; _ } ] -> ()
+  | _ -> Alcotest.fail "expected a repair round for the polled round"
+
 (* --- receiver ---------------------------------------------------------- *)
 
 let make_receiver ?(expected = [ (0, 4) ]) ?(rand = fun () -> 0.5) config =
@@ -241,6 +266,75 @@ let test_receiver_memory_bounded () =
   let per_tg = (Obj.reachable_words (Obj.repr receiver) - words_at_8) / 56 in
   Alcotest.(check bool) (Printf.sprintf "%d words per delivered TG < 64" per_tg) true (per_tg < 64);
   Alcotest.(check bool) "delivered" true (M.Receiver.delivered receiver ~tg:63)
+
+(* A TG opens its decoder at its first payload, not when the receiver is
+   created: an expected TG that has received nothing costs a few words. *)
+let expected_tgs n ~k = List.init n (fun tg -> (tg, k))
+
+let test_receiver_unopened_tgs_small () =
+  let receiver = make_receiver ~expected:(expected_tgs 200 ~k:20) { config with k = 20; h = 40 } in
+  let per_tg = Obj.reachable_words (Obj.repr receiver) / 200 in
+  Alcotest.(check bool) (Printf.sprintf "%d words per expected TG <= 32" per_tg) true (per_tg <= 32)
+
+(* A receiver is long-lived, so its blocks sit in the major heap.  A TG's
+   decoder and payloads are young together, and a lossless TG is delivered
+   and dropped before a minor collection would promote them. *)
+let test_receiver_lossless_drive_stays_young () =
+  let k = 20 and tgs = 200 in
+  let receiver = make_receiver ~expected:(expected_tgs tgs ~k) { config with k; h = 40 } in
+  Gc.minor ();
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let delivered = ref 0 in
+  for tg_id = 0 to tgs - 1 do
+    for index = 0 to k - 1 do
+      let payload = Bytes.make 1024 (Char.chr ((tg_id + index) land 0xff)) in
+      List.iter
+        (function M.Deliver _ -> incr delivered | _ -> ())
+        (feed receiver (Header.Data { tg_id; k; index; payload }))
+    done
+  done;
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  let payload_words = float_of_int (tgs * k * (1 + (1024 / (Sys.word_size / 8)))) in
+  Alcotest.(check int) "every TG delivered" tgs !delivered;
+  Alcotest.(check bool) "finished" true (M.Receiver.finished receiver);
+  let share = promoted /. payload_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f%% of payload words promoted < 10%%" (100.0 *. share))
+    true (share < 0.10)
+
+(* The control paths of a TG that has received nothing read its need as
+   the whole [k], as an empty decoder would, so each emits what it did
+   when every decoder was opened up front. *)
+let test_receiver_unopened_control_paths () =
+  let strings effects = List.map M.effect_to_string effects in
+  let poll receiver = feed receiver (Header.Poll { tg_id = 0; k = 4; size = 6; round = 1 }) in
+  (* POLL: slot index size - k = 2, damped by 0.5 within the slot. *)
+  let receiver = make_receiver config in
+  Alcotest.(check (list string)) "poll arms at slot size - k"
+    [ Printf.sprintf "arm:0:1:%h" (2.5 *. config.M.slot) ]
+    (strings (poll receiver));
+  (* Timer: the NAK asks for all k. *)
+  Alcotest.(check (list string)) "fired timer NAKs need = k"
+    [ M.effect_to_string (M.Send (Header.Nak { tg_id = 0; need = 4; round = 1 })) ]
+    (strings (M.Receiver.handle receiver (M.Timer_fired { tg = 0; round = 1 })));
+  (* Overheard NAK: need >= k covers ours, need < k does not. *)
+  let receiver = make_receiver config in
+  ignore (poll receiver);
+  Alcotest.(check (list string)) "overheard need k - 1 does not suppress" []
+    (strings (feed receiver (Header.Nak { tg_id = 0; need = 3; round = 1 })));
+  Alcotest.(check (list string)) "overheard need k suppresses" [ "cancel:0" ]
+    (strings (feed receiver (Header.Nak { tg_id = 0; need = 4; round = 1 })));
+  Alcotest.(check int) "naks_suppressed" 1 (M.Receiver.naks_suppressed receiver);
+  (* EXHAUSTED: ejected, and the last expected TG resolved finishes. *)
+  let receiver = make_receiver config in
+  Alcotest.(check (list string)) "exhausted ejects" [ "ejected:0"; "done" ]
+    (strings (feed receiver (Header.Exhausted { tg_id = 0 })));
+  let receiver = make_receiver config in
+  ignore (poll receiver);
+  Alcotest.(check (list string)) "exhausted cancels the armed timer"
+    [ "cancel:0"; "ejected:0"; "done" ]
+    (strings (feed receiver (Header.Exhausted { tg_id = 0 })));
+  Alcotest.(check bool) "gave up" true (M.Receiver.gave_up receiver ~tg:0)
 
 (* Headers that name no block this receiver may hold: [k] above the
    config's (k = 300 would overflow RSE's 255 codeword positions), [k]
@@ -427,6 +521,8 @@ let suite =
     Alcotest.test_case "sender proactive + pre-encode" `Quick test_sender_proactive_pre_encode;
     Alcotest.test_case "sender repair round" `Quick test_sender_repair_round;
     Alcotest.test_case "sender budget exhaustion" `Quick test_sender_exhaustion;
+    Alcotest.test_case "sender ignores NAKs for unpolled rounds" `Quick
+      test_sender_ignores_unpolled_rounds;
     Alcotest.test_case "receiver lossless delivery" `Quick test_receiver_lossless;
     Alcotest.test_case "receiver FEC decode" `Quick test_receiver_decode;
     Alcotest.test_case "receiver NAK round" `Quick test_receiver_nak_round;
@@ -434,6 +530,12 @@ let suite =
     Alcotest.test_case "receiver ejection" `Quick test_receiver_ejection;
     Alcotest.test_case "receiver duplicates + hostile input" `Quick test_receiver_duplicates;
     Alcotest.test_case "receiver memory bounded by open TGs" `Quick test_receiver_memory_bounded;
+    Alcotest.test_case "receiver opens no decoder before a payload" `Quick
+      test_receiver_unopened_tgs_small;
+    Alcotest.test_case "receiver lossless drive stays young" `Quick
+      test_receiver_lossless_drive_stays_young;
+    Alcotest.test_case "receiver control paths before a payload" `Quick
+      test_receiver_unopened_control_paths;
     Alcotest.test_case "receiver refuses hostile headers" `Quick
       test_receiver_refuses_hostile_headers;
     Alcotest.test_case "receiver memory bounded under forged TG ids" `Quick
