@@ -42,14 +42,19 @@ let mul_add_log_table field ~dst ~src ~coeff =
 
 let gf_kernel_comparison () =
   Printf.printf
-    "\n--- ablation: GF(2^8) kernel, split-nibble SIMD vs 64K product table vs log/antilog ---\n%!";
+    "\n--- ablation: GF(2^8) kernel, each C path vs 64K product table vs log/antilog ---\n%!";
   let rng = Rng.create ~seed:43 () in
   let src = Bytes.init packet_size (fun _ -> Char.chr (Rng.int rng 256)) in
   let dst = Bytes.make packet_size '\000' in
   let field = Gf.gf256 in
-  let t_simd =
-    Harness.seconds_per_run ~name:"simd" (fun () ->
-        Gf.mul_add_into field ~dst ~src ~coeff:0x7B)
+  let t_paths =
+    List.map
+      (fun path ->
+        ( "C kernel " ^ path,
+          Harness.seconds_per_run ~name:path (fun () ->
+              Gf.For_testing.mul_add_into_range ~path field ~dst ~src ~coeff:0x7B ~pos:0
+                ~len:packet_size) ))
+      Gf.For_testing.paths
   in
   let t_table =
     Harness.seconds_per_run ~name:"table" (fun () ->
@@ -62,11 +67,7 @@ let gf_kernel_comparison () =
   let mbps t = 1e-6 *. float_of_int packet_size /. t in
   List.iter
     (fun (name, t) -> Printf.printf "%-20s: %8.1f MB/s\n" name (mbps t))
-    [
-      ("split-nibble " ^ Gf.kernel, t_simd);
-      ("64K product table", t_table);
-      ("log/antilog", t_log);
-    ]
+    (t_paths @ [ ("64K product table", t_table); ("log/antilog", t_log) ])
 
 let nak_granularity_comparison () =
   Printf.printf "\n--- ablation: NAK per round vs NAK per missing packet (NP model) ---\n%!";

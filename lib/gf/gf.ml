@@ -181,10 +181,11 @@ let mul_into_scalar field ~dst ~src ~coeff =
 (* {1 The C kernel}
 
    [gf_stubs.c] holds one multiply-accumulate and one multiply over a byte
-   window, each with two paths: SSSE3 and a portable byte-table loop.  The
-   last argument names the path; the best one the host supports is chosen
-   once, here.  Neither external allocates or raises, so every bound and
-   the coefficient are checked before the call. *)
+   window, each with three paths: GFNI (AVX-512), SSSE3 and a portable
+   byte-table loop.  The last argument names the path; the best one the
+   host supports is chosen once, here.  Neither external allocates or
+   raises, so every bound and the coefficient are checked before the
+   call. *)
 
 external kernel_init : Bytes.t -> int = "rmc_gf_kernel_init"
 
@@ -208,7 +209,7 @@ external kernel_mul :
   unit = "rmc_gf_mul_byte" "rmc_gf_mul"
 [@@noalloc]
 
-let path_names = [| "portable"; "ssse3" |]
+let path_names = [| "portable"; "ssse3"; "gfni" |]
 
 (* Index into [path_names]; every path below it runs here too. *)
 let best_path = kernel_init gf256.mul256

@@ -70,21 +70,28 @@ val valid : t -> int -> bool
     packets at once.  They require the {!gf256} field and 8-bit symbols,
     and coefficients in [\[0, 255\]].
 
-    One C kernel sits behind every entry point.  It multiplies with the
+    One C kernel sits behind every entry point, with three paths.  The
+    [gfni] path treats multiplication by a constant as what it is, a
+    linear map over GF(2): an 8x8 bit matrix, applied to 64 bytes at once
+    by one GFNI [GF2P8AFFINEQB] on an AVX-512 vector.  The matrices are
+    built from this field's product table, so the instruction's own
+    polynomial (0x11B) does not matter.  The [ssse3] path uses the
     split-nibble technique of Plank, Greenan and Miller ("Screaming Fast
     Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013):
     [c * x = c * (x land 0x0f) xor c * (x land 0xf0)], each half a
-    16-entry table lookup that one SSSE3 [pshufb] does for 16 bytes at
-    once.  A portable byte-table loop finishes the last few bytes and is
-    the whole kernel on hosts without SSSE3 (any non-x86-64 host).  The path is picked once, at start-up, from what
-    the CPU supports; {!kernel} names it.  All tables derive from the one
-    product table of {!gf256}.  The [*_scalar] entry points below are the
-    OCaml byte-at-a-time reference, for differential tests and baseline
-    benchmarks. *)
+    16-entry table lookup that one [pshufb] does for 16 bytes at once; it
+    also finishes the 16-byte blocks after the last 64-byte vector of the
+    [gfni] path.  A portable byte-table loop finishes the last few bytes
+    and is the whole kernel on hosts without SSSE3 (any non-x86-64 host).
+    The path is picked once, at start-up, from what the CPU and the OS
+    support; {!kernel} names it.  There is no knob: a host runs its best
+    path.  All tables derive from the one product table of {!gf256}.  The
+    [*_scalar] entry points below are the OCaml byte-at-a-time reference,
+    for differential tests and baseline benchmarks. *)
 
 val kernel : string
-(** The kernel path this process runs: ["ssse3"] or ["portable"].
-    Read-only, for reports. *)
+(** The kernel path this process runs: ["gfni"] (GFNI with AVX-512BW),
+    ["ssse3"] or ["portable"].  Read-only, for reports. *)
 
 val mul_add_into : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 (** [mul_add_into f ~dst ~src ~coeff] computes
@@ -114,7 +121,8 @@ val mul_into_scalar : t -> dst:Bytes.t -> src:Bytes.t -> coeff:int -> unit
 
 module For_testing : sig
   val paths : string list
-  (** The kernel paths this host can run, best last; always starts with
+  (** The kernel paths this host can run, best last: a prefix of
+      [["portable"; "ssse3"; "gfni"]] that always starts with
       ["portable"]. *)
 
   val mul_add_into_range :

@@ -118,16 +118,20 @@ let transition t rng ~dt =
   | Bernoulli _ -> ()
   | Gilbert { mu01; mu10; _ } ->
     if dt > 0.0 then begin
-      (* The chain's step depends only on [dt], not on the cell. *)
+      (* The chain's step depends only on [dt], not on the cell.  An empty
+         class is skipped: [Sampler.binomial ~n:0] draws nothing, so the
+         stream is the same either way. *)
       let p01 = Loss.transition_to_bad_probability ~mu01 ~mu10 ~from_state:0 dt in
       let p11 = Loss.transition_to_bad_probability ~mu01 ~mu10 ~from_state:1 dt in
       for n = 0 to t.k do
         let base = n * t.states in
         let good = t.counts.(base) and bad = t.counts.(base + 1) in
-        let good_to_bad = Sampler.binomial rng ~n:good ~p:p01 in
-        let bad_to_bad = Sampler.binomial rng ~n:bad ~p:p11 in
-        t.counts.(base) <- good - good_to_bad + (bad - bad_to_bad);
-        t.counts.(base + 1) <- good_to_bad + bad_to_bad
+        if good > 0 || bad > 0 then begin
+          let good_to_bad = Sampler.binomial rng ~n:good ~p:p01 in
+          let bad_to_bad = Sampler.binomial rng ~n:bad ~p:p11 in
+          t.counts.(base) <- good - good_to_bad + (bad - bad_to_bad);
+          t.counts.(base + 1) <- good_to_bad + bad_to_bad
+        end
       done
     end
 

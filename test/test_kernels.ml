@@ -122,8 +122,8 @@ let test_long_vector_matches_scalar () =
 
 (* {1 Every kernel path}
 
-   [Gf.For_testing] runs each path the host supports (SSSE3, and the
-   portable loop, which runs everywhere) against the OCaml scalar
+   [Gf.For_testing] runs each path the host supports (GFNI, SSSE3, and
+   the portable loop, which runs everywhere) against the OCaml scalar
    reference.  Each case applies the kernel to the window [pos, pos+len)
    of a longer random vector, so the bytes around the window must come
    back untouched too. *)
@@ -211,6 +211,37 @@ let test_paths_mul_in_place () =
   Gf.mul_into_scalar f8 ~dst:expect ~src:(Bytes.copy y) ~coeff:200;
   Gf.mul_into f8 ~dst:y ~src:y ~coeff:200;
   Alcotest.(check bool) "Gf.mul_into in place" true (Bytes.equal y expect)
+
+(* The dispatch itself: a broken CPU check would fall back to a slower
+   path and every differential above would still pass.  Linux lists what
+   the CPU and the OS both support in the "flags" line of /proc/cpuinfo
+   (x86 only; other architectures say "Features"). *)
+let cpu_flags () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text ->
+    String.split_on_char '\n' text
+    |> List.find_map (fun line ->
+           match String.split_on_char ':' line with
+           | key :: flags when String.trim key = "flags" ->
+             Some (String.split_on_char ' ' (String.concat ":" flags))
+           | _ -> None)
+    |> Option.value ~default:[]
+
+let test_paths_dispatch () =
+  let all = [ "portable"; "ssse3"; "gfni" ] in
+  let flags = cpu_flags () in
+  if Sys.word_size = 64 && List.mem "gfni" flags && List.mem "avx512bw" flags then begin
+    Alcotest.(check string) "Gf.kernel on a GFNI + AVX-512BW host" "gfni" Gf.kernel;
+    Alcotest.(check (list string)) "every path runs" all Gf.For_testing.paths
+  end
+  else begin
+    let n = List.length Gf.For_testing.paths in
+    Alcotest.(check (list string)) "paths are a prefix of portable; ssse3; gfni"
+      (List.filteri (fun i _ -> i < n) all)
+      Gf.For_testing.paths;
+    Alcotest.(check string) "Gf.kernel is the best path" (List.nth all (n - 1)) Gf.kernel
+  end
 
 let test_paths_reject_bad_input () =
   let dst = Bytes.make 8 '\000' and src = Bytes.make 8 'x' in
@@ -345,5 +376,6 @@ let suite =
       Alcotest.test_case "kernel paths: every product = Gf.mul" `Quick test_paths_products;
       Alcotest.test_case "kernel paths: mul_into in place" `Quick test_paths_mul_in_place;
       Alcotest.test_case "kernel paths: bad input rejected" `Quick test_paths_reject_bad_input;
+      Alcotest.test_case "kernel paths: dispatch follows the CPU" `Quick test_paths_dispatch;
       Alcotest.test_case "decode cache heap at k=100" `Quick test_decode_cache_heap;
     ]
