@@ -117,10 +117,11 @@ let () =
   let t0 = Unix.gettimeofday () in
   let cells = grid ~fast in
   let reps = if fast then 40 else 120 in
-  (* Warm up, one domain and then four, so the timed runs below do not
-     pay first-run costs (code, codec and memo tables). *)
+  (* Warm up, one domain and then the pool the gate times, so the timed
+     runs below do not pay first-run costs (code, codec and memo tables,
+     the pool's domains) and no idle extra domains outlive the warm-up. *)
   ignore (run_grid ~jobs:1 ~reps cells);
-  ignore (run_grid ~jobs:4 ~reps cells);
+  ignore (run_grid ~jobs:domains ~reps cells);
   (* Speedup (skipped, loudly, below 2 domains). *)
   let s = measure_speedup ~reps cells in
   print_speedup s;

@@ -1,6 +1,8 @@
 (** Processing model of protocol N1 — the sender-initiated, ACK-based
     baseline of Towsley, Kurose and Pingali [18], completing the §5
-    protocol family (N1 vs N2 vs NP).
+    protocol family (N1 vs N2 vs NP).  This model is the library's only
+    N1: unlike N2 and NP, N1 has no event-driven simulator.  Figure E1
+    ([bench/main.exe]) and [rmc endhost] read it.
 
     In N1 every receiver positively acknowledges every packet it receives;
     the sender keeps a retransmission timer per packet and re-multicasts

@@ -7,13 +7,15 @@
 
     - {!Gf}, {!Gmatrix}: Galois-field arithmetic and linear algebra.
     - {!Codec}, {!Rse}, {!Rse_poly}, {!Cauchy}, {!Rlnc}, {!Lt},
-      {!Fec_block}, {!Interleaver}: the pluggable erasure-codec seam, its
-      four implementations (Reed-Solomon, Cauchy, random linear network
+      {!Fec_block}: the pluggable erasure-codec seam, its four
+      implementations (Reed-Solomon, Cauchy, random linear network
       coding, LT fountain) and block bookkeeping.
     - {!Rng}, {!Dist}, {!Sampler}, {!Series}, {!Special}, {!Stats}:
       numerics.
     - {!Arq}, {!Layered}, {!Integrated}, {!Rounds}, {!Endhost},
-      {!Receivers}, {!Sweep}: the paper's closed-form models.
+      {!Endhost_n1}, {!Receivers}, {!Sweep}: the paper's closed-form
+      models.  The sender-initiated protocol N1 enters only through its
+      end-host model {!Endhost_n1}; N2 and NP are also simulated.
     - {!Engine}, {!Loss}, {!Network}, {!Topology}, {!Event_queue}: the
       discrete-event simulator.
     - {!Np}, {!N2}, {!Runner}, {!Tg_arq}, {!Tg_layered}, {!Tg_integrated},
@@ -62,7 +64,6 @@ module Rlnc = Rmc_rse.Rlnc
 module Lt = Rmc_rse.Lt
 module Parallel = Rmc_rse.Parallel
 module Fec_block = Rmc_rse.Fec_block
-module Interleaver = Rmc_rse.Interleaver
 
 (* Numerics *)
 module Rng = Rmc_numerics.Rng
@@ -110,7 +111,6 @@ module Np_aggregate = Rmc_proto.Np_aggregate
 module Np_replay = Rmc_proto.Np_replay
 module Np_drive = Rmc_proto.Np_drive
 module N2 = Rmc_proto.N2
-module N1 = Rmc_proto.N1
 
 (* Wire *)
 module Header = Rmc_wire.Header
@@ -136,5 +136,4 @@ module Controller = Rmc_control.Controller
 
 (* High-level API *)
 module Transfer = Transfer
-module Session = Session
 module Scheduler = Scheduler

@@ -8,10 +8,9 @@
     timestamps — temporally correlated loss (bursts) spans session
     boundaries exactly as it does for one long-lived session.
 
-    Contrast with {!Session}, which runs its objects {e sequentially}: a
-    scheduler's sessions compete for the bottleneck concurrently, so the
-    makespan of N sessions is far below N back-to-back transfers while
-    every session still byte-verifies independently. *)
+    Sessions compete for the bottleneck concurrently, so the makespan of
+    N sessions is far below N back-to-back [Transfer.send]s while every
+    session still byte-verifies independently. *)
 
 type t
 

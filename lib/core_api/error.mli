@@ -1,8 +1,8 @@
 (** The library's shared error type.
 
-    Every user-facing entry point ([Transfer.send], [Session.run],
-    [Scheduler.run], [Udp_np.run_local], ...) validates its inputs and
-    returns [('a, Error.t) result] instead of raising: an error carries the
+    Every user-facing entry point ([Transfer.send], [Scheduler.run],
+    [Udp_np.run_local], ...) validates its inputs and returns
+    [('a, Error.t) result] instead of raising: an error carries the
     [context] (the entry point that rejected the call, ["Transfer.send"])
     and a human-readable [reason] (["empty message"]).
 

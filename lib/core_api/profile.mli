@@ -5,7 +5,7 @@
     [Runner] keyword soup) that had already drifted apart — different
     defaults for [k]/[h]/[payload_size], pacing only on the UDP path.
     [Profile] is the single record every public entry point consumes:
-    [Transfer.send], [Session.create], [Scheduler],
+    [Transfer.send], [Scheduler],
     [Udp_np.run_local]/[run_multi] and the [rmc] CLI.  The exact-tier
     [Runner.estimate] takes an explicit [~k] and [~scheme] instead.
 

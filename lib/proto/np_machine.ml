@@ -330,7 +330,7 @@ module Receiver = struct
     config : config;
     rand : unit -> float;
     blocks : (int, tg_receiver) Hashtbl.t;
-    expected : int; (* number of expected TGs; 0 = open-ended, no Done *)
+    expected : int; (* number of expected TGs *)
     mutable resolved_count : int;
     mutable finished : bool;
     mutable naks_sent : int;
@@ -351,7 +351,7 @@ module Receiver = struct
     | Open rx -> Fec_block.Receiver.needed rx
     | Delivered | Gave_up -> 0
 
-  let create ?(expected = []) config ~rand =
+  let create ~expected config ~rand =
     validate_config config;
     let t =
       {
@@ -375,29 +375,13 @@ module Receiver = struct
       expected;
     t
 
-  (* A receiver with an expected set holds exactly those TGs; an
-     open-ended one opens a block only for a [k] its codec is sized for.
-     A found block reuses [find_opt]'s option, so nothing more is
-     allocated. *)
-  let find_or_create t ~tg_id ~k =
-    match Hashtbl.find_opt t.blocks tg_id with
-    | Some _ as found -> found
-    | None when t.expected > 0 || k < 1 || k > t.config.k -> None
-    | None ->
-      let block = make_block t.config ~k in
-      Hashtbl.replace t.blocks tg_id block;
-      Some block
-
   (* An expected TG just resolved (delivered or gave up): emit Done once
      the whole expected set has. *)
   let resolve t =
-    if t.expected > 0 then begin
-      t.resolved_count <- t.resolved_count + 1;
-      if t.resolved_count = t.expected && not t.finished then begin
-        t.finished <- true;
-        [ Done ]
-      end
-      else []
+    t.resolved_count <- t.resolved_count + 1;
+    if t.resolved_count = t.expected && not t.finished then begin
+      t.finished <- true;
+      [ Done ]
     end
     else []
 
@@ -425,25 +409,24 @@ module Receiver = struct
     end
     else []
 
-  let store t ~tg_id ~k ~index payload =
-    match find_or_create t ~tg_id ~k with
-    | None -> []
-    | Some block -> (
-      match block.state with
-      | Delivered | Gave_up ->
-        t.unnecessary <- t.unnecessary + 1;
-        []
-      | (Waiting | Open _) when index < 0 || index >= block.rn ->
-        [] (* malformed: out of codec range *)
-      | Waiting ->
-        let codec = Codec.of_kind t.config.codec in
-        let rx = Fec_block.Receiver.create ~codec ~k:block.rk ~h:t.config.h in
-        block.state <- Open rx;
-        add t block rx ~tg_id ~index payload
-      | Open rx -> add t block rx ~tg_id ~index payload)
+  (* [index] is the codeword position: a parity's index is offset by the
+     block's own [k]. *)
+  let store t block ~tg_id ~index payload =
+    match block.state with
+    | Delivered | Gave_up ->
+      t.unnecessary <- t.unnecessary + 1;
+      []
+    | (Waiting | Open _) when index < 0 || index >= block.rn ->
+      [] (* malformed: out of codec range *)
+    | Waiting ->
+      let codec = Codec.of_kind t.config.codec in
+      let rx = Fec_block.Receiver.create ~codec ~k:block.rk ~h:t.config.h in
+      block.state <- Open rx;
+      add t block rx ~tg_id ~index payload
+    | Open rx -> add t block rx ~tg_id ~index payload
 
-  let poll t ~tg_id ~k ~size ~round =
-    match find_or_create t ~tg_id ~k with
+  let poll t ~tg_id ~size ~round =
+    match Hashtbl.find_opt t.blocks tg_id with
     | None -> []
     | Some block -> (
       match block.state with
@@ -524,15 +507,15 @@ module Receiver = struct
     end
     else
       match event with
-      | Packet_received (Header.Data { tg_id; k; index; payload }) ->
-        store t ~tg_id ~k ~index payload
-      | Packet_received (Header.Parity { tg_id; k; index; round = _; payload }) ->
-        let block_k =
-          match Hashtbl.find_opt t.blocks tg_id with Some b -> b.rk | None -> k
-        in
-        store t ~tg_id ~k ~index:(block_k + index) payload
-      | Packet_received (Header.Poll { tg_id; k; size; round }) ->
-        poll t ~tg_id ~k ~size ~round
+      | Packet_received (Header.Data { tg_id; k = _; index; payload }) -> (
+        match Hashtbl.find_opt t.blocks tg_id with
+        | None -> []
+        | Some block -> store t block ~tg_id ~index payload)
+      | Packet_received (Header.Parity { tg_id; k = _; index; round = _; payload }) -> (
+        match Hashtbl.find_opt t.blocks tg_id with
+        | None -> []
+        | Some block -> store t block ~tg_id ~index:(block.rk + index) payload)
+      | Packet_received (Header.Poll { tg_id; k = _; size; round }) -> poll t ~tg_id ~size ~round
       | Packet_received (Header.Nak { tg_id; need; round }) -> overhear t ~tg_id ~need ~round
       | Packet_received (Header.Exhausted { tg_id }) -> exhausted t ~tg_id
       | Timer_fired { tg; round } -> timer_fired t ~tg ~round

@@ -63,8 +63,8 @@ type event =
     [Arm_timer] {e replaces} any timer already pending for the same [tg]
     (cancel-then-arm); [Cancel_timer] is only ever emitted for a timer the
     machine believes is armed.  [Done] is emitted exactly once by a
-    receiver created with [~expected], after every expected TG has either
-    been delivered or given up — no further effects follow it. *)
+    receiver, after every expected TG has either been delivered or given
+    up — no further effects follow it. *)
 type effect =
   | Send of Header.message
   | Arm_timer of { tg : int; round : int; offset : float }
@@ -133,24 +133,24 @@ module Sender : sig
 end
 
 (** The receiving half: per-TG FEC decode state, NAK timers and
-    suppression bookkeeping.  Blocks are created up-front from
-    [expected] (the UDP driver lists every session's TGs there, so one
-    machine serves them all) or, in an open-ended receiver, lazily from
-    traffic.  A block holds a decoder only from its TG's first DATA or
-    PARITY until the TG is delivered or given up; before that, POLL, NAK
-    and timer handling read the TG's need as its whole [k]. *)
+    suppression bookkeeping.  A receiver holds exactly the blocks of its
+    [expected] TGs, all created at [create] (the UDP driver lists every
+    session's TGs there, so one machine serves them all).  A block holds a
+    decoder only from its TG's first DATA or PARITY until the TG is
+    delivered or given up; before that, POLL, NAK and timer handling read
+    the TG's need as its whole [k]. *)
 module Receiver : sig
   type t
 
-  val create : ?expected:(int * int) list -> config -> rand:(unit -> float) -> t
+  val create : expected:(int * int) list -> config -> rand:(unit -> float) -> t
   (** [expected] lists [(tg_id, k)] pairs this receiver must resolve;
-      when non-empty, [Done] fires once all of them are delivered or
-      given up, and a header for any other TG is ignored.  Without it, a
-      header opens its TG's block if its [k] is in [1 .. config.k] and
-      is ignored otherwise.  No header raises.  [rand] supplies the
-      uniform [0,1) NAK damping draws — the machine's only randomness,
-      injected so drivers control determinism.
-      @raise Invalid_argument on an invalid config. *)
+      [Done] fires once all of them are delivered or given up.  A header
+      for any other TG is ignored, so an empty list gives a receiver that
+      holds nothing and never finishes.  No header raises.  [rand]
+      supplies the uniform [0,1) NAK damping draws — the machine's only
+      randomness, injected so drivers control determinism.
+      @raise Invalid_argument on an invalid config or an expected [k]
+      below 1. *)
 
   val handle : t -> event -> effect list
   (** Data/parity: store into the TG's FEC block; on completion emit

@@ -1,7 +1,6 @@
-(* Tests for the beyond-the-paper extensions: protocol N1, the FEC
-   carousel, multi-object sessions, and the N1 end-host model. *)
+(* Tests for the beyond-the-paper extensions: the N1 end-host model, the
+   FEC carousel and the hierarchy model. *)
 
-module N1 = Rmcast.N1
 module Network = Rmcast.Network
 module Rng = Rmcast.Rng
 module Runner = Rmcast.Runner
@@ -11,58 +10,6 @@ let close ?(tol = 1e-9) name expected actual =
     (Printf.sprintf "%s: |%.12g - %.12g| < %g" name expected actual tol)
     true
     (Float.abs (expected -. actual) <= tol *. (1.0 +. Float.abs expected))
-
-let payloads rng ~count ~size =
-  Array.init count (fun _ -> Bytes.init size (fun _ -> Char.chr (Rng.int rng 256)))
-
-(* --- protocol N1 --- *)
-
-let n1_config = { N1.default_config with payload_size = 128 }
-
-let run_n1 ~receivers ~p ~packets ~seed =
-  let rng = Rng.create ~seed () in
-  let data = payloads rng ~count:packets ~size:n1_config.N1.payload_size in
-  let network = Network.independent (Rng.split rng) ~receivers ~p in
-  N1.run ~config:n1_config ~network ~rng:(Rng.split rng) ~data ()
-
-let test_n1_lossless () =
-  let report = run_n1 ~receivers:40 ~p:0.0 ~packets:60 ~seed:1 in
-  Alcotest.(check bool) "intact" true report.N1.delivered_intact;
-  Alcotest.(check int) "each packet once" 60 report.N1.data_tx;
-  Alcotest.(check int) "every reception ACKed" (60 * 40) report.N1.acks_received;
-  Alcotest.(check int) "no expiries" 0 report.N1.timer_expiries
-
-let test_n1_delivers_under_loss () =
-  let report = run_n1 ~receivers:60 ~p:0.05 ~packets:80 ~seed:2 in
-  Alcotest.(check bool) "intact" true report.N1.delivered_intact;
-  Alcotest.(check bool) "retransmissions" true (report.N1.data_tx > 80);
-  Alcotest.(check bool) "expiries drove them" true (report.N1.timer_expiries > 0)
-
-let test_n1_matches_arq_analysis () =
-  let receivers = 150 and p = 0.03 in
-  let report = run_n1 ~receivers ~p ~packets:300 ~seed:3 in
-  let analysis =
-    Rmcast.Arq.expected_transmissions
-      ~population:(Rmcast.Receivers.homogeneous ~p ~count:receivers)
-  in
-  let m = N1.transmissions_per_packet report in
-  Alcotest.(check bool)
-    (Printf.sprintf "M %.3f within 12%% of %.3f" m analysis)
-    true
-    (Float.abs (m -. analysis) /. analysis < 0.12)
-
-let test_n1_ack_volume () =
-  (* ACKs ~ R * data_tx * (1-p): the implosion the analysis models. *)
-  let receivers = 100 and p = 0.05 in
-  let report = run_n1 ~receivers ~p ~packets:100 ~seed:4 in
-  let expected = float_of_int (receivers * report.N1.data_tx) *. (1.0 -. p) in
-  close ~tol:0.05 "ack volume" expected (float_of_int report.N1.acks_received)
-
-let test_n1_validation () =
-  let rng = Rng.create ~seed:5 () in
-  let network = Network.independent rng ~receivers:2 ~p:0.0 in
-  Alcotest.check_raises "empty" (Invalid_argument "N1.run: no data") (fun () ->
-      ignore (N1.run ~network ~rng ~data:[||] ()))
 
 (* --- N1 end-host model --- *)
 
@@ -134,85 +81,8 @@ let test_carousel_vs_integrated_cost () =
   let open_loop = run (Runner.Integrated_open_loop { a = 0 }) 10 in
   close ~tol:0.05 "carousel ~ open loop" open_loop carousel
 
-(* --- sessions --- *)
-
-let test_session_multi_object () =
-  let rng = Rng.create ~seed:11 () in
-  let network = Network.independent (Rng.split rng) ~receivers:60 ~p:0.02 in
-  let profile = { Rmcast.Profile.default with payload_size = 256; k = 8; h = 16 } in
-  let session = Rmcast.Session.create_exn ~profile () in
-  Rmcast.Session.enqueue_exn session ~name:"manifest" (String.make 900 'm');
-  Rmcast.Session.enqueue_exn session ~name:"chapter-1" (String.make 5_000 'a');
-  Rmcast.Session.enqueue_exn session ~name:"chapter-2" (String.make 5_000 'b');
-  Alcotest.(check int) "queued" 3 (Rmcast.Session.pending session);
-  let seen = ref [] in
-  let summary =
-    Rmcast.Session.run_exn session ~network ~rng:(Rng.split rng)
-      ~progress:(fun d -> seen := d.Rmcast.Session.name :: !seen)
-      ()
-  in
-  Alcotest.(check int) "drained" 0 (Rmcast.Session.pending session);
-  Alcotest.(check bool) "all verified" true summary.Rmcast.Session.all_verified;
-  Alcotest.(check (list string)) "order" [ "manifest"; "chapter-1"; "chapter-2" ]
-    (List.rev !seen);
-  Alcotest.(check int) "bytes" 10_900 summary.Rmcast.Session.total_bytes;
-  Alcotest.(check bool) "wire bytes exceed user bytes" true
-    (summary.Rmcast.Session.total_bytes_sent > summary.Rmcast.Session.total_bytes)
-
-let test_session_virtual_time_advances () =
-  let rng = Rng.create ~seed:12 () in
-  let network = Network.independent (Rng.split rng) ~receivers:10 ~p:0.0 in
-  let session = Rmcast.Session.create_exn () in
-  Rmcast.Session.enqueue_exn session ~name:"a" (String.make 3_000 'x');
-  Rmcast.Session.enqueue_exn session ~name:"b" (String.make 3_000 'y');
-  let summary = Rmcast.Session.run_exn session ~network ~rng:(Rng.split rng) () in
-  match summary.Rmcast.Session.deliveries with
-  | [ first; second ] ->
-    Alcotest.(check bool) "second starts after first" true
-      (second.Rmcast.Session.started_at > first.Rmcast.Session.started_at);
-    Alcotest.(check bool) "duration covers both" true
-      (summary.Rmcast.Session.duration >= second.Rmcast.Session.started_at)
-  | _ -> Alcotest.fail "expected two deliveries"
-
-let test_session_over_bursty_network () =
-  (* The channel state carries across objects: a session over a bursty
-     network still verifies everything. *)
-  let rng = Rng.create ~seed:13 () in
-  let network =
-    Network.temporal (Rng.split rng) ~receivers:30 ~make:(fun rng ->
-        Rmcast.Loss.markov2 rng ~p:0.03 ~mean_burst:2.0 ~send_rate:1000.0)
-  in
-  let session = Rmcast.Session.create_exn () in
-  for i = 1 to 4 do
-    Rmcast.Session.enqueue_exn session ~name:(Printf.sprintf "part-%d" i)
-      (String.make 4_000 'z')
-  done;
-  let summary = Rmcast.Session.run_exn session ~network ~rng:(Rng.split rng) () in
-  Alcotest.(check bool) "all verified" true summary.Rmcast.Session.all_verified;
-  Alcotest.(check int) "four deliveries" 4 (List.length summary.Rmcast.Session.deliveries)
-
-let test_session_validation () =
-  let session = Rmcast.Session.create_exn () in
-  Alcotest.check_raises "empty payload" (Invalid_argument "Session.enqueue: empty payload")
-    (fun () -> Rmcast.Session.enqueue_exn session ~name:"x" "");
-  (match Rmcast.Session.enqueue session ~name:"x" "" with
-  | Ok () -> Alcotest.fail "expected Error"
-  | Error e ->
-    Alcotest.(check string) "error string" "Session.enqueue: empty payload"
-      (Rmcast.Error.to_string e));
-  match Rmcast.Session.create ~gap:(-1.0) () with
-  | Ok _ -> Alcotest.fail "expected Error"
-  | Error e ->
-    Alcotest.(check string) "gap error" "Session.create: negative gap"
-      (Rmcast.Error.to_string e)
-
 let base_suite =
   [
-    Alcotest.test_case "N1 lossless" `Quick test_n1_lossless;
-    Alcotest.test_case "N1 delivers under loss" `Quick test_n1_delivers_under_loss;
-    Alcotest.test_case "N1 matches ARQ analysis" `Quick test_n1_matches_arq_analysis;
-    Alcotest.test_case "N1 ACK volume" `Quick test_n1_ack_volume;
-    Alcotest.test_case "N1 validation" `Quick test_n1_validation;
     Alcotest.test_case "N1 model: ACK implosion" `Quick test_endhost_n1_implosion;
     Alcotest.test_case "N1 model: N2 wins at scale" `Quick test_endhost_n1_vs_n2;
     Alcotest.test_case "N1 model: throughput wall" `Quick test_endhost_n1_wall;
@@ -220,10 +90,6 @@ let base_suite =
     Alcotest.test_case "carousel recovers" `Quick test_carousel_recovers_under_loss;
     Alcotest.test_case "carousel cycles with h=0" `Quick test_carousel_needs_cycles_with_tiny_h;
     Alcotest.test_case "carousel ~ open-loop integrated" `Quick test_carousel_vs_integrated_cost;
-    Alcotest.test_case "session multi-object" `Quick test_session_multi_object;
-    Alcotest.test_case "session virtual time" `Quick test_session_virtual_time_advances;
-    Alcotest.test_case "session over bursts" `Quick test_session_over_bursty_network;
-    Alcotest.test_case "session validation" `Quick test_session_validation;
   ]
 
 (* --- hierarchy model --- *)

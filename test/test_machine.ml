@@ -239,12 +239,14 @@ let test_receiver_duplicates () =
     (List.map M.effect_to_string
        (feed receiver (Header.Parity { tg_id = 0; k = 4; index = 200; round = 1; payload = payload 0 })))
 
+let expected_tgs n ~k = List.init n (fun tg -> (tg, k))
+
 (* A resolved TG drops its decoder and every payload it held: receiver
    memory grows by a few words per delivered TG, not by the TG's bytes. *)
 let test_receiver_memory_bounded () =
   let k = 20 in
   let codec = Rmcast.Rse.create ~k ~h:4 () in
-  let receiver = make_receiver ~expected:[] { config with k; h = 4 } in
+  let receiver = make_receiver ~expected:(expected_tgs 64 ~k) { config with k; h = 4 } in
   let deliver tg =
     let data = Array.init k (fun i -> Bytes.make 1024 (Char.chr ((tg + i) land 0xff))) in
     for i = 1 to k - 1 do
@@ -253,7 +255,7 @@ let test_receiver_memory_bounded () =
     let parity = Rmcast.Rse.encode_parity codec data 0 in
     let parity = Header.Parity { tg_id = tg; k; index = 0; round = 1; payload = parity } in
     match feed receiver parity with
-    | [ M.Deliver { reconstructed = 1; _ } ] -> ()
+    | M.Deliver { reconstructed = 1; _ } :: ([] | [ M.Done ]) -> ()
     | _ -> Alcotest.fail "expected a decoding delivery"
   in
   for tg = 0 to 7 do
@@ -269,8 +271,6 @@ let test_receiver_memory_bounded () =
 
 (* A TG opens its decoder at its first payload, not when the receiver is
    created: an expected TG that has received nothing costs a few words. *)
-let expected_tgs n ~k = List.init n (fun tg -> (tg, k))
-
 let test_receiver_unopened_tgs_small () =
   let receiver = make_receiver ~expected:(expected_tgs 200 ~k:20) { config with k = 20; h = 40 } in
   let per_tg = Obj.reachable_words (Obj.repr receiver) / 200 in
@@ -336,10 +336,10 @@ let test_receiver_unopened_control_paths () =
     (strings (feed receiver (Header.Exhausted { tg_id = 0 })));
   Alcotest.(check bool) "gave up" true (M.Receiver.gave_up receiver ~tg:0)
 
-(* Headers that name no block this receiver may hold: [k] above the
-   config's (k = 300 would overflow RSE's 255 codeword positions), [k]
-   below 1, and, in a receiver with an expected set, a TG outside it.
-   None raises, none has an effect, none allocates a block. *)
+(* Headers for a TG outside the receiver's expected set, with [k] above
+   the config's (k = 300 would overflow RSE's 255 codeword positions),
+   below 1, or in range.  None raises, none has an effect, none allocates
+   a block. *)
 let hostile_headers tg_id k =
   [
     Header.Data { tg_id; k; index = 0; payload = payload 0 };
@@ -358,9 +358,8 @@ let test_receiver_refuses_hostile_headers () =
     Alcotest.(check int) (name ^ ": no block") words (Obj.reachable_words (Obj.repr receiver))
   in
   let out_of_range = hostile_headers 99 300 @ hostile_headers 98 0 @ hostile_headers 97 (-1) in
-  check "bounded, bad k" (make_receiver config) out_of_range;
-  check "bounded, forged TG" (make_receiver config) (hostile_headers 7 4);
-  check "open-ended, bad k" (make_receiver ~expected:[] config) out_of_range;
+  check "forged TG, bad k" (make_receiver config) out_of_range;
+  check "forged TG, valid k" (make_receiver config) (hostile_headers 7 4);
   (* The expected TG itself still works. *)
   let receiver = make_receiver config in
   ignore (feed receiver (Header.Poll { tg_id = 0; k = 4; size = 4; round = 1 }));
@@ -392,9 +391,11 @@ let gen_message =
         map2
           (fun tg size -> Header.Poll { tg_id = tg; k = 8; size; round = 1 })
           (int_range 0 100) (int_range 1 16);
+        (* [need] spans the wire's 16-bit field: a hostile NAK may ask
+           for far more than [h]. *)
         map2
           (fun tg need -> Header.Nak { tg_id = tg; need; round = 3 })
-          (int_range 0 100) (int_range 1 8);
+          (int_range 0 100) (int_range 0 0xFFFF);
         map (fun tg -> Header.Exhausted { tg_id = tg }) (int_range 0 100);
       ])
 
@@ -406,7 +407,7 @@ let gen_event =
         map2 (fun tg round -> M.Timer_fired { tg; round }) (int_range 0 100) (int_range 1 8);
         map3
           (fun tg need round -> M.Feedback { tg; need; round })
-          (int_range 0 100) (int_range 1 8) (int_range 1 8);
+          (int_range 0 100) (int_range 0 0xFFFF) (int_range 1 8);
         return M.Tick;
       ])
 
@@ -498,20 +499,33 @@ let qcheck_receiver_invariants =
       true)
 
 (* The sender under arbitrary feedback: never raises, a tick emits at most
-   one packet, and an idle sender stays idle. *)
+   one packet, an idle sender stays idle, and no TG gets more than [h]
+   parities however much a NAK asks for. *)
 let qcheck_sender_invariants =
   let gen = QCheck.Gen.(list_size (int_range 0 80) gen_event) in
   QCheck.Test.make ~count:200 ~name:"sender invariants under arbitrary events"
     (QCheck.make gen) (fun events ->
       let sender = M.Sender.create config ~data:(data 6) in
+      let parities = Array.make (M.Sender.tg_count sender) 0 in
       List.iter
         (fun event ->
           let was_pending = M.Sender.pending sender in
           let effects = M.Sender.handle sender event in
-          let sent = List.length (sends effects) in
-          if sent > 1 then QCheck.Test.fail_report "tick emitted more than one packet";
+          let sent = sends effects in
+          if List.length sent > 1 then
+            QCheck.Test.fail_report "tick emitted more than one packet";
           if event = M.Tick && (not was_pending) && effects <> [] then
-            QCheck.Test.fail_report "idle tick produced effects")
+            QCheck.Test.fail_report "idle tick produced effects";
+          List.iter
+            (function
+              | Header.Parity { tg_id; _ } ->
+                parities.(tg_id) <- parities.(tg_id) + 1;
+                if parities.(tg_id) > config.M.h then
+                  QCheck.Test.fail_report
+                    (Printf.sprintf "tg %d sent %d parities > h = %d" tg_id parities.(tg_id)
+                       config.M.h)
+              | _ -> ())
+            sent)
         events;
       true)
 

@@ -270,41 +270,6 @@ let test_poly_non_mds_pattern () =
   Alcotest.check_raises "batch decode" (Failure "Rse_poly.decode: singular system") (fun () ->
       ignore (Rse_poly.decode codec (Array.map (fun index -> (index, packet index)) pattern)))
 
-(* --- Interleaver --- *)
-
-let test_interleaver_roundtrip () =
-  let il = Rmcast.Interleaver.create ~depth:3 ~span:4 in
-  let blocks = Array.init 3 (fun r -> Array.init 4 (fun c -> (r * 10) + c)) in
-  let stream = Rmcast.Interleaver.interleave il blocks in
-  Alcotest.(check int) "length" 12 (Array.length stream);
-  Alcotest.(check (array (array int))) "roundtrip" blocks
-    (Rmcast.Interleaver.deinterleave il stream)
-
-let test_interleaver_order () =
-  let il = Rmcast.Interleaver.create ~depth:2 ~span:3 in
-  let blocks = [| [| 0; 1; 2 |]; [| 10; 11; 12 |] |] in
-  Alcotest.(check (array int)) "column order" [| 0; 10; 1; 11; 2; 12 |]
-    (Rmcast.Interleaver.interleave il blocks)
-
-let test_interleaver_burst_spread () =
-  let il = Rmcast.Interleaver.create ~depth:4 ~span:10 in
-  Alcotest.(check int) "burst 4 over depth 4" 1 (Rmcast.Interleaver.burst_spread il ~burst:4);
-  Alcotest.(check int) "burst 5" 2 (Rmcast.Interleaver.burst_spread il ~burst:5);
-  Alcotest.(check int) "burst 0" 0 (Rmcast.Interleaver.burst_spread il ~burst:0)
-
-let test_interleaver_index () =
-  let il = Rmcast.Interleaver.create ~depth:3 ~span:4 in
-  let blocks = Array.init 3 (fun r -> Array.init 4 (fun c -> (r, c))) in
-  let stream = Rmcast.Interleaver.interleave il blocks in
-  for r = 0 to 2 do
-    for c = 0 to 3 do
-      Alcotest.(check (pair int int))
-        "index formula"
-        (r, c)
-        stream.(Rmcast.Interleaver.transmission_index il ~block:r ~offset:c)
-    done
-  done
-
 (* --- Fec_block --- *)
 
 let test_fec_block_sender_budget () =
@@ -382,10 +347,6 @@ let base_suite =
       test_poly_systematic_agree_with_rse_on_data;
     Alcotest.test_case "poly non-MDS pattern needs one more packet" `Quick
       test_poly_non_mds_pattern;
-    Alcotest.test_case "interleaver roundtrip" `Quick test_interleaver_roundtrip;
-    Alcotest.test_case "interleaver order" `Quick test_interleaver_order;
-    Alcotest.test_case "interleaver burst spread" `Quick test_interleaver_burst_spread;
-    Alcotest.test_case "interleaver index formula" `Quick test_interleaver_index;
     Alcotest.test_case "fec block sender budget" `Quick test_fec_block_sender_budget;
     Alcotest.test_case "fec block receiver flow" `Quick test_fec_block_receiver_flow;
     Alcotest.test_case "fec block precompute" `Quick test_fec_block_precompute;
