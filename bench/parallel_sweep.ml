@@ -72,11 +72,11 @@ let print_speedup s =
   | None ->
     Printf.printf
       "speedup gate SKIPPED: single-core host (recommended_domain_count = %d); \
-       sequential grid took %.2fs\n%!"
-      domains s.wall_seq
+       sequential grid took %.1f ms\n%!"
+      domains (1e3 *. s.wall_seq)
   | Some threshold ->
-    Printf.printf "speedup: jobs=1 %.2fs, jobs=%d %.2fs -> %.2fx (gate >= %.1fx: %s)\n%!"
-      s.wall_seq s.par_jobs s.wall_par s.factor threshold
+    Printf.printf "speedup: jobs=1 %.1f ms, jobs=%d %.1f ms -> %.2fx (gate >= %.1fx: %s)\n%!"
+      (1e3 *. s.wall_seq) s.par_jobs (1e3 *. s.wall_par) s.factor threshold
       (if s.pass then "pass" else "FAIL")
 
 (* --- JSON --------------------------------------------------------------- *)

@@ -124,7 +124,7 @@ type flow = {
      catch up: the current (k, size, round) of each TG's latest poll, and
      whether its repair budget was already exhausted. *)
   presence : bool array;
-  reach : int array; (* scratch for {!reached}: one slot per receiver *)
+  skip : int array; (* scratch for {!skipped}: one slot per receiver *)
   completed_at : float option array; (* virtual time of each receiver's Done *)
   last_polls : (int * int * int) array; (* per TG: k, size, round (0 = no poll yet) *)
   tg_exhausted : bool array;
@@ -180,17 +180,20 @@ let touch mux flow = flow.finished_at <- Engine.now mux.engine
 let sender_machine flow = Np_drive.Sender.machine flow.sender
 let pending flow = Np_machine.Sender.pending (sender_machine flow)
 
-(* The receivers [reaches r] selects, in ascending order — a multicast's
-   reached set, fixed at send time. *)
-let reached flow reaches =
+(* The receivers [skips r] selects, in ascending order: the ones a
+   multicast does not reach, fixed at send time.  A multicast keeps the
+   receivers it skips (the lost, the absent, a NAK's speaker), not the
+   ones it reaches: that set is usually a few receivers, so it stays in
+   the minor heap where a reached set of hundreds would not. *)
+let skipped flow skips =
   let n = ref 0 in
   for r = 0 to flow.receivers - 1 do
-    if reaches r then begin
-      flow.reach.(!n) <- r;
+    if skips r then begin
+      flow.skip.(!n) <- r;
       incr n
     end
   done;
-  Array.sub flow.reach 0 !n
+  Array.sub flow.skip 0 !n
 
 (* Schedule a population hook one propagation delay out. *)
 let to_population mux flow hook =
@@ -243,17 +246,17 @@ and execute mux flow =
         let msg = through_wire mux (flow.tamper msg) in
         let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
         deliver mux flow msg
-          (reached flow (fun r ->
+          (skipped flow (fun r ->
                (* One [lost] query per receiver, present or not: the
                   Bernoulli fate is drawn on demand, and churn must not
                   shift the RNG stream of the receivers that stay. *)
                let lost = Network.lost tx r in
-               flow.presence.(r) && not lost));
+               lost || not flow.presence.(r)));
         to_population mux flow (fun p -> p.on_payload ~tg:(Header.tg_id msg));
         c.spacing
       | Np_machine.Send ((Header.Poll _ | Header.Exhausted _) as msg) ->
         let msg = through_wire mux msg in
-        deliver mux flow msg (reached flow (fun r -> flow.presence.(r)));
+        deliver mux flow msg (skipped flow (fun r -> not flow.presence.(r)));
         (match msg with
         | Header.Poll { tg_id; k; size; round } ->
           if tg_id >= 0 && tg_id < Array.length flow.last_polls then
@@ -269,16 +272,22 @@ and execute mux flow =
     0.0 effects
 
 (* One engine event per multicast: one propagation delay out, [msg]
-   reaches every receiver in [reached] in ascending order.  The order is
-   the one per-receiver events would give: those would run consecutively
-   (equal times run FIFO), and whatever one delivery schedules runs after
-   all of them. *)
-and deliver mux flow msg reached =
-  if Array.length reached > 0 then
+   reaches every receiver not in the ascending [skipped], in ascending
+   order, and the flow is touched once.  The order is the one
+   per-receiver events would give: those would run consecutively (equal
+   times run FIFO), and whatever one delivery schedules runs after all of
+   them. *)
+and deliver mux flow msg skipped =
+  if Array.length skipped < flow.receivers then
     ignore
       (Engine.after mux.engine flow.config.delay (fun () ->
+           touch mux flow;
            let event = Np_machine.Packet_received msg in
-           Array.iter (fun receiver -> rx_event mux flow ~receiver event) reached))
+           let next = ref 0 in
+           for receiver = 0 to flow.receivers - 1 do
+             if !next < Array.length skipped && skipped.(!next) = receiver then incr next
+             else Np_drive.Receiver.receive flow.rxs.(receiver) event
+           done))
 
 (* A receiver's entry point: deliveries and its own fired NAK timers. *)
 and rx_event mux flow ~receiver event =
@@ -305,7 +314,7 @@ and multicast_nak mux flow ~from ~tg ~need ~round =
     (Engine.after mux.engine flow.config.delay (fun () ->
          sender_feedback mux flow ~tg ~need ~round));
   let speaker = match from with `Receiver r -> r | `Population -> -1 in
-  deliver mux flow nak (reached flow (fun other -> other <> speaker && flow.presence.(other)));
+  deliver mux flow nak (skipped flow (fun other -> other = speaker || not flow.presence.(other)));
   match from with
   | `Receiver _ -> to_population mux flow (fun p -> p.on_nak ~tg ~need ~round)
   | `Population -> ()
@@ -400,7 +409,7 @@ let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [
       receivers;
       started_at = start;
       presence;
-      reach = Array.make receivers 0;
+      skip = Array.make receivers 0;
       completed_at = Array.make receivers None;
       last_polls = Array.make tg_count (0, 0, 0);
       tg_exhausted = Array.make tg_count false;

@@ -8,7 +8,6 @@ type 'timer clock = { after : float -> (unit -> unit) -> 'timer; cancel : 'timer
 module Sender = struct
   type t = {
     machine : Np_machine.Sender.t;
-    handle : Np_machine.event -> Np_machine.effect list;
     recorder : Recorder.t option;
     actor : string;
     controller : Controller.t option; (* None iff the profile's controller is `Static *)
@@ -27,7 +26,6 @@ module Sender = struct
     in
     {
       machine;
-      handle = Np_machine.Sender.handle machine;
       recorder;
       actor;
       controller;
@@ -35,7 +33,13 @@ module Sender = struct
     }
 
   let machine t = t.machine
-  let step t event = Np_replay.step ?recorder:t.recorder ~actor:t.actor t.handle event
+
+  (* The capture hook runs only while a recorder is attached. *)
+  let step t event =
+    match t.recorder with
+    | None -> Np_machine.Sender.handle t.machine event
+    | Some recorder ->
+      Np_replay.step ~recorder ~actor:t.actor (Np_machine.Sender.handle t.machine) event
 
   (* The Retune goes through the capture hook like any other event, so
      replay stays deterministic without ever re-running the controller. *)
@@ -138,7 +142,6 @@ end
 module Receiver = struct
   type 'timer t = {
     machine : Np_machine.Receiver.t;
-    handle : Np_machine.event -> Np_machine.effect list;
     recorder : Recorder.t option;
     actor : string;
     clock : 'timer clock;
@@ -151,7 +154,6 @@ module Receiver = struct
   let create ?recorder ~actor ~clock ~scoreboard ?entry ~apply machine =
     {
       machine;
-      handle = Np_machine.Receiver.handle machine;
       recorder;
       actor;
       clock;
@@ -164,8 +166,14 @@ module Receiver = struct
   let machine t = t.machine
   let cancel t tg = Option.iter t.clock.cancel (Hashtbl.find_opt t.timers tg)
 
+  (* Without a recorder the machine is called directly: the per-reception
+     path builds no closure and no capture strings. *)
   let rec receive t event =
-    perform t (Np_replay.step ?recorder:t.recorder ~actor:t.actor t.handle event)
+    perform t
+      (match t.recorder with
+      | None -> Np_machine.Receiver.handle t.machine event
+      | Some recorder ->
+        Np_replay.step ~recorder ~actor:t.actor (Np_machine.Receiver.handle t.machine) event)
 
   and perform t = function
     | [] -> ()

@@ -5,8 +5,10 @@
     through this module, so the rules the machine relies on are written
     once:
 
-    - every event a machine consumes and every effect it emits pass the
-      capture hook {!Np_replay.step};
+    - while a recorder is attached, every event a machine consumes and
+      every effect it emits pass the capture hook {!Np_replay.step};
+      without one, the machine's [handle] is called directly, so an event
+      costs only the machine's own work;
     - a sender's adaptive controller sees the POLLs the sender transmits
       and the NAKs it receives, and a changed decision is fed to the
       machine as a [Retune] before the next [Tick];
@@ -116,7 +118,9 @@ module Receiver : sig
 
   val receive : 'timer t -> Np_machine.event -> unit
   (** Feed one event: perform its timer effects, hand the rest to
-      [apply]. *)
+      [apply].  The event and its effects are captured only if [create]
+      was given a recorder; a reception that emits no effect then
+      allocates nothing here. *)
 
   val cancel_timers : 'timer t -> unit
   (** Cancel and forget every armed NAK timer (the receiver left). *)

@@ -325,12 +325,22 @@ type tg_receiver = {
   mutable nak_round : int; (* round the pending/last NAK belongs to *)
 }
 
+(* The index of [tg] in the ascending [ids], or -1.  Annotated [int] so
+   every comparison is an integer one: a polymorphic search would go
+   through [compare_val].  Top-level, so a lookup allocates nothing. *)
+let rec search (ids : int array) (tg : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let id = ids.(mid) in
+    if id = tg then mid else if id < tg then search ids tg (mid + 1) hi else search ids tg lo mid
+
 module Receiver = struct
   type t = {
     config : config;
     rand : unit -> float;
-    blocks : (int, tg_receiver) Hashtbl.t;
-    expected : int; (* number of expected TGs *)
+    tg_ids : int array; (* the expected TG ids, ascending *)
+    blocks : tg_receiver array; (* [blocks.(i)] is TG [tg_ids.(i)]'s *)
     mutable resolved_count : int;
     mutable finished : bool;
     mutable naks_sent : int;
@@ -343,6 +353,9 @@ module Receiver = struct
   let make_block config ~k =
     { rk = k; rn = k + config.h; state = Waiting; armed_round = None; nak_round = 0 }
 
+  (* The block of TG [tg], or -1 if [tg] is not expected. *)
+  let find t tg = search t.tg_ids tg 0 (Array.length t.tg_ids)
+
   (* Packets still missing: a TG that has received nothing needs its
      whole [k], as an empty decoder would report. *)
   let needed block =
@@ -353,37 +366,47 @@ module Receiver = struct
 
   let create ~expected config ~rand =
     validate_config config;
-    let t =
-      {
-        config;
-        rand;
-        blocks = Hashtbl.create 16;
-        expected = List.length expected;
-        resolved_count = 0;
-        finished = false;
-        naks_sent = 0;
-        naks_suppressed = 0;
-        duplicates = 0;
-        unnecessary = 0;
-        packets_decoded = 0;
-      }
-    in
     List.iter
-      (fun (tg_id, k) ->
-        if k < 1 then invalid_arg "Np_machine.Receiver.create: expected k < 1";
-        Hashtbl.replace t.blocks tg_id (make_block config ~k))
+      (fun (_, k) -> if k < 1 then invalid_arg "Np_machine.Receiver.create: expected k < 1")
       expected;
-    t
+    let expected = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) expected) in
+    let tg_ids = Array.map fst expected in
+    for i = 1 to Array.length tg_ids - 1 do
+      if tg_ids.(i) = tg_ids.(i - 1) then
+        invalid_arg "Np_machine.Receiver.create: duplicate expected TG"
+    done;
+    {
+      config;
+      rand;
+      tg_ids;
+      blocks = Array.map (fun (_, k) -> make_block config ~k) expected;
+      resolved_count = 0;
+      finished = false;
+      naks_sent = 0;
+      naks_suppressed = 0;
+      duplicates = 0;
+      unnecessary = 0;
+      packets_decoded = 0;
+    }
 
   (* An expected TG just resolved (delivered or gave up): emit Done once
      the whole expected set has. *)
   let resolve t =
     t.resolved_count <- t.resolved_count + 1;
-    if t.resolved_count = t.expected && not t.finished then begin
+    if t.resolved_count = Array.length t.tg_ids && not t.finished then begin
       t.finished <- true;
       [ Done ]
     end
     else []
+
+  (* Data packets [0, k) that did not arrive verbatim: the count only, so
+     no index list is built. *)
+  let count_missing_data rx k =
+    let missing = ref 0 in
+    for index = 0 to k - 1 do
+      if not (Fec_block.Receiver.has_data rx index) then incr missing
+    done;
+    !missing
 
   (* One payload into an open decoder: a duplicate is counted, the payload
      that completes the TG delivers it. *)
@@ -394,7 +417,7 @@ module Receiver = struct
       []
     end
     else if Fec_block.Receiver.complete rx then begin
-      let reconstructed = List.length (Fec_block.Receiver.missing_data rx) in
+      let reconstructed = count_missing_data rx block.rk in
       t.packets_decoded <- t.packets_decoded + reconstructed;
       let decoded = Fec_block.Receiver.decode rx in
       block.state <- Delivered;
@@ -425,75 +448,63 @@ module Receiver = struct
       add t block rx ~tg_id ~index payload
     | Open rx -> add t block rx ~tg_id ~index payload
 
-  let poll t ~tg_id ~size ~round =
-    match Hashtbl.find_opt t.blocks tg_id with
-    | None -> []
-    | Some block -> (
-      match block.state with
-      | (Waiting | Open _) when block.nak_round < round ->
-        let need = needed block in
-        if need > 0 then begin
-          (* Slotting (paper §5.1): receivers missing more packets answer in
-             earlier slots; damping adds a uniform offset within the slot. *)
-          let slot_index = max 0 (size - need) in
-          let offset =
-            (float_of_int slot_index *. t.config.slot) +. (t.rand () *. t.config.slot)
-          in
-          block.armed_round <- Some round;
-          [ Arm_timer { tg = tg_id; round; offset } ]
-        end
-        else []
-      | Waiting | Open _ | Delivered | Gave_up -> [])
-
-  let timer_fired t ~tg ~round =
-    match Hashtbl.find_opt t.blocks tg with
-    | None -> []
-    | Some block ->
-      (match block.armed_round with
-      | Some armed when armed = round ->
-        block.armed_round <- None;
-        let need = needed block in
-        if need > 0 then begin
-          t.naks_sent <- t.naks_sent + 1;
-          block.nak_round <- round;
-          [ Send (Header.Nak { tg_id = tg; need; round }) ]
-        end
-        else []
-      | Some _ | None -> [] (* stale fire: the timer was re-armed or resolved *))
-
-  let overhear t ~tg_id ~need ~round =
-    match Hashtbl.find_opt t.blocks tg_id with
-    | None -> []
-    | Some block ->
-      (match (block.armed_round, block.state) with
-      | Some _, (Waiting | Open _) when block.nak_round < round ->
-        (* Pending timer belongs to this round iff scheduled by its poll;
-           suppression applies when the overheard request covers ours. *)
-        if need >= needed block then begin
-          block.armed_round <- None;
-          block.nak_round <- round;
-          t.naks_suppressed <- t.naks_suppressed + 1;
-          [ Cancel_timer { tg = tg_id } ]
-        end
-        else []
-      | _ -> [])
-
-  let exhausted t ~tg_id =
-    match Hashtbl.find_opt t.blocks tg_id with
-    | None -> []
-    | Some block -> (
-      match block.state with
-      | Delivered | Gave_up -> []
-      | Waiting | Open _ ->
-        block.state <- Gave_up;
-        let cancel =
-          match block.armed_round with
-          | Some _ ->
-            block.armed_round <- None;
-            [ Cancel_timer { tg = tg_id } ]
-          | None -> []
+  let poll t block ~tg_id ~size ~round =
+    match block.state with
+    | (Waiting | Open _) when block.nak_round < round ->
+      let need = needed block in
+      if need > 0 then begin
+        (* Slotting (paper §5.1): receivers missing more packets answer in
+           earlier slots; damping adds a uniform offset within the slot. *)
+        let slot_index = max 0 (size - need) in
+        let offset =
+          (float_of_int slot_index *. t.config.slot) +. (t.rand () *. t.config.slot)
         in
-        cancel @ (Ejected { tg = tg_id } :: resolve t))
+        block.armed_round <- Some round;
+        [ Arm_timer { tg = tg_id; round; offset } ]
+      end
+      else []
+    | Waiting | Open _ | Delivered | Gave_up -> []
+
+  let timer_fired t block ~tg ~round =
+    match block.armed_round with
+    | Some armed when armed = round ->
+      block.armed_round <- None;
+      let need = needed block in
+      if need > 0 then begin
+        t.naks_sent <- t.naks_sent + 1;
+        block.nak_round <- round;
+        [ Send (Header.Nak { tg_id = tg; need; round }) ]
+      end
+      else []
+    | Some _ | None -> [] (* stale fire: the timer was re-armed or resolved *)
+
+  let overhear t block ~tg_id ~need ~round =
+    match (block.armed_round, block.state) with
+    | Some _, (Waiting | Open _) when block.nak_round < round ->
+      (* Pending timer belongs to this round iff scheduled by its poll;
+         suppression applies when the overheard request covers ours. *)
+      if need >= needed block then begin
+        block.armed_round <- None;
+        block.nak_round <- round;
+        t.naks_suppressed <- t.naks_suppressed + 1;
+        [ Cancel_timer { tg = tg_id } ]
+      end
+      else []
+    | _ -> []
+
+  let exhausted t block ~tg_id =
+    match block.state with
+    | Delivered | Gave_up -> []
+    | Waiting | Open _ ->
+      block.state <- Gave_up;
+      let cancel =
+        match block.armed_round with
+        | Some _ ->
+          block.armed_round <- None;
+          [ Cancel_timer { tg = tg_id } ]
+        | None -> []
+      in
+      cancel @ (Ejected { tg = tg_id } :: resolve t)
 
   let handle t event =
     if t.finished then begin
@@ -507,31 +518,38 @@ module Receiver = struct
     end
     else
       match event with
-      | Packet_received (Header.Data { tg_id; k = _; index; payload }) -> (
-        match Hashtbl.find_opt t.blocks tg_id with
-        | None -> []
-        | Some block -> store t block ~tg_id ~index payload)
-      | Packet_received (Header.Parity { tg_id; k = _; index; round = _; payload }) -> (
-        match Hashtbl.find_opt t.blocks tg_id with
-        | None -> []
-        | Some block -> store t block ~tg_id ~index:(block.rk + index) payload)
-      | Packet_received (Header.Poll { tg_id; k = _; size; round }) -> poll t ~tg_id ~size ~round
-      | Packet_received (Header.Nak { tg_id; need; round }) -> overhear t ~tg_id ~need ~round
-      | Packet_received (Header.Exhausted { tg_id }) -> exhausted t ~tg_id
-      | Timer_fired { tg; round } -> timer_fired t ~tg ~round
+      | Packet_received message -> (
+        let tg_id = Header.tg_id message in
+        let i = find t tg_id in
+        if i < 0 then []
+        else
+          let block = t.blocks.(i) in
+          match message with
+          | Header.Data { tg_id = _; k = _; index; payload } -> store t block ~tg_id ~index payload
+          | Header.Parity { tg_id = _; k = _; index; round = _; payload } ->
+            store t block ~tg_id ~index:(block.rk + index) payload
+          | Header.Poll { tg_id = _; k = _; size; round } -> poll t block ~tg_id ~size ~round
+          | Header.Nak { tg_id = _; need; round } -> overhear t block ~tg_id ~need ~round
+          | Header.Exhausted _ -> exhausted t block ~tg_id)
+      | Timer_fired { tg; round } ->
+        let i = find t tg in
+        if i < 0 then [] else timer_fired t t.blocks.(i) ~tg ~round
       | Feedback _ | Retune _ | Tick -> []
 
   let resolved t = t.resolved_count
   let finished t = t.finished
 
-  let delivered t ~tg =
-    match Hashtbl.find_opt t.blocks tg with Some { state = Delivered; _ } -> true | _ -> false
+  (* A TG outside the expected set reads as one that received nothing. *)
+  let state t ~tg =
+    let i = find t tg in
+    if i < 0 then Waiting else t.blocks.(i).state
 
-  let gave_up t ~tg =
-    match Hashtbl.find_opt t.blocks tg with Some { state = Gave_up; _ } -> true | _ -> false
+  let delivered t ~tg = match state t ~tg with Delivered -> true | _ -> false
+  let gave_up t ~tg = match state t ~tg with Gave_up -> true | _ -> false
 
   let timer_armed t ~tg =
-    match Hashtbl.find_opt t.blocks tg with Some b -> b.armed_round <> None | None -> false
+    let i = find t tg in
+    i >= 0 && Option.is_some t.blocks.(i).armed_round
 
   let naks_sent t = t.naks_sent
   let naks_suppressed t = t.naks_suppressed

@@ -135,22 +135,25 @@ end
 (** The receiving half: per-TG FEC decode state, NAK timers and
     suppression bookkeeping.  A receiver holds exactly the blocks of its
     [expected] TGs, all created at [create] (the UDP driver lists every
-    session's TGs there, so one machine serves them all).  A block holds a
-    decoder only from its TG's first DATA or PARITY until the TG is
-    delivered or given up; before that, POLL, NAK and timer handling read
-    the TG's need as its whole [k]. *)
+    session's TGs there, so one machine serves them all).  The TG ids are
+    kept sorted in an [int array] beside the blocks, and each header's TG
+    is found by a binary search over it, which allocates nothing.  A block
+    holds a decoder only from its TG's first DATA or PARITY until the TG
+    is delivered or given up; before that, POLL, NAK and timer handling
+    read the TG's need as its whole [k]. *)
 module Receiver : sig
   type t
 
   val create : expected:(int * int) list -> config -> rand:(unit -> float) -> t
   (** [expected] lists [(tg_id, k)] pairs this receiver must resolve;
-      [Done] fires once all of them are delivered or given up.  A header
+      [Done] fires once all of them are delivered or given up.  The list
+      may come in any order, but may name each TG once only.  A header
       for any other TG is ignored, so an empty list gives a receiver that
       holds nothing and never finishes.  No header raises.  [rand]
       supplies the uniform [0,1) NAK damping draws — the machine's only
       randomness, injected so drivers control determinism.
-      @raise Invalid_argument on an invalid config or an expected [k]
-      below 1. *)
+      @raise Invalid_argument on an invalid config, an expected [k]
+      below 1, or a TG id listed twice (its [Done] could never fire). *)
 
   val handle : t -> event -> effect list
   (** Data/parity: store into the TG's FEC block; on completion emit

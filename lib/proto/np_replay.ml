@@ -48,14 +48,13 @@ let expected ~k ~sid data =
   List.init ((total + k - 1) / k) (fun local ->
       (wire_tg ~sid local, min k (total - (local * k))))
 
-let step ?recorder ~actor handle event =
-  match recorder with
-  | None -> handle event
-  | Some r ->
-    Recorder.record_event r ~actor (Np_machine.event_to_string event);
-    let effects = handle event in
-    List.iter (fun e -> Recorder.record_effect r ~actor (Np_machine.effect_to_string e)) effects;
-    effects
+let step ~recorder ~actor handle event =
+  Recorder.record_event recorder ~actor (Np_machine.event_to_string event);
+  let effects = handle event in
+  List.iter
+    (fun e -> Recorder.record_effect recorder ~actor (Np_machine.effect_to_string e))
+    effects;
+  effects
 
 type outcome = {
   events : int;
@@ -126,6 +125,17 @@ let replay recorder =
       collect nsessions (fun sid ->
           let* hex = meta recorder (Printf.sprintf "data.%d" sid) Option.some in
           payloads_of_hex ~payload_size hex)
+    in
+    (* The wire tg holds the session-local TG index in 16 bits: past
+       0x10000 TGs one session's ids would run into the next session's,
+       and the receiver refuses an expected list that names a TG twice. *)
+    let* () =
+      match
+        Array.find_index (fun data -> (Array.length data + k - 1) / k > 0x10000) sessions
+      with
+      | Some sid ->
+        Error (Printf.sprintf "capture meta data.%d: too many TGs (wire tg is 16-bit)" sid)
+      | None -> Ok ()
     in
     let* rx_seeds =
       collect receivers (fun id ->

@@ -59,17 +59,17 @@ val expected : k:int -> sid:int -> Bytes.t array -> (int * int) list
     the [~expected] list of [Np_machine.Receiver.create]. *)
 
 val step :
-  ?recorder:Rmc_obs.Recorder.t ->
+  recorder:Rmc_obs.Recorder.t ->
   actor:string ->
   (Np_machine.event -> Np_machine.effect list) ->
   Np_machine.event ->
   Np_machine.effect list
-(** [step ?recorder ~actor handle event] feeds [event] to a machine's
-    [handle] and returns its effects, recording the event and then each
-    effect under [actor] when a [recorder] is given — the one capture
-    hook.  {!Np_drive}, the binding both drivers go through, is its only
-    caller, so captures from the sim tiers and from UDP share one shape.  Without a recorder it is exactly
-    [handle event]. *)
+(** [step ~recorder ~actor handle event] records [event] under [actor],
+    feeds it to a machine's [handle], records each effect it returns and
+    returns them — the one capture hook.  {!Np_drive}, the binding both
+    drivers go through, is its only caller and calls it only while a
+    recorder is attached, so captures from the sim tiers and from UDP
+    share one shape. *)
 
 type outcome = {
   events : int;  (** entries replayed as machine inputs *)

@@ -188,6 +188,74 @@ let test_noop_churn_changes_nothing () =
   Alcotest.(check int) "naks" baseline.Np.naks_sent noop.Np.naks_sent;
   Alcotest.(check bool) "verified" baseline.Np.delivered_intact noop.Np.delivered_intact
 
+(* Most receivers absent at send time: 7 of 12 leave before the first
+   packet, so every multicast skips more receivers than it reaches.  Only
+   the present receivers take a packet, each multicast in ascending
+   order: every POLL reaches exactly the present set, every DATA and
+   PARITY a subset of it.  The counts are pinned. *)
+let test_majority_absent () =
+  let receivers = 12 and absent = [ 1; 2; 4; 5; 7; 8; 10 ] in
+  let present = List.filter (fun r -> not (List.mem r absent)) (List.init receivers Fun.id) in
+  let recorder = Recorder.create () in
+  let churn = List.map (fun receiver -> { Np.Mux.receiver; at = 0.0; action = `Leave }) absent in
+  let _, flow = run_churn ~recorder ~receivers ~seed:36 ~churn ~packets:16 () in
+  Alcotest.(check bool) "flow complete" true (Np.Mux.complete flow);
+  (* Each sender multicast's receivers, in the order they took it.  A
+     sender packet is multicast once, so its body names it; two NAKs for
+     the same round read alike, so a NAK is only checked to reach present
+     receivers. *)
+  let takers = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun (e : Recorder.entry) ->
+      if e.kind = Recorder.Event && e.actor.[0] = 'r' then begin
+        let r = int_of_string (String.sub e.actor 1 (String.length e.actor - 1)) in
+        Alcotest.(check bool) (e.actor ^ " is present") true (List.mem r present);
+        match Rmcast.Np_machine.event_of_string e.body with
+        | Ok (Rmcast.Np_machine.Packet_received (Rmcast.Header.Nak _)) -> ()
+        | Ok (Rmcast.Np_machine.Packet_received message) ->
+          if not (Hashtbl.mem takers e.body) then order := (e.body, message) :: !order;
+          Hashtbl.replace takers e.body
+            (r :: Option.value ~default:[] (Hashtbl.find_opt takers e.body))
+        | _ -> ()
+      end)
+    (Recorder.entries recorder);
+  let polls = ref 0 in
+  List.iter
+    (fun (body, message) ->
+      let rs = List.rev (Hashtbl.find takers body) in
+      Alcotest.(check (list int)) "each receiver once, ascending" (List.sort_uniq compare rs) rs;
+      match message with
+      | Rmcast.Header.Poll _ ->
+        incr polls;
+        Alcotest.(check (list int)) "a POLL reaches every present receiver" present rs
+      | _ -> ())
+    !order;
+  let report = Np.Mux.report flow in
+  Alcotest.(check bool) "POLLs seen" true (!polls > 0);
+  Alcotest.(check bool) "present receivers verified" true report.Np.delivered_intact;
+  Alcotest.(check string) "pinned duration" "0x1.f73c459992242p-4"
+    (Printf.sprintf "%h" report.Np.duration);
+  Alcotest.(check (list (pair string int)))
+    "pinned counts"
+    [
+      ("data_tx", 16);
+      ("parity_tx", 4);
+      ("polls", 8);
+      ("naks_sent", 8);
+      ("naks_suppressed", 0);
+      ("packets_decoded", 8);
+      ("unnecessary", 10);
+    ]
+    [
+      ("data_tx", report.Np.data_tx);
+      ("parity_tx", report.Np.parity_tx);
+      ("polls", report.Np.polls);
+      ("naks_sent", report.Np.naks_sent);
+      ("naks_suppressed", report.Np.naks_suppressed);
+      ("packets_decoded", report.Np.packets_decoded);
+      ("unnecessary", report.Np.unnecessary_receptions);
+    ]
+
 let test_churn_validation () =
   Alcotest.check_raises "out-of-range receiver"
     (Invalid_argument "Np.add_flow: churn receiver out of range") (fun () ->
@@ -343,6 +411,7 @@ let suite =
       test_late_joiner_catches_up_from_parity;
     Alcotest.test_case "flapper resumes" `Quick test_flapper_resumes;
     Alcotest.test_case "no-op churn changes nothing" `Quick test_noop_churn_changes_nothing;
+    Alcotest.test_case "majority absent at send time" `Quick test_majority_absent;
     Alcotest.test_case "churn validation" `Quick test_churn_validation;
     Alcotest.test_case "churn capture replays" `Quick test_churn_capture_replays;
     Alcotest.test_case "adaptive udp capture replays" `Quick

@@ -186,6 +186,37 @@ let test_scoreboard_allocates_nothing () =
   Alcotest.(check int) "every check intact" (reps + 1)
     (Drive.Scoreboard.intact_deliveries scoreboard ~tg:0)
 
+(* Every receiver of a multicast takes every DATA, so a reception into an
+   open TG must not touch the minor heap, through the machine or through
+   the binding with no recorder.  One TG of k = 200 is opened by its first
+   packet; each of the next 198 advances the decoder without completing
+   it. *)
+let test_data_reception_allocates_nothing () =
+  let k = 200 in
+  let config = { config with M.k; h = 4 } in
+  let events =
+    Array.init (k - 1) (fun index ->
+        M.Packet_received (Header.Data { tg_id = 0; k; index; payload = Bytes.make 16 'x' }))
+  in
+  let words feed events =
+    feed events.(0);
+    let before = Gc.minor_words () in
+    for i = 1 to Array.length events - 1 do
+      feed events.(i)
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let machine () = M.Receiver.create ~expected:[ (0, k) ] config ~rand:(fun () -> 0.5) in
+  let direct = machine () in
+  Alcotest.(check int) "words through Np_machine.Receiver.handle" 0
+    (words (fun event -> ignore (M.Receiver.handle direct event)) events);
+  let clock, _ = fake_clock () in
+  let scoreboard = Drive.Scoreboard.create ~k ~first_sid:0 [| Array.make k Bytes.empty |] in
+  let rx = Drive.Receiver.create ~actor:"r0" ~clock ~scoreboard ~apply:ignore (machine ()) in
+  Alcotest.(check int) "words through Np_drive.Receiver.receive" 0
+    (words (Drive.Receiver.receive rx) events);
+  Alcotest.(check int) "no duplicates" 0 (M.Receiver.duplicates (Drive.Receiver.machine rx))
+
 (* The sender's events, in order, as the capture saw them. *)
 let sender_events recorder =
   List.filter_map
@@ -252,6 +283,8 @@ let suite =
     Alcotest.test_case "scoreboard: sessions sharing receivers" `Quick test_scoreboard_sessions;
     Alcotest.test_case "scoreboard: a check allocates nothing" `Quick
       test_scoreboard_allocates_nothing;
+    Alcotest.test_case "a DATA reception allocates nothing" `Quick
+      test_data_reception_allocates_nothing;
     Alcotest.test_case "static sender feeds exactly Tick" `Quick
       test_static_feeds_exactly_tick;
     Alcotest.test_case "retune only when the decision changes" `Quick

@@ -375,6 +375,60 @@ let test_receiver_memory_bounded_forged_ids () =
   Alcotest.(check int) "words after 20,000 forged POLLs" words
     (Obj.reachable_words (Obj.repr receiver))
 
+(* A duplicate expected TG would count twice toward [Done] while holding
+   one block, so [Done] could never fire: it is refused at [create]. *)
+let test_receiver_duplicate_expected () =
+  let refused = Invalid_argument "Np_machine.Receiver.create: duplicate expected TG" in
+  Alcotest.check_raises "same pair twice" refused (fun () ->
+      ignore (make_receiver ~expected:[ (0, 2); (0, 2) ] config));
+  Alcotest.check_raises "same TG, another k" refused (fun () ->
+      ignore (make_receiver ~expected:[ (5, 2); (1, 4); (5, 3) ] config));
+  (* Distinct ids in any order are accepted. *)
+  let receiver = make_receiver ~expected:[ (1, 2); (0, 2) ] config in
+  ignore (feed receiver (data_packet ~tg:1 ~k:2 0));
+  ignore (feed receiver (data_packet ~tg:1 ~k:2 1));
+  ignore (feed receiver (data_packet ~tg:0 ~k:2 0));
+  match feed receiver (data_packet ~tg:0 ~k:2 1) with
+  | [ M.Deliver { tg = 0; _ }; M.Done ] -> ()
+  | _ -> Alcotest.fail "expected the second TG to finish the machine"
+
+(* One machine serving two sessions, as the UDP driver builds it: wire ids
+   of sessions 0 and 3.  Both sessions' TGs are found; the ids between
+   them and past each session's last TG are not. *)
+let test_receiver_two_sessions () =
+  let module Replay = Rmcast.Np_replay in
+  let packets = data 6 in
+  let expected = Replay.expected ~k:4 ~sid:0 packets @ Replay.expected ~k:4 ~sid:3 packets in
+  let tgs = List.map fst expected in
+  let receiver = make_receiver ~expected config in
+  let words = Obj.reachable_words (Obj.repr receiver) in
+  let n = List.length (Replay.expected ~k:4 ~sid:0 packets) in
+  List.iter
+    (fun tg_id ->
+      List.iter
+        (fun message ->
+          Alcotest.(check (list string)) (Printf.sprintf "tg %#x: no effect" tg_id) []
+            (List.map M.effect_to_string (feed receiver message)))
+        (hostile_headers tg_id 4 @ [ Header.Exhausted { tg_id } ]))
+    [ n; 1 lsl 16; 2 lsl 16; (3 lsl 16) + n; 4 lsl 16 ];
+  Alcotest.(check int) "refused ids hold no block" words (Obj.reachable_words (Obj.repr receiver));
+  let delivered = ref [] and finished = ref false in
+  List.iter
+    (fun (tg, k) ->
+      for index = 0 to k - 1 do
+        List.iter
+          (function
+            | M.Deliver { tg; _ } -> delivered := tg :: !delivered
+            | M.Done -> finished := true
+            | _ -> ())
+          (feed receiver (data_packet ~tg ~k index))
+      done)
+    expected;
+  Alcotest.(check (list int)) "every TG of both sessions delivered" tgs (List.rev !delivered);
+  Alcotest.(check bool) "Done" true !finished;
+  Alcotest.(check bool) "a refused id reads undelivered" false
+    (M.Receiver.delivered receiver ~tg:(1 lsl 16))
+
 (* --- serialization roundtrip ------------------------------------------- *)
 
 let gen_message =
@@ -552,6 +606,10 @@ let suite =
       test_receiver_unopened_control_paths;
     Alcotest.test_case "receiver refuses hostile headers" `Quick
       test_receiver_refuses_hostile_headers;
+    Alcotest.test_case "receiver refuses a duplicate expected TG" `Quick
+      test_receiver_duplicate_expected;
+    Alcotest.test_case "receiver serves two sessions' wire ids" `Quick
+      test_receiver_two_sessions;
     Alcotest.test_case "receiver memory bounded under forged TG ids" `Quick
       test_receiver_memory_bounded_forged_ids;
     QCheck_alcotest.to_alcotest qcheck_event_roundtrip;

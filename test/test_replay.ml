@@ -304,6 +304,25 @@ let test_replay_rejects_hostile_meta () =
           (String.starts_with ~prefix:"capture meta: " reason))
     [ ("k", "0"); ("proactive", "50"); ("h", "300") ]
 
+(* A session of more than 0x10000 TGs overflows the wire tg's 16-bit
+   local index into the next session's ids.  Replay refuses such a meta
+   before it builds a receiver, whose expected list would name a TG
+   twice. *)
+let test_replay_rejects_tg_overflow () =
+  let recorder = Recorder.create () in
+  let config =
+    { M.k = 1; h = 1; proactive = 0; pre_encode = false; slot; codec = `Rse }
+  in
+  Rmcast.Np_replay.record_setup recorder ~config ~payload_size:1 ~receivers:1
+    ~sessions:[| payloads ~count:0x10001 ~size:1 1; payloads ~count:1 ~size:1 2 |]
+    ~rx_seeds:[| 1 |] ();
+  Recorder.record_event recorder ~actor:"r0" (M.event_to_string M.Tick);
+  match Rmcast.Np_replay.replay recorder with
+  | Ok _ -> Alcotest.fail "a session of 0x10001 TGs accepted"
+  | Error reason ->
+    Alcotest.(check string) "error" "capture meta data.0: too many TGs (wire tg is 16-bit)"
+      reason
+
 (* The recorder file format itself: meta, ordering, hostile input. *)
 let test_recorder_format () =
   let r = Recorder.create () in
@@ -351,4 +370,6 @@ let suite =
     Alcotest.test_case "replay rejects missing meta" `Quick test_replay_rejects_bad_meta;
     Alcotest.test_case "recorder file format" `Quick test_recorder_format;
     Alcotest.test_case "replay rejects hostile meta" `Quick test_replay_rejects_hostile_meta;
+    Alcotest.test_case "replay rejects a session past 0x10000 TGs" `Quick
+      test_replay_rejects_tg_overflow;
   ]
