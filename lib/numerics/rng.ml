@@ -2,8 +2,17 @@
    offsets 0, 8, 16 and 24.  A record of [mutable int64] fields would box
    a fresh word on every store; reading and writing the buffer in place
    keeps a draw off the minor heap, as long as the arithmetic on the
-   [int64] values stays inside this module (see [bits64] below). *)
+   [int64] values stays inside this module (see [bits64] below).
+
+   Every buffer is built 32 bytes long by [of_int64_seed] (or copied from
+   one), so the step reads and writes it without bounds checks.  The float
+   draws convert their 53-bit integer with [float_of_int], one native
+   instruction: [Int64.to_float] is a C call that switches stacks on every
+   draw, and the two agree exactly on values below 2^53. *)
 type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -37,20 +46,17 @@ let copy = Bytes.copy
 (* Inlined into every draw in this module, so the result and the state
    words stay in registers; only the exported [bits64] boxes its result. *)
 let[@inline] bits64 t =
-  let s0 = Bytes.get_int64_ne t 0
-  and s1 = Bytes.get_int64_ne t 8
-  and s2 = Bytes.get_int64_ne t 16
-  and s3 = Bytes.get_int64_ne t 24 in
+  let s0 = get64u t 0 and s1 = get64u t 8 and s2 = get64u t 16 and s3 = get64u t 24 in
   let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
   let tmp = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
   let s3 = Int64.logxor s3 s1 in
   let s1 = Int64.logxor s1 s2 in
   let s0 = Int64.logxor s0 s3 in
-  Bytes.set_int64_ne t 0 s0;
-  Bytes.set_int64_ne t 8 s1;
-  Bytes.set_int64_ne t 16 (Int64.logxor s2 tmp);
-  Bytes.set_int64_ne t 24 (rotl s3 45);
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 (Int64.logxor s2 tmp);
+  set64u t 24 (rotl s3 45);
   result
 
 let split t = of_int64_seed (bits64 t)
@@ -76,13 +82,14 @@ let derive_seed seed coords =
   (* Truncate to a non-negative OCaml int so the result feeds [create]. *)
   Int64.to_int (Int64.shift_right_logical !out 2)
 
+(* [bits < 2^53] fits an OCaml int, so [float_of_int] converts it exactly. *)
 let[@inline] float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  float_of_int bits *. 0x1p-53
 
 let[@inline] float_pos t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  (Int64.to_float bits +. 1.0) *. 0x1p-53
+  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  (float_of_int bits +. 1.0) *. 0x1p-53
 
 (* Rejection sampling on the top bits to avoid modulo bias.  The loop
    carries the bound as an [int], so nothing is boxed between attempts. *)
@@ -101,20 +108,44 @@ let int t n =
   else draw_below t n
 
 let bool t = Int64.compare (bits64 t) 0L < 0
-let bernoulli t p = float t < p
+let[@inline] bernoulli t p = float t < p
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
   -.log (float_pos t) /. rate
 
+(* One geometric variate given [log_q = log1p (-p)].  Clamp: for tiny p
+   the float result can round past max_int. *)
+let[@inline] geometric_of_log t log_q =
+  let g = log (float_pos t) /. log_q in
+  if g >= 1e18 then max_int else int_of_float g
+
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p >= 1.0 then 0
-  else
-    let u = float_pos t in
-    let g = log u /. Float.log1p (-.p) in
-    (* Clamp: for tiny p the float result can round past max_int. *)
-    if g >= 1e18 then max_int else int_of_float g
+  if p >= 1.0 then 0 else geometric_of_log t (Float.log1p (-.p))
+
+let binomial_by_trials t ~n ~p =
+  let count = ref 0 in
+  for _ = 1 to n do
+    if bernoulli t p then incr count
+  done;
+  !count
+
+let binomial_by_skips t ~n ~p =
+  if p <= 0.0 || p >= 1.0 then invalid_arg "Rng.binomial_by_skips: p must be in (0,1)";
+  let log_q = Float.log1p (-.p) in
+  let count = ref 0 and position = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let skip = geometric_of_log t log_q in
+    if skip >= n - !position then continue := false
+    else begin
+      position := !position + skip + 1;
+      incr count;
+      if !position >= n then continue := false
+    end
+  done;
+  !count
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

@@ -9,13 +9,16 @@
     draws from every function below, forever.  Replay captures, the golden
     protocol and simulation digests, and the byte-identical [--jobs] sweeps
     all depend on it, and [test/test_rng.ml] pins it with known-answer
-    vectors.  A change to seeding or to any draw's arithmetic is a change
-    to every seeded result in the repository.
+    vectors: raw words, and the bits of the [float], [float_pos],
+    [bernoulli] and [geometric] draws.  A change to seeding or to any
+    draw's arithmetic is a change to every seeded result in the
+    repository.
 
     The four state words are held unboxed, so the draws that return an
-    immediate ([int], [bool], [bernoulli], [geometric], [shuffle_in_place])
-    allocate nothing.  [bits64], [float], [float_pos] and [exponential]
-    allocate only their boxed result. *)
+    immediate ([int], [bool], [bernoulli], [geometric],
+    [binomial_by_trials], [binomial_by_skips], [shuffle_in_place]) allocate
+    nothing.  [bits64], [float], [float_pos]
+    and [exponential] allocate only their boxed result. *)
 
 type t
 (** Mutable generator state. *)
@@ -68,6 +71,22 @@ val exponential : t -> rate:float -> float
 val geometric : t -> p:float -> int
 (** Number of failures before the first success in Bernoulli([p]) trials;
     support 0, 1, 2, ...  Requires [0 < p <= 1]. *)
+
+(** The two loops of [Sampler.binomial]'s small regimes live here, where
+    each uniform stays unboxed in a register: [Sampler] is another module,
+    and a float returned across a module boundary is boxed. *)
+
+val binomial_by_trials : t -> n:int -> p:float -> int
+(** [binomial_by_trials rng ~n ~p] counts the successes among [n]
+    Bernoulli([p]) trials, one uniform each: exactly the draws of [n] calls
+    of [bernoulli rng p].  The regime of small [n]. *)
+
+val binomial_by_skips : t -> n:int -> p:float -> int
+(** [binomial_by_skips rng ~n ~p] counts the successes among [n]
+    Bernoulli([p]) trials by skipping the failures between them: it makes
+    exactly the draws of calling [geometric rng ~p] until the skips run
+    past [n], but computes [log1p (-p)] once.  Expected cost O(np): the
+    regime of small [n p].  Requires [0 < p < 1]. *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)

@@ -1,29 +1,6 @@
-let binomial_bernoulli_loop rng ~n ~p =
-  let count = ref 0 in
-  for _ = 1 to n do
-    if Rng.bernoulli rng p then incr count
-  done;
-  !count
-
-(* Count successes by skipping over failures geometrically: expected cost
-   O(np), exact for any p in (0,1). *)
-let binomial_geometric rng ~n ~p =
-  let count = ref 0 in
-  let position = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let skip = Rng.geometric rng ~p in
-    if skip >= n - !position then continue := false
-    else begin
-      position := !position + skip + 1;
-      incr count;
-      if !position >= n then continue := false
-    end
-  done;
-  !count
-
 (* BTRS: transformed rejection with squeeze (Hörmann 1993), exact for
-   n*p >= 10 and p <= 1/2. *)
+   n*p >= 10 and p <= 1/2.  A loop rather than a local recursive function,
+   so no closure (and no boxed copy of each constant) is built per call. *)
 let binomial_btrs rng ~n ~p =
   let nf = float_of_int n in
   let q = 1.0 -. p in
@@ -36,15 +13,15 @@ let binomial_btrs rng ~n ~p =
   let lpq = log (p /. q) in
   let m = int_of_float ((nf +. 1.0) *. p) in
   let h = Special.log_factorial m +. Special.log_factorial (n - m) in
-  let rec draw () =
+  let result = ref (-1) in
+  while !result < 0 do
     let u = Rng.float rng -. 0.5 in
     let v = Rng.float rng in
     let us = 0.5 -. Float.abs u in
     let kf = Float.floor ((((2.0 *. a /. us) +. b) *. u) +. c) in
-    if kf < 0.0 || kf > nf then draw ()
-    else begin
+    if kf >= 0.0 && kf <= nf then begin
       let k = int_of_float kf in
-      if us >= 0.07 && v <= vr then k
+      if us >= 0.07 && v <= vr then result := k
       else begin
         let v = log (v *. alpha /. ((a /. (us *. us)) +. b)) in
         let accept =
@@ -54,11 +31,11 @@ let binomial_btrs rng ~n ~p =
              -. Special.log_factorial (n - k)
              +. (float_of_int (k - m) *. lpq)
         in
-        if accept then k else draw ()
+        if accept then result := k
       end
     end
-  in
-  draw ()
+  done;
+  !result
 
 (* Standard normal via the Marsaglia polar method; feeds the gamma sampler
    below, which only the large-n binomial split path reaches. *)
@@ -70,23 +47,24 @@ let rec std_normal rng =
   else u *. sqrt (-2.0 *. log s /. s)
 
 (* Marsaglia-Tsang squeeze for Gamma(shape, 1), shape >= 1: exact rejection,
-   ~1.05 normal draws per variate. *)
+   ~1.05 normal draws per variate.  The attempt is a top-level function of
+   [d = shape - 1/3] and [c = 1/sqrt(9d)], so no closure is built per
+   variate. *)
+let rec gamma_attempt rng ~d ~c =
+  let x = std_normal rng in
+  let t = 1.0 +. (c *. x) in
+  if t <= 0.0 then gamma_attempt rng ~d ~c
+  else begin
+    let v = t *. t *. t in
+    let u = Rng.float_pos rng in
+    if log u < (0.5 *. x *. x) +. d -. (d *. v) +. (d *. log v) then d *. v
+    else gamma_attempt rng ~d ~c
+  end
+
 let gamma_mt rng ~shape =
   if shape < 1.0 then invalid_arg "Sampler.gamma_mt: shape < 1";
   let d = shape -. (1.0 /. 3.0) in
-  let c = 1.0 /. sqrt (9.0 *. d) in
-  let rec draw () =
-    let x = std_normal rng in
-    let t = 1.0 +. (c *. x) in
-    if t <= 0.0 then draw ()
-    else begin
-      let v = t *. t *. t in
-      let u = Rng.float_pos rng in
-      if log u < (0.5 *. x *. x) +. d -. (d *. v) +. (d *. log v) then d *. v
-      else draw ()
-    end
-  in
-  draw ()
+  gamma_attempt rng ~d ~c:(1.0 /. sqrt (9.0 *. d))
 
 let beta rng ~a ~b =
   let x = gamma_mt rng ~shape:a in
@@ -107,8 +85,10 @@ let rec binomial rng ~n ~p =
   if n = 0 || p = 0.0 then 0
   else if p = 1.0 then n
   else if p > 0.5 then n - binomial rng ~n ~p:(1.0 -. p)
-  else if n <= 32 then binomial_bernoulli_loop rng ~n ~p
-  else if float_of_int n *. p < 10.0 then binomial_geometric rng ~n ~p
+  (* The two cheap regimes loop in [Rng], where each uniform (and the
+     skips' [log1p (-p)], computed once per call) stays unboxed. *)
+  else if n <= 32 then Rng.binomial_by_trials rng ~n ~p
+  else if float_of_int n *. p < 10.0 then Rng.binomial_by_skips rng ~n ~p
   else if n > binomial_split_threshold then binomial_beta_split rng ~n ~p
   else binomial_btrs rng ~n ~p
 

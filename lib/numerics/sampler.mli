@@ -2,9 +2,14 @@
 
     The Monte-Carlo simulations of Figures 11-16 draw, per multicast
     transmission, the *number* of receivers (or tree nodes) that lose the
-    packet — a binomial variate with n up to 2^17 — and then the identity of
-    the losers — a uniform sample without replacement.  Both are provided
-    here with cost independent of n (amortised O(np) or O(1)). *)
+    packet — a binomial variate with n up to 10^6, the population the
+    aggregate tier thins per packet — and then the identity of the losers —
+    a uniform sample without replacement.  Both are provided here with cost
+    independent of n (amortised O(np), O(1), or O(log n) beta splits above
+    2^16).
+
+    Every sampler consumes the same draws, in the same order, for a given
+    stream: [test/test_sampler.ml] pins one stream per binomial regime. *)
 
 val binomial : Rng.t -> n:int -> p:float -> int
 (** Exact Binomial(n, p) sampling.  Strategy: direct Bernoulli loop for tiny

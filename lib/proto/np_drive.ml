@@ -140,13 +140,23 @@ module Scoreboard = struct
 end
 
 module Receiver = struct
+  (* TG ids are ints: hashing one is the identity and comparing two is
+     [Int.equal], where the polymorphic table calls [caml_hash] and
+     [compare_val] on every arm and cancel. *)
+  module Timers = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash tg = tg land max_int
+  end)
+
   type 'timer t = {
     machine : Np_machine.Receiver.t;
     recorder : Recorder.t option;
     actor : string;
     clock : 'timer clock;
     scoreboard : Scoreboard.t;
-    timers : (int, 'timer) Hashtbl.t; (* armed NAK timers, by tg *)
+    timers : 'timer Timers.t; (* armed NAK timers, by tg *)
     entry : (Np_machine.event -> unit) option;
     apply : Np_machine.effect -> unit;
   }
@@ -158,13 +168,13 @@ module Receiver = struct
       actor;
       clock;
       scoreboard;
-      timers = Hashtbl.create 8;
+      timers = Timers.create 8;
       entry;
       apply;
     }
 
   let machine t = t.machine
-  let cancel t tg = Option.iter t.clock.cancel (Hashtbl.find_opt t.timers tg)
+  let cancel t tg = Option.iter t.clock.cancel (Timers.find_opt t.timers tg)
 
   (* Without a recorder the machine is called directly: the per-reception
      path builds no closure and no capture strings. *)
@@ -181,10 +191,10 @@ module Receiver = struct
       (match effect with
       | Np_machine.Arm_timer { tg; round; offset } ->
         cancel t tg;
-        Hashtbl.replace t.timers tg (t.clock.after offset (fun () -> fire t ~tg ~round))
+        Timers.replace t.timers tg (t.clock.after offset (fun () -> fire t ~tg ~round))
       | Np_machine.Cancel_timer { tg } ->
         cancel t tg;
-        Hashtbl.remove t.timers tg
+        Timers.remove t.timers tg
       | Np_machine.Deliver { tg; data; reconstructed = _ } ->
         Scoreboard.record t.scoreboard ~tg data;
         t.apply effect
@@ -192,11 +202,11 @@ module Receiver = struct
       perform t rest
 
   and fire t ~tg ~round =
-    Hashtbl.remove t.timers tg;
+    Timers.remove t.timers tg;
     let event = Np_machine.Timer_fired { tg; round } in
     match t.entry with Some entry -> entry event | None -> receive t event
 
   let cancel_timers t =
-    Hashtbl.iter (fun _tg timer -> t.clock.cancel timer) t.timers;
-    Hashtbl.reset t.timers
+    Timers.iter (fun _tg timer -> t.clock.cancel timer) t.timers;
+    Timers.reset t.timers
 end

@@ -110,13 +110,15 @@ let deficit_count t n =
 
 let deficits t = Array.init (t.k + 1) (deficit_count t)
 
-(* Move every cell through the channel chain for a gap of [dt]: each member
-   lands in the bad state with the two-state transition probability for its
-   current state. *)
-let transition t rng ~dt =
+(* Move every cell through the channel chain for the gap since the last
+   packet: each member lands in the bad state with the two-state transition
+   probability for its current state.  The memoryless channel computes no
+   gap, so its packets box no float. *)
+let transition t rng ~time =
   match t.channel with
   | Bernoulli _ -> ()
   | Gilbert { mu01; mu10; _ } ->
+    let dt = Float.max 0.0 (time -. t.last_time) in
     if dt > 0.0 then begin
       (* The chain's step depends only on [dt], not on the cell.  An empty
          class is skipped: [Sampler.binomial ~n:0] draws nothing, so the
@@ -143,37 +145,35 @@ let state_loss_probability t s =
 (* One multicast packet of this TG reaching the population at [time]:
    advance the channel chains over the gap, then thin every cell — the
    members that receive the packet move one deficit class down (or count as
-   an unnecessary reception when already complete).  The received counts
-   are drawn from a snapshot so a receiver is never thinned twice by the
-   same packet. *)
+   an unnecessary reception when already complete).
+
+   One ascending pass does both, in place.  Receivers only ever move from
+   class [n] into [n - 1], which the pass has already drawn, so when cell
+   [(n, s)] is drawn nothing has moved into it yet: it still holds the
+   count it held before the packet, no receiver is thinned twice, and the
+   draws come in the same order and with the same arguments as drawing
+   every cell from a snapshot first.  The receivers that just completed on
+   this packet land in class 0 after it was drawn, so they are not counted
+   as unnecessary.  An empty cell draws nothing, as in [transition]. *)
 let receive t rng ~time =
-  let dt = Float.max 0.0 (time -. t.last_time) in
+  transition t rng ~time;
   t.last_time <- time;
-  transition t rng ~dt;
-  let received = Array.make ((t.k + 1) * t.states) 0 in
+  let states = t.states and counts = t.counts in
   for n = 0 to t.k do
-    for s = 0 to t.states - 1 do
-      let cell = (n * t.states) + s in
-      let c = t.counts.(cell) in
-      if c > 0 then
-        received.(cell) <- c - Sampler.binomial rng ~n:c ~p:(state_loss_probability t s)
-    done
-  done;
-  for n = 1 to t.k do
-    for s = 0 to t.states - 1 do
-      let cell = (n * t.states) + s in
-      let got = received.(cell) in
-      if got > 0 then begin
-        t.counts.(cell) <- t.counts.(cell) - got;
-        t.counts.(((n - 1) * t.states) + s) <- t.counts.(((n - 1) * t.states) + s) + got;
-        if n = 1 then t.missing <- t.missing - got
+    for s = 0 to states - 1 do
+      let cell = (n * states) + s in
+      let c = counts.(cell) in
+      if c > 0 then begin
+        let got = c - Sampler.binomial rng ~n:c ~p:(state_loss_probability t s) in
+        if got > 0 then
+          if n = 0 then t.unnecessary <- t.unnecessary + got
+          else begin
+            counts.(cell) <- c - got;
+            counts.(cell - states) <- counts.(cell - states) + got;
+            if n = 1 then t.missing <- t.missing - got
+          end
       end
     done
-  done;
-  for s = 0 to t.states - 1 do
-    (* Complete receivers that received this packet did not need it; the
-       snapshot excludes the ones that just completed on it. *)
-    t.unnecessary <- t.unnecessary + received.(s)
   done
 
 (* Initial volley shortcut for the memoryless channel: receiver losses out

@@ -9,6 +9,9 @@ type kind =
       p_bad : float; (* per-packet loss in state 1 *)
       mutable state : int; (* 0 good, 1 bad *)
       mutable state_time : float;
+      decay_memo : float array;
+          (* [| dt; exp (-(mu01+mu10) dt) |] of the last query; a flat
+             float array, so storing into it allocates nothing *)
     }
   | Trace of {
       spacing : float;
@@ -33,7 +36,8 @@ let gilbert_elliott rng ~mu01 ~mu10 ~p_good ~p_bad =
   let state = if Rng.bernoulli rng pi1 then 1 else 0 in
   {
     rng;
-    kind = Markov { mu01; mu10; p_good; p_bad; state; state_time = 0.0 };
+    kind =
+      Markov { mu01; mu10; p_good; p_bad; state; state_time = 0.0; decay_memo = [| nan; nan |] };
     last_query = neg_infinity;
   }
 
@@ -84,13 +88,15 @@ let rec trace_wraps t =
   | Phased { before; after; _ } -> trace_wraps before + trace_wraps after
   | Bernoulli _ | Markov _ -> 0
 
-let transition_to_bad_probability ~mu01 ~mu10 ~from_state dt =
-  let total = mu01 +. mu10 in
-  let pi1 = mu01 /. total in
-  let decay = exp (-.total *. dt) in
+(* [decay] is [exp (-(mu01+mu10) dt)] for the gap [dt]. *)
+let[@inline] to_bad_of_decay ~mu01 ~mu10 ~from_state decay =
+  let pi1 = mu01 /. (mu01 +. mu10) in
   match from_state with
   | 1 -> pi1 +. ((1.0 -. pi1) *. decay) (* p11 *)
   | _ -> pi1 *. (1.0 -. decay) (* p01 *)
+
+let transition_to_bad_probability ~mu01 ~mu10 ~from_state dt =
+  to_bad_of_decay ~mu01 ~mu10 ~from_state (exp (-.(mu01 +. mu10) *. dt))
 
 let rec lost t time =
   if time < t.last_query then invalid_arg "Loss.lost: query times must be non-decreasing";
@@ -113,10 +119,18 @@ let rec lost t time =
       tr.trace.(((slot mod length) + length) mod length)
     end
   | Markov m ->
-    let dt = Float.max 0.0 (time -. m.state_time) in
-    let p_bad_now =
-      transition_to_bad_probability ~mu01:m.mu01 ~mu10:m.mu10 ~from_state:m.state dt
-    in
+    (* [Float.max 0.0 gap], written out so that [dt] stays unboxed. *)
+    let gap = time -. m.state_time in
+    let dt = if gap > 0.0 || Float.is_nan gap then gap else 0.0 in
+    (* Queries mostly come at one packet spacing, so the decay factor is
+       kept for the last gap and reused when the next gap is bit-for-bit
+       the same (a NaN never matches, so the first query computes it). *)
+    let memo = m.decay_memo in
+    if dt <> memo.(0) then begin
+      memo.(0) <- dt;
+      memo.(1) <- exp (-.(m.mu01 +. m.mu10) *. dt)
+    end;
+    let p_bad_now = to_bad_of_decay ~mu01:m.mu01 ~mu10:m.mu10 ~from_state:m.state memo.(1) in
     let in_bad = Rng.bernoulli t.rng p_bad_now in
     m.state <- (if in_bad then 1 else 0);
     m.state_time <- time;

@@ -304,6 +304,57 @@ let test_volley_matches_thinning () =
   check_tiers_agree "post-volley missing" volley_missing packet_missing;
   check_tiers_agree "post-volley max deficit" volley_deficit packet_deficit
 
+(* Known answers for the thinning step on both channels: a change to the
+   order of the per-cell draws, to which cells draw, or to what moves
+   where must fail here before it reaches a golden digest. *)
+let test_receive_known_answers () =
+  let times = List.init 14 (fun i -> 0.04 *. float_of_int (i + 1)) @ [ 0.56; 0.56; 1.0; 1.04 ] in
+  let check name channel ~size ~deficits ~missing ~unnecessary ~after =
+    let rng = Rng.create ~seed:11 () in
+    let pop = Aggregate.create rng ~size ~k:12 ~channel ~time:0.0 in
+    List.iter (fun time -> Aggregate.receive pop rng ~time) times;
+    Alcotest.(check (array int)) (name ^ ": deficits") deficits (Aggregate.deficits pop);
+    Alcotest.(check int) (name ^ ": missing") missing (Aggregate.missing pop);
+    Alcotest.(check int) (name ^ ": unnecessary") unnecessary (Aggregate.unnecessary pop);
+    Alcotest.(check int64) (name ^ ": bits64 after") after (Rng.bits64 rng)
+  in
+  check "bursty" (Aggregate.bursty ~p:0.2 ~mean_burst:2.0 ~send_rate:25.0) ~size:100_000
+    ~deficits:[| 86208; 5549; 3575; 2205; 1259; 663; 316; 138; 60; 22; 5; 0; 0 |]
+    ~missing:13792 ~unnecessary:272497 ~after:7214595885270274535L;
+  check "gilbert" (Aggregate.gilbert ~mu01:2.0 ~mu10:8.0 ~p_good:0.05 ~p_bad:0.6) ~size:5_000
+    ~deficits:[| 4589; 186; 106; 61; 30; 19; 6; 2; 1; 0; 0; 0; 0 |]
+    ~missing:411 ~unnecessary:16208 ~after:8534923983066945655L;
+  check "bernoulli" (Aggregate.bernoulli ~p:0.1) ~size:2_000
+    ~deficits:[| 1996; 3; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 0 |]
+    ~missing:4 ~unnecessary:8373 ~after:2477053888910438782L
+
+(* One packet to a 500-receiver Bernoulli(0.01) population: every cell
+   draws in the n <= 32 loop or the geometric-skip regime, neither of
+   which allocates, so the thinning step must not touch the minor heap
+   either.  The populations are built before the count starts, and every
+   call passes the same (static) time, so the loop itself allocates
+   nothing. *)
+let test_receive_allocates_nothing () =
+  let rng = Rng.create ~seed:12 () in
+  let pops =
+    Array.init 40 (fun _ ->
+        Aggregate.create rng ~size:500 ~k:20 ~channel:(Aggregate.bernoulli ~p) ~time:0.0)
+  in
+  let packets = 30 in
+  let before = Gc.minor_words () in
+  for _ = 1 to packets do
+    for i = 0 to Array.length pops - 1 do
+      Aggregate.receive pops.(i) rng ~time:1.0
+    done
+  done;
+  let calls = float_of_int (packets * Array.length pops) in
+  let per_call = (Gc.minor_words () -. before) /. calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per receive" per_call)
+    true (per_call < 0.01);
+  Alcotest.(check bool) "packets were thinned" true
+    (Array.exists (fun pop -> Aggregate.unnecessary pop > 0) pops)
+
 (* --- infrastructure ----------------------------------------------------- *)
 
 let test_parallel_map () =
@@ -552,6 +603,8 @@ let suite =
       test_tiers_agree_bursty;
     Alcotest.test_case "volley split = per-packet thinning" `Quick
       test_volley_matches_thinning;
+    Alcotest.test_case "receive known answers" `Quick test_receive_known_answers;
+    Alcotest.test_case "receive allocates nothing" `Quick test_receive_allocates_nothing;
     Alcotest.test_case "Parallel.map" `Quick test_parallel_map;
     Alcotest.test_case "log-factorial memo grows once" `Quick test_log_factorial_memo;
     Alcotest.test_case "rejected flow schedules nothing" `Quick

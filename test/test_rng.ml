@@ -222,6 +222,27 @@ let test_known_answers () =
     [ Rng.derive_seed 0 [||]; Rng.derive_seed 1 [| 2; 3 |];
       Rng.derive_seed 12345 [| 0; -1; max_int |] ]
 
+(* The float draws and the draws built on them, pinned on one stream: a
+   change to the 53-bit conversion, the (0, 1] shift of [float_pos], the
+   comparison in [bernoulli] or the log ratio in [geometric] must fail
+   here.  Floats are compared bit for bit, written as hex literals. *)
+let test_float_known_answers () =
+  let rng = Rng.create ~seed:2024 () in
+  let bits l = List.map Int64.bits_of_float l in
+  Alcotest.(check (list int64)) "float"
+    (bits [ 0x1.0c824a7f1fdbp-1; 0x1.2dfbbb18abd9ap-2; 0x1.f2caff4e7ba34p-3;
+            0x1.afc6a90c0d19p-2; 0x1.7f12c9ad24582p-1; 0x1.9dd9584376417p-1 ])
+    (bits (List.init 6 (fun _ -> Rng.float rng)));
+  Alcotest.(check (list int64)) "float_pos"
+    (bits [ 0x1.f5017920702f5p-1; 0x1.536fa63b84c8ep-1; 0x1.852834bb3b13p-4;
+            0x1.878de5bbf11d8p-2; 0x1.2e4615437c219p-1; 0x1.a228a13811e3cp-1 ])
+    (bits (List.init 6 (fun _ -> Rng.float_pos rng)));
+  Alcotest.(check string) "bernoulli 0.3" "00000100000100100000000011011100"
+    (String.concat "" (List.init 32 (fun _ -> if Rng.bernoulli rng 0.3 then "1" else "0")));
+  Alcotest.(check (list int)) "geometric 0.2" [ 9; 0; 5; 2; 5; 2; 2; 8; 0; 10; 2; 0 ]
+    (List.init 12 (fun _ -> Rng.geometric rng ~p:0.2));
+  Alcotest.(check int64) "bits64 after the float draws" 140713949635215565L (Rng.bits64 rng)
+
 (* --- allocation budget ---------------------------------------------------- *)
 
 (* The exact simulation tier makes one draw per receiver per packet, so a
@@ -248,6 +269,12 @@ let test_draws_allocate_nothing () =
       ("int 10", words_per_call (fun () -> hits := !hits + Rng.int rng 10), zero);
       ("int 16", words_per_call (fun () -> hits := !hits + Rng.int rng 16), zero);
       ("geometric", words_per_call (fun () -> hits := !hits + Rng.geometric rng ~p:0.2), zero);
+      ( "binomial_by_trials 20",
+        words_per_call (fun () -> hits := !hits + Rng.binomial_by_trials rng ~n:20 ~p:0.3),
+        zero );
+      ( "binomial_by_skips 500",
+        words_per_call (fun () -> hits := !hits + Rng.binomial_by_skips rng ~n:500 ~p:0.01),
+        zero );
     ]
   in
   (* Network.lost on the independent regime is one bernoulli per query;
@@ -296,5 +323,6 @@ let suite =
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "shuffle moves" `Quick test_shuffle_moves_things;
     Alcotest.test_case "known-answer stream pins" `Quick test_known_answers;
+    Alcotest.test_case "known-answer float pins" `Quick test_float_known_answers;
     Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
   ]

@@ -79,6 +79,25 @@ let test_binomial_split_support () =
     Alcotest.(check bool) "in [0,n]" true (x >= 0 && x <= 1_000_000)
   done
 
+(* Known answers, one stream per regime: the draws a seed names are a
+   contract (golden digests, captures), so a change to any regime's
+   arithmetic or to how many words it consumes must fail here.  The
+   trailing [bits64] pins the consumption. *)
+let test_binomial_known_answers () =
+  let check name ~n ~p expected after =
+    let rng = Rng.create ~seed:77 () in
+    let drawn = List.init (List.length expected) (fun _ -> Sampler.binomial rng ~n ~p) in
+    Alcotest.(check (list int)) name expected drawn;
+    Alcotest.(check int64) (name ^ ": bits64 after") after (Rng.bits64 rng)
+  in
+  check "n <= 32 loop" ~n:20 ~p:0.3 [ 7; 5; 8; 7; 7; 9 ] 5188279646716765582L;
+  check "geometric skip" ~n:10_000 ~p:0.0005 [ 4; 7; 6; 6; 10; 3 ] 8882129814934306860L;
+  check "BTRS" ~n:5_000 ~p:0.01 [ 47; 60; 61; 62; 36; 59 ] (-3664467926917275048L);
+  check "beta split" ~n:1_000_000 ~p:0.01 [ 10007; 9798; 9948; 10051; 10101; 10095 ]
+    (-1478509811008143565L);
+  check "p > 1/2 reflection" ~n:1_000 ~p:0.93 [ 933; 918; 918; 916; 946; 919 ]
+    (-3664467926917275048L)
+
 (* Differential law check against Dist.Binomial.cdf: the empirical cdf of
    the sampler at the distribution's quartiles must match the analytic cdf.
    Each empirical fraction over [reps] draws is a Binomial proportion with
@@ -213,6 +232,7 @@ let suite =
     Alcotest.test_case "binomial beta-split moments (n to 10^6)" `Quick
       test_binomial_split_moments;
     Alcotest.test_case "binomial beta-split support" `Quick test_binomial_split_support;
+    Alcotest.test_case "binomial known answers per regime" `Quick test_binomial_known_answers;
     QCheck_alcotest.to_alcotest qcheck_binomial_matches_cdf;
     Alcotest.test_case "distinct_ints distinct & in range" `Quick test_distinct_ints_distinct;
     Alcotest.test_case "distinct_ints k=n" `Quick test_distinct_ints_full;

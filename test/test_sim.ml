@@ -174,6 +174,31 @@ let test_markov_skip_ahead_decorrelates () =
   done;
   close ~tol:0.1 "stationary 0.1" 0.1 (float_of_int !hits /. float_of_int n)
 
+(* Known answers for the chain over query gaps that repeat, grow, drop to
+   0 and come back: anything the chain remembers between queries (the
+   last gap's decay factor) must follow the gap exactly.  Gaps are
+   multiples of 1/32 s, so the differences of the query times are exact. *)
+let test_markov_known_fates () =
+  let d = 1.0 /. 32.0 in
+  let gaps =
+    [ d; d; d; d; d; d; 2. *. d; 4. *. d; 8. *. d; 32. *. d; 128. *. d; 0.; 0.; 0.; d; d; d; d;
+      0.; d; d; 64. *. d; d; d; d; 0.; 0.; 2. *. d; 2. *. d; d; d; d; d; d; d; d; 16. *. d; d;
+      d; d ]
+  in
+  let rng = Rng.create ~seed:5 () in
+  let loss = Loss.markov2 rng ~p:0.3 ~mean_burst:3.0 ~send_rate:32.0 in
+  let time = ref 0.0 in
+  let fates =
+    List.map
+      (fun gap ->
+        time := !time +. gap;
+        if Loss.lost loss !time then "1" else "0")
+      gaps
+  in
+  Alcotest.(check string) "fates" "1101000000111100011000000000011110111000"
+    (String.concat "" fates);
+  Alcotest.(check int64) "bits64 after" (-1949853218696268389L) (Rng.bits64 rng)
+
 let test_markov_validation () =
   Alcotest.check_raises "burst <= 1"
     (Invalid_argument "Loss.markov2: mean_burst must exceed 1 packet") (fun () ->
@@ -383,6 +408,7 @@ let base_suite =
     Alcotest.test_case "markov burst length" `Quick test_markov_burst_length;
     Alcotest.test_case "markov skip-ahead" `Quick test_markov_skip_ahead_decorrelates;
     Alcotest.test_case "markov validation" `Quick test_markov_validation;
+    Alcotest.test_case "markov known fates over varying gaps" `Quick test_markov_known_fates;
     Alcotest.test_case "trace-driven loss" `Quick test_trace_loss;
     Alcotest.test_case "trace wrap counted" `Quick test_trace_loss_wrap_counted;
     Alcotest.test_case "trace wrap can fail" `Quick test_trace_loss_wrap_fail;
