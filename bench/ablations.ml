@@ -1,6 +1,5 @@
 (* Ablations over the design choices called out in DESIGN.md §4:
-   - systematic-Vandermonde (Rse) vs polynomial-evaluation (Rse_poly)
-     encoding,
+   - systematic-Vandermonde (Rse) vs Cauchy encoding,
    - GF(2^8) 64K product table vs log/antilog lookups in the packet kernel,
    - per-round vs per-packet NAK feedback in the end-host model,
    - proactive parities a = 0..4 (bandwidth vs feedback/latency). *)
@@ -14,19 +13,14 @@ let codec_construction_comparison () =
   let rng = Rng.create ~seed:42 () in
   let data = Array.init 20 (fun _ -> Bytes.init packet_size (fun _ -> Char.chr (Rng.int rng 256))) in
   let systematic = Rse.create ~k:20 ~h:10 () in
-  let poly = Rse_poly.create ~k:20 ~h:10 () in
   let t_sys =
     Harness.seconds_per_run ~name:"rse-systematic" (fun () -> ignore (Rse.encode systematic data))
-  in
-  let t_poly =
-    Harness.seconds_per_run ~name:"rse-poly" (fun () -> ignore (Rse_poly.encode poly data))
   in
   let cauchy = Cauchy.create ~k:20 ~h:10 () in
   let t_cauchy =
     Harness.seconds_per_run ~name:"cauchy" (fun () -> ignore (Cauchy.encode cauchy data))
   in
   Printf.printf "systematic Vandermonde : %8.1f blocks/s (MDS by construction)\n" (1.0 /. t_sys);
-  Printf.printf "polynomial evaluation  : %8.1f blocks/s (MDS only empirically)\n" (1.0 /. t_poly);
   Printf.printf "Cauchy                 : %8.1f blocks/s (MDS by construction, O(kh) setup)\n"
     (1.0 /. t_cauchy)
 

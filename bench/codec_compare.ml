@@ -12,22 +12,21 @@
      codec) pair reuses the same network seed, so the loss draws are
      identical and the codecs differ only in repair efficiency.
    - {b decode cost}: wall time to repair and decode a k-packet block
-     after a fixed loss pattern, straight through the ENCODER/DECODER
-     seam (repair payloads pre-encoded outside the timed region).
+     after a fixed loss pattern, straight through {!Fec_block}'s
+     receiver (repair payloads pre-encoded outside the timed region).
 
    `--smoke` (run by `dune runtest`) gates on: determinism
    (same seed twice -> bit-identical metric fields), the MDS coincidence
    (cauchy must reproduce rse's E[M] and rounds {e exactly} — an MDS
    codec makes zero innovation draws), the RSE-parity floor
-   (RLNC E[M] within 5% of RSE under Bernoulli loss; LT's reception
-   overhead is reported but not gated), and decode correctness for every
-   codec.  The full run writes BENCH_CODEC.json (override: --out). *)
+   (RLNC E[M] within 5% of RSE under Bernoulli loss), and decode
+   correctness for every codec.  The full run writes BENCH_CODEC.json (override: --out). *)
 
 open Rmcast
 
 let () = Harness.parse [ Smoke; Out "BENCH_CODEC.json"; Jobs ]
 
-let codecs = [ `Rse; `Cauchy; `Rlnc; `Lt ]
+let codecs = Codec.all
 
 (* --- protocol tier ------------------------------------------------------ *)
 
@@ -121,33 +120,34 @@ type cost = {
 
 (* Repair + decode one block [blocks] times: the decoder-side cost of
    losing the first [drops] data packets, with all candidate repair
-   payloads pre-encoded outside the timed region.  The rateless codecs
-   may consume more than [drops] repairs; the budget is generous enough
+   payloads pre-encoded outside the timed region.  RLNC may consume more
+   than [drops] repairs; the budget is generous enough
    that a stall would show up as [correct = false], not an exception. *)
 let run_decode_cost ~kind ~blocks =
-  let (module C) = Codec.of_kind kind in
+  let codec = Codec.of_kind kind in
   let k = decode_k and drops = decode_drops in
   let h = drops + 56 in
   let rng = Rng.create ~seed:0xdec0de () in
   let data =
     Array.init k (fun _ -> Bytes.init decode_payload (fun _ -> Char.chr (Rng.int rng 256)))
   in
-  let enc = C.Encoder.create ~k ~h data in
-  let repairs = Array.init h (C.Encoder.repair enc) in
+  let sender = Fec_block.Sender.create ~codec ~h data in
+  let repairs = Array.init h (Fec_block.Sender.parity sender) in
   let consumed = ref 0 in
   let correct = ref true in
   let one () =
-    let dec = C.Decoder.create ~k ~h in
+    let dec = Fec_block.Receiver.create ~codec ~k ~h in
     for i = drops to k - 1 do
-      ignore (C.Decoder.add dec ~index:i data.(i))
+      ignore (Fec_block.Receiver.add dec ~index:i data.(i))
     done;
     let j = ref 0 in
-    while (not (C.Decoder.complete dec)) && !j < h do
-      ignore (C.Decoder.add dec ~index:(k + !j) repairs.(!j));
+    while (not (Fec_block.Receiver.complete dec)) && !j < h do
+      ignore (Fec_block.Receiver.add dec ~index:(k + !j) repairs.(!j));
       incr j
     done;
     consumed := !j;
-    if not (C.Decoder.complete dec && C.Decoder.decode dec = data) then correct := false
+    if not (Fec_block.Receiver.complete dec && Fec_block.Receiver.decode dec = data) then
+      correct := false
   in
   one () (* warm up and verify before timing *);
   let (), decode_wall = Harness.timed (fun () -> for _ = 1 to blocks do one () done) in
@@ -213,8 +213,7 @@ let json_of ~samples ~costs ~elapsed =
   pr "  ],\n";
   let ratio codec = (find Bernoulli codec).mean_m /. (find Bernoulli `Rse).mean_m in
   pr "  \"summary\": {\n";
-  pr "    \"rlnc_over_rse_bernoulli\": %.4f,\n" (ratio `Rlnc);
-  pr "    \"lt_over_rse_bernoulli\": %.4f\n" (ratio `Lt);
+  pr "    \"rlnc_over_rse_bernoulli\": %.4f\n" (ratio `Rlnc);
   pr "  }\n";
   pr "}\n";
   Buffer.contents buffer
@@ -223,8 +222,7 @@ let json_of ~samples ~costs ~elapsed =
 
 (* RLNC loses an innovation draw with probability ~q^-1 per repair, so its
    Bernoulli E[M] sits within a fraction of a percent of RSE's; 5% only
-   trips on a broken innovation model.  LT's binary-proxy overhead is a
-   finding of the experiment, not a gate. *)
+   trips on a broken innovation model. *)
 let rse_parity_ceiling = 1.05
 
 let smoke () =
@@ -234,8 +232,7 @@ let smoke () =
   let cauchy = run_protocol ~seed ~channel:Bernoulli ~codec:`Cauchy ~reps in
   let rlnc = run_protocol ~seed ~channel:Bernoulli ~codec:`Rlnc ~reps in
   let rlnc' = run_protocol ~seed ~channel:Bernoulli ~codec:`Rlnc ~reps in
-  let lt = run_protocol ~seed ~channel:Bernoulli ~codec:`Lt ~reps in
-  List.iter print_sample [ rse; cauchy; rlnc; lt ];
+  List.iter print_sample [ rse; cauchy; rlnc ];
   Harness.check "determinism"
     (rlnc.mean_m = rlnc'.mean_m && rlnc.rounds = rlnc'.rounds && rlnc.ci_low = rlnc'.ci_low)
     (Printf.sprintf "seed %d twice: E[M] %.17g vs %.17g" seed rlnc.mean_m rlnc'.mean_m);
@@ -247,7 +244,6 @@ let smoke () =
     (rlnc.mean_m <= rse_parity_ceiling *. rse.mean_m)
     (Printf.sprintf "rlnc %.4f vs rse %.4f = %.3fx > %.2fx" rlnc.mean_m rse.mean_m
        (rlnc.mean_m /. rse.mean_m) rse_parity_ceiling);
-  Printf.printf "lt overhead (reported, not gated): %.3fx rse\n%!" (lt.mean_m /. rse.mean_m);
   List.iter
     (fun kind ->
       let c = run_decode_cost ~kind ~blocks:25 in

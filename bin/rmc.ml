@@ -82,19 +82,27 @@ let scheme_arg =
         ~doc:"Recovery scheme: no-fec, layered, integrated (finite h), integrated-bound.")
 
 let codec_arg =
+  let names = List.map Rmcast.Profile.codec_to_string Rmcast.Codec.all in
   let parse s =
     match Rmcast.Profile.codec_of_string (String.lowercase_ascii s) with
     | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown codec %S (rse, cauchy, rlnc, lt)" s))
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown codec %S (%s)" s (String.concat ", " names)))
   in
   let print ppf c = Format.pp_print_string ppf (Rmcast.Profile.codec_to_string c) in
+  let describe kind =
+    Printf.sprintf "$(i,%s) (%s)"
+      (Rmcast.Profile.codec_to_string kind)
+      (if Rmcast.Profile.codec_is_rateless kind then "rateless" else "MDS block code")
+  in
   Arg.(
     value
     & opt (conv (parse, print)) `Rse
     & info [ "codec" ] ~docv:"CODEC"
         ~doc:
-          "Erasure codec for repair packets: $(i,rse) (default), $(i,cauchy) (both MDS \
-           block codes), $(i,rlnc) or $(i,lt) (rateless).")
+          ("Erasure codec for repair packets, $(i,rse) by default: "
+          ^ String.concat ", " (List.map describe Rmcast.Codec.all)
+          ^ "."))
 
 let controller_arg =
   let parse s =

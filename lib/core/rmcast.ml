@@ -6,10 +6,9 @@
     {2 Layers}
 
     - {!Gf}, {!Gmatrix}: Galois-field arithmetic and linear algebra.
-    - {!Codec}, {!Rse}, {!Rse_poly}, {!Cauchy}, {!Rlnc}, {!Lt},
-      {!Fec_block}: the pluggable erasure-codec seam, its four
-      implementations (Reed-Solomon, Cauchy, random linear network
-      coding, LT fountain) and block bookkeeping.
+    - {!Codec}, {!Rse}, {!Cauchy}, {!Rlnc}, {!Fec_block}: the codec
+      registry, its three linear codes (Reed-Solomon, Cauchy, random
+      linear network coding) and block bookkeeping.
     - {!Rng}, {!Dist}, {!Sampler}, {!Series}, {!Special}, {!Stats}:
       numerics.
     - {!Arq}, {!Layered}, {!Integrated}, {!Rounds}, {!Endhost},
@@ -58,10 +57,8 @@ module Gf = Rmc_gf.Gf
 module Gmatrix = Rmc_matrix.Gmatrix
 module Codec = Rmc_rse.Codec
 module Rse = Rmc_rse.Rse
-module Rse_poly = Rmc_rse.Rse_poly
 module Cauchy = Rmc_rse.Cauchy
 module Rlnc = Rmc_rse.Rlnc
-module Lt = Rmc_rse.Lt
 module Parallel = Rmc_rse.Parallel
 module Fec_block = Rmc_rse.Fec_block
 

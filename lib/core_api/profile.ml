@@ -1,4 +1,4 @@
-type codec = [ `Rse | `Cauchy | `Rlnc | `Lt ]
+type codec = [ `Rse | `Cauchy | `Rlnc ]
 type controller = [ `Static | `Ewma | `Gilbert_aware ]
 
 type t = {
@@ -38,13 +38,11 @@ let codec_to_string = function
   | `Rse -> "rse"
   | `Cauchy -> "cauchy"
   | `Rlnc -> "rlnc"
-  | `Lt -> "lt"
 
 let codec_of_string = function
   | "rse" -> Some `Rse
   | "cauchy" -> Some `Cauchy
   | "rlnc" -> Some `Rlnc
-  | "lt" -> Some `Lt
   | _ -> None
 
 let controller_to_string = function
@@ -59,14 +57,14 @@ let controller_of_string = function
   | _ -> None
 
 (* GF(2^8) gives 255 codeword positions; the block codecs on both the
-   simulator and UDP paths build over that field.  The rateless codecs
-   have no codeword length — their repair budget is bounded only by the
+   simulator and UDP paths build over that field.  The rateless codec
+   has no codeword length — its repair budget is bounded only by the
    16-bit wire index space: the last repair packet travels as index
-   k + h - 1, and the codecs cap k + h at 0xFFFF. *)
+   k + h - 1, and RLNC caps k + h at 0xFFFF. *)
 let max_codeword = 255
 let max_wire_index = 0xFFFF
 
-let codec_is_rateless = function `Rlnc | `Lt -> true | `Rse | `Cauchy -> false
+let codec_is_rateless = function `Rlnc -> true | `Rse | `Cauchy -> false
 
 let validate ?(context = "Profile") t =
   let fail fmt = Printf.ksprintf (fun reason -> Error (Error.make ~context reason)) fmt in

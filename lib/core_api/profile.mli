@@ -17,15 +17,15 @@
     ([Rmc_proto.Np.config_of_profile],
     [Rmc_transport.Udp_np.config_of_profile]). *)
 
-type codec = [ `Rse | `Cauchy | `Rlnc | `Lt ]
+type codec = [ `Rse | `Cauchy | `Rlnc ]
 (** The erasure codec behind repair packets.  A structural polymorphic
     variant so it unifies with [Rmc_rse.Codec.kind] without this core
     module depending on the codec library:
 
     - [`Rse] (default) and [`Cauchy] — MDS block codes over GF(2^8);
       any [k] of the [k + h <= 255] packets decode.
-    - [`Rlnc] and [`Lt] — rateless codes; [h] is bounded only by the
-      16-bit wire index space, and one repair packet spans the whole TG
+    - [`Rlnc] — a rateless code; [h] is bounded only by the 16-bit
+      wire index space, and one repair packet spans the whole TG
       (different receivers repair different losses from the same
       packet). *)
 
@@ -65,10 +65,14 @@ val default_udp : t
     slots, RSE codec. *)
 
 val codec_to_string : codec -> string
-(** Stable lowercase names ("rse", "cauchy", "rlnc", "lt") shared by CLI
+(** Stable lowercase names ("rse", "cauchy", "rlnc") shared by CLI
     flags and capture metadata; {!codec_of_string} inverts. *)
 
 val codec_of_string : string -> codec option
+
+val codec_is_rateless : codec -> bool
+(** Whether [codec]'s repair budget is bounded by the wire index space
+    rather than by GF(2^8)'s 255 codeword positions ([`Rlnc]). *)
 
 val controller_to_string : controller -> string
 (** Stable lowercase names ("static", "ewma", "gilbert") shared by CLI
@@ -83,7 +87,7 @@ val validate : ?context:string -> t -> (t, Error.t) result
     [0 <= proactive <= h], [payload_size >= 1], finite [pacing > 0]
     and [slot > 0]; plus the codec-dependent budget bound — [k + h <= 255]
     (GF(2^8) codeword positions) for the block codecs, [k + h <= 65535]
-    (wire index space, [Codec.max_repair]) for the rateless ones — and [h >= 1] whenever an
+    (wire index space, [Codec.max_repair]) for the rateless one — and [h >= 1] whenever an
     adaptive controller is selected (with no repair budget there is
     nothing to retune).
     Returns the profile unchanged on success.  [context] names the entry

@@ -69,8 +69,8 @@ let transmissions_per_packet report =
   float_of_int (report.data_tx + report.parity_tx) /. float_of_int report.data_tx
 
 (* The count-vector population model assumes an MDS code: a receiver's state
-   is its reception count and any k receptions decode.  The rateless codecs
-   break that premise (a coded packet is innovative only with probability
+   is its reception count and any k receptions decode.  The rateless codec
+   breaks that premise (a coded packet is innovative only with probability
    < 1), so the aggregate tier only accepts the block codecs.  The adaptive
    controllers fall to the same axe from the other side: the remainder is a
    count-vector distribution, not a set of machines, so a mid-transfer
@@ -79,7 +79,7 @@ let transmissions_per_packet report =
 let check_config (c : Np.config) =
   let context = "Np_aggregate" in
   match c.Np.codec with
-  | (`Rlnc | `Lt) ->
+  | `Rlnc ->
     Rmc_core.Error.invalid_arg ~context
       "the aggregate tier models receivers by reception count, which requires an MDS \
        block codec (rse or cauchy)"

@@ -61,7 +61,7 @@ val transmissions_per_packet : report -> float
 val check_config : Np.config -> (unit, Rmc_core.Error.t) result
 (** The tier's own admission rule, beyond {!Np.validate_config}: the
     count-vector remainder assumes an MDS block codec (any [k] receptions
-    decode), so the rateless codecs ([`Rlnc], [`Lt]) are rejected; and it
+    decode), so the rateless codec ([`Rlnc]) is rejected; and it
     holds receivers as a deficit distribution rather than machines, so the
     adaptive controllers ([`Ewma], [`Gilbert_aware]) — whose retunes it
     cannot interpret — are rejected too.  Structured so every front end

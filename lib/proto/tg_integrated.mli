@@ -22,7 +22,7 @@
     receiver's current rank ({!Rmc_rse.Codec.innovation_probability}): a
     received parity counts with that probability.  For the MDS block
     codecs ([`Rse], [`Cauchy]) it is 1 and the run draws nothing from
-    [rng]; for the rateless codecs ([`Rlnc], [`Lt]) a parity near
+    [rng]; for the rateless codec ([`Rlnc]) a parity near
     completion may be non-innovative, which surfaces as extra repair
     rounds and a slightly higher E[M] — the reception-overhead cost the
     codec-comparison experiment measures. *)

@@ -23,14 +23,9 @@ let k = Codec_core.k
 let h = Codec_core.h
 let n = Codec_core.n
 let generator_row = Codec_core.generator_row
+let parity_row = Codec_core.parity_row
 let encode_parity = Codec_core.encode_parity
 let encode = Codec_core.encode
 let decode = Codec_core.decode
 let decode_data_loss = Codec_core.decode_data_loss
 let is_mds_subset = Codec_core.is_mds_subset
-
-module Codec = Codec_core.Block_codec (struct
-  let kind = `Cauchy
-  let label = "Cauchy"
-  let create ~k ~h = create ~k ~h ()
-end)

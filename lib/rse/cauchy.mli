@@ -1,16 +1,14 @@
 (** Systematic Cauchy-matrix erasure code.
 
-    The third classical MDS construction (after the systematised
-    Vandermonde of {!Rse} and the polynomial evaluation of {!Rse_poly}),
+    The classical alternative to the systematised Vandermonde of {!Rse},
     introduced for packet FEC by Blömer et al. and popular in later
     erasure-coding systems: parity row i has entries
     [1 / (x_i + y_j)] over GF(2^m) with all [x_i], [y_j] distinct.
 
     Stacked under an identity block it is MDS {e by construction} — every
-    square submatrix of a Cauchy matrix is nonsingular, so unlike
-    {!Rse_poly} no empirical check is needed, and unlike {!Rse} no O(k^3)
-    systematisation step is paid at construction time (useful when codecs
-    are built per-connection for many different (k, h)).
+    square submatrix of a Cauchy matrix is nonsingular — and unlike {!Rse}
+    no O(k^3) systematisation step is paid at construction time (useful
+    when codecs are built per-connection for many different (k, h)).
 
     Same interface and wire compatibility (any k of n packets decode) as
     {!Rse}; the parity {e values} differ between constructions, so encoder
@@ -26,11 +24,11 @@ val k : t -> int
 val h : t -> int
 val n : t -> int
 val generator_row : t -> int -> int array
+val parity_row : t -> int -> Bytes.t
+(** Generator row [k + j] as a fresh row of symbols, as {!Rse.parity_row}. *)
+
 val encode : t -> Bytes.t array -> Bytes.t array
 val encode_parity : t -> Bytes.t array -> int -> Bytes.t
 val decode : t -> (int * Bytes.t) array -> Bytes.t array
 val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
 val is_mds_subset : t -> int array -> bool
-
-module Codec : Codec_intf.CODEC
-(** This codec behind the pluggable {!Codec_intf.CODEC} seam. *)

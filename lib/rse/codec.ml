@@ -1,40 +1,26 @@
-type kind = Codec_intf.kind
-type caps = Codec_intf.caps = { systematic : bool; rateless : bool }
+type kind = [ `Rse | `Cauchy | `Rlnc ]
+type t = kind
 
-module type ENCODER = Codec_intf.ENCODER
-module type DECODER = Codec_intf.DECODER
-module type CODEC = Codec_intf.CODEC
+let all : kind list = [ `Rse; `Cauchy; `Rlnc ]
+let of_kind (kind : kind) : t = kind
+let label = function `Rse -> "Rse" | `Cauchy -> "Cauchy" | `Rlnc -> "Rlnc"
 
-type t = (module Codec_intf.CODEC)
+(* The block codecs live inside GF(2^8)'s 255 codeword positions. *)
+let max_repair t ~k =
+  match t with `Rse | `Cauchy -> 255 - k | `Rlnc -> Rlnc.max_repair ~k
 
-let all : kind list = [ `Rse; `Cauchy; `Rlnc; `Lt ]
+let innovation_probability t ~k ~rank =
+  match t with `Rse | `Cauchy -> 1.0 | `Rlnc -> Rlnc.innovation_probability ~k ~rank
 
-let of_kind : kind -> t = function
-  | `Rse -> (module Rse.Codec)
-  | `Cauchy -> (module Cauchy.Codec)
-  | `Rlnc -> (module Rlnc)
-  | `Lt -> (module Lt)
+let decode_failure_probability t ~k ~received =
+  match t with
+  | `Rse | `Cauchy -> if received >= k then 0.0 else 1.0
+  | `Rlnc -> Rlnc.decode_failure_probability ~k ~received
 
-let kind (t : t) =
-  let (module C) = t in
-  C.kind
-
-let label (t : t) =
-  let (module C) = t in
-  C.label
-
-let caps (t : t) =
-  let (module C) = t in
-  C.caps
-
-let max_repair (t : t) ~k =
-  let (module C) = t in
-  C.max_repair ~k
-
-let innovation_probability (t : t) ~k ~rank =
-  let (module C) = t in
-  C.innovation_probability ~k ~rank
-
-let decode_failure_probability (t : t) ~k ~received =
-  let (module C) = t in
-  C.decode_failure_probability ~k ~received
+let repair_rows t ~k ~h =
+  match t with
+  | `Rse -> Rse.parity_row (Rse.create ~k ~h ())
+  | `Cauchy -> Cauchy.parity_row (Cauchy.create ~k ~h ())
+  | `Rlnc ->
+    Rlnc.check_block ~k ~h;
+    fun j -> Rlnc.coefficients ~k ~j

@@ -1,10 +1,10 @@
-(* Shared machinery of the linear codecs.  The systematic block codecs
-   (Rse, Rse_poly, Cauchy) wrap an n x k generator whose top k x k block
-   is the identity: encoding is a matrix-vector product over whole
-   packets.  Decoding, for them and for Rlnc, is the one incremental
-   Gaussian elimination below, fed one packet at a time.  Internal
-   module — each public codec wraps it with its own construction and
-   error-message prefix.
+(* Shared machinery of the linear codecs.  Every repair packet is a
+   coefficient row applied to the data: a parity row of an n x k
+   generator whose top k x k block is the identity (Rse, Cauchy), or
+   Rlnc's (k, j)-derived row.  Encoding is the one loop [combine] over
+   whole packets; decoding is the one incremental Gaussian elimination
+   below, fed one packet at a time.  Internal module — each public codec
+   wraps it with its own construction and error-message prefix.
 
    Every byte operation is one [Gf.mul_add_into_symbols] call over a
    whole row: a packet payload or a k-symbol coefficient row (the SIMD
@@ -73,6 +73,8 @@ module Elimination = struct
       solved = false;
     }
 
+  let k d = d.k
+  let h d = d.h
   let received d = d.rank
   let needed d = d.k - d.rank
   let complete d = d.rank >= d.k
@@ -244,14 +246,24 @@ let h t = t.h
 let n t = t.k + t.h
 let generator_row t e = Gmatrix.row t.generator e
 
+let parity_row t j = Bytes.copy t.parity_rows.(j)
+
 let decoder t =
-  Elimination.make ~label:t.label ~field:t.field ~k:t.k ~h:t.h ~repair_row:(fun j ->
-      Bytes.copy t.parity_rows.(j))
+  Elimination.make ~label:t.label ~field:t.field ~k:t.k ~h:t.h ~repair_row:(parity_row t)
 
 (* {1 Encoding}
 
-   Parity [j] is [sum_c parity_rows.(j).(c) * data.(c)], one kernel call
-   per non-zero coefficient. *)
+   A repair is [sum_c row.(c) * data.(c)], one kernel call per non-zero
+   coefficient. *)
+
+let combine field ~row data =
+  let sb = Gf.symbol_bytes field in
+  let out = Bytes.make (Bytes.length data.(0)) '\000' in
+  for c = 0 to Array.length data - 1 do
+    let coeff = symbol sb row c in
+    if coeff <> 0 then Gf.mul_add_into_symbols field ~dst:out ~src:data.(c) ~coeff
+  done;
+  out
 
 let encode_parity t data j =
   if Array.length data <> t.k then
@@ -263,13 +275,7 @@ let encode_parity t data j =
       if Bytes.length p <> len then
         invalid_arg (t.label ^ ".encode_parity: unequal packet lengths"))
     data;
-  let parity = Bytes.make len '\000' and row = t.parity_rows.(j) in
-  let sb = Gf.symbol_bytes t.field in
-  for c = 0 to t.k - 1 do
-    let coeff = symbol sb row c in
-    if coeff <> 0 then Gf.mul_add_into_symbols t.field ~dst:parity ~src:data.(c) ~coeff
-  done;
-  parity
+  combine t.field ~row:t.parity_rows.(j) data
 
 let encode t data = Array.init t.h (encode_parity t data)
 
@@ -325,46 +331,3 @@ let is_mds_subset t indices =
     invalid_arg (t.label ^ ".is_mds_subset: expected k indices");
   let system = Gmatrix.submatrix_rows t.generator indices in
   match Gmatrix.invert system with _ -> true | exception Failure _ -> false
-
-(* {1 The codec-seam adapter}
-
-   Lifts any systematic block codec built on this core into the
-   [Codec_intf.CODEC] seam.  The encoder binds a codec instance to one
-   block's data and serves parity rows; the decoder is the elimination
-   decoder over the generator's parity rows.  Every packet with an
-   unseen index is innovative, which is exactly the MDS property, so the
-   model hooks are the trivial ones. *)
-
-module Block_codec (M : sig
-  val kind : Codec_intf.kind
-  val label : string
-  val create : k:int -> h:int -> t
-end) : Codec_intf.CODEC = struct
-  let core_k = k
-  let core_h = h
-  let kind = M.kind
-  let label = M.label
-  let caps = { Codec_intf.systematic = true; rateless = false }
-  let max_repair ~k = (Gf.size Gf.gf256 - 1) - k
-  let innovation_probability ~k:_ ~rank:_ = 1.0
-  let decode_failure_probability ~k ~received = if received >= k then 0.0 else 1.0
-
-  module Encoder = struct
-    type nonrec t = { codec : t; data : Bytes.t array }
-
-    let create ~k ~h data =
-      if Array.length data <> k then
-        invalid_arg (M.label ^ ".Encoder.create: expected k data packets");
-      { codec = M.create ~k ~h; data }
-
-    let k e = core_k e.codec
-    let h e = core_h e.codec
-    let repair e j = encode_parity e.codec e.data j
-  end
-
-  module Decoder = struct
-    include Elimination
-
-    let create ~k ~h = decoder (M.create ~k ~h)
-  end
-end

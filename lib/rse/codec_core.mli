@@ -1,8 +1,9 @@
-(** Shared machinery of the linear codecs.  The systematic block codecs
-    ({!Rse}, {!Rse_poly}, {!Cauchy}) wrap an [n x k] generator whose top
-    [k x k] block is the identity, so encoding is a matrix-vector product
-    over whole packets.  Decoding, for them and for {!Rlnc}, is the one
-    incremental Gaussian elimination of {!Elimination}.
+(** Shared machinery of the linear codecs.  Every repair packet is a
+    coefficient row applied to the data: a parity row of an [n x k]
+    generator whose top [k x k] block is the identity ({!Rse},
+    {!Cauchy}), or {!Rlnc}'s [(k, j)]-derived row.  Encoding is the one
+    loop {!combine}; decoding is the one incremental Gaussian
+    elimination of {!Elimination}.
 
     Internal module — each public codec wraps it with its own generator
     construction and error-message prefix.  Nothing is cached per loss
@@ -34,17 +35,37 @@ module Elimination : sig
       [field], big-endian for GF(2^16).  [label] prefixes every error
       message. *)
 
-  (** The {!Codec_intf.DECODER} operations.  [add] returns [false] for a
-      non-innovative packet and for any packet once the decoder is
-      complete; [received] is the rank. *)
+  val k : t -> int
+  val h : t -> int
 
   val add : t -> index:int -> Bytes.t -> bool
+  (** Record the arrival of packet [index] (data [0..k-1], repair
+      [k..k+h-1]).  [true] iff the packet raised the rank; [false] for a
+      duplicate, a non-innovative repair and any packet once the decoder
+      is complete.  Ownership of the payload passes to the decoder, which
+      never mutates it: an accepted data packet is kept by reference
+      ({!decode} returns that very buffer in its slot), and a repair
+      packet is copied before it is eliminated.
+      @raise Invalid_argument on an out-of-range index or a payload
+      length unlike the first one. *)
+
   val received : t -> int
+  (** The rank: packets [add] accepted. *)
+
   val needed : t -> int
+  (** [k - received]; [0] iff {!complete}. *)
+
   val complete : t -> bool
+
   val has_data : t -> int -> bool
+  (** Whether data packet [index < k] arrived verbatim. *)
+
   val missing_data : t -> int list
+  (** Data indices not received verbatim (reconstructible iff
+      {!complete}). *)
+
   val decode : t -> Bytes.t array
+  (** All [k] data packets. @raise Failure if [not (complete t)]. *)
 end
 
 type t
@@ -80,7 +101,17 @@ val n : t -> int
 val generator_row : t -> int -> int array
 (** Row [e] of the generator, [0 <= e < n]. *)
 
+val parity_row : t -> int -> Bytes.t
+(** A fresh, owned symbol row of parity [j] ([0 <= j < h]): generator
+    row [k + j], the row source {!Elimination.make} takes. *)
+
 (** {1 Encoding} *)
+
+val combine : Gf.t -> row:Bytes.t -> Bytes.t array -> Bytes.t
+(** [combine field ~row data] is the repair [sum_c row.(c) * data.(c)]
+    over the equal-length packets [data], freshly allocated: the one
+    encoder loop every linear codec shares.  [row] holds
+    [Array.length data] symbols of [field] and is only read. *)
 
 val encode_parity : t -> Bytes.t array -> int -> Bytes.t
 (** [encode_parity t data j] computes parity packet [j] ([0 <= j < h])
@@ -102,7 +133,7 @@ val decode : t -> (int * Bytes.t) array -> Bytes.t array
     @raise Invalid_argument on fewer than [k] packets, out-of-range or
     duplicate indices, or unequal payload lengths.
     @raise Failure if the packets do not span the data (a non-MDS
-    pattern; only {!Rse_poly} has them). *)
+    pattern, which no generator built here has). *)
 
 val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
 (** Convenience wrapper: [data] has one slot per data index ([None] =
@@ -110,18 +141,3 @@ val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) 
 
 val is_mds_subset : t -> int array -> bool
 (** Whether the [k] given codeword indices form an invertible system. *)
-
-(** {1 Codec seam}
-
-    Adapter lifting any block codec built on this core into the
-    {!Codec_intf.CODEC} seam: the encoder serves parity rows of one
-    block, the decoder is {!decoder}.  MDS
-    makes every unseen index innovative, so the model hooks are trivial
-    ([innovation_probability] is 1, decode fails iff fewer than [k]
-    packets arrived). *)
-
-module Block_codec (_ : sig
-  val kind : Codec_intf.kind
-  val label : string
-  val create : k:int -> h:int -> t
-end) : Codec_intf.CODEC

@@ -1,33 +1,30 @@
-(* FEC-block bookkeeping over the codec seam.  This module owns the
+(* FEC-block bookkeeping over the codec registry.  This module owns the
    protocol-facing state of one transmission group — which repair
-   packets the sender has issued, how far along the receiver is — while
-   the codec itself stays behind [Codec_intf]: [create] unpacks the
-   first-class codec module once and keeps the typed encoder (behind a
-   closure) or decoder (packed with its module), so no existential type
-   leaks and everything above this line is codec-agnostic. *)
+   packets the sender has issued, how far along the receiver is.  A
+   codec is only a coefficient-row source ([Codec.repair_rows]): the
+   sender applies a row with the one encoder loop, and the receiver is
+   the one elimination decoder over the same rows. *)
+
+module Gf = Rmc_gf.Gf
+module Elimination = Codec_core.Elimination
 
 module Sender = struct
   type t = {
     k : int;
     h : int;
     data : Bytes.t array;
-    repair : int -> Bytes.t;
+    row : int -> Bytes.t; (* fresh coefficient row of repair j *)
     cache : Bytes.t option array; (* repair j once encoded *)
     mutable issued : int; (* next unissued repair index *)
   }
 
   let create ~codec ~h data =
-    let (module C : Codec_intf.CODEC) = codec in
     let k = Array.length data in
-    let enc = C.Encoder.create ~k ~h data in
-    {
-      k;
-      h;
-      data;
-      repair = (fun j -> C.Encoder.repair enc j);
-      cache = Array.make h None;
-      issued = 0;
-    }
+    let row = Codec.repair_rows codec ~k ~h in
+    let len = Bytes.length data.(0) in
+    if Array.exists (fun p -> Bytes.length p <> len) data then
+      invalid_arg "Fec_block.Sender.create: unequal packet lengths";
+    { k; h; data; row; cache = Array.make h None; issued = 0 }
 
   let k t = t.k
   let h t = t.h
@@ -38,7 +35,7 @@ module Sender = struct
     match t.cache.(j) with
     | Some payload -> payload
     | None ->
-      let payload = t.repair j in
+      let payload = Codec_core.combine Gf.gf256 ~row:(t.row j) t.data in
       t.cache.(j) <- Some payload;
       payload
 
@@ -63,35 +60,27 @@ module Sender = struct
 end
 
 module Receiver = struct
-  (* The typed decoder, packed with its codec's decoder module: one
-     block per receiver rather than a closure per operation. *)
-  type t =
-    | Receiver : {
-        k : int;
-        h : int;
-        decoder : (module Codec_intf.DECODER with type t = 'd);
-        d : 'd;
-      }
-        -> t
+  type t = Elimination.t
 
   let create ~codec ~k ~h =
-    let (module C : Codec_intf.CODEC) = codec in
-    Receiver { k; h; decoder = (module C.Decoder); d = C.Decoder.create ~k ~h }
+    Elimination.make ~label:(Codec.label codec) ~field:Gf.gf256 ~k ~h
+      ~repair_row:(Codec.repair_rows codec ~k ~h)
 
-  let k (Receiver r) = r.k
-  let h (Receiver r) = r.h
+  let k = Elimination.k
+  let h = Elimination.h
 
-  let add (Receiver { k; h; decoder = (module D); d }) ~index payload =
-    if index < 0 || index >= k + h then invalid_arg "Fec_block.Receiver.add: index out of range";
-    D.add d ~index payload
+  let add d ~index payload =
+    if index < 0 || index >= Elimination.k d + Elimination.h d then
+      invalid_arg "Fec_block.Receiver.add: index out of range";
+    Elimination.add d ~index payload
 
-  let received (Receiver { decoder = (module D); d; _ }) = D.received d
-  let needed (Receiver { decoder = (module D); d; _ }) = D.needed d
-  let complete (Receiver { decoder = (module D); d; _ }) = D.complete d
-  let has_data (Receiver { decoder = (module D); d; _ }) index = D.has_data d index
-  let missing_data (Receiver { decoder = (module D); d; _ }) = D.missing_data d
+  let received = Elimination.received
+  let needed = Elimination.needed
+  let complete = Elimination.complete
+  let has_data = Elimination.has_data
+  let missing_data = Elimination.missing_data
 
-  let decode (Receiver { decoder = (module D); d; _ }) =
-    if not (D.complete d) then failwith "Fec_block.Receiver.decode: not enough packets";
-    D.decode d
+  let decode d =
+    if not (Elimination.complete d) then failwith "Fec_block.Receiver.decode: not enough packets";
+    Elimination.decode d
 end

@@ -10,15 +10,15 @@
       decode once enough have arrived, and list which data packets are
       still missing.
 
-    Both sides are parameterised by a first-class {!Codec.t} — the
-    {!Codec_intf.CODEC} seam — so the same bookkeeping serves the MDS
-    block codecs, where "enough" means any [k] distinct packets, and
-    the rateless codecs ([`Rlnc], [`Lt]), where a repair packet spans
-    the whole window and "enough" is reaching full rank (or a complete
-    peeling ripple).  The codec's encoder/decoder state is captured in
-    closures at [create] time; nothing codec-specific leaks through
-    this interface.  Shared by the simulator protocols, the wire
-    protocol and the examples. *)
+    Both sides are parameterised by a {!Codec.t}, which is only a
+    coefficient-row source: the sender applies row [j] to the data with
+    the one encoder loop ({!Codec_core.combine}), and the receiver is
+    the one elimination decoder ({!Codec_core.Elimination}) over the
+    same rows.  So the same bookkeeping serves the MDS block codecs,
+    where "enough" means any [k] distinct packets, and RLNC, where a
+    repair packet spans the whole window and "enough" is reaching full
+    rank.  Shared by the simulator protocols, the wire protocol and the
+    examples. *)
 
 module Sender : sig
   type t
@@ -27,7 +27,7 @@ module Sender : sig
   (** [create ~codec ~h data] binds a sender block to the [k =
       Array.length data] data packets with repair budget [h].
       @raise Invalid_argument if the payload lengths are unequal or
-      [(k, h)] is out of range for [codec]. *)
+      [(k, h)] is out of range for [codec] ({!Codec.repair_rows}). *)
 
   val k : t -> int
   val h : t -> int
@@ -57,12 +57,16 @@ module Receiver : sig
   type t
 
   val create : codec:Codec.t -> k:int -> h:int -> t
+  (** An empty decoder for a [(k, h)] block of [codec].
+      @raise Invalid_argument if [(k, h)] is out of range for [codec]. *)
 
   val add : t -> index:int -> Bytes.t -> bool
   (** Record the arrival of packet [index] (data [0..k-1], repair
       [k..k+h-1]).  Returns [false] if the packet did not advance the
       decoder — a duplicate, a non-innovative combination, or any
-      packet after completion ({!Codec_intf.DECODER.add}). *)
+      packet after completion ({!Codec_core.Elimination.add}, which
+      also states who owns the payload).
+      @raise Invalid_argument on an out-of-range index. *)
 
   val k : t -> int
   val h : t -> int
@@ -72,8 +76,7 @@ module Receiver : sig
 
   val needed : t -> int
   (** How many more packets this receiver must hear — the number a NAK
-      reports in protocol NP ([0] iff {!complete}; a lower bound for
-      the peeling decoder). *)
+      reports in protocol NP ([0] iff {!complete}). *)
 
   val complete : t -> bool
   (** Whether {!decode} will succeed. *)

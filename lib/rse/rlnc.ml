@@ -1,20 +1,42 @@
-module Gf = Rmc_gf.Gf
-
-let gf = Gf.gf256
 let q = 256
-
-let kind = `Rlnc
-let label = "Rlnc"
-let caps = { Codec_intf.systematic = true; rateless = true }
 
 (* The wire index field is 16-bit and repair j travels as index k + j. *)
 let max_repair ~k = 0xFFFF - k
 
 let check_block ~k ~h =
-  if k < 1 then invalid_arg (label ^ ".create: k must be >= 1");
-  if h < 0 then invalid_arg (label ^ ".create: h must be >= 0");
-  if h > max_repair ~k then
-    invalid_arg (label ^ ".create: k + h exceeds the 16-bit wire index space")
+  if k < 1 then invalid_arg "Rlnc.create: k must be >= 1";
+  if h < 0 then invalid_arg "Rlnc.create: h must be >= 0";
+  if h > max_repair ~k then invalid_arg "Rlnc.create: k + h exceeds the 16-bit wire index space"
+
+(* {1 The (k, j) stream}
+
+   Encoder and decoder never exchange coefficients: both re-derive the
+   row of repair [j] of a [k]-block from a splitmix64 stream seeded by
+   [(k, j, salt)] alone.  Splitmix64 because it is tiny and any 64-bit
+   seed gives an independent-looking stream; [rmc_rse] sits below
+   [rmc_numerics], so the simulation [Rng] is out of reach here.
+
+   The derivation is part of the wire contract: changing these constants
+   or the mixing breaks decode against previously captured streams. *)
+
+let golden = 0x9e3779b97f4a7c15L
+let mix1 = 0xbf58476d1ce4e5b9L
+let mix2 = 0x94d049bb133111ebL
+
+let next state =
+  state := Int64.add !state golden;
+  let z = !state in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) mix1 in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) mix2 in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* FNV-style fold of (k, j, salt) into the seed, then one mix round so
+   that nearby (k, j) pairs do not start from nearby internal states. *)
+let stream ~k ~j ~salt =
+  let mix acc v = Int64.add (Int64.mul acc 0x100000001b3L) (Int64.of_int v) in
+  let state = ref (mix (mix (mix 0xcbf29ce484222325L k) j) salt) in
+  ignore (next state);
+  state
 
 (* The dense coefficient row of repair packet [j]: k uniform GF(256)
    bytes from the (k, j)-seeded stream.  The all-zero row (probability
@@ -24,9 +46,9 @@ let coefficients ~k ~j =
   let row = Bytes.create k in
   let salt = ref 0 and nonzero = ref false in
   while not !nonzero do
-    let prng = Codec_prng.of_block ~k ~j ~salt:!salt in
+    let state = stream ~k ~j ~salt:!salt in
     for i = 0 to k - 1 do
-      let c = Codec_prng.byte prng in
+      let c = Int64.to_int (Int64.logand (next state) 0xffL) in
       if c <> 0 then nonzero := true;
       Bytes.set_uint8 row i c
     done;
@@ -49,42 +71,3 @@ let decode_failure_probability ~k ~received =
     done;
     1.0 -. !p_full
   end
-
-module Encoder = struct
-  type t = { k : int; h : int; data : Bytes.t array; payload_len : int }
-
-  let create ~k ~h data =
-    check_block ~k ~h;
-    if Array.length data <> k then
-      invalid_arg (label ^ ".Encoder.create: expected k data packets");
-    let payload_len = Bytes.length data.(0) in
-    Array.iter
-      (fun p ->
-        if Bytes.length p <> payload_len then
-          invalid_arg (label ^ ".Encoder.create: unequal packet lengths"))
-      data;
-    { k; h; data; payload_len }
-
-  let k e = e.k
-  let h e = e.h
-
-  let repair e j =
-    if j < 0 || j >= e.h then invalid_arg (label ^ ".Encoder.repair: index out of range");
-    let row = coefficients ~k:e.k ~j in
-    let out = Bytes.make e.payload_len '\000' in
-    for i = 0 to e.k - 1 do
-      let coeff = Bytes.get_uint8 row i in
-      if coeff <> 0 then Gf.mul_add_into gf ~dst:out ~src:e.data.(i) ~coeff
-    done;
-    out
-end
-
-(* Rank tracking is the shared elimination decoder; the coefficient row
-   of repair [j] is re-derived from [(k, j)]. *)
-module Decoder = struct
-  include Codec_core.Elimination
-
-  let create ~k ~h =
-    check_block ~k ~h;
-    make ~label ~field:gf ~k ~h ~repair_row:(fun j -> coefficients ~k ~j)
-end

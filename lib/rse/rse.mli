@@ -45,6 +45,11 @@ val generator_row : t -> int -> int array
 (** [generator_row codec e] is row [e] of the n x k generator matrix
     (identity for [e < k]). *)
 
+val parity_row : t -> int -> Bytes.t
+(** [parity_row codec j] is generator row [k + j] as a fresh row of
+    symbols (big-endian for GF(2^16)): the coefficients of parity [j],
+    [0 <= j < h]. *)
+
 val encode : t -> Bytes.t array -> Bytes.t array
 (** [encode codec data] returns the [h] parity packets for the [k] equal-
     length data packets. The data packets are not copied or modified. *)
@@ -83,12 +88,4 @@ val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) 
 val is_mds_subset : t -> int array -> bool
 (** [is_mds_subset codec indices] checks that the given [k] packet indices
     suffice to decode (always true for this systematic-Vandermonde
-    construction; exposed for tests and for {!Rse_poly} comparison). *)
-
-(** {1 Codec seam}
-
-    This codec behind the pluggable {!Codec_intf.CODEC} interface —
-    what {!Fec_block} and the NP machines consume.  Instances share the
-    construction memo with {!create}. *)
-
-module Codec : Codec_intf.CODEC
+    construction; exposed for tests). *)

@@ -417,7 +417,7 @@ let test_tg_aggregate_codecs () =
         (match estimate codec with
         | _ -> false
         | exception Invalid_argument _ -> true))
-    [ `Rlnc; `Lt ]
+    [ `Rlnc ]
 
 (* --- sim-tier golden pins ------------------------------------------------ *)
 

@@ -1,28 +1,28 @@
-(* The first-class codec seam: every wire-selectable codec behind the
-   same ENCODER/DECODER contract.
+(* The codec registry: every wire-selectable codec is a coefficient-row
+   source behind the same {!Fec_block} sender and receiver.
 
    Three layers of evidence:
-   - roundtrips through the packed {!Codec.t} for each kind, plus a
-     qcheck differential: on the same loss pattern the rateless codecs
-     must recover exactly what RSE recovers (the original data), and a
-     second one that interleaves repairs among the data and checks who
-     owns each buffer handed to [add];
+   - roundtrips through {!Fec_block} for each kind, plus a qcheck
+     differential: on the same loss pattern RLNC must recover exactly
+     what RSE recovers (the original data), and a second one that
+     interleaves repairs among the data and checks who owns each buffer
+     handed to [add];
    - the model hooks against their closed forms, including an empirical
      validation of RLNC's rank-deficiency failure probability against
      Tsimbalo's bound [1 - prod (1 - q^(i-n))];
-   - the seam in situ: {!Fec_block} over each codec and a lossy
-     end-to-end {!Np.run} under the coded-repair machine. *)
+   - known-answer repair packets, {!Fec_block}'s repair loop over each
+     codec and a lossy end-to-end {!Np.run} under the coded-repair
+     machine. *)
 
 module Codec = Rmcast.Codec
 module Rlnc = Rmcast.Rlnc
 module Rse = Rmcast.Rse
-module Lt = Rmcast.Lt
 module Fec_block = Rmcast.Fec_block
 module Np = Rmcast.Np
 module Rng = Rmcast.Rng
 module Network = Rmcast.Network
 
-let all_kinds = [ `Rse; `Cauchy; `Rlnc; `Lt ]
+let all_kinds = Codec.all
 let name_of kind = Rmcast.Profile.codec_to_string kind
 
 let payloads ~count ~size seed =
@@ -32,19 +32,21 @@ let payloads ~count ~size seed =
 (* Feed the surviving data packets, then repair packets in wire order
    until the decoder completes (or the budget [h] runs dry).  Returns the
    decoded block and how many repair packets were consumed. *)
-let seam_decode (module C : Codec.CODEC) ~h ~drop data =
+let seam_decode codec ~h ~drop data =
   let k = Array.length data in
-  let enc = C.Encoder.create ~k ~h data in
-  let dec = C.Decoder.create ~k ~h in
+  let enc = Fec_block.Sender.create ~codec ~h data in
+  let dec = Fec_block.Receiver.create ~codec ~k ~h in
   Array.iteri
-    (fun i p -> if not (List.mem i drop) then ignore (C.Decoder.add dec ~index:i p))
+    (fun i p -> if not (List.mem i drop) then ignore (Fec_block.Receiver.add dec ~index:i p))
     data;
   let consumed = ref 0 in
-  while (not (C.Decoder.complete dec)) && !consumed < h do
-    ignore (C.Decoder.add dec ~index:(k + !consumed) (C.Encoder.repair enc !consumed));
+  while (not (Fec_block.Receiver.complete dec)) && !consumed < h do
+    ignore
+      (Fec_block.Receiver.add dec ~index:(k + !consumed) (Fec_block.Sender.parity enc !consumed));
     incr consumed
   done;
-  if C.Decoder.complete dec then Some (C.Decoder.decode dec, !consumed) else None
+  if Fec_block.Receiver.complete dec then Some (Fec_block.Receiver.decode dec, !consumed)
+  else None
 
 let test_roundtrip_all_codecs () =
   let k = 8 and h = 40 in
@@ -52,34 +54,35 @@ let test_roundtrip_all_codecs () =
   let data = payloads ~count:k ~size:64 3 in
   List.iter
     (fun kind ->
-      let ((module C) as c) = Codec.of_kind kind in
-      match seam_decode c ~h ~drop data with
+      let codec = Codec.of_kind kind in
+      match seam_decode codec ~h ~drop data with
       | None -> Alcotest.failf "%s failed to decode with budget %d" (name_of kind) h
       | Some (out, consumed) ->
         Alcotest.(check bool) (name_of kind ^ " decodes the block") true (out = data);
-        (* The MDS block codecs need exactly one repair per loss; the
-           rateless ones may need a few more, never fewer. *)
+        (* The MDS block codecs need exactly one repair per loss; RLNC
+           may need a few more, never fewer. *)
         (match kind with
         | `Rse | `Cauchy ->
           Alcotest.(check int) (name_of kind ^ " is MDS") (List.length drop) consumed
-        | `Rlnc | `Lt ->
+        | `Rlnc ->
           Alcotest.(check bool)
             (name_of kind ^ " repair floor")
             true
             (consumed >= List.length drop));
         (* Re-create a decoder to probe the bookkeeping mid-flight. *)
-        let dec = C.Decoder.create ~k ~h in
-        ignore (C.Decoder.add dec ~index:0 data.(0));
-        Alcotest.(check bool) "duplicate data rejected" false (C.Decoder.add dec ~index:0 data.(0));
-        Alcotest.(check int) "one useful packet" 1 (C.Decoder.received dec);
-        Alcotest.(check bool) "verbatim arrival tracked" true (C.Decoder.has_data dec 0);
-        Alcotest.(check bool) "others still missing" false (C.Decoder.has_data dec 1);
-        Alcotest.(check int) "missing list" (k - 1) (List.length (C.Decoder.missing_data dec)))
+        let module R = Fec_block.Receiver in
+        let dec = R.create ~codec ~k ~h in
+        ignore (R.add dec ~index:0 data.(0));
+        Alcotest.(check bool) "duplicate data rejected" false (R.add dec ~index:0 data.(0));
+        Alcotest.(check int) "one useful packet" 1 (R.received dec);
+        Alcotest.(check bool) "verbatim arrival tracked" true (R.has_data dec 0);
+        Alcotest.(check bool) "others still missing" false (R.has_data dec 1);
+        Alcotest.(check int) "missing list" (k - 1) (List.length (R.missing_data dec)))
     all_kinds
 
 (* Differential: identical loss pattern, every codec reconstructs the
    same original block.  Drop count runs all the way to k (pure-repair
-   decode), which for RLNC/LT exercises the coded paths exclusively. *)
+   decode), which for RLNC exercises the coded paths exclusively. *)
 let qcheck_differential =
   let gen =
     QCheck.Gen.(
@@ -147,27 +150,28 @@ let qcheck_arrival_order_and_ownership =
       shuffle arrivals;
       List.for_all
         (fun kind ->
-          let (module C : Codec.CODEC) = Codec.of_kind kind in
-          let enc = C.Encoder.create ~k ~h data in
-          let dec = C.Decoder.create ~k ~h in
+          let codec = Codec.of_kind kind in
+          let module R = Fec_block.Receiver in
+          let enc = Fec_block.Sender.create ~codec ~h data in
+          let dec = R.create ~codec ~k ~h in
           let added = ref [] and kept = ref [] in
           let add index =
             let payload =
-              if index < k then Bytes.copy data.(index) else C.Encoder.repair enc (index - k)
+              if index < k then Bytes.copy data.(index)
+              else Bytes.copy (Fec_block.Sender.parity enc (index - k))
             in
             added := (payload, Bytes.copy payload) :: !added;
-            if C.Decoder.add dec ~index payload && index < k then
-              kept := (index, payload) :: !kept
+            if R.add dec ~index payload && index < k then kept := (index, payload) :: !kept
           in
           Array.iter add arrivals;
           let next = ref early in
-          while (not (C.Decoder.complete dec)) && !next < h do
+          while (not (R.complete dec)) && !next < h do
             add (k + !next);
             incr next
           done;
-          C.Decoder.complete dec
+          R.complete dec
           &&
-          let out = C.Decoder.decode dec in
+          let out = R.decode dec in
           out = data
           && List.for_all (fun (payload, snapshot) -> Bytes.equal payload snapshot) !added
           && List.for_all (fun (index, payload) -> out.(index) == payload) !kept)
@@ -229,31 +233,27 @@ let qcheck_one_linear_decoder =
       in
       shuffle arrivals;
       let seam kind =
-        let (module C : Codec.CODEC) = Codec.of_kind kind in
-        let enc = C.Encoder.create ~k ~h data in
-        let dec = C.Decoder.create ~k ~h in
+        let codec = Codec.of_kind kind in
+        let module R = Fec_block.Receiver in
+        let enc = Fec_block.Sender.create ~codec ~h data in
+        let dec = R.create ~codec ~k ~h in
         ( name_of kind,
-          (fun j -> C.Encoder.repair enc j),
+          (fun j -> Bytes.copy (Fec_block.Sender.parity enc j)),
           {
-            add = C.Decoder.add dec;
-            needed = (fun () -> C.Decoder.needed dec);
-            complete = (fun () -> C.Decoder.complete dec);
-            decode = (fun () -> C.Decoder.decode dec);
+            add = R.add dec;
+            needed = (fun () -> R.needed dec);
+            complete = (fun () -> R.complete dec);
+            decode = (fun () -> R.decode dec);
           } )
       in
       let rse16 = Rse.create ~field:(Rmcast.Gf.create 16) ~k ~h () in
       let gf16 =
-        (* GF(2^16) has no seam codec: drive the elimination decoder
-           directly over Rse's generator rows, as big-endian symbols. *)
+        (* GF(2^16) has no registry codec: drive the elimination decoder
+           directly over Rse's parity rows, as big-endian symbols. *)
         let module E = Rmc_rse.Codec_core.Elimination in
-        let repair_row j =
-          let row = Bytes.create (2 * k) in
-          Array.iteri
-            (fun c v -> Bytes.set_uint16_be row (2 * c) v)
-            (Rse.generator_row rse16 (k + j));
-          row
+        let dec =
+          E.make ~label:"Rse" ~field:(Rse.field rse16) ~k ~h ~repair_row:(Rse.parity_row rse16)
         in
-        let dec = E.make ~label:"Rse" ~field:(Rse.field rse16) ~k ~h ~repair_row in
         let parities = Rse.encode rse16 data in
         ( "rse gf(2^16)",
           (fun j -> Bytes.copy parities.(j)),
@@ -320,11 +320,11 @@ let test_rlnc_rank_deficiency_matches_bound () =
   let payload = Bytes.make 1 '\000' in
   let failures = ref 0 in
   for t = 0 to trials - 1 do
-    let dec = Rlnc.Decoder.create ~k ~h in
+    let dec = Fec_block.Receiver.create ~codec:(Codec.of_kind `Rlnc) ~k ~h in
     for i = 0 to k - 1 do
-      ignore (Rlnc.Decoder.add dec ~index:(k + (t * k) + i) payload)
+      ignore (Fec_block.Receiver.add dec ~index:(k + (t * k) + i) payload)
     done;
-    if not (Rlnc.Decoder.complete dec) then incr failures
+    if not (Fec_block.Receiver.complete dec) then incr failures
   done;
   let p = Rlnc.decode_failure_probability ~k ~received:k in
   Alcotest.(check bool) "bound is in the expected regime" true (p > 0.003 && p < 0.005);
@@ -337,20 +337,16 @@ let test_rlnc_rank_deficiency_matches_bound () =
     (delta <= 5.0 *. sigma)
 
 let test_registry_and_caps () =
-  Alcotest.(check int) "four wire-selectable codecs" 4 (List.length Codec.all);
+  Alcotest.(check int) "three wire-selectable codecs" 3 (List.length Codec.all);
   List.iter
     (fun kind ->
-      let c = Codec.of_kind kind in
-      Alcotest.(check bool) "of_kind preserves kind" true (Codec.kind c = kind);
-      Alcotest.(check bool) "label nonempty" true (String.length (Codec.label c) > 0);
-      Alcotest.(check bool) "all codecs are systematic" true (Codec.caps c).Codec.systematic)
+      Alcotest.(check bool) "label nonempty" true (String.length (Codec.label kind) > 0))
     Codec.all;
-  let rateless kind = (Codec.caps (Codec.of_kind kind)).Codec.rateless in
+  let rateless = Rmcast.Profile.codec_is_rateless in
   Alcotest.(check bool) "rse is a block codec" false (rateless `Rse);
   Alcotest.(check bool) "cauchy is a block codec" false (rateless `Cauchy);
   Alcotest.(check bool) "rlnc is rateless" true (rateless `Rlnc);
-  Alcotest.(check bool) "lt is rateless" true (rateless `Lt);
-  (* Block codecs live inside 255 codeword positions; the rateless ones
+  (* Block codecs live inside 255 codeword positions; the rateless one
      inside the 16-bit wire index space. *)
   Alcotest.(check int) "rse budget" (255 - 100) (Codec.max_repair (Codec.of_kind `Rse) ~k:100);
   Alcotest.(check int) "rlnc budget" (0xFFFF - 100) (Codec.max_repair (Codec.of_kind `Rlnc) ~k:100)
@@ -380,11 +376,7 @@ let test_model_hooks () =
     (Codec.decode_failure_probability rlnc ~k:8 ~received:7);
   let fail_at n = Codec.decode_failure_probability rlnc ~k:8 ~received:n in
   Alcotest.(check bool) "extra receptions shrink the failure probability" true
-    (fail_at 9 < fail_at 8 && fail_at 10 < fail_at 9);
-  let lt = Codec.of_kind `Lt in
-  Alcotest.(check bool) "lt binary proxy is weaker than rlnc's gf(256) model" true
-    (Codec.innovation_probability lt ~k:8 ~rank:7
-    < Codec.innovation_probability rlnc ~k:8 ~rank:7)
+    (fail_at 9 < fail_at 8 && fail_at 10 < fail_at 9)
 
 (* Both sides re-derive the combination from the wire index alone: the
    derivations must be pure functions of (k, j). *)
@@ -401,15 +393,31 @@ let test_derivations_deterministic () =
     Alcotest.(check int) "one coefficient per data packet" k (Array.length a);
     Alcotest.(check bool) "never the zero combination" true (Array.exists (fun c -> c <> 0) a);
     Array.iter (fun c -> Alcotest.(check bool) "gf(256) range" true (c >= 0 && c < 256)) a;
-    Hashtbl.replace distinct (Array.to_list a) ();
-    let na = Lt.neighbors ~k ~j and nb = Lt.neighbors ~k ~j in
-    Alcotest.(check bool) "lt neighbors deterministic" true (na = nb);
-    Alcotest.(check bool) "degree >= 1" true (na <> []);
-    Alcotest.(check bool) "neighbors in range" true (List.for_all (fun i -> i >= 0 && i < k) na);
-    Alcotest.(check int) "neighbors distinct" (List.length na)
-      (List.length (List.sort_uniq compare na))
+    Hashtbl.replace distinct (Array.to_list a) ()
   done;
   Alcotest.(check bool) "coefficient vectors vary across j" true (Hashtbl.length distinct > 16)
+
+(* Known answers.  A repair packet is a pure function of the block and
+   its index, and both ends derive its coefficients from (k, j) alone, so
+   these bytes are a wire contract: a change to a generator, to RLNC's
+   (k, j) stream or to the encoder loop shows up here as a literal. *)
+let test_known_answers () =
+  let data =
+    Array.init 4 (fun i -> Bytes.init 16 (fun b -> Char.chr (((((i * 16) + b) * 167) + 13) land 0xff)))
+  in
+  List.iter
+    (fun (kind, j0, j1) ->
+      let sender = Fec_block.Sender.create ~codec:(Codec.of_kind kind) ~h:2 data in
+      let parity j = Rmc_proto.Hex.encode (Fec_block.Sender.parity sender j) in
+      Alcotest.(check string) (name_of kind ^ " repair 0") j0 (parity 0);
+      Alcotest.(check string) (name_of kind ^ " repair 1") j1 (parity 1))
+    [
+      (`Rse, "94e1e89b8ee3a2fcdb18f16f15110865", "48137d479f7650a77e0daa9d00cd19f0");
+      (`Cauchy, "e1cd2b1c3356453af92487dd998c3e5b", "993adc646ea1b2cdd8ed702a50f463ac");
+      (`Rlnc, "7cf9c59613f23880713b8ac131738c6d", "2e3959ff4976ac18b973b6efddd77e41");
+    ];
+  Alcotest.(check string) "rlnc coefficient row (k = 8, j = 0)" "bf41f433148af02b"
+    (Rmc_proto.Hex.encode (Rlnc.coefficients ~k:8 ~j:0))
 
 (* The seam in situ: Fec_block's sender/receiver bookkeeping over every
    codec — survivors in, next_parities batches sized by [needed] until
@@ -456,7 +464,7 @@ let test_np_lossy_coded_delivery () =
         true report.Np.delivered_intact;
       Alcotest.(check (list (pair int int))) "no receiver gave up" [] report.Np.ejected;
       Alcotest.(check bool) "repair rounds actually coded" true (report.Np.parity_tx > 0))
-    [ `Rlnc; `Lt ]
+    [ `Rlnc ]
 
 let suite =
   [
@@ -471,6 +479,7 @@ let suite =
     Alcotest.test_case "loss/rank model hooks" `Quick test_model_hooks;
     Alcotest.test_case "wire-index derivations are deterministic" `Quick
       test_derivations_deterministic;
+    Alcotest.test_case "known-answer repair packets" `Quick test_known_answers;
     Alcotest.test_case "Fec_block over each codec" `Quick test_fec_block_over_each_codec;
     Alcotest.test_case "lossy NP transfer with coded repair" `Quick
       test_np_lossy_coded_delivery;

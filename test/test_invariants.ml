@@ -11,7 +11,7 @@ let scheme_gen =
   QCheck.Gen.(
     int_range 0 6 >>= fun which ->
     int_range 0 4 >>= fun h_or_a ->
-    oneofl [ `Rse; `Cauchy; `Rlnc; `Lt ] >>= fun codec ->
+    oneofl [ `Rse; `Cauchy; `Rlnc ] >>= fun codec ->
     return
       (match which with
       | 0 -> Runner.No_fec

@@ -8,15 +8,15 @@ module Udp = Rmcast.Udp_np
 
 (* Valid profiles only: the invariants Profile.validate enforces.  The
    repair-budget bound depends on the codec — 255 codeword positions for
-   the block codecs, the 16-bit wire index space for the rateless ones
+   the block codecs, the 16-bit wire index space for the rateless one
    (capped here to keep shrunk counterexamples readable). *)
 let profile_gen =
   QCheck.Gen.(
-    oneofl [ `Rse; `Cauchy; `Rlnc; `Lt ] >>= fun codec ->
+    oneofl Rmcast.Codec.all >>= fun codec ->
     int_range 1 100 >>= fun k ->
     (match codec with
     | `Rse | `Cauchy -> int_range 0 (255 - k)
-    | `Rlnc | `Lt -> int_range 0 (min 2000 (0xFFFF - k)))
+    | `Rlnc -> int_range 0 (min 2000 (0xFFFF - k)))
     >>= fun h ->
     int_range 0 h >>= fun proactive ->
     int_range 5 2048 >>= fun payload_size ->
@@ -110,7 +110,7 @@ let test_rateless_lifts_codeword_bound () =
       | Error e ->
         Alcotest.failf "rateless codec %s rejected k+h=1256: %s"
           (Profile.codec_to_string codec) (Error.to_string e))
-    [ `Rlnc; `Lt ]
+    [ `Rlnc ]
 
 (* The profile's budget bound is exactly each codec's index space: h =
    Codec.max_repair ~k validates and one more does not, so no valid profile
@@ -128,7 +128,7 @@ let test_budget_matches_codec () =
           Alcotest.(check bool) (name ^ ": h = max_repair + 1 rejected") true
             (Result.is_error (Profile.validate (profile (h + 1)))))
         [ 1; 20; 200; 255 ])
-    [ `Rse; `Cauchy; `Rlnc; `Lt ];
+    Rmcast.Codec.all;
   (* The rateless edge k + h = 65536 used to pass validation and then raise
      inside the machine. *)
   let rng = Rmcast.Rng.create ~seed:1 () in
@@ -148,8 +148,9 @@ let test_codec_string_roundtrip () =
         (Profile.codec_to_string codec ^ " roundtrips")
         true
         (Profile.codec_of_string (Profile.codec_to_string codec) = Some codec))
-    [ `Rse; `Cauchy; `Rlnc; `Lt ];
-  Alcotest.(check bool) "unknown name rejected" true (Profile.codec_of_string "fountain" = None)
+    Rmcast.Codec.all;
+  Alcotest.(check bool) "unknown name rejected" true (Profile.codec_of_string "fountain" = None);
+  Alcotest.(check bool) "removed codec rejected" true (Profile.codec_of_string "lt" = None)
 
 let test_controller_string_roundtrip () =
   List.iter

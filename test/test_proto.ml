@@ -361,7 +361,7 @@ let golden_tg_lines () =
           ( Printf.sprintf "nak grid %s %s" (Rmcast.Profile.codec_to_string codec) name,
             digest (golden_nak_grid codec kind) ))
         golden_networks)
-    [ `Rse; `Cauchy; `Rlnc; `Lt ]
+    [ `Rse; `Cauchy; `Rlnc ]
   @ List.map (fun (name, kind) -> ("other schemes " ^ name, digest (golden_other_schemes kind)))
       golden_networks
   @ List.concat_map
@@ -374,7 +374,7 @@ let golden_tg_lines () =
       [ 1; 1000; 1_000_000 ]
   @ List.map
       (fun codec -> ("metrics " ^ Rmcast.Profile.codec_to_string codec, golden_metrics codec))
-      [ `Rse; `Lt ]
+      [ `Rse; `Rlnc ]
 
 let golden_tg_expected =
   [
@@ -402,14 +402,6 @@ let golden_tg_expected =
      "8a12f67ff0f4534a17fd5bdde8202289");
     ("nak grid rlnc heterogeneous",
      "375752a766963d371c727e0291a6f325");
-    ("nak grid lt independent",
-     "3d6237a3871de9c01e2c923d435003cf");
-    ("nak grid lt fbt",
-     "4d25c8f28014cc056f969d410ffba163");
-    ("nak grid lt bursty",
-     "d75736fef7e0c45978549fbc7411c760");
-    ("nak grid lt heterogeneous",
-     "96aa6a561d1c19c6e18b2dfe2877884b");
     ("other schemes independent",
      "e38921c553d394ef3c26bad7a8c95991");
     ("other schemes fbt",
@@ -432,8 +424,8 @@ let golden_tg_expected =
      "c6ee3949435952bd7f7f3d4400092d83");
     ("metrics rse",
      "runner.feedback=32 runner.rounds=57 runner.tgs=25 runner.transmissions=250 runner.unnecessary=787");
-    ("metrics lt",
-     "runner.feedback=88 runner.rounds=113 runner.tgs=25 runner.transmissions=314 runner.unnecessary=1709");
+    ("metrics rlnc",
+     "runner.feedback=32 runner.rounds=57 runner.tgs=25 runner.transmissions=250 runner.unnecessary=787");
   ]
 
 let test_golden_tg_tiers () =
@@ -521,6 +513,35 @@ let test_cli_usage_errors () =
     bad_cli_inputs;
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* [rmc --codec] takes exactly the registry's kinds: each name
+   [codec_to_string] gives one runs a transfer, a removed name (LT's) is a
+   usage error, and the error lists the names of [Codec.all]. *)
+let test_cli_codec_names () =
+  let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
+  Alcotest.(check bool) "rmc built" true (Sys.file_exists rmc);
+  let log = Filename.temp_file "rmc-codec" ".log" in
+  let rmc_run codec =
+    let status =
+      Sys.command
+        (Printf.sprintf "%s transfer -r 2 --bytes 2000 --codec %s > %s 2>&1" (Filename.quote rmc)
+           codec (Filename.quote log))
+    in
+    (status, In_channel.with_open_text log In_channel.input_all)
+  in
+  List.iter
+    (fun codec ->
+      let name = Rmcast.Profile.codec_to_string codec in
+      let status, output = rmc_run name in
+      Alcotest.(check int) (Printf.sprintf "--codec %s: %s" name output) 0 status;
+      Alcotest.(check bool) (name ^ " verified") true (contains output "verified=true"))
+    Rmcast.Codec.all;
+  let status, output = rmc_run "lt" in
+  Sys.remove log;
+  Alcotest.(check int) ("--codec lt is a usage error: " ^ output) 124 status;
+  let names = String.concat ", " (List.map Rmcast.Profile.codec_to_string Rmcast.Codec.all) in
+  Alcotest.(check bool) ("the error lists " ^ names) true
+    (contains output (Printf.sprintf "unknown codec \"lt\" (%s)" names))
+
 let suite =
   [
     Alcotest.test_case "ARQ lossless exact" `Quick test_arq_lossless;
@@ -545,4 +566,5 @@ let suite =
     Alcotest.test_case "TG tiers match their golden values" `Quick test_golden_tg_tiers;
     Alcotest.test_case "rmc: out-of-range numbers are usage errors" `Quick
       test_cli_usage_errors;
+    Alcotest.test_case "rmc: --codec takes the registry's names" `Quick test_cli_codec_names;
   ]

@@ -120,7 +120,7 @@ let test_differential_lossy () =
         ~data:(payloads ~count:k ~size:payload_size (seed + 100)) ())
     [ 21; 22; 23 ]
 
-(* Same contract under the rateless codecs: repair packets are coded
+(* Same contract under the rateless codec: repair packets are coded
    combinations re-derived from (k, j) on both sides, and the coded repair
    rounds must still replay byte-identically between the drivers. *)
 let test_differential_lossy_coded () =
@@ -128,7 +128,7 @@ let test_differential_lossy_coded () =
     (fun (codec, seed) ->
       check_equivalence ~codec ~receivers:1 ~loss:0.3 ~seed
         ~data:(payloads ~count:k ~size:payload_size (seed + 200)) ())
-    [ (`Rlnc, 24); (`Rlnc, 25); (`Lt, 26) ]
+    [ (`Rlnc, 24); (`Rlnc, 25) ]
 
 (* run_local is run_multi with one session: the same machines see the same
    streams and the reports agree; only the sender counters' [session.0.]
@@ -304,6 +304,34 @@ let test_replay_rejects_hostile_meta () =
           (String.starts_with ~prefix:"capture meta: " reason))
     [ ("k", "0"); ("proactive", "50"); ("h", "300") ]
 
+(* A capture naming a codec this build does not have — LT, which left the
+   registry — is an [Error] naming the capture meta, not a raise: an RLNC
+   capture with its one codec line rewritten. *)
+let test_replay_rejects_removed_codec () =
+  let recorder =
+    udp_capture ~codec:`Rlnc ~receivers:2 ~loss:0.25 ~seed:31
+      ~data:(payloads ~count:8 ~size:payload_size 7) ()
+  in
+  let path = temp_path "rmcast_replay_removed_codec.rmcrec" in
+  Recorder.save ~path recorder;
+  let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
+  let prefix = "meta codec " in
+  Alcotest.(check (list string)) "the capture names its codec" [ prefix ^ "rlnc" ]
+    (List.filter (String.starts_with ~prefix) lines);
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.map (fun line -> if String.starts_with ~prefix line then prefix ^ "lt" else line)
+              lines)));
+  let loaded =
+    match Recorder.load ~path with Ok r -> r | Error reason -> Alcotest.fail reason
+  in
+  Sys.remove path;
+  match Rmcast.Np_replay.replay loaded with
+  | Ok _ -> Alcotest.fail "a capture naming lt replayed"
+  | Error reason ->
+    Alcotest.(check string) "error" "capture meta codec: cannot parse \"lt\"" reason
+
 (* A session of more than 0x10000 TGs overflows the wire tg's 16-bit
    local index into the next session's ids.  Replay refuses such a meta
    before it builds a receiver, whose expected list would name a TG
@@ -361,7 +389,7 @@ let suite =
     Alcotest.test_case "drivers agree: lossless multi-receiver" `Quick
       test_differential_lossless;
     Alcotest.test_case "drivers agree: lossy single receiver" `Quick test_differential_lossy;
-    Alcotest.test_case "drivers agree: lossy, coded repair (rlnc/lt)" `Quick
+    Alcotest.test_case "drivers agree: lossy, coded repair (rlnc)" `Quick
       test_differential_lossy_coded;
     Alcotest.test_case "run_local is a one-session run_multi" `Quick
       test_run_local_is_one_session;
@@ -370,6 +398,7 @@ let suite =
     Alcotest.test_case "replay rejects missing meta" `Quick test_replay_rejects_bad_meta;
     Alcotest.test_case "recorder file format" `Quick test_recorder_format;
     Alcotest.test_case "replay rejects hostile meta" `Quick test_replay_rejects_hostile_meta;
+    Alcotest.test_case "replay rejects a removed codec" `Quick test_replay_rejects_removed_codec;
     Alcotest.test_case "replay rejects a session past 0x10000 TGs" `Quick
       test_replay_rejects_tg_overflow;
   ]

@@ -1,5 +1,4 @@
 module Rse = Rmcast.Rse
-module Rse_poly = Rmcast.Rse_poly
 module Rng = Rmcast.Rng
 
 let random_data rng ~k ~size =
@@ -199,77 +198,6 @@ let test_max_length_code () =
   let lost = Array.to_list (Rmcast.Sampler.distinct_ints rng ~n:255 ~k:32) in
   check_equal_data "RS(255,223)" data (roundtrip codec data lost)
 
-(* --- Rse_poly: the paper's eq.(1) construction --- *)
-
-let test_poly_roundtrip () =
-  let rng = Rng.create ~seed:13 () in
-  let codec = Rse_poly.create ~k:7 ~h:3 () in
-  let data = random_data rng ~k:7 ~size:64 in
-  let parities = Rse_poly.encode codec data in
-  let received =
-    Array.append
-      (Array.of_list (List.filteri (fun i _ -> i <> 1 && i <> 4) (Array.to_list (Array.mapi (fun i d -> (i, d)) data))))
-      [| (7, parities.(0)); (8, parities.(1)) |]
-  in
-  let decoded = Rse_poly.decode codec received in
-  check_equal_data "poly" data decoded
-
-let test_poly_parity0_is_xor_sum () =
-  (* F(alpha^0) = F(1) = d1 + ... + dk: parity 0 is the plain XOR of the
-     data — the classic single-parity code. *)
-  let rng = Rng.create ~seed:14 () in
-  let codec = Rse_poly.create ~k:5 ~h:1 () in
-  let data = random_data rng ~k:5 ~size:32 in
-  let parity = (Rse_poly.encode codec data).(0) in
-  let expected = Bytes.make 32 '\000' in
-  Array.iter (fun d -> Rmcast.Gf.xor_into ~dst:expected ~src:d) data;
-  Alcotest.(check bool) "xor parity" true (Bytes.equal parity expected)
-
-let test_poly_mds_small_cases () =
-  List.iter
-    (fun (k, h) ->
-      let codec = Rse_poly.create ~k ~h () in
-      Alcotest.(check int)
-        (Printf.sprintf "(%d,%d) violations" k (k + h))
-        0
-        (List.length (Rse_poly.mds_violations codec)))
-    [ (3, 2); (7, 3); (5, 4) ]
-
-let test_poly_systematic_agree_with_rse_on_data () =
-  (* Both constructions are systematic: data packets pass through. *)
-  let rng = Rng.create ~seed:15 () in
-  let data = random_data rng ~k:6 ~size:24 in
-  let a = Rse.create ~k:6 ~h:2 () in
-  let b = Rse_poly.create ~k:6 ~h:2 () in
-  let da = roundtrip a data [] in
-  let db = Rse_poly.decode b (Array.mapi (fun i d -> (i, d)) data) in
-  check_equal_data "systematic rse" data da;
-  check_equal_data "systematic poly" data db
-
-(* Packets {0, 2, 3, 6, 8, 11} of a (6, 12) block are one of the
-   construction's non-MDS patterns: six distinct packets of rank five.
-   The decoder sees the deficit and asks for one more packet instead of
-   claiming completion; the batch decode of exactly those six fails. *)
-let test_poly_non_mds_pattern () =
-  let k = 6 and h = 6 in
-  let codec = Rse_poly.create ~k ~h () in
-  let pattern = [| 0; 2; 3; 6; 8; 11 |] in
-  Alcotest.(check bool) "a pattern mds_violations finds" true
-    (List.mem pattern (Rse_poly.mds_violations codec));
-  let data = random_data (Rng.create ~seed:24 ()) ~k ~size:32 in
-  let parities = Rse_poly.encode codec data in
-  let packet index = if index < k then data.(index) else parities.(index - k) in
-  let module D = Rse_poly.Codec.Decoder in
-  let decoder = D.create ~k ~h in
-  Array.iter (fun index -> ignore (D.add decoder ~index (packet index))) pattern;
-  Alcotest.(check bool) "not complete" false (D.complete decoder);
-  Alcotest.(check int) "needs one more" 1 (D.needed decoder);
-  Alcotest.(check bool) "one more packet is innovative" true (D.add decoder ~index:1 (packet 1));
-  Alcotest.(check bool) "complete" true (D.complete decoder);
-  check_equal_data "decoded" data (D.decode decoder);
-  Alcotest.check_raises "batch decode" (Failure "Rse_poly.decode: singular system") (fun () ->
-      ignore (Rse_poly.decode codec (Array.map (fun index -> (index, packet index)) pattern)))
-
 (* --- Fec_block --- *)
 
 let test_fec_block_sender_budget () =
@@ -340,13 +268,6 @@ let base_suite =
     Alcotest.test_case "h = 0" `Quick test_h_zero;
     Alcotest.test_case "k = 1" `Quick test_k_one;
     Alcotest.test_case "RS(255,223)" `Quick test_max_length_code;
-    Alcotest.test_case "poly roundtrip" `Quick test_poly_roundtrip;
-    Alcotest.test_case "poly parity 0 is XOR" `Quick test_poly_parity0_is_xor_sum;
-    Alcotest.test_case "poly MDS small cases" `Quick test_poly_mds_small_cases;
-    Alcotest.test_case "both constructions systematic" `Quick
-      test_poly_systematic_agree_with_rse_on_data;
-    Alcotest.test_case "poly non-MDS pattern needs one more packet" `Quick
-      test_poly_non_mds_pattern;
     Alcotest.test_case "fec block sender budget" `Quick test_fec_block_sender_budget;
     Alcotest.test_case "fec block receiver flow" `Quick test_fec_block_receiver_flow;
     Alcotest.test_case "fec block precompute" `Quick test_fec_block_precompute;
