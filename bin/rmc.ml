@@ -291,27 +291,22 @@ let simulate scheme k h a p receivers seed reps fbt_height burst tier codec jobs
       (Rmcast.Stats.Accumulator.mean estimate.Rmcast.Runner.feedback)
       (Rmcast.Stats.Accumulator.mean estimate.Rmcast.Runner.unnecessary_per_receiver)
   in
-  (* Without --jobs, one RNG drives the whole run — byte-identical to the
-     historical sequential behaviour.  With --jobs N, the repetitions are
-     split into fixed 100-rep chunks (a partition independent of N), each
-     chunk runs with a seed derived from (seed, chunk index) on its own
-     domain, and the per-chunk moments merge in index order — so any N,
-     including 1, produces identical output. *)
+  (* The repetitions split into fixed 100-rep chunks (a partition
+     independent of the job count); each chunk runs with a seed derived
+     from (seed, chunk index) on its own domain, and the per-chunk moments
+     merge in index order — so any --jobs, or none, prints the same. *)
   let chunked estimate_with =
-    match jobs with
-    | None -> estimate_with (Rmcast.Rng.create ~seed ()) reps
-    | Some jobs ->
-      let chunk_reps = 100 in
-      let chunks = max 1 ((reps + chunk_reps - 1) / chunk_reps) in
-      let estimates =
-        Rmcast.Sweep.run_cells ~jobs ~seed
-          ~f:(fun ~seed chunk ->
-            let reps = min chunk_reps (reps - (chunk * chunk_reps)) in
-            estimate_with (Rmcast.Rng.create ~seed ()) reps)
-          (Array.init chunks (fun chunk -> chunk))
-      in
-      Array.fold_left Rmcast.Runner.merge estimates.(0)
-        (Array.sub estimates 1 (Array.length estimates - 1))
+    let chunk_reps = 100 in
+    let chunks = max 1 ((reps + chunk_reps - 1) / chunk_reps) in
+    let estimates =
+      Rmcast.Sweep.run_cells ?jobs ~seed
+        ~f:(fun ~seed chunk ->
+          let reps = min chunk_reps (reps - (chunk * chunk_reps)) in
+          estimate_with (Rmcast.Rng.create ~seed ()) reps)
+        (Array.init chunks Fun.id)
+    in
+    Array.fold_left Rmcast.Runner.merge estimates.(0)
+      (Array.sub estimates 1 (Array.length estimates - 1))
   in
   match tier with
   | `Exact ->

@@ -32,7 +32,7 @@ let powers_of_two ~max_exponent =
 
 let cell_seed ~seed coords = Rng.derive_seed seed coords
 
-let run_cells ?jobs ?chunk ~seed ?(coords = fun i _ -> [| i |]) ~f cells =
+let run_cells ?jobs ~seed ?(coords = fun i _ -> [| i |]) ~f cells =
   let n = Array.length cells in
   let seeds = Array.init n (fun i -> cell_seed ~seed (coords i cells.(i))) in
   let jobs =
@@ -40,22 +40,19 @@ let run_cells ?jobs ?chunk ~seed ?(coords = fun i _ -> [| i |]) ~f cells =
   in
   let eval i = f ~seed:seeds.(i) cells.(i) in
   if jobs = 1 || n <= 1 then Array.init n eval
-  else Parallel.map ~pool:(Parallel.pool_sized jobs) ?chunk n eval
+  else Parallel.map ~pool:(Parallel.pool_sized jobs) n eval
 
 type series = { label : string; points : (float * float) list }
 
 let series ~label ~xs ~f = { label; points = List.map f xs }
 
-let series_cells ?jobs ?chunk ~seed ~label ~xs ~f () =
-  let points =
-    run_cells ?jobs ?chunk ~seed ~f (Array.of_list xs) |> Array.to_list
-  in
+let series_cells ?jobs ~seed ~label ~xs ~f () =
+  let points = run_cells ?jobs ~seed ~f (Array.of_list xs) |> Array.to_list in
   { label; points }
 
-let to_csv ?(header = "series,x,y") all =
+let to_csv all =
   let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer header;
-  Buffer.add_char buffer '\n';
+  Buffer.add_string buffer "series,x,y\n";
   List.iter
     (fun { label; points } ->
       let safe_label =

@@ -20,7 +20,6 @@ val cell_seed : seed:int -> int array -> int
 
 val run_cells :
   ?jobs:int ->
-  ?chunk:int ->
   seed:int ->
   ?coords:(int -> 'a -> int array) ->
   f:(seed:int -> 'a -> 'b) ->
@@ -34,8 +33,7 @@ val run_cells :
     index), so as long as [f] is a pure function of its arguments the
     output array is a pure function of [(cells, seed)]: [jobs = 1] and
     [jobs = N] are byte-identical, cell RNG streams never cross, and a
-    failed cell re-raises on the caller after the batch drains.
-    [chunk] tunes how many consecutive cells one handoff claims. *)
+    failed cell re-raises on the caller after the batch drains. *)
 
 type series = { label : string; points : (float * float) list }
 
@@ -43,7 +41,6 @@ val series : label:string -> xs:'a list -> f:('a -> float * float) -> series
 
 val series_cells :
   ?jobs:int ->
-  ?chunk:int ->
   seed:int ->
   label:string ->
   xs:'a list ->
@@ -53,8 +50,9 @@ val series_cells :
 (** {!series} with the points evaluated through {!run_cells}: same
     labels, same point order, cells run on [jobs] domains. *)
 
-val to_csv : ?header:string -> series list -> string
-(** Long-format CSV "series,x,y" (one line per point), for plotting. *)
+val to_csv : series list -> string
+(** Long-format CSV under the header "series,x,y" (one line per point),
+    for plotting. *)
 
 val pp_table : Format.formatter -> series list -> unit
 (** Side-by-side text table: one row per x, one column per series (series

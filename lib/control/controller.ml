@@ -23,9 +23,6 @@ type t = {
   h_cap : int;  (* blocks are built with h parities; budget can only shrink *)
   receivers : int;
   pacing : float;
-  alpha : float;
-  min_samples : int;
-  close_lag : int;
   initial : decision;
   (* Exponentially decayed pseudo-counts: p_hat = lost / total with
      half-count smoothing, so a run of clean TGs decays the estimate
@@ -46,15 +43,19 @@ type t = {
   mutable frontier : int;  (* highest TG whose round-1 poll was observed *)
 }
 
-let create ~kind ~k ~h ~proactive ~receivers ~pacing ?(alpha = 0.125)
-    ?(min_samples = 3) ?(close_lag = 2) () =
+(* The estimator decay per closed TG; the closed TGs required before the
+   first retune; the TGs of lag that give straggling NAKs time to arrive
+   before a TG is declared clean. *)
+let alpha = 0.125
+let min_samples = 3
+let close_lag = 2
+
+let create ~kind ~k ~h ~proactive ~receivers ~pacing () =
   if k < 1 then invalid_arg "Controller.create: k must be >= 1";
   if h < 0 || proactive < 0 || proactive > h then
     invalid_arg "Controller.create: need 0 <= proactive <= h";
   if receivers < 1 then invalid_arg "Controller.create: receivers must be >= 1";
   if pacing <= 0.0 then invalid_arg "Controller.create: pacing must be positive";
-  if alpha <= 0.0 || alpha > 1.0 then
-    invalid_arg "Controller.create: alpha outside (0,1]";
   let initial = { proactive; budget = h } in
   {
     kind;
@@ -62,9 +63,6 @@ let create ~kind ~k ~h ~proactive ~receivers ~pacing ?(alpha = 0.125)
     h_cap = h;
     receivers;
     pacing;
-    alpha;
-    min_samples;
-    close_lag = max 0 close_lag;
     initial;
     lost_acc = 0.0;
     total_acc = 0.0;
@@ -101,7 +99,7 @@ let burst_hat t =
       Float.max 1.0 ((var /. mean +. 1.0) /. 2.0)
   end
 
-let ewma alpha prev x = ((1.0 -. alpha) *. prev) +. (alpha *. x)
+let ewma prev x = ((1.0 -. alpha) *. prev) +. (alpha *. x)
 
 (* Close the observation window for [tg]: one loss/volume sample per TG. *)
 let close t tg =
@@ -115,16 +113,16 @@ let close t tg =
        underestimate — losses up to [a] are invisible by design). *)
     let lost = if o.nak_seen then float_of_int (o.worst_need + a) else 0.0 in
     let total = float_of_int (o.first_size + o.extras) in
-    let decay = 1.0 -. t.alpha in
+    let decay = 1.0 -. alpha in
     t.lost_acc <- (decay *. t.lost_acc) +. lost;
     t.total_acc <- (decay *. t.total_acc) +. total;
     let m_sample = total /. float_of_int (max 1 o.tg_k) in
-    t.m_hat <- (if t.samples = 0 then m_sample else ewma t.alpha t.m_hat m_sample);
+    t.m_hat <- (if t.samples = 0 then m_sample else ewma t.m_hat m_sample);
     t.loss_mean <-
-      (if t.samples = 0 then lost else ewma t.alpha t.loss_mean lost);
+      (if t.samples = 0 then lost else ewma t.loss_mean lost);
     t.loss_sq <-
       (if t.samples = 0 then lost *. lost
-       else ewma t.alpha t.loss_sq (lost *. lost));
+       else ewma t.loss_sq (lost *. lost));
     t.samples <- t.samples + 1;
     t.dirty <- true
 
@@ -137,7 +135,7 @@ let observe_poll t ~tg ~k ~size ~round =
         if tg > t.frontier then t.frontier <- tg;
         (* The round-1 poll of TG n closes TG n - lag: by then any NAK for
            it has long since crossed the (much shorter) feedback path. *)
-        let cutoff = t.frontier - t.close_lag in
+        let cutoff = t.frontier - close_lag in
         Hashtbl.iter (fun id _ -> if id <= cutoff then close t id)
           (Hashtbl.copy t.open_tgs)
       end
@@ -187,7 +185,7 @@ let decision t =
   match t.kind with
   | `Static -> t.initial
   | `Ewma | `Gilbert_aware ->
-    if t.samples < t.min_samples then t.initial
+    if t.samples < min_samples then t.initial
     else if not t.dirty then t.cached
     else begin
       let p = Float.max 1e-4 (Float.min 0.5 (p_hat t)) in

@@ -35,25 +35,21 @@ val create :
   proactive:int ->
   receivers:int ->
   pacing:float ->
-  ?alpha:float ->
-  ?min_samples:int ->
-  ?close_lag:int ->
   unit ->
   t
 (** [create ~kind ~k ~h ~proactive ~receivers ~pacing ()] starts a
     controller whose initial decision is the configured [(proactive, h)].
     [h] is also the hard cap: FEC blocks are constructed with [h] parities,
-    so a retune can only shrink the budget, never grow it.  [alpha]
-    (default 0.125) is the estimator decay per closed TG; [min_samples]
-    (default 3) closed TGs are required before the first retune;
-    [close_lag] (default 2) TGs of lag give straggling NAKs time to arrive
-    before a TG is declared clean.
+    so a retune can only shrink the budget, never grow it.  The estimator
+    decays by 0.125 per closed TG; 3 closed TGs are required before the
+    first retune; 2 TGs of lag give straggling NAKs time to arrive before
+    a TG is declared clean.
     @raise Invalid_argument on non-positive [k]/[receivers]/[pacing] or
     [proactive] outside [0, h]. *)
 
 val observe_poll : t -> tg:int -> k:int -> size:int -> round:int -> unit
 (** A POLL the sender just transmitted.  Round-1 polls open the TG's
-    observation window (and close windows [close_lag] TGs behind the
+    observation window (and close windows 2 TGs behind the
     frontier); later rounds count [size] repair parities actually sent.
     No-op for [`Static]. *)
 
@@ -64,7 +60,7 @@ val observe_nak : t -> tg:int -> need:int -> round:int -> unit
 val decision : t -> decision
 (** The tuning to apply to TGs that have not started yet.  [`Static]
     always returns the initial decision; adaptive kinds return it until
-    [min_samples] TGs have closed, then re-run {!Planner.plan} at the
+    3 TGs have closed, then re-run {!Planner.plan} at the
     estimated (p, effective receivers) point — cached until new samples
     arrive, so calling this after every event is cheap.  The adaptive
     budget is clamped to [h] and floored at [k] plus the planner's

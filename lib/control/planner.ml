@@ -8,7 +8,11 @@ type plan = {
   single_round_probability : float;
 }
 
-let plan ~k ~p ~receivers ?(target_single_round = 0.9) ?(budget_residual = 1e-6) () =
+(* The budget leaves a TG this probability of ever exhausting its
+   parities. *)
+let budget_residual = 1e-6
+
+let plan ~k ~p ~receivers ?(target_single_round = 0.9) () =
   if k < 1 || receivers < 1 then invalid_arg "Planner.plan: k and receivers must be >= 1";
   if p < 0.0 || p >= 1.0 then invalid_arg "Planner.plan: p outside [0,1)";
   if target_single_round <= 0.0 || target_single_round >= 1.0 then

@@ -20,15 +20,14 @@ val plan :
   p:float ->
   receivers:int ->
   ?target_single_round:float ->
-  ?budget_residual:float ->
   unit ->
   plan
 (** [plan ~k ~p ~receivers ()] chooses:
     - [proactive]: the smallest a with
       [P(every receiver decodes from the initial volley) >= target_single_round]
       (default 0.9) — eq. (4) with the group CDF at m = 0;
-    - [budget]: the smallest h with [P(L > h) < budget_residual]
-      (default 1e-6), i.e. TG regrouping/ejection is negligible;
+    - [budget]: the smallest h with [P(L > h) < 1e-6], i.e. TG
+      regrouping/ejection is negligible;
     - [expected_m]: eq. (6) at the chosen a.
 
     @raise Invalid_argument for p outside [0, 1) or k/receivers < 1. *)

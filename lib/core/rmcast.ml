@@ -44,9 +44,15 @@
     ]}
 
     Configuration enters through exactly one record, {!Profile}; errors
-    leave through exactly one type, {!Error} (every entry point has a
-    [result] form and an [_exn] form).  {!Scheduler} interleaves many
-    sessions over one engine. *)
+    leave through exactly one type, {!Error}.  Every entry point has a
+    [result] form, which checks each input rule before anything runs and
+    never raises on bad input, and an [_exn] form, which raises
+    [Invalid_argument] with the same message.  Each rule has one
+    definition: the profile's (the one-datagram payload bound among them)
+    in {!Profile.validate}, the 16-bit TG count in
+    {!Np_replay.fits_wire}, and the simulator's delay, data, start and
+    churn rules in {!Np.validate_config} and {!Np.validate_flow}.
+    {!Scheduler} interleaves many sessions over one engine. *)
 
 (* Unified configuration and errors *)
 module Profile = Rmc_core.Profile

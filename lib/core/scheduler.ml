@@ -6,7 +6,8 @@ module Metrics = Rmc_obs.Metrics
 type spec = {
   name : string;
   payload : string;
-  profile : Profile.t;
+  config : Np.config;
+  data : Bytes.t array;
   start : float;
 }
 
@@ -21,31 +22,20 @@ type t = {
 
 let create ?(delay = Np.default_config.Np.delay) ?(profile = Profile.default) ~network
     ~rng () =
-  match Profile.validate ~context:"Scheduler.create" profile with
-  | Error _ as e -> e
-  | Ok default_profile ->
-    if delay < 0.0 then
-      Error.invalid_arg ~context:"Scheduler.create" "negative delay"
-    else Ok { network; rng; delay; default_profile; specs_rev = []; count = 0 }
+  Np.validate_config ~context:"Scheduler.create" (Np.config_of_profile ~delay profile)
+  |> Result.map (fun () ->
+         { network; rng; delay; default_profile = profile; specs_rev = []; count = 0 })
 
 let create_exn ?delay ?profile ~network ~rng () =
   Error.get_exn (create ?delay ?profile ~network ~rng ())
 
 let add t ?profile ?(start = 0.0) ~name payload =
-  let context = "Scheduler.add" in
   let profile = Option.value profile ~default:t.default_profile in
-  match Profile.validate ~context profile with
-  | Error _ as e -> e
-  | Ok profile ->
-    if String.length payload = 0 then Error.invalid_arg ~context "empty payload"
-    else if profile.Profile.payload_size < 5 then
-      Error.invalid_arg ~context "payload_size must be >= 5 (4-byte length prefix)"
-    else if start < 0.0 then Error.invalid_arg ~context "negative start time"
-    else begin
-      t.specs_rev <- { name; payload; profile; start } :: t.specs_rev;
-      t.count <- t.count + 1;
-      Ok ()
-    end
+  Transfer.prepare ~context:"Scheduler.add" ~what:"payload" ~delay:t.delay ~start
+    ~network:t.network profile payload
+  |> Result.map (fun (config, data) ->
+         t.specs_rev <- { name; payload; config; data; start } :: t.specs_rev;
+         t.count <- t.count + 1)
 
 let add_exn t ?profile ?start ~name payload =
   Error.get_exn (add t ?profile ?start ~name payload)
@@ -91,16 +81,9 @@ let run ?metrics t =
   let flows =
     List.map
       (fun spec ->
-        let data =
-          Transfer.packetize ~payload_size:spec.profile.Profile.payload_size
-            spec.payload
-        in
-        let config = Np.config_of_profile ~delay:t.delay spec.profile in
-        let flow =
-          Np.Mux.add_flow mux ~config ~start:spec.start ~network:t.network ~rng:t.rng
-            ~data ()
-        in
-        (spec, flow))
+        ( spec,
+          Np.Mux.add_flow mux ~config:spec.config ~start:spec.start ~network:t.network
+            ~rng:t.rng ~data:spec.data () ))
       specs
   in
   Np.Mux.run mux;

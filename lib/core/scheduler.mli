@@ -24,8 +24,8 @@ val create :
 (** [delay] is the simulated one-way latency (default
     {!Rmc_proto.Np.default_config}[.delay]); [profile] the default profile
     for {!add} (default {!Rmc_core.Profile.default}).  Returns [Error]
-    (context ["Scheduler.create"]) on an invalid profile or negative
-    delay. *)
+    (context ["Scheduler.create"]) where {!Rmc_proto.Np.validate_config}
+    does: an invalid profile, or a negative or non-finite delay. *)
 
 val create_exn :
   ?delay:float ->
@@ -46,8 +46,9 @@ val add :
 (** Register a session transferring one payload, entering the send rotation
     at virtual time [start] (default 0).  Each session may carry its own
     profile (default: the scheduler's).  Returns [Error] (context
-    ["Scheduler.add"]) on an invalid profile, empty payload, undersized
-    [payload_size] or negative start. *)
+    ["Scheduler.add"]) where {!Transfer.prepare} does: an invalid
+    profile, an empty payload, an undersized [payload_size], more TGs
+    than the wire numbers, or a negative or non-finite start. *)
 
 val add_exn :
   t -> ?profile:Rmc_core.Profile.t -> ?start:float -> name:string -> string -> unit

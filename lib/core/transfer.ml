@@ -33,32 +33,21 @@ let reassemble ~payload_size packets =
     invalid_arg "Transfer.reassemble: corrupt length prefix";
   Bytes.sub_string buffer 4 length
 
-let validate ~context ~virtual_start profile message =
-  match Profile.validate ~context profile with
-  | Error _ as e -> e
-  | Ok p ->
-    if String.length message = 0 then Error.invalid_arg ~context "empty message"
-    else if p.Profile.payload_size < 5 then
-      Error.invalid_arg ~context "payload_size must be >= 5 (4-byte length prefix)"
-    else if virtual_start < 0.0 then Error.invalid_arg ~context "negative start time"
-    else Ok p
+let ( let* ) = Result.bind
 
-let validate_churn ~context ~virtual_start ~network churn =
-  let receivers = Rmc_sim.Network.receivers network in
-  let rec check = function
-    | [] -> Ok ()
-    | ev :: rest ->
-      if ev.Rmc_proto.Np.Mux.receiver < 0 || ev.Rmc_proto.Np.Mux.receiver >= receivers then
-        Error.msgf ~context "churn event targets receiver %d outside 0..%d"
-          ev.Rmc_proto.Np.Mux.receiver (receivers - 1)
-        |> Result.error
-      else if ev.Rmc_proto.Np.Mux.at < virtual_start then
-        Error.msgf ~context "churn event at %g predates the transfer start %g"
-          ev.Rmc_proto.Np.Mux.at virtual_start
-        |> Result.error
-      else check rest
-  in
-  check churn
+(* One admission path for every simulated transfer: the config first, so
+   packetizing is safe, then the message, then the flow rules on the
+   packets the flow will carry. *)
+let prepare ~context ?(what = "message") ?delay ?start ?churn ~network profile message =
+  let config = Rmc_proto.Np.config_of_profile ?delay profile in
+  let* () = Rmc_proto.Np.validate_config ~context config in
+  if String.length message = 0 then Error.invalid_arg ~context ("empty " ^ what)
+  else if profile.Profile.payload_size < 5 then
+    Error.invalid_arg ~context "payload_size must be >= 5 (4-byte length prefix)"
+  else
+    let data = packetize ~payload_size:profile.Profile.payload_size message in
+    let* () = Rmc_proto.Np.validate_flow ~context ?start ?churn ~network config data in
+    Ok (config, data)
 
 let outcome_of_report ~message_len (report : Rmc_proto.Np.report) =
   let payload_packets = report.Rmc_proto.Np.data_tx + report.Rmc_proto.Np.parity_tx in
@@ -71,30 +60,14 @@ let outcome_of_report ~message_len (report : Rmc_proto.Np.report) =
       report.Rmc_proto.Np.delivered_intact && report.Rmc_proto.Np.ejected = [];
   }
 
-let send ?(profile = Profile.default) ?(virtual_start = 0.0) ?(churn = []) ~network ~rng
+let send ?(profile = Profile.default) ?(virtual_start = 0.0) ?churn ~network ~rng
     message =
   let context = "Transfer.send" in
-  match validate ~context ~virtual_start profile message with
+  match prepare ~context ~start:virtual_start ?churn ~network profile message with
   | Error _ as e -> e
-  | Ok profile -> (
-    match validate_churn ~context ~virtual_start ~network churn with
-    | Error _ as e -> e
-    | Ok () ->
-      let data = packetize ~payload_size:profile.Profile.payload_size message in
-      let config = Rmc_proto.Np.config_of_profile profile in
-      let report =
-        match churn with
-        | [] -> Rmc_proto.Np.run ~config ~start:virtual_start ~network ~rng ~data ()
-        | churn ->
-          let mux = Rmc_proto.Np.Mux.create (Rmc_sim.Engine.create ()) in
-          let flow =
-            Rmc_proto.Np.Mux.add_flow mux ~config ~start:virtual_start ~churn ~network
-              ~rng ~data ()
-          in
-          Rmc_proto.Np.Mux.run mux;
-          Rmc_proto.Np.Mux.report flow
-      in
-      Ok (outcome_of_report ~message_len:(String.length message) report))
+  | Ok (config, data) ->
+    let report = Rmc_proto.Np.run ~config ~start:virtual_start ?churn ~network ~rng ~data () in
+    Ok (outcome_of_report ~message_len:(String.length message) report)
 
 let send_exn ?profile ?virtual_start ?churn ~network ~rng message =
   Error.get_exn (send ?profile ?virtual_start ?churn ~network ~rng message)

@@ -30,10 +30,9 @@ val send :
     [churn] (default none) schedules receiver membership changes — see
     {!Rmc_proto.Np.Mux.add_flow}; the outcome's [verified] then covers the
     receivers present at the end of the run.  Returns [Error] (context
-    ["Transfer.send"]) on an invalid profile, an empty message, a payload
-    size too small for the length prefix, a negative start, or a churn
-    event that is out of range or predates the start — never raises on bad
-    input. *)
+    ["Transfer.send"]) where {!prepare} does — never raises on bad
+    input.  One path with or without churn: a {!Rmc_proto.Np.run}, whose
+    report's [duration] is the virtual time its engine drained at. *)
 
 val send_exn :
   ?profile:Rmc_core.Profile.t ->
@@ -44,6 +43,23 @@ val send_exn :
   string ->
   outcome
 (** @raise Invalid_argument where {!send} would return [Error]. *)
+
+val prepare :
+  context:string ->
+  ?what:string ->
+  ?delay:float ->
+  ?start:float ->
+  ?churn:Rmc_proto.Np.Mux.churn_event list ->
+  network:Rmc_sim.Network.t ->
+  Rmc_core.Profile.t ->
+  string ->
+  (Rmc_proto.Np.config * Bytes.t array, Rmc_core.Error.t) result
+(** The admission check {!send} and {!Scheduler.add} share: the flow's
+    config ({!Rmc_proto.Np.config_of_profile} with [delay]) and its
+    {!packetize}d message, or the first rule broken, under [context]:
+    {!Rmc_proto.Np.validate_config}'s, then an empty message
+    (["empty <what>"], [what] defaulting to ["message"]) or a
+    [payload_size] below 5, then {!Rmc_proto.Np.validate_flow}'s. *)
 
 val outcome_of_report : message_len:int -> Rmc_proto.Np.report -> outcome
 (** Derive the byte accounting and verification flag from a raw NP report —

@@ -64,6 +64,10 @@ let controller_of_string = function
 let max_codeword = 255
 let max_wire_index = 0xFFFF
 
+(* A packet travels as one datagram, on the simulator as over UDP: its
+   payload fits behind the header. *)
+let max_payload = Rmc_wire.Header.max_datagram - Rmc_wire.Header.header_size
+
 let codec_is_rateless = function `Rlnc -> true | `Rse | `Cauchy -> false
 
 let validate ?(context = "Profile") t =
@@ -79,6 +83,9 @@ let validate ?(context = "Profile") t =
   else if codec_is_rateless t.codec && t.k + t.h > max_wire_index then
     fail "k + h exceeds the 16-bit wire index space (got %d)" (t.k + t.h)
   else if t.payload_size < 1 then fail "payload_size must be >= 1 (got %d)" t.payload_size
+  else if t.payload_size > max_payload then
+    fail "payload_size must be <= %d to fit one %d-byte datagram (got %d)" max_payload
+      Rmc_wire.Header.max_datagram t.payload_size
   else if not (t.pacing > 0.0 && Float.is_finite t.pacing) then
     fail "pacing must be positive and finite (got %g)" t.pacing
   else if not (t.slot > 0.0 && Float.is_finite t.slot) then

@@ -84,7 +84,8 @@ val controller_of_string : string -> controller option
 val validate : ?context:string -> t -> (t, Error.t) result
 (** Check the cross-field invariants every consumer relies on:
     [1 <= k <= 65535] (wire limit), [h >= 0],
-    [0 <= proactive <= h], [payload_size >= 1], finite [pacing > 0]
+    [0 <= proactive <= h], [1 <= payload_size <= 65510] (one packet per
+    datagram: {!Rmc_wire.Header.max_datagram} less the header), finite [pacing > 0]
     and [slot > 0]; plus the codec-dependent budget bound — [k + h <= 255]
     (GF(2^8) codeword positions) for the block codecs, [k + h <= 65535]
     (wire index space, [Codec.max_repair]) for the rateless one — and [h >= 1] whenever an

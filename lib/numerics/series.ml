@@ -1,9 +1,9 @@
-let default_tolerance = 1e-12
-let default_max_terms = 10_000_000
+(* Far below the 2-3 significant digits visible on the paper's plots. *)
+let tolerance = 1e-12
 
 exception Did_not_converge of { terms : int; partial : float }
 
-let sum_survival ?(tolerance = default_tolerance) ?(max_terms = default_max_terms) s =
+let sum_survival ?(max_terms = 10_000_000) s =
   let rec loop i acc =
     if i >= max_terms then raise (Did_not_converge { terms = i; partial = acc })
     else begin
@@ -17,11 +17,11 @@ let sum_survival ?(tolerance = default_tolerance) ?(max_terms = default_max_term
 
 let expectation_from_survival = sum_survival
 
-let expectation_from_cdf_max ?tolerance ?max_terms ~r cdf =
+let expectation_from_cdf_max ?max_terms ~r cdf =
   let survival_of_max i =
     let c = cdf i in
     if c <= 0.0 then 1.0
     else if c >= 1.0 then 0.0
     else -.Float.expm1 (r *. log c)
   in
-  sum_survival ?tolerance ?max_terms survival_of_max
+  sum_survival ?max_terms survival_of_max

@@ -2,33 +2,26 @@
 
     Every expectation in the paper has the form [E[X] = sum_{i>=0} P(X > i)]
     with a survival function that eventually decays geometrically; these
-    helpers sum such series to a relative tolerance with a hard cap. *)
-
-val default_tolerance : float
-(** 1e-12: far below the 2-3 significant digits visible on the paper's
-    plots. *)
-
-val default_max_terms : int
-(** 10_000_000: safety cap; reached only on misuse (non-decaying terms). *)
+    helpers sum such series to a relative tolerance of 1e-12 (far below
+    the 2-3 significant digits visible on the paper's plots) with a hard
+    cap on the number of terms. *)
 
 exception Did_not_converge of { terms : int; partial : float }
 
-val sum_survival :
-  ?tolerance:float -> ?max_terms:int -> (int -> float) -> float
+val sum_survival : ?max_terms:int -> (int -> float) -> float
 (** [sum_survival s] is [sum_{i>=0} s i] for a non-negative [s] decreasing to
-    zero.  Stops once a term falls below [tolerance * (1 + partial_sum)] (the
+    zero.  Stops once a term falls below [1e-12 * (1 + partial_sum)] (the
     geometric decay of the tails makes the truncation error the same order as
     the last term).
-    @raise Did_not_converge if [max_terms] is reached first. *)
+    @raise Did_not_converge if [max_terms] (default 10_000_000, a safety
+    cap reached only on non-decaying terms) is reached first. *)
 
-val expectation_from_survival :
-  ?tolerance:float -> ?max_terms:int -> (int -> float) -> float
+val expectation_from_survival : ?max_terms:int -> (int -> float) -> float
 (** [expectation_from_survival s] is [E[X] = sum_{i>=0} P(X > i)] where
     [s i = P(X > i)]; alias of {!sum_survival} with the probabilistic
     reading made explicit at call sites. *)
 
-val expectation_from_cdf_max :
-  ?tolerance:float -> ?max_terms:int -> r:float -> (int -> float) -> float
+val expectation_from_cdf_max : ?max_terms:int -> r:float -> (int -> float) -> float
 (** [expectation_from_cdf_max ~r cdf] is [E[max of r iid copies]] for a
     non-negative integer variable with per-copy CDF [cdf]:
     [sum_{i>=0} (1 - cdf(i)^r)], with [cdf(i)^r] computed stably when

@@ -3,10 +3,9 @@ module Network = Rmc_sim.Network
 module Rng = Rmc_numerics.Rng
 module Header = Rmc_wire.Header
 module Profile = Rmc_core.Profile
+module Error = Rmc_core.Error
 
-(* Largest datagram either driver moves; the sim shares the UDP driver's
-   bound so a config that simulates also runs on real sockets. *)
-let max_datagram = 65536
+let ( let* ) = Result.bind
 
 type config = {
   k : int;
@@ -72,14 +71,14 @@ type report = {
 let transmissions_per_packet report =
   float_of_int (report.data_tx + report.parity_tx) /. float_of_int report.data_tx
 
-(* The protocol rules are the profile's; only what the simulator adds is
-   checked here. *)
-let validate_config c =
-  ignore (Profile.validate_exn ~context:"Np" (profile_of_config c));
-  if c.payload_size > max_datagram - Rmc_wire.Header.header_size then
-    invalid_arg "Np: payload does not fit a 64 KiB datagram";
-  if not (c.delay >= 0.0 && Float.is_finite c.delay) then
-    invalid_arg "Np: delay must be non-negative and finite"
+(* The protocol rules, the payload bound among them, are the profile's;
+   the simulator adds its propagation delay. *)
+let validate_config ?(context = "Np") c =
+  let* _ = Profile.validate ~context (profile_of_config c) in
+  if c.delay < 0.0 then Error.invalid_arg ~context "negative delay"
+  else if not (Float.is_finite c.delay) then
+    Error.msgf ~context "delay must be finite (got %g)" c.delay |> Result.error
+  else Ok ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -155,7 +154,7 @@ let create engine =
     pumping = false;
     (* One packet is on the wire at a time (the shared send slot), so the
        round-trip below needs one buffer. *)
-    scratch = Bytes.create max_datagram;
+    scratch = Bytes.create Header.max_datagram;
   }
 
 (* Route a packet through the real wire format: serialize it into the
@@ -364,25 +363,37 @@ let apply_churn mux flow ev =
         flow.last_polls
     end
 
+(* What a flow adds to a valid config: its packets, start and churn.
+   Without [context] each rule reports under the entry point that has
+   always named it. *)
+let validate_flow ?context ?(start = 0.0) ?(churn = []) ~network c data =
+  let fail default reason =
+    Error.invalid_arg ~context:(Option.value context ~default) reason
+  in
+  let receivers = Network.receivers network in
+  if Array.length data = 0 then fail "Np.run" "no data"
+  else if Array.exists (fun payload -> Bytes.length payload <> c.payload_size) data then
+    fail "Np.run" "payload size mismatch"
+  else if not (Np_replay.fits_wire ~k:c.k data) then
+    fail "Np.run" "too many transmission groups (wire tg is 16-bit)"
+  else if start < 0.0 then fail "Np.run" "negative start time"
+  else if not (Float.is_finite start) then fail "Np.run" "start time must be finite"
+  else if List.exists (fun ev -> ev.receiver < 0 || ev.receiver >= receivers) churn then
+    fail "Np.add_flow" "churn receiver out of range"
+  else if List.exists (fun ev -> ev.at < start) churn then
+    fail "Np.add_flow" "churn event before the flow starts"
+  else if List.exists (fun ev -> not (Float.is_finite ev.at)) churn then
+    fail "Np.add_flow" "churn event time must be finite"
+  else Ok ()
+
 let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [])
     ~network ~rng ~data () =
-  validate_config config;
   let c = config in
-  if Array.length data = 0 then invalid_arg "Np.run: no data";
-  Array.iter
-    (fun payload ->
-      if Bytes.length payload <> c.payload_size then
-        invalid_arg "Np.run: payload size mismatch")
-    data;
-  if start < 0.0 then invalid_arg "Np.run: negative start time";
+  Error.get_exn
+    (let* () = validate_config c in
+     validate_flow ~start ~churn ~network c data);
   if start < Engine.now mux.engine then invalid_arg "Np.run: start time in the past";
   let receivers = Network.receivers network in
-  List.iter
-    (fun ev ->
-      if ev.receiver < 0 || ev.receiver >= receivers then
-        invalid_arg "Np.add_flow: churn receiver out of range";
-      if ev.at < start then invalid_arg "Np.add_flow: churn event before the flow starts")
-    churn;
   let profile = profile_of_config c in
   let sender = Np_drive.Sender.create ?recorder ~actor:"s0" ~receivers profile ~data in
   (* A receiver whose earliest churn event is a Join is a late joiner: it
@@ -517,10 +528,10 @@ module Mux = struct
   let controller_estimates flow = Np_drive.Sender.estimates flow.sender
 end
 
-let run ?(config = default_config) ?(start = 0.0) ~network ~rng ~data () =
+let run ?config ?start ?churn ~network ~rng ~data () =
   let engine = Engine.create () in
   let mux = create engine in
-  let flow = add_flow mux ~config ~start ~network ~rng ~data () in
+  let flow = add_flow mux ?config ?start ?churn ~network ~rng ~data () in
   Engine.run engine;
   (* Preserve the historical duration definition: virtual time when the
      event queue drained, not just this flow's last touch. *)

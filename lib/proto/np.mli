@@ -77,11 +77,11 @@ type report = {
 val transmissions_per_packet : report -> float
 (** The E[M] estimate this run realises. *)
 
-val validate_config : config -> unit
+val validate_config : ?context:string -> config -> (unit, Rmc_core.Error.t) result
 (** The profile's rules ({!Rmc_core.Profile.validate} on
-    {!profile_of_config}) plus the simulator's own: the payload fits one
-    64 KiB datagram and [delay] is finite and [>= 0].
-    @raise Invalid_argument on out-of-range fields. *)
+    {!profile_of_config}, the one-datagram payload bound among them) plus
+    the simulator's own: [delay] is finite and [>= 0].  [context] names
+    the caller in the error (default ["Np"]). *)
 
 (** Multiplex several independent NP transfers over one shared engine.
 
@@ -144,10 +144,9 @@ module Mux : sig
       loss process still draws one fate per (transmission, receiver)
       whether or not the receiver is present, so adding churn never
       shifts the RNG stream of the receivers that stay.
-      @raise Invalid_argument on an invalid config, empty data, wrong
-      payload sizes, more than 65,536 TGs (the wire tg is 16-bit), a bad
-      start time, or a churn event that is out of range or predates
-      [start]. *)
+      @raise Invalid_argument with the message of the first [Error] of
+      {!validate_config} and {!validate_flow}, or on a start time in the
+      engine's past. *)
 
   val run : t -> unit
   (** Drive the engine until every flow has drained ([Engine.run]). *)
@@ -209,9 +208,26 @@ module Mux : sig
       receiver get it one [delay] later ([on_nak] does not). *)
 end
 
+val validate_flow :
+  ?context:string ->
+  ?start:float ->
+  ?churn:Mux.churn_event list ->
+  network:Rmc_sim.Network.t ->
+  config ->
+  Bytes.t array ->
+  (unit, Rmc_core.Error.t) result
+(** The rules a flow adds to a config that passed {!validate_config}, as
+    {!Mux.add_flow} would be given them: [data] is non-empty, every
+    payload is [payload_size] bytes, the TGs fit the 16-bit wire index
+    ({!Np_replay.fits_wire}), [start] is finite and [>= 0], and every
+    churn event names a receiver of [network] at a finite time no earlier
+    than [start].  Without [context] each error keeps the entry point it
+    has always named (["Np.run"], or ["Np.add_flow"] for churn). *)
+
 val run :
   ?config:config ->
   ?start:float ->
+  ?churn:Mux.churn_event list ->
   network:Rmc_sim.Network.t ->
   rng:Rmc_numerics.Rng.t ->
   data:Bytes.t array ->
@@ -226,8 +242,9 @@ val run :
     back over one network (whose loss processes must see non-decreasing
     times).
 
-    Equivalent to a one-flow {!Mux}; preserved for all existing callers.
-    @raise Invalid_argument on empty data or wrong payload sizes. *)
+    [churn] is {!Mux.add_flow}'s.  A one-flow {!Mux}, except that
+    [duration] is the virtual time the engine drained at.
+    @raise Invalid_argument where {!Mux.add_flow} does. *)
 
 module For_testing : sig
   val tamper : Mux.flow -> (Rmc_wire.Header.message -> Rmc_wire.Header.message) -> unit

@@ -197,8 +197,8 @@ let on_exhausted rem ~tg =
 
 let add_flow mux ?(config = Np.default_config) ?(start = 0.0) ?recorder
     ?(cohort = default_cohort) ?channel ~population ~network ~rng ~data () =
-  Np.validate_config config;
-  Rmc_core.Error.get_exn (check_config config);
+  Rmc_core.Error.get_exn
+    (Result.bind (Np.validate_config config) (fun () -> check_config config));
   let receivers = Network.receivers network in
   if receivers <> min cohort population then
     invalid_arg "Np_aggregate: network must cover exactly the tracked cohort";

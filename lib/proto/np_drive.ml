@@ -87,17 +87,13 @@ module Scoreboard = struct
     verdicts : bool array; (* per session: no delivery so far differed *)
   }
 
-  let tgs ~k data = (Array.length data + k - 1) / k
-
   let create ~k ~first_sid sent =
     if k < 1 then invalid_arg "Np_drive.Scoreboard.create: k < 1";
-    if Array.exists (fun data -> tgs ~k data > 0x10000) sent then
-      invalid_arg "Np_drive.Scoreboard.create: too many TGs (wire tg is 16-bit)";
     {
       k;
       first_sid;
       sent;
-      intact_counts = Array.map (fun data -> Array.make (tgs ~k data) 0) sent;
+      intact_counts = Array.map (fun data -> Array.make (Np_replay.tg_count ~k data) 0) sent;
       verdicts = Array.make (Array.length sent) true;
     }
 

@@ -72,9 +72,9 @@ module Scoreboard : sig
   (** [create ~k ~first_sid sent]: session [first_sid + i] carries
       [sent.(i)] in TGs of [k] packets (the last TG may be shorter),
       numbered on the wire as {!Np_replay.wire_tg} and listed by
-      {!Np_replay.expected}.
-      @raise Invalid_argument if [k < 1] or a session has more than
-      65,536 TGs (the wire's local TG field is 16-bit). *)
+      {!Np_replay.expected}.  Each session is within
+      {!Np_replay.fits_wire}: the caller's admission check applied it.
+      @raise Invalid_argument if [k < 1]. *)
 
   val intact : sent:Bytes.t -> Bytes.t -> bool
   (** The one definition of an intact packet: the same bytes as [sent],

@@ -43,9 +43,16 @@ let wire_tg ~sid local = (sid lsl 16) lor local
 let sid_of_wire wire = (wire lsr 16) land 0xFFFF
 let local_of_wire wire = wire land 0xFFFF
 
+let tg_count ~k data = (Array.length data + k - 1) / k
+
+(* The wire tg holds the session-local TG index in 16 bits: past 0x10000
+   TGs one session's ids would run into the next session's, and a
+   receiver refuses an expected list that names a TG twice. *)
+let fits_wire ~k data = tg_count ~k data <= 0x10000
+
 let expected ~k ~sid data =
   let total = Array.length data in
-  List.init ((total + k - 1) / k) (fun local ->
+  List.init (tg_count ~k data) (fun local ->
       (wire_tg ~sid local, min k (total - (local * k))))
 
 let step ~recorder ~actor handle event =
@@ -126,13 +133,8 @@ let replay recorder =
           let* hex = meta recorder (Printf.sprintf "data.%d" sid) Option.some in
           payloads_of_hex ~payload_size hex)
     in
-    (* The wire tg holds the session-local TG index in 16 bits: past
-       0x10000 TGs one session's ids would run into the next session's,
-       and the receiver refuses an expected list that names a TG twice. *)
     let* () =
-      match
-        Array.find_index (fun data -> (Array.length data + k - 1) / k > 0x10000) sessions
-      with
+      match Array.find_index (fun data -> not (fits_wire ~k data)) sessions with
       | Some sid ->
         Error (Printf.sprintf "capture meta data.%d: too many TGs (wire tg is 16-bit)" sid)
       | None -> Ok ()

@@ -53,6 +53,15 @@ val local_of_wire : int -> int
 (** The two halves of a wire [tg_id], each masked to 16 bits so a hostile
     or corrupted id cannot index outside either namespace. *)
 
+val tg_count : k:int -> Bytes.t array -> int
+(** TGs of [k] packets that carry [data] (the last may be shorter). *)
+
+val fits_wire : k:int -> Bytes.t array -> bool
+(** The one TG-count bound: [data] in TGs of [k] needs at most 65,536
+    TGs, so every session-local TG index fits the wire [tg_id]'s lower 16
+    bits.  The simulator's and the UDP transport's admission checks and
+    {!replay} apply it. *)
+
 val expected : k:int -> sid:int -> Bytes.t array -> (int * int) list
 (** The [(wire tg, packets)] pairs a receiver must resolve for session
     [sid] carrying [data] in TGs of [k] (the last TG may be shorter) —

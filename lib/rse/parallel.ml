@@ -130,22 +130,14 @@ let run_batch pool job total =
    gathered positionally, so the output array never depends on which
    domain ran which chunk.  The jobs must be independent — in particular
    each should own its RNG. *)
-let chunk_of ?chunk pool n =
-  match chunk with
-  | Some c ->
-    if c < 1 then invalid_arg "Parallel.map: chunk must be >= 1";
-    c
-  | None ->
-    (* ~4 chunks per domain: enough slack for dynamic load balancing
-       without paying a handoff per index. *)
-    max 1 (n / (pool.domains * 4))
-
-let map ~pool ?chunk n f =
+let map ~pool n f =
   if n < 0 then invalid_arg "Parallel.map: negative count";
   if n = 0 then [||]
   else if pool.domains = 1 then Array.init n f
   else begin
-    let chunk = chunk_of ?chunk pool n in
+    (* ~4 chunks per domain: enough slack for dynamic load balancing
+       without paying a handoff per index. *)
+    let chunk = max 1 (n / (pool.domains * 4)) in
     let tasks = (n + chunk - 1) / chunk in
     let results = Array.make n None in
     run_batch pool

@@ -25,12 +25,11 @@ val pool_sized : int -> pool
 val domain_count : pool -> int
 (** Total parallelism of the pool, including the calling domain. *)
 
-val map : pool:pool -> ?chunk:int -> int -> (int -> 'a) -> 'a array
+val map : pool:pool -> int -> (int -> 'a) -> 'a array
 (** [map ~pool n f] is [Array.init n f] with the applications sharded
     across [pool], the caller claiming work alongside the workers.
-    Indices are handed out [chunk] consecutive tasks at a time (default:
-    enough chunks for ~4 per domain; [chunk] must be >= 1) — dynamic
-    scheduling, so a slow cell does not stall the grid.  Results are
+    Indices are handed out in chunks of consecutive tasks, ~4 chunks per
+    domain — dynamic scheduling, so a slow cell does not stall the grid.  Results are
     gathered positionally: the output array is the same whatever the
     schedule.  For coarse independent jobs — simulation replications,
     sweep cells — not byte work; the jobs must be independent (each

@@ -101,18 +101,8 @@ type multi_report = {
 (* The 32-bit wire [tg_id] carries the session id in its upper 16 bits and
    the session-local TG index in the lower 16 ({!Np_replay.wire_tg}) — no
    wire-format change, and a single-session run (sid 0) puts exactly the
-   bytes on the wire it always did.  The driver composes ids the
-   entry-point validation has already bounded; {!wire_tg} is the
-   range-checked public face. *)
-let wire_tg ~sid local =
-  if sid < 0 || sid > 0xFFFF then
-    Error.invalid_arg ~context:"Udp_np.wire_tg" "session id outside 16-bit range"
-  else if local < 0 || local > 0xFFFF then
-    Error.invalid_arg ~context:"Udp_np.wire_tg" "local tg outside 16-bit range"
-  else Ok (Np_replay.wire_tg ~sid local)
-
-let sid_of_wire = Np_replay.sid_of_wire
-let local_of_wire = Np_replay.local_of_wire
+   bytes on the wire it always did.  Only ids the entry-point validation
+   has bounded are composed. *)
 
 (* The damping RNG a receiver's machine draws from is split off from the
    loss-injection stream so a replay (which sees no loss draws — dropped
@@ -121,10 +111,9 @@ let receiver_machine_seed ~seed ~id = seed + (id * 7919) + 104729
 
 (* --- socket helpers -------------------------------------------------- *)
 
-(* A UDP datagram cannot exceed 64 KiB, so receive buffers of this size
-   per socket and one pool of buffers this size per engine (send) cover
-   every packet the protocol can produce. *)
-let max_datagram = 65536
+(* Receive buffers of this size per socket and one pool of buffers this
+   size per engine (send) cover every packet the protocol can produce. *)
+let max_datagram = Header.max_datagram
 
 (* The largest UDP payload the kernel accepts in one datagram (65535 minus
    IP and UDP headers): the budget a coalesced frame must fit. *)
@@ -538,7 +527,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
   let started = Unix.gettimeofday () in
   let nsessions = Array.length sessions in
   let index_of_wire wire =
-    let index = sid_of_wire wire - first_sid in
+    let index = Np_replay.sid_of_wire wire - first_sid in
     if index >= 0 && index < nsessions then Some index else None
   in
   (match recorder with
@@ -682,7 +671,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
           | Header.Nak { tg_id; need; round } ->
             (match index_of_wire tg_id with
             | Some index ->
-              sender_handle_nak senders.(index) ~tg_id:(local_of_wire tg_id) ~need ~round
+              sender_handle_nak senders.(index) ~tg_id:(Np_replay.local_of_wire tg_id) ~need
+                ~round
             | None -> ())
           | Header.Data _ | Header.Parity _ | Header.Poll _ | Header.Exhausted _ -> ()));
 
@@ -782,7 +772,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
 let validate ~context ~config ~receivers ~loss ~sessions =
   if Array.exists (fun data -> Array.length data = 0) sessions || Array.length sessions = 0
   then Error.invalid_arg ~context "no data"
-  else if loss < 0.0 || loss >= 1.0 then Error.invalid_arg ~context "loss outside [0,1)"
+  else if not (loss >= 0.0 && loss < 1.0) then Error.invalid_arg ~context "loss outside [0,1)"
   else if
     Array.exists
       (fun data ->
@@ -791,19 +781,14 @@ let validate ~context ~config ~receivers ~loss ~sessions =
   then Error.invalid_arg ~context "payload size mismatch"
   else if receivers < 1 then Error.invalid_arg ~context "need at least one receiver"
   else
-    (* The protocol rules are the profile's; only the transport's own
-       limits are checked here. *)
+    (* The protocol rules, the payload bound among them, are the
+       profile's; only the transport's own limits are checked here. *)
     Result.bind (Profile.validate ~context (profile_of_config config)) @@ fun _ ->
-    if config.payload_size > max_datagram - Header.header_size then
-      Error.invalid_arg ~context "payload does not fit a 64 KiB datagram"
-    else if Array.length sessions > 0x10000 then
-    Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
-  else if
-    Array.exists
-      (fun data -> (Array.length data + config.k - 1) / config.k > 0x10000)
-      sessions
-  then Error.invalid_arg ~context "too many transmission groups (wire tg is 16-bit)"
-  else Ok ()
+    if Array.length sessions > 0x10000 then
+      Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
+    else if Array.exists (fun data -> not (Np_replay.fits_wire ~k:config.k data)) sessions
+    then Error.invalid_arg ~context "too many transmission groups (wire tg is 16-bit)"
+    else Ok ()
 
 (* --- entry points ------------------------------------------------------ *)
 

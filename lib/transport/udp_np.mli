@@ -91,29 +91,9 @@ val config_of_profile :
     [session_timeout] are transport-only knobs (defaults from
     {!default_config}). *)
 
-val profile_of_config : config -> Rmc_core.Profile.t
-(** Forget [linger] and [session_timeout]. *)
-
-val wire_tg : sid:int -> int -> (int, Rmc_core.Error.t) result
-(** [wire_tg ~sid local] packs session id [sid] (upper 16 bits) and
-    session-local TG index [local] (lower 16 bits) into the 32-bit wire
-    [tg_id].  Returns [Error] (context ["Udp_np.wire_tg"]) when either
-    component falls outside [\[0, 65535\]] — the guard the multi-session
-    demux relies on. *)
-
-val sid_of_wire : int -> int
-(** Upper 16 bits of a wire [tg_id], masked to 16 bits. *)
-
-val local_of_wire : int -> int
-(** Lower 16 bits of a wire [tg_id]. *)
-
 val max_datagram : int
-(** Upper bound on a datagram this driver sends or receives (65536);
-    [payload_size] may not exceed [max_datagram - Header.header_size]. *)
-
-val max_frame : int
-(** The largest UDP payload the kernel accepts in one datagram (65507);
-    the budget a coalesced frame is packed up to. *)
+(** {!Rmc_wire.Header.max_datagram}: the size of every receive and send
+    buffer of this transport. *)
 
 val drain :
   ?on_decode_error:(unit -> unit) ->

@@ -6,6 +6,7 @@ type message =
   | Exhausted of { tg_id : int }
 
 let header_size = 26
+let max_datagram = 65536
 let magic = "RMCP"
 let version = 2
 let crc_offset = 22

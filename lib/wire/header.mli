@@ -71,6 +71,11 @@ type message =
 val header_size : int
 (** Bytes preceding the payload (26). *)
 
+val max_datagram : int
+(** The largest datagram NP builds or receives, simulated or over UDP
+    (65536): a payload may be at most [max_datagram - header_size] bytes,
+    the bound [Rmc_core.Profile.validate] enforces. *)
+
 val encoded_size : message -> int
 (** Exact on-the-wire size: {!header_size} plus the payload length. *)
 

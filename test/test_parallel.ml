@@ -12,16 +12,14 @@ let pool4 () = Parallel.pool_sized 4
 exception Boom of int
 
 let qcheck_map_differential =
-  let gen =
-    QCheck.Gen.(triple (int_range 0 200) (int_range 1 64) (opt (int_range 0 199)))
-  in
-  let print (n, chunk, fail_at) =
-    Printf.sprintf "n=%d chunk=%d fail_at=%s" n chunk
+  let gen = QCheck.Gen.(pair (int_range 0 200) (opt (int_range 0 199))) in
+  let print (n, fail_at) =
+    Printf.sprintf "n=%d fail_at=%s" n
       (match fail_at with Some i -> string_of_int i | None -> "-")
   in
-  QCheck.Test.make ~count:120 ~name:"Parallel.map = Array.init for any n/chunk"
+  QCheck.Test.make ~count:120 ~name:"Parallel.map = Array.init for any n"
     (QCheck.make ~print gen)
-    (fun (n, chunk, fail_at) ->
+    (fun (n, fail_at) ->
       let f i =
         match fail_at with
         | Some j when i = j -> raise (Boom i)
@@ -29,10 +27,10 @@ let qcheck_map_differential =
       in
       let should_raise = match fail_at with Some j -> j < n | None -> false in
       if should_raise then
-        match Parallel.map ~pool:(pool4 ()) ~chunk n f with
+        match Parallel.map ~pool:(pool4 ()) n f with
         | _ -> false
         | exception Boom i -> i = Option.get fail_at
-      else Parallel.map ~pool:(pool4 ()) ~chunk n f = Array.init n f)
+      else Parallel.map ~pool:(pool4 ()) n f = Array.init n f)
 
 let test_map_pool_reusable_after_exception () =
   let pool = pool4 () in
@@ -43,10 +41,7 @@ let test_map_pool_reusable_after_exception () =
     (Array.init 50 (fun i -> i * 2))
     (Parallel.map ~pool 50 (fun i -> i * 2))
 
-let test_map_rejects_bad_chunk () =
-  (match Parallel.map ~pool:(pool4 ()) ~chunk:0 8 (fun i -> i) with
-  | _ -> Alcotest.fail "chunk 0 accepted"
-  | exception Invalid_argument _ -> ());
+let test_map_rejects_negative_count () =
   match Parallel.map ~pool:(pool4 ()) (-1) (fun i -> i) with
   | _ -> Alcotest.fail "negative count accepted"
   | exception Invalid_argument _ -> ()
@@ -199,7 +194,7 @@ let test_codec_memo_contention () =
   in
   let sequential = Array.map parity_of ks in
   let parallel =
-    Parallel.map ~pool:(pool4 ()) ~chunk:1 16 (fun i -> parity_of ks.(i mod 4))
+    Parallel.map ~pool:(pool4 ()) 16 (fun i -> parity_of ks.(i mod 4))
   in
   Array.iteri
     (fun i parity ->
@@ -216,7 +211,7 @@ let test_codec_memo_contention () =
       (Runner.estimate network ~k:7 ~scheme:(Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:30 ())
   in
   let sequential = Array.init 4 (fun i -> estimate (i + 1)) in
-  let parallel = Parallel.map ~pool:(pool4 ()) ~chunk:1 4 (fun i -> estimate (i + 1)) in
+  let parallel = Parallel.map ~pool:(pool4 ()) 4 (fun i -> estimate (i + 1)) in
   Alcotest.(check (array (float 0.0))) "estimates match sequential" sequential parallel
 
 (* --- sharded metrics ---------------------------------------------------- *)
@@ -254,7 +249,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_map_differential;
     Alcotest.test_case "pool reusable after exception" `Quick
       test_map_pool_reusable_after_exception;
-    Alcotest.test_case "map rejects bad chunk and count" `Quick test_map_rejects_bad_chunk;
+    Alcotest.test_case "map rejects a negative count" `Quick test_map_rejects_negative_count;
     Alcotest.test_case "pool_sized memoized" `Quick test_pool_sized_memoized;
     Alcotest.test_case "derive_seed determinism" `Quick test_derive_seed;
     Alcotest.test_case "run_cells jobs-invariant" `Quick test_run_cells_jobs_invariant;

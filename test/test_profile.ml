@@ -49,9 +49,23 @@ let qcheck_np_roundtrip =
   QCheck.Test.make ~count:500 ~name:"Np config_of_profile roundtrip" arbitrary_profile
     (fun p -> Profile.equal p (Np.profile_of_config (Np.config_of_profile p)))
 
+(* Every profile field lands in the UDP config unchanged. *)
 let qcheck_udp_roundtrip =
   QCheck.Test.make ~count:500 ~name:"Udp_np config_of_profile roundtrip" arbitrary_profile
-    (fun p -> Profile.equal p (Udp.profile_of_config (Udp.config_of_profile p)))
+    (fun p ->
+      let c = Udp.config_of_profile p in
+      Profile.equal p
+        {
+          Profile.k = c.Udp.k;
+          h = c.Udp.h;
+          proactive = c.Udp.proactive;
+          payload_size = c.Udp.payload_size;
+          pacing = c.Udp.spacing;
+          slot = c.Udp.slot;
+          pre_encode = c.Udp.pre_encode;
+          codec = c.Udp.codec;
+          controller = c.Udp.controller;
+        })
 
 let test_defaults_valid () =
   let check name p =
@@ -82,6 +96,7 @@ let test_validate_rejections () =
   rejected "rateless k + h beyond wire index"
     { Profile.default with k = 100; h = 0x10000 - 99; codec = `Rlnc };
   rejected "payload_size = 0" { Profile.default with payload_size = 0 };
+  rejected "payload_size = 65511" { Profile.default with payload_size = 65_511 };
   rejected "zero pacing" { Profile.default with pacing = 0.0 };
   rejected "negative slot" { Profile.default with slot = -0.1 };
   rejected "adaptive controller without repair budget"

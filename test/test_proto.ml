@@ -444,7 +444,9 @@ let test_golden_tg_tiers () =
    k = 4, h = 2, 64-byte encoding of [input.bin]: cut short, junk, more
    loss than the parities cover, and a payload size that does not match.
    [faults] is no command: [serve --transport udp --faults] injects faults
-   into a real run. *)
+   into a real run.  A payload past one datagram and a message of more TGs
+   than the 16-bit wire index numbers are refused before anything runs,
+   on the simulator as on UDP. *)
 let bad_cli_inputs =
   [
     "simulate --reps 0";
@@ -466,6 +468,9 @@ let bad_cli_inputs =
     "codec decode input.fec output.bin --payload 64 --drop 0.6";
     "codec decode input.fec output.bin --payload 32";
     "faults drop=0.1";
+    "transfer --payload 70000";
+    "serve --payload 70000";
+    "transfer -k 1 --parities 1 --payload 5 --bytes 330000";
   ]
 
 let contains s sub =
@@ -542,6 +547,25 @@ let test_cli_codec_names () =
   Alcotest.(check bool) ("the error lists " ^ names) true
     (contains output (Printf.sprintf "unknown codec \"lt\" (%s)" names))
 
+(* [--jobs] never changes what [rmc simulate] prints, and leaving it out
+   is one more job count. *)
+let test_cli_simulate_jobs_invariant () =
+  let rmc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rmc.exe" in
+  let log = Filename.temp_file "rmc-simulate" ".log" in
+  let simulate jobs =
+    let status =
+      Sys.command
+        (Printf.sprintf "%s simulate -k 7 -r 50 --reps 250 %s > %s 2>&1" (Filename.quote rmc)
+           jobs (Filename.quote log))
+    in
+    Alcotest.(check int) ("simulate " ^ jobs ^ " exits 0") 0 status;
+    In_channel.with_open_text log In_channel.input_all
+  in
+  let default = simulate "" in
+  Alcotest.(check string) "--jobs 1 prints what no flag prints" default (simulate "--jobs 1");
+  Alcotest.(check string) "--jobs 3 prints what no flag prints" default (simulate "--jobs 3");
+  Sys.remove log
+
 let suite =
   [
     Alcotest.test_case "ARQ lossless exact" `Quick test_arq_lossless;
@@ -567,4 +591,6 @@ let suite =
     Alcotest.test_case "rmc: out-of-range numbers are usage errors" `Quick
       test_cli_usage_errors;
     Alcotest.test_case "rmc: --codec takes the registry's names" `Quick test_cli_codec_names;
+    Alcotest.test_case "rmc: simulate prints the same for any --jobs" `Quick
+      test_cli_simulate_jobs_invariant;
   ]

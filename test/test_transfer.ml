@@ -96,6 +96,117 @@ let test_send_rejects_non_finite_timing () =
          ])
        [ infinity; nan ])
 
+(* Each input rule, one row: every entry point that takes the input
+   returns [Error] naming itself, and none raises.  The rules are the ones
+   the simulator and the UDP transport share (the profile's payload bound,
+   the 16-bit TG count) plus the simulator's own (delay, start, churn). *)
+let test_entry_points_return_errors () =
+  let module Scheduler = Rmcast.Scheduler in
+  let module Udp = Rmcast.Udp_np in
+  let rng = Rng.create ~seed:5 () in
+  let network = Network.independent (Rng.split rng) ~receivers:3 ~p:0.0 in
+  let rng = Rng.split rng in
+  let base = Rmcast.Profile.default in
+  let returns_error ~context name f =
+    match f () with
+    | Ok _ -> Alcotest.failf "%s: %s accepted" context name
+    | Error e ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s names the entry point" context name)
+        context e.Rmcast.Error.context
+    | exception e ->
+      Alcotest.failf "%s: %s raised %s" context name (Printexc.to_string e)
+  in
+  let scheduler = Scheduler.create_exn ~network ~rng () in
+  (* At k = 1 and 5-byte payloads, 327,681 bytes plus the 4-byte length
+     prefix are 65,537 packets: one TG more than the wire numbers. *)
+  let tg_overflow = { base with k = 1; h = 1; payload_size = 5 } in
+  let too_many_tgs = String.make ((65_537 * 5) - 4) 'x' in
+  List.iter
+    (fun (name, profile, message, packets) ->
+      returns_error ~context:"Transfer.send" name (fun () ->
+          Transfer.send ~profile ~network ~rng message);
+      returns_error ~context:"Scheduler.add" name (fun () ->
+          Scheduler.add scheduler ~profile ~name message);
+      let data = Array.make packets (Bytes.make profile.Rmcast.Profile.payload_size 'x') in
+      returns_error ~context:"Udp_np.run_local" name (fun () ->
+          Udp.run_local ~config:(Udp.config_of_profile profile) ~receivers:1 ~loss:0.0
+            ~seed:0 ~data ()))
+    [
+      ("payload_size = 65511", { base with payload_size = 65_511 }, "hello", 1);
+      ("65,537 TGs at k = 1", tg_overflow, too_many_tgs, 65_537);
+      ("k = 0", { base with k = 0 }, "hello", 1);
+    ];
+  returns_error ~context:"Scheduler.create" "payload_size = 65511" (fun () ->
+      Scheduler.create ~profile:{ base with payload_size = 65_511 } ~network ~rng ());
+  List.iter
+    (fun delay ->
+      returns_error ~context:"Scheduler.create" (Printf.sprintf "delay = %g" delay)
+        (fun () -> Scheduler.create ~delay ~network ~rng ()))
+    [ infinity; nan; -0.1 ];
+  List.iter
+    (fun start ->
+      let name = Printf.sprintf "start = %g" start in
+      returns_error ~context:"Transfer.send" name (fun () ->
+          Transfer.send ~virtual_start:start ~network ~rng "hello");
+      returns_error ~context:"Scheduler.add" name (fun () ->
+          Scheduler.add scheduler ~start ~name "hello"))
+    [ infinity; nan; -1.0 ];
+  List.iter
+    (fun (name, ev) ->
+      returns_error ~context:"Transfer.send" name (fun () ->
+          Transfer.send ~churn:[ ev ] ~virtual_start:1.0 ~network ~rng "hello"))
+    [
+      ("churn receiver out of range", { Rmcast.Np.Mux.receiver = 3; at = 1.5; action = `Leave });
+      ("churn receiver negative", { Rmcast.Np.Mux.receiver = -1; at = 1.5; action = `Leave });
+      ("churn before the start", { Rmcast.Np.Mux.receiver = 0; at = 0.5; action = `Leave });
+      ("churn at infinity", { Rmcast.Np.Mux.receiver = 0; at = infinity; action = `Join });
+      ("churn at nan", { Rmcast.Np.Mux.receiver = 0; at = nan; action = `Join });
+    ];
+  Alcotest.(check int) "no rejected session registered" 0 (Scheduler.sessions scheduler);
+  (* Whatever [add] refused, [run] is total. *)
+  Scheduler.add_exn scheduler ~name:"ok" "some payload bytes";
+  Alcotest.(check bool) "run after the rejections verifies" true
+    (Scheduler.run scheduler).Scheduler.all_verified
+
+(* With churn, [send] is the one-flow [Np.Mux] run it always was: the same
+   draws, so the same counts. *)
+let test_send_with_churn () =
+  let profile = { Rmcast.Profile.default with k = 8; h = 24; payload_size = 256 } in
+  let message = String.init 6_000 (fun i -> Char.chr ((i * 13) mod 256)) in
+  let churn =
+    [
+      { Rmcast.Np.Mux.receiver = 1; at = 0.01; action = `Leave };
+      { Rmcast.Np.Mux.receiver = 4; at = 0.05; action = `Join };
+    ]
+  in
+  let setup () =
+    let rng = Rng.create ~seed:6 () in
+    let network = Network.independent (Rng.split rng) ~receivers:6 ~p:0.05 in
+    (network, Rng.split rng)
+  in
+  let network, rng = setup () in
+  let outcome = Transfer.send_exn ~profile ~churn ~network ~rng message in
+  Alcotest.(check bool) "verified" true outcome.Transfer.verified;
+  let network, rng = setup () in
+  let mux = Rmcast.Np.Mux.create (Rmcast.Engine.create ()) in
+  let flow =
+    Rmcast.Np.Mux.add_flow mux ~config:(Rmcast.Np.config_of_profile profile) ~churn ~network
+      ~rng ~data:(Transfer.packetize ~payload_size:256 message) ()
+  in
+  Rmcast.Np.Mux.run mux;
+  let counts (r : Rmcast.Np.report) =
+    [ r.data_tx; r.parity_tx; r.polls; r.naks_sent; r.naks_suppressed; r.parities_encoded;
+      r.packets_decoded; r.unnecessary_receptions ]
+  in
+  let mux_report = Rmcast.Np.Mux.report flow in
+  Alcotest.(check (list int)) "counts equal the one-flow Mux run" (counts mux_report)
+    (counts outcome.Transfer.report);
+  Alcotest.(check (list (pair int int))) "ejections equal" mux_report.Rmcast.Np.ejected
+    outcome.Transfer.report.Rmcast.Np.ejected;
+  Alcotest.(check bool) "the late joiner took part" true
+    (Rmcast.Np.Mux.present flow ~receiver:4 && outcome.Transfer.report.Rmcast.Np.naks_sent > 0)
+
 (* --- planner --- *)
 
 let test_plan_lossless () =
@@ -191,6 +302,9 @@ let suite =
     Alcotest.test_case "send rejects empty" `Quick test_send_empty_rejected;
     Alcotest.test_case "send rejects non-finite timing" `Quick
       test_send_rejects_non_finite_timing;
+    Alcotest.test_case "every entry point returns Error" `Quick
+      test_entry_points_return_errors;
+    Alcotest.test_case "send with churn is the Mux run" `Quick test_send_with_churn;
     Alcotest.test_case "plan lossless" `Quick test_plan_lossless;
     Alcotest.test_case "plan meets single-round target" `Quick test_plan_meets_target;
     Alcotest.test_case "plan proactive monotone in R" `Quick test_plan_proactive_monotone_in_receivers;

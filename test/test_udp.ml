@@ -318,31 +318,24 @@ let test_reactor_metrics () =
   Alcotest.(check int) "cancels counted" 1
     (Rmcast.Metrics.get metrics "reactor.timers_cancelled")
 
+(* The wire tg packs the session id high and the local TG index low;
+   the decode-side masks never escape 16 bits, and the one TG-count bound
+   keeps every local index inside its half. *)
 let test_wire_tg_guard () =
-  (match Udp.wire_tg ~sid:3 5 with
-  | Ok wire ->
-    Alcotest.(check int) "packs sid high, local low" ((3 lsl 16) lor 5) wire;
-    Alcotest.(check int) "sid roundtrip" 3 (Udp.sid_of_wire wire);
-    Alcotest.(check int) "local roundtrip" 5 (Udp.local_of_wire wire)
-  | Error e -> Alcotest.fail (Rmcast.Error.to_string e));
-  let rejects label sid local =
-    match Udp.wire_tg ~sid local with
-    | Ok _ -> Alcotest.fail (label ^ ": expected Error")
-    | Error e ->
-      Alcotest.(check string) (label ^ " context") "Udp_np.wire_tg" e.Rmcast.Error.context
-  in
-  rejects "local too large" 0 0x10000;
-  rejects "local negative" 0 (-1);
-  rejects "sid too large" 0x10000 0;
-  rejects "sid negative" (-7) 12;
+  let module Replay = Rmcast.Np_replay in
+  let wire = Replay.wire_tg ~sid:3 5 in
+  Alcotest.(check int) "packs sid high, local low" ((3 lsl 16) lor 5) wire;
+  Alcotest.(check int) "sid roundtrip" 3 (Replay.sid_of_wire wire);
+  Alcotest.(check int) "local roundtrip" 5 (Replay.local_of_wire wire);
+  let wire = Replay.wire_tg ~sid:0xFFFF 0xFFFF in
   Alcotest.(check (pair int int)) "16-bit boundary packs" (0xFFFF, 0xFFFF)
-    (match Udp.wire_tg ~sid:0xFFFF 0xFFFF with
-    | Ok wire -> (Udp.sid_of_wire wire, Udp.local_of_wire wire)
-    | Error _ -> (-1, -1));
-  (* Decode-side masks never escape 16 bits, whatever the wire carries. *)
+    (Replay.sid_of_wire wire, Replay.local_of_wire wire);
   Alcotest.(check int) "sid mask on oversized wire id" 0xFFFF
-    (Udp.sid_of_wire ((0x7 lsl 32) lor (0xFFFF lsl 16)));
-  Alcotest.(check int) "local mask" 0x1234 (Udp.local_of_wire 0xABC1234)
+    (Replay.sid_of_wire ((0x7 lsl 32) lor (0xFFFF lsl 16)));
+  Alcotest.(check int) "local mask" 0x1234 (Replay.local_of_wire 0xABC1234);
+  let packets n = Array.make n Bytes.empty in
+  Alcotest.(check bool) "65,536 TGs fit" true (Replay.fits_wire ~k:2 (packets 131_072));
+  Alcotest.(check bool) "65,537 TGs do not" false (Replay.fits_wire ~k:2 (packets 131_073))
 
 (* One payload byte changed before the sender seals the datagram: it
    passes the receivers' CRC check, so only the delivery check can tell. *)
