@@ -85,7 +85,19 @@ module Scoreboard = struct
     sent : Bytes.t array array; (* per session: its payloads, by reference *)
     intact_counts : int array array; (* per session, per local TG *)
     verdicts : bool array; (* per session: no delivery so far differed *)
+    (* The one-TG memo: the TG of session [memo_session] (-1: none yet)
+       whose first packet is [memo_base].  [memo.(i)] is the first buffer
+       found intact as its row [i], or [vacant]; [flagged.(i)] says that
+       buffer was accepted by identity since it was last compared. *)
+    mutable memo_session : int;
+    mutable memo_base : int;
+    memo : Bytes.t array;
+    flagged : bool array;
+    mutable memcmps : int;
   }
+
+  (* Private, so no delivered row is ever physically this buffer. *)
+  let vacant = Bytes.create 0
 
   let create ~k ~first_sid sent =
     if k < 1 then invalid_arg "Np_drive.Scoreboard.create: k < 1";
@@ -95,15 +107,52 @@ module Scoreboard = struct
       sent;
       intact_counts = Array.map (fun data -> Array.make (Np_replay.tg_count ~k data) 0) sent;
       verdicts = Array.make (Array.length sent) true;
+      memo_session = -1;
+      memo_base = 0;
+      memo = Array.make k vacant;
+      flagged = Array.make k false;
+      memcmps = 0;
     }
 
   let intact ~sent row = Bytes.compare sent row = 0
 
-  (* Rows [0, n) of a delivery against the session's payloads from [base]:
-     no sub-array is cut, so a check allocates nothing. *)
-  let rec rows_intact sent ~base rows i n =
+  let compared t ~sent row =
+    t.memcmps <- t.memcmps + 1;
+    intact ~sent row
+
+  (* Compare every flagged slot again: a buffer mutated since its check
+     clears its session's verdict and leaves the memo. *)
+  let recheck t =
+    for i = 0 to t.k - 1 do
+      if t.flagged.(i) then begin
+        t.flagged.(i) <- false;
+        let sent = t.sent.(t.memo_session).(t.memo_base + i) in
+        if not (compared t ~sent t.memo.(i)) then begin
+          t.verdicts.(t.memo_session) <- false;
+          t.memo.(i) <- vacant
+        end
+      end
+    done
+
+  (* Rows [i, n) of a delivery of the memo's TG against the session's
+     payloads from [base].  A row that is its slot's own buffer is accepted
+     without a memcmp and flagged; any other row is compared, and the first
+     intact one fills a vacant slot.  No sub-array is cut, so a check
+     allocates nothing. *)
+  let rec rows_intact t sent ~base rows i n =
     i = n
-    || (intact ~sent:sent.(base + i) rows.(i) && rows_intact sent ~base rows (i + 1) n)
+    ||
+    let row = rows.(i) in
+    if row == t.memo.(i) then begin
+      t.flagged.(i) <- true;
+      rows_intact t sent ~base rows (i + 1) n
+    end
+    else
+      compared t ~sent:sent.(base + i) row
+      && begin
+        if t.memo.(i) == vacant then t.memo.(i) <- row;
+        rows_intact t sent ~base rows (i + 1) n
+      end
 
   (* The session of [t] that wire TG [tg] belongs to, or -1 if [tg] is
      not one of [t]'s TGs. *)
@@ -121,18 +170,31 @@ module Scoreboard = struct
     if session >= 0 then begin
       let local = Np_replay.local_of_wire tg and sent = t.sent.(session) in
       let base = local * t.k and n = Array.length rows in
-      if n = min t.k (Array.length sent - base) && rows_intact sent ~base rows 0 n then begin
-        let counts = t.intact_counts.(session) in
-        counts.(local) <- counts.(local) + 1
+      if n = min t.k (Array.length sent - base) then begin
+        if base <> t.memo_base || session <> t.memo_session then begin
+          recheck t;
+          Array.fill t.memo 0 t.k vacant;
+          t.memo_session <- session;
+          t.memo_base <- base
+        end;
+        if rows_intact t sent ~base rows 0 n then begin
+          let counts = t.intact_counts.(session) in
+          counts.(local) <- counts.(local) + 1
+        end
+        else t.verdicts.(session) <- false
       end
       else t.verdicts.(session) <- false
     end
 
-  let verdict t ~session = t.verdicts.(session)
+  let verdict t ~session =
+    recheck t;
+    t.verdicts.(session)
 
   let intact_deliveries t ~tg =
     let session = session_of t tg in
     if session < 0 then 0 else t.intact_counts.(session).(Np_replay.local_of_wire tg)
+
+  let memcmps t = t.memcmps
 end
 
 module Receiver = struct

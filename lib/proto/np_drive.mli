@@ -64,7 +64,19 @@ end
     intact.  One scoreboard serves every receiver of a set of sessions
     that share those receivers: one {!Np.Mux} flow, or one shard of
     [Udp_np]'s sessions.  It holds the sessions' payloads by reference
-    and allocates only at {!create}. *)
+    and allocates only at {!create}.
+
+    On the sim tiers every receiver's decoder keeps the one wire-decoded
+    buffer of each data packet, so the receivers of a multicast deliver
+    the same buffers.  The scoreboard therefore keeps a one-TG memo: for
+    the TG it last checked, the first buffer found intact at each row
+    index (at most [k] buffers).  A delivered row that is physically
+    ([==]) that buffer is accepted without a memcmp, and is compared
+    again when the memo moves to another TG and when a [verdict] is
+    read.  A buffer mutated after its check is thus still caught.  The
+    one case the memcmp of every row caught and this does not: a buffer
+    mutated and then restored between two deliveries that both
+    accepted it by identity. *)
 module Scoreboard : sig
   type t
 
@@ -83,17 +95,27 @@ module Scoreboard : sig
   val record : t -> tg:int -> Bytes.t array -> unit
   (** One receiver delivered wire TG [tg] as these rows.  Intact means
       exactly the TG's packets, each {!intact}; anything else clears the
-      session's {!verdict}.  A TG outside the scoreboard is ignored.
-      Allocates nothing. *)
+      session's {!verdict}.  A row that is the very buffer the memo holds
+      for its index is taken as intact without a memcmp, and flagged for
+      the re-check; any other row is compared.  A TG outside the
+      scoreboard is ignored.  Allocates nothing. *)
 
   val verdict : t -> session:int -> bool
   (** No delivery of session [first_sid + session] recorded so far
-      differed from what was sent.  Whether every receiver delivered
-      every TG is the driver's to add. *)
+      differed from what was sent.  Reading it first compares every
+      buffer accepted by identity since its last comparison again, so a
+      buffer mutated after it was accepted clears its session's
+      verdict here.  Whether every receiver delivered every TG is the
+      driver's to add. *)
 
   val intact_deliveries : t -> tg:int -> int
   (** How many intact deliveries of wire TG [tg] were recorded; 0 for a
       TG outside the scoreboard. *)
+
+  val memcmps : t -> int
+  (** How many rows {!record} and {!verdict} have compared byte by byte
+      so far, re-checks included: the scoreboard's work, counted without
+      a clock. *)
 end
 
 module Receiver : sig

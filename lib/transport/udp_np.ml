@@ -782,9 +782,16 @@ let validate ~context ~config ~receivers ~loss ~sessions =
   else if receivers < 1 then Error.invalid_arg ~context "need at least one receiver"
   else
     (* The protocol rules, the payload bound among them, are the
-       profile's; only the transport's own limits are checked here. *)
+       profile's; only the transport's own limits are checked here.  The
+       kernel sends at most [max_frame] bytes per datagram, below the
+       wire's own bound, so one packet's payload must also fit there. *)
     Result.bind (Profile.validate ~context (profile_of_config config)) @@ fun _ ->
-    if Array.length sessions > 0x10000 then
+    let max_payload = max_frame - Header.header_size in
+    if config.payload_size > max_payload then
+      Error.invalid_arg ~context
+        (Printf.sprintf "payload_size must be <= %d to fit one %d-byte UDP datagram (got %d)"
+           max_payload max_frame config.payload_size)
+    else if Array.length sessions > 0x10000 then
       Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
     else if Array.exists (fun data -> not (Np_replay.fits_wire ~k:config.k data)) sessions
     then Error.invalid_arg ~context "too many transmission groups (wire tg is 16-bit)"

@@ -166,25 +166,206 @@ let test_scoreboard_sessions () =
     (fun () -> ignore (Drive.Scoreboard.create ~k:0 ~first_sid:0 [| a |]))
 
 (* Every receiver checks every TG it delivers, so a check must not touch
-   the minor heap: one 20 x 1 KiB TG, delivered as copies so each row
-   really is compared byte by byte. *)
+   the minor heap, on either path: one 20 x 1 KiB TG whose memo holds one
+   set of buffers.  Copies of the same rows miss the memo, so each of
+   their rows really is compared byte by byte; the memo's own buffers hit
+   it and are compared by no one. *)
 let test_scoreboard_allocates_nothing () =
   let rng = Rmcast.Rng.create ~seed:11 () in
   let data =
     Array.init 20 (fun _ -> Bytes.init 1024 (fun _ -> Char.chr (Rmcast.Rng.int rng 256)))
   in
-  let rows = Array.map Bytes.copy data in
+  let memo_rows = Array.map Bytes.copy data and copies = Array.map Bytes.copy data in
   let scoreboard = Drive.Scoreboard.create ~k:20 ~first_sid:0 [| data |] in
   let reps = 10_000 in
-  Drive.Scoreboard.record scoreboard ~tg:0 rows (* warm up *);
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    Drive.Scoreboard.record scoreboard ~tg:0 rows
+  (* warm up: the first delivery fills the memo, the second misses it *)
+  Drive.Scoreboard.record scoreboard ~tg:0 memo_rows;
+  Drive.Scoreboard.record scoreboard ~tg:0 copies;
+  let measure rows =
+    let memcmps = Drive.Scoreboard.memcmps scoreboard in
+    let before = Gc.minor_words () in
+    for _ = 1 to reps do
+      Drive.Scoreboard.record scoreboard ~tg:0 rows
+    done;
+    let words = Gc.minor_words () -. before in
+    (int_of_float (words /. float_of_int reps), Drive.Scoreboard.memcmps scoreboard - memcmps)
+  in
+  Alcotest.(check (pair int int))
+    "copies: words per verified TG, memcmps" (0, reps * 20) (measure copies);
+  Alcotest.(check (pair int int))
+    "the memo's buffers: words per verified TG, memcmps" (0, 0) (measure memo_rows);
+  Alcotest.(check int) "every check intact" ((2 * reps) + 2)
+    (Drive.Scoreboard.intact_deliveries scoreboard ~tg:0);
+  Alcotest.(check bool) "verdict" true (Drive.Scoreboard.verdict scoreboard ~session:0)
+
+(* The scoreboard's work, counted without a clock: one TG of k = 20
+   multicast to 500 receivers, whose decoders all keep the one buffer of
+   each packet, is compared k times when first delivered and k times
+   again when the verdict is read, not 500 k times. *)
+let test_scoreboard_shared_buffers () =
+  let k = 20 and receivers = 500 in
+  let config = { config with M.k } in
+  let data = Array.init k (fun i -> Bytes.make 1024 (Char.chr (i + 65))) in
+  let wire = Array.map Bytes.copy data in
+  let clock, _ = fake_clock () in
+  let scoreboard = Drive.Scoreboard.create ~k ~first_sid:0 [| data |] in
+  for _ = 1 to receivers do
+    let machine = M.Receiver.create ~expected:[ (0, k) ] config ~rand:(fun () -> 0.5) in
+    let rx = Drive.Receiver.create ~actor:"r" ~clock ~scoreboard ~apply:ignore machine in
+    Array.iteri
+      (fun index payload ->
+        Drive.Receiver.receive rx
+          (M.Packet_received (Header.Data { tg_id = 0; k; index; payload })))
+      wire
   done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "words per verified TG" 0 (int_of_float (words /. float_of_int reps));
-  Alcotest.(check int) "every check intact" (reps + 1)
-    (Drive.Scoreboard.intact_deliveries scoreboard ~tg:0)
+  Alcotest.(check int) "intact deliveries" receivers
+    (Drive.Scoreboard.intact_deliveries scoreboard ~tg:0);
+  Alcotest.(check int) "memcmps after the deliveries" k (Drive.Scoreboard.memcmps scoreboard);
+  Alcotest.(check bool) "verdict" true (Drive.Scoreboard.verdict scoreboard ~session:0);
+  Alcotest.(check int) "memcmps after the verdict's re-check" (2 * k)
+    (Drive.Scoreboard.memcmps scoreboard)
+
+(* A buffer accepted by identity and then mutated in place still clears
+   the verdict: when the verdict is read, and when the memo moves on to
+   another TG, even if the buffer is restored before the verdict is
+   read. *)
+let test_scoreboard_mutated_after_accept () =
+  let sent = Array.init 6 (fun i -> Bytes.make 8 (Char.chr (i + 65))) in
+  let deliver_twice scoreboard =
+    let rows = Array.map Bytes.copy (Array.sub sent 0 3) in
+    Drive.Scoreboard.record scoreboard ~tg:0 rows;
+    Drive.Scoreboard.record scoreboard ~tg:0 (Array.copy rows);
+    Alcotest.(check int) "the second delivery compared nothing" 3
+      (Drive.Scoreboard.memcmps scoreboard);
+    rows.(1)
+  in
+  let at_read = Drive.Scoreboard.create ~k:3 ~first_sid:0 [| sent |] in
+  Bytes.set (deliver_twice at_read) 0 'z';
+  Alcotest.(check bool) "cleared at the verdict read" false
+    (Drive.Scoreboard.verdict at_read ~session:0);
+  let at_move = Drive.Scoreboard.create ~k:3 ~first_sid:0 [| sent |] in
+  let row = deliver_twice at_move in
+  Bytes.set row 0 'z';
+  Drive.Scoreboard.record at_move ~tg:1 (Array.sub sent 3 3);
+  Bytes.set row 0 'B';
+  Alcotest.(check bool) "cleared when the memo moved" false
+    (Drive.Scoreboard.verdict at_move ~session:0);
+  Alcotest.(check (list int)) "intact deliveries as recorded" [ 2; 1 ]
+    (List.map (fun tg -> Drive.Scoreboard.intact_deliveries at_move ~tg) [ 0; 1 ])
+
+(* The memo against a reference that compares every row of every
+   delivery.  Each delivery is recorded one to four times, as by the
+   receivers of one multicast.  Two sessions of k = 3 at first sid 2:
+   session 0's TGs hold 3, 3 and 1 packets, session 1's 3 and 1.
+   Two-byte payloads from a three-letter alphabet, so equal rows recur
+   across indices and a swapped row is sometimes intact. *)
+let memo_k = 3
+let memo_first_sid = 2
+
+let memo_sent =
+  Array.map (Array.map (fun c -> Bytes.make 2 c))
+    [| [| 'a'; 'b'; 'a'; 'c'; 'c'; 'b'; 'a' |]; [| 'b'; 'a'; 'b'; 'c' |] |]
+
+(* The buffers shared by every receiver: pool 0 is the sent buffers
+   themselves, pools 1 and 2 two wire-decoded copies of each packet. *)
+let memo_pools =
+  Array.init 3 (fun pool ->
+      Array.map (Array.map (if pool = 0 then Fun.id else Bytes.copy)) memo_sent)
+
+let memo_tgs data = (Array.length data + memo_k - 1) / memo_k
+
+(* Row [q] of a delivery of [local] in [session] (2 is no session of the
+   scoreboard's, and [local] may be one past the last TG: both deliver
+   rows of a real TG).  Kind 0: the shared buffer of its own packet;
+   1: the shared buffer of packet [index] of the TG; 2: a private copy;
+   3: a copy one byte off; 4: the shared buffer of packet [index] of the
+   session, whichever TG holds it. *)
+let memo_row ~session ~local q (kind, index, pool) =
+  let session = session mod 2 in
+  let data = memo_sent.(session) in
+  let local = min local (memo_tgs data - 1) in
+  let len = min memo_k (Array.length data - (local * memo_k)) in
+  let packet i = (local * memo_k) + (i mod len) in
+  match kind with
+  | 0 -> memo_pools.(pool).(session).(packet q)
+  | 1 -> memo_pools.(pool).(session).(packet index)
+  | 2 -> Bytes.copy data.(packet q)
+  | 4 -> memo_pools.(pool).(session).(index mod Array.length data)
+  | _ ->
+    let b = Bytes.copy data.(packet q) in
+    Bytes.set b 1 'z';
+    b
+
+let qcheck_scoreboard_memo =
+  let open QCheck.Gen in
+  let row =
+    triple
+      (frequency [ (6, return 0); (2, return 1); (1, return 2); (1, return 3); (1, return 4) ])
+      (int_bound 6) (int_bound 2)
+  in
+  let delivery =
+    frequency [ (5, return 0); (5, return 1); (1, return 2) ] >>= fun session ->
+    let data = memo_sent.(session mod 2) in
+    int_bound (memo_tgs data) >>= fun local ->
+    let len = min memo_k (Array.length data - (min local (memo_tgs data - 1) * memo_k)) in
+    frequency [ (8, return len); (1, int_bound (memo_k + 1)) ] >>= fun n ->
+    list_repeat n row >>= fun rows ->
+    int_range 1 4 >>= fun times -> return (Some (session, local, times, rows))
+  in
+  let ops = list_size (int_range 1 60) (frequency [ (1, return None); (10, delivery) ]) in
+  let print =
+    QCheck.Print.list (function
+      | None -> "verdict"
+      | Some (session, local, times, rows) ->
+        Printf.sprintf "s%d/tg%d x%d [%s]" session local times
+          (String.concat ";"
+             (List.map (fun (kind, index, pool) -> Printf.sprintf "%d,%d,%d" kind index pool) rows)))
+  in
+  QCheck.Test.make ~count:300 ~name:"scoreboard: the memo agrees with comparing every row"
+    (QCheck.make ~print ops) (fun ops ->
+      let scoreboard = Drive.Scoreboard.create ~k:memo_k ~first_sid:memo_first_sid memo_sent in
+      let counts = Array.map (fun data -> Array.make (memo_tgs data) 0) memo_sent in
+      let verdicts = Array.make 2 true in
+      let reference ~session ~local rows =
+        if session < 2 && local < Array.length counts.(session) then begin
+          let data = memo_sent.(session) and base = local * memo_k in
+          if
+            Array.length rows = min memo_k (Array.length data - base)
+            && Array.for_all Fun.id (Array.mapi (fun i row -> Bytes.equal row data.(base + i)) rows)
+          then counts.(session).(local) <- counts.(session).(local) + 1
+          else verdicts.(session) <- false
+        end
+      in
+      let wire session local = Rmcast.Np_replay.wire_tg ~sid:(memo_first_sid + session) local in
+      let counts_agree () =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun session per_tg ->
+               Array.for_all Fun.id
+                 (Array.mapi
+                    (fun local count ->
+                      Drive.Scoreboard.intact_deliveries scoreboard ~tg:(wire session local)
+                      = count)
+                    per_tg))
+             counts)
+      in
+      let verdicts_agree () =
+        Drive.Scoreboard.verdict scoreboard ~session:0 = verdicts.(0)
+        && Drive.Scoreboard.verdict scoreboard ~session:1 = verdicts.(1)
+      in
+      List.for_all
+        (function
+          | None -> verdicts_agree ()
+          | Some (session, local, times, spec) ->
+            let rows = Array.of_list (List.mapi (memo_row ~session ~local) spec) in
+            List.for_all
+              (fun () ->
+                Drive.Scoreboard.record scoreboard ~tg:(wire session local) (Array.copy rows);
+                reference ~session ~local rows;
+                counts_agree ())
+              (List.init times ignore))
+        ops
+      && verdicts_agree ())
 
 (* Every receiver of a multicast takes every DATA, so a reception into an
    open TG must not touch the minor heap, through the machine or through
@@ -283,6 +464,11 @@ let suite =
     Alcotest.test_case "scoreboard: sessions sharing receivers" `Quick test_scoreboard_sessions;
     Alcotest.test_case "scoreboard: a check allocates nothing" `Quick
       test_scoreboard_allocates_nothing;
+    Alcotest.test_case "scoreboard: 500 receivers sharing buffers cost 2k memcmps" `Quick
+      test_scoreboard_shared_buffers;
+    Alcotest.test_case "scoreboard: a buffer mutated after acceptance clears the verdict"
+      `Quick test_scoreboard_mutated_after_accept;
+    QCheck_alcotest.to_alcotest qcheck_scoreboard_memo;
     Alcotest.test_case "a DATA reception allocates nothing" `Quick
       test_data_reception_allocates_nothing;
     Alcotest.test_case "static sender feeds exactly Tick" `Quick

@@ -192,6 +192,46 @@ let test_open_loop_no_unnecessary () =
   close "receivers leave when done" 0.0
     (Rmcast.Stats.Accumulator.mean e.Runner.unnecessary_per_receiver)
 
+(* The rule itself, on hand-written loss patterns: a receiver that has
+   already decoded and still sits in the group receives a repair parity it
+   does not need, unless it loses that parity.  k = 3 to three receivers,
+   one packet per second, a one-second gap before each repair round:
+   - data at t = 0, 1, 2: r0 loses t = 0 (needs 1), r1 t = 0 and 1
+     (needs 2), r2 nothing (complete);
+   - round 2, two parities at t = 4, 5.  At t = 4 only r2 is complete,
+     and it loses the parity: 0 unnecessary; r0 completes, r1 needs 1.
+     At t = 5 r0 and r2 are complete, r0 loses it: 1 unnecessary; r1
+     loses it too;
+   - round 3, one parity at t = 7, which all receive: r0 and r2 are
+     complete, 2 unnecessary.
+   So 3 in all; counting completed receivers that lost a parity would
+   read 5. *)
+let test_unnecessary_receptions_rule () =
+  let lost_at times = Array.init 8 (fun t -> List.mem t times) in
+  let traces = [| lost_at [ 0; 5 ]; lost_at [ 0; 1; 5 ]; lost_at [ 4 ] |] in
+  let next = ref 0 in
+  let net =
+    Network.temporal (Rng.create ~seed:1 ()) ~receivers:3 ~make:(fun _ ->
+        let trace = traces.(!next) in
+        incr next;
+        Rmcast.Loss.of_trace ~wrap:`Fail ~spacing:1.0 trace)
+  in
+  let result =
+    Rmcast.Tg_integrated.run net ~k:3 ~variant:Rmcast.Tg_integrated.Nak_rounds ~codec:`Rse
+      ~rng:(Rng.create ~seed:2 ())
+      ~timing:{ Timing.spacing = 1.0; feedback_delay = 1.0 }
+      ~start:0.0 ()
+  in
+  Alcotest.(check (list int)) "data, parities, rounds, NAKs" [ 3; 3; 3; 2 ]
+    Tg_result.
+      [
+        result.data_transmissions;
+        result.parity_transmissions;
+        result.rounds;
+        result.feedback_messages;
+      ];
+  Alcotest.(check int) "unnecessary receptions" 3 result.Tg_result.unnecessary_receptions
+
 (* --- feedback --- *)
 
 let test_integrated_feedback_is_one_per_round () =
@@ -516,6 +556,13 @@ let test_cli_usage_errors () =
       Alcotest.(check bool) (args ^ ": no internal error") false
         (contains stderr "internal error"))
     bad_cli_inputs;
+  (* A payload the simulator admits but one UDP datagram cannot carry: the
+     error names the transport's bound, not only the exit status. *)
+  let args = "serve --transport udp -n 1 -r 2 --payload 65482 --bytes 300000" in
+  Alcotest.(check int) (args ^ ": exit status") 124 (run args);
+  let stderr = In_channel.with_open_text stderr_log In_channel.input_all in
+  Alcotest.(check bool) (args ^ ": names the UDP bound: " ^ stderr) true
+    (contains stderr "payload_size must be <= 65481");
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 (* [rmc --codec] takes exactly the registry's kinds: each name
@@ -582,6 +629,8 @@ let suite =
       test_burst_loss_large_k_integrated_resists;
     Alcotest.test_case "unnecessary receptions ordering" `Quick test_unnecessary_receptions_ordering;
     Alcotest.test_case "open loop: zero unnecessary" `Quick test_open_loop_no_unnecessary;
+    Alcotest.test_case "NAK rounds: a completed receiver that loses a parity" `Quick
+      test_unnecessary_receptions_rule;
     Alcotest.test_case "one NAK per repair round" `Quick test_integrated_feedback_is_one_per_round;
     Alcotest.test_case "rounds grow with R" `Quick test_rounds_grow_with_population;
     Alcotest.test_case "estimate metadata" `Quick test_estimate_metadata;

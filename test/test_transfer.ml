@@ -137,6 +137,12 @@ let test_entry_points_return_errors () =
       ("65,537 TGs at k = 1", tg_overflow, too_many_tgs, 65_537);
       ("k = 0", { base with k = 0 }, "hello", 1);
     ];
+  (* The simulator admits a payload up to the wire's bound; UDP stops at
+     what one kernel datagram carries behind the header. *)
+  returns_error ~context:"Udp_np.run_local" "payload_size = 65482" (fun () ->
+      let profile = { base with payload_size = 65_482 } in
+      Udp.run_local ~config:(Udp.config_of_profile profile) ~receivers:1 ~loss:0.0 ~seed:0
+        ~data:[| Bytes.make 65_482 'x' |] ());
   returns_error ~context:"Scheduler.create" "payload_size = 65511" (fun () ->
       Scheduler.create ~profile:{ base with payload_size = 65_511 } ~network ~rng ());
   List.iter
