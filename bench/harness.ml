@@ -92,12 +92,14 @@ let git_rev () =
 
 (* The machine context a BENCH_*.json [meta] records next to its numbers,
    as (key, JSON value) pairs: source revision, the host's domain count,
-   the compiler and the GF(2^8) kernel path the codecs ran on. *)
+   the compiler, the dune profile the bench was built in and the GF(2^8)
+   kernel path the codecs ran on. *)
 let context () =
   [
     ("git_rev", Printf.sprintf "%S" (git_rev ()));
     ("domains", string_of_int (Domain.recommended_domain_count ()));
     ("ocaml_version", Printf.sprintf "%S" Sys.ocaml_version);
+    ("build_profile", Printf.sprintf "%S" Build_profile.name);
     ("gf_kernel", Printf.sprintf "%S" Rmcast.Gf.kernel);
   ]
 

@@ -17,8 +17,12 @@
     The four state words are held unboxed, so the draws that return an
     immediate ([int], [bool], [bernoulli], [geometric],
     [binomial_by_trials], [binomial_by_skips], [shuffle_in_place]) allocate
-    nothing.  [bits64], [float], [float_pos]
-    and [exponential] allocate only their boxed result. *)
+    nothing.  [bits64], [float], [float_pos] and [exponential] box at
+    most their result, and only where the call is not inlined: in the
+    release build (the workspace default) [float] and [float_pos] inline
+    into a caller in another module and allocate nothing there, which
+    [test/test_rng.ml] pins.  Under [--profile dev], [-opaque] stops every
+    cross-module inlining, so each float they return is boxed. *)
 
 type t
 (** Mutable generator state. *)
@@ -73,8 +77,10 @@ val geometric : t -> p:float -> int
     support 0, 1, 2, ...  Requires [0 < p <= 1]. *)
 
 (** The two loops of [Sampler.binomial]'s small regimes live here, where
-    each uniform stays unboxed in a register: [Sampler] is another module,
-    and a float returned across a module boundary is boxed. *)
+    each uniform stays unboxed in a register whatever the compiler decides
+    at [Sampler]'s call sites: a float returned across a module boundary
+    is unboxed only where the call is inlined, a choice made per call
+    site, and never under [--profile dev]'s [-opaque]. *)
 
 val binomial_by_trials : t -> n:int -> p:float -> int
 (** [binomial_by_trials rng ~n ~p] counts the successes among [n]

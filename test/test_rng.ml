@@ -266,6 +266,10 @@ let test_draws_allocate_nothing () =
     [
       ("bernoulli", words_per_call (fun () -> if Rng.bernoulli rng 0.3 then incr hits), zero);
       ("bool", words_per_call (fun () -> if Rng.bool rng then incr hits), zero);
+      (* A float returned to another module stays unboxed only where the
+         call inlines, which -opaque forbids. *)
+      ("float", words_per_call (fun () -> if Rng.float rng < 0.5 then incr hits), zero);
+      ("float_pos", words_per_call (fun () -> if Rng.float_pos rng < 0.5 then incr hits), zero);
       ("int 10", words_per_call (fun () -> hits := !hits + Rng.int rng 10), zero);
       ("int 16", words_per_call (fun () -> hits := !hits + Rng.int rng 16), zero);
       ("geometric", words_per_call (fun () -> hits := !hits + Rng.geometric rng ~p:0.2), zero);
@@ -277,27 +281,50 @@ let test_draws_allocate_nothing () =
         zero );
     ]
   in
-  (* Network.lost on the independent regime is one bernoulli per query;
-     the per-transmission record is spread over its 500 receivers. *)
-  let receivers = 500 in
-  let network = Rmcast.Network.independent rng ~receivers ~p:0.02 in
-  let time = ref 0.0 in
-  let before = Gc.minor_words () in
-  for _ = 1 to draws / receivers do
-    time := !time +. 1.0;
-    let tx = Rmcast.Network.transmit network ~time:!time in
-    for r = 0 to receivers - 1 do
-      if Rmcast.Network.lost tx r then incr hits
-    done
-  done;
-  let per_query = (Gc.minor_words () -. before) /. float_of_int draws in
-  let measured = measured @ [ ("Network.lost (independent, R = 500)", per_query, 0.05) ] in
+  (* Words per [Network.lost] query over transmissions [spacing] seconds
+     apart: the per-transmission record is spread over the receivers. *)
+  let words_per_query network ~spacing =
+    let receivers = Rmcast.Network.receivers network in
+    let transmissions = draws / receivers in
+    let before = Gc.minor_words () in
+    for i = 1 to transmissions do
+      let tx = Rmcast.Network.transmit network ~time:(float_of_int i *. spacing) in
+      for r = 0 to receivers - 1 do
+        if Rmcast.Network.lost tx r then incr hits
+      done
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (transmissions * receivers)
+  in
+  (* The independent regime is one bernoulli per query; the temporal one
+     advances one Markov chain per query, whose float state must not box
+     on the way. *)
+  let send_rate = 1000.0 in
+  let measured =
+    measured
+    @ [
+        ( "Network.lost (independent, R = 500)",
+          words_per_query (Rmcast.Network.independent rng ~receivers:500 ~p:0.02) ~spacing:1.0,
+          0.05 );
+        ( "Network.lost (temporal markov2, R = 64)",
+          words_per_query
+            (Rmcast.Network.temporal rng ~receivers:64 ~make:(fun rng ->
+                 Rmcast.Loss.markov2 rng ~p:0.05 ~mean_burst:2.0 ~send_rate))
+            ~spacing:(1.0 /. send_rate),
+          0.1 );
+      ]
+  in
   (* Report every draw over budget at once, not just the first. *)
   let over =
     List.filter_map
       (fun (name, per_call, budget) ->
         if per_call < budget then None
-        else Some (Printf.sprintf "%s: %.3f words per call, budget %g" name per_call budget))
+        else
+          Some
+            (Printf.sprintf
+               "%s: %.3f words per call, budget %g (the allocation pins assume the \
+                workspace's default release profile; under --profile dev, -opaque boxes \
+                every float returned across a module boundary)"
+               name per_call budget))
       measured
   in
   Alcotest.(check (list string)) "draws within allocation budget" [] over;
