@@ -5,9 +5,10 @@
     the same entry points fall back to a [sendto]/[recvfrom] loop with
     identical semantics).  The driver accumulates a tick's datagrams into
     a {!send} batch and {!flush}es it in one kernel entry per
-    {!max_batch} datagrams; each socket owns a {!recv} ring whose
-    {!recv_batch} drains up to {!max_batch} queued datagrams per
-    syscall.
+    {!max_batch} datagrams; a {!recv} ring's {!recv_batch} drains up
+    to {!max_batch} queued datagrams per syscall.  One batch and one
+    ring may serve many sockets: {!flush} and {!recv_batch} take the
+    socket as an argument.
 
     Syscall counts are returned from every operation so callers can
     maintain the [udp.syscalls_tx]/[udp.syscalls_rx] counters the
@@ -66,7 +67,7 @@ type recv
 
 val recv_create : ?slots:int -> buf_size:int -> unit -> recv
 (** [slots] (default 8, capped at {!max_batch}) buffers of [buf_size]
-    bytes each — allocated once, for the socket's lifetime. *)
+    bytes each — allocated once, for the ring's lifetime. *)
 
 val slots : recv -> int
 (** The ring's slot count.  A {!recv_batch} that fills every slot may

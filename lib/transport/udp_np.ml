@@ -111,8 +111,8 @@ let receiver_machine_seed ~seed ~id = seed + (id * 7919) + 104729
 
 (* --- socket helpers -------------------------------------------------- *)
 
-(* Receive buffers of this size per socket and one pool of buffers this
-   size per engine (send) cover every packet the protocol can produce. *)
+(* The one receive ring's slots and the pool's buffers are this size: it
+   covers every packet the protocol can produce. *)
 let max_datagram = Header.max_datagram
 
 (* The largest UDP payload the kernel accepts in one datagram (65535 minus
@@ -129,14 +129,18 @@ let make_socket () =
      raise e);
   socket
 
-(* A socket plus the failure-observation channel every send shares, a recv
-   ring datagrams are decoded straight out of (no per-datagram copy), and
-   the reusable send batch every datagram from this socket is flushed
-   through — all allocated once per socket instead of per pump. *)
-type net = {
-  socket : Unix.file_descr;
+(* A shard's datagram surface, built once per run: the recv ring every
+   socket drains through, the send batch every datagram leaves through,
+   the buffer pool, and the counters and trace every socket shares.
+   Sockets are plain descriptors.  Sharing one ring and one batch is safe
+   because a reactor callback drains one socket until it is dry, each
+   message's payload is copied out of its slot before the next receive,
+   and every callback that queues datagrams (sender pump, NAK fan-out,
+   fault-shim timer) flushes them before it returns. *)
+type surface = {
   ring : Udp_batch.recv;
   tx_batch : Udp_batch.send;
+  pool : Buffer_pool.t;
   tx_errors : Metrics.counter;
   datagrams_tx : Metrics.counter;
   datagrams_rx : Metrics.counter;
@@ -145,19 +149,19 @@ type net = {
   trace : Trace.t option;
 }
 
-(* The one way a datagram leaves this driver: queue it on its socket's
-   [tx_batch] with [Udp_batch.add], then [flush].  The flush hands every
-   queued datagram to the kernel in as few [sendmmsg] calls as the batch
-   needs (EINTR is retried in the stubs); an entry the kernel refuses
-   (EAGAIN under extreme pressure behaves like network loss) is counted and
-   traced, never silently swallowed. *)
-let flush net =
-  let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush net.tx_batch net.socket in
-  Metrics.incr ~by:sent net.datagrams_tx;
-  Metrics.incr ~by:syscalls net.syscalls_tx;
+(* The one way a datagram leaves this driver: queue it on the surface's
+   [tx_batch] with [Udp_batch.add], then [flush] it from [socket].  The
+   flush hands every queued datagram to the kernel in as few [sendmmsg]
+   calls as the batch needs (EINTR is retried in the stubs); an entry the
+   kernel refuses (EAGAIN under extreme pressure behaves like network
+   loss) is counted and traced, never silently swallowed. *)
+let flush surface socket =
+  let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush surface.tx_batch socket in
+  Metrics.incr ~by:sent surface.datagrams_tx;
+  Metrics.incr ~by:syscalls surface.syscalls_tx;
   if errors > 0 then begin
-    Metrics.incr ~by:errors net.tx_errors;
-    match net.trace with
+    Metrics.incr ~by:errors surface.tx_errors;
+    match surface.trace with
     | Some trace ->
       Trace.record ~detail:(string_of_int errors ^ " batched sends") trace "udp.tx_error"
     | None -> ()
@@ -210,8 +214,8 @@ type sender = {
   sid : int;
   config : config;
   reactor : Reactor.t;
-  net : net;
-  pool : Buffer_pool.t;
+  surface : surface;
+  socket : Unix.file_descr;
   group : Unix.sockaddr list;
   drive : Np_drive.Sender.t;
   shim : Fault.t option;
@@ -253,7 +257,7 @@ let sender_enqueue sender batch ~payload_bearing message =
     frame.len <- frame.len + sender_encode sender frame.buf ~off:frame.len message;
     batch
   | _ ->
-    let buf = Buffer_pool.checkout sender.pool in
+    let buf = Buffer_pool.checkout sender.surface.pool in
     let len = sender_encode sender buf ~off:0 message in
     { buf; len; payload_bearing } :: batch
 
@@ -275,7 +279,7 @@ let sender_enqueue sender batch ~payload_bearing message =
    but what the shim sends joins the same batch and flush; a datagram it
    delays is flushed by its own timer. *)
 let sender_flush sender batch =
-  let net = sender.net in
+  let surface = sender.surface in
   List.iter
     (fun { buf; len; payload_bearing } ->
       match sender.shim with
@@ -292,22 +296,22 @@ let sender_flush sender batch =
                 ignore
                   (Reactor.after sender.reactor delay (fun () ->
                        thunk ();
-                       flush net)))
+                       flush surface sender.socket)))
               ~send:(fun bytes ->
-                Udp_batch.add net.tx_batch bytes ~len:(Bytes.length bytes) destination)
+                Udp_batch.add surface.tx_batch bytes ~len:(Bytes.length bytes) destination)
               packet)
           sender.group
-      | _ -> List.iter (Udp_batch.add net.tx_batch buf ~len) sender.group)
+      | _ -> List.iter (Udp_batch.add surface.tx_batch buf ~len) sender.group)
     (List.rev batch);
-  flush net;
-  List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
+  flush surface sender.socket;
+  List.iter (fun frame -> Buffer_pool.release surface.pool frame.buf) batch
 
 let sender_machine sender = Np_drive.Sender.machine sender.drive
 
 (* The machine's traces go to the driver's trace sink. *)
 let sender_trace sender = function
   | Np_machine.Trace detail ->
-    Option.iter (fun trace -> Trace.record ~detail trace "np.sender") sender.net.trace
+    Option.iter (fun trace -> Trace.record ~detail trace "np.sender") sender.surface.trace
   | _ -> ()
 
 (* Fold one tick effect into the pump's batch and its byte count.  Every
@@ -373,15 +377,15 @@ let sender_handle_nak sender ~tg_id ~need ~round =
 (* [metrics] is already scoped per session by the caller; the NAK handler
    for the shared socket lives with the driver, not here, because many
    senders share one socket. *)
-let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metrics ~shim
+let create_sender reactor ~surface ~socket ~group ~config ~sid ~data ~receivers ~metrics ~shim
     ~tamper ~recorder =
   let sender =
     {
       sid;
       config;
       reactor;
-      net;
-      pool;
+      surface;
+      socket;
       group;
       drive =
         Np_drive.Sender.create ?recorder ~actor:("s" ^ string_of_int sid) ~receivers
@@ -400,12 +404,11 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
 (* --- receiver ---------------------------------------------------------- *)
 
 type receiver = {
-  net : net;  (* datagrams arrive here *)
-  tx_net : net;  (* NAKs leave here; same as [net] in unicast mode *)
+  surface : surface;
+  tx_socket : Unix.file_descr;  (* NAKs leave here; the rx socket in unicast mode *)
   self_addr : Unix.sockaddr option;
       (* multicast: the tx socket's address, to drop looped-back copies of
          our own NAKs (every group member receives every group datagram) *)
-  pool : Buffer_pool.t;
   sender_addr : Unix.sockaddr;
   nak_peers : Unix.sockaddr list;
       (* where NAKs go besides the sender: every peer (unicast mode) or
@@ -432,28 +435,27 @@ let receiver_apply receiver effect =
        fan-out) or the group (real multicast), so suppression really
        happens by overhearing datagrams.  One pooled buffer serves the
        whole fan-out, which leaves in one flush. *)
-    let net = receiver.tx_net in
-    Buffer_pool.with_buf receiver.pool (fun buf ->
+    let surface = receiver.surface in
+    Buffer_pool.with_buf surface.pool (fun buf ->
         let len = Header.encode_into buf ~off:0 nak in
-        List.iter (Udp_batch.add net.tx_batch buf ~len)
+        List.iter (Udp_batch.add surface.tx_batch buf ~len)
           (receiver.sender_addr :: receiver.nak_peers);
-        flush net)
+        flush surface receiver.tx_socket)
   | Np_machine.Done -> receiver.on_done ()
   | Np_machine.Trace detail ->
-    (match receiver.net.trace with
+    (match receiver.surface.trace with
     | Some trace -> Trace.record ~detail trace "np.receiver"
     | None -> ())
   | _ -> ()
 
-let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr
+let create_receiver reactor ~clock ~surface ~socket ~tx_socket ~self_addr ~nak_peers ~sender_addr
     ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard ~recorder ~on_done =
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
   let receiver =
     {
-      net;
-      tx_net;
+      surface;
+      tx_socket;
       self_addr;
-      pool;
       sender_addr;
       nak_peers;
       loss_rng = Rng.create ~seed:(seed + (id * 7919)) ();
@@ -483,41 +485,41 @@ let create_receiver reactor ~clock ~net ~tx_net ~self_addr ~nak_peers ~pool ~sen
       receiver.dropped <- receiver.dropped + 1
     else receive message
   in
-  Reactor.on_readable reactor net.socket (fun () ->
+  Reactor.on_readable reactor socket (fun () ->
       drain
         ~on_decode_error:(fun () ->
           receiver.decode_failures <- receiver.decode_failures + 1)
-        ~ring:net.ring ~syscalls:net.syscalls_rx ~datagrams:net.datagrams_rx net.socket
+        ~ring:surface.ring ~syscalls:surface.syscalls_rx ~datagrams:surface.datagrams_rx socket
         (fun message from ->
-          let own_echo =
-            match receiver.self_addr with Some self -> from = self | None -> false
-          in
-          if not own_echo then begin
-            let from_sender = from = receiver.sender_addr in
-            match message with
-            | Header.Data _ -> receive_payload receiver.c_data message
-            | Header.Parity _ -> receive_payload receiver.c_parity message
-            | Header.Poll _ ->
-              Metrics.incr receiver.c_poll;
+          match message with
+          | Header.Data _ -> receive_payload receiver.c_data message
+          | Header.Parity _ -> receive_payload receiver.c_parity message
+          | Header.Poll _ ->
+            Metrics.incr receiver.c_poll;
+            receive message
+          | Header.Nak _ ->
+            (* The source is read only here: a receiver's tx socket sends
+               nothing but NAKs, one per datagram, so only a NAK can be
+               our own looped-back multicast copy. *)
+            let own_echo =
+              match receiver.self_addr with Some self -> from = self | None -> false
+            in
+            if not (own_echo || from = receiver.sender_addr) then begin
+              Metrics.incr receiver.c_naks_overheard;
               receive message
-            | Header.Nak _ ->
-              if not from_sender then begin
-                Metrics.incr receiver.c_naks_overheard;
-                receive message
-              end
-            | Header.Exhausted _ ->
-              Metrics.incr receiver.c_exhausted;
-              receive message
-          end));
+            end
+          | Header.Exhausted _ ->
+            Metrics.incr receiver.c_exhausted;
+            receive message));
   receiver
 
 (* --- the shared engine: N sessions, one reactor ------------------------ *)
 
-(* One shard's run: one reactor, one sender socket multiplexing every
-   session's datagrams (demuxed by the sid in the wire [tg_id]), one
-   receiver socket per receiver serving all sessions.  Session index [i]
-   has wire session id [first_sid + i]: the shard's slice of the global
-   namespace, the identity when there is one shard. *)
+(* One shard's run: one reactor, one datagram surface, one sender socket
+   multiplexing every session's datagrams (demuxed by the sid in the wire
+   [tg_id]), one receiver socket per receiver serving all sessions.
+   Session index [i] has wire session id [first_sid + i]: the shard's
+   slice of the global namespace, the identity when there is one shard. *)
 let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~receivers ~loss
     ~seed ~sessions ~first_sid ~sender_metrics =
   let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
@@ -539,28 +541,23 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
       ()
   | None -> ());
 
-  let tx_errors = Metrics.counter metrics "udp.tx_errors" in
-  let datagrams_tx = Metrics.counter metrics "udp.datagrams_tx" in
-  let datagrams_rx = Metrics.counter metrics "udp.datagrams_rx" in
-  let syscalls_tx = Metrics.counter metrics "udp.syscalls_tx" in
-  let syscalls_rx = Metrics.counter metrics "udp.syscalls_rx" in
-  let make_net socket =
+  (* Every socket of the shard shares this surface.  Its pool serves every
+     session's sender and every receiver's NAK path: buffers are released
+     within the event that checked them out, so the peak population is the
+     largest single batch, not the datagram rate. *)
+  let surface =
     {
-      socket;
       ring = Udp_batch.recv_create ~buf_size:max_datagram ();
       tx_batch = Udp_batch.send_create ();
-      tx_errors;
-      datagrams_tx;
-      datagrams_rx;
-      syscalls_tx;
-      syscalls_rx;
+      pool = Buffer_pool.create ~capacity:16 ~buf_size:max_datagram ();
+      tx_errors = Metrics.counter metrics "udp.tx_errors";
+      datagrams_tx = Metrics.counter metrics "udp.datagrams_tx";
+      datagrams_rx = Metrics.counter metrics "udp.datagrams_rx";
+      syscalls_tx = Metrics.counter metrics "udp.syscalls_tx";
+      syscalls_rx = Metrics.counter metrics "udp.syscalls_rx";
       trace;
     }
   in
-  (* One pool serves every session's sender and every receiver's NAK path:
-     buffers are released within the event that checked them out, so the
-     peak population is the largest single batch, not the datagram rate. *)
-  let pool = Buffer_pool.create ~capacity:16 ~buf_size:max_datagram () in
   (* Every socket is registered here the moment it exists and closed in
      the one [Fun.protect] finalizer below — an exception anywhere between
      socket creation and the end of the run (a raising machine
@@ -586,28 +583,25 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
       | None -> make_socket ()
       | Some _ -> Udp_multicast.sender_socket ())
   in
-  let sender_net = make_net sender_socket in
-  let receiver_nets =
+  let receiver_sockets =
     Array.init receivers (fun _ ->
-        make_net
-          (track
-             (match mcast_group with
-             | None -> make_socket ()
-             | Some group -> Udp_multicast.receiver_socket group)))
+        track
+          (match mcast_group with
+          | None -> make_socket ()
+          | Some group -> Udp_multicast.receiver_socket group))
   in
   (* Real multicast receivers share one port, so their group sockets
      cannot source NAKs distinguishably; each gets a private tx socket
      whose address also identifies (and filters) its own looped-back group
      copies. *)
-  let receiver_tx_nets =
+  let receiver_tx_sockets =
     match mcast_group with
     | None -> None
-    | Some _ ->
-      Some (Array.init receivers (fun _ -> make_net (track (Udp_multicast.sender_socket ()))))
+    | Some _ -> Some (Array.init receivers (fun _ -> track (Udp_multicast.sender_socket ())))
   in
   let addr_of socket = Unix.getsockname socket in
   let sender_addr = addr_of sender_socket in
-  let receiver_addrs = Array.map (fun net -> addr_of net.socket) receiver_nets in
+  let receiver_addrs = Array.map addr_of receiver_sockets in
 
   let group =
     match mcast_group with
@@ -636,10 +630,10 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
   in
   let rxs =
     Array.init receivers (fun id ->
-        let tx_net, self_addr =
-          match receiver_tx_nets with
-          | Some nets -> (nets.(id), Some (addr_of nets.(id).socket))
-          | None -> (receiver_nets.(id), None)
+        let tx_socket, self_addr =
+          match receiver_tx_sockets with
+          | Some sockets -> (sockets.(id), Some (addr_of sockets.(id)))
+          | None -> (receiver_sockets.(id), None)
         in
         (* Unicast: each receiver overhears the NAKs of all the others via
            an explicit fan-out.  Multicast: the group address reaches every
@@ -649,14 +643,14 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
           | Some _ -> group
           | None -> List.filteri (fun other _ -> other <> id) group
         in
-        create_receiver reactor ~clock ~net:receiver_nets.(id) ~tx_net ~self_addr ~nak_peers
-          ~pool ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected ~scoreboard
-          ~recorder ~on_done)
+        create_receiver reactor ~clock ~surface ~socket:receiver_sockets.(id) ~tx_socket
+          ~self_addr ~nak_peers ~sender_addr ~machine_config ~seed ~loss ~id ~metrics ~expected
+          ~scoreboard ~recorder ~on_done)
   in
   let senders =
     Array.init nsessions (fun index ->
-        create_sender reactor ~net:sender_net ~pool ~group ~config ~sid:(first_sid + index)
-          ~data:sessions.(index) ~receivers
+        create_sender reactor ~surface ~socket:sender_socket ~group ~config
+          ~sid:(first_sid + index) ~data:sessions.(index) ~receivers
           ~metrics:(sender_metrics (first_sid + index))
           ~shim ~tamper ~recorder)
   in
@@ -664,8 +658,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
      owning session's sender. *)
   let c_decode_fail = Metrics.counter metrics "sender.decode_failures" in
   Reactor.on_readable reactor sender_socket (fun () ->
-      drain ~on_decode_error:(fun () -> Metrics.incr c_decode_fail) ~ring:sender_net.ring
-        ~syscalls:sender_net.syscalls_rx ~datagrams:sender_net.datagrams_rx sender_socket
+      drain ~on_decode_error:(fun () -> Metrics.incr c_decode_fail) ~ring:surface.ring
+        ~syscalls:surface.syscalls_rx ~datagrams:surface.datagrams_rx sender_socket
         (fun message _from ->
           match message with
           | Header.Nak { tg_id; need; round } ->
@@ -683,22 +677,24 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
      how hard the pool worked.  A leak — a pooled buffer still checked out
      after the loop drained — is a driver bug and raises. *)
   let minor_words = Gc.minor_words () -. minor_words_before in
-  let moved = Metrics.count datagrams_tx + Metrics.count datagrams_rx in
+  let moved = Metrics.count surface.datagrams_tx + Metrics.count surface.datagrams_rx in
   Metrics.set
     (Metrics.gauge metrics "datapath.minor_words_per_datagram")
     (minor_words /. float_of_int (max 1 moved));
   Metrics.set
     (Metrics.gauge metrics "udp.syscalls_per_datagram")
-    (float_of_int (Metrics.count syscalls_tx + Metrics.count syscalls_rx)
+    (float_of_int (Metrics.count surface.syscalls_tx + Metrics.count surface.syscalls_rx)
     /. float_of_int (max 1 moved));
-  Metrics.set (Metrics.gauge metrics "pool.capacity") (float_of_int (Buffer_pool.capacity pool));
+  Metrics.set
+    (Metrics.gauge metrics "pool.capacity")
+    (float_of_int (Buffer_pool.capacity surface.pool));
   Metrics.set
     (Metrics.gauge metrics "pool.peak_outstanding")
-    (float_of_int (Buffer_pool.peak_outstanding pool));
+    (float_of_int (Buffer_pool.peak_outstanding surface.pool));
   Metrics.set
     (Metrics.gauge metrics "pool.overflow_allocs")
-    (float_of_int (Buffer_pool.overflow_allocs pool));
-  Buffer_pool.assert_quiescent pool;
+    (float_of_int (Buffer_pool.overflow_allocs surface.pool));
+  Buffer_pool.assert_quiescent surface.pool;
 
   (* What the machines counted is published once, now the loop has
      stopped; only what no machine counts is bumped live. *)

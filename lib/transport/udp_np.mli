@@ -15,17 +15,18 @@
     over loopback).
 
     The datapath is batched end to end, and every datagram takes the
-    same path: queued on its socket's {!Udp_batch.send} batch and handed
-    to the kernel by one [sendmmsg]-backed flush.  The messages of one
-    sender pump (every packet due under the pacing schedule, see
-    [config.spacing]) coalesce back to back into pooled {e frames} (the
-    wire format is self-delimiting, see {!Rmc_wire.Header.frame_length})
-    and the pump's (frame, destination) pairs leave in one flush; a NAK's
-    fan-out to the sender and every peer leaves in one flush; what the
-    fault shim sends joins its pump's flush, or a flush of its own when
-    the shim delays it.  Each socket drains through a [recvmmsg] receive
-    ring.  EINTR is retried inside the syscall stubs.  On platforms
-    without those syscalls the same code runs over a portable
+    same path: queued on the shard's one {!Udp_batch.send} batch and
+    handed to the kernel by one [sendmmsg]-backed flush from its socket.
+    The messages of one sender pump (every packet due under the pacing
+    schedule, see [config.spacing]) coalesce back to back into pooled
+    {e frames} (the wire format is self-delimiting, see
+    {!Rmc_wire.Header.frame_length}) and the pump's (frame, destination)
+    pairs leave in one flush; a NAK's fan-out to the sender and every
+    peer leaves in one flush; what the fault shim sends joins its pump's
+    flush, or a flush of its own when the shim delays it.  Every socket
+    of a shard drains through the shard's one [recvmmsg] receive ring,
+    one socket at a time.  EINTR is retried inside the syscall stubs.
+    On platforms without those syscalls the same code runs over a portable
     one-datagram-per-syscall fallback ({!Udp_batch.native}).
     [udp.syscalls_tx]/[udp.syscalls_rx] count calls into the syscall
     stubs (a send flush of more than {!Udp_batch.max_batch} datagrams
@@ -51,8 +52,9 @@
     benchmark exercise.
 
     With [~shards] greater than one, {!run_multi} partitions the sessions
-    across OCaml domains — one reactor, one socket set and one buffer pool
-    per shard, so no mutable transport state crosses a domain boundary;
+    across OCaml domains — one reactor, one socket set and one datagram
+    surface (receive ring, send batch, buffer pool) per shard, so no
+    mutable transport state crosses a domain boundary;
     only the {!Rmc_obs.Metrics} registry (atomic counters) and the
     memoized codec cache (mutex) are shared.  Session ids stay global:
     shard s's wire sids are its slice of [0, N), and the merged report is
@@ -106,12 +108,15 @@ val drain :
 (** [drain ~ring ~syscalls ~datagrams socket handle] reads every datagram
     queued on the (non-blocking) [socket] through the [recvmmsg] [ring] —
     the path every socket of this driver drains through — and walks each
-    as a coalesced frame: every message is decoded in place with
-    {!Rmc_wire.Header.decode_slice} and passed to [handle message from].
-    The only per-message allocations are the decoded message and its
-    payload copy.  A message that cannot be delimited (a datagram
-    truncated to the ring's slot size included) ends that datagram's walk
-    ([on_decode_error] once); one that delimits but fails validation
+    as a coalesced frame.  One ring may serve several sockets drained one
+    at a time: each drain runs until [socket] is dry and every payload
+    [handle] receives is a copy, so the next drain, of this socket or
+    another, may overwrite every slot.  Within a frame every message is
+    decoded in place with {!Rmc_wire.Header.decode_slice} and passed to
+    [handle message from].  The only per-message allocations are the
+    decoded message and its payload copy.  A message that cannot be
+    delimited (a datagram truncated to the ring's slot size included)
+    ends that datagram's walk ([on_decode_error] once); one that delimits but fails validation
     (corrupted CRC) invokes [on_decode_error] and the walk continues.
     [syscalls] and [datagrams] count receive syscalls and datagrams. *)
 

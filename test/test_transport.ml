@@ -148,6 +148,121 @@ let test_drain_oversized_datagram () =
   Alcotest.(check int) "truncated datagram counted" 1 !failures;
   Alcotest.(check int) "later datagram still decoded" 1 (List.length !decoded)
 
+(* Encode [messages] back to back into one coalesced frame. *)
+let coalesce messages =
+  let frame = Bytes.create 4096 in
+  let len =
+    List.fold_left (fun off message -> off + Header.encode_into frame ~off message) 0 messages
+  in
+  Bytes.sub frame 0 len
+
+let test_shared_ring_two_sockets () =
+  (* The engine drains every socket of a shard through one ring.  Two
+     socketpairs drained in turn through one two-slot ring (so each drain
+     loops and every slot is reused) decode both sockets' frames, and no
+     payload handed to the callback aliases a slot: each still holds its
+     bytes after later drains overwrite the ring. *)
+  let pairs =
+    List.map
+      (fun _ ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+        Unix.set_nonblock b;
+        (a, b))
+      [ 0; 1 ]
+  in
+  let frames_of socket =
+    List.init 5 (fun i ->
+        let fill c = Bytes.make 64 (Char.chr (Char.code c + i)) in
+        let tg_id = (socket * 100) + i in
+        [
+          Header.Data
+            { tg_id; k = 4; index = 0; payload = fill (if socket = 0 then 'a' else 'A') };
+          Header.Poll { tg_id; k = 4; size = 4; round = 0 };
+          Header.Parity
+            { tg_id; k = 4; index = 4; round = 1;
+              payload = fill (if socket = 0 then 'm' else 'M') };
+        ])
+  in
+  List.iteri
+    (fun socket (a, _) ->
+      List.iter
+        (fun messages ->
+          let frame = coalesce messages in
+          ignore (Unix.send a frame 0 (Bytes.length frame) []))
+        (frames_of socket))
+    pairs;
+  let ring = Udp_batch.recv_create ~slots:2 ~buf_size:Udp.max_datagram () in
+  let decoded = ref [] and failures = ref 0 in
+  let drain (_, b) =
+    Udp.drain
+      ~on_decode_error:(fun () -> incr failures)
+      ~ring ~syscalls:(counter "syscalls") ~datagrams:(counter "datagrams") b
+      (fun message _from ->
+        let snapshot =
+          match message with
+          | Header.Data { payload; _ } | Header.Parity { payload; _ } -> Bytes.copy payload
+          | Header.Poll _ | Header.Nak _ | Header.Exhausted _ -> Bytes.empty
+        in
+        decoded := (message, snapshot) :: !decoded)
+  in
+  List.iter drain pairs;
+  List.iter
+    (fun (a, b) ->
+      Unix.close a;
+      Unix.close b)
+    pairs;
+  let expected = List.concat (List.concat_map frames_of [ 0; 1 ]) in
+  let decoded = List.rev !decoded in
+  Alcotest.(check int) "no decode failure" 0 !failures;
+  Alcotest.(check int) "every message of both sockets" (List.length expected)
+    (List.length decoded);
+  List.iteri
+    (fun i (want, (got, snapshot)) ->
+      Alcotest.(check bool) (Printf.sprintf "message %d decoded" i) true (Header.equal want got);
+      match got with
+      | Header.Data { payload; _ } | Header.Parity { payload; _ } ->
+        Alcotest.(check bytes)
+          (Printf.sprintf "message %d payload unchanged by later drains" i)
+          snapshot payload
+      | Header.Poll _ | Header.Nak _ | Header.Exhausted _ -> ())
+    (List.combine expected decoded)
+
+let test_drain_truncated_frame () =
+  (* A coalesced frame cut anywhere inside its last message delivers the
+     messages before the cut, counts exactly one decode failure, and the
+     next datagram on the socket still decodes. *)
+  let messages =
+    [
+      Header.Data { tg_id = 3; k = 4; index = 0; payload = Bytes.make 48 'a' };
+      Header.Poll { tg_id = 3; k = 4; size = 4; round = 0 };
+      Header.Data { tg_id = 3; k = 4; index = 1; payload = Bytes.make 48 'b' };
+    ]
+  in
+  let frame = coalesce messages in
+  let last = Header.encoded_size (List.nth messages 2) in
+  let next = Header.encode (Header.Exhausted { tg_id = 9 }) in
+  let ring = Udp_batch.recv_create ~buf_size:Udp.max_datagram () in
+  for cut = Bytes.length frame - last + 1 to Bytes.length frame - 1 do
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+    Unix.set_nonblock b;
+    ignore (Unix.send a frame 0 cut []);
+    ignore (Unix.send a next 0 (Bytes.length next) []);
+    let decoded = ref [] and failures = ref 0 in
+    Udp.drain
+      ~on_decode_error:(fun () -> incr failures)
+      ~ring ~syscalls:(counter "syscalls") ~datagrams:(counter "datagrams") b
+      (fun message _from -> decoded := message :: !decoded);
+    Unix.close a;
+    Unix.close b;
+    let want = [ List.nth messages 0; List.nth messages 1; Header.Exhausted { tg_id = 9 } ] in
+    let decoded = List.rev !decoded in
+    Alcotest.(check int) (Printf.sprintf "cut at %d: one decode failure" cut) 1 !failures;
+    Alcotest.(check bool)
+      (Printf.sprintf "cut at %d: the prefix and the next datagram decode" cut)
+      true
+      (List.length decoded = List.length want && List.for_all2 Header.equal want decoded)
+  done
+
 (* --- bugfix sweep -------------------------------------------------------- *)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
@@ -430,6 +545,10 @@ let suite =
     Alcotest.test_case "coalesced frame walk" `Quick test_frame_walk;
     Alcotest.test_case "drain survives oversized datagram" `Quick
       test_drain_oversized_datagram;
+    Alcotest.test_case "one ring drains two sockets, no payload aliases a slot" `Quick
+      test_shared_ring_two_sockets;
+    Alcotest.test_case "drain: frame cut inside its last message" `Quick
+      test_drain_truncated_frame;
     Alcotest.test_case "no fd leak when engine bring-up fails" `Quick
       test_no_fd_leak_on_failed_run;
     Alcotest.test_case "metrics exact under domain hammer" `Quick
