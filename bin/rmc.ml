@@ -24,6 +24,18 @@ open Cmdliner
 
 (* --- shared options -------------------------------------------------- *)
 
+(* Every float flag parses through this.  An ordered range check behind a
+   flag ([p < 0.0 || p >= 1.0]) lets NaN through, and no flag means
+   anything at infinity, so both are refused here. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let k_opt default =
   Arg.(value & opt int default & info [ "k"; "tg-size" ] ~docv:"K" ~doc:"Transmission group size.")
 
@@ -41,7 +53,9 @@ let h_arg = h_opt 1
 let a_arg = a_opt 0
 
 let p_arg =
-  Arg.(value & opt float 0.01 & info [ "p"; "loss" ] ~docv:"P" ~doc:"Packet loss probability.")
+  Arg.(
+    value & opt finite_float 0.01
+    & info [ "p"; "loss" ] ~docv:"P" ~doc:"Packet loss probability.")
 
 let receivers_arg =
   Arg.(value & opt int 1000 & info [ "r"; "receivers" ] ~docv:"R" ~doc:"Number of receivers.")
@@ -182,7 +196,7 @@ let churn_arg =
 
 let high_loss_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt finite_float 0.0
     & info [ "high-loss-fraction" ] ~docv:"F"
         ~doc:"Fraction of receivers at 25% loss (paper §3.3).")
 
@@ -375,7 +389,7 @@ let simulate_cmd =
   in
   let burst =
     Arg.(
-      value & opt (some float) None
+      value & opt (some finite_float) None
       & info [ "burst" ] ~docv:"B" ~doc:"Bursty (Markov) loss with mean burst B packets.")
   in
   let tier =
@@ -426,13 +440,13 @@ let plan k p receivers target measured_m =
 let plan_cmd =
   let target =
     Arg.(
-      value & opt float 0.9
+      value & opt finite_float 0.9
       & info [ "target" ] ~docv:"Q" ~doc:"Target probability of single-round delivery.")
   in
   let measured_m =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "measured-m" ] ~docv:"M"
           ~doc:
             "Measured no-FEC transmissions-per-packet. When given, the plan is drawn for \
@@ -606,7 +620,9 @@ let codec_decode_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
   let output = Arg.(required & pos 1 (some string) None & info [] ~docv:"OUTPUT") in
   let drop =
-    Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"RATE" ~doc:"Random packet drop rate.")
+    Arg.(
+      value & opt finite_float 0.0
+      & info [ "drop" ] ~docv:"RATE" ~doc:"Random packet drop rate.")
   in
   let doc = "Decode a container back into the original file, tolerating drops." in
   Cmd.v
@@ -623,6 +639,7 @@ let transfer profile p receivers seed bytes churn_spec =
   match Option.fold ~none:(Ok []) ~some:churn_of_string churn_spec with
   | Error message -> `Error (false, "--churn: " ^ message)
   | Ok churn -> (
+    usage_errors @@ fun () ->
     let rng = Rmcast.Rng.create ~seed () in
     let network = Rmcast.Network.independent (Rmcast.Rng.split rng) ~receivers ~p in
     let message = String.init bytes (fun i -> Char.chr ((i * 37) mod 256)) in
@@ -654,6 +671,7 @@ let transfer_cmd =
 (* --- serve ------------------------------------------------------------ *)
 
 let serve_sim ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics =
+  usage_errors @@ fun () ->
   let module Scheduler = Rmcast.Scheduler in
   let module Transfer = Rmcast.Transfer in
   let rng = Rmcast.Rng.create ~seed () in
@@ -879,10 +897,14 @@ let latency k h a p receivers spacing feedback_delay =
 
 let latency_cmd =
   let spacing =
-    Arg.(value & opt float 0.04 & info [ "spacing" ] ~docv:"S" ~doc:"Packet spacing, seconds.")
+    Arg.(
+      value & opt finite_float 0.04
+      & info [ "spacing" ] ~docv:"S" ~doc:"Packet spacing, seconds.")
   in
   let feedback_delay =
-    Arg.(value & opt float 0.3 & info [ "feedback-delay" ] ~docv:"T" ~doc:"Round gap, seconds.")
+    Arg.(
+      value & opt finite_float 0.3
+      & info [ "feedback-delay" ] ~docv:"T" ~doc:"Round gap, seconds.")
   in
   let doc = "Expected completion latency of the recovery schemes." in
   Cmd.v
@@ -915,9 +937,15 @@ let feedback k a p receivers slot delay seed =
   `Ok ()
 
 let feedback_cmd =
-  let slot = Arg.(value & opt float 0.1 & info [ "slot" ] ~docv:"TS" ~doc:"Slot size, seconds.") in
+  let slot =
+    Arg.(
+      value & opt finite_float 0.1
+      & info [ "slot" ] ~docv:"TS" ~doc:"Slot size, seconds.")
+  in
   let delay =
-    Arg.(value & opt float 0.025 & info [ "delay" ] ~docv:"D" ~doc:"One-way delay, seconds.")
+    Arg.(
+      value & opt finite_float 0.025
+      & info [ "delay" ] ~docv:"D" ~doc:"One-way delay, seconds.")
   in
   let doc = "NAK volume under slotting and damping." in
   Cmd.v
@@ -962,13 +990,15 @@ let trace_model_arg =
 let trace_record_cmd =
   let out = Arg.(required & pos 0 (some string) None & info [] ~docv:"OUTPUT") in
   let burst =
-    Arg.(value & opt float 2.0 & info [ "burst" ] ~docv:"B" ~doc:"Mean burst length (markov).")
+    Arg.(
+      value & opt finite_float 2.0
+      & info [ "burst" ] ~docv:"B" ~doc:"Mean burst length (markov).")
   in
   let packets =
     Arg.(value & opt int 100_000 & info [ "packets" ] ~docv:"N" ~doc:"Trace length in packets.")
   in
   let rate =
-    Arg.(value & opt float 25.0 & info [ "rate" ] ~docv:"PKTS/S" ~doc:"Packet rate.")
+    Arg.(value & opt finite_float 25.0 & info [ "rate" ] ~docv:"PKTS/S" ~doc:"Packet rate.")
   in
   let doc = "Record a synthetic loss trace to a file." in
   Cmd.v
@@ -1031,7 +1061,9 @@ let capacity k p target =
 
 let capacity_cmd =
   let target =
-    Arg.(value & opt float 500.0 & info [ "target" ] ~docv:"PKTS/S" ~doc:"Required throughput.")
+    Arg.(
+      value & opt finite_float 500.0
+      & info [ "target" ] ~docv:"PKTS/S" ~doc:"Required throughput.")
   in
   let doc = "Capacity planning: largest group each protocol can serve." in
   Cmd.v (Cmd.info "capacity" ~doc) Term.(ret (const capacity $ k_arg $ p_arg $ target))

@@ -42,7 +42,7 @@ let simulate_suppression rng ~slot_counts ~slot ~delay ~reps =
 
 let slot_counts ~k ~a ~p ~receivers =
   if k < 1 || a < 0 || receivers < 1 then invalid_arg "Feedback.slot_counts: bad parameters";
-  if p < 0.0 || p >= 1.0 then invalid_arg "Feedback.slot_counts: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Feedback.slot_counts: p outside [0,1)";
   let volley = k + a in
   (* need l = losses - a (clamped to [0, k]); slot index = volley - l. *)
   let counts = Array.make (volley + 1) 0.0 in

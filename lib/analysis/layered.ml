@@ -8,7 +8,7 @@ let check_kh k h =
 
 let rm_loss_probability ~k ~h ~p =
   check_kh k h;
-  if p < 0.0 || p >= 1.0 then invalid_arg "Layered: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Layered: p outside [0,1)";
   if p = 0.0 then 0.0
   else if h = 0 then p
   else begin
@@ -39,7 +39,3 @@ let expected_transmissions ~k ~h ~population =
 
 let expected_transmissions_homogeneous ~k ~h ~p ~receivers =
   expected_transmissions ~k ~h ~population:(Receivers.homogeneous ~p ~count:receivers)
-
-let effective_redundancy ~k ~h =
-  check_kh k h;
-  float_of_int h /. float_of_int k

@@ -24,6 +24,3 @@ val expected_transmissions_homogeneous : k:int -> h:int -> p:float -> receivers:
 val cdf : k:int -> h:int -> population:Receivers.t -> int -> float
 (** [P(M' <= i)]: distribution of the number of times an arbitrary data
     packet must be (re)transmitted (parity overhead not included). *)
-
-val effective_redundancy : k:int -> h:int -> float
-(** [h / k], the paper's redundancy measure (e.g. 14.3% for (7,1)). *)

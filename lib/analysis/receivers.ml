@@ -1,7 +1,7 @@
 type t = { classes : (float * int) list; size : int }
 
 let validate_class (p, count) =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Receivers: loss probability outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Receivers: loss probability outside [0,1)";
   if count < 0 then invalid_arg "Receivers: negative class count"
 
 let classes cs =
@@ -14,7 +14,7 @@ let classes cs =
 let homogeneous ~p ~count = classes [ (p, count) ]
 
 let two_class ~p_low ~p_high ~high_fraction ~count =
-  if high_fraction < 0.0 || high_fraction > 1.0 then
+  if not (high_fraction >= 0.0 && high_fraction <= 1.0) then
     invalid_arg "Receivers.two_class: fraction outside [0,1]";
   let high = int_of_float (Float.round (high_fraction *. float_of_int count)) in
   let high = min count high in

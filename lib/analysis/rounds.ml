@@ -2,7 +2,7 @@ module Special = Rmc_numerics.Special
 module Series = Rmc_numerics.Series
 
 let check p k =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Rounds: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Rounds: p outside [0,1)";
   if k < 1 then invalid_arg "Rounds: k must be >= 1"
 
 let per_receiver_cdf ~p ~k m =

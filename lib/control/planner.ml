@@ -14,8 +14,8 @@ let budget_residual = 1e-6
 
 let plan ~k ~p ~receivers ?(target_single_round = 0.9) () =
   if k < 1 || receivers < 1 then invalid_arg "Planner.plan: k and receivers must be >= 1";
-  if p < 0.0 || p >= 1.0 then invalid_arg "Planner.plan: p outside [0,1)";
-  if target_single_round <= 0.0 || target_single_round >= 1.0 then
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Planner.plan: p outside [0,1)";
+  if not (target_single_round > 0.0 && target_single_round < 1.0) then
     invalid_arg "Planner.plan: target_single_round outside (0,1)";
   let population = Analysis.Receivers.homogeneous ~p ~count:receivers in
   (* Smallest a such that P(L = 0 | a proactive parities) meets the target.
@@ -49,7 +49,7 @@ let loss_estimate ~lost ~total =
   float_of_int (lost + 1) /. float_of_int (total + 2)
 
 let effective_receivers ~measured_m_nofec ~p =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "Planner.effective_receivers: p outside (0,1)";
+  if not (p > 0.0 && p < 1.0) then invalid_arg "Planner.effective_receivers: p outside (0,1)";
   let m_of r =
     Analysis.Arq.expected_transmissions
       ~population:(Analysis.Receivers.homogeneous ~p ~count:r)

@@ -94,7 +94,6 @@ module Engine = Rmc_sim.Engine
 module Event_queue = Rmc_sim.Event_queue
 module Loss = Rmc_sim.Loss
 module Topology = Rmc_sim.Topology
-module Tree = Rmc_sim.Tree
 module Trace_io = Rmc_sim.Trace_io
 module Network = Rmc_sim.Network
 module Aggregate = Rmc_sim.Aggregate

@@ -1,14 +1,13 @@
 type t = {
   m : int;
   size : int;
-  poly : int;
   exp_table : int array; (* alpha^i for i in [0, 2*(size-1)); doubled to skip a mod *)
   log_table : int array; (* log_table.(0) = -1 sentinel *)
   mul256 : Bytes.t; (* 64K flat product table when m = 8, empty otherwise *)
 }
 
 (* Standard primitive polynomials (low-weight, as in Rizzo's fec.c). *)
-let primitive_polynomials =
+let reduction_polynomials =
   [|
     (* index = m, entries 0 and 1 unused *)
     0; 0; 0x7; 0xB; 0x13; 0x25; 0x43; 0x89; 0x11D; 0x211; 0x409; 0x805; 0x1053; 0x201B;
@@ -46,10 +45,10 @@ let build_mul256 exp_table log_table =
 
 let make m =
   if m < 2 || m > 16 then invalid_arg "Gf.create: m must be in [2, 16]";
-  let poly = primitive_polynomials.(m) in
+  let poly = reduction_polynomials.(m) in
   let exp_table, log_table = build_tables m poly in
   let mul256 = if m = 8 then build_mul256 exp_table log_table else Bytes.empty in
-  { m; size = 1 lsl m; poly; exp_table; log_table; mul256 }
+  { m; size = 1 lsl m; exp_table; log_table; mul256 }
 
 let cache : (int, t) Hashtbl.t = Hashtbl.create 8
 let cache_mutex = Mutex.create ()
@@ -75,7 +74,6 @@ let create m =
 let gf256 = create 8
 let m field = field.m
 let size field = field.size
-let primitive_polynomial field = field.poly
 let zero = 0
 let one = 1
 let add a b = a lxor b

@@ -31,9 +31,6 @@ val m : t -> int
 val size : t -> int
 (** Number of field elements, [2^m]. *)
 
-val primitive_polynomial : t -> int
-(** The reduction polynomial, including its top bit (degree-m term). *)
-
 val zero : int
 val one : int
 

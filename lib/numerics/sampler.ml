@@ -81,7 +81,7 @@ let clamp_unit x = Float.max 0.0 (Float.min 1.0 x)
 
 let rec binomial rng ~n ~p =
   if n < 0 then invalid_arg "Sampler.binomial: n < 0";
-  if p < 0.0 || p > 1.0 then invalid_arg "Sampler.binomial: p outside [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Sampler.binomial: p outside [0,1]";
   if n = 0 || p = 0.0 then 0
   else if p = 1.0 then n
   else if p > 0.5 then n - binomial rng ~n ~p:(1.0 -. p)

@@ -18,26 +18,37 @@ type spec = {
 let none =
   { drop = No_drop; duplicate = 0.0; reorder = 0.0; delay = None; corrupt = 0.0; seed = 0 }
 
-let validate_spec spec =
+(* Every range test is written so that NaN fails it. *)
+let validate spec =
+  let ( let* ) = Result.bind in
   let probability what p =
-    if p < 0.0 || p > 1.0 then
-      invalid_arg (Printf.sprintf "Fault: %s probability %g outside [0, 1]" what p)
+    if p >= 0.0 && p <= 1.0 then Ok ()
+    else Error (Printf.sprintf "Fault: %s probability %g outside [0, 1]" what p)
   in
-  (match spec.drop with
-  | No_drop -> ()
-  | Drop_bernoulli p ->
-    if p < 0.0 || p >= 1.0 then invalid_arg "Fault: drop probability outside [0, 1)"
-  | Drop_burst { p; mean_burst; rate } ->
-    if p <= 0.0 || p >= 1.0 then invalid_arg "Fault: burst drop probability outside (0, 1)";
-    if mean_burst <= 1.0 then invalid_arg "Fault: mean burst must exceed 1 datagram";
-    if rate <= 0.0 then invalid_arg "Fault: burst rate must be positive");
-  probability "duplicate" spec.duplicate;
-  probability "reorder" spec.reorder;
-  probability "corrupt" spec.corrupt;
+  let* () =
+    match spec.drop with
+    | No_drop -> Ok ()
+    | Drop_bernoulli p ->
+      if p >= 0.0 && p < 1.0 then Ok () else Error "Fault: drop probability outside [0, 1)"
+    | Drop_burst { p; mean_burst; rate } -> (
+      (* The calibration checks its inputs, but an infinite (or huge)
+         burst length or rate still yields a chain rate of 0 or infinity,
+         which the chain itself refuses or turns into NaN. *)
+      match Loss.markov2_parameters ~p ~mean_burst ~send_rate:rate with
+      | mu01, mu10
+        when mu01 > 0.0 && mu10 > 0.0 && Float.is_finite mu01 && Float.is_finite mu10 ->
+        Ok ()
+      | _ -> Error "Fault: burst drop gives no finite, positive chain rates"
+      | exception Invalid_argument reason -> Error ("Fault: burst drop: " ^ reason))
+  in
+  let* () = probability "duplicate" spec.duplicate in
+  let* () = probability "reorder" spec.reorder in
+  let* () = probability "corrupt" spec.corrupt in
   match spec.delay with
-  | None -> ()
+  | None -> Ok ()
   | Some (lo, hi) ->
-    if lo < 0.0 || hi < lo then invalid_arg "Fault: delay range must satisfy 0 <= min <= max"
+    if lo >= 0.0 && lo <= hi && Float.is_finite hi then Ok ()
+    else Error "Fault: delay range must satisfy 0 <= min <= max < infinity"
 
 (* --- textual specs ---------------------------------------------------- *)
 
@@ -64,18 +75,13 @@ let spec_of_string s =
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "%s: not a number: %S" key v)
   in
-  let probability key v =
-    let* f = float_field key v in
-    if f < 0.0 || f > 1.0 then Error (Printf.sprintf "%s: %g outside [0, 1]" key f)
-    else Ok f
-  in
   let parse_drop v =
     match String.split_on_char ':' v with
     | [ p ] ->
-      let* p = probability "drop" p in
+      let* p = float_field "drop" p in
       Ok (if p = 0.0 then No_drop else Drop_bernoulli p)
     | [ "burst"; p; mean_burst; rate ] ->
-      let* p = probability "drop" p in
+      let* p = float_field "drop" p in
       let* mean_burst = float_field "drop burst length" mean_burst in
       let* rate = float_field "drop burst rate" rate in
       Ok (Drop_burst { p; mean_burst; rate })
@@ -103,16 +109,16 @@ let spec_of_string s =
         let* drop = parse_drop v in
         Ok { spec with drop }
       | "dup" | "duplicate" ->
-        let* duplicate = probability key v in
+        let* duplicate = float_field key v in
         Ok { spec with duplicate }
       | "reorder" ->
-        let* reorder = probability key v in
+        let* reorder = float_field key v in
         Ok { spec with reorder }
       | "delay" ->
         let* delay = parse_delay v in
         Ok { spec with delay }
       | "corrupt" ->
-        let* corrupt = probability key v in
+        let* corrupt = float_field key v in
         Ok { spec with corrupt }
       | "seed" ->
         (match int_of_string_opt v with
@@ -126,9 +132,7 @@ let spec_of_string s =
     |> List.filter (fun seg -> seg <> "")
   in
   let* spec = List.fold_left (fun acc seg -> Result.bind acc (fun sp -> field sp seg)) (Ok none) segments in
-  match validate_spec spec with
-  | () -> Ok spec
-  | exception Invalid_argument msg -> Error msg
+  Result.map (fun () -> spec) (validate spec)
 
 (* --- the shim ---------------------------------------------------------- *)
 
@@ -153,7 +157,7 @@ type t = {
 let hold_flush_after = 0.030
 
 let create ?metrics ?trace spec =
-  validate_spec spec;
+  Result.iter_error invalid_arg (validate spec);
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let rng = Rng.create ~seed:spec.seed () in
   let loss =

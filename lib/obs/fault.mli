@@ -40,12 +40,18 @@ type spec = {
 val none : spec
 (** Everything off; the shim becomes a counted pass-through. *)
 
+val validate : spec -> (unit, string) result
+(** [Ok ()] iff {!create} accepts the spec: probabilities in range
+    (drop below 1), a burst drop whose {!Rmc_sim.Loss.markov2}
+    calibration exists, and a finite delay range [0 <= min <= max].
+    NaN and infinite values are refused. *)
+
 val spec_of_string : string -> (spec, string) result
 (** Parse [key=value] pairs separated by commas.  Keys: [drop] (a
     probability, or [burst:P:LEN:RATE]), [dup], [reorder], [corrupt]
     (probabilities), [delay] ([MIN:MAX] or a single value, seconds),
-    [seed].  Unknown keys, malformed numbers and out-of-range
-    probabilities are errors. *)
+    [seed].  Unknown keys, malformed numbers and specs that {!validate}
+    refuses are errors. *)
 
 val spec_to_string : spec -> string
 (** Normalized textual form; omits disabled faults.
@@ -55,7 +61,8 @@ type t
 
 val create : ?metrics:Metrics.t -> ?trace:Trace.t -> spec -> t
 (** Build the shim.  Counters are registered in [metrics] (an internal
-    registry is created if omitted — reachable via {!stats}). *)
+    registry is created if omitted — reachable via {!stats}).
+    @raise Invalid_argument when {!validate} refuses the spec. *)
 
 val spec : t -> spec
 

@@ -248,11 +248,6 @@ let flow_complete flow =
   | None -> true
   | Some rem -> Array.for_all (fun at -> Aggregate.missing at.pop = 0) rem.tgs
 
-let agg_deficits flow ~tg =
-  match flow.remainder with
-  | None -> [| 0 |]
-  | Some rem -> Aggregate.deficits rem.tgs.(tg).pop
-
 (* The cohort's half is the flow's {!Np.report}; the remainder adds its
    counters. *)
 let flow_report flow =
@@ -309,7 +304,6 @@ module Mux = struct
   let finished_at flow = Np.Mux.finished_at flow.cohort_flow
   let complete = flow_complete
   let report = flow_report
-  let agg_deficits = agg_deficits
   let run = Np.Mux.run
 end
 

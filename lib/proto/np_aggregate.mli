@@ -116,10 +116,6 @@ module Mux : sig
 
   val report : flow -> report
 
-  val agg_deficits : flow -> tg:int -> int array
-  (** The remainder's current count vector for [tg] (index = deficit);
-      [[|0|]] when there is no remainder.  For tests and probes. *)
-
   val started_at : flow -> float
   val finished_at : flow -> float
 end

@@ -2,7 +2,3 @@ type t = { spacing : float; feedback_delay : float }
 
 let paper_burst = { spacing = 0.040; feedback_delay = 0.300 }
 let instantaneous = { spacing = 0.0; feedback_delay = 0.0 }
-
-let round_duration t ~packets =
-  if packets < 0 then invalid_arg "Timing.round_duration: negative packet count";
-  float_of_int packets *. t.spacing

@@ -15,6 +15,3 @@ val paper_burst : t
 val instantaneous : t
 (** Zero gaps — appropriate under memoryless loss where timing is
     irrelevant; keeps virtual time compact. *)
-
-val round_duration : t -> packets:int -> float
-(** Wall-clock length of a volley of [packets] packets: [packets * spacing]. *)

@@ -11,10 +11,10 @@
    move one deficit class down — which is exact in distribution and costs
    O(k) binomial draws instead of O(R) per-receiver coin flips.
 
-   Shared-loss topologies (FBT/Gtree) are deliberately absent: a failed
-   inner node correlates the loser sets across receivers *and* across
-   packets' class membership, so the count vector is no longer a sufficient
-   statistic there.  Those regimes stay on the exact per-receiver tier. *)
+   The shared-loss topology (FBT) is deliberately absent: a failed inner
+   node correlates the loser sets across receivers *and* across packets'
+   class membership, so the count vector is no longer a sufficient
+   statistic there.  That regime stays on the exact per-receiver tier. *)
 
 module Rng = Rmc_numerics.Rng
 module Sampler = Rmc_numerics.Sampler
@@ -26,12 +26,13 @@ type channel =
   | Gilbert of { mu01 : float; mu10 : float; p_good : float; p_bad : float }
 
 let bernoulli ~p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Aggregate.bernoulli: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Aggregate.bernoulli: p outside [0,1)";
   Bernoulli { p }
 
 let gilbert ~mu01 ~mu10 ~p_good ~p_bad =
-  if mu01 <= 0.0 || mu10 <= 0.0 then invalid_arg "Aggregate.gilbert: rates must be positive";
-  if p_good < 0.0 || p_good > p_bad || p_bad >= 1.0 then
+  if not (mu01 > 0.0 && mu10 > 0.0) then
+    invalid_arg "Aggregate.gilbert: rates must be positive";
+  if not (p_good >= 0.0 && p_good <= p_bad && p_bad < 1.0) then
     invalid_arg "Aggregate.gilbert: need 0 <= p_good <= p_bad < 1";
   Gilbert { mu01; mu10; p_good; p_bad }
 

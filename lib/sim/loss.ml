@@ -24,13 +24,13 @@ type kind =
 and t = { rng : Rng.t; kind : kind; mutable last_query : float }
 
 let bernoulli rng ~p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Loss.bernoulli: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Loss.bernoulli: p outside [0,1)";
   { rng; kind = Bernoulli { p }; last_query = neg_infinity }
 
 let gilbert_elliott rng ~mu01 ~mu10 ~p_good ~p_bad =
-  if mu01 <= 0.0 || mu10 <= 0.0 then
+  if not (mu01 > 0.0 && mu10 > 0.0) then
     invalid_arg "Loss.gilbert_elliott: rates must be positive";
-  if p_good < 0.0 || p_good > p_bad || p_bad >= 1.0 then
+  if not (p_good >= 0.0 && p_good <= p_bad && p_bad < 1.0) then
     invalid_arg "Loss.gilbert_elliott: need 0 <= p_good <= p_bad < 1";
   let pi1 = mu01 /. (mu01 +. mu10) in
   let state = if Rng.bernoulli rng pi1 then 1 else 0 in
@@ -42,13 +42,14 @@ let gilbert_elliott rng ~mu01 ~mu10 ~p_good ~p_bad =
   }
 
 let markov2_rates rng ~mu01 ~mu10 =
-  if mu01 <= 0.0 || mu10 <= 0.0 then invalid_arg "Loss.markov2_rates: rates must be positive";
+  if not (mu01 > 0.0 && mu10 > 0.0) then
+    invalid_arg "Loss.markov2_rates: rates must be positive";
   gilbert_elliott rng ~mu01 ~mu10 ~p_good:0.0 ~p_bad:(1.0 -. Float.epsilon)
 
 let markov2_parameters ~p ~mean_burst ~send_rate =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "Loss.markov2: p outside (0,1)";
-  if mean_burst <= 1.0 then invalid_arg "Loss.markov2: mean_burst must exceed 1 packet";
-  if send_rate <= 0.0 then invalid_arg "Loss.markov2: send_rate must be positive";
+  if not (p > 0.0 && p < 1.0) then invalid_arg "Loss.markov2: p outside (0,1)";
+  if not (mean_burst > 1.0) then invalid_arg "Loss.markov2: mean_burst must exceed 1 packet";
+  if not (send_rate > 0.0) then invalid_arg "Loss.markov2: send_rate must be positive";
   (* Calibrate so the continuation probability of a loss run at packet
      spacing delta = 1/send_rate is exactly c = 1 - 1/mean_burst:
        c = p11(delta) = p + (1-p) exp (-(mu01+mu10) delta)

@@ -6,7 +6,6 @@ type regime =
   | Heterogeneous of { class_of : int -> float; ranges : (int * int * float) list }
     (* ranges: (first receiver, count, p) per class *)
   | Fbt of { topology : Topology.t; p_node : float }
-  | Gtree of { tree : Tree.t; p_node : float array }
   | Temporal of { processes : Loss.t array }
 
 type t = {
@@ -20,18 +19,17 @@ type transmission =
   | Tx_independent of { rng : Rng.t; p : float; receivers : int }
   | Tx_hetero of { rng : Rng.t; class_of : int -> float; ranges : (int * int * float) list }
   | Tx_fbt of { topology : Topology.t; failed : (int, unit) Hashtbl.t }
-  | Tx_gtree of { tree : Tree.t; failed : (int, unit) Hashtbl.t }
   | Tx_temporal of { processes : Loss.t array; time : float }
 
 let independent rng ~receivers ~p =
   if receivers < 1 then invalid_arg "Network.independent: need at least one receiver";
-  if p < 0.0 || p >= 1.0 then invalid_arg "Network.independent: p outside [0,1)";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Network.independent: p outside [0,1)";
   { rng; receivers; regime = Independent { p }; last_time = neg_infinity }
 
 let heterogeneous rng ~classes =
   List.iter
     (fun (p, count) ->
-      if p < 0.0 || p >= 1.0 then invalid_arg "Network.heterogeneous: p outside [0,1)";
+      if not (p >= 0.0 && p < 1.0) then invalid_arg "Network.heterogeneous: p outside [0,1)";
       if count < 0 then invalid_arg "Network.heterogeneous: negative count")
     classes;
   let classes = List.filter (fun (_, count) -> count > 0) classes in
@@ -63,21 +61,6 @@ let fbt rng ~height ~p =
     last_time = neg_infinity;
   }
 
-let tree rng ~tree ~p_node =
-  let nodes = Tree.node_count tree in
-  let probabilities =
-    Array.init nodes (fun v ->
-        let p = p_node v in
-        if p < 0.0 || p >= 1.0 then invalid_arg "Network.tree: p_node outside [0,1)";
-        p)
-  in
-  {
-    rng;
-    receivers = Tree.receivers tree;
-    regime = Gtree { tree; p_node = probabilities };
-    last_time = neg_infinity;
-  }
-
 let temporal rng ~receivers ~make =
   if receivers < 1 then invalid_arg "Network.temporal: need at least one receiver";
   let processes = Array.init receivers (fun _ -> make (Rng.split rng)) in
@@ -97,9 +80,6 @@ let description t =
   | Fbt { topology; p_node } ->
     Printf.sprintf "full binary tree, d=%d, R=%d, p_node=%g" (Topology.height topology)
       t.receivers p_node
-  | Gtree { tree; _ } ->
-    Printf.sprintf "multicast tree, %d nodes, R=%d, depth<=%d" (Tree.node_count tree)
-      t.receivers (Tree.max_depth tree)
   | Temporal { processes } ->
     Printf.sprintf "temporal loss, R=%d, p=%g" t.receivers
       (Loss.loss_probability processes.(0))
@@ -118,12 +98,6 @@ let transmit t ~time =
     (* subset_bernoulli yields 0-based indices; heap nodes are 1-based. *)
     Array.iter (fun node -> Hashtbl.replace failed (node + 1) ()) failed_nodes;
     Tx_fbt { topology; failed }
-  | Gtree { tree; p_node } ->
-    let failed = Hashtbl.create 16 in
-    Array.iteri
-      (fun node p -> if p > 0.0 && Rng.bernoulli t.rng p then Hashtbl.replace failed node ())
-      p_node;
-    Tx_gtree { tree; failed }
   | Temporal { processes } -> Tx_temporal { processes; time }
 
 let lost tx receiver =
@@ -134,8 +108,6 @@ let lost tx receiver =
   | Tx_hetero { rng; class_of; _ } -> Rng.bernoulli rng (class_of receiver)
   | Tx_fbt { topology; failed } ->
     Topology.path_has_failed_node topology ~failed:(Hashtbl.mem failed) ~receiver
-  | Tx_gtree { tree; failed } ->
-    Tree.path_has_failed_node tree ~failed:(Hashtbl.mem failed) ~receiver
   | Tx_temporal { processes; time } -> Loss.lost processes.(receiver) time
 
 let iter_losers tx f =
@@ -154,16 +126,6 @@ let iter_losers tx f =
     Hashtbl.iter
       (fun node () ->
         let first, last = Topology.receiver_range topology ~node in
-        for r = first to last do
-          Hashtbl.replace losers r ()
-        done)
-      failed;
-    Hashtbl.iter (fun r () -> f r) losers
-  | Tx_gtree { tree; failed } ->
-    let losers = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun node () ->
-        let first, last = Tree.receiver_range tree node in
         for r = first to last do
           Hashtbl.replace losers r ()
         done)

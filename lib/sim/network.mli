@@ -28,14 +28,6 @@ val fbt : Rmc_numerics.Rng.t -> height:int -> p:float -> t
 (** Full binary tree with [2^height] receivers and per-node drop probability
     calibrated so each receiver sees end-to-end loss [p]. *)
 
-val tree : Rmc_numerics.Rng.t -> tree:Tree.t -> p_node:(int -> float) -> t
-(** Arbitrary multicast tree with an explicit per-node drop probability
-    (queried once per node at construction).  Receivers are the leaves in
-    the tree's depth-first order.  Sampling one transmission costs
-    O(node count); suitable for trees up to ~10^5 nodes — for the paper's
-    calibrated full binary trees prefer {!fbt}, whose sampling is
-    O(failures). *)
-
 val temporal :
   Rmc_numerics.Rng.t -> receivers:int -> make:(Rmc_numerics.Rng.t -> Loss.t) -> t
 (** One loss process per receiver, built by [make] from a split-off RNG. *)

@@ -9,7 +9,7 @@ let receivers t = 1 lsl t.height
 let node_count t = (1 lsl (t.height + 1)) - 1
 
 let node_loss_probability t ~receiver_loss =
-  if receiver_loss < 0.0 || receiver_loss >= 1.0 then
+  if not (receiver_loss >= 0.0 && receiver_loss < 1.0) then
     invalid_arg "Topology.node_loss_probability: loss outside [0,1)";
   let levels = float_of_int (t.height + 1) in
   -.Float.expm1 (Float.log1p (-.receiver_loss) /. levels)

@@ -765,7 +765,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
     counters = Metrics.counters metrics;
   }
 
-let validate ~context ~config ~receivers ~loss ~sessions =
+let validate ~context ~config ~faults ~receivers ~loss ~sessions =
   if Array.exists (fun data -> Array.length data = 0) sessions || Array.length sessions = 0
   then Error.invalid_arg ~context "no data"
   else if not (loss >= 0.0 && loss < 1.0) then Error.invalid_arg ~context "loss outside [0,1)"
@@ -777,6 +777,10 @@ let validate ~context ~config ~receivers ~loss ~sessions =
   then Error.invalid_arg ~context "payload size mismatch"
   else if receivers < 1 then Error.invalid_arg ~context "need at least one receiver"
   else
+    Result.bind
+      (Option.fold ~none:(Ok ()) ~some:Fault.validate faults
+      |> Result.map_error (Error.make ~context))
+    @@ fun () ->
     (* The protocol rules, the payload bound among them, are the
        profile's; only the transport's own limits are checked here.  The
        kernel sends at most [max_frame] bytes per datagram, below the
@@ -809,7 +813,7 @@ let shard_slices ~shards n =
    counters flat.  [context] names the entry point in every [Error]. *)
 let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?recorder ?faults
     ?(transport = `Unicast) ?(shards = 1) ~receivers ~loss ~seed ~sessions () =
-  match validate ~context ~config ~receivers ~loss ~sessions with
+  match validate ~context ~config ~faults ~receivers ~loss ~sessions with
   | Error _ as e -> e
   | Ok () when shards < 1 -> Error.invalid_arg ~context "need at least one shard"
   | Ok () when
@@ -860,12 +864,6 @@ let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?rec
       }
 
 let run_multi = run ~context:"Udp_np.run_multi" ~scoped:true ~tamper:Fun.id
-
-let run_multi_exn ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers
-    ~loss ~seed ~sessions () =
-  Error.get_exn
-    (run_multi ?config ?metrics ?trace ?recorder ?faults ?transport ?shards ~receivers ~loss
-       ~seed ~sessions ())
 
 (* A single session: sid 0, so the wire ids are the plain TG indices. *)
 let run_session ~tamper ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers

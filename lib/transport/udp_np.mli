@@ -251,25 +251,10 @@ val run_multi :
     big for one datagram, a config whose profile
     {!Rmc_core.Profile.validate} rejects, more than 65536 sessions or more
     than 65536 TGs in one session (the wire demux packs sid and tg into 16
-    bits each), [shards < 1], or [trace], [recorder] or [faults] with more
-    than one shard after clamping — none of those sinks is domain-safe.
+    bits each), a [faults] spec that {!Rmc_obs.Fault.validate} refuses,
+    [shards < 1], or [trace], [recorder] or [faults] with more than one
+    shard after clamping — none of those sinks is domain-safe.
     Every [Error] is returned before any socket is opened. *)
-
-val run_multi_exn :
-  ?config:config ->
-  ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
-  ?recorder:Rmc_obs.Recorder.t ->
-  ?faults:Rmc_obs.Fault.spec ->
-  ?transport:transport ->
-  ?shards:int ->
-  receivers:int ->
-  loss:float ->
-  seed:int ->
-  sessions:Bytes.t array array ->
-  unit ->
-  multi_report
-(** @raise Invalid_argument where {!run_multi} would return [Error]. *)
 
 val run_local :
   ?config:config ->

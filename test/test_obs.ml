@@ -120,7 +120,14 @@ let test_spec_errors () =
   rejected "drop";
   rejected "delay=0.01:0.001:5";
   rejected "corrupt=-0.1";
-  rejected "seed=x"
+  rejected "seed=x";
+  rejected "dup=nan";
+  rejected "drop=nan";
+  rejected "delay=nan";
+  rejected "delay=inf";
+  rejected "delay=0:inf";
+  rejected "drop=burst:0.1:inf:1000";
+  rejected "drop=burst:0.9:2:1000"
 
 (* --- fault shim -------------------------------------------------------- *)
 

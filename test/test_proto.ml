@@ -477,9 +477,11 @@ let test_golden_tg_tiers () =
 
 (* --- CLI: out-of-range numbers are usage errors --- *)
 
-(* Each input once crashed [rmc] with an uncaught exception (exit 125);
-   [--scheme integrated] once ran the unbounded scheme while ignoring
-   [--parities].  All must be usage errors: exit 124, no internal error.
+(* Each input once crashed [rmc] with an uncaught exception (exit 125)
+   or, being NaN, which passes an ordered range check, ran forever or
+   printed numbers; [--scheme integrated] once ran the unbounded scheme
+   while ignoring [--parities].  All must be usage errors: exit 124, no
+   internal error.
    The [codec decode] inputs read containers the test builds first from a
    k = 4, h = 2, 64-byte encoding of [input.bin]: cut short, junk, more
    loss than the parities cover, and a payload size that does not match.
@@ -511,6 +513,22 @@ let bad_cli_inputs =
     "transfer --payload 70000";
     "serve --payload 70000";
     "transfer -k 1 --parities 1 --payload 5 --bytes 330000";
+    "transfer -p 1.5";
+    "transfer -r 0";
+    "serve -p 1.5";
+    "serve -r 0";
+    "analyze -p nan";
+    "endhost -p nan";
+    "latency -p nan";
+    "capacity -p nan";
+    "feedback -p nan";
+    "simulate -p nan -r 100";
+    "simulate --tier aggregate -p nan -r 100";
+    "transfer -p nan";
+    "serve -p nan";
+    "plan --target nan";
+    "simulate --burst nan";
+    "trace record trace.bin --burst nan";
   ]
 
 let contains s sub =

@@ -142,8 +142,9 @@ let test_run_local_is_one_session () =
       ~seed:17 ~data ()
   in
   let multi =
-    Udp.run_multi_exn ~config:udp_config ~recorder:multi_recorder ~receivers:3 ~loss:0.0
-      ~seed:17 ~sessions:[| data |] ()
+    Rmcast.Error.get_exn
+      (Udp.run_multi ~config:udp_config ~recorder:multi_recorder ~receivers:3 ~loss:0.0
+         ~seed:17 ~sessions:[| data |] ())
   in
   check_same_streams local_recorder multi_recorder;
   let s = multi.Udp.session_reports.(0) in

@@ -45,7 +45,10 @@ let test_binomial_edges () =
   let rng = Rng.create ~seed:7 () in
   Alcotest.(check int) "p=0" 0 (Sampler.binomial rng ~n:1000 ~p:0.0);
   Alcotest.(check int) "p=1" 1000 (Sampler.binomial rng ~n:1000 ~p:1.0);
-  Alcotest.(check int) "n=0" 0 (Sampler.binomial rng ~n:0 ~p:0.4)
+  Alcotest.(check int) "n=0" 0 (Sampler.binomial rng ~n:0 ~p:0.4);
+  (* NaN once passed the range check and looped forever at n = 100. *)
+  Alcotest.check_raises "p=nan" (Invalid_argument "Sampler.binomial: p outside [0,1]")
+    (fun () -> ignore (Sampler.binomial rng ~n:100 ~p:nan))
 
 let test_binomial_exact_law_small () =
   (* Chi-squared-style check on n=3, p=0.4 against exact probabilities. *)

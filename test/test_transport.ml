@@ -361,8 +361,8 @@ let test_sharded_run () =
   in
   let metrics = Metrics.create () in
   let report =
-    Udp.run_multi_exn ~config ~metrics ~shards:3 ~receivers:2 ~loss:0.05 ~seed:7
-      ~sessions ()
+    Rmcast.Error.get_exn
+      (Udp.run_multi ~config ~metrics ~shards:3 ~receivers:2 ~loss:0.05 ~seed:7 ~sessions ())
   in
   Alcotest.(check bool) "all sessions verified" true report.Udp.all_verified;
   Alcotest.(check int) "one report per session" 4 (Array.length report.Udp.session_reports);
@@ -387,8 +387,9 @@ let test_sharded_run () =
     (Metrics.get metrics "rx.loss_dropped");
   (* more shards than sessions clamps instead of spawning idle domains *)
   let clamped =
-    Udp.run_multi_exn ~config ~shards:16 ~receivers:1 ~loss:0.0 ~seed:8
-      ~sessions:(Array.sub sessions 0 2) ()
+    Rmcast.Error.get_exn
+      (Udp.run_multi ~config ~shards:16 ~receivers:1 ~loss:0.0 ~seed:8
+         ~sessions:(Array.sub sessions 0 2) ())
   in
   Alcotest.(check bool) "clamped shard count verified" true clamped.Udp.all_verified
 
@@ -399,8 +400,9 @@ let test_sharded_multicast () =
       Array.init 2 (fun s -> payloads ~count:16 ~size:config.Udp.payload_size (200 + s))
     in
     let report =
-      Udp.run_multi_exn ~config ~transport:`Multicast ~shards:2 ~receivers:2 ~loss:0.0
-        ~seed:9 ~sessions ()
+      Rmcast.Error.get_exn
+        (Udp.run_multi ~config ~transport:`Multicast ~shards:2 ~receivers:2 ~loss:0.0
+           ~seed:9 ~sessions ())
     in
     Alcotest.(check bool) "sharded multicast verified" true report.Udp.all_verified
   end

@@ -1,4 +1,3 @@
-module Tree = Rmcast.Tree
 module Network = Rmcast.Network
 module Loss = Rmcast.Loss
 module Rng = Rmcast.Rng
@@ -8,123 +7,6 @@ let close ?(tol = 1e-9) name expected actual =
     (Printf.sprintf "%s: |%.12g - %.12g| < %g" name expected actual tol)
     true
     (Float.abs (expected -. actual) <= tol *. (1.0 +. Float.abs expected))
-
-(* A small explicit tree:
-        0
-       / \
-      1   2
-     /|    \
-    3 4     5
-   leaves: 3 4 5 -> receivers 0 1 2 *)
-let small = Tree.of_parents [| -1; 0; 0; 1; 1; 2 |]
-
-let test_structure () =
-  Alcotest.(check int) "nodes" 6 (Tree.node_count small);
-  Alcotest.(check int) "receivers" 3 (Tree.receivers small);
-  Alcotest.(check int) "parent of 3" 1 (Tree.parent small 3);
-  Alcotest.(check (list int)) "children of 1" [ 3; 4 ] (Tree.children small 1);
-  Alcotest.(check int) "depth of leaf" 2 (Tree.depth small 5);
-  Alcotest.(check int) "max depth" 2 (Tree.max_depth small);
-  Alcotest.(check bool) "leaf" true (Tree.is_leaf small 4);
-  Alcotest.(check bool) "interior" false (Tree.is_leaf small 1)
-
-let test_leaf_numbering () =
-  Alcotest.(check int) "leaf 3 -> receiver 0" 0 (Tree.receiver_of_leaf small 3);
-  Alcotest.(check int) "leaf 4 -> receiver 1" 1 (Tree.receiver_of_leaf small 4);
-  Alcotest.(check int) "leaf 5 -> receiver 2" 2 (Tree.receiver_of_leaf small 5);
-  for r = 0 to 2 do
-    Alcotest.(check int) "roundtrip" r (Tree.receiver_of_leaf small (Tree.leaf_of_receiver small r))
-  done
-
-let test_ranges () =
-  Alcotest.(check (pair int int)) "root" (0, 2) (Tree.receiver_range small 0);
-  Alcotest.(check (pair int int)) "node 1" (0, 1) (Tree.receiver_range small 1);
-  Alcotest.(check (pair int int)) "node 2" (2, 2) (Tree.receiver_range small 2);
-  Alcotest.(check (pair int int)) "leaf 4" (1, 1) (Tree.receiver_range small 4)
-
-let test_paths () =
-  Alcotest.(check (list int)) "path of receiver 1" [ 4; 1; 0 ] (Tree.path_to_root small ~receiver:1);
-  Alcotest.(check bool) "failure at node 1 hits receiver 0" true
-    (Tree.path_has_failed_node small ~failed:(fun v -> v = 1) ~receiver:0);
-  Alcotest.(check bool) "but not receiver 2" false
-    (Tree.path_has_failed_node small ~failed:(fun v -> v = 1) ~receiver:2)
-
-let test_of_parents_validation () =
-  Alcotest.check_raises "root marker" (Invalid_argument "Tree.of_parents: node 0 must be the root")
-    (fun () -> ignore (Tree.of_parents [| 0 |]));
-  Alcotest.check_raises "ordering"
-    (Invalid_argument "Tree.of_parents: parents must precede children") (fun () ->
-      ignore (Tree.of_parents [| -1; 2; 0 |]))
-
-let test_random_tree_invariants () =
-  let rng = Rng.create ~seed:1 () in
-  List.iter
-    (fun receivers ->
-      let tree = Tree.random rng ~receivers ~max_children:4 in
-      Alcotest.(check int) "leaf count" receivers (Tree.receivers tree);
-      (* Every interior node has 2..4 children; ranges are consistent. *)
-      for v = 0 to Tree.node_count tree - 1 do
-        let kids = List.length (Tree.children tree v) in
-        Alcotest.(check bool) "fanout" true (kids = 0 || (kids >= 2 && kids <= 4));
-        let first, last = Tree.receiver_range tree v in
-        Alcotest.(check bool) "range nonempty" true (first <= last)
-      done)
-    [ 1; 2; 7; 64; 500 ]
-
-let test_single_receiver_tree () =
-  let tree = Tree.of_parents [| -1 |] in
-  Alcotest.(check int) "one node" 1 (Tree.node_count tree);
-  Alcotest.(check int) "one receiver" 1 (Tree.receivers tree);
-  Alcotest.(check (pair int int)) "range" (0, 0) (Tree.receiver_range tree 0)
-
-let test_uniform_node_loss () =
-  (* depth 2 leaf: path of 3 nodes; 1-(1-q)^3 = 0.01. *)
-  let q = Tree.uniform_node_loss small ~receiver:0 ~end_to_end:0.01 in
-  close "calibration" 0.01 (1.0 -. ((1.0 -. q) ** 3.0))
-
-let test_network_tree_loss_rate () =
-  let rng = Rng.create ~seed:2 () in
-  let tree = Tree.random rng ~receivers:256 ~max_children:3 in
-  let q = 0.002 in
-  let net = Network.tree (Rng.split rng) ~tree ~p_node:(fun _ -> q) in
-  Alcotest.(check int) "receivers" 256 (Network.receivers net);
-  (* Receiver 0's end-to-end loss = 1-(1-q)^(depth+1). *)
-  let depth = Tree.depth tree (Tree.leaf_of_receiver tree 0) in
-  let expected = 1.0 -. ((1.0 -. q) ** float_of_int (depth + 1)) in
-  let reps = 40_000 in
-  let losses = ref 0 in
-  for i = 0 to reps - 1 do
-    if Network.lost (Network.transmit net ~time:(float_of_int i)) 0 then incr losses
-  done;
-  let measured = float_of_int !losses /. float_of_int reps in
-  Alcotest.(check bool)
-    (Printf.sprintf "end-to-end %.4f ~ %.4f" measured expected)
-    true
-    (Float.abs (measured -. expected) < 0.25 *. expected +. 0.002)
-
-let test_network_tree_iter_matches_lost () =
-  let rng = Rng.create ~seed:3 () in
-  let tree = Tree.random rng ~receivers:64 ~max_children:3 in
-  let net = Network.tree (Rng.split rng) ~tree ~p_node:(fun _ -> 0.05) in
-  for i = 0 to 99 do
-    let tx = Network.transmit net ~time:(float_of_int i) in
-    let from_iter = Hashtbl.create 16 in
-    Network.iter_losers tx (fun r -> Hashtbl.replace from_iter r ());
-    for r = 0 to 63 do
-      Alcotest.(check bool) "agree" (Hashtbl.mem from_iter r) (Network.lost tx r)
-    done
-  done
-
-let test_network_tree_protocols_run () =
-  (* The TG machines work unchanged over arbitrary trees. *)
-  let rng = Rng.create ~seed:4 () in
-  let tree = Tree.random rng ~receivers:200 ~max_children:5 in
-  let net = Network.tree (Rng.split rng) ~tree ~p_node:(fun _ -> 0.01) in
-  let estimate =
-    Rmcast.Runner.estimate net ~k:7 ~scheme:(Rmcast.Runner.Integrated_nak { a = 0; codec = `Rse }) ~reps:100 ()
-  in
-  let m = Rmcast.Runner.mean_m estimate in
-  Alcotest.(check bool) (Printf.sprintf "sane E[M] %.3f" m) true (m >= 1.0 && m < 2.0)
 
 (* --- Gilbert-Elliott --- *)
 
@@ -226,17 +108,6 @@ let test_recommended_slot () =
 
 let suite =
   [
-    Alcotest.test_case "tree structure" `Quick test_structure;
-    Alcotest.test_case "leaf numbering" `Quick test_leaf_numbering;
-    Alcotest.test_case "receiver ranges" `Quick test_ranges;
-    Alcotest.test_case "paths and failures" `Quick test_paths;
-    Alcotest.test_case "of_parents validation" `Quick test_of_parents_validation;
-    Alcotest.test_case "random tree invariants" `Quick test_random_tree_invariants;
-    Alcotest.test_case "single receiver tree" `Quick test_single_receiver_tree;
-    Alcotest.test_case "uniform node loss" `Quick test_uniform_node_loss;
-    Alcotest.test_case "network tree loss rate" `Quick test_network_tree_loss_rate;
-    Alcotest.test_case "network tree iter = lost" `Quick test_network_tree_iter_matches_lost;
-    Alcotest.test_case "protocols over random tree" `Quick test_network_tree_protocols_run;
     Alcotest.test_case "gilbert-elliott rate" `Quick test_gilbert_elliott_rate;
     Alcotest.test_case "gilbert-elliott burstiness" `Quick test_gilbert_elliott_burstier_than_bernoulli;
     Alcotest.test_case "gilbert-elliott validation" `Quick test_gilbert_elliott_validation;

@@ -72,23 +72,32 @@ let test_validation () =
         (Udp.run_local_exn ~receivers:1 ~loss:1.0 ~seed:0
            ~data:(payloads ~count:1 ~size:Udp.default_config.Udp.payload_size 9)
            ()));
-  (* Profile rules the machine constructors enforce come back as [Error],
-     before any socket is opened. *)
+  (* Profile rules the machine constructors enforce, and fault specs the
+     shim would refuse, come back as [Error], before any socket is
+     opened. *)
   let data = payloads ~count:4 ~size:config.Udp.payload_size 10 in
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let refused name ~context run =
+    let before = open_fds () in
+    (match run () with
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error e -> Alcotest.(check string) (name ^ ": context") context e.Rmcast.Error.context);
+    Alcotest.(check int) (name ^ ": no socket opened") before (open_fds ())
+  in
   List.iter
-    (fun (name, config) ->
-      let before = open_fds () in
-      (match Udp.run_local ~config ~receivers:2 ~loss:0.0 ~seed:11 ~data () with
-      | Ok _ -> Alcotest.failf "%s accepted" name
-      | Error e ->
-        Alcotest.(check string) (name ^ ": context") "Udp_np.run_local" e.Rmcast.Error.context);
-      Alcotest.(check int) (name ^ ": no socket opened") before (open_fds ()))
+    (fun (name, config, faults) ->
+      refused name ~context:"Udp_np.run_local" (fun () ->
+          Udp.run_local ~config ?faults ~receivers:2 ~loss:0.0 ~seed:11 ~data ()))
     [
-      ("proactive > h", { config with proactive = 20 });
-      ("zero slot", { config with slot = 0.0 });
-      ("zero spacing", { config with spacing = 0.0 });
-    ]
+      ("proactive > h", { config with proactive = 20 }, None);
+      ("zero slot", { config with slot = 0.0 }, None);
+      ("zero spacing", { config with spacing = 0.0 }, None);
+      ("duplicate 1.5", config, Some { Rmcast.Fault.none with duplicate = 1.5 });
+      ("infinite delay", config, Some { Rmcast.Fault.none with delay = Some (0.0, infinity) });
+    ];
+  refused "run_multi duplicate 1.5" ~context:"Udp_np.run_multi" (fun () ->
+      Udp.run_multi ~config ~faults:{ Rmcast.Fault.none with duplicate = 1.5 } ~receivers:2
+        ~loss:0.0 ~seed:11 ~sessions:[| data |] ())
 
 let counter (report : Udp.report) name =
   match List.assoc_opt name report.Udp.counters with Some v -> v | None -> 0
