@@ -54,14 +54,21 @@ let run_e2 () =
 
 let run_e3 () =
   Harness.heading ~figure:103 "E3: NAKs per repair round vs slot size (R=10^4, k=20, p=0.01)";
-  let rng = Rng.create ~seed:103 () in
   let delay = 0.025 in
   let slot_counts = Feedback.slot_counts ~k:20 ~a:0 ~p:0.01 ~receivers:10_000 in
   let slots = [ 0.01; 0.025; 0.05; 0.1; 0.2; 0.4; 0.8 ] in
+  (* One generator per slot, seeded from the slot in ms: the pool may run
+     the cells on several domains, and a shared generator would make the
+     column depend on --jobs. *)
+  let rng_of_slot slot =
+    Rng.create ~seed:(103_000 + Float.to_int (Float.round (slot *. 1000.0))) ()
+  in
   let series =
     [
       Harness.series ~label:"naks-per-round" ~xs:slots ~f:(fun slot ->
-          (slot, Feedback.simulate_suppression rng ~slot_counts ~slot ~delay ~reps:2_000));
+          (slot,
+           Feedback.simulate_suppression (rng_of_slot slot) ~slot_counts ~slot ~delay
+             ~reps:2_000));
       Harness.series ~label:"latency-cost" ~xs:slots ~f:(fun slot ->
           (* worst-case slots traversed before the last NAK: volley size *)
           (slot, slot *. 20.0));

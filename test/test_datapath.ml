@@ -190,9 +190,10 @@ let test_drain_alloc_budget () =
 (* --- pooled datapath: bytes per datagram -------------------------------- *)
 
 (* One message through encode -> wire blit -> decode at a unicast fan-out
-   of 4, the way bench/packet_rate.exe's pooled arm moves it: one
-   [encode_into] into a pooled buffer shared by the fan-out, a persistent
-   recv scratch, and [decode_slice] straight out of it. *)
+   of 4, the way the UDP driver moves it: one [encode_into] into a pooled
+   buffer shared by the fan-out, a persistent receive buffer (standing in
+   for a slot of the [recvmmsg] ring, the blit for the kernel's copy), and
+   [decode_slice] straight out of it. *)
 let fanout = 4
 
 let data_msg =
@@ -247,8 +248,9 @@ let test_pooled_alloc_budget () =
 (* --- batched sockets: syscalls per datagram ------------------------------ *)
 
 (* Messages coalesced 32 to a frame, 4 frames per [sendmmsg] flush, unicast
-   to 8 loopback receivers drained through [recvmmsg] rings after every
-   flush: every kernel entry, drains included, over every delivered copy.
+   to 8 loopback receivers, each drained through {!Udp_np.drain} and its own
+   [recvmmsg] ring after every flush: every kernel entry, drains included,
+   over every delivered copy.
    The per-datagram path (one [sendto] per copy, one [recvfrom] per
    datagram) pays ~2; the batched path must stay under 0.5. *)
 let test_batched_syscalls_per_datagram () =
@@ -278,32 +280,18 @@ let test_batched_syscalls_per_datagram () =
     in
     let batch = Rmcast.Udp_batch.send_create () in
     let frames = Array.init frames_per_flush (fun _ -> Bytes.create Udp_np.max_datagram) in
-    let delivered = ref 0 and syscalls = ref 0 in
-    let rec walk buffer ~off ~len =
-      if off < len then
-        match Header.frame_length buffer ~off ~len:(len - off) with
-        | Error reason -> failwith ("frame walk: " ^ reason)
-        | Ok frame_len ->
-          (match Header.decode_slice buffer ~off ~len:frame_len with
-          | Ok _ -> incr delivered
-          | Error reason -> failwith ("batched decode: " ^ reason));
-          walk buffer ~off:(off + frame_len) ~len
-    in
+    let metrics = Rmcast.Metrics.create () in
+    let rx_syscalls = Rmcast.Metrics.counter metrics "syscalls"
+    and datagrams = Rmcast.Metrics.counter metrics "datagrams" in
+    let delivered = ref 0 and tx_syscalls = ref 0 and decode_errors = ref 0 in
     let drain_all () =
-      Array.iteri
-        (fun r rx ->
-          let ring = rings.(r) in
-          let continue = ref true in
-          while !continue do
-            incr syscalls;
-            let n = Rmcast.Udp_batch.recv_batch ring rx in
-            for i = 0 to n - 1 do
-              walk (Rmcast.Udp_batch.slot ring i) ~off:0
-                ~len:(Rmcast.Udp_batch.slot_len ring i)
-            done;
-            if n < Rmcast.Udp_batch.slots ring then continue := false
-          done)
-        rxs
+      Array.iter2
+        (fun ring rx ->
+          Udp_np.drain
+            ~on_decode_error:(fun () -> incr decode_errors)
+            ~ring ~syscalls:rx_syscalls ~datagrams rx
+            (fun _ _ -> incr delivered))
+        rings rxs
     in
     let i = ref 0 in
     while !i < messages do
@@ -322,7 +310,7 @@ let test_batched_syscalls_per_datagram () =
         Rmcast.Udp_batch.flush batch tx
       in
       Alcotest.(check int) "no send errors" 0 errors;
-      syscalls := !syscalls + flushed;
+      tx_syscalls := !tx_syscalls + flushed;
       drain_all ()
     done;
     let expected = messages * fanout in
@@ -333,8 +321,9 @@ let test_batched_syscalls_per_datagram () =
     done;
     Unix.close tx;
     Array.iter Unix.close rxs;
+    Alcotest.(check int) "no decode errors" 0 !decode_errors;
     Alcotest.(check int) "every copy delivered" expected !delivered;
-    float_of_int !syscalls /. float_of_int !delivered
+    float_of_int (!tx_syscalls + Rmcast.Metrics.count rx_syscalls) /. float_of_int !delivered
   in
   List.iter
     (fun (name, kind) ->
