@@ -212,9 +212,19 @@ let expected_m scheme ~k ~h ~a ~population =
   | `Integrated -> Rmcast.Integrated.expected_transmissions ~k ~h ~a ~population ()
   | `Integrated_bound -> Rmcast.Integrated.expected_transmissions_unbounded ~k ~a ~population ()
 
-(* The library rejects out-of-range parameters with [Invalid_argument];
-   report that as a usage error (exit 124), not an internal one. *)
-let usage_errors f = try f () with Invalid_argument msg -> `Error (false, msg)
+(* The library rejects out-of-range parameters with [Invalid_argument],
+   and a closed form whose series cannot converge (a loss probability
+   too close to 1) with [Did_not_converge]; report both as usage errors
+   (exit 124), not internal ones.  The model commands compute every value
+   before they print, so a refused one prints nothing on stdout. *)
+let usage_errors f =
+  try f () with
+  | Invalid_argument msg -> `Error (false, msg)
+  | Rmcast.Series.Did_not_converge _ ->
+    `Error
+      ( false,
+        "the loss probability is too close to 1 for the expectation series to converge \
+         within its term cap" )
 
 (* --- analyze --------------------------------------------------------- *)
 
@@ -222,16 +232,18 @@ let analyze scheme k h a p receivers high_fraction =
   usage_errors @@ fun () ->
   let population = population ~p ~receivers ~high_fraction in
   let m = expected_m scheme ~k ~h ~a ~population in
-  Printf.printf "E[M] = %.6f transmissions per data packet\n" m;
-  (match scheme with
-  | `Layered ->
-    Printf.printf "RM-layer residual loss q(k,n,p) = %.3e (raw p = %g)\n"
-      (Rmcast.Layered.rm_loss_probability ~k ~h ~p) p
-  | `Integrated_bound | `Integrated ->
-    Printf.printf "expected extra parities E[L] = %.4f, P(no repair round) = %.4f\n"
-      (Rmcast.Integrated.expected_extra ~k ~a ~population)
-      (Rmcast.Integrated.group_extra_cdf ~k ~a ~population 0)
-  | `No_fec -> ());
+  let detail =
+    match scheme with
+    | `Layered ->
+      Printf.sprintf "RM-layer residual loss q(k,n,p) = %.3e (raw p = %g)\n"
+        (Rmcast.Layered.rm_loss_probability ~k ~h ~p) p
+    | `Integrated_bound | `Integrated ->
+      Printf.sprintf "expected extra parities E[L] = %.4f, P(no repair round) = %.4f\n"
+        (Rmcast.Integrated.expected_extra ~k ~a ~population)
+        (Rmcast.Integrated.group_extra_cdf ~k ~a ~population 0)
+    | `No_fec -> ""
+  in
+  Printf.printf "E[M] = %.6f transmissions per data packet\n%s" m detail;
   `Ok ()
 
 let analyze_cmd =
@@ -881,18 +893,19 @@ let latency k h a p receivers spacing feedback_delay =
   usage_errors @@ fun () ->
   let population = Rmcast.Receivers.homogeneous ~p ~count:receivers in
   let timing = { Rmcast.Latency.spacing; feedback_delay } in
+  let rows =
+    [
+      ("no FEC", Rmcast.Latency.no_fec ~population ~k timing);
+      (Printf.sprintf "layered (k+%d)" h, Rmcast.Latency.layered ~population ~k ~h timing);
+      ("integrated", Rmcast.Latency.integrated ~population ~k timing ());
+    ]
+    @
+    if a = 0 then []
+    else [ (Printf.sprintf "integrated (a=%d)" a, Rmcast.Latency.integrated ~population ~k ~a timing ()) ]
+  in
   Printf.printf "Expected TG completion time [s], k = %d, p = %g, R = %d\n" k p receivers;
   Printf.printf "(packet spacing %g s, feedback delay %g s)\n" spacing feedback_delay;
-  Printf.printf "  %-22s %10.4f\n" "no FEC" (Rmcast.Latency.no_fec ~population ~k timing);
-  Printf.printf "  %-22s %10.4f\n"
-    (Printf.sprintf "layered (k+%d)" h)
-    (Rmcast.Latency.layered ~population ~k ~h timing);
-  Printf.printf "  %-22s %10.4f\n" "integrated"
-    (Rmcast.Latency.integrated ~population ~k timing ());
-  if a > 0 then
-    Printf.printf "  %-22s %10.4f\n"
-      (Printf.sprintf "integrated (a=%d)" a)
-      (Rmcast.Latency.integrated ~population ~k ~a timing ());
+  List.iter (fun (name, t) -> Printf.printf "  %-22s %10.4f\n" name t) rows;
   `Ok ()
 
 let latency_cmd =
@@ -919,21 +932,21 @@ let feedback k a p receivers slot delay seed =
   usage_errors @@ fun () ->
   let slot_counts = Rmcast.Feedback.slot_counts ~k ~a ~p ~receivers in
   let firers = Array.fold_left ( + ) 0 slot_counts in
-  Printf.printf "Round 1 of NP at k = %d, a = %d, p = %g, R = %d:\n" k a p receivers;
-  Printf.printf "  receivers needing repair : %d\n" firers;
-  Printf.printf "  slot occupancy           : [%s]\n"
-    (String.concat "; " (Array.to_list (Array.map string_of_int slot_counts)));
   let naks =
     Rmcast.Feedback.simulate_suppression
       (Rmcast.Rng.create ~seed ())
       ~slot_counts ~slot ~delay ~reps:5_000
   in
+  let single_window = Rmcast.Feedback.expected_naks_single_window ~firers ~window:slot ~delay in
+  let recommended = Rmcast.Feedback.recommended_slot ~delay in
+  Printf.printf "Round 1 of NP at k = %d, a = %d, p = %g, R = %d:\n" k a p receivers;
+  Printf.printf "  receivers needing repair : %d\n" firers;
+  Printf.printf "  slot occupancy           : [%s]\n"
+    (String.concat "; " (Array.to_list (Array.map string_of_int slot_counts)));
   Printf.printf "  expected NAKs (slot %.0f ms, delay %.0f ms): %.2f\n" (1000.0 *. slot)
     (1000.0 *. delay) naks;
-  Printf.printf "  without slotting (one window): %.2f\n"
-    (Rmcast.Feedback.expected_naks_single_window ~firers ~window:slot ~delay);
-  Printf.printf "  recommended slot for this delay: %.0f ms\n"
-    (1000.0 *. Rmcast.Feedback.recommended_slot ~delay);
+  Printf.printf "  without slotting (one window): %.2f\n" single_window;
+  Printf.printf "  recommended slot for this delay: %.0f ms\n" (1000.0 *. recommended);
   `Ok ()
 
 let feedback_cmd =
@@ -1045,18 +1058,22 @@ let replay_cmd =
 
 let capacity k p target =
   usage_errors @@ fun () ->
-  let show name rates_at =
-    let cap = Rmcast.Endhost.capacity ~rates_at ~target in
-    if cap >= 100_000_000 then Printf.printf "  %-16s unbounded (>= 10^8)\n" name
-    else Printf.printf "  %-16s R <= %d\n" name cap
+  let rows =
+    List.map
+      (fun (name, rates_at) ->
+        let cap = Rmcast.Endhost.capacity ~rates_at ~target in
+        if cap >= 100_000_000 then Printf.sprintf "  %-16s unbounded (>= 10^8)\n" name
+        else Printf.sprintf "  %-16s R <= %d\n" name cap)
+      [
+        ("N1", fun receivers -> Rmcast.Endhost_n1.n1 ~p ~receivers ());
+        ("N2", fun receivers -> Rmcast.Endhost.n2 ~p ~receivers ());
+        ("NP", fun receivers -> Rmcast.Endhost.np ~p ~k ~receivers ());
+        ("NP pre-encoded", fun receivers -> Rmcast.Endhost.np ~pre_encoded:true ~p ~k ~receivers ());
+      ]
   in
   Printf.printf "Largest group meeting %.1f pkts/s end-system throughput (p = %g, k = %d):\n"
     target p k;
-  show "N1" (fun receivers -> Rmcast.Endhost_n1.n1 ~p ~receivers ());
-  show "N2" (fun receivers -> Rmcast.Endhost.n2 ~p ~receivers ());
-  show "NP" (fun receivers -> Rmcast.Endhost.np ~p ~k ~receivers ());
-  show "NP pre-encoded" (fun receivers ->
-      Rmcast.Endhost.np ~pre_encoded:true ~p ~k ~receivers ());
+  List.iter print_string rows;
   `Ok ()
 
 let capacity_cmd =

@@ -1,21 +1,4 @@
 module Special = Rmc_numerics.Special
-module Series = Rmc_numerics.Series
-
-let cdf ~population i =
-  if i <= 0 then 0.0
-  else begin
-    let log_prod =
-      Receivers.log_product_cdf population (fun p ->
-          if p = 0.0 then 1.0 else 1.0 -. Special.pow_1m p i)
-    in
-    exp log_prod
-  end
-
-let expected_transmissions ~population =
-  Series.expectation_from_survival (fun i -> 1.0 -. cdf ~population i)
-
-let expected_transmissions_homogeneous ~p ~receivers =
-  expected_transmissions ~population:(Receivers.homogeneous ~p ~count:receivers)
 
 module Per_receiver = struct
   let cdf ~p m = if m <= 0 then 0.0 else 1.0 -. Special.pow_1m p m
@@ -31,3 +14,11 @@ module Per_receiver = struct
       ((mean ~p) -. p1 -. (2.0 *. p2)) /. gt2
     end
 end
+
+let cdf ~population = Receivers.group_cdf population (fun p -> Per_receiver.cdf ~p)
+
+let expected_transmissions ~population =
+  Receivers.expected_max population (fun p -> Per_receiver.cdf ~p)
+
+let expected_transmissions_homogeneous ~p ~receivers =
+  expected_transmissions ~population:(Receivers.homogeneous ~p ~count:receivers)

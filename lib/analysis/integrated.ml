@@ -1,50 +1,30 @@
 module Dist = Rmc_numerics.Dist
 module Series = Rmc_numerics.Series
-module Special = Rmc_numerics.Special
 
 let check k a =
   if k < 1 then invalid_arg "Integrated: k must be >= 1";
   if a < 0 then invalid_arg "Integrated: a must be >= 0"
 
-(* Per-class CDF tables for Lr, grown geometrically on demand so that a
-   series summation over m costs O(1) amortised per term per class. *)
-let group_extra_cdf ~k ~a ~population =
-  check k a;
-  let tables =
-    List.map
-      (fun (p, count) -> (p, count, ref (Dist.Negative_binomial.cdf_array ~k ~a ~p 63)))
-      (Receivers.to_classes population)
-  in
+(* P(Lr <= m) from a table grown geometrically on demand, so that a
+   series summation over m costs O(1) amortised per term. *)
+let extra_cdf ~k ~a p =
+  let table = ref (Dist.Negative_binomial.cdf_array ~k ~a ~p 63) in
   fun m ->
     if m < 0 then 0.0
     else begin
-      let log_prod =
-        List.fold_left
-          (fun acc (p, count, table) ->
-            if acc = neg_infinity then acc
-            else begin
-              let tbl =
-                if m < Array.length !table then !table
-                else begin
-                  let grown =
-                    Dist.Negative_binomial.cdf_array ~k ~a ~p
-                      (max ((2 * Array.length !table) - 1) m)
-                  in
-                  table := grown;
-                  grown
-                end
-              in
-              let c = tbl.(m) in
-              if c <= 0.0 then neg_infinity else acc +. (float_of_int count *. log c)
-            end)
-          0.0 tables
-      in
-      if log_prod = neg_infinity then 0.0 else exp log_prod
+      if m >= Array.length !table then
+        table :=
+          Dist.Negative_binomial.cdf_array ~k ~a ~p (max ((2 * Array.length !table) - 1) m);
+      !table.(m)
     end
 
+let group_extra_cdf ~k ~a ~population =
+  check k a;
+  Receivers.group_cdf population (extra_cdf ~k ~a)
+
 let expected_extra ~k ~a ~population =
-  let cdf = group_extra_cdf ~k ~a ~population in
-  Series.expectation_from_survival (fun m -> 1.0 -. cdf m)
+  check k a;
+  Receivers.expected_max population (extra_cdf ~k ~a)
 
 let expected_extra_conditional ~k ~a ~population ~cap =
   if cap < 0 then invalid_arg "Integrated.expected_extra_conditional: negative cap";
@@ -67,26 +47,12 @@ let expected_transmissions_unbounded ~k ?(a = 0) ~population () =
   let extra = expected_extra ~k ~a ~population in
   (extra +. float_of_int (k + a)) /. float_of_int k
 
-let blocks_cdf ~k ~h ~population i =
-  if i <= 0 then 0.0
-  else begin
-    let log_prod =
-      Receivers.log_product_cdf population (fun p ->
-          let q = Layered.rm_loss_probability ~k ~h ~p in
-          if q = 0.0 then 1.0 else 1.0 -. Special.pow_1m q i)
-    in
-    exp log_prod
-  end
-
-let expected_blocks ~k ~h ~population =
-  Series.expectation_from_survival (fun i -> 1.0 -. blocks_cdf ~k ~h ~population i)
-
 let expected_transmissions ~k ~h ?(a = 0) ~population () =
   check k a;
   if h < 0 then invalid_arg "Integrated.expected_transmissions: h must be >= 0";
   if a > h then invalid_arg "Integrated.expected_transmissions: a must be <= h";
   let n = k + h in
-  let blocks = expected_blocks ~k ~h ~population in
+  let blocks = Layered.expected_blocks ~k ~h ~population in
   let last_block_extra =
     if h = a then 0.0 else expected_extra_conditional ~k ~a ~population ~cap:(h - a)
   in
@@ -98,9 +64,6 @@ module Per_receiver = struct
   let cdf ~k ~a ~p m = Dist.Negative_binomial.cdf ~k ~a ~p m
 
   let mean ~k ~a ~p =
-    let cdf_table = ref (Dist.Negative_binomial.cdf_array ~k ~a ~p 63) in
-    Series.expectation_from_survival (fun m ->
-        if m >= Array.length !cdf_table then
-          cdf_table := Dist.Negative_binomial.cdf_array ~k ~a ~p ((2 * Array.length !cdf_table) - 1);
-        1.0 -. !cdf_table.(m))
+    let cdf = extra_cdf ~k ~a p in
+    Series.expectation_from_survival (fun m -> 1.0 -. cdf m)
 end

@@ -19,9 +19,9 @@
     expression; derivation in DESIGN.md §1). *)
 
 val group_extra_cdf : k:int -> a:int -> population:Receivers.t -> int -> float
-(** [P(L <= m)], memoised per call site: partially applied
-    [group_extra_cdf ~k ~a ~population] shares per-class tables across
-    successive [m]. *)
+(** [P(L <= m)] by {!Receivers.group_cdf}, memoised per call site:
+    partially applied [group_extra_cdf ~k ~a ~population] shares per-class
+    tables across successive [m]. *)
 
 val expected_extra : k:int -> a:int -> population:Receivers.t -> float
 (** [E[L]] (eq. 5). *)
@@ -41,10 +41,8 @@ val expected_transmissions :
 (** Finite parity budget [h] (so n = k + h), [a <= h] proactive parities:
     [E[M] = ((E[B]-1)*n + k + a + E[L | L <= h-a]) / k] with
     [E[B] = sum_{i>=0} (1 - prod_r (1 - q(k,n,p_r)^i))] the expected number
-    of FEC blocks an arbitrary packet passes through. *)
-
-val expected_blocks : k:int -> h:int -> population:Receivers.t -> float
-(** [E[B]] above. *)
+    of FEC blocks an arbitrary packet passes through
+    ({!Layered.expected_blocks}). *)
 
 module Per_receiver : sig
   (** The distribution of [Lr] (§3.2), re-exported from

@@ -1,33 +1,25 @@
-module Series = Rmc_numerics.Series
-module Special = Rmc_numerics.Special
-
 type timing = { spacing : float; feedback_delay : float }
 
-(* Expected number of rounds until every receiver holds every packet of a
-   TG when a round retransmits lost packets verbatim: per receiver,
-   P(Tr <= m) = (1 - p^m)^k, maximised over the population. *)
-let arq_rounds ~population ~k =
-  let group_cdf m =
-    if m <= 0 then 0.0
-    else
-      exp
-        (Receivers.log_product_cdf population (fun p ->
-             if p = 0.0 then 1.0
-             else Special.power_of_complement (Special.pow_1m p m) (float_of_int k)))
-  in
-  Series.expectation_from_survival (fun m -> 1.0 -. group_cdf m)
+(* Written so that NaN fails it too. *)
+let check_timing { spacing; feedback_delay } =
+  let ok x = x >= 0.0 && x < infinity in
+  if not (ok spacing && ok feedback_delay) then
+    invalid_arg "Latency: spacing and feedback_delay must be finite and >= 0"
 
 (* Expected packets retransmitted over all repair rounds of pure ARQ:
    every loss of a data packet costs one retransmission slot, summed over
-   rounds; that is E[M'] - 1 per packet, k (E[M'] - 1) per TG. *)
+   rounds; that is E[M'] - 1 per packet, k (E[M'] - 1) per TG.  Rounds
+   follow eq. (17): a round retransmits lost packets verbatim. *)
 let no_fec ~population ~k timing =
+  check_timing timing;
   let m = Arq.expected_transmissions ~population in
-  let rounds = arq_rounds ~population ~k in
+  let rounds = Rounds.expected_rounds ~population ~k in
   (float_of_int k *. timing.spacing)
   +. ((rounds -. 1.0) *. timing.feedback_delay)
   +. (float_of_int k *. (m -. 1.0) *. timing.spacing)
 
 let integrated ~population ~k ?(a = 0) timing () =
+  check_timing timing;
   let rounds = Rounds.expected_rounds ~population ~k in
   let extra = Integrated.expected_extra ~k ~a ~population in
   (float_of_int (k + a) *. timing.spacing)
@@ -35,19 +27,14 @@ let integrated ~population ~k ?(a = 0) timing () =
   +. (extra *. timing.spacing)
 
 let layered ~population ~k ~h timing =
+  check_timing timing;
   let n = k + h in
   (* Rounds at block granularity: a packet still missing after m blocks
      with probability q^m; every receiver must clear every packet. *)
-  let group_cdf m =
-    if m <= 0 then 0.0
-    else
-      exp
-        (Receivers.log_product_cdf population (fun p ->
-             let q = Layered.rm_loss_probability ~k ~h ~p in
-             if q = 0.0 then 1.0
-             else Special.power_of_complement (Special.pow_1m q m) (float_of_int k)))
+  let rounds =
+    Receivers.expected_max population (fun p ->
+        Rounds.per_receiver_cdf ~p:(Layered.rm_loss_probability ~k ~h ~p) ~k)
   in
-  let rounds = Series.expectation_from_survival (fun m -> 1.0 -. group_cdf m) in
   let m = Layered.expected_transmissions ~k ~h ~population in
   (* Total packets sent per TG = k * E[M]; the first block sends n of
      them, the rest ride in repair blocks separated by feedback delays. *)

@@ -14,6 +14,8 @@
     it. *)
 
 type timing = { spacing : float; feedback_delay : float }
+(** Seconds.  Each model raises [Invalid_argument] unless both fields are
+    finite and [>= 0] (NaN included). *)
 
 val no_fec : population:Receivers.t -> k:int -> timing -> float
 (** Expected completion time of pure ARQ: the initial volley plus one

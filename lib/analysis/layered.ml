@@ -1,6 +1,4 @@
 module Dist = Rmc_numerics.Dist
-module Special = Rmc_numerics.Special
-module Series = Rmc_numerics.Series
 
 let check_kh k h =
   if k < 1 then invalid_arg "Layered: k must be >= 1";
@@ -18,24 +16,15 @@ let rm_loss_probability ~k ~h ~p =
     p *. Dist.Binomial.survival ~n:(n - 1) ~p (n - k - 1)
   end
 
-let cdf ~k ~h ~population i =
-  if i <= 0 then 0.0
-  else begin
-    let log_prod =
-      Receivers.log_product_cdf population (fun p ->
-          let q = rm_loss_probability ~k ~h ~p in
-          if q = 0.0 then 1.0 else 1.0 -. Special.pow_1m q i)
-    in
-    exp log_prod
-  end
+(* One receiver clears a data packet within i blocks unless the RM layer
+   loses it i times running: geometric in q. *)
+let per_receiver_cdf ~k ~h p = Arq.Per_receiver.cdf ~p:(rm_loss_probability ~k ~h ~p)
+let cdf ~k ~h ~population = Receivers.group_cdf population (per_receiver_cdf ~k ~h)
+let expected_blocks ~k ~h ~population = Receivers.expected_max population (per_receiver_cdf ~k ~h)
 
 let expected_transmissions ~k ~h ~population =
   check_kh k h;
-  let n_over_k = float_of_int (k + h) /. float_of_int k in
-  let data_transmissions =
-    Series.expectation_from_survival (fun i -> 1.0 -. cdf ~k ~h ~population i)
-  in
-  n_over_k *. data_transmissions
+  float_of_int (k + h) /. float_of_int k *. expected_blocks ~k ~h ~population
 
 let expected_transmissions_homogeneous ~k ~h ~p ~receivers =
   expected_transmissions ~k ~h ~population:(Receivers.homogeneous ~p ~count:receivers)

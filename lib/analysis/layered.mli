@@ -24,3 +24,7 @@ val expected_transmissions_homogeneous : k:int -> h:int -> p:float -> receivers:
 val cdf : k:int -> h:int -> population:Receivers.t -> int -> float
 (** [P(M' <= i)]: distribution of the number of times an arbitrary data
     packet must be (re)transmitted (parity overhead not included). *)
+
+val expected_blocks : k:int -> h:int -> population:Receivers.t -> float
+(** [E[B] = E[M']], the FEC blocks an arbitrary data packet passes through;
+    also the first term of {!Integrated.expected_transmissions}. *)

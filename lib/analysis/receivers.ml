@@ -1,3 +1,5 @@
+module Series = Rmc_numerics.Series
+
 type t = { classes : (float * int) list; size : int }
 
 let validate_class (p, count) =
@@ -24,15 +26,23 @@ let size t = t.size
 let to_classes t = t.classes
 let max_p t = List.fold_left (fun acc (p, _) -> Float.max acc p) 0.0 t.classes
 
+(* ln (prod_r cdf_r m), folded in class order; [cdf p] is applied once
+   per class.  A class at 0 makes the product 0 without the rest. *)
 let log_product_cdf t cdf =
-  List.fold_left
-    (fun acc (p, count) ->
-      let c = cdf p in
-      if c < 0.0 || c > 1.0 then invalid_arg "Receivers.log_product_cdf: CDF outside [0,1]";
-      if c = 0.0 then neg_infinity
-      else acc +. (float_of_int count *. log c))
-    0.0 t.classes
+  let per_class = List.map (fun (p, count) -> (float_of_int count, cdf p)) t.classes in
+  let rec fold acc m = function
+    | [] -> acc
+    | (count, cdf) :: rest ->
+      let c = cdf m in
+      if c < 0.0 || c > 1.0 then invalid_arg "Receivers.group_cdf: CDF outside [0,1]";
+      if c = 0.0 then neg_infinity else fold (acc +. (count *. log c)) m rest
+  in
+  fun m -> fold 0.0 m per_class
 
-let product_survival t cdf =
-  let log_prod = log_product_cdf t cdf in
-  if log_prod = neg_infinity then 1.0 else -.Float.expm1 log_prod
+let group_cdf t cdf =
+  let log_cdf = log_product_cdf t cdf in
+  fun m -> exp (log_cdf m)
+
+let expected_max t cdf =
+  let log_cdf = log_product_cdf t cdf in
+  Series.expectation_from_survival (fun m -> 1.0 -. exp (log_cdf m))

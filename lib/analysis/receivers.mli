@@ -24,11 +24,16 @@ val size : t -> int
 val to_classes : t -> (float * int) list
 val max_p : t -> float
 
-val log_product_cdf : t -> (float -> float) -> float
-(** [log_product_cdf pop per_receiver_cdf] is
-    [ln (prod_r per_receiver_cdf p_r)] where the function is applied once per
-    class and raised to the class count — the building block of eqs. (7) and
-    (8). The per-receiver CDF values must be in [0, 1]. *)
+val group_cdf : t -> (float -> int -> float) -> int -> float
+(** [group_cdf pop cdf m = prod_r cdf p_r m]: the CDF of the group maximum
+    of independent per-receiver counts whose CDF at loss probability [p]
+    is [cdf p].  [cdf p] is applied once per class, so a class may keep a
+    table grown across successive [m]; the product is
+    [exp (sum count * log c)] in class order, 0 at the first class at 0.
+    @raise Invalid_argument if a per-receiver value lies outside [0, 1]. *)
 
-val product_survival : t -> (float -> float) -> float
-(** [1 - prod_r cdf(p_r)], stable when the product is close to 1. *)
+val expected_max : t -> (float -> int -> float) -> float
+(** [E[max_r X_r] = sum_{m>=0} (1 - group_cdf pop cdf m)]: every E[M] and
+    E[T] of the analysis is one per-receiver CDF handed to this function.
+    @raise Rmc_numerics.Series.Did_not_converge for a loss probability so
+    close to 1 that the sum outruns the series' term cap. *)

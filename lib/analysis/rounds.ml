@@ -25,9 +25,7 @@ let mean_rounds_given_gt2 ~p ~k =
     (expected_rounds_per_receiver ~p ~k -. p1 -. (2.0 *. p2)) /. gt2
   end
 
-let group_cdf ~population ~k m =
-  if m <= 0 then 0.0
-  else exp (Receivers.log_product_cdf population (fun p -> per_receiver_cdf ~p ~k m))
+let group_cdf ~population ~k = Receivers.group_cdf population (fun p -> per_receiver_cdf ~p ~k)
 
 let expected_rounds ~population ~k =
-  Series.expectation_from_survival (fun m -> 1.0 -. group_cdf ~population ~k m)
+  Receivers.expected_max population (fun p -> per_receiver_cdf ~p ~k)

@@ -16,12 +16,3 @@ let sum_survival ?(max_terms = 10_000_000) s =
   loop 0 0.0
 
 let expectation_from_survival = sum_survival
-
-let expectation_from_cdf_max ?max_terms ~r cdf =
-  let survival_of_max i =
-    let c = cdf i in
-    if c <= 0.0 then 1.0
-    else if c >= 1.0 then 0.0
-    else -.Float.expm1 (r *. log c)
-  in
-  sum_survival ?max_terms survival_of_max

@@ -20,9 +20,3 @@ val expectation_from_survival : ?max_terms:int -> (int -> float) -> float
 (** [expectation_from_survival s] is [E[X] = sum_{i>=0} P(X > i)] where
     [s i = P(X > i)]; alias of {!sum_survival} with the probabilistic
     reading made explicit at call sites. *)
-
-val expectation_from_cdf_max : ?max_terms:int -> r:float -> (int -> float) -> float
-(** [expectation_from_cdf_max ~r cdf] is [E[max of r iid copies]] for a
-    non-negative integer variable with per-copy CDF [cdf]:
-    [sum_{i>=0} (1 - cdf(i)^r)], with [cdf(i)^r] computed stably when
-    [cdf i] is close to 1 and [r] is huge. *)

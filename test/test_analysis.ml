@@ -35,10 +35,102 @@ let test_two_class_all_high () =
     (Receivers.to_classes population)
 
 let test_product_forms () =
-  (* log_product_cdf over two identical classes = count * log c. *)
+  (* Two classes at the same p multiply like one class of 5 receivers:
+     the product is c^5, and the survival sum of a CDF that reaches 1 at
+     m = 3 is 3 (1 - c^5). *)
   let population = Receivers.classes [ (0.1, 3); (0.1, 2) ] in
-  close "log product" (5.0 *. log 0.7) (Receivers.log_product_cdf population (fun _ -> 0.7));
-  close "survival" (1.0 -. (0.7 ** 5.0)) (Receivers.product_survival population (fun _ -> 0.7))
+  close "product" (0.7 ** 5.0) (Receivers.group_cdf population (fun _ _ -> 0.7) 0);
+  close "survival sum" (3.0 *. (1.0 -. (0.7 ** 5.0)))
+    (Receivers.expected_max population (fun _ m -> if m < 3 then 0.7 else 1.0))
+
+(* --- the group kernel --- *)
+
+(* [prod_r cdf p_r m], one factor per receiver. *)
+let explicit_product population cdf m =
+  List.fold_left
+    (fun acc (p, count) ->
+      let c = cdf p m in
+      let acc = ref acc in
+      for _ = 1 to count do
+        acc := !acc *. c
+      done;
+      !acc)
+    1.0 (Receivers.to_classes population)
+
+(* [sum_{m>=0} (1 - explicit_product m)], summed until the terms vanish. *)
+let explicit_expected_max population cdf =
+  let rec go m acc =
+    let term = 1.0 -. explicit_product population cdf m in
+    if term <= 1e-17 then acc +. term else go (m + 1) (acc +. term)
+  in
+  go 0 0.0
+
+(* A per-class table of [cdf p] grown on demand from empty, as the
+   integrated model stages P(Lr <= m): read at m in a random order, its
+   values must not depend on how it was grown. *)
+let staged cdf p =
+  let table = ref [||] in
+  fun m ->
+    if m >= Array.length !table then
+      table := Array.init (max (2 * Array.length !table) (m + 1)) (cdf p);
+    !table.(m)
+
+(* [Receivers.group_cdf] and [expected_max] against the product over every
+   receiver, for the three per-receiver laws the analysis hands them — the
+   geometric of ARQ, the rounds law of eq. (17) and the negative binomial
+   of integrated FEC — through the kernel directly (with staged tables)
+   and through each model's own group functions. *)
+let qcheck_group_kernel =
+  let gen =
+    QCheck.Gen.(
+      let p = frequency [ (1, return 0.0); (9, float_bound_inclusive 0.5) ] in
+      quad
+        (list_size (int_range 1 3) (pair p (int_range 1 50)))
+        (int_range 1 20) (int_range 0 3)
+        (shuffle_l (List.init 41 Fun.id)))
+  in
+  let print (classes, k, a, _) =
+    Printf.sprintf "classes [%s], k = %d, a = %d"
+      (String.concat "; " (List.map (fun (p, n) -> Printf.sprintf "%h x %d" p n) classes))
+      k a
+  in
+  QCheck.Test.make ~count:200 ~name:"group kernel = product over every receiver"
+    (QCheck.make ~print gen) (fun (classes, k, a, ms) ->
+      let population = Receivers.classes classes in
+      let families =
+        [
+          ( (fun p -> A.Per_receiver.cdf ~p),
+            A.cdf ~population,
+            A.expected_transmissions ~population );
+          ( (fun p -> Rounds.per_receiver_cdf ~p ~k),
+            Rounds.group_cdf ~population ~k,
+            Rounds.expected_rounds ~population ~k );
+          ( (fun p m -> I.Per_receiver.cdf ~k ~a ~p m),
+            I.group_extra_cdf ~k ~a ~population,
+            I.expected_extra ~k ~a ~population );
+        ]
+      in
+      let agree x y =
+        let d = Float.abs (x -. y) in
+        d <= 1e-12 *. Float.max (Float.abs x) (Float.abs y) || d < Float.min_float
+      in
+      (* Each survival term 1 - prod carries a rounding error of about one
+         ulp of 1 whichever way the product is formed, so an E[L] of 5e-8
+         (p ~ 4e-4) agrees to 1e-16 absolute, not to 1e-9 relative:
+         compare within 1e-9, relative once the expectation passes 1. *)
+      let within_1e9 x expected = Float.abs (x -. expected) <= 1e-9 *. Float.max 1.0 expected in
+      List.for_all
+        (fun (cdf, model_group, model_expected) ->
+          let kernel = Receivers.group_cdf population (staged cdf) in
+          let expected = explicit_expected_max population cdf in
+          List.for_all
+            (fun m ->
+              let product = explicit_product population cdf m in
+              agree product (kernel m) && agree product (model_group m))
+            ms
+          && within_1e9 (Receivers.expected_max population cdf) expected
+          && within_1e9 model_expected expected)
+        families)
 
 (* --- no-FEC (ARQ) --- *)
 
@@ -388,4 +480,4 @@ let test_endhost_capacity () =
 
 let capacity_suite = [ Alcotest.test_case "endhost capacity solver" `Quick test_endhost_capacity ]
 
-let suite = base_suite @ capacity_suite
+let suite = base_suite @ capacity_suite @ [ QCheck_alcotest.to_alcotest qcheck_group_kernel ]

@@ -77,6 +77,35 @@ let test_completion_time_accumulated () =
   close "lossless completion = one volley" (5.0 *. 0.04)
     (Rmcast.Stats.Accumulator.mean estimate.Runner.completion_time)
 
+let test_bad_timing_rejected () =
+  (* A negative or NaN spacing or feedback delay would print a negative
+     or meaningless time; every model refuses it. *)
+  let population = pop 10 in
+  let models =
+    [
+      ("no FEC", fun timing -> Latency.no_fec ~population ~k:7 timing);
+      ("layered", fun timing -> Latency.layered ~population ~k:7 ~h:1 timing);
+      ("integrated", fun timing -> Latency.integrated ~population ~k:7 timing ());
+    ]
+  in
+  let bad =
+    [
+      ("negative spacing", { timing with Latency.spacing = -1.0 });
+      ("negative delay", { timing with Latency.feedback_delay = -1.0 });
+      ("NaN spacing", { timing with Latency.spacing = Float.nan });
+      ("NaN delay", { timing with Latency.feedback_delay = Float.nan });
+    ]
+  in
+  List.iter
+    (fun (model, f) ->
+      List.iter
+        (fun (what, t) ->
+          Alcotest.check_raises (model ^ ": " ^ what)
+            (Invalid_argument "Latency: spacing and feedback_delay must be finite and >= 0")
+            (fun () -> ignore (f t)))
+        bad)
+    models
+
 let suite =
   [
     Alcotest.test_case "lossless floors" `Quick test_lossless_floor;
@@ -86,4 +115,5 @@ let suite =
     Alcotest.test_case "model vs sim: no-FEC" `Quick test_model_matches_simulation_no_fec;
     Alcotest.test_case "model vs sim: integrated" `Quick test_model_matches_simulation_integrated;
     Alcotest.test_case "runner accumulates completion time" `Quick test_completion_time_accumulated;
+    Alcotest.test_case "negative or NaN timing rejected" `Quick test_bad_timing_rejected;
   ]

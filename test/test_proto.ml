@@ -488,7 +488,11 @@ let test_golden_tg_tiers () =
    [faults] is no command: [serve --transport udp --faults] injects faults
    into a real run.  A payload past one datagram and a message of more TGs
    than the 16-bit wire index numbers are refused before anything runs,
-   on the simulator as on UDP. *)
+   on the simulator as on UDP.  A loss probability so close to 1 that a
+   closed form's series cannot converge, a negative timing or proactive
+   parity count and a zero capacity target are usage errors too; a refused model command
+   ([model_commands]) prints nothing on stdout, not a heading or its
+   first rows. *)
 let bad_cli_inputs =
   [
     "simulate --reps 0";
@@ -529,7 +533,17 @@ let bad_cli_inputs =
     "plan --target nan";
     "simulate --burst nan";
     "trace record trace.bin --burst nan";
+    "analyze -p 0.999999";
+    "latency -p 0.999999";
+    "endhost -p 0.999999";
+    "latency --spacing=-1";
+    "latency --feedback-delay=-1";
+    "latency --proactive=-1";
+    "capacity --target 0";
+    "feedback --slot=-1";
   ]
+
+let model_commands = [ "analyze"; "sweep"; "latency"; "feedback"; "plan"; "endhost"; "capacity" ]
 
 let contains s sub =
   let n = String.length sub in
@@ -544,11 +558,12 @@ let test_cli_usage_errors () =
   let dir = Filename.temp_dir "rmc-cli" "" in
   Out_channel.with_open_text (Filename.concat dir "input.txt") (fun oc ->
       output_string oc "hello, multicast\n");
+  let stdout_log = Filename.concat dir "stdout.log" in
   let stderr_log = Filename.concat dir "stderr.log" in
   let run args =
     Sys.command
-      (Printf.sprintf "cd %s && %s %s > /dev/null 2> %s" (Filename.quote dir)
-         (Filename.quote rmc) args (Filename.quote stderr_log))
+      (Printf.sprintf "cd %s && %s %s > %s 2> %s" (Filename.quote dir) (Filename.quote rmc) args
+         (Filename.quote stdout_log) (Filename.quote stderr_log))
   in
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
   let write name contents =
@@ -572,7 +587,10 @@ let test_cli_usage_errors () =
       let stderr = In_channel.with_open_text stderr_log In_channel.input_all in
       Alcotest.(check int) (args ^ ": exit status") 124 status;
       Alcotest.(check bool) (args ^ ": no internal error") false
-        (contains stderr "internal error"))
+        (contains stderr "internal error");
+      if List.mem (List.hd (String.split_on_char ' ' args)) model_commands then
+        Alcotest.(check string) (args ^ ": nothing on stdout") ""
+          (In_channel.with_open_text stdout_log In_channel.input_all))
     bad_cli_inputs;
   (* A payload the simulator admits but one UDP datagram cannot carry: the
      error names the transport's bound, not only the exit status. *)

@@ -24,20 +24,6 @@ let test_expectation_constant_rv () =
   close "E constant" 5.0
     (Series.expectation_from_survival (fun i -> if i < 5 then 1.0 else 0.0))
 
-let test_cdf_max_r1 () =
-  (* max of one copy = the variable itself *)
-  let cdf i = if i < 0 then 0.0 else 1.0 -. (0.5 ** float_of_int (i + 1)) in
-  close "max r=1" 1.0 (Series.expectation_from_cdf_max ~r:1.0 cdf)
-
-let test_cdf_max_grows_with_r () =
-  let cdf i = if i < 0 then 0.0 else 1.0 -. (0.5 ** float_of_int (i + 1)) in
-  let e1 = Series.expectation_from_cdf_max ~r:1.0 cdf in
-  let e10 = Series.expectation_from_cdf_max ~r:10.0 cdf in
-  let e100 = Series.expectation_from_cdf_max ~r:100.0 cdf in
-  Alcotest.(check bool) "monotone in r" true (e1 < e10 && e10 < e100);
-  (* E[max of r geometrics(1/2)] ~ log2 r *)
-  Alcotest.(check bool) "log growth" true (e100 -. e10 < 2.0 *. (e10 -. e1) +. 1.0)
-
 let test_divergence_detected () =
   Alcotest.(check bool) "raises" true
     (match Series.sum_survival ~max_terms:1000 (fun _ -> 1.0) with
@@ -138,8 +124,6 @@ let suite =
     Alcotest.test_case "geometric series" `Quick test_geometric_sum;
     Alcotest.test_case "E[geometric] from survival" `Quick test_expectation_geometric_rv;
     Alcotest.test_case "E[constant] from survival" `Quick test_expectation_constant_rv;
-    Alcotest.test_case "max-CDF with r=1" `Quick test_cdf_max_r1;
-    Alcotest.test_case "max-CDF grows like log r" `Quick test_cdf_max_grows_with_r;
     Alcotest.test_case "divergence detected" `Quick test_divergence_detected;
     Alcotest.test_case "negative terms rejected" `Quick test_negative_term_rejected;
     Alcotest.test_case "accumulator textbook data" `Quick test_accumulator_known;
