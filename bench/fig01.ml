@@ -17,27 +17,35 @@ let redundancies () =
 
 let measure_point ~k ~h =
   let rng = Rng.create ~seed:(k * 1000 + h) () in
-  let codec = Rse.create ~k ~h () in
+  let codec = Codec.of_kind `Rse in
   let data = Array.init k (fun _ -> Bytes.init packet_size (fun _ -> Char.chr (Rng.int rng 256))) in
+  let encode () =
+    let sender = Fec_block.Sender.create ~codec ~h data in
+    Fec_block.Sender.precompute sender;
+    sender
+  in
   let encode_time =
     Harness.seconds_per_run ~name:(Printf.sprintf "encode k=%d h=%d" k h) (fun () ->
-        ignore (Rse.encode codec data))
+        ignore (encode ()))
   in
   (* Decode with l = min h k data packets lost (the paper's "h out of every
      k data packets are lost"), repaired from parities. *)
   let losses = min h k in
-  let parities = Rse.encode codec data in
+  let sender = encode () in
   let received =
     Array.append
       (Array.of_seq
          (Seq.filter_map
             (fun i -> if i < losses then None else Some (i, data.(i)))
             (Seq.init k Fun.id)))
-      (Array.init losses (fun j -> (k + j, parities.(j))))
+      (Array.init losses (fun j -> (k + j, Fec_block.Sender.parity sender j)))
   in
   let decode_time =
     Harness.seconds_per_run ~name:(Printf.sprintf "decode k=%d h=%d" k h) (fun () ->
-        ignore (Rse.decode codec received))
+        let receiver = Fec_block.Receiver.create ~codec ~k ~h in
+        Array.iter (fun (index, payload) -> ignore (Fec_block.Receiver.add receiver ~index payload))
+          received;
+        ignore (Fec_block.Receiver.decode receiver))
   in
   (* Data packets processed per second of coding work. *)
   (float_of_int k /. encode_time, float_of_int k /. decode_time)

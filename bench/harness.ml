@@ -61,23 +61,6 @@ let finish () =
   if !failures > 0 then exit 1;
   if !smoke then print_endline "bench-smoke ok"
 
-(* --- spread --------------------------------------------------------------- *)
-
-(* One quantity measured over a bench's trials, in the BENCH_*.json ledger
-   schema: the median and the interquartile range q1-q3. *)
-type spread = { median : float; q1 : float; q3 : float }
-
-let spread samples =
-  let xs = Array.of_list samples in
-  let at = Rmcast.Stats.quantile xs in
-  { median = at 0.5; q1 = at 0.25; q3 = at 0.75 }
-
-(* [spread_json "mbps" s] is the JSON fields
-   ["mbps": median, "mbps_q1": q1, "mbps_q3": q3]. *)
-let spread_json name s =
-  Printf.sprintf "%S: %.1f, %S: %.1f, %S: %.1f" name s.median (name ^ "_q1") s.q1
-    (name ^ "_q3") s.q3
-
 (* --- run context ---------------------------------------------------------- *)
 
 (* The checkout's revision ([git describe --always --dirty], so a tree with
@@ -109,14 +92,6 @@ let timed f =
   let t0 = Unix.gettimeofday () in
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
-
-(* Repeat [f] until [quota] seconds elapse, returning seconds per call. *)
-let mean_seconds ~quota f =
-  f () (* warm up: first call builds tables and pools *);
-  let (), calibration = timed f in
-  let reps = max 1 (int_of_float (quota /. Float.max 1e-9 calibration)) in
-  let (), t = timed (fun () -> for _ = 1 to reps do f () done) in
-  t /. float_of_int reps
 
 (* Bechamel microbenchmark: OLS estimate of seconds per run. *)
 let seconds_per_run ~name f =

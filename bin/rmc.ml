@@ -521,18 +521,18 @@ let codec_encode input output k h payload_size =
     let base = tg_id * k in
     let len = min k (Array.length packets - base) in
     let data = Array.sub packets base len in
-    let codec = Rmcast.Rse.create ~k:len ~h () in
+    let block = Rmcast.Fec_block.Sender.create ~codec:(Rmcast.Codec.of_kind `Rse) ~h data in
     Array.iteri
       (fun index payload ->
         Buffer.add_bytes buffer
           (Rmcast.Header.encode (Rmcast.Header.Data { tg_id; k = len; index; payload })))
       data;
-    Array.iteri
-      (fun index payload ->
+    List.iter
+      (fun (index, payload) ->
         Buffer.add_bytes buffer
           (Rmcast.Header.encode
              (Rmcast.Header.Parity { tg_id; k = len; index; round = 0; payload })))
-      (Rmcast.Rse.encode codec data)
+      (Rmcast.Fec_block.Sender.next_parities block h)
   done;
   write_file output (Buffer.contents buffer);
   Printf.printf "%s: %d bytes -> %s: %d packets in %d TGs (k=%d, h=%d)\n" input

@@ -12,20 +12,25 @@ let () =
   (* --- 1. Erasure coding --------------------------------------------- *)
   let rng = Rmcast.Rng.create ~seed:2026 () in
   let k = 7 and h = 3 in
-  let codec = Rmcast.Rse.create ~k ~h () in
+  let codec = Rmcast.Codec.of_kind `Rse in
   let data =
     Array.init k (fun i ->
         Bytes.of_string (Printf.sprintf "packet %d: %s" i (String.make 20 (Char.chr (65 + i)))))
   in
-  let parities = Rmcast.Rse.encode codec data in
+  let sender = Rmcast.Fec_block.Sender.create ~codec ~h data in
+  Rmcast.Fec_block.Sender.precompute sender;
   Printf.printf "Encoded a (%d,%d) FEC block: %d data + %d parity packets.\n" k (k + h) k h;
 
   (* Lose data packets 1, 4 and 6 — any k of the n packets suffice. *)
+  let parity j = Rmcast.Fec_block.Sender.parity sender j in
   let received =
     [ (0, data.(0)); (2, data.(2)); (3, data.(3)); (5, data.(5));
-      (7, parities.(0)); (8, parities.(1)); (9, parities.(2)) ]
+      (7, parity 0); (8, parity 1); (9, parity 2) ]
   in
-  let decoded = Rmcast.Rse.decode codec (Array.of_list received) in
+  let receiver = Rmcast.Fec_block.Receiver.create ~codec ~k ~h in
+  List.iter (fun (index, payload) -> ignore (Rmcast.Fec_block.Receiver.add receiver ~index payload))
+    received;
+  let decoded = Rmcast.Fec_block.Receiver.decode receiver in
   assert (Array.for_all2 Bytes.equal decoded data);
   Printf.printf "Lost packets 1, 4, 6; reconstructed all %d from %d survivors.\n\n" k
     (List.length received);

@@ -28,6 +28,12 @@ let plan ~k ~p ~receivers ?(target_single_round = 0.9) () =
     else find_proactive (a + 1)
   in
   let proactive = find_proactive 0 in
+  (* Before the budget walk: where the loss probability is so close to 1
+     that this series cannot converge, it refuses at once, while the walk
+     would first creep through every budget. *)
+  let expected_m =
+    Analysis.Integrated.expected_transmissions_unbounded ~k ~a:proactive ~population ()
+  in
   (* Smallest budget h >= proactive with P(L > h - proactive) below the
      residual: the probability that a TG ever exhausts its parities. *)
   let cdf = Analysis.Integrated.group_extra_cdf ~k ~a:proactive ~population in
@@ -39,8 +45,7 @@ let plan ~k ~p ~receivers ?(target_single_round = 0.9) () =
     k;
     proactive;
     budget;
-    expected_m =
-      Analysis.Integrated.expected_transmissions_unbounded ~k ~a:proactive ~population ();
+    expected_m;
     single_round_probability = single_round proactive;
   }
 

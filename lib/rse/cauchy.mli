@@ -10,9 +10,10 @@
     no O(k^3) systematisation step is paid at construction time (useful
     when codecs are built per-connection for many different (k, h)).
 
-    Same interface and wire compatibility (any k of n packets decode) as
-    {!Rse}; the parity {e values} differ between constructions, so encoder
-    and decoder must agree on the construction. *)
+    Same guarantee (any k of n packets decode) as {!Rse}, and like it
+    only a generator: {!Fec_block} over [`Cauchy] encodes and decodes.
+    The parity {e values} differ between constructions, so encoder and
+    decoder must agree on the construction. *)
 
 type t
 
@@ -20,15 +21,5 @@ val create : ?field:Rmc_gf.Gf.t -> k:int -> h:int -> unit -> t
 (** Requires [k >= 1], [h >= 0], [k + h <= 2^m - 1] (the Cauchy points
     need k + h distinct field elements, which this bound guarantees). *)
 
-val k : t -> int
-val h : t -> int
-val n : t -> int
-val generator_row : t -> int -> int array
 val parity_row : t -> int -> Bytes.t
 (** Generator row [k + j] as a fresh row of symbols, as {!Rse.parity_row}. *)
-
-val encode : t -> Bytes.t array -> Bytes.t array
-val encode_parity : t -> Bytes.t array -> int -> Bytes.t
-val decode : t -> (int * Bytes.t) array -> Bytes.t array
-val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
-val is_mds_subset : t -> int array -> bool

@@ -12,7 +12,6 @@
    loss pattern: an elimination costs what the losses it repairs cost. *)
 
 module Gf = Rmc_gf.Gf
-module Gmatrix = Rmc_matrix.Gmatrix
 
 (* {1 Symbol rows}
 
@@ -189,21 +188,15 @@ module Elimination = struct
     Array.copy d.payloads
 end
 
-(* {1 Block codecs} *)
+(* {1 Block codecs}
 
-type t = {
-  label : string;
-  field : Gf.t;
-  k : int;
-  h : int;
-  generator : Gmatrix.t; (* n x k, top block identity *)
-  parity_rows : Bytes.t array; (* h symbol rows: generator rows k..n-1 *)
-}
+   A systematic block codec is only its parity rows: generator rows
+   k..n-1, each a row of k symbols.  Rows 0..k-1 are the identity and
+   never stored. *)
 
-let make ~label ~field ~k ~h ~generator =
-  assert (Gmatrix.rows generator = k + h && Gmatrix.cols generator = k);
-  let parity_rows = Array.init h (fun j -> symbol_row field (Gmatrix.row generator (k + j))) in
-  { label; field; k; h; generator; parity_rows }
+type t = Bytes.t array
+
+let make ~field rows = Array.map (symbol_row field) rows
 
 let check_dimensions ~label ~field ~k ~h =
   (* Reject fields without vector kernels up front. *)
@@ -239,17 +232,7 @@ let memo_create ~label ~field ~k ~h build =
       Mutex.unlock memo_mutex;
       raise e)
 
-let label t = t.label
-let field t = t.field
-let k t = t.k
-let h t = t.h
-let n t = t.k + t.h
-let generator_row t e = Gmatrix.row t.generator e
-
-let parity_row t j = Bytes.copy t.parity_rows.(j)
-
-let decoder t =
-  Elimination.make ~label:t.label ~field:t.field ~k:t.k ~h:t.h ~repair_row:(parity_row t)
+let parity_row t j = Bytes.copy t.(j)
 
 (* {1 Encoding}
 
@@ -264,70 +247,3 @@ let combine field ~row data =
     if coeff <> 0 then Gf.mul_add_into_symbols field ~dst:out ~src:data.(c) ~coeff
   done;
   out
-
-let encode_parity t data j =
-  if Array.length data <> t.k then
-    invalid_arg (t.label ^ ".encode_parity: expected k data packets");
-  if j < 0 || j >= t.h then invalid_arg (t.label ^ ".encode_parity: parity index out of range");
-  let len = Bytes.length data.(0) in
-  Array.iter
-    (fun p ->
-      if Bytes.length p <> len then
-        invalid_arg (t.label ^ ".encode_parity: unequal packet lengths"))
-    data;
-  combine t.field ~row:t.parity_rows.(j) data
-
-let encode t data = Array.init t.h (encode_parity t data)
-
-(* {1 Decoding}
-
-   The batch form of the elimination decoder: data packets first (unit
-   pivots, kept by reference), then parities in arrival order until the
-   decoder completes. *)
-
-let decode t received =
-  let count = Array.length received in
-  if count < t.k then invalid_arg (t.label ^ ".decode: fewer than k packets received");
-  let len = Bytes.length (snd received.(0)) in
-  let total = n t in
-  let seen = Array.make total false in
-  for i = 0 to count - 1 do
-    let index, payload = received.(i) in
-    if Bytes.length payload <> len then invalid_arg (t.label ^ ".decode: unequal packet lengths");
-    if index < 0 || index >= total then invalid_arg (t.label ^ ".decode: index out of range");
-    if seen.(index) then invalid_arg (t.label ^ ".decode: duplicate packet index");
-    seen.(index) <- true
-  done;
-  let d = decoder t in
-  for i = 0 to count - 1 do
-    let index, payload = received.(i) in
-    if index < t.k then ignore (Elimination.add d ~index payload)
-  done;
-  for i = 0 to count - 1 do
-    let index, payload = received.(i) in
-    if index >= t.k then ignore (Elimination.add d ~index payload)
-  done;
-  if not (Elimination.complete d) then failwith (t.label ^ ".decode: singular system");
-  Elimination.decode d
-
-let decode_data_loss t ~data ~parity =
-  if Array.length data <> t.k then
-    invalid_arg (t.label ^ ".decode_data_loss: expected k data slots");
-  let received = ref [] in
-  Array.iteri
-    (fun index slot ->
-      match slot with Some payload -> received := (index, payload) :: !received | None -> ())
-    data;
-  List.iter
-    (fun (j, payload) ->
-      if j < 0 || j >= t.h then
-        invalid_arg (t.label ^ ".decode_data_loss: parity index out of range");
-      received := (t.k + j, payload) :: !received)
-    parity;
-  decode t (Array.of_list (List.rev !received))
-
-let is_mds_subset t indices =
-  if Array.length indices <> t.k then
-    invalid_arg (t.label ^ ".is_mds_subset: expected k indices");
-  let system = Gmatrix.submatrix_rows t.generator indices in
-  match Gmatrix.invert system with _ -> true | exception Failure _ -> false

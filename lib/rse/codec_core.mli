@@ -5,13 +5,16 @@
     loop {!combine}; decoding is the one incremental Gaussian
     elimination of {!Elimination}.
 
+    {!Fec_block} is the one way to encode and decode a GF(2^8) block; a
+    GF(2^16) block ([Rse.create ~field]) is driven through {!combine}
+    and {!Elimination} directly.
+
     Internal module — each public codec wraps it with its own generator
     construction and error-message prefix.  Nothing is cached per loss
     pattern and nothing is recycled between decodes; the only shared
     state is the process-wide construction memo. *)
 
 module Gf = Rmc_gf.Gf
-module Gmatrix = Rmc_matrix.Gmatrix
 
 (** {1 The elimination decoder} *)
 
@@ -69,16 +72,18 @@ module Elimination : sig
 end
 
 type t
-(** A systematic block codec over a fixed generator.  Immutable, so one
-    instance may be shared freely across domains and sessions. *)
+(** The parity rows of a systematic block codec, whose generator's top
+    [k x k] block is the identity.  Immutable, so one instance may be
+    shared freely across domains and sessions. *)
 
-val make : label:string -> field:Gf.t -> k:int -> h:int -> generator:Gmatrix.t -> t
-(** Wrap an [(k+h) x k] generator whose top block is the identity.
-    [label] prefixes every error message ("Rse", "Cauchy", ...). *)
+val make : field:Gf.t -> int array array -> t
+(** [make ~field rows] wraps the [h] parity rows (generator rows [k] to
+    [k + h - 1]), each of [k] symbols of [field]. *)
 
 val check_dimensions : label:string -> field:Gf.t -> k:int -> h:int -> unit
 (** @raise Invalid_argument if [k < 1], [h < 0], or [k + h] exceeds the
-    [2^m - 1] codeword positions of [field]. *)
+    [2^m - 1] codeword positions of [field].  [label] prefixes the
+    message ("Rse", "Cauchy"). *)
 
 val memo_create : label:string -> field:Gf.t -> k:int -> h:int -> (unit -> t) -> t
 (** [memo_create ~label ~field ~k ~h build] returns the process-wide
@@ -87,19 +92,6 @@ val memo_create : label:string -> field:Gf.t -> k:int -> h:int -> (unit -> t) ->
     the generator — protocol layers used to pay that on every transfer;
     with the memo, N concurrent sessions with the same geometry share
     one codec. *)
-
-(** {1 Accessors} *)
-
-val label : t -> string
-val field : t -> Gf.t
-val k : t -> int
-val h : t -> int
-
-val n : t -> int
-(** [k + h], the codeword length. *)
-
-val generator_row : t -> int -> int array
-(** Row [e] of the generator, [0 <= e < n]. *)
 
 val parity_row : t -> int -> Bytes.t
 (** A fresh, owned symbol row of parity [j] ([0 <= j < h]): generator
@@ -112,32 +104,3 @@ val combine : Gf.t -> row:Bytes.t -> Bytes.t array -> Bytes.t
     over the equal-length packets [data], freshly allocated: the one
     encoder loop every linear codec shares.  [row] holds
     [Array.length data] symbols of [field] and is only read. *)
-
-val encode_parity : t -> Bytes.t array -> int -> Bytes.t
-(** [encode_parity t data j] computes parity packet [j] ([0 <= j < h])
-    from the [k] equal-length data packets. *)
-
-val encode : t -> Bytes.t array -> Bytes.t array
-(** All [h] parity packets. *)
-
-(** {1 Decoding} *)
-
-val decoder : t -> Elimination.t
-(** An empty elimination decoder over this codec's generator. *)
-
-val decode : t -> (int * Bytes.t) array -> Bytes.t array
-(** Feed the received [(index, payload)] pairs to a fresh {!decoder},
-    data packets first (their rows are unit vectors), then parities in
-    arrival order until it completes, and return its decode.  Present
-    data packets are returned by reference.
-    @raise Invalid_argument on fewer than [k] packets, out-of-range or
-    duplicate indices, or unequal payload lengths.
-    @raise Failure if the packets do not span the data (a non-MDS
-    pattern, which no generator built here has). *)
-
-val decode_data_loss : t -> data:Bytes.t option array -> parity:(int * Bytes.t) list -> Bytes.t array
-(** Convenience wrapper: [data] has one slot per data index ([None] =
-    lost), [parity] lists received parity packets by parity index. *)
-
-val is_mds_subset : t -> int array -> bool
-(** Whether the [k] given codeword indices form an invertible system. *)

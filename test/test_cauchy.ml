@@ -1,20 +1,9 @@
 module Cauchy = Rmcast.Cauchy
-module Rse = Rmcast.Rse
 module Rng = Rmcast.Rng
+module Fec_block = Rmcast.Fec_block
 
-let random_data rng ~k ~size =
-  Array.init k (fun _ -> Bytes.init size (fun _ -> Char.chr (Rng.int rng 256)))
-
-let roundtrip codec data lost =
-  let parities = Cauchy.encode codec data in
-  let received = ref [] in
-  Array.iteri (fun i d -> if not (List.mem i lost) then received := (i, d) :: !received) data;
-  Array.iteri
-    (fun j p ->
-      let index = Cauchy.k codec + j in
-      if not (List.mem index lost) then received := (index, p) :: !received)
-    parities;
-  Cauchy.decode codec (Array.of_list !received)
+let random_data = Test_rse.random_data
+let roundtrip = Test_rse.roundtrip ~kind:`Cauchy
 
 let check_equal name expected actual =
   Array.iteri
@@ -24,51 +13,35 @@ let check_equal name expected actual =
 
 let test_roundtrip_basic () =
   let rng = Rng.create ~seed:1 () in
-  let codec = Cauchy.create ~k:7 ~h:3 () in
   let data = random_data rng ~k:7 ~size:100 in
-  check_equal "drop 3 data" data (roundtrip codec data [ 0; 3; 6 ]);
-  check_equal "drop parities" data (roundtrip codec data [ 7; 8; 9 ]);
-  check_equal "mixed" data (roundtrip codec data [ 1; 8 ])
+  check_equal "drop 3 data" data (roundtrip ~h:3 data [ 0; 3; 6 ]);
+  check_equal "drop parities" data (roundtrip ~h:3 data [ 7; 8; 9 ]);
+  check_equal "mixed" data (roundtrip ~h:3 data [ 1; 8 ])
 
 let test_exhaustive_mds () =
   (* Every 4-subset of a (4,8) Cauchy block decodes. *)
-  let rng = Rng.create ~seed:2 () in
-  let codec = Cauchy.create ~k:4 ~h:4 () in
-  let data = random_data rng ~k:4 ~size:16 in
-  let parities = Cauchy.encode codec data in
-  let all =
-    Array.append (Array.mapi (fun i d -> (i, d)) data) (Array.mapi (fun j p -> (4 + j, p)) parities)
-  in
-  for a = 0 to 7 do
-    for b = a + 1 to 7 do
-      for c = b + 1 to 7 do
-        for d = c + 1 to 7 do
-          let decoded = Cauchy.decode codec [| all.(a); all.(b); all.(c); all.(d) |] in
-          check_equal "exhaustive" data decoded
-        done
-      done
-    done
-  done
+  Alcotest.(check int) "all C(8,4) subsets" 70 (Test_rse.exhaustive_mds `Cauchy ~seed:2)
 
+(* MDS by construction: random 20-subsets of a (20, 60) block decode. *)
 let test_mds_by_construction_random_subsets () =
-  let codec = Cauchy.create ~k:20 ~h:40 () in
   let rng = Rng.create ~seed:3 () in
+  let data = random_data rng ~k:20 ~size:8 in
   for _ = 1 to 100 do
-    let subset = Rmcast.Sampler.distinct_ints rng ~n:60 ~k:20 in
-    Alcotest.(check bool) "invertible" true (Cauchy.is_mds_subset codec subset)
+    let kept = Rmcast.Sampler.distinct_ints rng ~n:60 ~k:20 in
+    let lost = List.filter (fun i -> not (Array.mem i kept)) (List.init 60 Fun.id) in
+    check_equal "invertible" data (roundtrip ~h:40 data lost)
   done
 
 let test_generator_structure () =
   let codec = Cauchy.create ~k:3 ~h:2 () in
-  Alcotest.(check (array int)) "unit row" [| 0; 1; 0 |] (Cauchy.generator_row codec 1);
   let field = Rmcast.Gf.gf256 in
   (* Parity row i, column j = 1/((k+i) xor j). *)
-  let row = Cauchy.generator_row codec 3 in
+  let row = Cauchy.parity_row codec 0 in
   for j = 0 to 2 do
     Alcotest.(check int)
       (Printf.sprintf "cauchy entry %d" j)
       (Rmcast.Gf.inv field ((3 + 0) lxor j))
-      row.(j)
+      (Bytes.get_uint8 row j)
   done
 
 let test_differs_from_vandermonde () =
@@ -76,10 +49,12 @@ let test_differs_from_vandermonde () =
      compatible with each other. *)
   let rng = Rng.create ~seed:4 () in
   let data = random_data rng ~k:5 ~size:32 in
-  let c = Cauchy.encode (Cauchy.create ~k:5 ~h:2 ()) data in
-  let v = Rse.encode (Rse.create ~k:5 ~h:2 ()) data in
-  Alcotest.(check bool) "parities differ" false
-    (Bytes.equal c.(0) v.(0) && Bytes.equal c.(1) v.(1))
+  let parities kind =
+    let sender = Fec_block.Sender.create ~codec:(Rmcast.Codec.of_kind kind) ~h:2 data in
+    (Fec_block.Sender.parity sender 0, Fec_block.Sender.parity sender 1)
+  in
+  let c0, c1 = parities `Cauchy and v0, v1 = parities `Rse in
+  Alcotest.(check bool) "parities differ" false (Bytes.equal c0 v0 && Bytes.equal c1 v1)
 
 let test_create_validation () =
   Alcotest.check_raises "too long"
@@ -97,20 +72,22 @@ let qcheck_roundtrip =
   QCheck.Test.make ~count:150 ~name:"cauchy roundtrip under <= h losses" (QCheck.make gen)
     (fun (k, h, losses, seed) ->
       let rng = Rng.create ~seed () in
-      let codec = Cauchy.create ~k ~h () in
       let data = random_data rng ~k ~size:24 in
       let lost = Array.to_list (Rmcast.Sampler.distinct_ints rng ~n:(k + h) ~k:losses) in
-      let decoded = roundtrip codec data lost in
+      let decoded = roundtrip ~h data lost in
       Array.for_all2 Bytes.equal data decoded)
 
 let test_wide_field () =
   (* GF(2^16) lifts the 255-packet cap; roundtrip a 300-packet block. *)
   let field = Rmcast.Gf.create 16 in
   let codec = Cauchy.create ~field ~k:280 ~h:20 () in
-  Alcotest.(check int) "n" 300 (Cauchy.n codec);
+  Alcotest.(check int) "280 big-endian symbols per row" 560
+    (Bytes.length (Cauchy.parity_row codec 0));
   let rng = Rng.create ~seed:10 () in
   let data = random_data rng ~k:280 ~size:16 in
-  check_equal "GF(2^16) cauchy" data (roundtrip codec data [ 0; 1; 2; 3; 4; 299 ])
+  check_equal "GF(2^16) cauchy" data
+    (Test_rse.roundtrip_field ~field ~parity_row:(Cauchy.parity_row codec) ~h:20 data
+       [ 0; 1; 2; 3; 4; 299 ])
 
 let suite =
   [

@@ -185,9 +185,9 @@ let qcheck_arrival_order_and_ownership =
    in; then repairs until the block completes, then one data packet and
    one repair after completion.  Through every arrival [needed] never
    rises and [add] has returned [true] exactly [k - needed] times (the
-   rank); late packets are refused; the decode is the data.  The batch
-   [Rse.decode] of every distinct packet plus the late repair, more than
-   [k] in a random order, is the data too. *)
+   rank); late packets are refused; the decode is the data.  A fresh
+   decoder fed every distinct packet plus the late repair, more than [k]
+   in a random order, decodes the data too. *)
 type linear_decoder = {
   add : index:int -> Bytes.t -> bool;
   needed : unit -> int;
@@ -246,15 +246,18 @@ let qcheck_one_linear_decoder =
             decode = (fun () -> R.decode dec);
           } )
       in
-      let rse16 = Rse.create ~field:(Rmcast.Gf.create 16) ~k ~h () in
-      let gf16 =
-        (* GF(2^16) has no registry codec: drive the elimination decoder
-           directly over Rse's parity rows, as big-endian symbols. *)
+      let field16 = Rmcast.Gf.create 16 in
+      let rse16 = Rse.create ~field:field16 ~k ~h () in
+      let gf16 () =
+        (* GF(2^16) has no registry codec: drive the encoder loop and the
+           elimination decoder directly over Rse's parity rows, as
+           big-endian symbols. *)
         let module E = Rmc_rse.Codec_core.Elimination in
-        let dec =
-          E.make ~label:"Rse" ~field:(Rse.field rse16) ~k ~h ~repair_row:(Rse.parity_row rse16)
+        let dec = E.make ~label:"Rse" ~field:field16 ~k ~h ~repair_row:(Rse.parity_row rse16) in
+        let parities =
+          Array.init h (fun j ->
+              Rmc_rse.Codec_core.combine field16 ~row:(Rse.parity_row rse16 j) data)
         in
-        let parities = Rse.encode rse16 data in
         ( "rse gf(2^16)",
           (fun j -> Bytes.copy parities.(j)),
           {
@@ -289,23 +292,22 @@ let qcheck_one_linear_decoder =
         then QCheck.Test.fail_reportf "%s: a packet after completion was accepted" name;
         d.decode () = data || QCheck.Test.fail_reportf "%s: decode differs" name
       in
-      List.for_all check [ seam `Rse; gf16; seam `Cauchy; seam `Rlnc ]
+      List.for_all check [ seam `Rse; gf16 (); seam `Cauchy; seam `Rlnc ]
       &&
-      let rse8 = Rse.create ~k ~h () in
-      List.for_all
-        (fun codec ->
-          let parities = Rse.encode codec data in
-          (* Every data survivor, the early repairs and enough more for
-             [k], plus one: more than [k] distinct packets. *)
-          let received =
-            Array.map
-              (fun index -> (index, if index < k then data.(index) else parities.(index - k)))
-              (Array.append distinct
-                 (Array.init (max 0 (drops - early) + 1) (fun j -> k + early + j)))
-          in
-          shuffle received;
-          Array.length received > k && Rse.decode codec received = data)
-        [ rse8; rse16 ])
+      (* Every data survivor, the early repairs and enough more for [k],
+         plus one: more than [k] distinct packets, in a random order, into
+         a fresh decoder. *)
+      let received =
+        Array.append distinct (Array.init (max 0 (drops - early) + 1) (fun j -> k + early + j))
+      in
+      shuffle received;
+      Array.length received > k
+      && List.for_all
+           (fun (name, repair, d) ->
+             let packet index = if index < k then data.(index) else repair (index - k) in
+             Array.iter (fun index -> ignore (d.add ~index (packet index))) received;
+             d.decode () = data || QCheck.Test.fail_reportf "%s: shuffled decode differs" name)
+           [ seam `Rse; gf16 () ])
 
 (* Tsimbalo's rank-deficiency bound, empirically.  Receive exactly n = k
    coded packets (no systematic ones) and count the trials where GF(256)

@@ -5,6 +5,7 @@
 
 module Gf = Rmcast.Gf
 module Rse = Rmcast.Rse
+module Fec_block = Rmcast.Fec_block
 module Rng = Rmcast.Rng
 
 let f8 = Gf.gf256
@@ -255,17 +256,18 @@ let test_paths_reject_bad_input () =
     (Invalid_argument "Gf.For_testing: no kernel path neon on this host") (fun () ->
       Gf.For_testing.mul_into_range ~path:"neon" f8 ~dst ~src ~coeff:3 ~pos:0 ~len:8)
 
-(* A decode keeps only inverse rows per loss pattern.  k = 100, h = 29 is
-   a dimension no other test builds, so the process-wide codec memo hands
-   out a fresh codec with an empty pattern cache; 100 distinct 2-loss
-   patterns then fill it.  Per-pattern product tables (200 KiB each at
-   k = 100) would grow the live heap by ~20 MB. *)
+(* Decoding caches nothing per loss pattern.  k = 100, h = 29 is a
+   dimension no other test builds, so the process-wide codec memo builds
+   a fresh code; 100 distinct 2-loss patterns then decode through it.
+   Per-pattern product tables (200 KiB each at k = 100) would grow the
+   live heap by ~20 MB. *)
 let test_decode_cache_heap () =
   let k = 100 and h = 29 in
   let rng = Rng.create ~seed:100 () in
-  let codec = Rse.create ~k ~h () in
+  let codec = Rmcast.Codec.of_kind `Rse in
   let data = Array.init k (fun _ -> random_bytes rng 256) in
-  let parity = Rse.encode codec data in
+  let sender = Fec_block.Sender.create ~codec ~h data in
+  let parity = [| Fec_block.Sender.parity sender 0; Fec_block.Sender.parity sender 1 |] in
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
@@ -273,15 +275,13 @@ let test_decode_cache_heap () =
   let before = live () in
   for a = 0 to k - 1 do
     let b = (a + 1) mod k in
-    let received =
-      Array.append
-        (Array.of_list
-           (List.filter_map
-              (fun i -> if i = a || i = b then None else Some (i, data.(i)))
-              (List.init k Fun.id)))
-        [| (k, parity.(0)); (k + 1, parity.(1)) |]
-    in
-    let decoded = Rse.decode codec received in
+    let receiver = Fec_block.Receiver.create ~codec ~k ~h in
+    for i = 0 to k - 1 do
+      if i <> a && i <> b then ignore (Fec_block.Receiver.add receiver ~index:i data.(i))
+    done;
+    ignore (Fec_block.Receiver.add receiver ~index:k parity.(0));
+    ignore (Fec_block.Receiver.add receiver ~index:(k + 1) parity.(1));
+    let decoded = Fec_block.Receiver.decode receiver in
     if not (Bytes.equal decoded.(a) data.(a) && Bytes.equal decoded.(b) data.(b)) then
       Alcotest.failf "pattern {%d, %d} decoded wrong" a b
   done;
@@ -295,37 +295,21 @@ let test_symbols16_odd_length_rejected () =
     (Invalid_argument "Gf.mul_add_into_symbols: odd length for 16-bit symbols") (fun () ->
       Gf.mul_add_into_symbols f16 ~dst ~src ~coeff:3)
 
-(* Blocked encode vs the row-at-a-time reference. *)
-let qcheck_blocked_encode_matches_rows =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 12 >>= fun k ->
-      int_range 0 8 >>= fun h ->
-      int_range 1 100 >>= fun size ->
-      int_range 0 1_000_000 >>= fun seed -> return (k, h, size, seed))
-  in
-  QCheck.Test.make ~count:300 ~name:"blocked encode = per-row encode_parity"
-    (QCheck.make gen) (fun (k, h, size, seed) ->
-      let rng = Rng.create ~seed () in
-      let codec = Rse.create ~k ~h () in
-      let data = Array.init k (fun _ -> random_bytes rng size) in
-      let blocked = Rse.encode codec data in
-      let rows = Array.init h (fun j -> Rse.encode_parity codec data j) in
-      Array.for_all2 Bytes.equal blocked rows)
-
 (* The decode aliasing contract on the reconstruction path: packets that
    WERE received must come back physically identical even when other
    packets are being reconstructed around them. *)
 let test_decode_aliases_present_payloads () =
   let rng = Rng.create ~seed:77 () in
-  let codec = Rse.create ~k:6 ~h:3 () in
+  let codec = Rmcast.Codec.of_kind `Rse in
   let data = Array.init 6 (fun _ -> random_bytes rng 128) in
-  let parity = Rse.encode codec data in
+  let sender = Fec_block.Sender.create ~codec ~h:3 data in
   (* Lose data packets 1 and 4; keep the rest plus two parities. *)
-  let received =
-    [| (0, data.(0)); (2, data.(2)); (3, data.(3)); (5, data.(5)); (6, parity.(0)); (8, parity.(2)) |]
-  in
-  let decoded = Rse.decode codec received in
+  let receiver = Fec_block.Receiver.create ~codec ~k:6 ~h:3 in
+  List.iter
+    (fun (index, payload) -> ignore (Fec_block.Receiver.add receiver ~index payload))
+    [ (0, data.(0)); (2, data.(2)); (3, data.(3)); (5, data.(5));
+      (6, Fec_block.Sender.parity sender 0); (8, Fec_block.Sender.parity sender 2) ];
+  let decoded = Fec_block.Receiver.decode receiver in
   List.iter
     (fun i ->
       Alcotest.(check bool)
@@ -362,7 +346,6 @@ let suite =
       qcheck_xor_matches_scalar;
       qcheck_range_matches_scalar;
       qcheck_symbols16_matches_reference;
-      qcheck_blocked_encode_matches_rows;
     ]
   @ [
       Alcotest.test_case "long vectors (pair tier) match scalar" `Quick

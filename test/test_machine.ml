@@ -155,8 +155,8 @@ let test_receiver_decode () =
   ignore (feed receiver (data_packet 0));
   ignore (feed receiver (data_packet 1));
   ignore (feed receiver (data_packet 3));
-  let codec = Rmcast.Rse.create ~k:4 ~h:4 () in
-  let parity = (Rmcast.Rse.encode codec (data 4)).(0) in
+  let sender = Rmcast.Fec_block.Sender.create ~codec:`Rse ~h:4 (data 4) in
+  let parity = Rmcast.Fec_block.Sender.parity sender 0 in
   match feed receiver (Header.Parity { tg_id = 0; k = 4; index = 0; round = 1; payload = parity }) with
   | [ M.Deliver { reconstructed = 1; data = decoded; _ }; M.Done ] ->
     Alcotest.(check bytes) "reconstructed packet 2" (payload 2) decoded.(2);
@@ -245,14 +245,14 @@ let expected_tgs n ~k = List.init n (fun tg -> (tg, k))
    memory grows by a few words per delivered TG, not by the TG's bytes. *)
 let test_receiver_memory_bounded () =
   let k = 20 in
-  let codec = Rmcast.Rse.create ~k ~h:4 () in
   let receiver = make_receiver ~expected:(expected_tgs 64 ~k) { config with k; h = 4 } in
   let deliver tg =
     let data = Array.init k (fun i -> Bytes.make 1024 (Char.chr ((tg + i) land 0xff))) in
     for i = 1 to k - 1 do
       ignore (feed receiver (Header.Data { tg_id = tg; k; index = i; payload = data.(i) }))
     done;
-    let parity = Rmcast.Rse.encode_parity codec data 0 in
+    let sender = Rmcast.Fec_block.Sender.create ~codec:`Rse ~h:4 data in
+    let parity = Rmcast.Fec_block.Sender.parity sender 0 in
     let parity = Header.Parity { tg_id = tg; k; index = 0; round = 1; payload = parity } in
     match feed receiver parity with
     | M.Deliver { reconstructed = 1; _ } :: ([] | [ M.Done ]) -> ()

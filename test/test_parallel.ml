@@ -188,9 +188,9 @@ let test_codec_memo_contention () =
   let ks = [| 5; 7; 11; 16 |] in
   let payload k i j = Char.chr (((i * k) + (j * 7) + 3) mod 256) in
   let parity_of k =
-    let codec = Rse.create ~k ~h:3 () in
     let data = Array.init k (fun i -> Bytes.init 32 (payload k i)) in
-    Rse.encode codec data
+    let sender = Rmcast.Fec_block.Sender.create ~codec:`Rse ~h:3 data in
+    Array.init 3 (Rmcast.Fec_block.Sender.parity sender)
   in
   let sequential = Array.map parity_of ks in
   let parallel =

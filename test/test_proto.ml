@@ -489,7 +489,8 @@ let test_golden_tg_tiers () =
    into a real run.  A payload past one datagram and a message of more TGs
    than the 16-bit wire index numbers are refused before anything runs,
    on the simulator as on UDP.  A loss probability so close to 1 that a
-   closed form's series cannot converge, a negative timing or proactive
+   closed form's series cannot converge ([plan] reaches that refusal
+   before it walks the budgets, so in about a second), a negative timing or proactive
    parity count and a zero capacity target are usage errors too; a refused model command
    ([model_commands]) prints nothing on stdout, not a heading or its
    first rows. *)
@@ -534,6 +535,7 @@ let bad_cli_inputs =
     "simulate --burst nan";
     "trace record trace.bin --burst nan";
     "analyze -p 0.999999";
+    "plan -p 0.9999999";
     "latency -p 0.999999";
     "endhost -p 0.999999";
     "latency --spacing=-1";
@@ -571,8 +573,20 @@ let test_cli_usage_errors () =
   in
   let input = String.init 1000 (fun i -> Char.chr ((i * 131 + 7) mod 256)) in
   write "input.bin" input;
-  Alcotest.(check int) "encode the container" 0
-    (run "codec encode input.bin input.fec -k 4 --parities 2 --payload 64");
+  (* The bytes [codec encode] writes are pinned, not only round-tripped:
+     one container of whole TGs and one whose last TG holds 1 packet. *)
+  let check_encoding args ~output ~digest ~summary =
+    Alcotest.(check int) (args ^ ": exit status") 0 (run args);
+    Alcotest.(check string) (args ^ ": container") digest
+      (Digest.to_hex (Digest.string (read output)));
+    Alcotest.(check string) (args ^ ": stdout") summary (read "stdout.log")
+  in
+  check_encoding "codec encode input.bin input.fec -k 4 --parities 2 --payload 64"
+    ~output:"input.fec" ~digest:"82b2f5902fe945010d133883e393d233"
+    ~summary:"input.bin: 1000 bytes -> input.fec: 24 packets in 4 TGs (k=4, h=2)\n";
+  check_encoding "codec encode input.bin short.fec -k 5 --parities 2 --payload 64"
+    ~output:"short.fec" ~digest:"deca24c4bb32ff03ade5fe9d904efe3a"
+    ~summary:"input.bin: 1000 bytes -> short.fec: 24 packets in 4 TGs (k=5, h=2)\n";
   let container = read "input.fec" in
   write "truncated.fec" (String.sub container 0 (String.length container / 2 + 3));
   write "junk.fec" (String.init 300 (fun i -> Char.chr ((i * 97 + 1) mod 256)));

@@ -1,20 +1,41 @@
 module Rse = Rmcast.Rse
 module Rng = Rmcast.Rng
+module Fec_block = Rmcast.Fec_block
+module Codec_core = Rmc_rse.Codec_core
 
 let random_data rng ~k ~size =
   Array.init k (fun _ -> Bytes.init size (fun _ -> Char.chr (Rng.int rng 256)))
 
-(* Drop the packets listed in [lost] (codeword indices) and decode. *)
-let roundtrip codec data lost =
-  let parities = Rse.encode codec data in
-  let received = ref [] in
-  Array.iteri (fun i d -> if not (List.mem i lost) then received := (i, d) :: !received) data;
-  Array.iteri
-    (fun j p ->
-      let index = Rse.k codec + j in
-      if not (List.mem index lost) then received := (index, p) :: !received)
-    parities;
-  Rse.decode codec (Array.of_list !received)
+(* Encode a [kind] block with [h] parities, drop the packets listed in
+   [lost] (codeword indices) and decode the rest, data first, through
+   Fec_block. *)
+let roundtrip ?(kind = `Rse) ~h data lost =
+  let codec = Rmcast.Codec.of_kind kind and k = Array.length data in
+  let sender = Fec_block.Sender.create ~codec ~h data in
+  let receiver = Fec_block.Receiver.create ~codec ~k ~h in
+  for index = 0 to k + h - 1 do
+    if not (List.mem index lost) then
+      ignore
+        (Fec_block.Receiver.add receiver ~index
+           (if index < k then data.(index) else Fec_block.Sender.parity sender (index - k)))
+  done;
+  Fec_block.Receiver.decode receiver
+
+(* The same over a field Fec_block does not carry (GF(2^16)): the code's
+   parity rows through the shared encoder loop and elimination decoder. *)
+let roundtrip_field ~field ~parity_row ~h data lost =
+  let k = Array.length data in
+  let decoder =
+    Codec_core.Elimination.make ~label:"Codec_core" ~field ~k ~h ~repair_row:parity_row
+  in
+  for index = 0 to k + h - 1 do
+    if not (List.mem index lost) then
+      ignore
+        (Codec_core.Elimination.add decoder ~index
+           (if index < k then data.(index)
+            else Codec_core.combine field ~row:(parity_row (index - k)) data))
+  done;
+  Codec_core.Elimination.decode decoder
 
 let check_equal_data name expected actual =
   Alcotest.(check int) (name ^ ": count") (Array.length expected) (Array.length actual);
@@ -25,47 +46,42 @@ let check_equal_data name expected actual =
 
 let test_no_loss_zero_copy () =
   let rng = Rng.create ~seed:1 () in
-  let codec = Rse.create ~k:7 ~h:3 () in
   let data = random_data rng ~k:7 ~size:100 in
-  let decoded = roundtrip codec data [] in
+  let decoded = roundtrip ~h:3 data [] in
   Array.iteri
     (fun i d -> Alcotest.(check bool) "physically same" true (d == data.(i)))
     decoded
 
 let test_lose_all_parities () =
   let rng = Rng.create ~seed:2 () in
-  let codec = Rse.create ~k:5 ~h:4 () in
   let data = random_data rng ~k:5 ~size:64 in
-  let decoded = roundtrip codec data [ 5; 6; 7; 8 ] in
+  let decoded = roundtrip ~h:4 data [ 5; 6; 7; 8 ] in
   check_equal_data "parities lost" data decoded
 
 let test_lose_h_data_packets () =
   let rng = Rng.create ~seed:3 () in
-  let codec = Rse.create ~k:7 ~h:3 () in
   let data = random_data rng ~k:7 ~size:128 in
-  let decoded = roundtrip codec data [ 0; 3; 6 ] in
+  let decoded = roundtrip ~h:3 data [ 0; 3; 6 ] in
   check_equal_data "max data loss" data decoded
 
 let test_only_parities_received () =
   let rng = Rng.create ~seed:4 () in
-  let codec = Rse.create ~k:4 ~h:4 () in
   let data = random_data rng ~k:4 ~size:32 in
-  let decoded = roundtrip codec data [ 0; 1; 2; 3 ] in
+  let decoded = roundtrip ~h:4 data [ 0; 1; 2; 3 ] in
   check_equal_data "all data lost" data decoded
 
-let test_exhaustive_small_code () =
-  (* Every k-subset of a (4,8) block decodes: full MDS check. *)
-  let rng = Rng.create ~seed:5 () in
-  let codec = Rse.create ~k:4 ~h:4 () in
+(* Every k-subset of a (4, 8) [kind] block decodes: the full MDS check.
+   Returns how many subsets were tried. *)
+let exhaustive_mds kind ~seed =
+  let rng = Rng.create ~seed () in
   let data = random_data rng ~k:4 ~size:16 in
-  let parities = Rse.encode codec data in
-  let all = Array.append (Array.mapi (fun i d -> (i, d)) data) (Array.mapi (fun j p -> (4 + j, p)) parities) in
   let count = ref 0 in
   for a = 0 to 7 do
     for b = a + 1 to 7 do
       for c = b + 1 to 7 do
         for d = c + 1 to 7 do
-          let decoded = Rse.decode codec [| all.(a); all.(b); all.(c); all.(d) |] in
+          let lost = List.filter (fun i -> not (List.mem i [ a; b; c; d ])) (List.init 8 Fun.id) in
+          let decoded = roundtrip ~kind ~h:4 data lost in
           Array.iteri
             (fun i x -> Alcotest.(check bool) "exhaustive" true (Bytes.equal x data.(i)))
             decoded;
@@ -74,7 +90,10 @@ let test_exhaustive_small_code () =
       done
     done
   done;
-  Alcotest.(check int) "all C(8,4) subsets" 70 !count
+  !count
+
+let test_exhaustive_small_code () =
+  Alcotest.(check int) "all C(8,4) subsets" 70 (exhaustive_mds `Rse ~seed:5)
 
 let qcheck_roundtrip =
   let gen =
@@ -89,41 +108,59 @@ let qcheck_roundtrip =
   QCheck.Test.make ~count:200 ~name:"random (k,h) roundtrip under <= h losses"
     (QCheck.make gen) (fun (k, h, losses, size, seed) ->
       let rng = Rng.create ~seed () in
-      let codec = Rse.create ~k ~h () in
       let data = random_data rng ~k ~size in
       let lost = Array.to_list (Rmcast.Sampler.distinct_ints rng ~n:(k + h) ~k:losses) in
-      let decoded = roundtrip codec data lost in
+      let decoded = roundtrip ~h data lost in
       Array.for_all2 Bytes.equal data decoded)
 
+(* A block short of [k] packets refuses to decode and says how many it
+   still needs. *)
 let test_too_few_packets () =
-  let codec = Rse.create ~k:3 ~h:2 () in
-  Alcotest.check_raises "too few" (Invalid_argument "Rse.decode: fewer than k packets received")
-    (fun () -> ignore (Rse.decode codec [| (0, Bytes.make 4 'a') |]))
+  let codec = Rmcast.Codec.of_kind `Rse in
+  let receiver = Fec_block.Receiver.create ~codec ~k:3 ~h:2 in
+  ignore (Fec_block.Receiver.add receiver ~index:0 (Bytes.make 4 'a'));
+  Alcotest.(check int) "needed" 2 (Fec_block.Receiver.needed receiver);
+  Alcotest.check_raises "too few" (Failure "Fec_block.Receiver.decode: not enough packets")
+    (fun () -> ignore (Fec_block.Receiver.decode receiver))
 
-(* A rejected decode leaves the shared, memoized codec usable: it then
-   decodes a valid 1-loss pattern (data 0 and the parity, data 1 lost). *)
-let check_usable_after_rejection codec =
+(* A rejected packet leaves the block, and the shared memoized code
+   behind it, usable: it then decodes a valid 1-loss pattern (data 0 and
+   the parity, data 1 lost). *)
+let check_usable_after_rejection receiver =
   let data = random_data (Rng.create ~seed:21 ()) ~k:2 ~size:4 in
-  check_equal_data "decode after rejection" data (roundtrip codec data [ 1 ])
+  let sender = Fec_block.Sender.create ~codec:(Rmcast.Codec.of_kind `Rse) ~h:1 data in
+  ignore (Fec_block.Receiver.add receiver ~index:0 data.(0));
+  ignore (Fec_block.Receiver.add receiver ~index:2 (Fec_block.Sender.parity sender 0));
+  check_equal_data "decode after rejection" data (Fec_block.Receiver.decode receiver);
+  check_equal_data "fresh block after rejection" data (roundtrip ~h:1 data [ 1 ])
 
+let fresh_block () = Fec_block.Receiver.create ~codec:(Rmcast.Codec.of_kind `Rse) ~k:2 ~h:1
+
+(* A duplicate index is a no-op: refused, not counted. *)
 let test_duplicate_index_rejected () =
-  let codec = Rse.create ~k:2 ~h:1 () in
-  let p = Bytes.make 4 'a' in
-  Alcotest.check_raises "duplicate" (Invalid_argument "Rse.decode: duplicate packet index")
-    (fun () -> ignore (Rse.decode codec [| (0, p); (0, p) |]));
-  check_usable_after_rejection codec
+  let receiver = fresh_block () in
+  let data = random_data (Rng.create ~seed:21 ()) ~k:2 ~size:4 in
+  Alcotest.(check bool) "first" true (Fec_block.Receiver.add receiver ~index:0 data.(0));
+  Alcotest.(check bool) "duplicate" false (Fec_block.Receiver.add receiver ~index:0 data.(0));
+  Alcotest.(check int) "counted once" 1 (Fec_block.Receiver.received receiver);
+  check_usable_after_rejection receiver
 
 let test_unequal_lengths_rejected () =
-  let codec = Rse.create ~k:2 ~h:1 () in
-  Alcotest.check_raises "lengths" (Invalid_argument "Rse.decode: unequal packet lengths")
-    (fun () -> ignore (Rse.decode codec [| (0, Bytes.make 4 'a'); (1, Bytes.make 5 'b') |]))
+  Alcotest.check_raises "sender"
+    (Invalid_argument "Fec_block.Sender.create: unequal packet lengths") (fun () ->
+      ignore
+        (Fec_block.Sender.create ~codec:(Rmcast.Codec.of_kind `Rse) ~h:1
+           [| Bytes.make 4 'a'; Bytes.make 5 'b' |]));
+  let receiver = fresh_block () in
+  ignore (Fec_block.Receiver.add receiver ~index:0 (Bytes.make 4 'a'));
+  Alcotest.check_raises "receiver" (Invalid_argument "Rse.Decoder.add: unequal payload lengths")
+    (fun () -> ignore (Fec_block.Receiver.add receiver ~index:1 (Bytes.make 5 'b')))
 
 let test_index_out_of_range () =
-  let codec = Rse.create ~k:2 ~h:1 () in
-  let p = Bytes.make 4 'a' in
-  Alcotest.check_raises "range" (Invalid_argument "Rse.decode: index out of range") (fun () ->
-      ignore (Rse.decode codec [| (0, p); (3, p) |]));
-  check_usable_after_rejection codec
+  let receiver = fresh_block () in
+  Alcotest.check_raises "range" (Invalid_argument "Fec_block.Receiver.add: index out of range")
+    (fun () -> ignore (Fec_block.Receiver.add receiver ~index:3 (Bytes.make 4 'a')));
+  check_usable_after_rejection receiver
 
 let test_create_validation () =
   Alcotest.check_raises "k=0" (Invalid_argument "Rse.create: k must be >= 1") (fun () ->
@@ -132,71 +169,56 @@ let test_create_validation () =
     (Invalid_argument "Rse.create: k + h exceeds 2^m - 1 codeword positions") (fun () ->
       ignore (Rse.create ~k:200 ~h:56 ()))
 
-let test_encode_parity_consistency () =
-  let rng = Rng.create ~seed:6 () in
-  let codec = Rse.create ~k:5 ~h:3 () in
-  let data = random_data rng ~k:5 ~size:48 in
-  let all = Rse.encode codec data in
-  for j = 0 to 2 do
-    Alcotest.(check bool)
-      (Printf.sprintf "parity %d" j)
-      true
-      (Bytes.equal all.(j) (Rse.encode_parity codec data j))
-  done
-
-let test_generator_row () =
+(* Parity rows are generator rows k..n-1: k symbols each, not all zero,
+   and a fresh copy per call. *)
+let test_parity_rows () =
   let codec = Rse.create ~k:3 ~h:2 () in
-  Alcotest.(check (array int)) "unit row" [| 0; 1; 0 |] (Rse.generator_row codec 1);
-  let parity_row = Rse.generator_row codec 3 in
-  Alcotest.(check int) "parity row width" 3 (Array.length parity_row);
-  Alcotest.(check bool) "parity row nonzero" true (Array.exists (fun x -> x <> 0) parity_row)
+  let parity_row = Rse.parity_row codec 0 in
+  Alcotest.(check int) "parity row width" 3 (Bytes.length parity_row);
+  Alcotest.(check bool) "parity row nonzero" true
+    (Bytes.exists (fun x -> x <> '\000') parity_row);
+  Bytes.fill parity_row 0 3 '\000';
+  Alcotest.(check bool) "fresh copy" true
+    (Bytes.exists (fun x -> x <> '\000') (Rse.parity_row codec 0))
 
-let test_decode_data_loss_wrapper () =
-  let rng = Rng.create ~seed:7 () in
-  let codec = Rse.create ~k:4 ~h:2 () in
-  let data = random_data rng ~k:4 ~size:20 in
-  let parities = Rse.encode codec data in
-  let slots = [| None; Some data.(1); None; Some data.(3) |] in
-  let decoded =
-    Rse.decode_data_loss codec ~data:slots ~parity:[ (0, parities.(0)); (1, parities.(1)) ]
-  in
-  check_equal_data "wrapper" data decoded
-
-let test_is_mds_subset_always () =
-  let codec = Rse.create ~k:6 ~h:6 () in
+(* Any k of the n packets decode: random 6-subsets of a (6, 12) block. *)
+let test_random_subsets_decode () =
   let rng = Rng.create ~seed:8 () in
+  let data = random_data rng ~k:6 ~size:8 in
   for _ = 1 to 50 do
-    let subset = Rmcast.Sampler.distinct_ints rng ~n:12 ~k:6 in
-    Alcotest.(check bool) "MDS" true (Rse.is_mds_subset codec subset)
+    let kept = Rmcast.Sampler.distinct_ints rng ~n:12 ~k:6 in
+    let lost = List.filter (fun i -> not (Array.mem i kept)) (List.init 12 Fun.id) in
+    check_equal_data "MDS" data (roundtrip ~h:6 data lost)
   done
 
 let test_one_byte_packets () =
   let rng = Rng.create ~seed:9 () in
-  let codec = Rse.create ~k:3 ~h:2 () in
   let data = random_data rng ~k:3 ~size:1 in
-  check_equal_data "1-byte" data (roundtrip codec data [ 0; 2 ])
+  check_equal_data "1-byte" data (roundtrip ~h:2 data [ 0; 2 ])
 
 let test_h_zero () =
   let rng = Rng.create ~seed:10 () in
-  let codec = Rse.create ~k:3 ~h:0 () in
   let data = random_data rng ~k:3 ~size:8 in
-  Alcotest.(check int) "no parities" 0 (Array.length (Rse.encode codec data));
-  check_equal_data "identity code" data (roundtrip codec data [])
+  let sender = Fec_block.Sender.create ~codec:(Rmcast.Codec.of_kind `Rse) ~h:0 data in
+  Fec_block.Sender.precompute sender;
+  Alcotest.(check int) "no parities" 0 (Fec_block.Sender.h sender);
+  Alcotest.check_raises "no parity to issue"
+    (Failure "Fec_block.Sender.next_parities: parity budget exhausted") (fun () ->
+      ignore (Fec_block.Sender.next_parities sender 1));
+  check_equal_data "identity code" data (roundtrip ~h:0 data [])
 
 let test_k_one () =
   (* (1, h) repetition-like code: parity 0 equals the data packet. *)
   let rng = Rng.create ~seed:11 () in
-  let codec = Rse.create ~k:1 ~h:3 () in
   let data = random_data rng ~k:1 ~size:16 in
-  let decoded = roundtrip codec data [ 0 ] in
+  let decoded = roundtrip ~h:3 data [ 0 ] in
   check_equal_data "k=1" data decoded
 
 let test_max_length_code () =
   let rng = Rng.create ~seed:12 () in
-  let codec = Rse.create ~k:223 ~h:32 () in
   let data = random_data rng ~k:223 ~size:8 in
   let lost = Array.to_list (Rmcast.Sampler.distinct_ints rng ~n:255 ~k:32) in
-  check_equal_data "RS(255,223)" data (roundtrip codec data lost)
+  check_equal_data "RS(255,223)" data (roundtrip ~h:32 data lost)
 
 (* --- Fec_block --- *)
 
@@ -240,9 +262,10 @@ let test_fec_block_precompute () =
   in
   Rmcast.Fec_block.Sender.precompute sender;
   (* Cached parities identical to a fresh encode. *)
-  let fresh = Rse.encode (Rse.create ~k:4 ~h:3 ()) data in
+  let codec = Rse.create ~k:4 ~h:3 () in
   for j = 0 to 2 do
-    Alcotest.(check bool) "cache" true (Bytes.equal fresh.(j) (Rmcast.Fec_block.Sender.parity sender j))
+    let fresh = Codec_core.combine Rmcast.Gf.gf256 ~row:(Rse.parity_row codec j) data in
+    Alcotest.(check bool) "cache" true (Bytes.equal fresh (Rmcast.Fec_block.Sender.parity sender j))
   done;
   (* precompute must not consume the issue budget *)
   Alcotest.(check int) "budget intact" 0 (Rmcast.Fec_block.Sender.parities_issued sender)
@@ -260,10 +283,8 @@ let base_suite =
     Alcotest.test_case "unequal lengths" `Quick test_unequal_lengths_rejected;
     Alcotest.test_case "index out of range" `Quick test_index_out_of_range;
     Alcotest.test_case "create validation" `Quick test_create_validation;
-    Alcotest.test_case "encode_parity = encode slice" `Quick test_encode_parity_consistency;
-    Alcotest.test_case "generator rows" `Quick test_generator_row;
-    Alcotest.test_case "decode_data_loss wrapper" `Quick test_decode_data_loss_wrapper;
-    Alcotest.test_case "is_mds_subset" `Quick test_is_mds_subset_always;
+    Alcotest.test_case "generator rows" `Quick test_parity_rows;
+    Alcotest.test_case "random 6-of-12 subsets decode" `Quick test_random_subsets_decode;
     Alcotest.test_case "1-byte packets" `Quick test_one_byte_packets;
     Alcotest.test_case "h = 0" `Quick test_h_zero;
     Alcotest.test_case "k = 1" `Quick test_k_one;
@@ -281,7 +302,8 @@ let test_gf16_large_block () =
   let rng = Rng.create ~seed:21 () in
   let data = random_data rng ~k:300 ~size:64 in
   let lost = Array.to_list (Rmcast.Sampler.distinct_ints rng ~n:340 ~k:40) in
-  check_equal_data "RS(340,300) over GF(2^16)" data (roundtrip codec data lost)
+  check_equal_data "RS(340,300) over GF(2^16)" data
+    (roundtrip_field ~field ~parity_row:(Rse.parity_row codec) ~h:40 data lost)
 
 let test_gf16_odd_payload_rejected () =
   let field = Rmcast.Gf.create 16 in
@@ -289,7 +311,7 @@ let test_gf16_odd_payload_rejected () =
   let data = [| Bytes.make 7 'a'; Bytes.make 7 'b' |] in
   Alcotest.check_raises "odd length"
     (Invalid_argument "Gf.mul_add_into_symbols: odd length for 16-bit symbols") (fun () ->
-      ignore (Rse.encode codec data))
+      ignore (Codec_core.combine field ~row:(Rse.parity_row codec 0) data))
 
 let test_unsupported_field_rejected () =
   let field = Rmcast.Gf.create 4 in
