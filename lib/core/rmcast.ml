@@ -5,7 +5,7 @@
 
     {2 Layers}
 
-    - {!Gf}, {!Gmatrix}: Galois-field arithmetic and linear algebra.
+    - {!Gf}: Galois-field arithmetic.
     - {!Codec}, {!Rse}, {!Cauchy}, {!Rlnc}, {!Fec_block}: the codec
       registry, its three linear codes (Reed-Solomon, Cauchy, random
       linear network coding) and block bookkeeping.
@@ -28,8 +28,8 @@
     - {!Header}: the wire format.
     - {!Buffer_pool}: pooled datagram buffers, one pool per domain, for
       the allocation-lean packet datapath of the UDP driver.
-    - {!Metrics}, {!Event_trace}, {!Fault}, {!Recorder}: observability,
-      fault injection and event/effect capture.
+    - {!Metrics}, {!Fault}, {!Recorder}: observability, fault injection
+      and event/effect capture.
     - {!Planner}, {!Controller}: the control plane — one-shot parameter
       planning and the online estimator that retunes it mid-transfer.
     - {!Transfer}: the ten-line user path.
@@ -60,7 +60,6 @@ module Error = Rmc_core.Error
 
 (* Codec *)
 module Gf = Rmc_gf.Gf
-module Gmatrix = Rmc_matrix.Gmatrix
 module Codec = Rmc_rse.Codec
 module Rse = Rmc_rse.Rse
 module Cauchy = Rmc_rse.Cauchy
@@ -122,7 +121,6 @@ module Buffer_pool = Rmc_pool.Buffer_pool
 
 (* Observability *)
 module Metrics = Rmc_obs.Metrics
-module Event_trace = Rmc_obs.Trace
 module Fault = Rmc_obs.Fault
 module Recorder = Rmc_obs.Recorder
 

@@ -140,7 +140,6 @@ type t = {
   spec : spec;
   rng : Rng.t;
   loss : Loss.t option;
-  trace : Trace.t option;
   c_injected : Metrics.counter;
   c_dropped : Metrics.counter;
   c_duplicated : Metrics.counter;
@@ -156,7 +155,7 @@ type t = {
 
 let hold_flush_after = 0.030
 
-let create ?metrics ?trace spec =
+let create ?metrics spec =
   Result.iter_error invalid_arg (validate spec);
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let rng = Rng.create ~seed:spec.seed () in
@@ -171,7 +170,6 @@ let create ?metrics ?trace spec =
     spec;
     rng;
     loss;
-    trace;
     c_injected = Metrics.counter metrics "fault.injected";
     c_dropped = Metrics.counter metrics "fault.dropped";
     c_duplicated = Metrics.counter metrics "fault.duplicated";
@@ -186,9 +184,6 @@ let create ?metrics ?trace spec =
   }
 
 let spec t = t.spec
-
-let note t ~now name =
-  match t.trace with None -> () | Some trace -> Trace.record trace ~virt:now name
 
 let corrupt_copy t packet =
   let pkt = Bytes.copy packet in
@@ -233,8 +228,7 @@ let apply t ~now ~defer ~send packet =
   t.last_now <- Float.max t.last_now now;
   let dropped = match t.loss with Some l -> Loss.lost l t.last_now | None -> false in
   if dropped then begin
-    Metrics.incr t.c_dropped;
-    note t ~now "fault.drop"
+    Metrics.incr t.c_dropped
   end
   else begin
     let packet, corrupted =
@@ -242,22 +236,17 @@ let apply t ~now ~defer ~send packet =
          && Rng.bernoulli t.rng t.spec.corrupt
       then begin
         Metrics.incr t.c_corrupted;
-        note t ~now "fault.corrupt";
         (corrupt_copy t packet, true)
       end
       else (packet, false)
     in
     let dup = t.spec.duplicate > 0.0 && Rng.bernoulli t.rng t.spec.duplicate in
-    if dup then begin
-      Metrics.incr t.c_duplicated;
-      note t ~now "fault.duplicate"
-    end;
+    if dup then Metrics.incr t.c_duplicated;
     let want_hold =
       t.spec.reorder > 0.0 && t.held = None && Rng.bernoulli t.rng t.spec.reorder
     in
     if want_hold && not dup then begin
       Metrics.incr t.c_reordered;
-      note t ~now "fault.reorder";
       hold t ~defer ~send ~corrupted packet
     end
     else begin

@@ -6,8 +6,7 @@
     so a later datagram overtakes it (reorder), defer it (delay), or flip
     bytes in it (corrupt).  A {!t} is the stateful shim built from a spec:
     feed it outgoing datagrams with {!apply} and it decides their fate,
-    counting every decision into {!Metrics} counters (prefix [fault.]) and
-    optionally a {!Trace}.
+    counting every decision into {!Metrics} counters (prefix [fault.]).
 
     The shim is transport-agnostic: it never touches a socket.  The caller
     supplies [send] (deliver these bytes now) and [defer] (run this thunk
@@ -59,7 +58,7 @@ val spec_to_string : spec -> string
 
 type t
 
-val create : ?metrics:Metrics.t -> ?trace:Trace.t -> spec -> t
+val create : ?metrics:Metrics.t -> spec -> t
 (** Build the shim.  Counters are registered in [metrics] (an internal
     registry is created if omitted — reachable via {!stats}).
     @raise Invalid_argument when {!validate} refuses the spec. *)

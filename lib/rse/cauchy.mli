@@ -6,9 +6,9 @@
     [1 / (x_i + y_j)] over GF(2^m) with all [x_i], [y_j] distinct.
 
     Stacked under an identity block it is MDS {e by construction} — every
-    square submatrix of a Cauchy matrix is nonsingular — and unlike {!Rse}
-    no O(k^3) systematisation step is paid at construction time (useful
-    when codecs are built per-connection for many different (k, h)).
+    square submatrix of a Cauchy matrix is nonsingular — and, like {!Rse},
+    each entry has a closed form, so no O(k^3) systematisation is paid at
+    construction time.
 
     Same guarantee (any k of n packets decode) as {!Rse}, and like it
     only a generator: {!Fec_block} over [`Cauchy] encodes and decodes.

@@ -13,7 +13,8 @@
     - [`Rse] — systematised-Vandermonde MDS block code ({!Rse}); the
       paper's coder and the default everywhere.
     - [`Cauchy] — Cauchy-matrix MDS block code ({!Cauchy}); identical
-      guarantees, no O(k^3) systematisation at construction.
+      guarantees, different parity values.  Neither block code pays an
+      O(k^3) systematisation: both build their rows in closed form.
     - [`Rlnc] — dense random linear codec ({!Rlnc}); rateless,
       probabilistically MDS with Tsimbalo's rank-deficiency bound as
       its failure model.

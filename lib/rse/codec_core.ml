@@ -206,10 +206,11 @@ let check_dimensions ~label ~field ~k ~h =
   if k + h > Gf.size field - 1 then
     invalid_arg (label ^ ".create: k + h exceeds 2^m - 1 codeword positions")
 
-(* Construction memo: building a codec inverts a k x k system to
-   systematise the generator, which protocol layers used to pay on every
-   transfer.  Codecs are immutable, so sharing one instance per
-   (label, field, k, h) across domains is sound. *)
+(* Construction memo: protocol layers call [create] per transfer, and
+   the memo makes every session with one geometry share one set of
+   parity rows instead of each allocating h of them.  Codecs are
+   immutable, so sharing one instance per (label, field, k, h) across
+   domains is sound. *)
 let memo : (string * int * int * int, t) Hashtbl.t = Hashtbl.create 32
 let memo_mutex = Mutex.create ()
 let memo_capacity = 512

@@ -88,10 +88,9 @@ val check_dimensions : label:string -> field:Gf.t -> k:int -> h:int -> unit
 val memo_create : label:string -> field:Gf.t -> k:int -> h:int -> (unit -> t) -> t
 (** [memo_create ~label ~field ~k ~h build] returns the process-wide
     shared instance for [(label, field, k, h)], calling [build] only on
-    first use.  Building a codec inverts a [k x k] system to systematise
-    the generator — protocol layers used to pay that on every transfer;
-    with the memo, N concurrent sessions with the same geometry share
-    one codec. *)
+    first use, so N concurrent sessions (and every transfer) with the
+    same geometry share one set of parity rows instead of each
+    allocating its own. *)
 
 val parity_row : t -> int -> Bytes.t
 (** A fresh, owned symbol row of parity [j] ([0 <= j < h]): generator

@@ -9,6 +9,11 @@
     are linear combinations of them, and ANY k of the n packets of an
     FEC block reconstruct all k data packets.
 
+    No matrix is built or inverted: row [k + j] of that product is the
+    Lagrange basis of the data points [alpha^0 .. alpha^(k-1)] evaluated
+    at [alpha^(k+j)], so each coefficient has a closed form and a code
+    costs O(k^2 + hk) field operations.
+
     This module only builds the generator.  {!Fec_block} over [`Rse]
     ({!Codec}) encodes a block with {!Codec_core.combine} and decodes it
     with the incremental elimination of {!Codec_core.Elimination}:
@@ -26,10 +31,9 @@ val create : ?field:Rmc_gf.Gf.t -> k:int -> h:int -> unit -> t
     [k + h <= 2^m - 1] (255 for the default GF(2^8) field; [~field:(Gf.create
     16)] lifts it to 65,535).
 
-    Construction (Vandermonde build + systematisation, an O(k^3) matrix
-    inversion) is memoized per [(field, k, h)]: repeated calls with the
-    same parameters return the {e same} instance, so protocol layers
-    may call [create] per transfer without paying the inversion again. *)
+    Construction is memoized per [(field, k, h)]: repeated calls with
+    the same parameters return the {e same} instance, so protocol layers
+    may call [create] per transfer and share one set of rows. *)
 
 val parity_row : t -> int -> Bytes.t
 (** [parity_row codec j] is generator row [k + j] as a fresh row of

@@ -2,7 +2,6 @@ module Rng = Rmc_numerics.Rng
 module Header = Rmc_wire.Header
 module Buffer_pool = Rmc_pool.Buffer_pool
 module Metrics = Rmc_obs.Metrics
-module Trace = Rmc_obs.Trace
 module Fault = Rmc_obs.Fault
 module Profile = Rmc_core.Profile
 module Error = Rmc_core.Error
@@ -131,7 +130,7 @@ let make_socket () =
 
 (* A shard's datagram surface, built once per run: the recv ring every
    socket drains through, the send batch every datagram leaves through,
-   the buffer pool, and the counters and trace every socket shares.
+   the buffer pool, and the counters every socket shares.
    Sockets are plain descriptors.  Sharing one ring and one batch is safe
    because a reactor callback drains one socket until it is dry, each
    message's payload is copied out of its slot before the next receive,
@@ -146,7 +145,6 @@ type surface = {
   datagrams_rx : Metrics.counter;
   syscalls_tx : Metrics.counter;
   syscalls_rx : Metrics.counter;
-  trace : Trace.t option;
 }
 
 (* The one way a datagram leaves this driver: queue it on the surface's
@@ -154,18 +152,12 @@ type surface = {
    flush hands every queued datagram to the kernel in as few [sendmmsg]
    calls as the batch needs (EINTR is retried in the stubs); an entry the
    kernel refuses (EAGAIN under extreme pressure behaves like network
-   loss) is counted and traced, never silently swallowed. *)
+   loss) is counted, never silently swallowed. *)
 let flush surface socket =
   let { Udp_batch.sent; errors; syscalls } = Udp_batch.flush surface.tx_batch socket in
   Metrics.incr ~by:sent surface.datagrams_tx;
   Metrics.incr ~by:syscalls surface.syscalls_tx;
-  if errors > 0 then begin
-    Metrics.incr ~by:errors surface.tx_errors;
-    match surface.trace with
-    | Some trace ->
-      Trace.record ~detail:(string_of_int errors ^ " batched sends") trace "udp.tx_error"
-    | None -> ()
-  end
+  if errors > 0 then Metrics.incr ~by:errors surface.tx_errors
 
 (* Walk a datagram that may be a coalesced frame: several consecutive
    encoded messages, each self-delimited by its header's length field.  A
@@ -308,12 +300,6 @@ let sender_flush sender batch =
 
 let sender_machine sender = Np_drive.Sender.machine sender.drive
 
-(* The machine's traces go to the driver's trace sink. *)
-let sender_trace sender = function
-  | Np_machine.Trace detail ->
-    Option.iter (fun trace -> Trace.record ~detail trace "np.sender") sender.surface.trace
-  | _ -> ()
-
 (* Fold one tick effect into the pump's batch and its byte count.  Every
    DATA/PARITY is one [spacing] of the sender's schedule. *)
 let sender_effect sender ((batch, used) as acc) effect =
@@ -330,9 +316,7 @@ let sender_effect sender ((batch, used) as acc) effect =
       Metrics.incr sender.c_exhausted;
       send ~payload_bearing:false
     | Header.Nak _ -> acc)
-  | _ ->
-    sender_trace sender effect;
-    acc
+  | _ -> acc
 
 (* Catch-up pacing: one pump ticks the machine while it is pending and its
    next packet is due, so a sender behind schedule sends every due packet
@@ -371,7 +355,7 @@ let sender_wake sender =
 
 let sender_handle_nak sender ~tg_id ~need ~round =
   Metrics.incr sender.c_naks_rx;
-  List.iter (sender_trace sender) (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
+  ignore (Np_drive.Sender.feedback sender.drive ~tg:tg_id ~need ~round);
   if Np_machine.Sender.pending (sender_machine sender) then sender_wake sender
 
 (* [metrics] is already scoped per session by the caller; the NAK handler
@@ -442,10 +426,6 @@ let receiver_apply receiver effect =
           (receiver.sender_addr :: receiver.nak_peers);
         flush surface receiver.tx_socket)
   | Np_machine.Done -> receiver.on_done ()
-  | Np_machine.Trace detail ->
-    (match receiver.surface.trace with
-    | Some trace -> Trace.record ~detail trace "np.receiver"
-    | None -> ())
   | _ -> ()
 
 let create_receiver reactor ~clock ~surface ~socket ~tx_socket ~self_addr ~nak_peers ~sender_addr
@@ -520,9 +500,9 @@ let create_receiver reactor ~clock ~surface ~socket ~tx_socket ~self_addr ~nak_p
    [tg_id]), one receiver socket per receiver serving all sessions.
    Session index [i] has wire session id [first_sid + i]: the shard's
    slice of the global namespace, the identity when there is one shard. *)
-let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~receivers ~loss
+let run_engine ~config ~metrics ~recorder ~faults ~tamper ~transport ~receivers ~loss
     ~seed ~sessions ~first_sid ~sender_metrics =
-  let shim = Option.map (fun spec -> Fault.create ~metrics ?trace spec) faults in
+  let shim = Option.map (fun spec -> Fault.create ~metrics spec) faults in
   let reactor = Reactor.create ~metrics () in
   let clock = { Np_drive.after = Reactor.after reactor; cancel = Reactor.cancel } in
   let machine_config = Np_replay.machine_config (profile_of_config config) in
@@ -555,7 +535,6 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~rec
       datagrams_rx = Metrics.counter metrics "udp.datagrams_rx";
       syscalls_tx = Metrics.counter metrics "udp.syscalls_tx";
       syscalls_rx = Metrics.counter metrics "udp.syscalls_rx";
-      trace;
     }
   in
   (* Every socket is registered here the moment it exists and closed in
@@ -811,16 +790,15 @@ let shard_slices ~shards n =
    identity sids, no domain spawned.  [scoped] puts each session's sender
    counters under [session.<sid>.]; {!run_local} leaves its one sender's
    counters flat.  [context] names the entry point in every [Error]. *)
-let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?recorder ?faults
+let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?recorder ?faults
     ?(transport = `Unicast) ?(shards = 1) ~receivers ~loss ~seed ~sessions () =
   match validate ~context ~config ~faults ~receivers ~loss ~sessions with
   | Error _ as e -> e
   | Ok () when shards < 1 -> Error.invalid_arg ~context "need at least one shard"
   | Ok () when
       min shards (Array.length sessions) > 1
-      && (Option.is_some trace || Option.is_some recorder || Option.is_some faults) ->
-    Error.invalid_arg ~context
-      "trace, recorder and faults are not domain-safe; they need a single shard"
+      && (Option.is_some recorder || Option.is_some faults) ->
+    Error.invalid_arg ~context "recorder and faults are not domain-safe; they need a single shard"
   | Ok () ->
     let metrics = match metrics with Some m -> m | None -> Metrics.create () in
     let nsessions = Array.length sessions in
@@ -833,7 +811,7 @@ let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?rec
     in
     let run_shard shard =
       let first_sid, count = slices.(shard) in
-      run_engine ~config ~metrics ~trace ~recorder ~faults ~tamper ~transport ~receivers
+      run_engine ~config ~metrics ~recorder ~faults ~tamper ~transport ~receivers
         ~loss ~seed:(seed + (shard * 16127))
         ~sessions:(Array.sub sessions first_sid count)
         ~first_sid ~sender_metrics
@@ -866,9 +844,9 @@ let run ~context ~scoped ~tamper ?(config = default_config) ?metrics ?trace ?rec
 let run_multi = run ~context:"Udp_np.run_multi" ~scoped:true ~tamper:Fun.id
 
 (* A single session: sid 0, so the wire ids are the plain TG indices. *)
-let run_session ~tamper ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers
+let run_session ~tamper ?config ?metrics ?recorder ?faults ?transport ~receivers
     ~loss ~seed ~data () =
-  run ~context:"Udp_np.run_local" ~scoped:false ~tamper ?config ?metrics ?trace ?recorder
+  run ~context:"Udp_np.run_local" ~scoped:false ~tamper ?config ?metrics ?recorder
     ?faults ?transport ~receivers ~loss ~seed ~sessions:[| data |] ()
   |> Result.map (fun (multi : multi_report) ->
          let s = multi.session_reports.(0) in
@@ -891,10 +869,10 @@ let run_session ~tamper ?config ?metrics ?trace ?recorder ?faults ?transport ~re
 
 let run_local = run_session ~tamper:Fun.id
 
-let run_local_exn ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss
+let run_local_exn ?config ?metrics ?recorder ?faults ?transport ~receivers ~loss
     ~seed ~data () =
   Error.get_exn
-    (run_local ?config ?metrics ?trace ?recorder ?faults ?transport ~receivers ~loss ~seed
+    (run_local ?config ?metrics ?recorder ?faults ?transport ~receivers ~loss ~seed
        ~data ())
 
 module For_testing = struct

@@ -171,7 +171,6 @@ type multi_report = {
 val run_multi :
   ?config:config ->
   ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
   ?recorder:Rmc_obs.Recorder.t ->
   ?faults:Rmc_obs.Fault.spec ->
   ?transport:transport ->
@@ -195,9 +194,6 @@ val run_multi :
     {!Udp_multicast.group_of_seed}) and each receiver additionally owns a
     small unicast socket its NAKs leave from, so peers can tell NAK
     sources apart on the shared group port.
-
-    [trace] receives driver events ([udp.tx_error], fault-shim events) in
-    addition to the protocol traces the machines emit.
 
     [recorder] captures every sans-IO event consumed and effect emitted by
     the sender and receiver machines (actors ["s<sid>"], ["r<id>"]), plus
@@ -252,14 +248,13 @@ val run_multi :
     {!Rmc_core.Profile.validate} rejects, more than 65536 sessions or more
     than 65536 TGs in one session (the wire demux packs sid and tg into 16
     bits each), a [faults] spec that {!Rmc_obs.Fault.validate} refuses,
-    [shards < 1], or [trace], [recorder] or [faults] with more than one
-    shard after clamping — none of those sinks is domain-safe.
+    [shards < 1], or [recorder] or [faults] with more than one shard
+    after clamping — neither is domain-safe.
     Every [Error] is returned before any socket is opened. *)
 
 val run_local :
   ?config:config ->
   ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
   ?recorder:Rmc_obs.Recorder.t ->
   ?faults:Rmc_obs.Fault.spec ->
   ?transport:transport ->
@@ -279,7 +274,6 @@ val run_local :
 val run_local_exn :
   ?config:config ->
   ?metrics:Rmc_obs.Metrics.t ->
-  ?trace:Rmc_obs.Trace.t ->
   ?recorder:Rmc_obs.Recorder.t ->
   ?faults:Rmc_obs.Fault.spec ->
   ?transport:transport ->

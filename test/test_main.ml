@@ -8,7 +8,6 @@ let () =
       ("series+stats", Test_series_stats.suite);
       ("gf", Test_gf.suite);
       ("kernels", Test_kernels.suite);
-      ("matrix", Test_matrix.suite);
       ("rse", Test_rse.suite);
       ("analysis", Test_analysis.suite);
       ("latency", Test_latency.suite);

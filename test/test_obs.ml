@@ -1,5 +1,4 @@
 module Metrics = Rmcast.Metrics
-module Trace = Rmcast.Event_trace
 module Fault = Rmcast.Fault
 module Header = Rmcast.Header
 
@@ -50,36 +49,6 @@ let test_handle_name_equivalence () =
   Alcotest.(check (float 0.0))
     "gauge handle/name equivalence" 4.0
     (Metrics.get_gauge m "session.3.pool.peak_outstanding")
-
-(* --- trace ------------------------------------------------------------- *)
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record ~detail:(string_of_int i) t "tick"
-  done;
-  Alcotest.(check int) "recorded" 10 (Trace.recorded t);
-  Alcotest.(check int) "dropped" 6 (Trace.dropped t);
-  let details = List.map (fun e -> e.Trace.detail) (Trace.events t) in
-  Alcotest.(check (list string)) "oldest first, newest retained" [ "7"; "8"; "9"; "10" ] details
-
-let test_trace_under_capacity () =
-  let clock =
-    let n = ref 0.0 in
-    fun () ->
-      n := !n +. 1.0;
-      !n
-  in
-  let t = Trace.create ~capacity:8 ~clock () in
-  Trace.record t "a";
-  Trace.record ~virt:42.0 t "b";
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped t);
-  match Trace.events t with
-  | [ a; b ] ->
-    Alcotest.(check string) "order" "a" a.Trace.name;
-    Alcotest.(check (float 0.0)) "clock used" 1.0 a.Trace.wall;
-    Alcotest.(check (option (float 0.0))) "virt carried" (Some 42.0) b.Trace.virt
-  | events -> Alcotest.failf "expected 2 events, got %d" (List.length events)
 
 (* --- fault specs ------------------------------------------------------- *)
 
@@ -213,8 +182,6 @@ let suite =
     Alcotest.test_case "metrics counters" `Quick test_counters;
     Alcotest.test_case "metrics gauges" `Quick test_gauges;
     Alcotest.test_case "handle/name equivalence" `Quick test_handle_name_equivalence;
-    Alcotest.test_case "trace ring eviction" `Quick test_trace_ring;
-    Alcotest.test_case "trace under capacity" `Quick test_trace_under_capacity;
     Alcotest.test_case "fault spec roundtrip" `Quick test_spec_roundtrip;
     Alcotest.test_case "fault spec errors" `Quick test_spec_errors;
     Alcotest.test_case "fault shim pass-through" `Quick test_shim_passthrough;

@@ -113,6 +113,32 @@ let qcheck_roundtrip =
       let decoded = roundtrip ~h data lost in
       Array.for_all2 Bytes.equal data decoded)
 
+(* MDS across configurations, for both block codes: every entry of the
+   parity matrix is nonzero (a zero would make the k x k minor of the
+   other k - 1 data rows and that parity singular), and a random
+   k-subset of a random block decodes. *)
+let qcheck_mds =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ `Rse; `Cauchy ] >>= fun kind ->
+      int_range 1 254 >>= fun k ->
+      int_range 1 (255 - k) >>= fun h ->
+      int_range 1 16 >>= fun size ->
+      int_range 0 1_000_000 >>= fun seed -> return (kind, k, h, size, seed))
+  in
+  let print (kind, k, h, size, seed) =
+    Printf.sprintf "%s k=%d h=%d size=%d seed=%d" (Rmcast.Codec.label kind) k h size seed
+  in
+  QCheck.Test.make ~count:100 ~name:"MDS over random (k, h), Rse and Cauchy"
+    (QCheck.make ~print gen) (fun (kind, k, h, size, seed) ->
+      let row = Rmcast.Codec.repair_rows kind ~k ~h in
+      let nonzero = List.for_all (fun j -> not (Bytes.contains (row j) '\000')) (List.init h Fun.id) in
+      let rng = Rng.create ~seed () in
+      let data = random_data rng ~k ~size in
+      let kept = Rmcast.Sampler.distinct_ints rng ~n:(k + h) ~k in
+      let lost = List.filter (fun i -> not (Array.mem i kept)) (List.init (k + h) Fun.id) in
+      nonzero && Array.for_all2 Bytes.equal data (roundtrip ~kind ~h data lost))
+
 (* A block short of [k] packets refuses to decode and says how many it
    still needs. *)
 let test_too_few_packets () =
@@ -167,7 +193,12 @@ let test_create_validation () =
       ignore (Rse.create ~k:0 ~h:1 ()));
   Alcotest.check_raises "too long"
     (Invalid_argument "Rse.create: k + h exceeds 2^m - 1 codeword positions") (fun () ->
-      ignore (Rse.create ~k:200 ~h:56 ()))
+      ignore (Rse.create ~k:200 ~h:56 ()));
+  Alcotest.check_raises "too long for GF(2^16)"
+    (Invalid_argument "Rse.create: k + h exceeds 2^m - 1 codeword positions") (fun () ->
+      ignore (Rse.create ~field:(Rmcast.Gf.create 16) ~k:1 ~h:65_535 ()));
+  Alcotest.(check int) "k + h = 2^m - 1 builds" 1
+    (Bytes.length (Rse.parity_row (Rse.create ~k:1 ~h:254 ()) 253))
 
 (* Parity rows are generator rows k..n-1: k symbols each, not all zero,
    and a fresh copy per call. *)
@@ -180,6 +211,30 @@ let test_parity_rows () =
   Bytes.fill parity_row 0 3 '\000';
   Alcotest.(check bool) "fresh copy" true
     (Bytes.exists (fun x -> x <> '\000') (Rse.parity_row codec 0))
+
+(* Known answer: the MD5 of every parity row, concatenated over [codes]
+   in order.  Row j of a (k, h) code depends only on (k, j), so the
+   GF(2^8) list (k, 255 - k) for k = 1..254 covers every GF(2^8) RSE
+   generator; the digests were taken from the Gauss-Jordan
+   systematisation of the Vandermonde matrix. *)
+let generator_digest ?field codes =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (k, h) ->
+      let codec = Rse.create ?field ~k ~h () in
+      for j = 0 to h - 1 do
+        Buffer.add_bytes buf (Rse.parity_row codec j)
+      done)
+    codes;
+  (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_generator_known_answers () =
+  Alcotest.(check (pair int string))
+    "every GF(2^8) code" (2_763_520, "2057fcafeb96bee06fc5459b7b3217a2")
+    (generator_digest (List.init 254 (fun i -> (i + 1, 254 - i))));
+  Alcotest.(check (pair int string))
+    "GF(2^16) codes" (45_040, "55e7de5cbcdd7d108e1934ad70583eeb")
+    (generator_digest ~field:(Rmcast.Gf.create 16) [ (1, 40); (7, 40); (255, 40); (300, 40) ])
 
 (* Any k of the n packets decode: random 6-subsets of a (6, 12) block. *)
 let test_random_subsets_decode () =
@@ -278,12 +333,14 @@ let base_suite =
     Alcotest.test_case "decode from parities only" `Quick test_only_parities_received;
     Alcotest.test_case "exhaustive (4,8) MDS" `Quick test_exhaustive_small_code;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_mds;
     Alcotest.test_case "too few packets" `Quick test_too_few_packets;
     Alcotest.test_case "duplicate index" `Quick test_duplicate_index_rejected;
     Alcotest.test_case "unequal lengths" `Quick test_unequal_lengths_rejected;
     Alcotest.test_case "index out of range" `Quick test_index_out_of_range;
     Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "generator rows" `Quick test_parity_rows;
+    Alcotest.test_case "generator known answers" `Quick test_generator_known_answers;
     Alcotest.test_case "random 6-of-12 subsets decode" `Quick test_random_subsets_decode;
     Alcotest.test_case "1-byte packets" `Quick test_one_byte_packets;
     Alcotest.test_case "h = 0" `Quick test_h_zero;
