@@ -214,12 +214,15 @@ let expected_m scheme ~k ~h ~a ~population =
 
 (* The library rejects out-of-range parameters with [Invalid_argument],
    and a closed form whose series cannot converge (a loss probability
-   too close to 1) with [Did_not_converge]; report both as usage errors
-   (exit 124), not internal ones.  The model commands compute every value
-   before they print, so a refused one prints nothing on stdout. *)
+   too close to 1) with [Did_not_converge]; a file that cannot be opened
+   is a [Sys_error], and a malformed trace file the trace loader's
+   [Failure].  Report all of them as usage errors (exit 124), not internal
+   ones.  The model commands compute every value before they print, so a
+   refused one prints nothing on stdout. *)
 let usage_errors f =
   try f () with
-  | Invalid_argument msg -> `Error (false, msg)
+  | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
+  | Failure msg when String.starts_with ~prefix:"Trace_io.load:" msg -> `Error (false, msg)
   | Rmcast.Series.Did_not_converge _ ->
     `Error
       ( false,
@@ -600,9 +603,11 @@ let recover_tgs ~payload_size messages =
     if tg_id >= tgs then Ok (tgs, Array.concat (List.rev acc))
     else Result.bind (recover tg_id) (fun data -> collect (tg_id + 1) (data :: acc))
   in
-  collect 0 []
+  if tgs = 0 then Error "no packets to decode" else collect 0 []
 
 let codec_decode input output payload_size drop_rate seed =
+  if drop_rate < 0.0 || drop_rate > 1.0 then `Error (false, "--drop must be in [0, 1]")
+  else
   usage_errors @@ fun () ->
   match parse_container (read_file input) with
   | Error message -> `Error (false, message)
@@ -684,55 +689,45 @@ let transfer_cmd =
 
 let serve_sim ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics =
   usage_errors @@ fun () ->
-  let module Scheduler = Rmcast.Scheduler in
   let module Transfer = Rmcast.Transfer in
   let rng = Rmcast.Rng.create ~seed () in
   let network = Rmcast.Network.independent (Rmcast.Rng.split rng) ~receivers ~p in
-  match Scheduler.create ~profile ~network ~rng:(Rmcast.Rng.split rng) () with
+  (* Disjoint per-session payloads so cross-session corruption cannot
+     verify by accident. *)
+  let messages =
+    List.init sessions (fun sid ->
+        String.init bytes (fun i -> Char.chr ((i * 31 + sid * 97 + 13) mod 256)))
+  in
+  let metrics = Rmcast.Metrics.create () in
+  match Transfer.send_all ~profile ~metrics ~network ~rng:(Rmcast.Rng.split rng) messages with
   | Error e -> `Error (false, Rmcast.Error.to_string e)
-  | Ok scheduler -> (
-    let rec add sid =
-      if sid >= sessions then Ok ()
-      else
-        (* Disjoint per-session payloads so cross-session corruption cannot
-           verify by accident. *)
-        let message =
-          String.init bytes (fun i -> Char.chr ((i * 31 + sid * 97 + 13) mod 256))
-        in
-        match Scheduler.add scheduler ~name:(Printf.sprintf "session-%03d" sid) message with
-        | Error e -> Error e
-        | Ok () -> add (sid + 1)
-    in
-    match add 0 with
-    | Error e -> `Error (false, Rmcast.Error.to_string e)
-    | Ok () ->
-      let metrics = Rmcast.Metrics.create () in
-      let summary = Scheduler.run ~metrics scheduler in
-      Printf.printf "%d sessions x %d bytes, %s\n" sessions bytes
-        (Rmcast.Network.description network);
-      Printf.printf "  %-12s %-8s %6s %7s %6s %7s %9s %9s\n" "session" "verified" "data"
-        "parity" "naks" "E[M]" "start" "finish";
+  | Ok summary ->
+    Printf.printf "%d sessions x %d bytes, %s\n" sessions bytes
+      (Rmcast.Network.description network);
+    Printf.printf "  %-12s %-8s %6s %7s %6s %7s %9s %9s\n" "session" "verified" "data"
+      "parity" "naks" "E[M]" "start" "finish";
+    List.iteri
+      (fun sid (s : Transfer.session) ->
+        let report = s.outcome.Transfer.report in
+        Printf.printf "  %-12s %-8b %6d %7d %6d %7.3f %9.3f %9.3f\n"
+          (Printf.sprintf "session-%03d" sid)
+          s.outcome.Transfer.verified report.Rmcast.Np.data_tx report.Rmcast.Np.parity_tx
+          report.Rmcast.Np.naks_sent
+          (Rmcast.Np.transmissions_per_packet report)
+          s.started_at s.finished_at)
+      summary.Transfer.sessions;
+    Printf.printf "all verified : %b\n" summary.Transfer.all_verified;
+    Printf.printf "makespan     : %.3f virtual s\n" summary.Transfer.makespan;
+    Printf.printf "goodput      : %.1f user kB / virtual s\n"
+      (float_of_int summary.Transfer.total_bytes /. summary.Transfer.makespan /. 1e3);
+    if show_metrics then begin
+      print_endline "counters:";
       List.iter
-        (fun (r : Scheduler.result_) ->
-          let report = r.outcome.Transfer.report in
-          Printf.printf "  %-12s %-8b %6d %7d %6d %7.3f %9.3f %9.3f\n" r.name
-            r.outcome.Transfer.verified report.Rmcast.Np.data_tx report.Rmcast.Np.parity_tx
-            report.Rmcast.Np.naks_sent
-            (Rmcast.Np.transmissions_per_packet report)
-            r.started_at r.finished_at)
-        summary.Scheduler.results;
-      Printf.printf "all verified : %b\n" summary.Scheduler.all_verified;
-      Printf.printf "makespan     : %.3f virtual s\n" summary.Scheduler.makespan;
-      Printf.printf "goodput      : %.1f user kB / virtual s\n"
-        (float_of_int summary.Scheduler.total_bytes /. summary.Scheduler.makespan /. 1e3);
-      if show_metrics then begin
-        print_endline "counters:";
-        List.iter
-          (fun (name, value) -> Printf.printf "  %-32s %d\n" name value)
-          (Rmcast.Metrics.counters metrics)
-      end;
-      if summary.Scheduler.all_verified then `Ok ()
-      else `Error (false, "some sessions failed verification"))
+        (fun (name, value) -> Printf.printf "  %-32s %d\n" name value)
+        (Rmcast.Metrics.counters metrics)
+    end;
+    if summary.Transfer.all_verified then `Ok ()
+    else `Error (false, "some sessions failed verification")
 
 let serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~capture
     ~faults ~shards ~multicast =
@@ -806,6 +801,7 @@ let serve profile sessions transport p receivers seed bytes show_metrics capture
       match transport with
       | `Sim -> serve_sim ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics
       | `Udp ->
+        usage_errors @@ fun () ->
         serve_udp ~profile ~sessions ~receivers ~p ~seed ~bytes ~show_metrics ~capture
           ~faults ~shards ~multicast)
 
@@ -982,6 +978,7 @@ let trace_record out model p burst packets rate seed =
   `Ok ()
 
 let trace_stats path =
+  usage_errors @@ fun () ->
   let trace = Rmcast.Trace_io.load ~path in
   Format.printf "%a@." Rmcast.Trace_io.pp_stats (Rmcast.Trace_io.stats trace);
   `Ok ()

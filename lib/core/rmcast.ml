@@ -32,7 +32,8 @@
       and event/effect capture.
     - {!Planner}, {!Controller}: the control plane — one-shot parameter
       planning and the online estimator that retunes it mid-transfer.
-    - {!Transfer}: the ten-line user path.
+    - {!Transfer}: the ten-line user path, for one message or many
+      concurrent sessions over one engine.
 
     {2 Quickstart}
 
@@ -51,8 +52,7 @@
     definition: the profile's (the one-datagram payload bound among them)
     in {!Profile.validate}, the 16-bit TG count in
     {!Np_replay.fits_wire}, and the simulator's delay, data, start and
-    churn rules in {!Np.validate_config} and {!Np.validate_flow}.
-    {!Scheduler} interleaves many sessions over one engine. *)
+    churn rules in {!Np.validate_config} and {!Np.validate_flow}. *)
 
 (* Unified configuration and errors *)
 module Profile = Rmc_core.Profile
@@ -136,4 +136,3 @@ module Controller = Rmc_control.Controller
 
 (* High-level API *)
 module Transfer = Transfer
-module Scheduler = Scheduler

@@ -8,7 +8,8 @@
 
     Configuration is an {!Rmc_core.Profile.t}; {!send} validates it and
     returns [(outcome, Error.t) result] — {!send_exn} is the raising
-    variant for tests and scripts. *)
+    variant for tests and scripts.  {!send_all} runs many messages as
+    concurrent sessions over one engine. *)
 
 type outcome = {
   report : Rmc_proto.Np.report;  (** full protocol counters *)
@@ -30,9 +31,11 @@ val send :
     [churn] (default none) schedules receiver membership changes — see
     {!Rmc_proto.Np.Mux.add_flow}; the outcome's [verified] then covers the
     receivers present at the end of the run.  Returns [Error] (context
-    ["Transfer.send"]) where {!prepare} does — never raises on bad
-    input.  One path with or without churn: a {!Rmc_proto.Np.run}, whose
-    report's [duration] is the virtual time its engine drained at. *)
+    ["Transfer.send"]) at the first input rule broken, and never raises on
+    bad input: {!Rmc_proto.Np.validate_config}'s, then an empty message or
+    a [payload_size] below 5, then {!Rmc_proto.Np.validate_flow}'s.  One
+    path with or without churn: a {!Rmc_proto.Np.run}, whose report's
+    [duration] is the virtual time its engine drained at. *)
 
 val send_exn :
   ?profile:Rmc_core.Profile.t ->
@@ -44,26 +47,49 @@ val send_exn :
   outcome
 (** @raise Invalid_argument where {!send} would return [Error]. *)
 
-val prepare :
-  context:string ->
-  ?what:string ->
-  ?delay:float ->
-  ?start:float ->
-  ?churn:Rmc_proto.Np.Mux.churn_event list ->
-  network:Rmc_sim.Network.t ->
-  Rmc_core.Profile.t ->
-  string ->
-  (Rmc_proto.Np.config * Bytes.t array, Rmc_core.Error.t) result
-(** The admission check {!send} and {!Scheduler.add} share: the flow's
-    config ({!Rmc_proto.Np.config_of_profile} with [delay]) and its
-    {!packetize}d message, or the first rule broken, under [context]:
-    {!Rmc_proto.Np.validate_config}'s, then an empty message
-    (["empty <what>"], [what] defaulting to ["message"]) or a
-    [payload_size] below 5, then {!Rmc_proto.Np.validate_flow}'s. *)
+type session = {
+  outcome : outcome;
+  started_at : float;  (** virtual time the session joined the rotation *)
+  finished_at : float;  (** virtual time of the session's last event *)
+}
 
-val outcome_of_report : message_len:int -> Rmc_proto.Np.report -> outcome
-(** Derive the byte accounting and verification flag from a raw NP report —
-    how {!send} (and the {!Scheduler}) summarise a finished flow. *)
+type summary = {
+  sessions : session list;  (** in the order of the messages *)
+  all_verified : bool;
+  total_bytes : int;  (** user bytes across sessions *)
+  total_bytes_sent : int;  (** payload bytes on the wire, parities included *)
+  makespan : float;  (** virtual time until the last session drained *)
+}
+
+val send_all :
+  ?profile:Rmc_core.Profile.t ->
+  ?metrics:Rmc_obs.Metrics.t ->
+  network:Rmc_sim.Network.t ->
+  rng:Rmc_numerics.Rng.t ->
+  string list ->
+  (summary, Rmc_core.Error.t) result
+(** Many sessions, one engine: every message is a session, and the
+    sessions run concurrently as flows of one fresh {!Rmc_proto.Np.Mux}
+    over the shared [network], all entering the send rotation at virtual
+    time 0 and drawing from the shared [rng].  The mux arbitrates the send
+    slot round-robin across sessions with pending packets, and because
+    every flow draws its losses from [network] with non-decreasing
+    timestamps, temporally correlated loss spans session boundaries as it
+    does for one long session.  The makespan of N sessions is therefore
+    far below N back-to-back {!send}s while each session still
+    byte-verifies on its own.
+
+    Every message is admitted by {!send}'s rules before any flow runs;
+    an empty list or the first message refused is an [Error] (context
+    ["Transfer.send_all"]), and nothing raises on bad input.
+
+    When [metrics] is given, each session's counters are recorded under a
+    [session.<index>.] scope ([tx.data], [tx.parity], [naks.sent], ...,
+    [verified], gauges [time.started] and [time.finished]) plus the
+    [scheduler.sessions] counter and [scheduler.makespan] gauge, so the
+    scoped counters sum to the totals of the returned {!summary}.
+    Per-session profiles, staggered starts and a non-default delay are
+    {!Rmc_proto.Np.Mux.add_flow}'s. *)
 
 val packetize : payload_size:int -> string -> Bytes.t array
 (** Split (and zero-pad) a message into payload-sized packets with a 4-byte

@@ -1,6 +1,6 @@
 (** The library's shared error type.
 
-    Every user-facing entry point ([Transfer.send], [Scheduler.run],
+    Every user-facing entry point ([Transfer.send], [Transfer.send_all],
     [Udp_np.run_local], ...) validates its inputs and returns
     [('a, Error.t) result] instead of raising: an error carries the
     [context] (the entry point that rejected the call, ["Transfer.send"])

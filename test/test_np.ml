@@ -115,8 +115,8 @@ let test_np_validation () =
       ignore (Np.run ~network ~rng ~data:[||] ()));
   Alcotest.check_raises "payload mismatch" (Invalid_argument "Np.run: payload size mismatch")
     (fun () -> ignore (Np.run ~network ~rng ~data:[| Bytes.make 5 'x' |] ()));
-  (* A non-finite time is refused by validation, before the engine is
-     asked to schedule at it. *)
+  (* A negative or non-finite time is refused by validation, before the
+     engine is asked to schedule at it. *)
   let data = [| Bytes.make Np.default_config.Np.payload_size 'x' |] in
   List.iter
     (fun (name, config) ->
@@ -130,6 +130,7 @@ let test_np_validation () =
     [
       ("delay = infinity", { Np.default_config with delay = infinity });
       ("delay = nan", { Np.default_config with delay = nan });
+      ("delay = -0.1", { Np.default_config with delay = -0.1 });
       ("spacing = infinity", { Np.default_config with spacing = infinity });
       ("slot = infinity", { Np.default_config with slot = infinity });
     ]

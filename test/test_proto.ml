@@ -514,6 +514,14 @@ let bad_cli_inputs =
     "codec decode junk.fec output.bin --payload 64";
     "codec decode input.fec output.bin --payload 64 --drop 0.6";
     "codec decode input.fec output.bin --payload 32";
+    "codec decode input.fec output.bin --payload 64 --drop=-0.5";
+    "codec decode input.fec output.bin --payload 64 --drop 1.5";
+    "codec decode input.fec /nonexistent/dir/x.txt --payload 64";
+    "codec encode input.txt /nonexistent/dir/out.bin";
+    "trace stats abc.trace";
+    "trace stats empty.trace";
+    "trace record /nonexistent/dir/t.trace";
+    "serve --transport udp -n 1 -r 2 --bytes 2000 --capture /nonexistent/dir/cap.txt";
     "faults drop=0.1";
     "transfer --payload 70000";
     "serve --payload 70000";
@@ -590,6 +598,8 @@ let test_cli_usage_errors () =
   let container = read "input.fec" in
   write "truncated.fec" (String.sub container 0 (String.length container / 2 + 3));
   write "junk.fec" (String.init 300 (fun i -> Char.chr ((i * 97 + 1) mod 256)));
+  write "abc.trace" "abc";
+  write "empty.trace" "";
   (* Every packet twice: the second copies are no-ops. *)
   write "doubled.fec" (container ^ container);
   Alcotest.(check int) "doubled container decodes" 0

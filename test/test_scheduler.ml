@@ -1,12 +1,11 @@
-(* The concurrent multi-session engine: N independent transfers interleaved
-   over one shared network in virtual time.  These tests pin down the three
-   properties the scheduler promises — fairness (round-robin, nobody
-   starves), isolation (every session byte-verifies its own disjoint
-   payload), and shared-channel realism (per-session counters sum to the
-   globals; temporally correlated loss spans session boundaries the same
-   way it hits one long-lived session). *)
+(* Concurrent sessions: N independent transfers interleaved over one
+   shared network in virtual time by [Transfer.send_all].  These tests pin
+   down the three properties the mux's round-robin scheduling promises —
+   fairness (nobody starves), isolation (every session byte-verifies its
+   own disjoint payload), and shared-channel realism (per-session counters
+   sum to the globals; temporally correlated loss spans session boundaries
+   the same way it hits one long-lived session). *)
 
-module Scheduler = Rmcast.Scheduler
 module Transfer = Rmcast.Transfer
 module Profile = Rmcast.Profile
 module Np = Rmcast.Np
@@ -19,37 +18,35 @@ module Metrics = Rmcast.Metrics
 let message sid bytes =
   String.init bytes (fun i -> Char.chr ((i * 31 + sid * 97 + 13) mod 256))
 
-let build ~seed ~receivers ~p ~sessions ~bytes =
+let messages ~sessions ~bytes = List.init sessions (fun sid -> message sid bytes)
+
+let send_all ?metrics ~network ~rng messages =
+  Rmcast.Error.get_exn (Transfer.send_all ?metrics ~network ~rng messages)
+
+let run ?metrics ~seed ~receivers ~p ~sessions ~bytes () =
   let rng = Rng.create ~seed () in
   let network = Network.independent (Rng.split rng) ~receivers ~p in
-  let s = Scheduler.create_exn ~network ~rng:(Rng.split rng) () in
-  for sid = 0 to sessions - 1 do
-    Scheduler.add_exn s ~name:(Printf.sprintf "s%d" sid) (message sid bytes)
-  done;
-  s
+  send_all ?metrics ~network ~rng:(Rng.split rng) (messages ~sessions ~bytes)
 
 let test_fairness_and_isolation () =
   let n = 8 in
-  let s = build ~seed:101 ~receivers:40 ~p:0.05 ~sessions:n ~bytes:8_000 in
-  Alcotest.(check int) "registered" n (Scheduler.sessions s);
-  let summary = Scheduler.run s in
-  Alcotest.(check int) "one result per session" n (List.length summary.Scheduler.results);
-  Alcotest.(check bool) "all verified" true summary.Scheduler.all_verified;
+  let summary = run ~seed:101 ~receivers:40 ~p:0.05 ~sessions:n ~bytes:8_000 () in
+  Alcotest.(check int) "one result per session" n (List.length summary.Transfer.sessions);
+  Alcotest.(check bool) "all verified" true summary.Transfer.all_verified;
   List.iteri
-    (fun sid (r : Scheduler.result_) ->
-      Alcotest.(check string) "results in add order" (Printf.sprintf "s%d" sid) r.name;
+    (fun sid (s : Transfer.session) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s verified" r.name)
-        true r.outcome.Transfer.verified;
+        (Printf.sprintf "session %d verified" sid)
+        true s.outcome.Transfer.verified;
       Alcotest.(check bool)
-        (Printf.sprintf "%s finishes within makespan" r.name)
+        (Printf.sprintf "session %d finishes within makespan" sid)
         true
-        (r.finished_at <= summary.Scheduler.makespan +. 1e-9))
-    summary.Scheduler.results;
+        (s.finished_at <= summary.Transfer.makespan +. 1e-9))
+    summary.Transfer.sessions;
   (* Fairness: identical sessions arbitrated round-robin finish together —
      no session's makespan dominated by another's. *)
   let finishes =
-    List.map (fun (r : Scheduler.result_) -> r.finished_at) summary.Scheduler.results
+    List.map (fun (s : Transfer.session) -> s.finished_at) summary.Transfer.sessions
   in
   let fmin = List.fold_left Float.min infinity finishes in
   let fmax = List.fold_left Float.max 0.0 finishes in
@@ -57,21 +54,25 @@ let test_fairness_and_isolation () =
     (Printf.sprintf "no starvation (spread %.3f .. %.3f)" fmin fmax)
     true
     (fmax <= 2.0 *. fmin);
-  Alcotest.(check int) "total bytes" (8 * 8_000) summary.Scheduler.total_bytes
+  Alcotest.(check int) "total bytes" (8 * 8_000) summary.Transfer.total_bytes;
+  Alcotest.(check int) "total bytes sent"
+    (List.fold_left
+       (fun acc (s : Transfer.session) -> acc + s.outcome.Transfer.bytes_sent)
+       0 summary.Transfer.sessions)
+    summary.Transfer.total_bytes_sent
 
 let test_counters_sum_to_global () =
   let n = 5 in
-  let s = build ~seed:202 ~receivers:30 ~p:0.08 ~sessions:n ~bytes:6_000 in
   let metrics = Metrics.create () in
-  let summary = Scheduler.run ~metrics s in
+  let summary = run ~metrics ~seed:202 ~receivers:30 ~p:0.08 ~sessions:n ~bytes:6_000 () in
   let sum field =
     List.fold_left
-      (fun acc (r : Scheduler.result_) -> acc + field r.outcome.Transfer.report)
-      0 summary.Scheduler.results
+      (fun acc (s : Transfer.session) -> acc + field s.outcome.Transfer.report)
+      0 summary.Transfer.sessions
   in
   List.iteri
-    (fun i (r : Scheduler.result_) ->
-      let report = r.outcome.Transfer.report in
+    (fun i (s : Transfer.session) ->
+      let report = s.outcome.Transfer.report in
       let get name = Metrics.get metrics (Printf.sprintf "session.%d.%s" i name) in
       Alcotest.(check int) (Printf.sprintf "session %d tx.data" i) report.Np.data_tx
         (get "tx.data");
@@ -83,9 +84,9 @@ let test_counters_sum_to_global () =
         report.Np.naks_sent (get "naks.sent");
       Alcotest.(check int)
         (Printf.sprintf "session %d verified" i)
-        (if r.outcome.Transfer.verified then 1 else 0)
+        (if s.outcome.Transfer.verified then 1 else 0)
         (get "verified"))
-    summary.Scheduler.results;
+    summary.Transfer.sessions;
   (* The scoped counters are slices of one registry: summing the slices
      reproduces the per-report totals. *)
   let scoped_total name =
@@ -110,7 +111,7 @@ let test_counters_sum_to_global () =
     (sum (fun r -> r.Np.parity_tx))
     (scoped_total "tx.parity");
   Alcotest.(check int) "scheduler.sessions" n (Metrics.get metrics "scheduler.sessions");
-  Alcotest.(check (float 1e-9)) "makespan gauge" summary.Scheduler.makespan
+  Alcotest.(check (float 1e-9)) "makespan gauge" summary.Transfer.makespan
     (Metrics.get_gauge metrics "scheduler.makespan")
 
 let test_bursty_loss_spans_sessions () =
@@ -136,18 +137,16 @@ let test_bursty_loss_spans_sessions () =
   Alcotest.(check bool) "single verified" true single.Transfer.verified;
   (* (b) the same bytes as n interleaved sessions on a fresh identical channel *)
   let network = burst_net 7 in
-  let s = Scheduler.create_exn ~network ~rng:(Rng.create ~seed:8 ()) () in
-  for sid = 0 to n - 1 do
-    Scheduler.add_exn s ~name:(Printf.sprintf "s%d" sid) (message sid bytes)
-  done;
-  let summary = Scheduler.run s in
-  Alcotest.(check bool) "interleaved verified" true summary.Scheduler.all_verified;
+  let summary =
+    send_all ~network ~rng:(Rng.create ~seed:8 ()) (List.init n (fun sid -> message sid bytes))
+  in
+  Alcotest.(check bool) "interleaved verified" true summary.Transfer.all_verified;
   let data, parity =
     List.fold_left
-      (fun (d, p) (r : Scheduler.result_) ->
-        ( d + r.outcome.Transfer.report.Np.data_tx,
-          p + r.outcome.Transfer.report.Np.parity_tx ))
-      (0, 0) summary.Scheduler.results
+      (fun (d, p) (s : Transfer.session) ->
+        ( d + s.outcome.Transfer.report.Np.data_tx,
+          p + s.outcome.Transfer.report.Np.parity_tx ))
+      (0, 0) summary.Transfer.sessions
   in
   let mux_m = float_of_int (data + parity) /. float_of_int data in
   let single_m = Np.transmissions_per_packet single.Transfer.report in
@@ -160,58 +159,62 @@ let test_bursty_loss_spans_sessions () =
      would need far fewer parities per event. *)
   Alcotest.(check bool) "bursts forced repairs" true (parity > 0)
 
+(* Staggered starts are the mux's: a flow enters the send rotation at its
+   own virtual start time. *)
 let test_staggered_starts () =
   let rng = Rng.create ~seed:33 () in
   let network = Network.independent (Rng.split rng) ~receivers:10 ~p:0.02 in
-  let s = Scheduler.create_exn ~network ~rng:(Rng.split rng) () in
-  Scheduler.add_exn s ~name:"early" (message 0 4_000);
-  Scheduler.add_exn s ~start:0.5 ~name:"late" (message 1 4_000);
-  let summary = Scheduler.run s in
-  (match summary.Scheduler.results with
-  | [ early; late ] ->
-    Alcotest.(check (float 1e-9)) "early starts at 0" 0.0 early.Scheduler.started_at;
-    Alcotest.(check (float 1e-9)) "late starts at 0.5" 0.5 late.Scheduler.started_at;
-    Alcotest.(check bool) "late finishes after it starts" true
-      (late.Scheduler.finished_at > 0.5);
-    Alcotest.(check bool) "both verified" true
-      (early.Scheduler.outcome.Transfer.verified && late.Scheduler.outcome.Transfer.verified)
-  | results -> Alcotest.failf "expected 2 results, got %d" (List.length results));
-  Alcotest.(check bool) "makespan covers the straggler" true
-    (summary.Scheduler.makespan
-    >= List.fold_left
-         (fun acc (r : Scheduler.result_) -> Float.max acc r.finished_at)
-         0.0 summary.Scheduler.results)
+  let rng = Rng.split rng in
+  let mux = Np.Mux.create (Rmcast.Engine.create ()) in
+  let add ?start sid =
+    let data = Transfer.packetize ~payload_size:Profile.default.Profile.payload_size (message sid 4_000) in
+    Np.Mux.add_flow mux ~config:(Np.config_of_profile Profile.default) ?start ~network ~rng ~data ()
+  in
+  let early = add 0 in
+  let late = add ~start:0.5 1 in
+  Np.Mux.run mux;
+  Alcotest.(check (float 1e-9)) "early starts at 0" 0.0 (Np.Mux.started_at early);
+  Alcotest.(check (float 1e-9)) "late starts at 0.5" 0.5 (Np.Mux.started_at late);
+  Alcotest.(check bool) "late finishes after it starts" true (Np.Mux.finished_at late > 0.5);
+  Alcotest.(check bool) "both delivered intact" true
+    ((Np.Mux.report early).Np.delivered_intact && (Np.Mux.report late).Np.delivered_intact);
+  Alcotest.(check bool) "the engine drains after the straggler" true
+    (Rmcast.Engine.now (Np.Mux.engine mux)
+    >= Float.max (Np.Mux.finished_at early) (Np.Mux.finished_at late))
 
+(* Every message is admitted before anything runs: a refused one is an
+   [Error] naming [Transfer.send_all], nothing raises, no counter is
+   recorded and no draw is taken from the shared RNG. *)
 let test_validation () =
   let rng = Rng.create ~seed:44 () in
   let network = Network.independent (Rng.split rng) ~receivers:4 ~p:0.0 in
   let rng = Rng.split rng in
-  let error result =
-    match result with
+  let untouched = Rng.copy rng in
+  let metrics = Metrics.create () in
+  let error ?(profile = Profile.default) messages =
+    match Transfer.send_all ~profile ~metrics ~network ~rng messages with
     | Ok _ -> Alcotest.fail "expected Error"
     | Error e -> Rmcast.Error.to_string e
+    | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
   in
-  Alcotest.(check string) "invalid profile at create"
-    "Scheduler.create: k must be >= 1 (got 0)"
-    (error (Scheduler.create ~profile:{ Profile.default with k = 0 } ~network ~rng ()));
-  Alcotest.(check string) "negative delay" "Scheduler.create: negative delay"
-    (error (Scheduler.create ~delay:(-0.1) ~network ~rng ()));
-  let s = Scheduler.create_exn ~network ~rng () in
-  Alcotest.(check string) "empty payload" "Scheduler.add: empty payload"
-    (error (Scheduler.add s ~name:"x" ""));
-  Alcotest.(check string) "negative start" "Scheduler.add: negative start time"
-    (error (Scheduler.add s ~start:(-1.0) ~name:"x" "payload"));
-  (match
-     Scheduler.add s ~profile:{ Profile.default with payload_size = 4 } ~name:"x" "payload"
-   with
-  | Ok () -> Alcotest.fail "undersized payload_size accepted"
-  | Error _ -> ());
-  Alcotest.(check int) "rejected sessions not registered" 0 (Scheduler.sessions s);
-  (* ... and the scheduler still runs fine with valid sessions after the
-     rejections. *)
-  Scheduler.add_exn s ~name:"ok" "some payload bytes";
-  let summary = Scheduler.run s in
-  Alcotest.(check bool) "runs after rejections" true summary.Scheduler.all_verified
+  Alcotest.(check string) "invalid profile" "Transfer.send_all: k must be >= 1 (got 0)"
+    (error ~profile:{ Profile.default with k = 0 } [ "payload" ]);
+  Alcotest.(check string) "no messages" "Transfer.send_all: no messages" (error []);
+  Alcotest.(check string) "empty payload after a valid one"
+    "Transfer.send_all: empty message" (error [ "payload"; "" ]);
+  Alcotest.(check bool) "undersized payload_size refused" true
+    (String.starts_with ~prefix:"Transfer.send_all: payload_size"
+       (error ~profile:{ Profile.default with payload_size = 4 } [ "payload" ]));
+  Alcotest.(check (list (pair string int))) "no counter recorded" [] (Metrics.counters metrics);
+  Alcotest.(check int) "no draw taken" (Rng.int untouched 1_000_000) (Rng.int rng 1_000_000);
+  (* ... and the same arguments run fine with valid messages, whose
+     sessions come back in list order (1 and 3 packets of 1,024 bytes). *)
+  let summary = send_all ~network ~rng [ "some payload bytes"; String.make 3_000 'x' ] in
+  Alcotest.(check bool) "runs after rejections" true summary.Transfer.all_verified;
+  Alcotest.(check (list int)) "sessions in list order" [ 1; 3 ]
+    (List.map
+       (fun (s : Transfer.session) -> s.outcome.Transfer.report.Np.data_tx)
+       summary.Transfer.sessions)
 
 let suite =
   [

@@ -99,9 +99,9 @@ let test_send_rejects_non_finite_timing () =
 (* Each input rule, one row: every entry point that takes the input
    returns [Error] naming itself, and none raises.  The rules are the ones
    the simulator and the UDP transport share (the profile's payload bound,
-   the 16-bit TG count) plus the simulator's own (delay, start, churn). *)
+   the 16-bit TG count) plus the simulator's own (start, churn); the
+   delay rule is [Np.validate_config]'s alone (the "NP validation" case). *)
 let test_entry_points_return_errors () =
-  let module Scheduler = Rmcast.Scheduler in
   let module Udp = Rmcast.Udp_np in
   let rng = Rng.create ~seed:5 () in
   let network = Network.independent (Rng.split rng) ~receivers:3 ~p:0.0 in
@@ -117,7 +117,6 @@ let test_entry_points_return_errors () =
     | exception e ->
       Alcotest.failf "%s: %s raised %s" context name (Printexc.to_string e)
   in
-  let scheduler = Scheduler.create_exn ~network ~rng () in
   (* At k = 1 and 5-byte payloads, 327,681 bytes plus the 4-byte length
      prefix are 65,537 packets: one TG more than the wire numbers. *)
   let tg_overflow = { base with k = 1; h = 1; payload_size = 5 } in
@@ -126,8 +125,8 @@ let test_entry_points_return_errors () =
     (fun (name, profile, message, packets) ->
       returns_error ~context:"Transfer.send" name (fun () ->
           Transfer.send ~profile ~network ~rng message);
-      returns_error ~context:"Scheduler.add" name (fun () ->
-          Scheduler.add scheduler ~profile ~name message);
+      returns_error ~context:"Transfer.send_all" name (fun () ->
+          Transfer.send_all ~profile ~network ~rng [ message ]);
       let data = Array.make packets (Bytes.make profile.Rmcast.Profile.payload_size 'x') in
       returns_error ~context:"Udp_np.run_local" name (fun () ->
           Udp.run_local ~config:(Udp.config_of_profile profile) ~receivers:1 ~loss:0.0
@@ -143,20 +142,11 @@ let test_entry_points_return_errors () =
       let profile = { base with payload_size = 65_482 } in
       Udp.run_local ~config:(Udp.config_of_profile profile) ~receivers:1 ~loss:0.0 ~seed:0
         ~data:[| Bytes.make 65_482 'x' |] ());
-  returns_error ~context:"Scheduler.create" "payload_size = 65511" (fun () ->
-      Scheduler.create ~profile:{ base with payload_size = 65_511 } ~network ~rng ());
-  List.iter
-    (fun delay ->
-      returns_error ~context:"Scheduler.create" (Printf.sprintf "delay = %g" delay)
-        (fun () -> Scheduler.create ~delay ~network ~rng ()))
-    [ infinity; nan; -0.1 ];
   List.iter
     (fun start ->
       let name = Printf.sprintf "start = %g" start in
       returns_error ~context:"Transfer.send" name (fun () ->
-          Transfer.send ~virtual_start:start ~network ~rng "hello");
-      returns_error ~context:"Scheduler.add" name (fun () ->
-          Scheduler.add scheduler ~start ~name "hello"))
+          Transfer.send ~virtual_start:start ~network ~rng "hello"))
     [ infinity; nan; -1.0 ];
   List.iter
     (fun (name, ev) ->
@@ -169,11 +159,10 @@ let test_entry_points_return_errors () =
       ("churn at infinity", { Rmcast.Np.Mux.receiver = 0; at = infinity; action = `Join });
       ("churn at nan", { Rmcast.Np.Mux.receiver = 0; at = nan; action = `Join });
     ];
-  Alcotest.(check int) "no rejected session registered" 0 (Scheduler.sessions scheduler);
-  (* Whatever [add] refused, [run] is total. *)
-  Scheduler.add_exn scheduler ~name:"ok" "some payload bytes";
-  Alcotest.(check bool) "run after the rejections verifies" true
-    (Scheduler.run scheduler).Scheduler.all_verified
+  (* Whatever was refused, the same arguments still run. *)
+  Alcotest.(check bool) "a run after the rejections verifies" true
+    (Rmcast.Error.get_exn (Transfer.send_all ~network ~rng [ "some payload bytes" ]))
+      .Transfer.all_verified
 
 (* With churn, [send] is the one-flow [Np.Mux] run it always was: the same
    draws, so the same counts. *)
